@@ -10,7 +10,6 @@ from .errors import (
     GroupSpecError,
     NonConvergenceError,
     NonRadialError,
-    SpecMismatchError,
 )
 from .groups import FiniteFactor, FreeProduct, LatticeFactor, cyclic_factor
 from .walks import StepMeasure, uniform_on_generators
@@ -24,7 +23,6 @@ __all__ = [
     "GroupSpecError",
     "NonConvergenceError",
     "NonRadialError",
-    "SpecMismatchError",
     "FiniteFactor",
     "FreeProduct",
     "LatticeFactor",

@@ -9,18 +9,10 @@ demand to factor word length <= D.
 """
 
 import csv
-from dataclasses import dataclass
 
 from .errors import BudgetError
 
 START = -1  # start vertex id; factor vertices use their factor id
-
-
-@dataclass(frozen=True)
-class Edge:
-    source: int
-    target: int
-    symbol: tuple  # (factor_id, payload)
 
 
 class Automaton:
@@ -50,12 +42,6 @@ class Automaton:
     def follows(self, sym_prev, sym_next):
         """Adjacency: the next syllable must come from a different factor."""
         return sym_prev[0] != sym_next[0]
-
-    def edges(self):
-        for v in self.vertices:
-            for fid, p in self.symbols():
-                if v != fid:
-                    yield Edge(v, fid, (fid, p))
 
     def adjacency_rows(self):
         """Map vertex -> frozenset of admissible target vertices.

@@ -262,8 +262,6 @@ def build_parser():
         default=None,
         help="override the dominant size knob of the subcommand",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; computations run deterministically")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--method",

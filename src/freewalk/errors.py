@@ -9,10 +9,6 @@ class GroupSpecError(FreewalkError):
     """A factor or free-product specification violates its invariants."""
 
 
-class SpecMismatchError(FreewalkError):
-    """Elements from different group specifications were combined."""
-
-
 class BudgetError(FreewalkError):
     """An enumeration or computation exceeded its declared resource budget."""
 

@@ -1,21 +1,24 @@
 """Green functions G(x,y|r), first-passage series, spectral radius, and I-sums.
 
 Two coefficient sources back every evaluation: a radial table (isotropic
-walks, sphere masses from the distance chain divided by sphere sizes) and a
-truncated exact convolution table.  On top of either, single-syllable
-first-passage values give a product evaluation of G(e,gamma|r) across
-syllables; in a free product every syllable prefix is a cut vertex of the
-Cayley graph, so the first-visit decomposition at prefixes is an exact
-identity whenever the step measure is supported on single syllables.
+walks, sphere masses from the distance chain divided by sphere sizes, which
+come from the free product's growth series) and a convolution table, the
+powers mu^{*n} from the truncated-ball path operator of ``walks``.  On top of
+either, single-syllable first-passage values give a product evaluation of
+G(e,gamma|r) across syllables; in a free product every syllable prefix is a
+cut vertex of the Cayley graph, so the first-visit decomposition at prefixes
+is an exact identity whenever the step measure is supported on single
+syllables.  The convolution table's first visits are the same path operator
+with gamma as its absorbing set.
 
 Every reported value carries a tail estimate and a method tag; tails are
 closed geometrically away from the convergence radius and with a power-law
-model near it, never hidden.
+model near it, never hidden.  The two routes to I1 (relative spheres and
+d/dr (r G)) are compared on every I-sum, and a disagreement is an error.
 """
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,72 +31,48 @@ from .errors import (
 from . import walks
 
 NEG_INF = -math.inf
+# largest relative gap allowed between the relative-sphere I1 and the series
+# for d/dr (r G(e,e|r)), which equals I1 by the derivative identity
+I1_ROUTE_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
-# sphere sizes with linear-recurrence extension
+# sphere sizes from the growth series
 
-def sphere_sizes(group, n_max, enumerate_to=10, budget=5 * 10**5):
-    """|S_m| for m = 0..n_max; enumerated prefix extended by a fitted
-    integer linear recurrence (order <= 3), validated on a held-out term."""
-    counts = {}
-    for g in group.ball(enumerate_to, metric="word", budget=budget):
-        counts[group.word_length(g)] = counts.get(group.word_length(g), 0) + 1
-    sizes = [counts.get(m, 0) for m in range(enumerate_to + 1)]
-    if n_max <= enumerate_to:
-        return sizes[: n_max + 1]
-    rec = _fit_recurrence(sizes)
-    if rec is None:
-        raise NonConvergenceError(
-            "sphere sizes admit no short linear recurrence; raise enumerate_to",
-            diagnostics={"sizes": sizes},
-        )
-    while len(sizes) <= n_max:
-        sizes.append(sum(c * sizes[-i - 1] for i, c in enumerate(rec)))
+def sphere_sizes(group, n_max):
+    """|S_m| for m = 0..n_max, from the growth series of the free product.
+
+    Each factor's growth series S_i is a ratio A_i/B_i of integer
+    polynomials: its length counts over 1 for a finite factor, and
+    ((1+z)/(1-z))^d for Z^d.  The free product's series satisfies
+    1/S = sum_i 1/S_i - (N-1) (Woess 2000, on free products).  Summed as
+    one fraction p/q, that is 1 at z = 0, so S = q/p gives the sizes by an
+    integer linear recurrence.
+    """
+    p = np.array([1 - len(group.factors)], dtype=object)
+    q = np.array([1], dtype=object)
+    for factor in group.factors:
+        if factor.kind == "lattice":
+            a = np.array([math.comb(factor.rank, i) for i in range(factor.rank + 1)])
+            b = a * (-1) ** np.arange(factor.rank + 1)
+        else:
+            a, b = np.bincount(factor.lengths), np.array([1])
+        qb = np.convolve(q, b)
+        p, q = np.convolve(p, a), np.convolve(q, a)
+        p[: len(qb)] += qb  # p/q + b/a, and deg(q b) <= deg(p a)
+    p, q, sizes = p.tolist(), q.tolist(), []
+    for n in range(n_max + 1):
+        s = q[n] if n < len(q) else 0
+        for k in range(1, min(n, len(p) - 1) + 1):
+            s -= p[k] * sizes[n - k]
+        sizes.append(s)
     return sizes
-
-
-def _fit_recurrence(sizes, max_order=3):
-    for order in range(1, max_order + 1):
-        if len(sizes) < 2 * order + 2:
-            continue
-        # solve on one window, validate on everything after it
-        a = [[Fraction(sizes[j + order - 1 - i]) for i in range(order)]
-             for j in range(order)]
-        b = [Fraction(sizes[j + order]) for j in range(order)]
-        coeffs = _solve_exact(a, b)
-        if coeffs is None:
-            continue
-        ok = all(
-            sum(c * sizes[m - 1 - i] for i, c in enumerate(coeffs)) == sizes[m]
-            for m in range(2 * order, len(sizes))
-        )
-        if ok:
-            return coeffs
-    return None
-
-
-def _solve_exact(a, b):
-    n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # tail closure
 
-def _close_tail(log_terms, period):
+def _close_tail(log_terms):
     """(tail, method) for a positive series from its trailing log-terms.
 
     log_terms: log of the nonzero terms c_n r^n on the lattice n = n0 + j*p.
@@ -122,9 +101,6 @@ class GreenValue:
     method: str
     n_terms: int
 
-    def __float__(self):
-        return self.value
-
 
 # ---------------------------------------------------------------------------
 # coefficient tables
@@ -133,7 +109,6 @@ class RadialGreenTable:
     """log p_n(e, gamma) per word distance, from the distance chain."""
 
     def __init__(self, group, chain, horizon):
-        self.group = group
         self.chain = chain
         self.horizon = horizon
         masses, logscales = chain.float_masses(horizon)
@@ -157,12 +132,7 @@ class RadialGreenTable:
 
 def _absorbing_chain_logs(chain, start, horizon):
     max_m = horizon + start + 1
-    down = np.empty(max_m + 1)
-    stay = np.empty(max_m + 1)
-    up = np.empty(max_m + 1)
-    for k in range(max_m + 1):
-        d, s, u = chain.row(k)
-        down[k], stay[k], up[k] = float(d), float(s), float(u)
+    down, stay, up = chain.float_rows(max_m)
     v = np.zeros(max_m + 1)
     logs = np.full(horizon + 1, NEG_INF)
     if start == 0:
@@ -192,7 +162,6 @@ class ConvolutionGreenTable:
 
     def __init__(self, measure, horizon, ball_bound, budget=5 * 10**6):
         self.measure = measure
-        self.group = measure.group
         self.horizon = horizon
         self.ball_bound = ball_bound
         self.dists = walks.convolve_powers(
@@ -211,34 +180,21 @@ class ConvolutionGreenTable:
         return self._cache[gamma]
 
     def first_visit_logs(self, gamma):
-        """log first-visit masses f_n(e, gamma) via a taboo convolution."""
-        group = self.group
-        index = walks._Index(self.measure, ball_bound=self.ball_bound)
-        target = index.intern(gamma)
-        cur = {0: 1}
-        denom = 1
+        """log first-visit masses f_n(e, gamma), on the table's ball."""
         logs = np.full(self.horizon + 1, NEG_INF)
-        if target == 0:
+        if gamma == ():
             logs[0] = 0.0
             return logs
-        for n in range(1, self.horizon + 1):
-            denom *= index.step_denom
-            nxt = {}
-            for eid, num in cur.items():
-                for tid, wnum in index.neighbors(eid):
-                    if tid < 0:
-                        continue
-                    nxt[tid] = nxt.get(tid, 0) + num * wnum
-            hit = nxt.pop(target, 0)
+        denom, hits = walks.first_visits(
+            self.measure, gamma, self.horizon, self.ball_bound
+        )
+        for n, hit in enumerate(hits, 1):
             if hit:
-                logs[n] = math.log(hit) - math.log(denom)
-            cur = nxt
-            if not cur:
-                break
+                logs[n] = math.log(hit) - math.log(denom**n)
         return logs
 
 
-def _eval_series(logs, r, period_hint=1):
+def _eval_series(logs, r):
     """(value, tail, method, n_terms) for sum_n c_n r^n from log c_n."""
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -251,7 +207,7 @@ def _eval_series(logs, r, period_hint=1):
         return 0.0, 0.0, "empty", 0
     peak = max(lt for _, lt in log_terms)
     value = math.exp(peak) * sum(math.exp(lt - peak) for _, lt in log_terms)
-    tail, method = _close_tail(log_terms, period_hint)
+    tail, method = _close_tail(log_terms)
     return value + tail, tail, method, len(log_terms)
 
 
@@ -274,7 +230,7 @@ class SpectralRadiusEstimate:
         return max(abs(v - self.rho_hat) for v in self.richardson_tail[-3:])
 
 
-def spectral_radius(seq, period=None):
+def spectral_radius(seq):
     """Estimate rho = 1/R from a return sequence.
 
     Rigorous lower bound from supermultiplicativity of p_{2n}(e,e); the point
@@ -288,10 +244,6 @@ def spectral_radius(seq, period=None):
         raise DegenerateInputError(
             "spectral radius estimation needs at least 10 nonzero even terms"
         )
-    return _spectral_radius_from_even(even)
-
-
-def _spectral_radius_from_even(even):
     rho_lower = max(math.exp(l / n) for n, l in even)
     ratios = []
     for (n1, l1), (n2, l2) in zip(even, even[1:]):
@@ -321,6 +273,7 @@ def _spectral_radius_from_even(even):
 class ISums:
     r: float
     i1: float
+    i1_derivative: float  # the series for d/dr (r G(e,e|r)), checked against i1
     i2: float
     sphere_sums: list  # relative-sphere contributions to I1 (m = 1, 2, ...)
     syllable_cap: int
@@ -360,26 +313,20 @@ class GreenEvaluator:
             self.table = ConvolutionGreenTable(
                 measure, self.horizon, ball_bound, budget=budget
             )
-            # radius estimate from the same truncation ball as the table;
+            # radius estimate from the first 61 powers of the same table;
             # beyond n = 2*ball_bound/max_step the returns are slightly
             # undercounted, which can only nudge R_hat upward and is
             # covered by the slop in _check_r
             seq_h = min(self.horizon, 60)
-            dists = walks.convolve_powers(
-                measure, seq_h, ball_bound=ball_bound, budget=budget
-            )
             seq = walks.ReturnSequence(
                 horizon=seq_h,
                 method="exact",
-                values=[d.mass(self.group.identity) for d in dists],
+                values=[
+                    d.mass(self.group.identity)
+                    for d in self.table.dists[: seq_h + 1]
+                ],
             )
-        self.period = walks.detect_period(seq).period
-        even = [
-            (n, seq.log_values[n])
-            for n in range(2, seq.horizon + 1, 2)
-            if seq.log_values[n] > NEG_INF
-        ]
-        self.radius_estimate = _spectral_radius_from_even(even)
+        self.radius_estimate = spectral_radius(seq)
         self.single_syllable_support = all(
             len(g) <= 1 for g, _ in measure.support
         )
@@ -418,7 +365,7 @@ class GreenEvaluator:
         if cached is not None:
             return cached
         if method == "series":
-            v, tail, tag, n = _eval_series(self._logs_for(gamma), r, self.period)
+            v, tail, tag, n = _eval_series(self._logs_for(gamma), r)
             out = GreenValue(v, tail, f"series/{tag}", n)
         elif method == "factored":
             out = self._green_factored(gamma, r)
@@ -442,16 +389,10 @@ class GreenEvaluator:
             rel_tail += fp.tail / fp.value if fp.value else 0.0
         return GreenValue(value, abs(value) * rel_tail, "factored", gee.n_terms)
 
-    def first_passage(self, x, y, r, method="series"):
+    def first_passage(self, x, y, r):
         """F(x,y|r): first-visit series; satisfies G(x,y|r)=F(x,y|r)G(e,e|r)."""
         self._check_r(r)
         gamma = self.group.multiply(self.group.invert(x), y)
-        if method == "ratio":
-            g = self.green(x, y, r, method="series")
-            gee = self.green((), (), r, method="series")
-            return GreenValue(
-                g.value / gee.value, g.tail / gee.value, "ratio", g.n_terms
-            )
         key = ("F", gamma, r)
         cached = self._val_cache.get(key)
         if cached is not None:
@@ -462,7 +403,7 @@ class GreenEvaluator:
             else:
                 logs = self.table.first_visit_logs(gamma)
             self._fp_cache[gamma] = logs
-        v, tail, tag, n = _eval_series(self._fp_cache[gamma], r, self.period)
+        v, tail, tag, n = _eval_series(self._fp_cache[gamma], r)
         out = GreenValue(v, tail, f"first-visit/{tag}", n)
         self._val_cache[key] = out
         return out
@@ -487,7 +428,7 @@ class GreenEvaluator:
                     for n, lc in enumerate(logs)
                 ]
             )
-            v, tail, tag, n = _eval_series(shifted, r, self.period)
+            v, tail, tag, n = _eval_series(shifted, r)
             return GreenValue(v, tail, f"derivative-series/{tag}", n)
         if mode == "identity":
             if x == () and y == ():
@@ -534,7 +475,10 @@ class GreenEvaluator:
 
         Relative spheres are summed via the per-syllable first-passage
         weights (exact across cut vertices); summation stops when a sphere's
-        relative contribution drops below ``sphere_stop_tol``.
+        relative contribution drops below ``sphere_stop_tol``.  I1 also
+        equals d/dr (r G(e,e|r)); raises ``NonConvergenceError`` when that
+        series and the sphere sum differ by more than ``I1_ROUTE_TOL``
+        relative, as they do from about 0.998*R on the rank-2 free group.
         """
         self._check_r(r)
         if not self.single_syllable_support:
@@ -565,6 +509,20 @@ class GreenEvaluator:
                 )
             other = sum(v)
             v = [t[k] * (other - v[k]) for k in range(n_fac)]
+        dg = self.green_derivative((), (), r, mode="series").value
+        rel_gap = abs(total - dg) / dg
+        if rel_gap > I1_ROUTE_TOL:
+            raise NonConvergenceError(
+                f"I1 routes disagree at r = {r:.10g}: relative spheres give "
+                f"{total:.8g}, d/dr(rG) gives {dg:.8g}, relative gap "
+                f"{rel_gap:.2e} > {I1_ROUTE_TOL:g}",
+                diagnostics={
+                    "r": float(r),
+                    "i1_spheres": total,
+                    "i1_derivative": dg,
+                    "rel_gap": rel_gap,
+                },
+            )
         i2 = math.nan
         i2_method = "skipped"
         if want_i2:
@@ -572,6 +530,7 @@ class GreenEvaluator:
         return ISums(
             r=r,
             i1=total,
+            i1_derivative=dg,
             i2=i2,
             sphere_sums=sphere_sums,
             syllable_cap=syllable_cap,
@@ -602,7 +561,7 @@ class GreenEvaluator:
         sizes = []
         ell = 0
         while True:
-            gv = _eval_series(self.table.log_coefficients(ell), r, self.period)[0]
+            gv = _eval_series(self.table.log_coefficients(ell), r)[0]
             g.append(gv)
             sizes.append(1 if ell == 0 else deg * b ** (ell - 1))
             contrib = sizes[ell] * gv * gv

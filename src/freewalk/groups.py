@@ -12,7 +12,7 @@ import itertools
 import warnings
 from collections import deque
 
-from .errors import BudgetError, GroupSpecError, SpecMismatchError
+from .errors import BudgetError, GroupSpecError
 
 _ASSOC_CHECK_MAX = 64
 
@@ -182,10 +182,6 @@ class FreeProduct:
 
     # -- syllable-level arithmetic ------------------------------------------
 
-    def check_same(self, other):
-        if self is not other:
-            raise SpecMismatchError("elements belong to different group specs")
-
     def multiply(self, a, b):
         """Normal form of a*b; reduces across the junction only."""
         out = list(a)
@@ -345,13 +341,3 @@ class FreeProduct:
             acc = self.multiply(acc, (syl,))
             vertices.append(acc)
         return vertices
-
-    def format_element(self, a):
-        if not a:
-            return "e"
-        parts = []
-        for fid, p in a:
-            factor = self.factors[fid]
-            label = factor.name or f"f{fid}"
-            parts.append(f"{label}[{p}]")
-        return ".".join(parts)

@@ -2,10 +2,12 @@
 
 The kernel p_{k,r}(h,h') sums r^n mu(h^-1 g_1) ... mu(g_{n-1}^-1 h') over
 paths whose intermediate points avoid H_k.  Translation invariance reduces it
-to the single row from e.  The dynamic program is exact (Fractions) for
-rational r and float otherwise; states are truncated to a word ball, and in
-exact mode additionally pruned by remaining steps (a state farther from H_k
-than the steps left cannot contribute, so the prune is lossless).
+to the single row from e, which is the mass ``walks.PathOperator`` absorbs
+in H_k, labelled by factor payload.  Its exact
+propagator (integer numerators, rational r folded into the steps) serves
+rational r and additionally prunes by remaining steps (a state farther from
+H_k than the steps left cannot contribute, so the prune is lossless); its
+float propagator serves the rest.  States are truncated to a word ball.
 
 Truncation only ever removes non-negative path weights, so every reported
 spectral-radius estimate is a lower bound and the (L, B) ladder increases
@@ -21,6 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonConvergenceError
+from .groups import _lattice_ball
+from .walks import PathOperator
 
 
 def _in_factor(group, elem, factor_id):
@@ -35,11 +39,17 @@ def _in_factor(group, elem, factor_id):
     return None
 
 
-def _dist_to_factor(group, elem, factor_id):
-    total = group.word_length(elem)
-    if elem and elem[0][0] == factor_id:
-        return total - group.factors[factor_id].length(elem[0][1])
-    return total
+def _factor_absorb(group, factor_id):
+    """H_k as the path operator's absorbing set, labelled by payload."""
+    def absorb(elem, length):
+        payload = _in_factor(group, elem, factor_id)
+        if payload is not None:
+            return payload, 0
+        if elem[0][0] == factor_id:
+            return None, length - group.factors[factor_id].length(elem[0][1])
+        return None, length
+
+    return absorb
 
 
 @dataclass
@@ -54,154 +64,45 @@ class ReturnKernel:
     escaped_mass: object  # weight dropped at the ball boundary
     exact: bool
 
-    def row_sorted(self, group):
-        factor = group.factors[self.factor_id]
-        return sorted(self.row.items(), key=lambda kv: (factor.length(kv[0]), str(kv[0])))
-
 
 def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=None):
     """The row p_{k,r}(e, .) of the first-return kernel to factor ``factor_id``.
 
-    Exact mode (rational r) runs a dictionary dynamic program with the
-    lossless remaining-steps prune; float mode interns the truncation-ball
-    states once and iterates with vectorized scatter-adds, which makes long
-    horizons cheap.
+    Runs the path operator with H_k as its absorbing set.  Exact mode
+    (rational r, or ``exact=True``) propagates integer numerators with the
+    lossless remaining-steps prune and returns Fraction rows; float mode
+    expands the ball once and reuses its transition list at every step,
+    which makes long horizons cheap.
     """
-    group = measure.group
     if exact is None:
         exact = isinstance(r, (int, Fraction))
-    if not exact:
-        if ball_radius is None:
-            raise ValueError("float mode needs an explicit ball_radius")
-        return _float_kernel(measure, factor_id, float(r), max_len, ball_radius)
-    r = Fraction(r)
-    steps = [(s, r * w) for s, w in measure.support]
-    zero = Fraction(0)
-    row = {}
-    cur = {(): zero + 1}
-    in_flight = zero
-    escaped = zero
-    for n in range(1, max_len + 1):
-        nxt = {}
-        remaining = max_len - n
-        for g, wgt in cur.items():
-            for s, ws in steps:
-                h = group.multiply(g, s)
-                w = wgt * ws
-                payload = _in_factor(group, h, factor_id)
-                if payload is not None:
-                    row[payload] = row.get(payload, zero) + w
-                    continue
-                if ball_radius is not None and group.word_length(h) > ball_radius:
-                    escaped += w
-                    continue
-                if _dist_to_factor(group, h, factor_id) > remaining:
-                    # lossless prune: cannot reach H_k in the steps left
-                    continue
-                nxt[h] = nxt.get(h, zero) + w
-        cur = nxt
-        if not cur:
-            break
-    in_flight = sum(cur.values(), zero)
+    if not exact and ball_radius is None:
+        raise ValueError("float mode needs an explicit ball_radius")
+    r = Fraction(r) if exact else float(r)
+    op = PathOperator(measure, ball_radius, r, _factor_absorb(measure.group, factor_id))
+    if exact:
+        row, escaped, denom, cur = {}, Fraction(0), 1, {0: 1}
+        for cur, hits, esc in op.exact_steps(max_len, prune=True):
+            denom *= op.denominator
+            for payload, num in hits.items():
+                row[payload] = row.get(payload, 0) + Fraction(num, denom)
+            escaped += Fraction(esc, denom)
+            if not cur:
+                break
+        returned = sum(row.values(), Fraction(0))
+        in_flight = Fraction(sum(cur.values()), denom)
+    else:
+        row, returned, in_flight, escaped = op.float_absorb(max_len)
     return ReturnKernel(
         factor_id=factor_id,
         r=r,
         max_len=max_len,
         ball_radius=ball_radius if ball_radius is not None else -1,
         row=row,
-        returned_mass=sum(row.values(), zero),
+        returned_mass=returned,
         in_flight_mass=in_flight,
         escaped_mass=escaped,
-        exact=True,
-    )
-
-
-def _float_kernel(measure, factor_id, r, max_len, ball_radius):
-    group = measure.group
-    steps = [(s, r * float(w)) for s, w in measure.support]
-    state_ids = {}
-    payload_ids = {}
-    trans = []  # (src, dst, w)
-    harvest = []  # (src, payload_id, w)
-    escape = []  # (src, w)
-
-    def payload_id(p):
-        if p not in payload_ids:
-            payload_ids[p] = len(payload_ids)
-        return payload_ids[p]
-
-    # phase 1: intern all reachable in-ball states and their transitions
-    frontier = [()]
-    state_ids[()] = 0
-    rows_built = 0
-    while frontier:
-        nxt = []
-        for g in frontier:
-            src = state_ids[g]
-            for s, ws in steps:
-                h = group.multiply(g, s)
-                p = _in_factor(group, h, factor_id)
-                if p is not None:
-                    if src != 0:  # from e itself the harvest is seeded below
-                        harvest.append((src, payload_id(p), ws))
-                    continue
-                if group.word_length(h) > ball_radius:
-                    escape.append((src, ws))
-                    continue
-                if h not in state_ids:
-                    state_ids[h] = len(state_ids)
-                    nxt.append(h)
-                trans.append((src, state_ids[h], ws))
-        frontier = nxt
-        rows_built += 1
-    n_states = len(state_ids)
-    src = np.array([t[0] for t in trans], dtype=np.int64)
-    dst = np.array([t[1] for t in trans], dtype=np.int64)
-    wgt = np.array([t[2] for t in trans])
-    hsrc = np.array([h[0] for h in harvest], dtype=np.int64)
-    hpay = np.array([h[1] for h in harvest], dtype=np.int64)
-    hwgt = np.array([h[2] for h in harvest])
-    esc_w = np.zeros(n_states)
-    for s_id, w in escape:
-        esc_w[s_id] += w
-
-    escaped = 0.0
-    # step 1 from e, seeding both the kernel row and the in-ball state vector
-    seed_row = {}
-    v = np.zeros(n_states)
-    for s, ws in steps:
-        p = _in_factor(group, s, factor_id)
-        if p is not None:
-            seed_row[payload_id(p)] = seed_row.get(payload_id(p), 0.0) + ws
-        elif group.word_length(s) > ball_radius:
-            escaped += ws
-        else:
-            v[state_ids[s]] += ws
-    kernel_vec = np.zeros(max(len(payload_ids), 1))
-    for i, w in seed_row.items():
-        kernel_vec[i] += w
-    v[0] = 0.0  # the empty word lies in the factor; it is never a state
-    for _ in range(2, max_len + 1):
-        escaped += float(esc_w @ v)
-        if len(hsrc):
-            np.add.at(kernel_vec, hpay, hwgt * v[hsrc])
-        nv = np.zeros(n_states)
-        np.add.at(nv, dst, wgt * v[src])
-        nv[0] = 0.0  # the empty word is in the factor; never a through-state
-        v = nv
-        if not v.any():
-            break
-    row = {p: float(kernel_vec[i]) for p, i in payload_ids.items() if kernel_vec[i]}
-    return ReturnKernel(
-        factor_id=factor_id,
-        r=r,
-        max_len=max_len,
-        ball_radius=ball_radius,
-        row=row,
-        returned_mass=float(kernel_vec.sum()),
-        in_flight_mass=float(v.sum()),
-        escaped_mass=escaped,
-        exact=False,
+        exact=exact,
     )
 
 
@@ -215,7 +116,7 @@ def kernel_matrix(kernel, group, factor_ball):
     if factor.kind == "lattice":
         states = [
             p
-            for p in _lattice_box(factor.rank, factor_ball)
+            for p in _lattice_ball(factor.rank, factor_ball)
             if factor.length(p) <= factor_ball
         ]
     else:
@@ -229,12 +130,6 @@ def kernel_matrix(kernel, group, factor_ball):
             if j is not None:
                 mat[i, j] = float(w)
     return states, mat
-
-
-def _lattice_box(rank, radius):
-    from .groups import _lattice_ball
-
-    return list(_lattice_ball(rank, radius))
 
 
 @dataclass

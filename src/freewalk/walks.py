@@ -1,15 +1,23 @@
-"""Finitely supported measures, exact convolution powers, and the radial fast path.
+"""Finitely supported measures, the truncated-ball path operator, and the
+radial fast path.
 
-Exact convolutions run on interned elements with integer numerators over a
-common power denominator, so only integer arithmetic happens in the hot loop.
-The radial path projects isotropic nearest-neighbor walks to a birth-death
-chain on distances; it is validated against the full walk on an overlap window
-and runs in log-scaled floats for large horizons.
+Every truncated path sum in the package runs on one ``PathOperator``: the
+convolution powers mu^{*n}, the first visits to an element, the first-return
+kernels to a factor, and the reach check of a step measure.  It interns
+elements once, sends steps that leave the word ball to an escape sink and
+harvests mass that reaches an absorbing set.  Its exact propagator keeps
+integer numerators over a power denominator, so only integer arithmetic
+happens in the hot loop; its float propagator applies the ball's weighted
+transition list once per step.  The radial path projects isotropic
+nearest-neighbor walks to a birth-death chain on distances; it is validated
+against the full walk on an overlap window and runs in log-scaled floats for
+large horizons.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -53,20 +61,10 @@ class StepMeasure:
             target = set(self.group.ball(3, metric="word", budget=200000))
         except BudgetError:
             return
-        reached = {self.group.identity}
-        frontier = [self.group.identity]
-        for _ in range(3 * max(1, self.max_step_length) + 3):
-            nxt = []
-            for g in frontier:
-                for s, _ in self.support:
-                    h = self.group.multiply(g, s)
-                    if h not in reached and self.group.word_length(h) <= 3:
-                        reached.add(h)
-                        nxt.append(h)
-            if not nxt:
-                break
-            frontier = nxt
-        if not target <= reached:
+        op = PathOperator(self, ball_bound=3)
+        for _ in op.exact_steps(3 * max(1, self.max_step_length) + 3):
+            pass
+        if not target <= set(op.elems):
             warnings.warn(
                 f"measure {self.name or '<unnamed>'} may not be admissible: "
                 "its support does not reach the full radius-3 ball",
@@ -80,10 +78,7 @@ class StepMeasure:
         return True
 
     def common_denominator(self):
-        d = 1
-        for _, w in self.support:
-            d = d * w.denominator // math.gcd(d, w.denominator)
-        return d
+        return math.lcm(*(w.denominator for _, w in self.support))
 
 
 def uniform_on_generators(group, lazy=None, name=""):
@@ -100,46 +95,154 @@ def uniform_on_generators(group, lazy=None, name=""):
     return StepMeasure(group, weights, name=name)
 
 
-class _Index:
-    """Interns elements and caches right-multiplication by the support."""
+class PathOperator:
+    """Paths of weight r^n mu(s_1) ... mu(s_n) from e, truncated to a ball.
 
-    def __init__(self, measure, ball_bound=None):
+    Elements are interned once, in the order the paths first reach them,
+    with their absorbing label and distance to the absorbing set from
+    ``absorb(elem, word_length)``; the label is None off the set, and the
+    set is empty without ``absorb``.  A step lands on an interned element
+    or, when it leaves the word ball of radius ``ball_bound`` without being
+    absorbed, in the escape sink (id -1).  Mass that reaches an absorbing
+    element is harvested under its label and not propagated; e starts
+    every path even when it is absorbing.
+
+    ``exact_steps`` keeps integer numerators over ``denominator ** n``, with
+    the rational r folded into the step numerators; ``float_absorb``
+    expands the whole ball once and applies its transition list per step.
+    """
+
+    def __init__(self, measure, ball_bound=None, r=1, absorb=None):
         self.group = measure.group
         self.ball_bound = ball_bound
-        denom = measure.common_denominator()
-        self.step_denom = denom
-        self.steps = [
-            (s, int(w * denom)) for s, w in measure.support
-        ]
-        self.elems = [self.group.identity]
-        self.ids = {self.group.identity: 0}
-        self.nbrs = [None]
+        self.absorb = absorb
+        rq = Fraction(r)
+        self.denominator = measure.common_denominator() * rq.denominator
+        self.steps = [(s, int(rq * w * self.denominator)) for s, w in measure.support]
+        self.float_weights = [float(r) * float(w) for _, w in measure.support]
+        self.elems, self.ids, self.length, self.label, self.dist = [], {}, [], [], []
+        self.absorbing = []  # ids with a label, in interning order
+        self._rows = []
+        self._intern(self.group.identity, 0)
 
-    def intern(self, elem):
-        eid = self.ids.get(elem)
-        if eid is None:
-            eid = len(self.elems)
-            self.ids[elem] = eid
-            self.elems.append(elem)
-            self.nbrs.append(None)
+    def _intern(self, elem, length, left=None):
+        """Id of a new element, -1 if it escapes, None if beyond ``left``."""
+        label, dist = self.absorb(elem, length) if self.absorb else (None, 0)
+        if label is None and self.ball_bound is not None and length > self.ball_bound:
+            return -1
+        if label is None and left is not None and dist > left:
+            return None
+        eid = len(self.elems)
+        self.ids[elem] = eid
+        self.elems.append(elem)
+        self.length.append(length)
+        self.label.append(label)
+        self.dist.append(dist)
+        self._rows.append(None)
+        if label is not None:
+            self.absorbing.append(eid)
         return eid
 
-    def neighbors(self, eid):
-        cached = self.nbrs[eid]
-        if cached is None:
-            g = self.elems[eid]
-            cached = []
-            for s, num in self.steps:
-                h = self.group.multiply(g, s)
-                if (
-                    self.ball_bound is not None
-                    and self.group.word_length(h) > self.ball_bound
-                ):
-                    cached.append((-1, num))  # escape sink
-                else:
-                    cached.append((self.intern(h), num))
-            self.nbrs[eid] = cached
-        return cached
+    def _row(self, eid, left=None):
+        """[(target id, step numerator)] for the steps from eid within ``left``."""
+        group, g, length = self.group, self.elems[eid], self.length[eid]
+        row = []
+        for s, num in self.steps:
+            h = group.multiply(g, s)
+            tid = self.ids.get(h)
+            if tid is None:
+                # a step of k syllables rewrites at most g's last k syllables
+                j = max(len(g) - len(s), 0)
+                delta = group.word_length(h[j:]) - group.word_length(g[j:])
+                tid = self._intern(h, length + delta, left)
+            if tid is not None:
+                row.append((tid, num))
+        return row
+
+    def exact_steps(self, n, prune=False):
+        """Yield (in_flight, hits, escaped) after each of steps 1..n.
+
+        ``in_flight`` maps ids to integer numerators, ``hits`` maps labels
+        to the numerators absorbed at this step, and ``escaped`` is the
+        numerator that left the ball at this step, all over
+        ``denominator ** step``.  With ``prune``, an element farther from
+        the absorbing set than the steps left is dropped (and not interned):
+        it cannot be absorbed in time, so the prune loses no absorbed mass.
+        """
+        rows = self._rows
+        cur = {0: 1}
+        for step in range(1, n + 1):
+            nxt = {}
+            escaped = 0
+            for eid, num in cur.items():
+                row = rows[eid]
+                if row is None:
+                    row = rows[eid] = self._row(eid, n - step if prune else None)
+                for tid, wnum in row:
+                    if tid < 0:
+                        escaped += num * wnum
+                    else:
+                        nxt[tid] = nxt.get(tid, 0) + num * wnum
+            hits = {}
+            for aid in self.absorbing:
+                hit = nxt.pop(aid, 0)
+                if hit:
+                    hits[self.label[aid]] = hit
+            if prune:
+                left, dist = n - step, self.dist
+                nxt = {t: v for t, v in nxt.items() if dist[t] <= left}
+            cur = nxt
+            yield cur, hits, escaped
+
+    def float_absorb(self, n):
+        """(absorbed, absorbed_total, in_flight, escaped) after n steps.
+
+        Masses are floats; ``absorbed`` maps labels to masses.  The ball is
+        expanded once, in breadth-first order, into one list of weighted
+        (source, destination) entries over the in-flight states followed by
+        the sinks: the escape sink, then the labels.  A unit self-loop on
+        each sink comes first, so the mass in it accumulates.  Each step is
+        one ``np.bincount`` over that list, which adds into every
+        destination in list order.
+        """
+        spos = {0: 0}  # in-flight id -> position; e starts every path
+        sinks = {-1: 0}
+        sinks.update((aid, i + 1) for i, aid in enumerate(self.absorbing))
+        src, dst, wgt = array("q"), array("q"), array("d")
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for eid in frontier:
+                for (tid, _), w in zip(self._row(eid), self.float_weights):
+                    if tid < 0 or self.label[tid] is not None:
+                        d = -1 - sinks.setdefault(tid, len(sinks))
+                    elif tid in spos:
+                        d = spos[tid]
+                    else:
+                        d = spos[tid] = len(spos)
+                        nxt.append(tid)
+                    src.append(spos[eid])
+                    dst.append(d)
+                    wgt.append(w)
+            frontier = nxt
+        k, size = len(spos), len(spos) + len(sinks)
+        loops = np.arange(k, size)
+        dst = np.asarray(dst)
+        dst = np.concatenate([loops, np.where(dst < 0, k - 1 - dst, dst)])
+        src = np.concatenate([loops, src])
+        wgt = np.concatenate([np.ones(len(loops)), wgt])
+        x = np.zeros(size)
+        x[0] = 1.0
+        for _ in range(n):
+            x = np.bincount(dst, weights=wgt * x[src], minlength=size)
+            if not x[:k].any():
+                break
+        absorbed = {
+            self.label[a]: float(x[k + i])
+            for a, i in sinks.items()
+            if a >= 0 and x[k + i]
+        }
+        return absorbed, float(x[k + 1:].sum()), float(x[:k].sum()), float(x[k])
 
 
 @dataclass
@@ -150,7 +253,6 @@ class Distribution:
     denominator: int
     numerators: dict  # element -> int
     escaped_numerator: int
-    ball_bound: int
 
     def mass(self, elem):
         return Fraction(self.numerators.get(elem, 0), self.denominator)
@@ -162,9 +264,6 @@ class Distribution:
     def total_mass(self):
         return Fraction(sum(self.numerators.values()), self.denominator)
 
-    def masses(self):
-        return {g: Fraction(v, self.denominator) for g, v in self.numerators.items()}
-
 
 def convolve_power(measure, n, ball_bound=None, budget=5 * 10**6):
     """Exact mu^{*n} on the ball; records escaped mass when truncated."""
@@ -172,37 +271,48 @@ def convolve_power(measure, n, ball_bound=None, budget=5 * 10**6):
 
 
 def convolve_powers(measure, n, ball_bound=None, budget=5 * 10**6):
-    """All mu^{*k} for k = 0..n in one pass (shared element index)."""
+    """All mu^{*k} for k = 0..n in one pass of the path operator."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    full_bound = n * measure.max_step_length
     if ball_bound is None:
-        ball_bound = full_bound
-    index = _Index(measure, ball_bound=ball_bound)
+        ball_bound = n * measure.max_step_length
+    op = PathOperator(measure, ball_bound)
     denom = 1
-    cur = {0: 1}
     escaped = 0
-    out = [Distribution(0, 1, {measure.group.identity: 1}, 0, ball_bound)]
-    for step in range(1, n + 1):
-        escaped *= index.step_denom  # rescale to this step's denominator
-        nxt = {}
-        for eid, num in cur.items():
-            for tid, wnum in index.neighbors(eid):
-                if tid < 0:
-                    escaped += num * wnum
-                else:
-                    nxt[tid] = nxt.get(tid, 0) + num * wnum
-        denom *= index.step_denom
-        cur = nxt
-        if len(index.elems) > budget:
+    out = [Distribution(0, 1, {measure.group.identity: 1}, 0)]
+    for step, (cur, _, esc) in enumerate(op.exact_steps(n), 1):
+        if len(op.elems) > budget:
             raise BudgetError(
                 "convolution exceeded element budget",
-                consumed=len(index.elems),
+                consumed=len(op.elems),
                 budget=budget,
             )
-        numerators = {index.elems[eid]: num for eid, num in cur.items()}
-        out.append(Distribution(step, denom, numerators, escaped, ball_bound))
+        denom *= op.denominator
+        escaped = escaped * op.denominator + esc
+        numerators = {op.elems[eid]: num for eid, num in cur.items()}
+        out.append(Distribution(step, denom, numerators, escaped))
     return out
+
+
+def first_visits(measure, gamma, n, ball_bound):
+    """(denominator, hits): hits[k-1] / denominator**k = f_k(e, gamma).
+
+    f_k is the mass of the paths that first reach gamma at step k, from the
+    path operator with gamma as its absorbing set (for gamma = e, the first
+    returns).  The list stops early once no mass is left in flight.
+    """
+    group = measure.group
+
+    def absorb(elem, length):
+        return (elem, 0) if elem == gamma else (None, group.dist(elem, gamma))
+
+    op = PathOperator(measure, ball_bound, absorb=absorb)
+    hits = []
+    for cur, step_hits, _ in op.exact_steps(n):
+        hits.append(step_hits.get(gamma, 0))
+        if not cur:
+            break
+    return op.denominator, hits
 
 
 @dataclass
@@ -220,15 +330,15 @@ class RadialChain:
     def row(self, m):
         return self.rows[min(m, len(self.rows) - 1)]
 
+    def float_rows(self, max_m):
+        """(down, stay, up) as float arrays over distances 0..max_m."""
+        rows = [[float(p) for p in self.row(m)] for m in range(max_m + 1)]
+        return np.array(rows).T.copy()  # contiguous, for the vector loops
+
     def return_log_probs(self, horizon):
         """log p_n(e,e) for n = 0..horizon (-inf where zero), float path."""
         max_m = horizon + 1
-        down = np.empty(max_m + 1)
-        stay = np.empty(max_m + 1)
-        up = np.empty(max_m + 1)
-        for m in range(max_m + 1):
-            d, s, u = self.row(m)
-            down[m], stay[m], up[m] = float(d), float(s), float(u)
+        down, stay, up = self.float_rows(max_m)
         v = np.zeros(max_m + 1)
         v[0] = 1.0
         logscale = 0.0
@@ -248,37 +358,10 @@ class RadialChain:
                 logs[n] = logscale + math.log(v[0])
         return logs
 
-    def exact_masses(self, horizon):
-        """Exact per-distance masses for n = 0..horizon (list of lists)."""
-        max_m = horizon + 1
-        v = [Fraction(0)] * (max_m + 1)
-        v[0] = Fraction(1)
-        out = [list(v)]
-        for _ in range(horizon):
-            nv = [Fraction(0)] * (max_m + 1)
-            for m in range(max_m + 1):
-                if not v[m]:
-                    continue
-                d, s, u = self.row(m)
-                if s:
-                    nv[m] += s * v[m]
-                if m > 0 and d:
-                    nv[m - 1] += d * v[m]
-                if m < max_m and u:
-                    nv[m + 1] += u * v[m]
-            v = nv
-            out.append(list(v))
-        return out
-
     def float_masses(self, horizon):
         """(masses, logscales): masses[n, m] * exp(logscales[n]) = p_n(0 -> m)."""
         max_m = horizon + 1
-        down = np.empty(max_m + 1)
-        stay = np.empty(max_m + 1)
-        up = np.empty(max_m + 1)
-        for m in range(max_m + 1):
-            d, s, u = self.row(m)
-            down[m], stay[m], up[m] = float(d), float(s), float(u)
+        down, stay, up = self.float_rows(max_m)
         masses = np.zeros((horizon + 1, max_m + 1))
         logscales = np.zeros(horizon + 1)
         v = np.zeros(max_m + 1)
@@ -384,7 +467,6 @@ def return_probabilities(measure, horizon, method="exact", budget=5 * 10**6):
 @dataclass(frozen=True)
 class PeriodInfo:
     period: int
-    first_positive: int
 
 
 def detect_period(seq):
@@ -395,4 +477,4 @@ def detect_period(seq):
     p = 0
     for n in positive:
         p = math.gcd(p, n)
-    return PeriodInfo(period=p, first_positive=positive[0])
+    return PeriodInfo(period=p)

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from freewalk.errors import DivergenceError, GroupSpecError
+from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
 from freewalk.green import GreenEvaluator, sphere_sizes, spectral_radius
+from freewalk.groups import FreeProduct, LatticeFactor, cyclic_factor
 from freewalk.walks import return_probabilities
 
 from oracles import F2_RADIUS, f2_first_passage, f2_green, z2z2z2_radius
@@ -120,6 +121,13 @@ class TestISums:
         s = ev.i_sums(r, sphere_stop_tol=1e-9)
         assert math.isclose(s.i2, expected, rel_tol=1e-4)
 
+    def test_refuses_near_radius(self, ev):
+        # at 0.999*R the relative-sphere I1 and the series for d/dr (r G)
+        # disagree by far more than I1_ROUTE_TOL; i_sums itself must refuse
+        with pytest.raises(NonConvergenceError) as err:
+            ev.i_sums(0.999 * F2_RADIUS)
+        assert err.value.diagnostics["rel_gap"] > 1e-3
+
     def test_parabolic_sums_finite(self, ev):
         res = ev.parabolic_i_sums(0, ev.R_hat, order=1)
         assert math.isfinite(res)
@@ -156,3 +164,17 @@ class TestSphereSizes:
         sizes = sphere_sizes(z2z3, 15)
         for n in range(8):
             assert sizes[n] == len(z2z3.sphere(n, metric="word"))
+
+    def test_three_finite_factors_match_direct(self):
+        # order-4 recurrence, beyond the reach of a fitted short one
+        group = FreeProduct([cyclic_factor(2), cyclic_factor(3), cyclic_factor(5)])
+        sizes = sphere_sizes(group, 8)
+        assert sizes == [1, 5, 18, 64, 226, 804, 2848, 10108, 35848]
+        for n in range(9):
+            assert sizes[n] == len(group.sphere(n, metric="word"))
+
+    def test_rank_two_lattice_factor_matches_direct(self):
+        group = FreeProduct([LatticeFactor(2), cyclic_factor(2)])
+        sizes = sphere_sizes(group, 7)
+        for n in range(8):
+            assert sizes[n] == len(group.sphere(n, metric="word"))

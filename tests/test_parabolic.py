@@ -56,6 +56,17 @@ class TestExactKernel:
         )
         assert pruned.row == wide.row
 
+    @pytest.mark.parametrize("walk, factor_id", [("f2_srw", 0), ("z2z3_srw", 1)])
+    def test_exact_and_float_rows_agree(self, walk, factor_id, request):
+        measure = request.getfixturevalue(walk)
+        exact = first_return_kernel(measure, factor_id, Fraction(1), 12, 6)
+        flt = first_return_kernel(measure, factor_id, 1.0, 12, 6, exact=False)
+        assert exact.exact and not flt.exact
+        assert set(exact.row) == set(flt.row)
+        for payload, w in exact.row.items():
+            assert isinstance(w, Fraction)
+            assert math.isclose(flt.row[payload], float(w), rel_tol=1e-12)
+
     def test_symmetric_row(self, z2z3_srw):
         kern = first_return_kernel(z2z3_srw, 1, Fraction(1), max_len=16)
         # row from e over Z/3 payloads: entries at 1 and 2 agree by symmetry

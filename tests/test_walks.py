@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from freewalk.walks import (
     convolve_power,
     convolve_powers,
     detect_period,
+    first_visits,
     is_radial,
     return_probabilities,
     uniform_on_generators,
@@ -39,6 +41,14 @@ class TestStepMeasure:
         assert f2_srw.is_symmetric()
         assert f2_srw.common_denominator() == 4
 
+    def test_warns_when_support_misses_the_ball(self, f2):
+        a, ai = ((0, (1,)),), ((0, (-1,)),)
+        with pytest.warns(UserWarning, match="admissible"):
+            StepMeasure(f2, {a: Fraction(1, 2), ai: Fraction(1, 2)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            uniform_on_generators(f2)
+
     def test_lazy_variant(self, f2):
         mu = uniform_on_generators(f2, lazy=Fraction(1, 3))
         assert mu.weights[()] == Fraction(1, 3)
@@ -58,6 +68,7 @@ class TestConvolution:
         dist = convolve_power(f2_srw, 8, ball_bound=3)
         assert dist.escaped_mass > 0
         assert dist.total_mass() + dist.escaped_mass == 1
+        assert all(f2_srw.group.word_length(g) <= 3 for g in dist.numerators)
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(min_value=0, max_value=8))
@@ -69,6 +80,22 @@ class TestConvolution:
         seq = convolve_powers(z2z3_srw, 6)
         for n, dist in enumerate(seq):
             assert dist.mass(()) == convolve_power(z2z3_srw, n).mass(())
+
+
+class TestFirstVisits:
+    def test_renewal_identity_in_integers(self, z2z3_srw, z2z3):
+        # p_n(e,g) = sum_{k=1..n} f_k(e,g) p_{n-k}(e,e), all over 3^n; the
+        # ball holds every path of 20 steps, so nothing is truncated
+        n_max = 20
+        dists = convolve_powers(z2z3_srw, n_max, ball_bound=n_max)
+        returns = [d.numerators.get((), 0) for d in dists]
+        for gamma in z2z3.ball(3, metric="word"):
+            denom, hits = first_visits(z2z3_srw, gamma, n_max, ball_bound=n_max)
+            assert denom == 3
+            hits += [0] * (n_max - len(hits))
+            for n in range(1, n_max + 1):
+                renewal = sum(hits[k - 1] * returns[n - k] for k in range(1, n + 1))
+                assert dists[n].numerators.get(gamma, 0) == renewal
 
 
 class TestRadial:
