@@ -2,7 +2,9 @@
 
 Subcommands: walk, green, isums, degeneracy, pressure, ancona, llt, report.
 Every report embeds the config hash and the package version; identical
-config and version produce identical output files.
+config and version produce identical output files.  ``report`` runs the
+other subcommands on one ``Shared``, so the Green evaluator and each return
+sequence are built once per run; a standalone subcommand builds its own.
 """
 
 import argparse
@@ -11,6 +13,7 @@ import json
 import math
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
@@ -20,7 +23,31 @@ from .errors import BudgetError, ConfigError, DivergenceError, FreewalkError
 from .green import GreenEvaluator, spectral_radius
 from .parabolic import degeneracy_test
 from .thermo import pressure, sphere_identity_check
-from .walks import detect_period, is_radial, return_probabilities
+from .walks import detect_period, return_probabilities
+
+
+class Shared:
+    """What several subcommands of one run use, each built on first use."""
+
+    def __init__(self, measure):
+        self.measure = measure
+        self._returns = {}
+
+    @cached_property
+    def evaluator(self):
+        # the walk horizon governs return-probability runs only; Green series
+        # use the evaluator's own defaults (the generic table is exact
+        # convolution, whose cost grows exponentially in its horizon)
+        return GreenEvaluator(self.measure)
+
+    def returns(self, horizon, method):
+        """The return sequence p_0..p_horizon(e,e) by ``method``."""
+        key = (horizon, method)
+        if key not in self._returns:
+            self._returns[key] = return_probabilities(
+                self.measure, horizon, method=method
+            )
+        return self._returns[key]
 
 
 def _out_dir(args):
@@ -58,20 +85,21 @@ def _horizon(cfg, args):
     return args.budget if args.budget else cfg.horizon
 
 
-def cmd_walk(cfg, args):
+def cmd_walk(cfg, args, shared):
     started = time.time()
     horizon = _horizon(cfg, args)
     method = args.method
+    radial = cfg.measure.radial_chain is not None
     if method == "auto":
-        method = "radial" if is_radial(cfg.measure) else "exact"
-    elif method == "radial" and not is_radial(cfg.measure):
+        method = "radial" if radial else "exact"
+    elif method == "radial" and not radial:
         print(
             "error: the radial engine was requested but the measure is not "
             "radial (its step distribution is not a function of distance)",
             file=sys.stderr,
         )
         return 2
-    seq = return_probabilities(cfg.measure, horizon, method=method)
+    seq = shared.returns(horizon, method)
     out = _out_dir(args)
     rows = [["n", "p_n"]]
     if seq.values is not None:
@@ -88,16 +116,9 @@ def cmd_walk(cfg, args):
     return 0
 
 
-def _evaluator(cfg, args):
-    # the walk horizon governs return-probability runs only; Green series
-    # use the evaluator's own defaults (the generic table is exact
-    # convolution, whose cost grows exponentially in its horizon)
-    return GreenEvaluator(cfg.measure)
-
-
-def cmd_green(cfg, args):
+def cmd_green(cfg, args, shared):
     started = time.time()
-    ev = _evaluator(cfg, args)
+    ev = shared.evaluator
     r_hat = ev.R_hat
     grid = cfg.resolve_r_grid(r_hat)
     rows = [["r", "G(e,e|r)", "tail", "method"]]
@@ -120,9 +141,9 @@ def cmd_green(cfg, args):
     return 0
 
 
-def cmd_isums(cfg, args):
+def cmd_isums(cfg, args, shared):
     started = time.time()
-    ev = _evaluator(cfg, args)
+    ev = shared.evaluator
     grid = cfg.resolve_r_grid(ev.R_hat)
     report = ratio_report(ev, grid, sphere_stop_tol=1e-7)
     out = _out_dir(args)
@@ -133,9 +154,9 @@ def cmd_isums(cfg, args):
     return 0
 
 
-def cmd_degeneracy(cfg, args):
+def cmd_degeneracy(cfg, args, shared):
     started = time.time()
-    ev = _evaluator(cfg, args)
+    ev = shared.evaluator
     ladder = (
         (cfg.kernel_len // 2, max(cfg.kernel_ball - 2, 3)),
         (3 * cfg.kernel_len // 4, max(cfg.kernel_ball - 1, 3)),
@@ -152,9 +173,9 @@ def cmd_degeneracy(cfg, args):
     return 0
 
 
-def cmd_pressure(cfg, args):
+def cmd_pressure(cfg, args, shared):
     started = time.time()
-    ev = _evaluator(cfg, args)
+    ev = shared.evaluator
     grid = cfg.resolve_r_grid(ev.R_hat) or [ev.R_hat]
     ladder = ((cfg.cap, cfg.depth - 1), (cfg.cap, cfg.depth))
     results = []
@@ -167,9 +188,9 @@ def cmd_pressure(cfg, args):
     return 0
 
 
-def cmd_ancona(cfg, args):
+def cmd_ancona(cfg, args, shared):
     started = time.time()
-    ev = _evaluator(cfg, args)
+    ev = shared.evaluator
     grid = cfg.resolve_r_grid(ev.R_hat) or [0.9 * ev.R_hat]
     seed = args.seed if args.seed is not None else cfg.seed
     n_triples = min(args.budget, 200) if args.budget else 200
@@ -183,11 +204,11 @@ def cmd_ancona(cfg, args):
     return 0
 
 
-def cmd_llt(cfg, args):
+def cmd_llt(cfg, args, shared):
     started = time.time()
     horizon = _horizon(cfg, args)
-    method = "radial" if is_radial(cfg.measure) else "exact"
-    seq = return_probabilities(cfg.measure, horizon, method=method)
+    method = "radial" if cfg.measure.radial_chain is not None else "exact"
+    seq = shared.returns(horizon, method)
     est = spectral_radius(seq)
     period = detect_period(seq).period
     window = (max(horizon // 10, 50 * period), horizon)
@@ -214,14 +235,14 @@ def cmd_llt(cfg, args):
     return 0
 
 
-def cmd_report(cfg, args):
-    """Run the full battery and write one combined JSON."""
+def cmd_report(cfg, args, shared):
+    """Run the full battery on one ``Shared`` and write one combined JSON."""
     rc = 0
     for sub in (cmd_walk, cmd_green, cmd_isums, cmd_degeneracy, cmd_pressure,
                 cmd_ancona, cmd_llt):
-        rc = max(rc, sub(cfg, args))
+        rc = max(rc, sub(cfg, args, shared))
     started = time.time()
-    ev = _evaluator(cfg, args)
+    ev = shared.evaluator
     ident = sphere_identity_check(ev, 0.9 * ev.R_hat, cfg.cap, 4, cfg.depth)
     payload = _report_header(cfg, args, started)
     payload.update(
@@ -280,7 +301,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](cfg, args, Shared(cfg.measure))
     except (BudgetError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

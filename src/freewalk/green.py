@@ -297,7 +297,7 @@ class GreenEvaluator:
     ):
         self.measure = measure
         self.group = measure.group
-        self.chain = walks.is_radial(measure)
+        self.chain = measure.radial_chain
         if self.chain is not None:
             self.horizon = horizon or 600
             self.table = RadialGreenTable(self.group, self.chain, self.horizon)

@@ -8,10 +8,15 @@ elements once, sends steps that leave the word ball to an escape sink and
 harvests mass that reaches an absorbing set.  Its exact propagator keeps
 integer numerators over a power denominator, so only integer arithmetic
 happens in the hot loop; its float propagator applies the ball's weighted
-transition list once per step.  The radial path projects isotropic
-nearest-neighbor walks to a birth-death chain on distances; it is validated
-against the full walk on an overlap window and runs in log-scaled floats for
-large horizons.
+transition list once per step.
+
+Exact return probabilities meet in the middle: p_{a+b}(e,e) pairs mu^{*a}
+with the powers of the reflected measure g -> mu(g^-1) (mu itself when it
+is symmetric), so a horizon n takes ceil(n/2) steps and keeps no powers.
+The radial path projects isotropic nearest-neighbor walks to a birth-death
+chain on distances, checked once per measure; it is validated against the
+full walk on an overlap window and runs in log-scaled floats for large
+horizons.
 """
 
 import math
@@ -19,6 +24,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +83,19 @@ class StepMeasure:
                 return False
         return True
 
+    def reflected(self):
+        """The measure g -> mu(g^-1) of the reversed walk."""
+        weights = {self.group.invert(g): w for g, w in self.support}
+        with warnings.catch_warnings():
+            # it is admissible exactly when mu is, and mu was checked
+            warnings.simplefilter("ignore")
+            return StepMeasure(self.group, weights, name=f"{self.name}~")
+
+    @cached_property
+    def radial_chain(self):
+        """``is_radial(self)``, checked once per measure."""
+        return is_radial(self)
+
     def common_denominator(self):
         return math.lcm(*(w.denominator for _, w in self.support))
 
@@ -114,6 +133,7 @@ class PathOperator:
 
     def __init__(self, measure, ball_bound=None, r=1, absorb=None):
         self.group = measure.group
+        self.max_step_length = measure.max_step_length
         self.ball_bound = ball_bound
         self.absorb = absorb
         rq = Fraction(r)
@@ -125,12 +145,13 @@ class PathOperator:
         self._rows = []
         self._intern(self.group.identity, 0)
 
-    def _intern(self, elem, length, left=None):
-        """Id of a new element, -1 if it escapes, None if beyond ``left``."""
+    def _intern(self, elem, length, reach=None):
+        """Id of a new element, -1 if it escapes, None if farther than
+        ``reach`` from the absorbing set."""
         label, dist = self.absorb(elem, length) if self.absorb else (None, 0)
         if label is None and self.ball_bound is not None and length > self.ball_bound:
             return -1
-        if label is None and left is not None and dist > left:
+        if label is None and reach is not None and dist > reach:
             return None
         eid = len(self.elems)
         self.ids[elem] = eid
@@ -143,8 +164,8 @@ class PathOperator:
             self.absorbing.append(eid)
         return eid
 
-    def _row(self, eid, left=None):
-        """[(target id, step numerator)] for the steps from eid within ``left``."""
+    def _row(self, eid, reach=None):
+        """[(target id, step numerator)] for the steps from eid within ``reach``."""
         group, g, length = self.group, self.elems[eid], self.length[eid]
         row = []
         for s, num in self.steps:
@@ -154,7 +175,7 @@ class PathOperator:
                 # a step of k syllables rewrites at most g's last k syllables
                 j = max(len(g) - len(s), 0)
                 delta = group.word_length(h[j:]) - group.word_length(g[j:])
-                tid = self._intern(h, length + delta, left)
+                tid = self._intern(h, length + delta, reach)
             if tid is not None:
                 row.append((tid, num))
         return row
@@ -166,18 +187,20 @@ class PathOperator:
         to the numerators absorbed at this step, and ``escaped`` is the
         numerator that left the ball at this step, all over
         ``denominator ** step``.  With ``prune``, an element farther from
-        the absorbing set than the steps left is dropped (and not interned):
-        it cannot be absorbed in time, so the prune loses no absorbed mass.
+        the absorbing set than the steps left can cover (each step moves at
+        most ``max_step_length``) is dropped, and not interned: it cannot
+        be absorbed in time, so the prune loses no absorbed mass.
         """
         rows = self._rows
         cur = {0: 1}
         for step in range(1, n + 1):
+            reach = (n - step) * self.max_step_length
             nxt = {}
             escaped = 0
             for eid, num in cur.items():
                 row = rows[eid]
                 if row is None:
-                    row = rows[eid] = self._row(eid, n - step if prune else None)
+                    row = rows[eid] = self._row(eid, reach if prune else None)
                 for tid, wnum in row:
                     if tid < 0:
                         escaped += num * wnum
@@ -189,8 +212,8 @@ class PathOperator:
                 if hit:
                     hits[self.label[aid]] = hit
             if prune:
-                left, dist = n - step, self.dist
-                nxt = {t: v for t, v in nxt.items() if dist[t] <= left}
+                dist = self.dist
+                nxt = {t: v for t, v in nxt.items() if dist[t] <= reach}
             cur = nxt
             yield cur, hits, escaped
 
@@ -442,18 +465,12 @@ class ReturnSequence:
 
 
 def return_probabilities(measure, horizon, method="exact", budget=5 * 10**6):
-    """p_n(e,e) for n = 0..horizon.
-
-    The exact path may prune at ball radius ceil(horizon/2)*max_step: a path
-    from e back to e within the horizon cannot reach farther.
-    """
+    """p_n(e,e) for n = 0..horizon, exact or by the radial chain."""
     if method == "exact":
-        bound = ((horizon + 1) // 2) * measure.max_step_length
-        dists = convolve_powers(measure, horizon, ball_bound=bound, budget=budget)
-        vals = [d.mass(measure.group.identity) for d in dists]
+        vals = _exact_returns(measure, horizon, budget)
         return ReturnSequence(horizon=horizon, method="exact", values=vals)
     if method == "radial":
-        chain = is_radial(measure)
+        chain = measure.radial_chain
         if chain is None:
             raise NonRadialError(
                 "radial method requested but the measure has no valid "
@@ -462,6 +479,63 @@ def return_probabilities(measure, horizon, method="exact", budget=5 * 10**6):
         logs = chain.return_log_probs(horizon)
         return ReturnSequence(horizon=horizon, method="radial", log_values=logs)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _exact_returns(measure, horizon, budget):
+    """Exact p_n(e,e) for n = 0..horizon, meeting in the middle.
+
+    p_{a+b}(e,e) = sum_g mu^{*a}(g) mu'^{*b}(g), where mu'(g) = mu(g^-1)
+    is the reflected measure.  After step k of the path operator on mu,
+    and of one on mu' (the same one when mu is symmetric), the pairs of
+    powers (k, k-1) and (k, k) give p_{2k-1} and p_{2k} as integer sums
+    over denominator**n.  So ceil(horizon/2) steps suffice and two
+    in-flight dicts per operator are kept.  No ball bound is needed: k
+    steps stay within k * max_step_length of e, and nothing escapes.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    k = (horizon + 1) // 2
+    fwd = PathOperator(measure)
+    if measure.is_symmetric():
+        bwd, pair = fwd, None
+        steps = ((cur, cur) for cur, _, _ in fwd.exact_steps(k))
+    else:
+        bwd, pair, paired = PathOperator(measure.reflected()), [], 0
+        steps = (
+            (cur, cur_b)
+            for (cur, _, _), (cur_b, _, _)
+            in zip(fwd.exact_steps(k), bwd.exact_steps(k))
+        )
+    vals = [Fraction(1)]
+    prev_b = {0: 1}
+    for cur, cur_b in steps:
+        consumed = len(fwd.elems) + (len(bwd.elems) if pair is not None else 0)
+        if consumed > budget:
+            raise BudgetError(
+                "return probabilities exceeded element budget",
+                consumed=consumed,
+                budget=budget,
+            )
+        if pair is not None:
+            # pair[i] is the bwd id of fwd's element i, or -1; each element
+            # new to either operator is looked up once in the other
+            pair.extend(bwd.ids.get(g, -1) for g in fwd.elems[len(pair):])
+            for j in range(paired, len(bwd.elems)):
+                i = fwd.ids.get(bwd.elems[j])
+                if i is not None:
+                    pair[i] = j
+            paired = len(bwd.elems)
+        for b_side in (prev_b, cur_b):
+            n = len(vals)
+            if n > horizon:
+                break
+            if pair is None:
+                num = sum(v * b_side.get(i, 0) for i, v in cur.items())
+            else:
+                num = sum(v * b_side.get(pair[i], 0) for i, v in cur.items())
+            vals.append(Fraction(num, fwd.denominator**n))
+        prev_b = cur_b
+    return vals
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 
 from freewalk.cli import main
 from freewalk.config import ConfigError, parse_config
+from freewalk.green import GreenEvaluator
 
 BASE = {
     "schema_version": 1,
@@ -196,3 +197,35 @@ class TestCliOutputs:
             # wall-clock time is the one intentionally non-reproducible field
             a.pop("wall_clock_s"), b.pop("wall_clock_s")
             assert a == b
+
+
+class TestReportSharing:
+    def test_report_writes_what_the_subcommands_write(
+        self, cfg_path, tmp_path, monkeypatch
+    ):
+        builds = []
+        init = GreenEvaluator.__init__
+
+        def counted_init(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GreenEvaluator, "__init__", counted_init)
+        together, alone = tmp_path / "report", tmp_path / "alone"
+        assert main(["report", "--config", cfg_path, "--out", str(together)]) == 0
+        assert len(builds) == 1
+        for sub in ("walk", "green", "isums", "degeneracy", "pressure",
+                    "ancona", "llt"):
+            assert main([sub, "--config", cfg_path, "--out", str(alone)]) == 0
+        assert len(builds) == 6  # each standalone user of one builds its own
+        names = sorted(p.name for p in alone.iterdir())
+        assert sorted(p.name for p in together.iterdir()) == sorted(
+            names + ["tree_report.json"]
+        )
+
+        def timeless(path):
+            lines = path.read_text().splitlines()
+            return [line for line in lines if '"wall_clock_s"' not in line]
+
+        for name in names:
+            assert timeless(together / name) == timeless(alone / name), name

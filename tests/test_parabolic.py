@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from freewalk.parabolic import (
     kernel_matrix,
     kernel_spectral_radius,
 )
+from freewalk.walks import StepMeasure
 
 from oracles import F2_RADIUS, f2_first_passage
 
@@ -55,6 +57,25 @@ class TestExactKernel:
             f2_srw, 0, Fraction(1), max_len=14, ball_radius=14
         )
         assert pruned.row == wide.row
+
+    @pytest.mark.parametrize("factor_id", [0, 1])
+    def test_prune_with_multi_letter_steps(self, f2, factor_id):
+        # a two-letter step moves two units closer to H_k, so the prune
+        # must allow twice the steps left; with one unit per step it lost
+        # 1/64 of the row to factor a and 9/256 to factor b
+        a, ai = ((0, (1,)),), ((0, (-1,)),)
+        ba, aibi = ((1, (1,)), (0, (1,))), ((0, (-1,)), (1, (-1,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the reach check is heuristic
+            mu = StepMeasure(f2, {ba: Fraction(1, 4), aibi: Fraction(1, 4),
+                                  a: Fraction(1, 4), ai: Fraction(1, 4)})
+        assert mu.max_step_length == 2
+        exact = first_return_kernel(mu, factor_id, Fraction(1), 4, 10)
+        flt = first_return_kernel(mu, factor_id, 1.0, 4, 10, exact=False)
+        assert set(exact.row) == set(flt.row)
+        for payload, w in exact.row.items():
+            assert abs(float(w) - flt.row[payload]) < 1e-12
+        assert abs(float(exact.returned_mass) - flt.returned_mass) < 1e-12
 
     @pytest.mark.parametrize("walk, factor_id", [("f2_srw", 0), ("z2z3_srw", 1)])
     def test_exact_and_float_rows_agree(self, walk, factor_id, request):

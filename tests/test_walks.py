@@ -81,6 +81,20 @@ class TestConvolution:
         for n, dist in enumerate(seq):
             assert dist.mass(()) == convolve_power(z2z3_srw, n).mass(())
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_exact_returns_meet_in_the_middle(self, z2z3, z2z3_srw, symmetric):
+        # odd and even horizons pair the powers (k, k-1) and (k, k); the
+        # non-symmetric walk pairs mu with its reflection by element
+        s, t, ti = ((0, 1),), ((1, 1),), ((1, 2),)
+        mu = z2z3_srw if symmetric else StepMeasure(
+            z2z3, {s: Fraction(1, 2), t: Fraction(1, 3), ti: Fraction(1, 6)}
+        )
+        assert mu.is_symmetric() == symmetric
+        powers = convolve_powers(mu, 13)
+        for horizon in range(14):
+            seq = return_probabilities(mu, horizon, method="exact")
+            assert seq.values == [d.mass(()) for d in powers[: horizon + 1]]
+
 
 class TestFirstVisits:
     def test_renewal_identity_in_integers(self, z2z3_srw, z2z3):
