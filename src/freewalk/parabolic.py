@@ -39,19 +39,6 @@ def _in_factor(group, elem, factor_id):
     return None
 
 
-def _factor_absorb(group, factor_id):
-    """H_k as the path operator's absorbing set, labelled by payload."""
-    def absorb(elem, length):
-        payload = _in_factor(group, elem, factor_id)
-        if payload is not None:
-            return payload, 0
-        if elem[0][0] == factor_id:
-            return None, length - group.factors[factor_id].length(elem[0][1])
-        return None, length
-
-    return absorb
-
-
 @dataclass
 class ReturnKernel:
     factor_id: int
@@ -79,18 +66,18 @@ def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=
     if not exact and ball_radius is None:
         raise ValueError("float mode needs an explicit ball_radius")
     r = Fraction(r) if exact else float(r)
-    op = PathOperator(measure, ball_radius, r, _factor_absorb(measure.group, factor_id))
+    op = PathOperator(measure, ball_radius, r, factor=factor_id)
     if exact:
-        row, escaped, denom, cur = {}, Fraction(0), 1, {0: 1}
-        for cur, hits, esc in op.exact_steps(max_len, prune=True):
+        row, escaped, denom, nums = {}, Fraction(0), 1, [1]
+        for ids, nums, hits, esc in op.exact_steps(max_len, prune=True):
             denom *= op.denominator
             for payload, num in hits.items():
                 row[payload] = row.get(payload, 0) + Fraction(num, denom)
             escaped += Fraction(esc, denom)
-            if not cur:
+            if not len(ids):
                 break
         returned = sum(row.values(), Fraction(0))
-        in_flight = Fraction(sum(cur.values()), denom)
+        in_flight = Fraction(sum(nums), denom)
     else:
         row, returned, in_flight, escaped = op.float_absorb(max_len)
     return ReturnKernel(

@@ -3,12 +3,17 @@ radial fast path.
 
 Every truncated path sum in the package runs on one ``PathOperator``: the
 convolution powers mu^{*n}, the first visits to an element, the first-return
-kernels to a factor, and the reach check of a step measure.  It interns
-elements once, sends steps that leave the word ball to an escape sink and
-harvests mass that reaches an absorbing set.  Its exact propagator keeps
-integer numerators over a power denominator, so only integer arithmetic
-happens in the hot loop; its float propagator applies the ball's weighted
-transition list once per step.
+kernels to a factor, and the reach check of a step measure.  It sends steps
+that leave the word ball to an escape sink and harvests mass that reaches
+an absorbing set (a factor, or one element).  Elements are nodes of a word
+tree keyed by (prefix node, last syllable code), after the cut-vertex
+structure of a free product (Woess 2000), and the ball is expanded one
+level at a time in numpy: a step is a lookup in its syllable's merge
+table, and no word is multiplied, measured or hashed.  The exact
+propagator keeps integer numerators over a power denominator and does
+each step as one product and one grouped sum over object arrays; the
+float propagator applies the ball's weighted transition list once per
+step.
 
 Exact return probabilities meet in the middle: p_{a+b}(e,e) pairs mu^{*a}
 with the powers of the reflected measure g -> mu(g^-1) (mu itself when it
@@ -21,7 +26,6 @@ horizons.
 
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -70,7 +74,7 @@ class StepMeasure:
         op = PathOperator(self, ball_bound=3)
         for _ in op.exact_steps(3 * max(1, self.max_step_length) + 3):
             pass
-        if not target <= set(op.elems):
+        if not target <= set(op.elements()):
             warnings.warn(
                 f"measure {self.name or '<unnamed>'} may not be admissible: "
                 "its support does not reach the full radius-3 ball",
@@ -114,146 +118,346 @@ def uniform_on_generators(group, lazy=None, name=""):
     return StepMeasure(group, weights, name=name)
 
 
+class _WordTree:
+    """The normal forms met so far, as a tree of (prefix node, last syllable).
+
+    Node 0 is e; node i > 0 is node ``parent[i]`` (made before it) times
+    the syllable with integer code ``code[i]``.  Code 0 is the empty
+    syllable, and payloads get their codes on demand.  By the cut-vertex
+    structure of a free product, an element times one syllable is its
+    prefix node times a merged last syllable, or its prefix itself, or
+    itself times a new syllable; so a step is one lookup in the merge
+    table of its syllable, and no word is multiplied, measured or
+    hashed.  A pair (p, c) stands for node p times syllable c (the root
+    is (0, 0)): its length is ``length[p]`` plus the syllable's, and its
+    node, if it has one, is found by the key p * 2**32 + c in a sorted
+    index.  Operators that share a tree share its node ids.
+    """
+
+    def __init__(self, group):
+        self.group = group
+        self.syllables = [None]  # code -> (factor id, payload)
+        self.syllable_factor = np.array([-1])
+        self.syllable_length = np.array([0])
+        self._codes = {}
+        self._merge = {}  # step syllable code -> merge table
+        self.parent = np.zeros(1, np.int64)
+        self.code = np.zeros(1, np.int64)
+        self.length = np.zeros(1, np.int64)
+        self.head = np.zeros(1, np.int64)  # code of the first syllable
+        # sorted pair keys and their nodes; the last key is a sentinel
+        self._keys = np.array([0, np.iinfo(np.int64).max])
+        self._ids = np.array([0, -1])
+        self._words = [()]
+
+    @property
+    def size(self):
+        return len(self.parent)
+
+    def code_of(self, fid, payload):
+        code = self._codes.get((fid, payload))
+        if code is None:
+            code = self._codes[fid, payload] = len(self.syllables)
+            self.syllables.append((fid, payload))
+            length = self.group.factors[fid].length(payload)
+            self.syllable_factor = np.append(self.syllable_factor, fid)
+            self.syllable_length = np.append(self.syllable_length, length)
+        return code
+
+    def _merge_table(self, t):
+        """Code of c * t for every code c so far: 0 where the product is
+        the identity, -1 where c is in another factor than t."""
+        table = self._merge.get(t, np.zeros(0, np.int64))
+        known = len(self.syllables)  # codes made below need no entry yet
+        if len(table) < known:
+            fid, p = self.syllables[t]
+            factor = self.group.factors[fid]
+            more = []
+            for c in range(len(table), known):
+                f, q = self.syllables[c] or (-1, None)
+                if f != fid:
+                    more.append(-1)
+                else:
+                    m = factor.mul(q, p)
+                    more.append(0 if factor.is_identity(m) else self.code_of(fid, m))
+            table = self._merge[t] = np.concatenate([table, more]).astype(np.int64)
+        return table
+
+    def times(self, nodes, t):
+        """The pairs (p, c) of each node times the syllable with code t."""
+        merge = self._merge_table(t)
+        last = self.code[nodes]
+        same = self.syllable_factor[last] == self.syllables[t][0]
+        par = np.where(same, self.parent[nodes], nodes)
+        code = np.where(same, merge[last], t)
+        pop = np.flatnonzero(same & (code == 0))  # t cancels the last syllable
+        prefix = par[pop]
+        par[pop], code[pop] = self.parent[prefix], self.code[prefix]
+        return par, code
+
+    def lookup(self, par, code):
+        """The node of each pair, or -1."""
+        keys = (par << 32) | code
+        at = np.searchsorted(self._keys, keys)
+        return np.where(self._keys[at] == keys, self._ids[at], -1)
+
+    def intern(self, par, code):
+        """The node of each pair, adding the pairs that have none."""
+        node = self.lookup(par, code)
+        miss = np.flatnonzero(node < 0)
+        if len(miss):
+            keys, inverse = np.unique((par[miss] << 32) | code[miss], return_inverse=True)
+            ids = self.size + np.arange(len(keys))
+            node[miss] = ids[inverse]
+            p, c = keys >> 32, keys & 0xFFFFFFFF
+            length = self.length[p] + self.syllable_length[c]
+            self.length = np.concatenate([self.length, length])
+            self.head = np.concatenate([self.head, np.where(p == 0, c, self.head[p])])
+            self.parent = np.concatenate([self.parent, p])
+            self.code = np.concatenate([self.code, c])
+            at = np.searchsorted(self._keys, keys)
+            self._keys = np.insert(self._keys, at, keys)
+            self._ids = np.insert(self._ids, at, ids)
+        return node
+
+    def node_of(self, word):
+        node = np.zeros(1, np.int64)
+        for fid, payload in word:
+            node = self.intern(node, np.array([self.code_of(fid, payload)]))
+        return int(node[0])
+
+    def words(self, nodes):
+        """The normal-form tuples of the nodes."""
+        words, syllables = self._words, self.syllables
+        start = len(words)
+        for p, c in zip(self.parent[start:].tolist(), self.code[start:].tolist()):
+            words.append(words[p] + (syllables[c],))
+        return [words[i] for i in nodes]
+
+
 class PathOperator:
     """Paths of weight r^n mu(s_1) ... mu(s_n) from e, truncated to a ball.
 
-    Elements are interned once, in the order the paths first reach them,
-    with their absorbing label and distance to the absorbing set from
-    ``absorb(elem, word_length)``; the label is None off the set, and the
-    set is empty without ``absorb``.  A step lands on an interned element
-    or, when it leaves the word ball of radius ``ball_bound`` without being
-    absorbed, in the escape sink (id -1).  Mass that reaches an absorbing
-    element is harvested under its label and not propagated; e starts
-    every path even when it is absorbing.
+    The absorbing set is data: the factor H_k (``factor``, labelled by
+    payload) or one element (``target``, labelled by itself), or nothing.
+    States are nodes of a word tree (see ``_WordTree``), numbered in the
+    order paths first reach them.  A batch of states is expanded at once,
+    in row-major (state, step) order: each step is applied one syllable
+    at a time to the whole batch, through prefix nodes, and the targets'
+    nodes, lengths, absorbing labels, ball test and distances to H_k come
+    from numpy arrays.  A target that leaves the word ball of radius
+    ``ball_bound`` without being absorbed goes to the escape sink (-1).
+    Mass that reaches an absorbing state is harvested under its label and
+    not propagated; e starts every path even when it is absorbing.
 
-    ``exact_steps`` keeps integer numerators over ``denominator ** n``, with
-    the rational r folded into the step numerators; ``float_absorb``
-    expands the whole ball once and applies its transition list per step.
+    ``exact_steps`` keeps integer numerators over ``denominator ** n``,
+    with the rational r folded into the step numerators, and expands the
+    states new at each step as one batch.  ``float_absorb`` expands the
+    ball one level at a time and applies its transition list per step.
+    Element tuples are built only by ``elements``.  Operators built on one
+    ``tree`` share its node ids, so their states pair by node.
     """
 
-    def __init__(self, measure, ball_bound=None, r=1, absorb=None):
-        self.group = measure.group
+    def __init__(self, measure, ball_bound=None, r=1, factor=None, target=None,
+                 tree=None):
+        group = measure.group
+        self.tree = tree if tree is not None else _WordTree(group)
         self.max_step_length = measure.max_step_length
         self.ball_bound = ball_bound
-        self.absorb = absorb
+        self.factor, self.target = factor, target
         rq = Fraction(r)
         self.denominator = measure.common_denominator() * rq.denominator
-        self.steps = [(s, int(rq * w * self.denominator)) for s, w in measure.support]
+        self.numerators = [int(rq * w * self.denominator) for _, w in measure.support]
         self.float_weights = [float(r) * float(w) for _, w in measure.support]
-        self.elems, self.ids, self.length, self.label, self.dist = [], {}, [], [], []
-        self.absorbing = []  # ids with a label, in interning order
-        self._rows = []
-        self._intern(self.group.identity, 0)
+        self._moves = [[self.tree.code_of(f, p) for f, p in s] for s, _ in measure.support]
+        self._target = None if target is None else self.tree.node_of(target)
+        if factor is not None:
+            h = group.factors[factor]
+            self._unit = (0,) * h.rank if h.kind == "lattice" else 0
+        self.node = np.zeros(0, np.int64)  # state id -> node
+        self._state = np.zeros(0, np.int64)  # node -> state id, or -1
+        self.absorbs = np.zeros(0, bool)
+        self.labels = {}  # absorbing state id -> label, in id order
+        self.dist = np.zeros(0, np.int64)  # to H_k, for the prune (0 without)
+        e = np.zeros(1, np.int64)
+        absorbs, _, dist = self._classify(e, e, e)
+        self._grow()
+        self._add(e, e, absorbs, dist)
 
-    def _intern(self, elem, length, reach=None):
-        """Id of a new element, -1 if it escapes, None if farther than
-        ``reach`` from the absorbing set."""
-        label, dist = self.absorb(elem, length) if self.absorb else (None, 0)
-        if label is None and self.ball_bound is not None and length > self.ball_bound:
-            return -1
-        if label is None and reach is not None and dist > reach:
-            return None
-        eid = len(self.elems)
-        self.ids[elem] = eid
-        self.elems.append(elem)
-        self.length.append(length)
-        self.label.append(label)
-        self.dist.append(dist)
-        self._rows.append(None)
-        if label is not None:
-            self.absorbing.append(eid)
-        return eid
+    @property
+    def size(self):
+        return len(self.node)
 
-    def _row(self, eid, reach=None):
-        """[(target id, step numerator)] for the steps from eid within ``reach``."""
-        group, g, length = self.group, self.elems[eid], self.length[eid]
-        row = []
-        for s, num in self.steps:
-            h = group.multiply(g, s)
-            tid = self.ids.get(h)
-            if tid is None:
-                # a step of k syllables rewrites at most g's last k syllables
-                j = max(len(g) - len(s), 0)
-                delta = group.word_length(h[j:]) - group.word_length(g[j:])
-                tid = self._intern(h, length + delta, reach)
-            if tid is not None:
-                row.append((tid, num))
-        return row
+    def elements(self, ids=None):
+        """The elements of the given states (all by default), as tuples."""
+        nodes = self.node if ids is None else self.node[ids]
+        return self.tree.words(nodes.tolist())
+
+    def state_of(self, nodes):
+        """The state id of each node, or -1."""
+        self._grow()
+        return self._state[nodes]
+
+    def _grow(self):
+        missing = self.tree.size - len(self._state)
+        if missing:
+            self._state = np.concatenate([self._state, np.full(missing, -1)])
+
+    def _classify(self, par, code, node):
+        """(absorbs, length, dist) of the pairs, whose nodes are ``node``."""
+        tree = self.tree
+        factor, syllable_length = tree.syllable_factor, tree.syllable_length
+        length = tree.length[par] + syllable_length[code]
+        if self.factor is None:
+            if self._target is None:
+                return np.zeros(len(node), bool), length, np.zeros_like(length)
+            return node == self._target, length, np.zeros_like(length)
+        k = self.factor
+        absorbs = (code == 0) | ((par == 0) & (factor[code] == k))
+        head = np.where(par == 0, code, tree.head[par])
+        return absorbs, length, length - np.where(factor[head] == k, syllable_length[head], 0)
+
+    def _add(self, nodes, code, absorbs, dist):
+        first = self.size
+        self._state[nodes] = first + np.arange(len(nodes))
+        self.node = np.concatenate([self.node, nodes])
+        self.absorbs = np.concatenate([self.absorbs, absorbs])
+        self.dist = np.concatenate([self.dist, dist])
+        for i in np.flatnonzero(absorbs).tolist():
+            if self.factor is None:
+                self.labels[first + i] = self.target
+            else:
+                c = int(code[i])
+                self.labels[first + i] = self.tree.syllables[c][1] if c else self._unit
+
+    def _expand(self, states, reach=None):
+        """Targets of the steps from ``states``, shape (states, steps).
+
+        A target is a state id, -1 for the escape sink, or -2 where it is
+        farther from H_k than ``reach``; such a target is not added.  New
+        states are added in the order they first occur.
+        """
+        tree = self.tree
+        src = self.node[states]
+        par = np.empty((len(src), len(self._moves)), np.int64)
+        code = np.empty_like(par)
+        for j, move in enumerate(self._moves):
+            nodes, p, c = src, tree.parent[src], tree.code[src]
+            for i, t in enumerate(move):
+                if i:
+                    nodes = tree.intern(p, c)
+                p, c = tree.times(nodes, t)
+            par[:, j], code[:, j] = p, c
+        par, code = par.ravel(), code.ravel()
+        node = tree.lookup(par, code)
+        self._grow()
+        out = np.where(node >= 0, self._state[node], -1)
+        new = np.flatnonzero(out < 0)
+        if len(new):
+            par, code, node = par[new], code[new], node[new]
+            absorbs, length, dist = self._classify(par, code, node)
+            escape = np.zeros(len(new), bool)
+            if self.ball_bound is not None:
+                escape = ~absorbs & (length > self.ball_bound)
+            keep = ~escape
+            if reach is not None:
+                keep &= absorbs | (dist <= reach)
+            kept = np.flatnonzero(keep)
+            nodes = node[kept]
+            miss = np.flatnonzero(nodes < 0)
+            nodes[miss] = tree.intern(par[kept[miss]], code[kept[miss]])
+            self._grow()
+            first = np.sort(np.unique(nodes, return_index=True)[1])
+            at = kept[first]
+            self._add(nodes[first], code[at], absorbs[at], dist[at])
+            res = np.full(len(new), -2)
+            res[escape] = -1
+            res[kept] = self._state[nodes]
+            out[new] = res
+        return out.reshape(len(src), len(self._moves))
 
     def exact_steps(self, n, prune=False):
-        """Yield (in_flight, hits, escaped) after each of steps 1..n.
+        """Yield (ids, nums, hits, escaped) after each of steps 1..n.
 
-        ``in_flight`` maps ids to integer numerators, ``hits`` maps labels
-        to the numerators absorbed at this step, and ``escaped`` is the
-        numerator that left the ball at this step, all over
-        ``denominator ** step``.  With ``prune``, an element farther from
-        the absorbing set than the steps left can cover (each step moves at
-        most ``max_step_length``) is dropped, and not interned: it cannot
-        be absorbed in time, so the prune loses no absorbed mass.
+        ``ids`` are the in-flight states, in the order the step's paths
+        first reach them, and ``nums`` (an object array) their integer
+        numerators; ``hits`` maps labels to the numerators absorbed at
+        this step, and ``escaped`` is the numerator that left the ball at
+        this step, all over ``denominator ** step``.  The states new to a
+        step are expanded as one batch, and the step itself is one
+        product and one grouped sum over the rows of its states.  With
+        ``prune``, a state farther from H_k than the steps left can cover
+        (each step moves at most ``max_step_length``) is dropped, and not
+        added: it cannot be absorbed in time, so the prune loses no
+        absorbed mass.
         """
-        rows = self._rows
-        cur = {0: 1}
+        weights = np.array(self.numerators, dtype=object)
+        rows = np.zeros((0, len(weights)), np.int64)
+        expanded = np.zeros(0, bool)
+        ids, nums = np.zeros(1, np.int64), np.ones(1, dtype=object)
         for step in range(1, n + 1):
             reach = (n - step) * self.max_step_length
-            nxt = {}
-            escaped = 0
-            for eid, num in cur.items():
-                row = rows[eid]
-                if row is None:
-                    row = rows[eid] = self._row(eid, reach if prune else None)
-                for tid, wnum in row:
-                    if tid < 0:
-                        escaped += num * wnum
-                    else:
-                        nxt[tid] = nxt.get(tid, 0) + num * wnum
-            hits = {}
-            for aid in self.absorbing:
-                hit = nxt.pop(aid, 0)
-                if hit:
-                    hits[self.label[aid]] = hit
+            grow = self.size - len(rows)
+            rows = np.concatenate([rows, np.zeros((grow, len(weights)), np.int64)])
+            expanded = np.concatenate([expanded, np.zeros(grow, bool)])
+            fresh = ids[~expanded[ids]]
+            if len(fresh):
+                rows[fresh] = self._expand(fresh, reach if prune else None)
+                expanded[fresh] = True
+            targets = rows[ids].ravel()
+            mass = (nums[:, None] * weights).ravel()
+            escaped = mass[targets == -1].sum()
+            live = np.flatnonzero(targets >= 0)
+            order = live[np.argsort(targets[live], kind="stable")]
+            targets = targets[order]
+            starts = np.flatnonzero(np.diff(targets, prepend=-1))
+            sums = np.add.reduceat(mass[order], starts) if len(starts) else mass[:0]
+            targets, first = targets[starts], order[starts]
+            absorbed = np.flatnonzero(self.absorbs[targets])
+            hits = {
+                self.labels[t]: v
+                for t, v in zip(targets[absorbed].tolist(), sums[absorbed].tolist())
+                if v
+            }
+            keep = ~self.absorbs[targets]
             if prune:
-                dist = self.dist
-                nxt = {t: v for t, v in nxt.items() if dist[t] <= reach}
-            cur = nxt
-            yield cur, hits, escaped
+                keep &= self.dist[targets] <= reach
+            keep = np.flatnonzero(keep)
+            keep = keep[np.argsort(first[keep])]
+            ids, nums = targets[keep], sums[keep]
+            yield ids, nums, hits, escaped
 
     def float_absorb(self, n):
         """(absorbed, absorbed_total, in_flight, escaped) after n steps.
 
-        Masses are floats; ``absorbed`` maps labels to masses.  The ball is
-        expanded once, in breadth-first order, into one list of weighted
-        (source, destination) entries over the in-flight states followed by
-        the sinks: the escape sink, then the labels.  A unit self-loop on
-        each sink comes first, so the mass in it accumulates.  Each step is
-        one ``np.bincount`` over that list, which adds into every
-        destination in list order.
+        Masses are floats; ``absorbed`` maps labels to masses.  The ball
+        of a new operator is expanded level by level from e, each level's
+        new in-flight states as one batch, into one list of weighted
+        (source, destination) entries over the in-flight states (in the
+        order they were reached) followed by the sinks: the escape sink,
+        then the absorbing states.  A unit self-loop on each sink comes
+        first, so the mass in it accumulates.  Each step is one
+        ``np.bincount`` over that list, which adds into every destination
+        in list order.
         """
-        spos = {0: 0}  # in-flight id -> position; e starts every path
-        sinks = {-1: 0}
-        sinks.update((aid, i + 1) for i, aid in enumerate(self.absorbing))
-        src, dst, wgt = array("q"), array("q"), array("d")
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for eid in frontier:
-                for (tid, _), w in zip(self._row(eid), self.float_weights):
-                    if tid < 0 or self.label[tid] is not None:
-                        d = -1 - sinks.setdefault(tid, len(sinks))
-                    elif tid in spos:
-                        d = spos[tid]
-                    else:
-                        d = spos[tid] = len(spos)
-                        nxt.append(tid)
-                    src.append(spos[eid])
-                    dst.append(d)
-                    wgt.append(w)
-            frontier = nxt
-        k, size = len(spos), len(spos) + len(sinks)
-        loops = np.arange(k, size)
-        dst = np.asarray(dst)
-        dst = np.concatenate([loops, np.where(dst < 0, k - 1 - dst, dst)])
-        src = np.concatenate([loops, src])
-        wgt = np.concatenate([np.ones(len(loops)), wgt])
+        levels, frontier = [], np.zeros(1, np.int64)
+        while len(frontier):
+            first = self.size
+            levels.append(self._expand(frontier).ravel())
+            fresh = np.arange(first, self.size)
+            frontier = fresh[~self.absorbs[fresh]]
+        live = ~self.absorbs
+        live[0] = True  # e starts every path
+        pos = np.cumsum(live) - 1
+        k = int(pos[-1]) + 1
+        sink = k + np.cumsum(self.absorbs)  # the escape sink is k
+        t = np.concatenate(levels)
+        dst = np.where(t < 0, k, np.where(self.absorbs[t], sink[t], pos[t]))
+        loops = np.arange(k, k + 1 + len(self.labels))
+        size = len(loops) + k
+        src = np.concatenate([loops, np.repeat(np.arange(k), len(self.numerators))])
+        dst = np.concatenate([loops, dst])
+        wgt = np.concatenate([np.ones(len(loops)), np.tile(self.float_weights, k)])
         x = np.zeros(size)
         x[0] = 1.0
         for _ in range(n):
@@ -261,9 +465,9 @@ class PathOperator:
             if not x[:k].any():
                 break
         absorbed = {
-            self.label[a]: float(x[k + i])
-            for a, i in sinks.items()
-            if a >= 0 and x[k + i]
+            label: float(x[k + 1 + i])
+            for i, label in enumerate(self.labels.values())
+            if x[k + 1 + i]
         }
         return absorbed, float(x[k + 1:].sum()), float(x[:k].sum()), float(x[k])
 
@@ -303,16 +507,16 @@ def convolve_powers(measure, n, ball_bound=None, budget=5 * 10**6):
     denom = 1
     escaped = 0
     out = [Distribution(0, 1, {measure.group.identity: 1}, 0)]
-    for step, (cur, _, esc) in enumerate(op.exact_steps(n), 1):
-        if len(op.elems) > budget:
+    for step, (ids, nums, _, esc) in enumerate(op.exact_steps(n), 1):
+        if op.size > budget:
             raise BudgetError(
                 "convolution exceeded element budget",
-                consumed=len(op.elems),
+                consumed=op.size,
                 budget=budget,
             )
         denom *= op.denominator
         escaped = escaped * op.denominator + esc
-        numerators = {op.elems[eid]: num for eid, num in cur.items()}
+        numerators = dict(zip(op.elements(ids), nums.tolist()))
         out.append(Distribution(step, denom, numerators, escaped))
     return out
 
@@ -324,16 +528,11 @@ def first_visits(measure, gamma, n, ball_bound):
     path operator with gamma as its absorbing set (for gamma = e, the first
     returns).  The list stops early once no mass is left in flight.
     """
-    group = measure.group
-
-    def absorb(elem, length):
-        return (elem, 0) if elem == gamma else (None, group.dist(elem, gamma))
-
-    op = PathOperator(measure, ball_bound, absorb=absorb)
+    op = PathOperator(measure, ball_bound, target=gamma)
     hits = []
-    for cur, step_hits, _ in op.exact_steps(n):
+    for ids, _, step_hits, _ in op.exact_steps(n):
         hits.append(step_hits.get(gamma, 0))
-        if not cur:
+        if not len(ids):
             break
     return op.denominator, hits
 
@@ -489,7 +688,8 @@ def _exact_returns(measure, horizon, budget):
     and of one on mu' (the same one when mu is symmetric), the pairs of
     powers (k, k-1) and (k, k) give p_{2k-1} and p_{2k} as integer sums
     over denominator**n.  So ceil(horizon/2) steps suffice and two
-    in-flight dicts per operator are kept.  No ball bound is needed: k
+    in-flight levels per operator are kept.  The two operators share one
+    word tree, so their states pair by node.  No ball bound is needed: k
     steps stay within k * max_step_length of e, and nothing escapes.
     """
     if horizon < 0:
@@ -497,43 +697,36 @@ def _exact_returns(measure, horizon, budget):
     k = (horizon + 1) // 2
     fwd = PathOperator(measure)
     if measure.is_symmetric():
-        bwd, pair = fwd, None
-        steps = ((cur, cur) for cur, _, _ in fwd.exact_steps(k))
+        bwd = None
+        steps = ((ids, nums, ids, nums) for ids, nums, _, _ in fwd.exact_steps(k))
     else:
-        bwd, pair, paired = PathOperator(measure.reflected()), [], 0
+        # one word tree for both operators, so their states pair by node
+        bwd = PathOperator(measure.reflected(), tree=fwd.tree)
         steps = (
-            (cur, cur_b)
-            for (cur, _, _), (cur_b, _, _)
+            (ids, nums, ids_b, nums_b)
+            for (ids, nums, _, _), (ids_b, nums_b, _, _)
             in zip(fwd.exact_steps(k), bwd.exact_steps(k))
         )
     vals = [Fraction(1)]
-    prev_b = {0: 1}
-    for cur, cur_b in steps:
-        consumed = len(fwd.elems) + (len(bwd.elems) if pair is not None else 0)
+    prev_b = (np.zeros(1, np.int64), np.ones(1, dtype=object))
+    for ids, nums, *cur_b in steps:
+        consumed = fwd.size + (bwd.size if bwd is not None else 0)
         if consumed > budget:
             raise BudgetError(
                 "return probabilities exceeded element budget",
                 consumed=consumed,
                 budget=budget,
             )
-        if pair is not None:
-            # pair[i] is the bwd id of fwd's element i, or -1; each element
-            # new to either operator is looked up once in the other
-            pair.extend(bwd.ids.get(g, -1) for g in fwd.elems[len(pair):])
-            for j in range(paired, len(bwd.elems)):
-                i = fwd.ids.get(bwd.elems[j])
-                if i is not None:
-                    pair[i] = j
-            paired = len(bwd.elems)
-        for b_side in (prev_b, cur_b):
+        if bwd is not None:
+            ids = bwd.state_of(fwd.node[ids])
+            nums = nums[ids >= 0]
+            ids = ids[ids >= 0]
+        for b_ids, b_nums in (prev_b, cur_b):
             n = len(vals)
             if n > horizon:
                 break
-            if pair is None:
-                num = sum(v * b_side.get(i, 0) for i, v in cur.items())
-            else:
-                num = sum(v * b_side.get(pair[i], 0) for i, v in cur.items())
-            vals.append(Fraction(num, fwd.denominator**n))
+            _, i, j = np.intersect1d(ids, b_ids, assume_unique=True, return_indices=True)
+            vals.append(Fraction((nums[i] * b_nums[j]).sum(), fwd.denominator**n))
         prev_b = cur_b
     return vals
 

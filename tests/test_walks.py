@@ -95,6 +95,16 @@ class TestConvolution:
             seq = return_probabilities(mu, horizon, method="exact")
             assert seq.values == [d.mass(()) for d in powers[: horizon + 1]]
 
+    def test_exact_returns_pair_by_element(self, z2z3):
+        # the support {s, t} is not closed under inversion, so mu and its
+        # reflection {s, t^-1} reach the same elements in another order
+        s, t = ((0, 1),), ((1, 1),)
+        mu = StepMeasure(z2z3, {s: Fraction(1, 2), t: Fraction(1, 2)})
+        powers = convolve_powers(mu, 13)
+        seq = return_probabilities(mu, 13, method="exact")
+        assert seq.values == [d.mass(()) for d in powers]
+        assert seq.values[3] > 0
+
 
 class TestFirstVisits:
     def test_renewal_identity_in_integers(self, z2z3_srw, z2z3):
