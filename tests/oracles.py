@@ -53,63 +53,169 @@ def f2_return_probability(n):
     return Fraction(total, 4**n)
 
 
-# -- closed forms for SRW on the rank-2 free group ----------------------------
+# -- closed forms for SRW on the d-regular tree ---------------------------------
+#
+# F2 with uniform steps on a, a^-1, b, b^-1 is the 4-regular tree, and
+# Z2*Z2*Z2 with uniform steps on its three involutions the 3-regular tree.
+
+
+def tree_first_passage(d, r):
+    """F(e,a|r): probability generating function of ever stepping one out.
+
+    The walk steps onto a directly, or steps to one of the d-1 other
+    neighbours and must then come back twice: F = r/d + ((d-1) r/d) F^2,
+    solved on the branch through F(0) = 0.
+    """
+    return (d - math.sqrt(d * d - 4.0 * (d - 1) * r * r)) / (2.0 * (d - 1) * r)
+
+
+def tree_green(d, r):
+    """G(e,e|r): each step out returns with weight F, so
+    G = 1 / (1 - d (r/d) F) = 1 / (1 - r F)."""
+    return 1.0 / (1.0 - r * tree_first_passage(d, r))
+
+
+def _tree_first_passage_derivative(d, r):
+    """F'(r), by implicit differentiation of F = r/d + ((d-1) r/d) F^2."""
+    f = tree_first_passage(d, r)
+    return (1.0 + (d - 1) * f * f) / (d - 2.0 * (d - 1) * r * f)
+
+
+def tree_i1(d, r):
+    """I1(r) = sum_x G(e,x|r) G(x,e|r) on the d-regular tree.
+
+    G(e,x) = G F^|x| and the sphere of radius k > 0 has d (d-1)^(k-1)
+    points, so I1 = G^2 A with A(F) = (1 + F^2) / (1 - (d-1) F^2).
+    """
+    f = tree_first_passage(d, r)
+    return tree_green(d, r) ** 2 * (1.0 + f * f) / (1.0 - (d - 1) * f * f)
+
+
+def tree_i2(d, r):
+    """I2(r) = sum_{x,y} G(e,x|r) G(x,y|r) G(y,e|r) on the d-regular tree.
+
+    The inner sum over y is d/dr (r G(x,e|r)) = d/dr (r G F^|x|), and
+    d/dr (r G) = I1.  Summing over spheres with A as in ``tree_i1`` and
+    sum_k |S_k| k F^(2k-1) = A'(F)/2 = d F / (1 - (d-1) F^2)^2 gives
+    I2 = G I1 A + d r G^2 F F' / (1 - (d-1) F^2)^2.
+
+    Both I2 and I1^3 grow like (R - r)^(-3/2); on the 4-regular tree
+    I2/I1^3 tends to 1/72 as r -> R.
+    """
+    f = tree_first_passage(d, r)
+    g = tree_green(d, r)
+    q = 1.0 - (d - 1) * f * f
+    return (
+        g * tree_i1(d, r) * (1.0 + f * f) / q
+        + d * r * g * g * f * _tree_first_passage_derivative(d, r) / (q * q)
+    )
+
 
 F2_RADIUS = 2.0 * math.sqrt(3.0) / 3.0  # R: reciprocal of the Kesten norm
 
 
 def f2_first_passage(r):
-    """F(e,a|r): probability generating function of ever stepping one out."""
-    return (1.0 - math.sqrt(1.0 - 0.75 * r * r)) / (1.5 * r)
+    return tree_first_passage(4, r)
 
 
 def f2_green(r):
-    """G(e,e|r) on the 4-regular tree: each step out returns with weight f,
-    so G = 1 / (1 - 4 (r/4) f) = 1 / (1 - r f)."""
-    return 1.0 / (1.0 - r * f2_first_passage(r))
-
-
-def _f2_first_passage_derivative(r):
-    """F'(r), by implicit differentiation of F = r/4 + (3r/4) F^2: the walk
-    steps onto a directly, or steps to one of the 3 other neighbours and
-    must then come back twice."""
-    f = f2_first_passage(r)
-    return (0.25 + 0.75 * f * f) / (1.0 - 1.5 * r * f)
+    return tree_green(4, r)
 
 
 def f2_i1(r):
-    """I1(r) = sum_x G(e,x|r) G(x,e|r) on the 4-regular tree.
-
-    G(e,x) = G F^|x| and the sphere of radius k > 0 has 4 * 3^(k-1) points,
-    so I1 = G^2 (1 + 4F^2 / (1 - 3F^2)).
-    """
-    f = f2_first_passage(r)
-    return f2_green(r) ** 2 * (1.0 + 4.0 * f * f / (1.0 - 3.0 * f * f))
+    return tree_i1(4, r)
 
 
 def f2_i2(r):
-    """I2(r) = sum_{x,y} G(e,x|r) G(x,y|r) G(y,e|r) on the 4-regular tree.
-
-    The inner sum over y is d/dr (r G(x,e|r)) = d/dr (r G F^|x|), and
-    d/dr (r G) = I1.  Summing over spheres with A(F) = (1 + F^2)/(1 - 3F^2)
-    and sum_k |S_k| k F^(2k-1) = A'(F)/2 = 4F/(1 - 3F^2)^2 gives
-    I2 = G I1 A + 4 r G^2 F F' / (1 - 3F^2)^2.
-
-    Both I2 and I1^3 grow like (R - r)^(-3/2) and I2/I1^3 tends to 1/72
-    as r -> R.
-    """
-    f = f2_first_passage(r)
-    g = f2_green(r)
-    q = 1.0 - 3.0 * f * f
-    return (
-        g * f2_i1(r) * (1.0 + f * f) / q
-        + 4.0 * r * g * g * f * _f2_first_passage_derivative(r) / (q * q)
-    )
+    return tree_i2(4, r)
 
 
 def z2z2z2_radius():
     """R for uniform involutions on the triple free product of order-2 groups."""
     return 3.0 / (2.0 * math.sqrt(2.0))
+
+
+# -- Z2*Z3 with uniform steps on s, t, t^-1, from its first-passage system ----
+
+
+class _Jet:
+    """A function of r with its first two derivatives, carried through
+    arithmetic, so a closed form is differentiated without a difference."""
+
+    def __init__(self, v, d1=0.0, d2=0.0):
+        self.v, self.d1, self.d2 = v, d1, d2
+
+    @staticmethod
+    def _lift(x):
+        return x if isinstance(x, _Jet) else _Jet(float(x))
+
+    def __add__(self, o):
+        o = self._lift(o)
+        return _Jet(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(-self.v, -self.d1, -self.d2)
+
+    def __sub__(self, o):
+        return self + -self._lift(o)
+
+    def __rsub__(self, o):
+        return self._lift(o) + -self
+
+    def __mul__(self, o):
+        o = self._lift(o)
+        return _Jet(
+            self.v * o.v,
+            self.d1 * o.v + self.v * o.d1,
+            self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
+        )
+
+    __rmul__ = __mul__
+
+    def reciprocal(self):
+        v = self.v
+        return _Jet(1.0 / v, -self.d1 / v**2, -self.d2 / v**2 + 2.0 * self.d1**2 / v**3)
+
+    def __truediv__(self, o):
+        return self * self._lift(o).reciprocal()
+
+    def __rtruediv__(self, o):
+        return self._lift(o) * self.reciprocal()
+
+    def sqrt(self):
+        s = math.sqrt(self.v)
+        return _Jet(s, self.d1 / (2.0 * s), self.d2 / (2.0 * s) - self.d1**2 / (4.0 * s**3))
+
+
+def _z2z3_green_jet(r):
+    """G(e,e|r) and its r-derivatives for Z2*Z3 = <s> * <t>, steps s, t, t^-1.
+
+    Every factor element is a cut vertex, so by the first step
+        F_s = r/3 (1 + 2 F_t F_s)        (from t or t^-1, back through e)
+        F_t = r/3 (1 + F_t + F_s F_t)    (from t^-1, t is one t^-1-step away)
+    with F_t = F(e, t) = F(e, t^-1) by the automorphism t -> t^-1.
+    Eliminating F_s = r / (3 - 2 r F_t) leaves a F_t^2 + b F_t + c = 0 with
+    a = 2r^2 - 6r, b = r^2 - 3r + 9, c = -3r; the root through F_t(0) = 0
+    is written without cancellation.  Then G = 1 / (1 - r (F_s + 2 F_t)/3).
+    """
+    x = _Jet(r, 1.0)
+    a = 2 * x * x - 6 * x
+    b = x * x - 3 * x + 9
+    ft = 6 * x / (b + (b * b + 12 * x * a).sqrt())
+    fs = x / (3 - 2 * x * ft)
+    return 1 / (1 - x * (fs + 2 * ft) / 3)
+
+
+def z2z3_green(r):
+    return _z2z3_green_jet(r).v
+
+
+def z2z3_i2(r):
+    """I2 = (1/2) d^2/dr^2 (r^2 G(e,e|r)), differentiated exactly."""
+    x = _Jet(r, 1.0)
+    return (x * x * _z2z3_green_jet(r)).d2 / 2.0
 
 
 def z_log_return_probs(n_max):

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +102,22 @@ class TestConfigParsing:
         c = parse_config(dict(BASE, horizon=301)).hash()
         assert a == b
         assert a != c
+
+
+def test_cli_import_needs_neither_networkx_nor_scipy():
+    # in a fresh process, so modules imported by other tests do not count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "import freewalk.cli",
+        "print(sorted(m for m in ('networkx', 'scipy') if m in sys.modules))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCliExitCodes:

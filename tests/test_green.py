@@ -7,7 +7,15 @@ from freewalk.green import GreenEvaluator, sphere_sizes, spectral_radius
 from freewalk.groups import FreeProduct, LatticeFactor, cyclic_factor
 from freewalk.walks import return_probabilities
 
-from oracles import F2_RADIUS, f2_first_passage, f2_green, z2z2z2_radius
+from oracles import (
+    F2_RADIUS,
+    f2_first_passage,
+    f2_green,
+    tree_i2,
+    z2z2z2_radius,
+    z2z3_green,
+    z2z3_i2,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +90,10 @@ class TestDerivative:
             ident = ev.green_derivative((), (), r, mode="identity").value
             assert abs(series - ident) / series < 1e-3
 
+    def test_identity_mode_only_at_identity(self, ev):
+        with pytest.raises(ValueError):
+            ev.green_derivative((), ((0, (1,)),), 0.5, mode="identity")
+
     def test_derivative_positive_and_increasing(self, ev):
         vals = [
             ev.green_derivative((), (), f * ev.R_hat, mode="series").value
@@ -120,6 +132,40 @@ class TestISums:
             expected += 4 * 3 ** (m - 1) * (g * f**m) * d_rg(m)
         s = ev.i_sums(r, sphere_stop_tol=1e-9)
         assert math.isclose(s.i2, expected, rel_tol=1e-4)
+
+    @pytest.mark.parametrize("measure, degree", [("f2_srw", 4), ("z2cubed_srw", 3)])
+    def test_i2_matches_tree_closed_form(self, request, measure, degree):
+        # both walks are simple random walk on a d-regular tree; the I2
+        # series runs over the 4000-term radial return sequence
+        tree_ev = GreenEvaluator(request.getfixturevalue(measure))
+        for frac in (0.90, 0.95, 0.98):
+            r = frac * tree_ev.R_hat
+            s = tree_ev.i_sums(r, sphere_stop_tol=1e-7)
+            want = tree_i2(degree, r)
+            assert abs(s.i2 - want) / want < 1e-12
+            assert s.i2_method.startswith("series/")
+
+    def test_z2z3_oracle_is_consistent(self, z2z3_srw):
+        # the first-passage system reproduces the package's G(e,e|r) where
+        # the series converges fast, and its exact second derivative agrees
+        # with a second difference of r^2 G
+        ev23 = GreenEvaluator(z2z3_srw)
+        r = 0.5 * ev23.R_hat
+        assert math.isclose(ev23.green((), (), r).value, z2z3_green(r), rel_tol=1e-12)
+        h = 1e-4
+        for r in (0.5, 0.9):
+            r2g = [(r + k * h) ** 2 * z2z3_green(r + k * h) for k in (-1, 0, 1)]
+            second = (r2g[0] - 2 * r2g[1] + r2g[2]) / (2 * h * h)
+            assert math.isclose(second, z2z3_i2(r), rel_tol=1e-5)
+
+    def test_i2_matches_first_passage_system_on_z2z3(self, z2z3_srw):
+        # the series runs over the 81-term convolution table, whose
+        # truncation shows near R
+        ev23 = GreenEvaluator(z2z3_srw)
+        for frac, tol in ((0.90, 1e-4), (0.95, 1e-2)):
+            r = frac * ev23.R_hat
+            s = ev23.i_sums(r, sphere_stop_tol=1e-7)
+            assert abs(s.i2 - z2z3_i2(r)) / z2z3_i2(r) < tol
 
     def test_refuses_near_radius(self, ev):
         # at 0.999*R the relative-sphere I1 and the series for d/dr (r G)

@@ -110,6 +110,35 @@ class TestPressure:
         assert blob["semisimple_proxy"] is True
 
 
+class TestPressureFrozen:
+    # float.hex of the estimate at 0.9*R_hat with the default ladder: the
+    # eigenvalue, the ladder's log-eigenvalues and the one component's
+    # eigenvalue (the raw Perron root, not exp of its log)
+    FROZEN = {
+        "f2_srw": (
+            "0x1.348525f0f2204p-2",
+            ["-0x1.339e9c4f3f41cp+0", "-0x1.339e9c4f3f419p+0", "-0x1.331e8aa463a82p+0"],
+            (16, "0x1.348525f0f2204p-2"),
+        ),
+        "z2z3_srw": (
+            "0x1.6b46a860eeb9bp-2",
+            ["-0x1.094b8a7197b3bp+0"] * 3,
+            (3, "0x1.6b46a860eeb9ap-2"),
+        ),
+    }
+
+    @pytest.mark.parametrize("measure", sorted(FROZEN))
+    def test_values_frozen(self, request, measure):
+        eig, ladder, (size, comp) = self.FROZEN[measure]
+        ev_m = GreenEvaluator(request.getfixturevalue(measure))
+        est = pressure(ev_m, 0.9 * ev_m.R_hat)
+        assert est.eigenvalue.hex() == eig
+        assert [p.hex() for _, _, p in est.ladder] == ladder
+        assert [(c.size, c.eigenvalue.hex(), c.is_maximal) for c in est.components] == [
+            (size, comp, True)
+        ]
+
+
 class TestPartitionFunction:
     def test_odd_cycles_vanish(self, ev):
         tm = build_transfer(ev, 0.9 * ev.R_hat, cap=2, depth=3)
