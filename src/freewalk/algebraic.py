@@ -1,0 +1,263 @@
+"""The first-passage system of a single-syllable measure, solved as algebra.
+
+In a free product every factor element is a cut vertex between its own
+factor and the rest of the Cayley graph (Woess 2000, on free products).
+So for a measure supported on the factors (with e allowed) the
+first-passage functions F_s(r) = F(e, s | r) close under one first step:
+
+    F_s = r mu(s) + r mu(e) F_s + r sum_{t in H(s), t != e, s} mu(t) F_{t^-1 s}
+          + r sum_{t not in H(s)} mu(t) F_{t^-1} F_s.
+
+There is one unknown per nontrivial element of each finite factor and one
+per direction of each rank-1 lattice factor that steps by +-1, where
+F_{a^k} = F_a^k.  The return function is
+U(r) = r mu(e) + r sum_t mu(t) F_{t^-1}, and G(e,e|r) = 1 / (1 - U).
+
+The system is polynomial with non-negative coefficients, so Newton's
+method from below the least solution increases monotonically to it
+wherever it exists (Etessami and Yannakakis, J. ACM 2009).  The radius R
+is the largest r at which it exists with I - J a non-singular M-matrix
+(Perron root of the Jacobian J below 1) and U below 1; for an admissible
+walk it is a square-root branch point (Lalley 1993).  The coefficients
+come from the same equations read coefficientwise, each [r^n] from the
+ones below it, in the variable r/R: c_n R^n decays like n^(-3/2) where
+c_n itself underflows.
+"""
+
+import math
+import sys
+
+import numpy as np
+
+# Newton steps allowed for one solve; from a warm start a handful suffice,
+# and even at R(1 - 1e-16) the linear phase halves the error per step
+NEWTON_STEPS = 200
+EPS = sys.float_info.epsilon
+
+
+class FirstPassageSystem:
+    """F_s(r) for every unknown s, and G(e,e|r), of one measure.
+
+    ``unknowns`` lists the (factor id, payload) of each unknown.  The right
+    side of the system is Phi(r, x) = r (c + A x + x * (C x)): the only
+    products are F_s times a first passage back to e (C[s, j] sums mu(t)
+    over the steps t out of H(s) with t^-1 the unknown j) and, on a
+    lattice factor, F_s^2 = F_{s^2} (C[s, s] is the weight of the opposite
+    step).  U(r, x) = r (mu(e) + b.x).  ``radius`` is R and ``bracket``
+    the adjacent floats (lo, hi) around it where the least solution exists
+    and where it does not.  Coefficients are kept scaled by R^n and
+    extended on demand, so every caller shares one computation to the
+    largest horizon asked for.
+    """
+
+    def __init__(self, group, unknowns, const, lin, cross, lazy, back):
+        self.group = group
+        self.unknowns = unknowns
+        self._index = {u: i for i, u in enumerate(unknowns)}
+        self._c, self._a, self._cross = const, lin, cross
+        self._lazy, self._back = lazy, back
+        self.bracket = self._branch_point()
+        self.radius = self.bracket[0] if self.bracket else math.inf
+        m = len(unknowns)
+        self._y = np.zeros((m, 1))  # scaled [r^n] F_s; F_s(0) = 0
+        self._w = np.zeros((m, 1))  # the same of R C F
+        self._u = np.zeros(1)  # scaled [r^n] U
+        self._g = np.ones(1)  # scaled [r^n] G(e,e)
+        self._powers = {}
+
+    # -- the radius ----------------------------------------------------------
+
+    def _phi(self, r, x):
+        """Phi(r, x) and its Jacobian in x."""
+        cx = self._cross @ x
+        phi = r * (self._c + self._a @ x + x * cx)
+        jac = r * (self._a + np.diag(cx) + x[:, None] * self._cross)
+        return phi, jac
+
+    def least_solution(self, r, x=None):
+        """The least solution of x = Phi(r, x), or None past the radius.
+
+        Newton starts from ``x`` (0 by default), which must lie below the
+        least solution.  Past R the iterates reach a point where I - J is
+        no longer a non-singular M-matrix, found by solving (I - J) v = 1:
+        v > 0 exactly when the Perron root of J is below 1
+        (Collatz-Wielandt).  Near R the convergence is only linear and
+        the Newton step carries rounding noise amplified by 1/(1 - rho(J)),
+        so convergence is judged on the residual Phi(x) - x, which that
+        noise does not inflate, and a residual that stops falling at a
+        small floor counts as converged, not as divergence.
+        """
+        m = len(self.unknowns)
+        x = np.zeros(m) if x is None else x
+        rhs = np.column_stack([np.zeros(m), np.ones(m)])
+        best, stalled = math.inf, 0
+        for _ in range(NEWTON_STEPS):
+            phi, jac = self._phi(r, x)
+            if not np.all(np.isfinite(phi)) or r * (self._lazy + self._back @ x) >= 1.0:
+                return None  # past the pole of G = 1/(1 - U)
+            rhs[:, 0] = phi - x
+            try:
+                step, v = np.linalg.solve(np.eye(m) - jac, rhs).T
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(v > 0.0):
+                return None
+            size, scale = float(np.max(np.abs(rhs[:, 0]))), float(np.max(phi))
+            if size <= 8 * EPS * scale:
+                return x
+            if size < best:
+                best, stalled = size, 0
+            else:
+                stalled += 1
+                if stalled >= 3 and size <= 1e-9 * scale:
+                    return x  # the rounding floor
+            x = x + step
+        return None
+
+    def _branch_point(self):
+        """(lo, hi): the largest r with a least solution, and the next float.
+
+        Doubling brackets R (it is at least 1, since p_n <= 1) and bisection
+        closes the bracket to adjacent floats.  A solution at lo lies below
+        the least solution at any r > lo, so each Newton run starts from
+        the last one that succeeded.  None when the walk never returns.
+        """
+        lo, x_lo, hi = 0.0, np.zeros(len(self.unknowns)), 1.0
+        while True:
+            x = self.least_solution(hi, x_lo)
+            if x is None:
+                break
+            lo, x_lo, hi = hi, x, 2.0 * hi
+            if hi > 2.0**20:
+                return None
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return lo, hi
+            x = self.least_solution(mid, x_lo)
+            if x is None:
+                hi = mid
+            else:
+                lo, x_lo = mid, x
+
+    # -- coefficients ----------------------------------------------------------
+
+    def _extend(self, n):
+        """Scaled coefficients c_k R^k of every F_s, U and G(e,e), k <= n.
+
+        [r^k] Phi takes the unknowns' coefficients below k only, because
+        every term of Phi carries a factor r and F_s(0) = 0: the product
+        x * (C x) is one row-wise sum over the splits j + (k-1-j), and G
+        follows U by the renewal g_k = sum_j u_j g_{k-j}.  Time-reversed
+        copies keep both factors of each split sum contiguous.
+        """
+        have = len(self._g) - 1
+        if n <= have:
+            return
+        m, R = len(self.unknowns), self.radius
+        c, a, cross = R * self._c, R * self._a, R * self._cross
+        lazy, back = R * self._lazy, R * self._back
+        y, w = np.zeros((m, n + 1)), np.zeros((m, n + 1))
+        u, g = np.zeros(n + 1), np.zeros(n + 1)
+        y[:, : have + 1], w[:, : have + 1] = self._y, self._w
+        u[: have + 1], g[: have + 1] = self._u, self._g
+        wr, gr = w[:, ::-1].copy(), g[::-1].copy()  # wr[:, n - k] = w[:, k]
+        for k in range(have + 1, n + 1):
+            prev = y[:, k - 1]
+            yk = a @ prev
+            uk = back @ prev
+            if k == 1:
+                yk += c
+                uk += lazy
+            elif k >= 3:
+                yk += np.einsum("ij,ij->i", y[:, 1 : k - 1], wr[:, n - k + 2 : n])
+            y[:, k] = yk
+            w[:, k] = wr[:, n - k] = cross @ yk
+            u[k] = uk
+            g[k] = gr[n - k] = u[1 : k + 1] @ gr[n - k + 1 :]
+        self._y, self._w, self._u, self._g = y, w, u, g
+
+    def scaled_green(self, horizon):
+        """[r^n] G(e,e|r) R^n for n = 0..horizon."""
+        self._extend(horizon)
+        return self._g[: horizon + 1]
+
+    def scaled_first_passage(self, syllable, horizon):
+        """[r^n] F(e, (syllable,) | r) R^n for n = 0..horizon.
+
+        On a lattice factor a^k it is the |k|-th power of the series of
+        the direction's unknown, each power one truncated convolution from
+        the one below it.
+        """
+        self._extend(horizon)
+        i, power = _monomial(self.group, self._index, *syllable)
+        powers = self._powers.setdefault((i, horizon), [None, self._y[i, : horizon + 1]])
+        while len(powers) <= power:
+            powers.append(np.convolve(powers[-1], powers[1])[: horizon + 1])
+        return powers[power]
+
+    def unscaled_logs(self, scaled):
+        """log c_n from the scaled c_n R^n (minus infinity where zero)."""
+        with np.errstate(divide="ignore"):
+            return np.log(scaled) - np.arange(len(scaled)) * math.log(self.radius)
+
+    def return_log_probs(self, horizon):
+        """log p_n(e,e) for n = 0..horizon."""
+        return self.unscaled_logs(self.scaled_green(horizon))
+
+
+def _monomial(group, index, fid, payload):
+    """(unknown, power) with F_{(fid, payload)} = x_unknown ** power."""
+    if group.factors[fid].kind == "lattice":
+        k = payload[0]
+        return index[fid, (1 if k > 0 else -1,)], abs(k)
+    return index[fid, payload], 1
+
+
+def first_passage_system(measure):
+    """The system of ``measure``, or None outside its scope.
+
+    In scope: every step is e or one syllable, every factor is finite or a
+    rank-1 lattice whose steps are +-1, and the walk can return to e.
+    """
+    group = measure.group
+    if any(len(g) > 1 for g, _ in measure.support):
+        return None
+    unknowns = []
+    for fid, factor in enumerate(group.factors):
+        if factor.kind == "lattice":
+            steps = {g[0][1] for g, _ in measure.support if g and g[0][0] == fid}
+            if factor.rank != 1 or not steps <= {(1,), (-1,)}:
+                return None
+            unknowns += [(fid, (1,)), (fid, (-1,))]
+        else:
+            unknowns += [(fid, p) for p in factor.nontrivial_elements()]
+    index = {u: i for i, u in enumerate(unknowns)}
+    m = len(unknowns)
+    const, lin, cross, back = np.zeros(m), np.zeros((m, m)), np.zeros((m, m)), np.zeros(m)
+    lazy = 0.0
+    for g, w in measure.support:
+        w = float(w)
+        if not g:
+            lazy = w
+            lin += w * np.eye(m)
+            continue
+        (tf, tp), = g
+        factor = group.factors[tf]
+        home, _ = _monomial(group, index, tf, factor.inv(tp))  # F_{t^-1}
+        back[home] += w
+        for s, (sf, sp) in enumerate(unknowns):
+            if sf != tf:
+                cross[s, home] += w  # out of H(s), back through e, then to s
+                continue
+            rest = factor.mul(factor.inv(tp), sp)  # t^-1 s
+            if factor.is_identity(rest):
+                const[s] += w
+                continue
+            i, power = _monomial(group, index, sf, rest)
+            if power == 1:
+                lin[s, i] += w
+            else:  # s^2 on a lattice factor: i is s itself
+                cross[s, s] += w
+    system = FirstPassageSystem(group, unknowns, const, lin, cross, lazy, back)
+    return system if system.bracket is not None else None

@@ -36,8 +36,8 @@ class Shared:
     @cached_property
     def evaluator(self):
         # the walk horizon governs return-probability runs only; Green series
-        # use the evaluator's own defaults (the generic table is exact
-        # convolution, whose cost grows exponentially in its horizon)
+        # use the evaluator's own defaults (the convolution table, for what
+        # no other engine covers, costs exponentially in its horizon)
         return GreenEvaluator(self.measure)
 
     def returns(self, horizon, method):
@@ -85,19 +85,35 @@ def _horizon(cfg, args):
     return args.budget if args.budget else cfg.horizon
 
 
+def _return_method(cfg, args):
+    """The return-probability engine ``--method`` names, or None.
+
+    ``auto`` takes the radial chain, else the first-passage system, else
+    exact convolution.  An engine named outright that does not cover the
+    measure is an error, reported here.
+    """
+    measure = cfg.measure
+    if args.method == "auto":
+        if measure.radial_chain is not None:
+            return "radial"
+        return "algebraic" if measure.first_passage_system is not None else "exact"
+    if args.method == "radial" and measure.radial_chain is None:
+        why = "is not radial (its step distribution is not a function of distance)"
+    elif args.method == "algebraic" and measure.first_passage_system is None:
+        why = ("is outside the first-passage system (it needs one-syllable "
+               "steps on finite and rank-1 lattice factors, lattice steps +-1)")
+    else:
+        return args.method
+    print(f"error: the {args.method} engine was requested but the measure {why}",
+          file=sys.stderr)
+    return None
+
+
 def cmd_walk(cfg, args, shared):
     started = time.time()
     horizon = _horizon(cfg, args)
-    method = args.method
-    radial = cfg.measure.radial_chain is not None
-    if method == "auto":
-        method = "radial" if radial else "exact"
-    elif method == "radial" and not radial:
-        print(
-            "error: the radial engine was requested but the measure is not "
-            "radial (its step distribution is not a function of distance)",
-            file=sys.stderr,
-        )
+    method = _return_method(cfg, args)
+    if method is None:
         return 2
     seq = shared.returns(horizon, method)
     out = _out_dir(args)
@@ -207,13 +223,19 @@ def cmd_ancona(cfg, args, shared):
 def cmd_llt(cfg, args, shared):
     started = time.time()
     horizon = _horizon(cfg, args)
-    method = "radial" if cfg.measure.radial_chain is not None else "exact"
+    method = _return_method(cfg, args)
+    if method is None:
+        return 2
     seq = shared.returns(horizon, method)
-    est = spectral_radius(seq)
+    if method == "algebraic":
+        # the system's branch point, the R_hat of the run's evaluator
+        r_hat = cfg.measure.first_passage_system.radius
+    else:
+        r_hat = 1.0 / spectral_radius(seq).rho_hat
     period = detect_period(seq).period
     window = (max(horizon // 10, 50 * period), horizon)
     try:
-        fit = llt_fit(seq.log_values, period, window, 1.0 / est.rho_hat)
+        fit = llt_fit(seq.log_values, period, window, r_hat)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
@@ -286,9 +308,9 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--method",
-        choices=["auto", "exact", "radial"],
+        choices=["auto", "exact", "radial", "algebraic"],
         default="auto",
-        help="return-probability engine for the walk subcommand",
+        help="return-probability engine for the walk and llt subcommands",
     )
     return parser
 

@@ -1,10 +1,14 @@
 """Green functions G(x,y|r), first-passage series, spectral radius, and I-sums.
 
-Two coefficient sources back every evaluation: a radial table (isotropic
-walks, sphere masses from the distance chain divided by sphere sizes, which
-come from the free product's growth series) and a convolution table, the
-powers mu^{*n} from the truncated-ball path operator of ``walks``.  On top of
-either, single-syllable first-passage values give a product evaluation of
+Three coefficient sources back every evaluation, tried in this order: a
+radial table (isotropic walks, sphere masses from the distance chain divided
+by sphere sizes, which come from the free product's growth series), an
+algebraic table (single-syllable measures on finite and rank-1 lattice
+factors: the coefficients of the first-passage system of ``algebraic``,
+whose branch point is R itself) and a convolution table, the powers
+mu^{*n} from the truncated-ball path operator of ``walks``, for the rest
+(Z^d factors with d >= 2, multi-syllable steps).  On top of any of them,
+single-syllable first-passage values give a product evaluation of
 G(e,gamma|r) across syllables; in a free product every syllable prefix is a
 cut vertex of the Cayley graph, so the first-visit decomposition at prefixes
 is an exact identity whenever the step measure is supported on single
@@ -20,7 +24,7 @@ coefficients C(n+2, 2) p_n(e,e), with the same tail closure.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,6 +200,47 @@ class ConvolutionGreenTable:
         return logs
 
 
+class AlgebraicGreenTable:
+    """log p_n(e, gamma) and first visits from the first-passage system.
+
+    G(e, gamma) = F(e, gamma) G(e,e) and F(e, gamma) is the product of its
+    syllables' first passages (each syllable prefix is a cut vertex), so
+    every series is a truncated product of the system's scaled series.
+    """
+
+    def __init__(self, system, horizon):
+        self.system = system
+        self.horizon = horizon
+        self._cache = {}
+
+    def _product(self, series):
+        out = None
+        for s in series:
+            out = s if out is None else np.convolve(out, s)[: self.horizon + 1]
+        return out
+
+    def _scaled_first_visits(self, gamma):
+        if not gamma:
+            out = np.zeros(self.horizon + 1)
+            out[0] = 1.0
+            return out
+        return self._product(
+            self.system.scaled_first_passage(syl, self.horizon) for syl in gamma
+        )
+
+    def log_coefficients(self, gamma):
+        if gamma not in self._cache:
+            series = [self.system.scaled_green(self.horizon)]
+            if gamma:
+                series.append(self._scaled_first_visits(gamma))
+            self._cache[gamma] = self.system.unscaled_logs(self._product(series))
+        return self._cache[gamma]
+
+    def first_visit_logs(self, gamma):
+        """log first-visit masses f_n(e, gamma)."""
+        return self.system.unscaled_logs(self._scaled_first_visits(gamma))
+
+
 def _binomial_weighted(logs, k):
     """log of C(n+k, k) c_n from log c_n: the coefficients of
     (1/k!) d^k/dr^k (r^k sum_n c_n r^n)."""
@@ -234,8 +279,11 @@ class SpectralRadiusEstimate:
     ratio_tail: list
     richardson_tail: list
     exceeds_one: bool  # R_hat > 1, expected for non-amenable groups
+    rho_bracket: tuple = None  # (rho_lo, rho_hi) from the first-passage system
 
     def uncertainty(self):
+        if self.rho_bracket is not None:
+            return self.rho_bracket[1] - self.rho_bracket[0]
         if len(self.richardson_tail) < 2:
             return math.inf
         return max(abs(v - self.rho_hat) for v in self.richardson_tail[-3:])
@@ -309,6 +357,7 @@ class GreenEvaluator:
         self.measure = measure
         self.group = measure.group
         self.chain = measure.radial_chain
+        self.system = None if self.chain is not None else measure.first_passage_system
         if self.chain is not None:
             self.horizon = horizon or 600
             self.table = RadialGreenTable(self.group, self.chain, self.horizon)
@@ -318,6 +367,13 @@ class GreenEvaluator:
                 log_values=self.chain.return_log_probs(radius_horizon),
             )
             self._return_logs = seq.log_values
+        elif self.system is not None:
+            self.horizon = horizon or radius_horizon
+            self.table = AlgebraicGreenTable(self.system, self.horizon)
+            self._return_logs = self.table.log_coefficients(self.group.identity)
+            seq = walks.ReturnSequence(
+                horizon=self.horizon, method="algebraic", log_values=self._return_logs
+            )
         else:
             self.horizon = horizon or 80
             if ball_bound is None:
@@ -340,6 +396,14 @@ class GreenEvaluator:
             )
             self._return_logs = self.table.log_coefficients(self.group.identity)
         self.radius_estimate = spectral_radius(seq)
+        if self.system is not None:
+            # R is the system's branch point; the sequence keeps the
+            # rigorous lower bound sup p_2n^(1/2n)
+            lo, hi = self.system.bracket
+            self.radius_estimate = replace(
+                self.radius_estimate, rho_hat=1.0 / lo, R_hat=lo,
+                exceeds_one=lo > 1.0, rho_bracket=(1.0 / hi, 1.0 / lo),
+            )
         self.single_syllable_support = all(
             len(g) <= 1 for g, _ in measure.support
         )
@@ -351,7 +415,10 @@ class GreenEvaluator:
         return self.radius_estimate.R_hat
 
     def _check_r(self, r):
-        if r > self.R_hat * 1.002:
+        # the system's R is the branch point itself; R_hat extrapolated from
+        # a return sequence gets 0.2 % of slop
+        limit = self.R_hat if self.system is not None else self.R_hat * 1.002
+        if r > limit:
             raise DivergenceError(
                 f"r = {r} exceeds the estimated convergence radius {self.R_hat}"
             )

@@ -21,7 +21,10 @@ is symmetric), so a horizon n takes ceil(n/2) steps and keeps no powers.
 The radial path projects isotropic nearest-neighbor walks to a birth-death
 chain on distances, checked once per measure; it is validated against the
 full walk on an overlap window and runs in log-scaled floats for large
-horizons.
+horizons.  Single-syllable measures on finite and rank-1 lattice factors
+have a third route, the first-passage system of ``algebraic``, built once
+per measure (``StepMeasure.first_passage_system``): its coefficients give
+p_n(e,e) to any horizon in floats, with no ball and no path sums.
 """
 
 import math
@@ -99,6 +102,15 @@ class StepMeasure:
     def radial_chain(self):
         """``is_radial(self)``, checked once per measure."""
         return is_radial(self)
+
+    @cached_property
+    def first_passage_system(self):
+        """The measure's ``algebraic.FirstPassageSystem``, or None outside
+        its scope; built once per measure, so its coefficients are shared."""
+        # imported here: runs on radial measures never need the module
+        from .algebraic import first_passage_system
+
+        return first_passage_system(self)
 
     def common_denominator(self):
         return math.lcm(*(w.denominator for _, w in self.support))
@@ -649,7 +661,7 @@ class ReturnSequence:
     """p_n(e,e) for n = 0..horizon, exact or float-log, with provenance."""
 
     horizon: int
-    method: str  # "exact" | "radial"
+    method: str  # "exact" | "radial" | "algebraic"
     values: list = None  # exact Fractions, when method == "exact"
     log_values: np.ndarray = None
 
@@ -664,7 +676,8 @@ class ReturnSequence:
 
 
 def return_probabilities(measure, horizon, method="exact", budget=5 * 10**6):
-    """p_n(e,e) for n = 0..horizon, exact or by the radial chain."""
+    """p_n(e,e) for n = 0..horizon: exact, by the radial chain, or from the
+    coefficients of the first-passage system (``method="algebraic"``)."""
     if method == "exact":
         vals = _exact_returns(measure, horizon, budget)
         return ReturnSequence(horizon=horizon, method="exact", values=vals)
@@ -677,6 +690,15 @@ def return_probabilities(measure, horizon, method="exact", budget=5 * 10**6):
             )
         logs = chain.return_log_probs(horizon)
         return ReturnSequence(horizon=horizon, method="radial", log_values=logs)
+    if method == "algebraic":
+        system = measure.first_passage_system
+        if system is None:
+            raise GroupSpecError(
+                "algebraic method requested but the measure is outside the "
+                "first-passage system's scope"
+            )
+        logs = system.return_log_probs(horizon)
+        return ReturnSequence(horizon=horizon, method="algebraic", log_values=logs)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -218,6 +218,28 @@ def z2z3_i2(r):
     return (x * x * _z2z3_green_jet(r)).d2 / 2.0
 
 
+def z2z3_radius():
+    """R: the least positive zero of the discriminant b^2 - 4ac of the
+    quadratic for F_t in ``_z2z3_green_jet``, where the branch through
+    F_t(0) = 0 ends.  Bisection in exact rationals on [1, 3/2], where the
+    discriminant changes sign once, down to adjacent floats."""
+
+    def disc(r):
+        a, b, c = 2 * r * r - 6 * r, r * r - 3 * r + 9, -3 * r
+        return b * b - 4 * a * c
+
+    lo, hi = Fraction(1), Fraction(3, 2)
+    if not disc(lo) > 0 > disc(hi):
+        raise ValueError("the bracket does not straddle a sign change")
+    while float(lo) != float(hi):
+        mid = (lo + hi) / 2
+        if disc(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
 def z_log_return_probs(n_max):
     """log p_n for SRW on the integers, via the exact binomial formula."""
     out = [-math.inf] * (n_max + 1)

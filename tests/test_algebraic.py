@@ -1,0 +1,160 @@
+"""The first-passage system: its scope, its radius and its coefficients.
+
+The references are independent of the system: exact return probabilities
+and first visits from the path operator for the coefficients, and the
+zeros of closed-form discriminants in ``oracles`` for the radius.
+"""
+
+import math
+import warnings
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+
+from freewalk.errors import GroupSpecError
+from freewalk.walks import (
+    StepMeasure,
+    convolve_powers,
+    first_visits,
+    return_probabilities,
+)
+
+from oracles import F2_RADIUS, f2_first_passage, f2_green, z2z2z2_radius, z2z3_radius
+from test_path_operator import _cyclic_measures, _f2, _measure
+
+A, AI, B, BI = ((0, (1,)),), ((0, (-1,)),), ((1, (1,)),), ((1, (-1,)),)
+
+
+def _assert_returns_match_exact(mu, horizon, tol):
+    exact = return_probabilities(mu, horizon, method="exact").values
+    logs = return_probabilities(mu, horizon, method="algebraic").log_values
+    for n, p in enumerate(exact):
+        if p == 0:
+            assert logs[n] == -math.inf, n
+        else:
+            assert abs(math.exp(logs[n]) - float(p)) / float(p) < tol, n
+
+
+class TestScope:
+    @pytest.mark.parametrize("name", ["z2z3", "z2z2z2", "f2", "f2_lazy"])
+    def test_covers_single_syllable_measures(self, name):
+        assert _measure(name).first_passage_system is not None
+
+    @pytest.mark.parametrize("name", ["z2sq_z2", "f2_two_letter"])
+    def test_none_outside_its_scope(self, name):
+        mu = _measure(name)
+        assert mu.first_passage_system is None
+        with pytest.raises(GroupSpecError):
+            return_probabilities(mu, 10, method="algebraic")
+
+    def test_lattice_steps_must_be_unit_steps(self):
+        a2 = ((0, (2,)),)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a^2 alone does not reach a
+            mu = StepMeasure(_f2(), {a2: Fraction(1, 2), B: Fraction(1, 4),
+                                     BI: Fraction(1, 4)})
+        assert mu.first_passage_system is None
+
+    def test_built_once_per_measure(self):
+        mu = _measure("z2z3")
+        assert mu.first_passage_system is mu.first_passage_system
+
+
+class TestRadius:
+    def test_z2z3_matches_the_discriminant(self):
+        system = _measure("z2z3").first_passage_system
+        assert abs(system.radius - z2z3_radius()) / z2z3_radius() < 1e-12
+        lo, hi = system.bracket
+        assert system.radius == lo and hi == math.nextafter(lo, 2.0)
+
+    @pytest.mark.parametrize("name, radius", [("f2", F2_RADIUS), ("z2z2z2", z2z2z2_radius())])
+    def test_tree_radii(self, name, radius):
+        system = _measure(name).first_passage_system
+        assert abs(system.radius - radius) / radius < 1e-12
+
+    def test_least_solution_matches_the_tree_closed_form(self):
+        # F2 is the 4-regular tree: every F is the closed form, and
+        # G = 1/(1 - U) with U = r (sum of the four F) / 4
+        system = _measure("f2").first_passage_system
+        r = 0.9999 * F2_RADIUS
+        x = system.least_solution(r)
+        for f in x:
+            assert abs(f - f2_first_passage(r)) / f2_first_passage(r) < 1e-12
+        gee = 1.0 / (1.0 - r * x.sum() / 4)
+        assert abs(gee - f2_green(r)) / f2_green(r) < 1e-12
+
+    def test_least_solution_from_zero_is_sharp(self):
+        # Newton from 0, with no warm start, still tells the two sides of
+        # R apart at a relative distance of 1e-12
+        system = _measure("z2z3").first_passage_system
+        assert system.least_solution(system.radius * (1 - 1e-12)) is not None
+        assert system.least_solution(system.radius * (1 + 1e-12)) is None
+
+
+class TestCoefficients:
+    def test_z2z3_matches_exact_returns_and_convolution(self):
+        mu = _measure("z2z3")
+        exact = return_probabilities(mu, 40, method="exact").values
+        powers = convolve_powers(mu, 40, ball_bound=20)  # enough to return
+        logs = return_probabilities(mu, 40, method="algebraic").log_values
+        for n, p in enumerate(exact):
+            assert p == powers[n].mass(())
+            if p:
+                assert abs(math.exp(logs[n]) - float(p)) / float(p) < 1e-13
+            else:
+                assert logs[n] == -math.inf
+
+    def test_z2z3_first_passages_match_the_path_operator(self):
+        mu = _measure("z2z3")
+        system = mu.first_passage_system
+        for syl in ((0, 1), (1, 1), (1, 2)):
+            denom, hits = first_visits(mu, (syl,), 20, ball_bound=20)
+            logs = system.unscaled_logs(system.scaled_first_passage(syl, 20))
+            for n, hit in enumerate(hits, 1):
+                if hit:
+                    want = Fraction(hit, denom**n)
+                    assert abs(math.exp(logs[n]) - float(want)) / float(want) < 1e-13
+                else:
+                    assert logs[n] == -math.inf
+
+    @pytest.mark.parametrize("name", ["f2", "z2z2z2"])
+    def test_tree_configs_match_the_radial_chain(self, name):
+        # two float engines that share no code; past n = 4000 the radial
+        # chain's unscaled p_n on f2 runs into subnormal floats
+        mu = _measure(name)
+        alg = return_probabilities(mu, 4000, method="algebraic").log_values
+        rad = return_probabilities(mu, 4000, method="radial").log_values
+        assert list(alg == -math.inf) == list(rad == -math.inf)
+        live = rad > -math.inf
+        assert abs(alg[live] - rad[live]).max() < 1e-11
+
+    def test_extension_equals_one_pass(self):
+        # coefficients asked for in two steps equal those asked for at once
+        short, long = _measure("z2z3"), _measure("z2z3")
+        short.first_passage_system.scaled_green(100)
+        a = short.first_passage_system.return_log_probs(600)
+        b = long.first_passage_system.return_log_probs(600)
+        assert list(a) == list(b)
+
+    def test_skewed_f2_covers_the_lattice_unknowns(self):
+        # unequal weights on a and a^-1: not radial, and the two directions
+        # of the Z factor are separate unknowns, with F_{a^2} = F_a^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mu = StepMeasure(_f2(), {A: Fraction(3, 8), AI: Fraction(1, 8),
+                                     B: Fraction(1, 4), BI: Fraction(1, 4)})
+        assert mu.radial_chain is None
+        _assert_returns_match_exact(mu, 20, 1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mu=_cyclic_measures())
+def test_returns_match_exact_on_random_cyclic_measures(mu):
+    # n <= 30, less where the exact engine's ceil(n/2) steps of s
+    # non-identity moves could reach more than 2e5 elements
+    s = sum(1 for g, _ in mu.support if g)
+    horizon = 30
+    while s > 1 and s ** (horizon // 2) > 2 * 10**5:
+        horizon -= 2
+    _assert_returns_match_exact(mu, horizon, 1e-13)

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +11,9 @@ import pytest
 from freewalk.cli import main
 from freewalk.config import ConfigError, parse_config
 from freewalk.green import GreenEvaluator
+from freewalk.walks import return_probabilities
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 BASE = {
     "schema_version": 1,
@@ -149,6 +154,27 @@ class TestCliExitCodes:
         assert rc == 2
         assert "not" in capsys.readouterr().err
 
+    def test_algebraic_flag_outside_the_system(self, tmp_path, capsys):
+        # a rank-2 lattice factor is outside the first-passage system
+        raw = dict(
+            BASE,
+            name="z2sq_z2",
+            factors=[
+                {"kind": "lattice", "rank": 2, "name": "a"},
+                {"kind": "cyclic", "n": 2, "name": "s"},
+            ],
+        )
+        path = tmp_path / "z2sq_z2.json"
+        path.write_text(json.dumps(raw))
+        for sub in ("walk", "llt"):
+            rc = main(
+                [sub, "--config", str(path), "--method", "algebraic",
+                 "--out", str(tmp_path / "out")]
+            )
+            assert rc == 2
+            assert "outside the first-passage system" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_llt_with_tiny_budget_fails_cleanly(self, cfg_path, tmp_path, capsys):
         rc = main(
             ["llt", "--config", cfg_path, "--budget", "60",
@@ -248,3 +274,32 @@ class TestReportSharing:
 
         for name in names:
             assert timeless(together / name) == timeless(alone / name), name
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_report_exits_zero(self, path, tmp_path):
+        assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+    def test_z2z3_report_reads_the_first_passage_system(self, tmp_path):
+        path = next(p for p in CONFIGS if p.stem == "z2z3")
+        cfg = parse_config(json.loads(path.read_text()))
+        assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "z2z3_walk_meta.json").read_text())
+        assert meta["method"] == "algebraic" and meta["horizon"] == 5000
+        with open(tmp_path / "z2z3_walk.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 5001
+        exact = return_probabilities(cfg.measure, 20, method="exact").values
+        for n, p in enumerate(exact):
+            got = float(rows[n][1])
+            if p:
+                assert abs(got - float(p)) / float(p) < 1e-12
+            else:
+                assert got == 0.0
+        green = json.loads((tmp_path / "z2z3_green_meta.json").read_text())
+        llt = json.loads((tmp_path / "z2z3_llt.json").read_text())
+        # one R per run: the fit pins the evaluator's R
+        assert llt["R_hat_used"] == green["R_hat"]
+        assert abs(llt["alpha_fixed_R"] - 1.5) < 0.1
+        assert math.isfinite(llt["alpha"])

@@ -3,7 +3,14 @@ import math
 import pytest
 
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
-from freewalk.green import GreenEvaluator, sphere_sizes, spectral_radius
+from freewalk.green import (
+    AlgebraicGreenTable,
+    ConvolutionGreenTable,
+    GreenEvaluator,
+    RadialGreenTable,
+    sphere_sizes,
+    spectral_radius,
+)
 from freewalk.groups import FreeProduct, LatticeFactor, cyclic_factor
 from freewalk.walks import return_probabilities
 
@@ -15,7 +22,9 @@ from oracles import (
     z2z2z2_radius,
     z2z3_green,
     z2z3_i2,
+    z2z3_radius,
 )
+from test_path_operator import _measure
 
 
 @pytest.fixture(scope="module")
@@ -159,13 +168,13 @@ class TestISums:
             assert math.isclose(second, z2z3_i2(r), rel_tol=1e-5)
 
     def test_i2_matches_first_passage_system_on_z2z3(self, z2z3_srw):
-        # the series runs over the 81-term convolution table, whose
-        # truncation shows near R
+        # the series runs over the 4000 coefficients of the algebraic
+        # table, so no truncation shows at 0.95*R
         ev23 = GreenEvaluator(z2z3_srw)
-        for frac, tol in ((0.90, 1e-4), (0.95, 1e-2)):
+        for frac in (0.90, 0.95):
             r = frac * ev23.R_hat
             s = ev23.i_sums(r, sphere_stop_tol=1e-7)
-            assert abs(s.i2 - z2z3_i2(r)) / z2z3_i2(r) < tol
+            assert abs(s.i2 - z2z3_i2(r)) / z2z3_i2(r) < 1e-10
 
     def test_refuses_near_radius(self, ev):
         # at 0.999*R the relative-sphere I1 and the series for d/dr (r G)
@@ -197,6 +206,49 @@ class TestISums:
         ev2 = GreenEvaluator(mu, horizon=40, ball_bound=8)
         with pytest.raises(GroupSpecError):
             ev2.i_sums(1.0)
+
+
+class TestTables:
+    """Each measure gets the table of the first engine that covers it."""
+
+    def test_radial_measures_keep_the_radial_table(self, ev):
+        assert isinstance(ev.table, RadialGreenTable) and ev.system is None
+
+    def test_z2z3_reads_the_first_passage_system(self, z2z3_srw):
+        ev23 = GreenEvaluator(z2z3_srw)
+        assert isinstance(ev23.table, AlgebraicGreenTable)
+        assert ev23.horizon == 4000
+        assert ev23.R_hat == z2z3_srw.first_passage_system.radius
+        assert abs(ev23.R_hat - z2z3_radius()) / z2z3_radius() < 1e-12
+        assert ev23.radius_estimate.uncertainty() < 1e-15
+        assert ev23.radius_estimate.rho_lower <= ev23.radius_estimate.rho_hat
+
+    def test_system_radius_is_a_hard_limit(self, z2z3_srw):
+        # R_hat extrapolated from a sequence gets 0.2 % of slop; the
+        # system's branch point gets none, and r = R itself is allowed
+        ev23 = GreenEvaluator(z2z3_srw)
+        with pytest.raises(DivergenceError):
+            ev23.green((), (), 1.001 * ev23.R_hat)
+        with pytest.raises(DivergenceError):
+            ev23.first_passage((), ((0, 1),), 1.001 * ev23.R_hat)
+        at_r = ev23.green((), (), ev23.R_hat)
+        assert at_r.method == "series/power-law" and math.isfinite(at_r.value)
+
+    # float.hex of R_hat and of G(e,e|0.9 R_hat) with horizon 30 and ball
+    # bound 6, frozen from the convolution table before the algebraic one
+    # existed: the measures it does not cover must keep their numbers
+    CONVOLUTION_FROZEN = {
+        "z2sq_z2": ("0x1.2b59b9ae4240ep+0", "0x1.891eda0929637p+0"),
+        "f2_two_letter": ("0x1.40db8598c4335p+0", "0x1.f8002ec629bb6p+0"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONVOLUTION_FROZEN))
+    def test_uncovered_measures_keep_the_convolution_table(self, name):
+        ev_m = GreenEvaluator(_measure(name), horizon=30, ball_bound=6)
+        assert isinstance(ev_m.table, ConvolutionGreenTable) and ev_m.system is None
+        r_hat, gee = self.CONVOLUTION_FROZEN[name]
+        assert ev_m.R_hat.hex() == r_hat
+        assert ev_m.green((), (), 0.9 * ev_m.R_hat).value.hex() == gee
 
 
 class TestSphereSizes:

@@ -113,7 +113,9 @@ class TestPressure:
 class TestPressureFrozen:
     # float.hex of the estimate at 0.9*R_hat with the default ladder: the
     # eigenvalue, the ladder's log-eigenvalues and the one component's
-    # eigenvalue (the raw Perron root, not exp of its log)
+    # eigenvalue (the raw Perron root, not exp of its log).  On z2z3 R_hat
+    # is the branch point of the first-passage system and the Green series
+    # come from its coefficients.
     FROZEN = {
         "f2_srw": (
             "0x1.348525f0f2204p-2",
@@ -121,9 +123,9 @@ class TestPressureFrozen:
             (16, "0x1.348525f0f2204p-2"),
         ),
         "z2z3_srw": (
-            "0x1.6b46a860eeb9bp-2",
-            ["-0x1.094b8a7197b3bp+0"] * 3,
-            (3, "0x1.6b46a860eeb9ap-2"),
+            "0x1.63c8674203466p-2",
+            ["-0x1.0ea177ba54e89p+0", "-0x1.0ea177ba54e8ap+0", "-0x1.0ea177ba54e8ap+0"],
+            (3, "0x1.63c8674203466p-2"),
         ),
     }
 
