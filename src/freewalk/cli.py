@@ -88,25 +88,20 @@ def _horizon(cfg, args):
 def _return_method(cfg, args):
     """The return-probability engine ``--method`` names, or None.
 
-    ``auto`` takes the radial chain, else the first-passage system, else
-    exact convolution.  An engine named outright that does not cover the
-    measure is an error, reported here.
+    ``auto`` takes the first-passage system, else exact convolution.  The
+    algebraic engine named outright for a measure it does not cover is an
+    error, reported here.
     """
-    measure = cfg.measure
+    system = cfg.measure.first_passage_system
     if args.method == "auto":
-        if measure.radial_chain is not None:
-            return "radial"
-        return "algebraic" if measure.first_passage_system is not None else "exact"
-    if args.method == "radial" and measure.radial_chain is None:
-        why = "is not radial (its step distribution is not a function of distance)"
-    elif args.method == "algebraic" and measure.first_passage_system is None:
-        why = ("is outside the first-passage system (it needs one-syllable "
-               "steps on finite and rank-1 lattice factors, lattice steps +-1)")
-    else:
-        return args.method
-    print(f"error: the {args.method} engine was requested but the measure {why}",
-          file=sys.stderr)
-    return None
+        return "algebraic" if system is not None else "exact"
+    if args.method == "algebraic" and system is None:
+        print("error: the algebraic engine was requested but the measure is "
+              "outside the first-passage system (it needs one-syllable steps on "
+              "finite and rank-1 lattice factors, lattice steps +-1)",
+              file=sys.stderr)
+        return None
+    return args.method
 
 
 def cmd_walk(cfg, args, shared):
@@ -308,7 +303,7 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--method",
-        choices=["auto", "exact", "radial", "algebraic"],
+        choices=["auto", "exact", "algebraic"],
         default="auto",
         help="return-probability engine for the walk and llt subcommands",
     )

@@ -1,13 +1,11 @@
 """Green functions G(x,y|r), first-passage series, spectral radius, and I-sums.
 
-Three coefficient sources back every evaluation, tried in this order: a
-radial table (isotropic walks, sphere masses from the distance chain divided
-by sphere sizes, which come from the free product's growth series), an
-algebraic table (single-syllable measures on finite and rank-1 lattice
-factors: the coefficients of the first-passage system of ``algebraic``,
-whose branch point is R itself) and a convolution table, the powers
-mu^{*n} from the truncated-ball path operator of ``walks``, for the rest
-(Z^d factors with d >= 2, multi-syllable steps).  On top of any of them,
+Two coefficient sources back every evaluation: an algebraic table
+(single-syllable measures on finite and rank-1 lattice factors, radial ones
+included: the coefficients of the first-passage system of ``algebraic``,
+whose branch point is R itself) and, for the rest (Z^d factors with
+d >= 2, multi-syllable steps), a convolution table, the powers mu^{*n}
+from the truncated-ball path operator of ``walks``.  On top of either,
 single-syllable first-passage values give a product evaluation of
 G(e,gamma|r) across syllables; in a free product every syllable prefix is a
 cut vertex of the Cayley graph, so the first-visit decomposition at prefixes
@@ -53,7 +51,9 @@ def sphere_sizes(group, n_max):
     ((1+z)/(1-z))^d for Z^d.  The free product's series satisfies
     1/S = sum_i 1/S_i - (N-1) (Woess 2000, on free products).  Summed as
     one fraction p/q, that is 1 at z = 0, so S = q/p gives the sizes by an
-    integer linear recurrence.
+    integer linear recurrence.  No Green engine reads it: it turns the
+    radial distance chain's sphere masses into p_n(e, gamma), the
+    reference the tests hold the first-passage system to.
     """
     p = np.array([1 - len(group.factors)], dtype=object)
     q = np.array([1], dtype=object)
@@ -78,17 +78,20 @@ def sphere_sizes(group, n_max):
 # ---------------------------------------------------------------------------
 # tail closure
 
-def _close_tail(log_terms):
+def _close_tail(ns, log_terms):
     """(tail, method) for a positive series from its trailing log-terms.
 
-    log_terms: log of the nonzero terms c_n r^n on the lattice n = n0 + j*p.
-    Geometric closure when the measured step ratio is safely below 1; a
-    q^n * n^(-3/2) model otherwise (ratio -> 1 polynomially at the radius).
+    log_terms: log of the nonzero terms c_n r^n at the indices ``ns``, on
+    the lattice n = n0 + j*p.  Geometric closure when the measured step
+    ratio is safely below 1; a q^n * n^(-3/2) model otherwise (ratio -> 1
+    polynomially at the radius).
     """
-    finite = [(n, lt) for n, lt in log_terms if lt > NEG_INF]
-    if len(finite) < 4:
+    finite = log_terms > NEG_INF
+    ns, log_terms = ns[finite], log_terms[finite]
+    if len(ns) < 4:
         return 0.0, "none"
-    (n1, l1), (n2, l2) = finite[-2], finite[-1]
+    n1, n2 = int(ns[-2]), int(ns[-1])
+    l1, l2 = float(log_terms[-2]), float(log_terms[-1])
     p = n2 - n1
     q = math.exp(l2 - l1)
     last = math.exp(l2)
@@ -110,58 +113,6 @@ class GreenValue:
 
 # ---------------------------------------------------------------------------
 # coefficient tables
-
-class RadialGreenTable:
-    """log p_n(e, gamma) per word distance, from the distance chain."""
-
-    def __init__(self, group, chain, horizon):
-        self.chain = chain
-        self.horizon = horizon
-        masses, logscales = chain.float_masses(horizon)
-        sizes = sphere_sizes(group, masses.shape[1] - 1)
-        logsz = np.array([math.log(s) if s else math.inf for s in sizes])
-        with np.errstate(divide="ignore"):
-            self.logc = np.log(masses) + logscales[:, None] - logsz[None, :]
-        # first-visit-at-0 series per starting distance, for F(e, gamma)
-        self._fp_logs = {}
-
-    def log_coefficients(self, m):
-        """log p_n(e, gamma) for n = 0..horizon, |gamma| = m."""
-        return self.logc[:, m]
-
-    def first_visit_logs(self, m):
-        """log of the first-visit-to-e mass at each time, starting distance m."""
-        if m not in self._fp_logs:
-            self._fp_logs[m] = _absorbing_chain_logs(self.chain, m, self.horizon)
-        return self._fp_logs[m]
-
-
-def _absorbing_chain_logs(chain, start, horizon):
-    max_m = horizon + start + 1
-    down, stay, up = chain.float_rows(max_m)
-    v = np.zeros(max_m + 1)
-    logs = np.full(horizon + 1, NEG_INF)
-    if start == 0:
-        logs[0] = 0.0
-        return logs
-    v[start] = 1.0
-    logscale = 0.0
-    for n in range(1, horizon + 1):
-        nv = stay * v
-        nv[:-1] += down[1:] * v[1:]
-        nv[1:] += up[:-1] * v[:-1]
-        absorbed = nv[0]
-        nv[0] = 0.0  # state 0 is absorbing: harvest, do not propagate
-        if absorbed > 0.0:
-            logs[n] = logscale + math.log(absorbed)
-        total = nv.sum()
-        if total <= 0.0:
-            break
-        nv /= total
-        logscale += math.log(total)
-        v = nv
-    return logs
-
 
 class ConvolutionGreenTable:
     """log p_n(e, gamma) from one truncated exact convolution pass."""
@@ -251,20 +202,26 @@ def _binomial_weighted(logs, k):
 
 
 def _eval_series(logs, r):
-    """(value, tail, method, n_terms) for sum_n c_n r^n from log c_n."""
+    """(value, tail, method, n_terms) for sum_n c_n r^n from log c_n.
+
+    The terms are summed left to right (a cumulative sum, not numpy's
+    pairwise sum), so the value does not depend on how the sum is split.
+    """
     if r < 0:
         raise ValueError("r must be >= 0")
     logr = math.log(r) if r > 0 else NEG_INF
-    log_terms = []
-    for n, lc in enumerate(logs):
-        if lc > NEG_INF:
-            log_terms.append((n, lc + n * logr if n else lc))
-    if not log_terms:
+    logs = np.asarray(logs, dtype=float)
+    ns = np.flatnonzero(logs > NEG_INF)
+    if not len(ns):
         return 0.0, 0.0, "empty", 0
-    peak = max(lt for _, lt in log_terms)
-    value = math.exp(peak) * sum(math.exp(lt - peak) for _, lt in log_terms)
-    tail, method = _close_tail(log_terms)
-    return value + tail, tail, method, len(log_terms)
+    with np.errstate(invalid="ignore"):  # 0 * log 0 at n = 0, not taken
+        log_terms = np.where(ns > 0, logs[ns] + ns * logr, logs[ns])
+    peak = float(log_terms.max())
+    if peak == NEG_INF:  # r = 0 and c_0 = 0
+        return 0.0, 0.0, "none", len(ns)
+    value = math.exp(peak) * float(np.cumsum(np.exp(log_terms - peak))[-1])
+    tail, method = _close_tail(ns, log_terms)
+    return value + tail, tail, method, len(ns)
 
 
 # ---------------------------------------------------------------------------
@@ -351,28 +308,18 @@ class GreenEvaluator:
         measure,
         horizon=None,
         ball_bound=None,
-        radius_horizon=4000,
         budget=5 * 10**6,
     ):
         self.measure = measure
         self.group = measure.group
-        self.chain = measure.radial_chain
-        self.system = None if self.chain is not None else measure.first_passage_system
-        if self.chain is not None:
-            self.horizon = horizon or 600
-            self.table = RadialGreenTable(self.group, self.chain, self.horizon)
-            seq = walks.ReturnSequence(
-                horizon=radius_horizon,
-                method="radial",
-                log_values=self.chain.return_log_probs(radius_horizon),
-            )
-            self._return_logs = seq.log_values
-        elif self.system is not None:
-            self.horizon = horizon or radius_horizon
+        self.system = measure.first_passage_system
+        if self.system is not None:
+            self.horizon = horizon or 4000
             self.table = AlgebraicGreenTable(self.system, self.horizon)
-            self._return_logs = self.table.log_coefficients(self.group.identity)
             seq = walks.ReturnSequence(
-                horizon=self.horizon, method="algebraic", log_values=self._return_logs
+                horizon=self.horizon,
+                method="algebraic",
+                log_values=self.table.log_coefficients(self.group.identity),
             )
         else:
             self.horizon = horizon or 80
@@ -394,7 +341,7 @@ class GreenEvaluator:
                     for d in self.table.dists[: seq_h + 1]
                 ],
             )
-            self._return_logs = self.table.log_coefficients(self.group.identity)
+        self._return_logs = self.table.log_coefficients(self.group.identity)
         self.radius_estimate = spectral_radius(seq)
         if self.system is not None:
             # R is the system's branch point; the sequence keeps the
@@ -423,11 +370,6 @@ class GreenEvaluator:
                 f"r = {r} exceeds the estimated convergence radius {self.R_hat}"
             )
 
-    def _logs_for(self, gamma):
-        if self.chain is not None:
-            return self.table.log_coefficients(self.group.word_length(gamma))
-        return self.table.log_coefficients(gamma)
-
     # -- Green function and first passage -----------------------------------
 
     def green(self, x, y, r, method="auto"):
@@ -445,7 +387,7 @@ class GreenEvaluator:
         if cached is not None:
             return cached
         if method == "series":
-            v, tail, tag, n = _eval_series(self._logs_for(gamma), r)
+            v, tail, tag, n = _eval_series(self.table.log_coefficients(gamma), r)
             out = GreenValue(v, tail, f"series/{tag}", n)
         elif method == "factored":
             out = self._green_factored(gamma, r)
@@ -478,11 +420,7 @@ class GreenEvaluator:
         if cached is not None:
             return cached
         if gamma not in self._fp_cache:
-            if self.chain is not None:
-                logs = self.table.first_visit_logs(self.group.word_length(gamma))
-            else:
-                logs = self.table.first_visit_logs(gamma)
-            self._fp_cache[gamma] = logs
+            self._fp_cache[gamma] = self.table.first_visit_logs(gamma)
         v, tail, tag, n = _eval_series(self._fp_cache[gamma], r)
         out = GreenValue(v, tail, f"first-visit/{tag}", n)
         self._val_cache[key] = out
@@ -502,7 +440,7 @@ class GreenEvaluator:
         self._check_r(r)
         if mode == "series":
             gamma = self.group.multiply(self.group.invert(x), y)
-            logs = _binomial_weighted(self._logs_for(gamma), 1)
+            logs = _binomial_weighted(self.table.log_coefficients(gamma), 1)
             v, tail, tag, n = _eval_series(logs, r)
             return GreenValue(v, tail, f"derivative-series/{tag}", n)
         if mode == "identity" and x == () and y == ():
@@ -543,13 +481,16 @@ class GreenEvaluator:
         relative contribution drops below ``sphere_stop_tol``.  I1 also
         equals d/dr (r G(e,e|r)); raises ``NonConvergenceError`` when that
         series and the sphere sum differ by more than ``I1_ROUTE_TOL``
-        relative, as they do from about 0.998*R on the rank-2 free group.
+        relative, as they do from about 0.9995*R on the rank-2 free group.
 
         I2 = (1/2) d^2/dr^2 (r^2 G(e,e|r)) is the series
         sum_n C(n+2, 2) p_n(e,e) r^n: a length-n loop at e with two marked
         times splits into the three Green factors of I2.  It is summed from
-        the longest return sequence the evaluator holds (the radius
-        sequence for radial measures, the convolution table otherwise).
+        the evaluator's return sequence (the algebraic table's 4000 terms,
+        or the convolution table's), and raises ``NonConvergenceError``
+        where that sum would close its tail with the power-law model: the
+        terms then stop short of where they decay, as they do from about
+        0.998*R on the tree walks.
         """
         self._check_r(r)
         if not self.single_syllable_support:
@@ -594,7 +535,14 @@ class GreenEvaluator:
                     "rel_gap": rel_gap,
                 },
             )
-        i2, _, tag, _ = _eval_series(_binomial_weighted(self._return_logs, 2), r)
+        i2, tail, tag, n = _eval_series(_binomial_weighted(self._return_logs, 2), r)
+        if tag == "power-law":
+            raise NonConvergenceError(
+                f"I2 series at r = {r:.10g} does not decay geometrically within "
+                f"its {n} terms: the power-law tail model would set {tail / i2:.1%} "
+                f"of the value",
+                diagnostics={"r": float(r), "i2": i2, "i2_tail": tail, "n_terms": n},
+            )
         return ISums(
             r=r,
             i1=total,

@@ -1,5 +1,5 @@
 """Finitely supported measures, the truncated-ball path operator, and the
-radial fast path.
+radial distance chain.
 
 Every truncated path sum in the package runs on one ``PathOperator``: the
 convolution powers mu^{*n}, the first visits to an element, the first-return
@@ -18,13 +18,16 @@ step.
 Exact return probabilities meet in the middle: p_{a+b}(e,e) pairs mu^{*a}
 with the powers of the reflected measure g -> mu(g^-1) (mu itself when it
 is symmetric), so a horizon n takes ceil(n/2) steps and keeps no powers.
-The radial path projects isotropic nearest-neighbor walks to a birth-death
-chain on distances, checked once per measure; it is validated against the
-full walk on an overlap window and runs in log-scaled floats for large
-horizons.  Single-syllable measures on finite and rank-1 lattice factors
-have a third route, the first-passage system of ``algebraic``, built once
-per measure (``StepMeasure.first_passage_system``): its coefficients give
-p_n(e,e) to any horizon in floats, with no ball and no path sums.
+Single-syllable measures on finite and rank-1 lattice factors have a
+second route, the first-passage system of ``algebraic``, built once per
+measure (``StepMeasure.first_passage_system``): its coefficients give
+p_n(e,e) to any horizon in floats, with no ball and no path sums, and it
+is the engine the Green evaluator and the CLI use wherever it applies.
+The radial distance chain projects isotropic nearest-neighbor walks to a
+birth-death chain on distances, checked once per measure.  It shares no
+code with the first-passage system and covers a subset of its measures,
+so it serves as a reference engine: ``return_probabilities`` still offers
+it (``method="radial"``), and the tests check the system against it.
 """
 
 import math
@@ -35,6 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import algebraic
 from .errors import (
     BudgetError,
     DegenerateInputError,
@@ -107,10 +111,7 @@ class StepMeasure:
     def first_passage_system(self):
         """The measure's ``algebraic.FirstPassageSystem``, or None outside
         its scope; built once per measure, so its coefficients are shared."""
-        # imported here: runs on radial measures never need the module
-        from .algebraic import first_passage_system
-
-        return first_passage_system(self)
+        return algebraic.first_passage_system(self)
 
     def common_denominator(self):
         return math.lcm(*(w.denominator for _, w in self.support))

@@ -13,6 +13,8 @@ from freewalk.config import ConfigError, parse_config
 from freewalk.green import GreenEvaluator
 from freewalk.walks import return_probabilities
 
+from oracles import F2_RADIUS, z2z2z2_radius, z2z3_radius
+
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 BASE = {
@@ -136,24 +138,6 @@ class TestCliExitCodes:
         path.write_text("{not json")
         assert main(["walk", "--config", str(path)]) == 2
 
-    def test_radial_flag_on_non_radial_measure(self, tmp_path, capsys):
-        raw = dict(
-            BASE,
-            name="z2z3",
-            factors=[
-                {"kind": "cyclic", "n": 2, "name": "s"},
-                {"kind": "cyclic", "n": 3, "name": "t"},
-            ],
-        )
-        path = tmp_path / "z2z3.json"
-        path.write_text(json.dumps(raw))
-        rc = main(
-            ["walk", "--config", str(path), "--method", "radial",
-             "--out", str(tmp_path / "out")]
-        )
-        assert rc == 2
-        assert "not" in capsys.readouterr().err
-
     def test_algebraic_flag_outside_the_system(self, tmp_path, capsys):
         # a rank-2 lattice factor is outside the first-passage system
         raw = dict(
@@ -184,13 +168,17 @@ class TestCliExitCodes:
         assert "usable lattice points" in capsys.readouterr().err
 
     def test_isums_refuses_near_radius(self, tmp_path, capsys):
-        path = tmp_path / "tree.json"
-        path.write_text(json.dumps(dict(BASE, r_grid=["0.9R", "0.999R"])))
-        out = tmp_path / "out"
-        rc = main(["isums", "--config", str(path), "--out", str(out)])
-        assert rc == 4
-        assert "I1 routes disagree" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("*_isums.csv"))
+        # at 0.999*R the I2 series would close its tail with the power-law
+        # model; at 0.9995*R the two routes to I1 disagree
+        for point, reason in (("0.999R", "I2 series"),
+                              ("0.9995R", "I1 routes disagree")):
+            path = tmp_path / "tree.json"
+            path.write_text(json.dumps(dict(BASE, r_grid=["0.9R", point])))
+            out = tmp_path / "out"
+            rc = main(["isums", "--config", str(path), "--out", str(out)])
+            assert rc == 4
+            assert reason in capsys.readouterr().err
+            assert not list(tmp_path.rglob("*_isums.csv"))
 
 
 class TestCliOutputs:
@@ -281,13 +269,14 @@ class TestShippedConfigs:
     def test_report_exits_zero(self, path, tmp_path):
         assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
 
-    def test_z2z3_report_reads_the_first_passage_system(self, tmp_path):
-        path = next(p for p in CONFIGS if p.stem == "z2z3")
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_report_reads_the_first_passage_system(self, path, tmp_path):
         cfg = parse_config(json.loads(path.read_text()))
+        name = cfg.name
         assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
-        meta = json.loads((tmp_path / "z2z3_walk_meta.json").read_text())
+        meta = json.loads((tmp_path / f"{name}_walk_meta.json").read_text())
         assert meta["method"] == "algebraic" and meta["horizon"] == 5000
-        with open(tmp_path / "z2z3_walk.csv", newline="") as fh:
+        with open(tmp_path / f"{name}_walk.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert len(rows) == 5001
         exact = return_probabilities(cfg.measure, 20, method="exact").values
@@ -297,9 +286,14 @@ class TestShippedConfigs:
                 assert abs(got - float(p)) / float(p) < 1e-12
             else:
                 assert got == 0.0
-        green = json.loads((tmp_path / "z2z3_green_meta.json").read_text())
-        llt = json.loads((tmp_path / "z2z3_llt.json").read_text())
-        # one R per run: the fit pins the evaluator's R
+        green = json.loads((tmp_path / f"{name}_green_meta.json").read_text())
+        llt = json.loads((tmp_path / f"{name}_llt.json").read_text())
+        # one R per run, the system's: the fit pins the evaluator's R
+        radius = {"f2_srw": F2_RADIUS, "z2z2z2": z2z2z2_radius(),
+                  "z2z3": z2z3_radius()}[name]
+        assert abs(green["R_hat"] - radius) < 1e-12
         assert llt["R_hat_used"] == green["R_hat"]
         assert abs(llt["alpha_fixed_R"] - 1.5) < 0.1
         assert math.isfinite(llt["alpha"])
+        if name == "f2_srw":
+            assert llt["consistent"] is True

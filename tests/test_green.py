@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
@@ -7,7 +8,8 @@ from freewalk.green import (
     AlgebraicGreenTable,
     ConvolutionGreenTable,
     GreenEvaluator,
-    RadialGreenTable,
+    _binomial_weighted,
+    _eval_series,
     sphere_sizes,
     spectral_radius,
 )
@@ -18,6 +20,9 @@ from oracles import (
     F2_RADIUS,
     f2_first_passage,
     f2_green,
+    f2_i1,
+    f2_i2,
+    tree_i1,
     tree_i2,
     z2z2z2_radius,
     z2z3_green,
@@ -145,7 +150,7 @@ class TestISums:
     @pytest.mark.parametrize("measure, degree", [("f2_srw", 4), ("z2cubed_srw", 3)])
     def test_i2_matches_tree_closed_form(self, request, measure, degree):
         # both walks are simple random walk on a d-regular tree; the I2
-        # series runs over the 4000-term radial return sequence
+        # series runs over the algebraic table's 4000 return coefficients
         tree_ev = GreenEvaluator(request.getfixturevalue(measure))
         for frac in (0.90, 0.95, 0.98):
             r = frac * tree_ev.R_hat
@@ -176,11 +181,40 @@ class TestISums:
             s = ev23.i_sums(r, sphere_stop_tol=1e-7)
             assert abs(s.i2 - z2z3_i2(r)) / z2z3_i2(r) < 1e-10
 
+    @pytest.mark.parametrize(
+        "measure, i1, i2",
+        [
+            ("f2_srw", f2_i1, f2_i2),
+            ("z2cubed_srw", lambda r: tree_i1(3, r), lambda r: tree_i2(3, r)),
+        ],
+        ids=["f2_srw", "z2cubed_srw"],
+    )
+    def test_near_radius_matches_tree_closed_forms(self, request, measure, i1, i2):
+        # the 4000 coefficients of the first-passage system carry I1 and I2
+        # to 0.997*R; from 0.998*R the I2 series would close its tail with
+        # the power-law model, and i_sums refuses
+        tree_ev = GreenEvaluator(request.getfixturevalue(measure))
+        radius = F2_RADIUS if measure == "f2_srw" else z2z2z2_radius()
+        for frac in (0.99, 0.995, 0.997):
+            r = frac * radius
+            s = tree_ev.i_sums(r, sphere_stop_tol=1e-8)
+            assert abs(s.i1 - i1(r)) / i1(r) < 1e-6
+            assert abs(s.i2 - i2(r)) / i2(r) < 1e-6
+        for frac in (0.998, 0.999):
+            with pytest.raises(NonConvergenceError) as err:
+                tree_ev.i_sums(frac * radius, sphere_stop_tol=1e-8)
+            assert err.value.diagnostics["r"] == frac * radius
+
     def test_refuses_near_radius(self, ev):
-        # at 0.999*R the relative-sphere I1 and the series for d/dr (r G)
-        # disagree by far more than I1_ROUTE_TOL; i_sums itself must refuse
+        # at 0.999*R the I2 series would lean on its power-law tail, and at
+        # 0.9995*R the relative-sphere I1 and the series for d/dr (r G)
+        # disagree by more than I1_ROUTE_TOL; i_sums itself must refuse both
         with pytest.raises(NonConvergenceError) as err:
             ev.i_sums(0.999 * F2_RADIUS)
+        assert "I2 series" in str(err.value) and "power-law" in str(err.value)
+        assert err.value.diagnostics["r"] == 0.999 * F2_RADIUS
+        with pytest.raises(NonConvergenceError) as err:
+            ev.i_sums(0.9995 * F2_RADIUS)
         assert err.value.diagnostics["rel_gap"] > 1e-3
 
     def test_parabolic_sums_finite(self, ev):
@@ -208,11 +242,97 @@ class TestISums:
             ev2.i_sums(1.0)
 
 
-class TestTables:
-    """Each measure gets the table of the first engine that covers it."""
+def _eval_series_loop(logs, r):
+    """The term-by-term loop ``_eval_series`` replaced, kept as its reference."""
+    logr = math.log(r) if r > 0 else -math.inf
+    terms = [(n, lc + n * logr if n else lc) for n, lc in enumerate(logs) if lc > -math.inf]
+    if not terms:
+        return 0.0, 0.0, "empty", 0
+    peak = max(lt for _, lt in terms)
+    value = math.exp(peak) * sum(math.exp(lt - peak) for _, lt in terms)
+    finite = [(n, lt) for n, lt in terms if lt > -math.inf]
+    if len(finite) < 4:
+        return value, 0.0, "none", len(terms)
+    (n1, l1), (n2, l2) = finite[-2], finite[-1]
+    q, last = math.exp(l2 - l1), math.exp(l2)
+    if q < 0.995:
+        tail, method = last * q / (1.0 - q), "geometric"
+    else:
+        qt_p = min(q * (n2 / n1) ** 1.5, 1.0)
+        j = np.arange(1, 200001)
+        tail = float((last * qt_p**j * (n2 / (n2 + (n2 - n1) * j)) ** 1.5).sum())
+        method = "power-law"
+    return value + tail, tail, method, len(terms)
 
-    def test_radial_measures_keep_the_radial_table(self, ev):
-        assert isinstance(ev.table, RadialGreenTable) and ev.system is None
+
+class TestEvalSeries:
+    def test_matches_the_term_loop(self, z2z3_srw):
+        # same terms, same left-to-right order; only the exponentials move
+        # from libm to numpy, so the values agree to a few ulps
+        ev23 = GreenEvaluator(z2z3_srw)
+        r_hat = ev23.R_hat
+        conv = GreenEvaluator(_measure("f2_two_letter"), horizon=30, ball_bound=6)
+        cases = [
+            (ev23.table.log_coefficients(()), (0.0, 0.5 * r_hat, 0.9 * r_hat, r_hat)),
+            (ev23.table.first_visit_logs(((1, 2),)), (0.3, 0.99 * r_hat, r_hat)),
+            (_binomial_weighted(ev23.table.log_coefficients(()), 2), (0.95 * r_hat,)),
+            (conv.table.log_coefficients(((0, (1,)),)), (0.5, 0.9 * conv.R_hat)),
+        ]
+        for logs, grid in cases:
+            for r in grid:
+                got, want = _eval_series(logs, r), _eval_series_loop(logs, r)
+                assert got[2:] == want[2:], (r, got, want)
+                assert math.isclose(got[0], want[0], rel_tol=1e-14, abs_tol=1e-300)
+                assert math.isclose(got[1], want[1], rel_tol=1e-14, abs_tol=1e-300)
+
+    def test_off_diagonal_at_zero(self, z2z3_srw):
+        # every term of G(e, gamma | 0) vanishes when gamma != e
+        ev23 = GreenEvaluator(z2z3_srw)
+        assert ev23.green((), ((1, 2),), 0.0).value == 0.0
+        assert ev23.first_passage((), ((1, 2),), 0.0).value == 0.0
+
+
+class TestTables:
+    """The first-passage system's table wherever the system covers the
+    measure, radial walks included; the convolution table elsewhere."""
+
+    @pytest.mark.parametrize(
+        "measure, radius",
+        [
+            ("f2", F2_RADIUS),
+            ("z2z2z2", z2z2z2_radius()),
+            # holding 1/3 at e maps the spectral radius sqrt(3)/2 of the
+            # simple walk to 1/3 + (2/3)(sqrt(3)/2)
+            ("f2_lazy", 3.0 / (1.0 + math.sqrt(3.0))),
+        ],
+        ids=["f2", "z2z2z2", "f2_lazy"],
+    )
+    def test_radial_measures_read_the_first_passage_system(self, measure, radius):
+        mu = _measure(measure)
+        assert mu.radial_chain is not None
+        ev_m = GreenEvaluator(mu)
+        assert isinstance(ev_m.table, AlgebraicGreenTable)
+        assert ev_m.R_hat == mu.first_passage_system.radius
+        assert abs(ev_m.R_hat - radius) < 1e-12
+
+    @pytest.mark.parametrize("measure", ["f2", "z2z2z2"])
+    def test_radial_coefficients_match_the_distance_chain(self, measure):
+        # two engines that share no code: on these walks p_n(e, gamma)
+        # depends on |gamma| alone, and the distance chain gives it as the
+        # sphere mass over the sphere size
+        mu = _measure(measure)
+        table = GreenEvaluator(mu, horizon=600).table
+        masses, logscales = mu.radial_chain.float_masses(600)
+        sizes = sphere_sizes(mu.group, 8)
+        for m in range(9):
+            with np.errstate(divide="ignore"):
+                want = np.log(masses[:, m]) + logscales - math.log(sizes[m])
+            live = want > -math.inf
+            sphere = mu.group.sphere(m, metric="word")
+            for gamma in {sphere[0], sphere[len(sphere) // 2], sphere[-1]}:
+                got = table.log_coefficients(gamma)
+                assert list(got > -math.inf) == list(live)
+                assert abs(got[live] - want[live]).max() < 1e-11
 
     def test_z2z3_reads_the_first_passage_system(self, z2z3_srw):
         ev23 = GreenEvaluator(z2z3_srw)

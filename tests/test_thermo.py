@@ -113,14 +113,14 @@ class TestPressure:
 class TestPressureFrozen:
     # float.hex of the estimate at 0.9*R_hat with the default ladder: the
     # eigenvalue, the ladder's log-eigenvalues and the one component's
-    # eigenvalue (the raw Perron root, not exp of its log).  On z2z3 R_hat
-    # is the branch point of the first-passage system and the Green series
-    # come from its coefficients.
+    # eigenvalue (the raw Perron root, not exp of its log).  On both
+    # measures R_hat is the branch point of the first-passage system and
+    # the Green series come from its coefficients.
     FROZEN = {
         "f2_srw": (
-            "0x1.348525f0f2204p-2",
-            ["-0x1.339e9c4f3f41cp+0", "-0x1.339e9c4f3f419p+0", "-0x1.331e8aa463a82p+0"],
-            (16, "0x1.348525f0f2204p-2"),
+            "0x1.3484c27516ecbp-2",
+            ["-0x1.339eee7532932p+0", "-0x1.339eee7532932p+0", "-0x1.331edd30d80cep+0"],
+            (16, "0x1.3484c27516eccp-2"),
         ),
         "z2z3_srw": (
             "0x1.63c8674203466p-2",
