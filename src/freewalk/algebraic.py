@@ -63,7 +63,6 @@ class FirstPassageSystem:
         self._w = np.zeros((m, 1))  # the same of R C F
         self._u = np.zeros(1)  # scaled [r^n] U
         self._g = np.ones(1)  # scaled [r^n] G(e,e)
-        self._powers = {}
 
     # -- the radius ----------------------------------------------------------
 
@@ -182,19 +181,10 @@ class FirstPassageSystem:
         self._extend(horizon)
         return self._g[: horizon + 1]
 
-    def scaled_first_passage(self, syllable, horizon):
-        """[r^n] F(e, (syllable,) | r) R^n for n = 0..horizon.
-
-        On a lattice factor a^k it is the |k|-th power of the series of
-        the direction's unknown, each power one truncated convolution from
-        the one below it.
-        """
+    def scaled_first_passage(self, unknown, horizon):
+        """[r^n] F(e, (unknown,) | r) R^n for n = 0..horizon."""
         self._extend(horizon)
-        i, power = _monomial(self.group, self._index, *syllable)
-        powers = self._powers.setdefault((i, horizon), [None, self._y[i, : horizon + 1]])
-        while len(powers) <= power:
-            powers.append(np.convolve(powers[-1], powers[1])[: horizon + 1])
-        return powers[power]
+        return self._y[self._index[unknown], : horizon + 1]
 
     def unscaled_logs(self, scaled):
         """log c_n from the scaled c_n R^n (minus infinity where zero)."""
@@ -206,12 +196,12 @@ class FirstPassageSystem:
         return self.unscaled_logs(self.scaled_green(horizon))
 
 
-def _monomial(group, index, fid, payload):
-    """(unknown, power) with F_{(fid, payload)} = x_unknown ** power."""
+def monomial(group, fid, payload):
+    """(unknown, power) with F_{(fid, payload)} = F_unknown ** power."""
     if group.factors[fid].kind == "lattice":
         k = payload[0]
-        return index[fid, (1 if k > 0 else -1,)], abs(k)
-    return index[fid, payload], 1
+        return (fid, (1 if k > 0 else -1,)), abs(k)
+    return (fid, payload), 1
 
 
 def first_passage_system(measure):
@@ -244,7 +234,7 @@ def first_passage_system(measure):
             continue
         (tf, tp), = g
         factor = group.factors[tf]
-        home, _ = _monomial(group, index, tf, factor.inv(tp))  # F_{t^-1}
+        home = index[monomial(group, tf, factor.inv(tp))[0]]  # F_{t^-1}
         back[home] += w
         for s, (sf, sp) in enumerate(unknowns):
             if sf != tf:
@@ -254,10 +244,10 @@ def first_passage_system(measure):
             if factor.is_identity(rest):
                 const[s] += w
                 continue
-            i, power = _monomial(group, index, sf, rest)
+            u, power = monomial(group, sf, rest)
             if power == 1:
-                lin[s, i] += w
-            else:  # s^2 on a lattice factor: i is s itself
+                lin[s, index[u]] += w
+            else:  # s^2 on a lattice factor: u is s itself
                 cross[s, s] += w
     system = FirstPassageSystem(group, unknowns, const, lin, cross, lazy, back)
     return system if system.bracket is not None else None

@@ -102,6 +102,12 @@ def ancona_audit(
     path weights makes it >= 1 up to series tolerance.  The strong-form
     audit takes quadruples whose geodesics share an n-syllable prefix and
     fits |ratio - 1| <= C rho^n.
+
+    On a measure supported on single syllables the evaluator forms every
+    G(x,z) as G(e,e) times its syllables' first passages, so the ratio is 1
+    by construction and its deviation measures rounding only; it compares
+    two independent numbers only on measures read from the convolution
+    table.
     """
     group = evaluator.group
     rng = random.Random(seed)

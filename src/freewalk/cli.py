@@ -156,7 +156,7 @@ def cmd_isums(cfg, args, shared):
     started = time.time()
     ev = shared.evaluator
     grid = cfg.resolve_r_grid(ev.R_hat)
-    report = ratio_report(ev, grid, sphere_stop_tol=1e-7)
+    report = ratio_report(ev, grid)
     out = _out_dir(args)
     _write_csv(out / f"{cfg.name}_isums.csv", report.to_csv_rows())
     meta = _report_header(cfg, args, started)
@@ -314,11 +314,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
+        return COMMANDS[args.command](cfg, args, Shared(cfg.measure))
+    except ConfigError as exc:  # r-grid entries are checked once R is known
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return COMMANDS[args.command](cfg, args, Shared(cfg.measure))
     except (BudgetError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

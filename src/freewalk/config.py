@@ -114,7 +114,7 @@ class ExperimentConfig:
                     raise ConfigError(f"bad r-grid entry {entry!r}") from exc
             else:
                 out.append(float(entry))
-        bad = [r for r in out if not 0 < r <= r_hat * 1.0005]
+        bad = [r for r in out if not 0 < r <= r_hat]
         if bad:
             raise ConfigError(
                 f"r-grid entries {bad} outside (0, R] with R = {r_hat:.6g}"

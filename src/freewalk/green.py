@@ -2,16 +2,16 @@
 
 Two coefficient sources back every evaluation: an algebraic table
 (single-syllable measures on finite and rank-1 lattice factors, radial ones
-included: the coefficients of the first-passage system of ``algebraic``,
-whose branch point is R itself) and, for the rest (Z^d factors with
-d >= 2, multi-syllable steps), a convolution table, the powers mu^{*n}
-from the truncated-ball path operator of ``walks``.  On top of either,
-single-syllable first-passage values give a product evaluation of
-G(e,gamma|r) across syllables; in a free product every syllable prefix is a
-cut vertex of the Cayley graph, so the first-visit decomposition at prefixes
-is an exact identity whenever the step measure is supported on single
-syllables.  The convolution table's first visits are the same path operator
-with gamma as its absorbing set.
+included: p_n(e,e) and the unknowns' first visits from the first-passage
+system of ``algebraic``, whose branch point is R itself) and, for the rest
+(Z^d factors with d >= 2, multi-syllable steps), a convolution table, the
+powers mu^{*n} from the truncated-ball path operator of ``walks``.  Every
+syllable prefix is a cut vertex of a free product's Cayley graph, so for
+a measure supported on single syllables G(e,gamma) = G(e,e) F(e,gamma),
+F(e,gamma) is the product of its syllables' first passages, and
+F(e,a^k) = F(e,a)^k on a lattice factor stepping by +-1: series are summed
+only for G(e,e) and single-syllable first passages.  Multi-syllable
+measures read the convolution table's series for each gamma.
 
 Every reported value carries a tail estimate and a method tag; tails are
 closed geometrically away from the convergence radius and with a power-law
@@ -33,6 +33,7 @@ from .errors import (
     NonConvergenceError,
 )
 from . import walks
+from .algebraic import monomial
 
 NEG_INF = -math.inf
 # largest relative gap allowed between the relative-sphere I1 and the series
@@ -139,9 +140,6 @@ class ConvolutionGreenTable:
     def first_visit_logs(self, gamma):
         """log first-visit masses f_n(e, gamma), on the table's ball."""
         logs = np.full(self.horizon + 1, NEG_INF)
-        if gamma == ():
-            logs[0] = 0.0
-            return logs
         denom, hits = walks.first_visits(
             self.measure, gamma, self.horizon, self.ball_bound
         )
@@ -152,44 +150,29 @@ class ConvolutionGreenTable:
 
 
 class AlgebraicGreenTable:
-    """log p_n(e, gamma) and first visits from the first-passage system.
+    """log p_n(e,e) and the unknowns' first visits from the first-passage system.
 
-    G(e, gamma) = F(e, gamma) G(e,e) and F(e, gamma) is the product of its
-    syllables' first passages (each syllable prefix is a cut vertex), so
-    every series is a truncated product of the system's scaled series.
+    These are the only series it holds: every other G(e, gamma) and
+    F(e, gamma) is a product of their values across cut vertices, formed
+    by ``GreenEvaluator`` at each r.
     """
 
     def __init__(self, system, horizon):
         self.system = system
         self.horizon = horizon
-        self._cache = {}
-
-    def _product(self, series):
-        out = None
-        for s in series:
-            out = s if out is None else np.convolve(out, s)[: self.horizon + 1]
-        return out
-
-    def _scaled_first_visits(self, gamma):
-        if not gamma:
-            out = np.zeros(self.horizon + 1)
-            out[0] = 1.0
-            return out
-        return self._product(
-            self.system.scaled_first_passage(syl, self.horizon) for syl in gamma
-        )
 
     def log_coefficients(self, gamma):
-        if gamma not in self._cache:
-            series = [self.system.scaled_green(self.horizon)]
-            if gamma:
-                series.append(self._scaled_first_visits(gamma))
-            self._cache[gamma] = self.system.unscaled_logs(self._product(series))
-        return self._cache[gamma]
+        """log p_n(e,e); ``gamma`` must be the identity."""
+        if gamma:
+            raise ValueError(f"the algebraic table holds p_n(e,e) only, not {gamma}")
+        return self.system.return_log_probs(self.horizon)
 
     def first_visit_logs(self, gamma):
-        """log first-visit masses f_n(e, gamma)."""
-        return self.system.unscaled_logs(self._scaled_first_visits(gamma))
+        """log first-visit masses f_n(e, gamma) of a one-syllable unknown."""
+        (unknown,) = gamma
+        return self.system.unscaled_logs(
+            self.system.scaled_first_passage(unknown, self.horizon)
+        )
 
 
 def _binomial_weighted(logs, k):
@@ -222,6 +205,17 @@ def _eval_series(logs, r):
     value = math.exp(peak) * float(np.cumsum(np.exp(log_terms - peak))[-1])
     tail, method = _close_tail(ns, log_terms)
     return value + tail, tail, method, len(ns)
+
+
+def _product(factors):
+    """GreenValue of prod f^k over the (f, k) in ``factors``; the relative
+    tails add, to first order."""
+    value, rel_tail, n_terms = 1.0, 0.0, 0
+    for f, k in factors:
+        value *= f.value**k
+        rel_tail += k * f.tail / f.value if f.value else 0.0
+        n_terms = max(n_terms, f.n_terms)
+    return GreenValue(value, abs(value) * rel_tail, "factored", n_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +285,7 @@ class ISums:
     i1: float
     i1_derivative: float  # the series for d/dr (r G(e,e|r)), checked against i1
     i2: float
-    sphere_sums: list  # relative-sphere contributions to I1 (m = 1, 2, ...)
     syllable_cap: int
-    stop_reason: str
     i2_method: str
 
 
@@ -330,8 +322,7 @@ class GreenEvaluator:
             )
             # radius estimate from the first 61 powers of the same table;
             # beyond n = 2*ball_bound/max_step the returns are slightly
-            # undercounted, which can only nudge R_hat upward and is
-            # covered by the slop in _check_r
+            # undercounted, which can only nudge R_hat upward
             seq_h = min(self.horizon, 60)
             seq = walks.ReturnSequence(
                 horizon=seq_h,
@@ -362,126 +353,109 @@ class GreenEvaluator:
         return self.radius_estimate.R_hat
 
     def _check_r(self, r):
-        # the system's R is the branch point itself; R_hat extrapolated from
-        # a return sequence gets 0.2 % of slop
-        limit = self.R_hat if self.system is not None else self.R_hat * 1.002
-        if r > limit:
+        # r = R_hat is allowed, as it is in ExperimentConfig.resolve_r_grid
+        if r > self.R_hat:
             raise DivergenceError(
                 f"r = {r} exceeds the estimated convergence radius {self.R_hat}"
             )
 
     # -- Green function and first passage -----------------------------------
 
-    def green(self, x, y, r, method="auto"):
-        """G(x,y|r) with tail estimate; series, factored, or auto."""
+    def green(self, x, y, r):
+        """G(x,y|r) with tail estimate: G(e,e|r) F(e,gamma|r) for a
+        single-syllable measure, else the table's series for gamma."""
         self._check_r(r)
         gamma = self.group.multiply(self.group.invert(x), y)
-        if method == "auto":
-            method = (
-                "factored"
-                if self.single_syllable_support and len(gamma) > 1
-                else "series"
-            )
-        key = (gamma, r, method)
+        key = ("G", gamma, r)
         cached = self._val_cache.get(key)
         if cached is not None:
             return cached
-        if method == "series":
+        if gamma and self.single_syllable_support:
+            out = _product(
+                [(self.green((), (), r), 1)] + self._passages(self._bases(gamma), r)
+            )
+        else:
             v, tail, tag, n = _eval_series(self.table.log_coefficients(gamma), r)
             out = GreenValue(v, tail, f"series/{tag}", n)
-        elif method == "factored":
-            out = self._green_factored(gamma, r)
-        else:
-            raise ValueError(f"unknown method {method!r}")
         self._val_cache[key] = out
         return out
 
-    def _green_factored(self, gamma, r):
-        if not self.single_syllable_support:
-            raise GroupSpecError(
-                "factored Green evaluation needs single-syllable support "
-                "(steps cannot jump across cut vertices)"
-            )
-        gee = self.green((), (), r, method="series")
-        value = gee.value
-        rel_tail = gee.tail / gee.value if gee.value else 0.0
-        for syl in gamma:
-            fp = self.first_passage((), (syl,), r)
-            value *= fp.value
-            rel_tail += fp.tail / fp.value if fp.value else 0.0
-        return GreenValue(value, abs(value) * rel_tail, "factored", gee.n_terms)
-
     def first_passage(self, x, y, r):
-        """F(x,y|r): first-visit series; satisfies G(x,y|r)=F(x,y|r)G(e,e|r)."""
+        """F(x,y|r); satisfies G(x,y|r)=F(x,y|r)G(e,e|r).
+
+        The table's first-visit series where gamma is its own only base
+        (``_bases``), else the product of its bases' values.
+        """
         self._check_r(r)
         gamma = self.group.multiply(self.group.invert(x), y)
         key = ("F", gamma, r)
         cached = self._val_cache.get(key)
         if cached is not None:
             return cached
-        if gamma not in self._fp_cache:
-            self._fp_cache[gamma] = self.table.first_visit_logs(gamma)
-        v, tail, tag, n = _eval_series(self._fp_cache[gamma], r)
-        out = GreenValue(v, tail, f"first-visit/{tag}", n)
+        bases = self._bases(gamma)
+        if bases == [(gamma, 1)]:
+            if gamma not in self._fp_cache:
+                self._fp_cache[gamma] = self.table.first_visit_logs(gamma)
+            v, tail, tag, n = _eval_series(self._fp_cache[gamma], r)
+            out = GreenValue(v, tail, f"first-visit/{tag}", n)
+        else:
+            out = _product(self._passages(bases, r))
         self._val_cache[key] = out
         return out
 
+    def _bases(self, gamma):
+        """(base, power) pairs with F(e, gamma) = prod F(e, base) ** power.
+
+        For a single-syllable measure every syllable prefix of gamma is a
+        cut vertex, so the bases are its syllables; on the first-passage
+        system each is a power of one unknown (F_{a^k} = F_a^k).
+        """
+        if not gamma:
+            return []
+        if not self.single_syllable_support:
+            return [(gamma, 1)]
+        if self.system is None:
+            return [((syl,), 1) for syl in gamma]
+        monomials = [monomial(self.group, *syl) for syl in gamma]
+        return [((u,), k) for u, k in monomials]
+
+    def _passages(self, bases, r):
+        return [(self.first_passage((), b, r), k) for b, k in bases]
+
     def h_value(self, gamma, r):
         """H(e,gamma|r) = G(e,gamma|r) G(gamma,e|r)."""
-        a = self.green((), gamma, r)
-        b = self.green(gamma, (), r)
-        return a.value * b.value
+        return self.green((), gamma, r).value * self.green(gamma, (), r).value
 
     # -- derivative ----------------------------------------------------------
 
     def green_derivative(self, x, y, r, mode="series", **isum_kwargs):
-        """d/dr ( r G(x,y|r) ), by series or, at (e, e) only, by the
-        sum-over-gamma identity (the relative-sphere I1)."""
+        """d/dr ( r G(e,e|r) ), by the return series or by the
+        sum-over-gamma identity (the relative-sphere I1); (x, y) = (e, e)."""
         self._check_r(r)
+        if x or y:
+            raise ValueError(f"green_derivative is available at (e, e) only, not ({x}, {y})")
         if mode == "series":
-            gamma = self.group.multiply(self.group.invert(x), y)
-            logs = _binomial_weighted(self.table.log_coefficients(gamma), 1)
-            v, tail, tag, n = _eval_series(logs, r)
+            v, tail, tag, n = _eval_series(_binomial_weighted(self._return_logs, 1), r)
             return GreenValue(v, tail, f"derivative-series/{tag}", n)
-        if mode == "identity" and x == () and y == ():
+        if mode == "identity":
             s = self.i_sums(r, **isum_kwargs)
             return GreenValue(s.i1, 0.0, "derivative-identity/sphere", 0)
-        raise ValueError(f"mode {mode!r} is not available at ({x}, {y})")
+        raise ValueError(f"unknown mode {mode!r}")
 
     # -- I sums --------------------------------------------------------------
 
-    def _syllable_weights(self, r, syllable_cap, weight):
-        """Per-factor sums of weight(h) over nontrivial factor elements."""
-        out = []
-        for fid, factor in enumerate(self.group.factors):
-            cap = syllable_cap if factor.kind == "lattice" else None
-            t = 0.0
-            for p in factor.nontrivial_elements(cap):
-                t += weight(fid, p)
-            out.append(t)
-        return out
-
-    def _u_weight(self, fid, p, r):
-        syl = ((fid, p),)
-        f1 = self.first_passage((), syl, r).value
-        f2 = self.first_passage((), self.group.invert(syl), r).value
-        return f1 * f2
-
-    def i_sums(
-        self,
-        r,
-        sphere_stop_tol=1e-4,
-        syllable_cap=30,
-        max_spheres=200000,
-    ):
+    def i_sums(self, r, sphere_stop_tol=None, syllable_cap=30):
         """I1 = sum_gamma H(e,gamma|r) and the 3-fold Green sum I2.
 
-        Relative spheres are summed via the per-syllable first-passage
-        weights (exact across cut vertices); summation stops when a sphere's
-        relative contribution drops below ``sphere_stop_tol``.  I1 also
-        equals d/dr (r G(e,e|r)); raises ``NonConvergenceError`` when that
-        series and the sphere sum differ by more than ``I1_ROUTE_TOL``
-        relative, as they do from about 0.9995*R on the rank-2 free group.
+        Across cut vertices H(e, gamma) is h_ee times the product of its
+        syllables' weights F(e,s|r) F(s,e|r), so the relative spheres
+        form a geometric matrix series and I1 = h_ee (1 + 1^T (I - M)^-1 t)
+        (``_sphere_sum``); lattice syllables are capped at
+        ``syllable_cap``.  I1 also equals d/dr (r G(e,e|r)); raises
+        ``NonConvergenceError`` when that series and the sphere sum
+        differ by more than ``I1_ROUTE_TOL`` relative, as they do from
+        about 0.9995*R on the rank-2 free group.  ``sphere_stop_tol`` is
+        accepted and has no effect: no sphere loop is left to stop.
 
         I2 = (1/2) d^2/dr^2 (r^2 G(e,e|r)) is the series
         sum_n C(n+2, 2) p_n(e,e) r^n: a length-n loop at e with two marked
@@ -497,30 +471,14 @@ class GreenEvaluator:
             raise GroupSpecError(
                 "i_sums requires single-syllable support for the factored route"
             )
-        gee = self.green((), (), r, method="series").value
-        t = self._syllable_weights(r, syllable_cap, lambda fid, p: self._u_weight(fid, p, r))
-        n_fac = len(t)
-        h_ee = gee * gee
-        v = list(t)  # v[k]: sum over m-syllable words ending in factor k
-        total = h_ee
-        sphere_sums = []
-        stop_reason = "max_spheres"
-        history = []
-        for m in range(1, max_spheres + 1):
-            sphere = h_ee * sum(v)
-            sphere_sums.append(sphere)
-            total += sphere
-            history.append(sphere)
-            if sphere < sphere_stop_tol * total:
-                stop_reason = f"sphere tolerance at m={m}"
-                break
-            if len(history) > 25 and history[-1] > history[-26]:
-                raise NonConvergenceError(
-                    "relative-sphere sums are not decaying",
-                    diagnostics={"r": r, "sphere_sums": sphere_sums},
-                )
-            other = sum(v)
-            v = [t[k] * (other - v[k]) for k in range(n_fac)]
+        gee = self.green((), (), r).value
+        fp = self.first_passage
+        t = []  # t[k]: sum of F(e,s|r) F(s,e|r) over the syllables s of factor k
+        for fid, factor in enumerate(self.group.factors):
+            cap = syllable_cap if factor.kind == "lattice" else None
+            syls = [((fid, p),) for p in factor.nontrivial_elements(cap)]
+            t.append(sum(fp((), s, r).value * fp(s, (), r).value for s in syls))
+        total = gee * gee * (1.0 + _sphere_sum(t, r))
         dg = self.green_derivative((), (), r, mode="series").value
         rel_gap = abs(total - dg) / dg
         if rel_gap > I1_ROUTE_TOL:
@@ -548,9 +506,7 @@ class GreenEvaluator:
             i1=total,
             i1_derivative=dg,
             i2=i2,
-            sphere_sums=sphere_sums,
             syllable_cap=syllable_cap,
-            stop_reason=stop_reason,
             i2_method=f"series/{tag}",
         )
 
@@ -586,6 +542,29 @@ class GreenEvaluator:
             _check_shell_decay([shells[l] for l in sorted(shells)], r)
             return total
         raise ValueError("order must be 1 or 2")
+
+
+def _sphere_sum(t, r):
+    """1^T (I - M)^-1 t = sum_{m >= 1} 1^T M^(m-1) t, M[k, j] = t_k for j != k.
+
+    M^(m-1) t sums the m-syllable words by the factor of their last
+    syllable, weighted by their syllables' t.  Raises unless I - M is a
+    non-singular M-matrix, i.e. unless (I - M) z = 1 has a solution
+    z > 0 (Collatz-Wielandt).
+    """
+    n = len(t)
+    step = np.array(t)[:, None] * (1.0 - np.eye(n))
+    try:
+        rest, z = np.linalg.solve(np.eye(n) - step, np.column_stack([t, np.ones(n)])).T
+    except np.linalg.LinAlgError:  # I - M is singular
+        rest = z = np.zeros(n)
+    if not np.all(z > 0.0):
+        raise NonConvergenceError(
+            f"relative-sphere sums diverge at r = {r:.10g}: I - M is not a "
+            f"non-singular M-matrix",
+            diagnostics={"r": float(r), "syllable_weights": t},
+        )
+    return float(rest.sum())
 
 
 def _check_shell_decay(series, r):

@@ -5,18 +5,38 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PREAMBLE = [
+    "import sys",
+    f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}]",
+    "import tracer",
+    "rec = tracer.install(tracer.Recorder())",
+    "assert rec.missing == [], rec.missing",
+]
+
+
+def _run(lines):
+    # in a fresh process, so the wrapped layers stay out of this session
+    return subprocess.run(
+        [sys.executable, "-c", "\n".join(PREAMBLE + lines)],
+        capture_output=True, text=True, timeout=120,
+    )
 
 
 def test_trace_hooks_find_their_targets():
-    # in a fresh process, so the wrapped layers stay out of this session
-    code = "\n".join([
-        "import sys",
-        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'perfbench')!r}]",
-        "import tracer",
-        "rec = tracer.install(tracer.Recorder())",
-        "assert rec.missing == [], rec.missing",
+    proc = _run([])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_report_counts_green_calls(tmp_path):
+    # the repeat counter reads green's positional arguments and the
+    # evaluator's single_syllable_support on every call
+    config = ROOT / "configs" / "f2_srw.json"
+    proc = _run([
+        "from freewalk import cli",
+        f"rc = cli.main(['report', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}])",
+        "assert rc == 0, rc",
+        "calls = {k: v['calls'] for k, v in rec.summary()[0].items()}",
+        "assert calls.get('green.green', 0) > 0, calls",
+        "assert calls.get('green.first_passage', 0) > 0, calls",
     ])
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
-    )
     assert proc.returncode == 0, proc.stderr

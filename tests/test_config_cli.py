@@ -10,10 +10,12 @@ import pytest
 
 from freewalk.cli import main
 from freewalk.config import ConfigError, parse_config
+from freewalk.errors import DivergenceError
 from freewalk.green import GreenEvaluator
 from freewalk.walks import return_probabilities
 
 from oracles import F2_RADIUS, z2z2z2_radius, z2z3_radius
+from test_path_operator import _measure
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
@@ -103,6 +105,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(dict(BASE, r_grid=[5.0])).resolve_r_grid(2.0)
 
+    def test_r_grid_is_bounded_at_r(self):
+        # every evaluator refuses r > R_hat, so the grid does too
+        with pytest.raises(ConfigError):
+            parse_config(dict(BASE, r_grid=["1.0004R"])).resolve_r_grid(2.0)
+        r_hat = 1.1547005383792517
+        assert parse_config(dict(BASE, r_grid=["1.0R"])).resolve_r_grid(r_hat) == [r_hat]
+        # the convolution table's R_hat is extrapolated, and its evaluator
+        # stops there too: what the grid admits, it evaluates
+        ev = GreenEvaluator(_measure("z2sq_z2"), horizon=30, ball_bound=6)
+        assert ev.system is None
+        (r,) = parse_config(dict(BASE, r_grid=["1.0R"])).resolve_r_grid(ev.R_hat)
+        assert math.isfinite(ev.green((), (), r).value)
+        with pytest.raises(DivergenceError):
+            ev.green((), (), 1.0004 * ev.R_hat)
+
     def test_hash_is_stable_and_sensitive(self):
         a = parse_config(BASE).hash()
         b = parse_config(dict(BASE)).hash()
@@ -137,6 +154,13 @@ class TestCliExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["walk", "--config", str(path)]) == 2
+
+    def test_r_grid_past_the_radius(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(dict(BASE, r_grid=["1.0004R"])))
+        assert main(["green", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_algebraic_flag_outside_the_system(self, tmp_path, capsys):
         # a rank-2 lattice factor is outside the first-passage system

@@ -74,15 +74,24 @@ class TestClosedForms:
         assert math.isclose(g.value, 0.5, rel_tol=1e-9)
 
     def test_factored_crosses_cut_vertex(self, ev, f2):
-        # F(a^-1, b | 1) factors through e: (1/3)^2
+        # F(a^-1, b | 1) factors through e: (1/3)^2, and G(e,e|1) = 3/2
         ainv = ((0, (-1,)),)
         b = ((1, (1,)),)
-        g = ev.green(ainv, b, 1.0, method="factored")
-        direct = ev.green(ainv, b, 1.0, method="series")
-        assert math.isclose(g.value, direct.value, rel_tol=1e-6)
+        g = ev.green(ainv, b, 1.0)
+        assert math.isclose(g.value, 1.5 * f2_first_passage(1.0) ** 2, rel_tol=1e-9)
+        assert math.isclose(g.value, 1.0 / 6.0, rel_tol=1e-9)
         fp1 = ev.first_passage(ainv, (), 1.0)
         fp2 = ev.first_passage((), b, 1.0)
         assert math.isclose(fp1.value * fp2.value, 1.0 / 9.0, rel_tol=1e-8)
+
+    def test_lattice_powers_are_powers(self, ev):
+        for frac in (0.9, 0.99):
+            r = frac * ev.R_hat
+            f = f2_first_passage(r)
+            for k in range(1, 31):
+                for fid, sign in ((0, 1), (0, -1), (1, 1), (1, -1)):
+                    got = ev.first_passage((), ((fid, (sign * k,)),), r).value
+                    assert abs(got - f**k) / f**k < 1e-12, (r, fid, sign * k)
 
     def test_closed_form_across_grid(self, ev):
         for frac in (0.3, 0.6, 0.9, 0.99):
@@ -205,6 +214,28 @@ class TestISums:
                 tree_ev.i_sums(frac * radius, sphere_stop_tol=1e-8)
             assert err.value.diagnostics["r"] == frac * radius
 
+    @pytest.mark.parametrize("measure, degree", [("f2_srw", 4), ("z2cubed_srw", 3)])
+    def test_i1_sums_every_sphere(self, request, measure, degree):
+        # the relative spheres are summed in closed form, none dropped
+        tree_ev = GreenEvaluator(request.getfixturevalue(measure))
+        for frac in (0.90, 0.95, 0.98):
+            r = frac * tree_ev.R_hat
+            s = tree_ev.i_sums(r)
+            want = tree_i1(degree, r)
+            assert abs(s.i1 - want) / want < 1e-12
+            assert abs(s.i1 - s.i1_derivative) / want < 1e-12
+
+    def test_reads_each_unknown_series_once(self, f2_srw):
+        # F(e, a^k) is F(e, a)^k: the 4 unknowns' series are the only
+        # first-visit series one r needs
+        fresh = GreenEvaluator(f2_srw)
+        calls = []
+        read = fresh.table.first_visit_logs
+        fresh.table.first_visit_logs = lambda gamma: calls.append(gamma) or read(gamma)
+        fresh.i_sums(0.9 * fresh.R_hat)
+        assert len(calls) <= 4
+        assert len(set(calls)) == len(calls)
+
     def test_refuses_near_radius(self, ev):
         # at 0.999*R the I2 series would lean on its power-law tail, and at
         # 0.9995*R the relative-sphere I1 and the series for d/dr (r G)
@@ -319,20 +350,23 @@ class TestTables:
     def test_radial_coefficients_match_the_distance_chain(self, measure):
         # two engines that share no code: on these walks p_n(e, gamma)
         # depends on |gamma| alone, and the distance chain gives it as the
-        # sphere mass over the sphere size
+        # sphere mass over the sphere size; G(e, gamma|r) is the sum of
+        # those over n, and the evaluator forms it as G(e,e) F(e, gamma)
         mu = _measure(measure)
-        table = GreenEvaluator(mu, horizon=600).table
+        ev_m = GreenEvaluator(mu, horizon=600)
         masses, logscales = mu.radial_chain.float_masses(600)
         sizes = sphere_sizes(mu.group, 8)
-        for m in range(9):
-            with np.errstate(divide="ignore"):
-                want = np.log(masses[:, m]) + logscales - math.log(sizes[m])
-            live = want > -math.inf
-            sphere = mu.group.sphere(m, metric="word")
-            for gamma in {sphere[0], sphere[len(sphere) // 2], sphere[-1]}:
-                got = table.log_coefficients(gamma)
-                assert list(got > -math.inf) == list(live)
-                assert abs(got[live] - want[live]).max() < 1e-11
+        n = np.arange(601)
+        for frac in (0.5, 0.9):
+            r = frac * ev_m.R_hat
+            for m in range(9):
+                with np.errstate(divide="ignore"):
+                    logs = np.log(masses[:, m]) + logscales - math.log(sizes[m])
+                want = float(np.exp(logs + n * math.log(r)).sum())
+                sphere = mu.group.sphere(m, metric="word")
+                for gamma in {sphere[0], sphere[len(sphere) // 2], sphere[-1]}:
+                    got = ev_m.green((), gamma, r).value
+                    assert abs(got - want) / want < 1e-12, (r, gamma, got, want)
 
     def test_z2z3_reads_the_first_passage_system(self, z2z3_srw):
         ev23 = GreenEvaluator(z2z3_srw)
@@ -344,8 +378,8 @@ class TestTables:
         assert ev23.radius_estimate.rho_lower <= ev23.radius_estimate.rho_hat
 
     def test_system_radius_is_a_hard_limit(self, z2z3_srw):
-        # R_hat extrapolated from a sequence gets 0.2 % of slop; the
-        # system's branch point gets none, and r = R itself is allowed
+        # past the system's branch point the evaluator refuses, and
+        # r = R itself is allowed
         ev23 = GreenEvaluator(z2z3_srw)
         with pytest.raises(DivergenceError):
             ev23.green((), (), 1.001 * ev23.R_hat)
