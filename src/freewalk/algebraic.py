@@ -78,30 +78,24 @@ class FirstPassageSystem:
 
         Newton starts from ``x`` (0 by default), which must lie below the
         least solution.  Past R the iterates reach a point where I - J is
-        no longer a non-singular M-matrix, found by solving (I - J) v = 1:
-        v > 0 exactly when the Perron root of J is below 1
-        (Collatz-Wielandt).  Near R the convergence is only linear and
-        the Newton step carries rounding noise amplified by 1/(1 - rho(J)),
-        so convergence is judged on the residual Phi(x) - x, which that
-        noise does not inflate, and a residual that stops falling at a
-        small floor counts as converged, not as divergence.
+        no longer a non-singular M-matrix (``m_matrix_solve``).  Near R the
+        convergence is only linear and the Newton step carries rounding
+        noise amplified by 1/(1 - rho(J)), so convergence is judged on the
+        residual Phi(x) - x, which that noise does not inflate, and a
+        residual that stops falling at a small floor counts as converged,
+        not as divergence.
         """
-        m = len(self.unknowns)
-        x = np.zeros(m) if x is None else x
-        rhs = np.column_stack([np.zeros(m), np.ones(m)])
+        x = np.zeros(len(self.unknowns)) if x is None else x
         best, stalled = math.inf, 0
         for _ in range(NEWTON_STEPS):
             phi, jac = self._phi(r, x)
             if not np.all(np.isfinite(phi)) or r * (self._lazy + self._back @ x) >= 1.0:
                 return None  # past the pole of G = 1/(1 - U)
-            rhs[:, 0] = phi - x
-            try:
-                step, v = np.linalg.solve(np.eye(m) - jac, rhs).T
-            except np.linalg.LinAlgError:
+            residual = phi - x
+            step = m_matrix_solve(jac, residual)
+            if step is None:
                 return None
-            if not np.all(v > 0.0):
-                return None
-            size, scale = float(np.max(np.abs(rhs[:, 0]))), float(np.max(phi))
+            size, scale = float(np.max(np.abs(residual))), float(np.max(phi))
             if size <= 8 * EPS * scale:
                 return x
             if size < best:
@@ -194,6 +188,27 @@ class FirstPassageSystem:
     def return_log_probs(self, horizon):
         """log p_n(e,e) for n = 0..horizon."""
         return self.unscaled_logs(self.scaled_green(horizon))
+
+
+def perron_root(a):
+    """The Perron root of a non-negative square matrix: its spectral radius."""
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def m_matrix_solve(a, b):
+    """(I - a)^-1 b for a non-negative matrix ``a``, or None unless I - a is
+    a non-singular M-matrix.
+
+    The same factorisation solves (I - a) z = 1, and z > 0 exactly when the
+    Perron root of ``a`` is below 1 (Collatz-Wielandt: a z = z - 1 < z);
+    then (I - a)^-1 is the convergent Neumann series sum_k a^k.
+    """
+    n = len(a)
+    try:
+        sol, z = np.linalg.solve(np.eye(n) - a, np.column_stack([b, np.ones(n)])).T
+    except np.linalg.LinAlgError:  # I - a is singular
+        return None
+    return sol if np.all(z > 0.0) else None
 
 
 def monomial(group, fid, payload):

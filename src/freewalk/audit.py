@@ -336,7 +336,7 @@ def _band(values):
     return (hi - lo) / lo if lo > 0 else math.inf
 
 
-def ratio_report(evaluator, r_grid, **isum_kwargs):
+def ratio_report(evaluator, r_grid):
     """Tabulate I1*sqrt(R-r), I2/I1^3 and G'*sqrt(R-r) over an r grid.
 
     Each row takes I1 and d/dr (r G(e,e|r)) from ``i_sums``, which raises
@@ -345,7 +345,7 @@ def ratio_report(evaluator, r_grid, **isum_kwargs):
     r_hat = evaluator.R_hat
     rows = []
     for r in sorted(r_grid):
-        s = evaluator.i_sums(r, **isum_kwargs)
+        s = evaluator.i_sums(r)
         gap = math.sqrt(max(r_hat - r, 0.0))
         rows.append(
             RatioRow(

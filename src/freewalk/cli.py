@@ -253,7 +253,12 @@ def cmd_llt(cfg, args, shared):
 
 
 def cmd_report(cfg, args, shared):
-    """Run the full battery on one ``Shared`` and write one combined JSON."""
+    """Run the full battery on one ``Shared`` and write one combined JSON.
+
+    The r-grid is resolved against R first, so a bad grid is refused
+    before any step writes a file.
+    """
+    cfg.resolve_r_grid(shared.evaluator.R_hat)
     rc = 0
     for sub in (cmd_walk, cmd_green, cmd_isums, cmd_degeneracy, cmd_pressure,
                 cmd_ancona, cmd_llt):

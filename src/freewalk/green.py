@@ -33,12 +33,15 @@ from .errors import (
     NonConvergenceError,
 )
 from . import walks
-from .algebraic import monomial
+from .algebraic import m_matrix_solve, monomial
 
 NEG_INF = -math.inf
 # largest relative gap allowed between the relative-sphere I1 and the series
 # for d/dr (r G(e,e|r)), which equals I1 by the derivative identity
 I1_ROUTE_TOL = 1e-3
+# largest |k| of the lattice syllables a^k whose weights the relative-sphere
+# I1 sums: F(e,a^k) F(a^k,e) falls geometrically in |k| below R
+SYLLABLE_CAP = 30
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +288,6 @@ class ISums:
     i1: float
     i1_derivative: float  # the series for d/dr (r G(e,e|r)), checked against i1
     i2: float
-    syllable_cap: int
     i2_method: str
 
 
@@ -428,7 +430,7 @@ class GreenEvaluator:
 
     # -- derivative ----------------------------------------------------------
 
-    def green_derivative(self, x, y, r, mode="series", **isum_kwargs):
+    def green_derivative(self, x, y, r, mode="series"):
         """d/dr ( r G(e,e|r) ), by the return series or by the
         sum-over-gamma identity (the relative-sphere I1); (x, y) = (e, e)."""
         self._check_r(r)
@@ -438,24 +440,23 @@ class GreenEvaluator:
             v, tail, tag, n = _eval_series(_binomial_weighted(self._return_logs, 1), r)
             return GreenValue(v, tail, f"derivative-series/{tag}", n)
         if mode == "identity":
-            s = self.i_sums(r, **isum_kwargs)
+            s = self.i_sums(r)
             return GreenValue(s.i1, 0.0, "derivative-identity/sphere", 0)
         raise ValueError(f"unknown mode {mode!r}")
 
     # -- I sums --------------------------------------------------------------
 
-    def i_sums(self, r, sphere_stop_tol=None, syllable_cap=30):
+    def i_sums(self, r):
         """I1 = sum_gamma H(e,gamma|r) and the 3-fold Green sum I2.
 
         Across cut vertices H(e, gamma) is h_ee times the product of its
         syllables' weights F(e,s|r) F(s,e|r), so the relative spheres
         form a geometric matrix series and I1 = h_ee (1 + 1^T (I - M)^-1 t)
         (``_sphere_sum``); lattice syllables are capped at
-        ``syllable_cap``.  I1 also equals d/dr (r G(e,e|r)); raises
+        ``SYLLABLE_CAP``.  I1 also equals d/dr (r G(e,e|r)); raises
         ``NonConvergenceError`` when that series and the sphere sum
         differ by more than ``I1_ROUTE_TOL`` relative, as they do from
-        about 0.9995*R on the rank-2 free group.  ``sphere_stop_tol`` is
-        accepted and has no effect: no sphere loop is left to stop.
+        about 0.9995*R on the rank-2 free group.
 
         I2 = (1/2) d^2/dr^2 (r^2 G(e,e|r)) is the series
         sum_n C(n+2, 2) p_n(e,e) r^n: a length-n loop at e with two marked
@@ -475,7 +476,7 @@ class GreenEvaluator:
         fp = self.first_passage
         t = []  # t[k]: sum of F(e,s|r) F(s,e|r) over the syllables s of factor k
         for fid, factor in enumerate(self.group.factors):
-            cap = syllable_cap if factor.kind == "lattice" else None
+            cap = SYLLABLE_CAP if factor.kind == "lattice" else None
             syls = [((fid, p),) for p in factor.nontrivial_elements(cap)]
             t.append(sum(fp((), s, r).value * fp(s, (), r).value for s in syls))
         total = gee * gee * (1.0 + _sphere_sum(t, r))
@@ -506,7 +507,6 @@ class GreenEvaluator:
             i1=total,
             i1_derivative=dg,
             i2=i2,
-            syllable_cap=syllable_cap,
             i2_method=f"series/{tag}",
         )
 
@@ -549,16 +549,11 @@ def _sphere_sum(t, r):
 
     M^(m-1) t sums the m-syllable words by the factor of their last
     syllable, weighted by their syllables' t.  Raises unless I - M is a
-    non-singular M-matrix, i.e. unless (I - M) z = 1 has a solution
-    z > 0 (Collatz-Wielandt).
+    non-singular M-matrix.
     """
     n = len(t)
-    step = np.array(t)[:, None] * (1.0 - np.eye(n))
-    try:
-        rest, z = np.linalg.solve(np.eye(n) - step, np.column_stack([t, np.ones(n)])).T
-    except np.linalg.LinAlgError:  # I - M is singular
-        rest = z = np.zeros(n)
-    if not np.all(z > 0.0):
+    rest = m_matrix_solve(np.array(t)[:, None] * (1.0 - np.eye(n)), t)
+    if rest is None:
         raise NonConvergenceError(
             f"relative-sphere sums diverge at r = {r:.10g}: I - M is not a "
             f"non-singular M-matrix",

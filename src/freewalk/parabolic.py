@@ -9,6 +9,12 @@ rational r and additionally prunes by remaining steps (a state farther from
 H_k than the steps left cannot contribute, so the prune is lossless); its
 float propagator serves the rest.  States are truncated to a word ball.
 
+Over a factor ball the kernel is a finite non-negative matrix K.  Its
+Perron root is read off the eigenvalues of K, and an induced Green
+function is one entry of (I - t K)^-1, one M-matrix solve that refuses
+where the Neumann series diverges (``algebraic.perron_root`` and
+``algebraic.m_matrix_solve``).
+
 Truncation only ever removes non-negative path weights, so every reported
 spectral-radius estimate is a lower bound and the (L, B) ladder increases
 monotonically toward the true value.  A verdict of "degenerate" is therefore
@@ -22,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .algebraic import m_matrix_solve, perron_root
 from .errors import NonConvergenceError
 from .groups import _lattice_ball
 from .walks import PathOperator
@@ -119,77 +126,34 @@ def kernel_matrix(kernel, group, factor_ball):
     return states, mat
 
 
-@dataclass
-class KernelRadiusEstimate:
-    rho: float
-    iterations: int
-    converged: bool
-    row_mass: float  # sum of the row from e; Fourier value at 0 for lattices
+def kernel_spectral_radius(kernel, group, factor_ball):
+    """The Perron root of the kernel matrix over the factor ball."""
+    return perron_root(kernel_matrix(kernel, group, factor_ball)[1])
 
 
-def kernel_spectral_radius(kernel, group, factor_ball, tol=1e-12, max_iter=100000):
-    """Power iteration on the truncated non-negative kernel matrix."""
-    _, mat = kernel_matrix(kernel, group, factor_ball)
-    n = mat.shape[0]
-    if n == 0 or not mat.any():
-        return KernelRadiusEstimate(0.0, 0, True, float(kernel.returned_mass))
-    # identity shift keeps periodic sparsity patterns from making the
-    # iteration oscillate; the Perron eigenvector is unchanged
-    shift = float(mat.max())
-    shifted = mat + shift * np.eye(n)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    rho = 0.0
-    for it in range(1, max_iter + 1):
-        w = shifted @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return KernelRadiusEstimate(0.0, it, True, float(kernel.returned_mass))
-        w /= norm
-        new_rho = float(w @ (shifted @ w)) / float(w @ w)
-        if abs(new_rho - rho) < tol and it > 10:
-            return KernelRadiusEstimate(
-                new_rho - shift, it, True, float(kernel.returned_mass)
-            )
-        rho = new_rho
-        v = w
-    return KernelRadiusEstimate(rho - shift, max_iter, False, float(kernel.returned_mass))
+def induced_green(kernel, group, h, h_prime, t, factor_ball=40):
+    """G_{k,r}(h,h'|t), the (h, h') entry of (I - t K)^-1 over the truncated
+    kernel matrix K.
 
-
-def induced_green(kernel, group, h, h_prime, t, factor_ball=40, max_terms=2000, tol=1e-12):
-    """G_{k,r}(h,h'|t) as a Neumann series over the truncated kernel.
-
-    Raises NonConvergenceError when the partial sums fail a Cauchy test.
+    Raises NonConvergenceError where the Neumann series sum_n t^n K^n
+    diverges, i.e. unless the Perron root of t K is below 1.
     """
     states, mat = kernel_matrix(kernel, group, factor_ball)
     index = {p: i for i, p in enumerate(states)}
-    factor = group.factors[kernel.factor_id]
     hp = _in_factor(group, h, kernel.factor_id)
     hq = _in_factor(group, h_prime, kernel.factor_id)
     if hp is None or hq is None:
         raise ValueError("induced Green endpoints must lie in the factor")
-    i, j = index[hp], index[hq]
-    v = np.zeros(len(states))
-    v[i] = 1.0
-    total = v[j]
-    prev_inc = math.inf
-    growing = 0
-    for n in range(1, max_terms + 1):
-        v = t * (v @ mat)
-        inc = v[j]
-        total += inc
-        if inc > prev_inc and inc > tol:
-            growing += 1
-            if growing > 50:
-                raise NonConvergenceError(
-                    "Neumann series for the induced Green function is diverging",
-                    diagnostics={"t": t, "terms": n, "last_increment": float(inc)},
-                )
-        else:
-            growing = 0
-        if inc < tol * max(total, 1.0) and n > 5:
-            break
-        prev_inc = max(inc, tol)
-    return float(total)
+    unit = np.zeros(len(states))
+    unit[index[hp]] = 1.0
+    row = m_matrix_solve(t * mat.T, unit)  # row h of (I - t K)^-1
+    if row is None:
+        raise NonConvergenceError(
+            "Neumann series for the induced Green function diverges: "
+            "I - t K is not a non-singular M-matrix",
+            diagnostics={"t": t, "factor_ball": factor_ball},
+        )
+    return float(row[index[hq]])
 
 
 @dataclass
@@ -198,7 +162,7 @@ class FactorVerdict:
     ladder: list  # [(L, B, rho_hat)]
     rho_hat: float  # certified lower bound (last rung)
     rho_extrapolated: float  # sqrt-law extrapolation of the ladder
-    row_mass: float
+    row_mass: float  # sum of the last rung's row from e; Fourier value at 0 for lattices
     slack: float
     stabilized: bool
     verdict: str  # non-degenerate | degenerate | inconclusive
@@ -249,8 +213,7 @@ def degeneracy_test(
         rungs = []
         for L, B in ladder:
             kern = first_return_kernel(measure, k, r, L, B, exact=False)
-            est = kernel_spectral_radius(kern, group, factor_ball)
-            rungs.append((L, B, est.rho))
+            rungs.append((L, B, kernel_spectral_radius(kern, group, factor_ball)))
         rho = rungs[-1][2]
         if len(rungs) > 1:
             (l1, _, r1), (l2, _, r2) = rungs[-2], rungs[-1]
@@ -273,7 +236,7 @@ def degeneracy_test(
                 ladder=rungs,
                 rho_hat=rho,
                 rho_extrapolated=rho + (slack if math.isfinite(slack) else 0.0),
-                row_mass=est.row_mass,
+                row_mass=float(kern.returned_mass),
                 slack=slack,
                 stabilized=stabilized,
                 verdict=verdict,

@@ -8,7 +8,9 @@ telescopes, which yields the sphere identity
     (L_r^n 1)(empty) * H(e,e|r) = sum over the relative n-sphere of H(e,g|r)
 
 used here both as a consistency check and as the route to the Gurevich
-pressure P(r) = log of the leading transfer eigenvalue.
+pressure P(r) = log of the leading transfer eigenvalue, the Perron root of
+the truncated transfer matrix read off its eigenvalues
+(``algebraic.perron_root``).
 
 The empty path is excluded from the potential's domain; iteration at the
 empty word is seeded directly with the single-symbol values.
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebraic import perron_root
 from .automaton import build_automaton
 from .errors import NonConvergenceError
 
@@ -166,33 +169,6 @@ class PressureEstimate:
         )
 
 
-def _power_eigenvalue(mat, tol=1e-10, max_iter=10**5):
-    """Perron root of a non-negative matrix by shifted power iteration.
-
-    The identity shift makes periodic (e.g. bipartite) sparsity patterns
-    aperiodic without moving the Perron eigenvector.
-    """
-    n = mat.shape[0]
-    if n == 0 or not mat.any():
-        return 0.0
-    shift = float(mat.max())
-    shifted = mat + shift * np.eye(n)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    lam = 0.0
-    for _ in range(max_iter):
-        w = shifted @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        w /= norm
-        new_lam = float(w @ (shifted @ w))
-        if abs(new_lam - lam) < tol:
-            return new_lam - shift
-        lam = new_lam
-        v = w
-    raise NonConvergenceError("power iteration did not converge")
-
-
 def pressure(evaluator, r, ladder=((3, 2), (3, 3), (4, 3)), stab_tol=5e-3):
     """Gurevich pressure estimate with a (cap, depth) stabilization ladder.
 
@@ -204,7 +180,7 @@ def pressure(evaluator, r, ladder=((3, 2), (3, 3), (4, 3)), stab_tol=5e-3):
     rungs = []
     for cap, depth in ladder:
         tm = build_transfer(evaluator, r, cap, depth)
-        lam = _power_eigenvalue(tm.matrix)
+        lam = perron_root(tm.matrix)
         rungs.append((cap, depth, math.log(lam) if lam > 0 else -math.inf))
     p_hat = rungs[-1][2]
     stabilized = (
@@ -270,6 +246,6 @@ def partition_growth(tm, n, symbol, period=2):
 
 def recurrence_band(tm, n_max=8):
     """lambda^{-n} (L^n 1)(empty) for n = 1..n_max; bounded for recurrence."""
-    lam = _power_eigenvalue(tm.matrix)
+    lam = perron_root(tm.matrix)
     seq = iterate_empty(tm, n_max)
     return [v / lam**n for n, v in enumerate(seq, start=1)]

@@ -180,7 +180,7 @@ def test_criterion_08_thermodynamic_layer(ev):
     for f in (0.90, 0.95, 0.98):
         r = f * ev.R_hat
         p = pressure(ev, r, ladder=((3, 3),)).value
-        prods.append(abs(p) * ev.i_sums(r, sphere_stop_tol=1e-8).i1)
+        prods.append(abs(p) * ev.i_sums(r).i1)
     band = max(prods) / min(prods)
     ok &= band < 4.0
     assert _line(
@@ -208,7 +208,7 @@ def test_criterion_09_ancona_audit(ev, z2z3_srw):
 
 def test_criterion_10_asymptotic_ratio_bands(ev):
     grid = [f * ev.R_hat for f in (0.90, 0.95, 0.98)]
-    rep = ratio_report(ev, grid, sphere_stop_tol=1e-8)
+    rep = ratio_report(ev, grid)
     i1_factor = 1.0 + rep.band_i1
     ok = i1_factor < 3.0
     worst = 0.0
@@ -223,7 +223,7 @@ def test_criterion_10_asymptotic_ratio_bands(ev):
     refused = []
     for f in (0.999, 0.9995, 0.9998):
         try:
-            ratio_report(ev, [f * F2_RADIUS], sphere_stop_tol=1e-8)
+            ratio_report(ev, [f * F2_RADIUS])
         except NonConvergenceError as exc:
             if exc.diagnostics["r"] == f * F2_RADIUS:
                 refused.append(f)

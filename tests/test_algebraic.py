@@ -1,4 +1,5 @@
-"""The first-passage system: its scope, its radius and its coefficients.
+"""The first-passage system: its scope, its radius and its coefficients;
+and the M-matrix solve its Newton steps take.
 
 The references are independent of the system: exact return probabilities
 and first visits from the path operator for the coefficients, and the
@@ -9,9 +10,11 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from freewalk.algebraic import m_matrix_solve, perron_root
 from freewalk.errors import GroupSpecError
 from freewalk.walks import (
     StepMeasure,
@@ -90,6 +93,20 @@ class TestRadius:
         system = _measure("z2z3").first_passage_system
         assert system.least_solution(system.radius * (1 - 1e-12)) is not None
         assert system.least_solution(system.radius * (1 + 1e-12)) is None
+
+
+class TestMMatrixSolve:
+    def test_solves_below_perron_root_one(self):
+        a = np.array([[0.2, 0.3], [0.1, 0.4]])
+        b = np.array([1.0, 2.0])
+        want = np.linalg.solve(np.eye(2) - a, b)
+        assert np.allclose(m_matrix_solve(a, b), want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("root", [1.0, 1.5])
+    def test_none_from_perron_root_one(self, root):
+        a = root * np.array([[0.5, 0.5], [0.5, 0.5]])
+        assert perron_root(a) == pytest.approx(root, rel=1e-15)
+        assert m_matrix_solve(a, np.ones(2)) is None
 
 
 class TestCoefficients:

@@ -98,7 +98,7 @@ class TestLltFit:
 class TestRatioReport:
     def test_structure_and_bands(self, ev):
         grid = [f * ev.R_hat for f in (0.90, 0.95, 0.98)]
-        rep = ratio_report(ev, grid, sphere_stop_tol=1e-8)
+        rep = ratio_report(ev, grid)
         assert len(rep.rows) == 3
         assert [row.r for row in rep.rows] == sorted(grid)
         assert rep.non_monotone == []  # I1 grows toward the radius
@@ -112,7 +112,7 @@ class TestRatioReport:
 
     def test_csv_and_json_exports(self, ev):
         grid = [0.90 * ev.R_hat, 0.95 * ev.R_hat]
-        rep = ratio_report(ev, grid, sphere_stop_tol=1e-8)
+        rep = ratio_report(ev, grid)
         rows = list(rep.to_csv_rows())
         assert rows[0][0] == "r"
         assert len(rows) == 3

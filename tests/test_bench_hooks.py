@@ -40,3 +40,22 @@ def test_traced_report_counts_green_calls(tmp_path):
         "assert calls.get('green.first_passage', 0) > 0, calls",
     ])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_kernel_layers_count_their_calls():
+    # degeneracy_test reaches the Perron root through the module, so the
+    # hook sees one call per factor and rung (2 factors, 3 rungs on f2)
+    proc = _run([
+        "from freewalk.groups import FreeProduct, LatticeFactor",
+        "from freewalk.parabolic import degeneracy_test, first_return_kernel, induced_green",
+        "from freewalk.walks import uniform_on_generators",
+        "f2 = FreeProduct([LatticeFactor(1, 'a'), LatticeFactor(1, 'b')])",
+        "mu = uniform_on_generators(f2)",
+        "degeneracy_test(mu, mu.first_passage_system.radius)",
+        "kern = first_return_kernel(mu, 0, 1.0, 20, 6, exact=False)",
+        "induced_green(kern, f2, (), ((0, (1,)),), 1.0)",
+        "calls = {k: v['calls'] for k, v in rec.summary()[0].items()}",
+        "assert calls.get('parabolic.spectral_radius') == 6, calls",
+        "assert calls.get('parabolic.induced_green', 0) >= 1, calls",
+    ])
+    assert proc.returncode == 0, proc.stderr

@@ -162,6 +162,15 @@ class TestCliExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_report_refuses_a_bad_grid_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(dict(BASE, r_grid=["1.0004R"])))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_algebraic_flag_outside_the_system(self, tmp_path, capsys):
         # a rank-2 lattice factor is outside the first-passage system
         raw = dict(

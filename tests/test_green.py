@@ -134,7 +134,7 @@ class TestISums:
         f = f2_first_passage(r)
         g = f2_green(r)
         expected = g * g * (1 + sum(4 * 3 ** (m - 1) * f ** (2 * m) for m in range(1, 400)))
-        s = ev.i_sums(r, sphere_stop_tol=1e-9)
+        s = ev.i_sums(r)
         assert math.isclose(s.i1, expected, rel_tol=1e-4)
 
     def test_i2_matches_derivative_composition(self, ev):
@@ -153,7 +153,7 @@ class TestISums:
         expected = g * d_rg(0)
         for m in range(1, 400):
             expected += 4 * 3 ** (m - 1) * (g * f**m) * d_rg(m)
-        s = ev.i_sums(r, sphere_stop_tol=1e-9)
+        s = ev.i_sums(r)
         assert math.isclose(s.i2, expected, rel_tol=1e-4)
 
     @pytest.mark.parametrize("measure, degree", [("f2_srw", 4), ("z2cubed_srw", 3)])
@@ -163,7 +163,7 @@ class TestISums:
         tree_ev = GreenEvaluator(request.getfixturevalue(measure))
         for frac in (0.90, 0.95, 0.98):
             r = frac * tree_ev.R_hat
-            s = tree_ev.i_sums(r, sphere_stop_tol=1e-7)
+            s = tree_ev.i_sums(r)
             want = tree_i2(degree, r)
             assert abs(s.i2 - want) / want < 1e-12
             assert s.i2_method.startswith("series/")
@@ -187,7 +187,7 @@ class TestISums:
         ev23 = GreenEvaluator(z2z3_srw)
         for frac in (0.90, 0.95):
             r = frac * ev23.R_hat
-            s = ev23.i_sums(r, sphere_stop_tol=1e-7)
+            s = ev23.i_sums(r)
             assert abs(s.i2 - z2z3_i2(r)) / z2z3_i2(r) < 1e-10
 
     @pytest.mark.parametrize(
@@ -206,12 +206,12 @@ class TestISums:
         radius = F2_RADIUS if measure == "f2_srw" else z2z2z2_radius()
         for frac in (0.99, 0.995, 0.997):
             r = frac * radius
-            s = tree_ev.i_sums(r, sphere_stop_tol=1e-8)
+            s = tree_ev.i_sums(r)
             assert abs(s.i1 - i1(r)) / i1(r) < 1e-6
             assert abs(s.i2 - i2(r)) / i2(r) < 1e-6
         for frac in (0.998, 0.999):
             with pytest.raises(NonConvergenceError) as err:
-                tree_ev.i_sums(frac * radius, sphere_stop_tol=1e-8)
+                tree_ev.i_sums(frac * radius)
             assert err.value.diagnostics["r"] == frac * radius
 
     @pytest.mark.parametrize("measure, degree", [("f2_srw", 4), ("z2cubed_srw", 3)])

@@ -2,8 +2,10 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from freewalk.errors import NonConvergenceError
 from freewalk.green import GreenEvaluator
 from freewalk.parabolic import (
     degeneracy_test,
@@ -112,20 +114,28 @@ class TestKernelMatrix:
 class TestSpectralRadius:
     def test_f2_kernel_radius_below_one(self, f2_srw, f2, ev):
         kern = first_return_kernel(f2_srw, 0, ev.R_hat, 40, 9, exact=False)
-        est = kernel_spectral_radius(kern, f2, factor_ball=30)
-        assert est.converged
-        assert 0.8 < est.rho < 0.95
+        rho = kernel_spectral_radius(kern, f2, factor_ball=30)
+        assert 0.8 < rho < 0.95
         # the full kernel mass at R is (R/2)(1 + f(R)) with f(R) = 1/sqrt(3);
         # evaluate at the exact radius since R_hat may overshoot by ~1e-6
         full = (F2_RADIUS / 2.0) * (1.0 + f2_first_passage(F2_RADIUS))
-        assert est.rho < full < 1.0
+        assert rho < full < 1.0
 
     def test_radius_grows_with_truncation(self, f2_srw, f2, ev):
         rhos = []
         for L, B in ((10, 5), (20, 7), (30, 9)):
             kern = first_return_kernel(f2_srw, 0, ev.R_hat, L, B, exact=False)
-            rhos.append(kernel_spectral_radius(kern, f2, factor_ball=20).rho)
+            rhos.append(kernel_spectral_radius(kern, f2, factor_ball=20))
         assert rhos == sorted(rhos)
+
+    def test_degeneracy_rungs_match_the_symmetric_eigenvalues(self, f2_srw, f2, ev):
+        # the f2 kernel matrix is symmetric, so eigvalsh is an independent
+        # route to the same Perron root
+        for v in degeneracy_test(f2_srw, ev.R_hat).per_factor:
+            for L, B, rho in v.ladder:
+                kern = first_return_kernel(f2_srw, v.factor_id, ev.R_hat, L, B, exact=False)
+                _, mat = kernel_matrix(kern, f2, factor_ball=30)
+                assert abs(rho - max(np.linalg.eigvalsh(mat))) < 1e-13
 
 
 class TestInducedGreen:
@@ -143,6 +153,21 @@ class TestInducedGreen:
         got = induced_green(kern, f2, (), a2, 1.0, factor_ball=80)
         want = ev.green((), a2, r).value
         assert abs(got - want) / want < 1e-2
+
+    def test_one_solve_up_to_the_kernel_radius(self, f2_srw, f2):
+        # an entry of (I - t K)^-1 right up to t = 1/rho(K), and a refusal
+        # past it, where the Neumann series diverges
+        kern = first_return_kernel(f2_srw, 0, 1.0, 60, 10, exact=False)
+        states, mat = kernel_matrix(kern, f2, factor_ball=40)
+        rho = kernel_spectral_radius(kern, f2, factor_ball=40)
+        i, j = states.index((0,)), states.index((2,))
+        a2 = ((0, (2,)),)
+        for frac in (0.95, 0.999):
+            t = frac / rho
+            want = np.linalg.solve(np.eye(len(states)) - t * mat, np.eye(len(states)))[i, j]
+            assert abs(induced_green(kern, f2, (), a2, t) - want) / want < 1e-12
+        with pytest.raises(NonConvergenceError):
+            induced_green(kern, f2, (), a2, 1.05 / rho)
 
 
 class TestDegeneracy:
