@@ -231,16 +231,16 @@ class SpectralRadiusEstimate:
     R_hat: float
     n_used: int
     ratio_tail: list
-    richardson_tail: list
     exceeds_one: bool  # R_hat > 1, expected for non-amenable groups
     rho_bracket: tuple = None  # (rho_lo, rho_hi) from the first-passage system
 
     def uncertainty(self):
+        """Width of a bar on rho_hat: the bracket, else the one-sided gap
+        down to the rigorous lower bound (rho_hat >= rho_lower by
+        construction)."""
         if self.rho_bracket is not None:
             return self.rho_bracket[1] - self.rho_bracket[0]
-        if len(self.richardson_tail) < 2:
-            return math.inf
-        return max(abs(v - self.rho_hat) for v in self.richardson_tail[-3:])
+        return self.rho_hat - self.rho_lower
 
 
 def spectral_radius(seq):
@@ -274,7 +274,6 @@ def spectral_radius(seq):
         R_hat=1.0 / rho_hat,
         n_used=even[-1][0],
         ratio_tail=[x for _, x in ratios[-5:]],
-        richardson_tail=rich[-5:],
         exceeds_one=1.0 / rho_hat > 1.0,
     )
 
@@ -510,39 +509,6 @@ class GreenEvaluator:
             i2_method=f"series/{tag}",
         )
 
-    def parabolic_i_sums(self, factor_id, r, order=1, factor_cap=60, tol=1e-10):
-        """I^(k) restricted to one parabolic factor, k in {1, 2}."""
-        self._check_r(r)
-        factor = self.group.factors[factor_id]
-        cap = factor_cap if factor.kind == "lattice" else None
-        elems = [()] + [
-            ((factor_id, p),) for p in factor.nontrivial_elements(cap)
-        ]
-        gvals = {g: self.green((), g, r).value for g in elems}
-        if order == 1:
-            shells = {}
-            for g in elems:
-                l = self.group.word_length(g)
-                shells[l] = shells.get(l, 0.0) + gvals[g] * self.green(g, (), r).value
-            series = [shells[l] for l in sorted(shells)]
-            _check_shell_decay(series, r)
-            return sum(series)
-        if order == 2:
-            total = 0.0
-            shells = {}
-            for g1 in elems:
-                for g2 in elems:
-                    mid = self.green(g1, g2, r).value
-                    val = gvals[g1] * mid * self.green(g2, (), r).value
-                    l = max(
-                        self.group.word_length(g1), self.group.word_length(g2)
-                    )
-                    shells[l] = shells.get(l, 0.0) + val
-                    total += val
-            _check_shell_decay([shells[l] for l in sorted(shells)], r)
-            return total
-        raise ValueError("order must be 1 or 2")
-
 
 def _sphere_sum(t, r):
     """1^T (I - M)^-1 t = sum_{m >= 1} 1^T M^(m-1) t, M[k, j] = t_k for j != k.
@@ -560,11 +526,3 @@ def _sphere_sum(t, r):
             diagnostics={"r": float(r), "syllable_weights": t},
         )
     return float(rest.sum())
-
-
-def _check_shell_decay(series, r):
-    if len(series) > 12 and series[-1] > series[-6]:
-        raise NonConvergenceError(
-            "parabolic shell sums are not decaying",
-            diagnostics={"r": r, "shells": series[-12:]},
-        )

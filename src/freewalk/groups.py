@@ -2,10 +2,11 @@
 
 Elements are kept in normal form: a tuple of syllables ``(factor_id, payload)``
 with adjacent syllables from distinct factors and no identity syllables.  The
-empty tuple is the group identity.  Two metrics are exposed: the word metric
-``d`` (sum of factor word lengths) and the relative metric ``d_hat`` (syllable
-count), which is the graph metric of the Cayley graph with every factor added
-wholesale to the generating set.
+empty tuple is the group identity.  Balls and spheres come in two metrics:
+the word metric ``d`` (sum of factor word lengths) and the relative metric
+``d_hat`` (syllable count, so the relative length of a normal form is its
+``len``), which is the graph metric of the Cayley graph with every factor
+added wholesale to the generating set.
 """
 
 import itertools
@@ -202,14 +203,6 @@ class FreeProduct:
             (fid, self.factors[fid].inv(payload)) for fid, payload in reversed(a)
         )
 
-    def syllable(self, fid, payload):
-        factor = self.factors[fid]
-        if factor.kind == "lattice":
-            payload = tuple(payload)
-        if factor.is_identity(payload):
-            return ()
-        return ((fid, payload),)
-
     def is_valid(self, a):
         for i, (fid, payload) in enumerate(a):
             if not (0 <= fid < len(self.factors)):
@@ -225,14 +218,8 @@ class FreeProduct:
     def word_length(self, a):
         return sum(self.factors[fid].length(p) for fid, p in a)
 
-    def rel_length(self, a):
-        return len(a)
-
     def dist(self, x, y):
         return self.word_length(self.multiply(self.invert(x), y))
-
-    def rel_dist(self, x, y):
-        return len(self.multiply(self.invert(x), y))
 
     def canonical_key(self, a):
         """Sort key: (syllable count, factor ids, payload keys)."""

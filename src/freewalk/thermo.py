@@ -64,9 +64,6 @@ class TransferMatrix:
     matrix: np.ndarray  # matrix[i, j] = e^{phi_r(symbols[i] . rep(symbols[j]))}
     seed: np.ndarray  # seed[i] = e^{phi_r((symbols[i],))}
 
-    def index(self, symbol):
-        return self.symbols.index(symbol)
-
 
 def build_transfer(evaluator, r, cap, depth=3):
     """Truncated transfer matrix over the cap-D symbol set at cylinder depth m."""
@@ -85,14 +82,6 @@ def build_transfer(evaluator, r, cap, depth=3):
     return TransferMatrix(
         r=float(r), cap=cap, depth=depth, symbols=symbols, matrix=mat, seed=seed
     )
-
-
-def transfer_apply(tm, f):
-    """One application of the truncated transfer operator to a symbol vector."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (len(tm.symbols),):
-        raise ValueError("vector length must match the symbol set")
-    return tm.matrix @ f
 
 
 def iterate_empty(tm, n_max):
@@ -199,53 +188,3 @@ def pressure(evaluator, r, ladder=((3, 2), (3, 3), (4, 3)), stab_tol=5e-3):
         ],
         semisimple_proxy=True,
     )
-
-
-def partition_function(tm, n, symbol):
-    """Z_n at a marked symbol by explicit periodic-orbit enumeration.
-
-    Sums the Birkhoff weight e^{S_n phi} over length-n symbol cycles through
-    ``symbol``, with phi read off the transfer matrix entries.  Independent
-    of matrix powers; used as a small-n consistency check.
-    """
-    syms = tm.symbols
-    start = tm.index(symbol)
-    follows = lambda i, j: syms[i][0] != syms[j][0]
-    total = 0.0
-    stack = [((start,), 1.0)]
-    while stack:
-        cycle, weight = stack.pop()
-        if len(cycle) == n:
-            if follows(cycle[-1], cycle[0]):
-                total += weight * tm.matrix[cycle[-1], cycle[0]]
-            continue
-        for j in range(len(syms)):
-            if follows(cycle[-1], j):
-                stack.append((cycle + (j,), weight * tm.matrix[cycle[-1], j]))
-    if n == 1:
-        # a period-1 cycle must be self-admissible, which alternation forbids
-        return 0.0
-    return total
-
-
-def partition_growth(tm, n, symbol, period=2):
-    """log( Z_{n+period}(s) / Z_n(s) ) / period: a bias-free growth rate.
-
-    The raw quantity log Z_n(s)/n carries the marked-symbol weight as a
-    log u(s)/n bias; the ratio over one symbol-graph period cancels it and
-    converges to the pressure.  For two-factor products the symbol graph is
-    bipartite, so odd-length cycles vanish and n must match the period's
-    parity.
-    """
-    z0 = partition_function(tm, n, symbol)
-    z1 = partition_function(tm, n + period, symbol)
-    if z0 <= 0 or z1 <= 0:
-        raise ValueError("no periodic orbits at the requested lengths")
-    return math.log(z1 / z0) / period
-
-
-def recurrence_band(tm, n_max=8):
-    """lambda^{-n} (L^n 1)(empty) for n = 1..n_max; bounded for recurrence."""
-    lam = perron_root(tm.matrix)
-    seq = iterate_empty(tm, n_max)
-    return [v / lam**n for n, v in enumerate(seq, start=1)]

@@ -501,9 +501,6 @@ class Distribution:
     def escaped_mass(self):
         return Fraction(self.escaped_numerator, self.denominator)
 
-    def total_mass(self):
-        return Fraction(sum(self.numerators.values()), self.denominator)
-
 
 def convolve_power(measure, n, ball_bound=None, budget=5 * 10**6):
     """Exact mu^{*n} on the ball; records escaped mass when truncated."""
@@ -570,46 +567,43 @@ class RadialChain:
         rows = [[float(p) for p in self.row(m)] for m in range(max_m + 1)]
         return np.array(rows).T.copy()  # contiguous, for the vector loops
 
-    def return_log_probs(self, horizon):
-        """log p_n(e,e) for n = 0..horizon (-inf where zero), float path."""
+    def _propagate(self, horizon):
+        """Yield (v, logscale) for n = 0..horizon: v * exp(logscale) = p_n(0 -> .).
+
+        Each step renormalises v to unit mass.  Rows sum to one and the
+        distances 0..horizon+1 hold every walk of up to ``horizon`` steps,
+        so no mass is lost and the total stays positive.
+        """
         max_m = horizon + 1
         down, stay, up = self.float_rows(max_m)
         v = np.zeros(max_m + 1)
         v[0] = 1.0
         logscale = 0.0
-        logs = np.full(horizon + 1, -np.inf)
-        logs[0] = 0.0
-        for n in range(1, horizon + 1):
+        yield v, logscale
+        for _ in range(horizon):
             nv = stay * v
             nv[:-1] += down[1:] * v[1:]
             nv[1:] += up[:-1] * v[:-1]
             total = nv.sum()
-            if total <= 0.0:
-                v = nv
-                continue
             v = nv / total
             logscale += math.log(total)
+            yield v, logscale
+
+    def return_log_probs(self, horizon):
+        """log p_n(e,e) for n = 0..horizon (-inf where zero), float path."""
+        logs = np.full(horizon + 1, -np.inf)
+        for n, (v, logscale) in enumerate(self._propagate(horizon)):
             if v[0] > 0.0:
                 logs[n] = logscale + math.log(v[0])
         return logs
 
     def float_masses(self, horizon):
         """(masses, logscales): masses[n, m] * exp(logscales[n]) = p_n(0 -> m)."""
-        max_m = horizon + 1
-        down, stay, up = self.float_rows(max_m)
-        masses = np.zeros((horizon + 1, max_m + 1))
+        masses = np.zeros((horizon + 1, horizon + 2))
         logscales = np.zeros(horizon + 1)
-        v = np.zeros(max_m + 1)
-        v[0] = 1.0
-        masses[0] = v
-        for n in range(1, horizon + 1):
-            nv = stay * v
-            nv[:-1] += down[1:] * v[1:]
-            nv[1:] += up[:-1] * v[:-1]
-            total = nv.sum()
-            v = nv / total
-            logscales[n] = logscales[n - 1] + math.log(total)
+        for n, (v, logscale) in enumerate(self._propagate(horizon)):
             masses[n] = v
+            logscales[n] = logscale
         return masses, logscales
 
 

@@ -189,8 +189,9 @@ class _Jet:
         return _Jet(s, self.d1 / (2.0 * s), self.d2 / (2.0 * s) - self.d1**2 / (4.0 * s**3))
 
 
-def _z2z3_green_jet(r):
-    """G(e,e|r) and its r-derivatives for Z2*Z3 = <s> * <t>, steps s, t, t^-1.
+def _z2z3_first_passage_jets(x):
+    """F_s = F(e, s) and F_t = F(e, t) as jets in x, for Z2*Z3 = <s> * <t>
+    with steps s, t, t^-1.
 
     Every factor element is a cut vertex, so by the first step
         F_s = r/3 (1 + 2 F_t F_s)        (from t or t^-1, back through e)
@@ -198,13 +199,25 @@ def _z2z3_green_jet(r):
     with F_t = F(e, t) = F(e, t^-1) by the automorphism t -> t^-1.
     Eliminating F_s = r / (3 - 2 r F_t) leaves a F_t^2 + b F_t + c = 0 with
     a = 2r^2 - 6r, b = r^2 - 3r + 9, c = -3r; the root through F_t(0) = 0
-    is written without cancellation.  Then G = 1 / (1 - r (F_s + 2 F_t)/3).
+    is written without cancellation.
     """
-    x = _Jet(r, 1.0)
     a = 2 * x * x - 6 * x
     b = x * x - 3 * x + 9
     ft = 6 * x / (b + (b * b + 12 * x * a).sqrt())
     fs = x / (3 - 2 * x * ft)
+    return fs, ft
+
+
+def z2z3_first_passages(r):
+    """(F_s, F_t) at r, from the closed form of ``_z2z3_first_passage_jets``."""
+    fs, ft = _z2z3_first_passage_jets(_Jet(r, 1.0))
+    return fs.v, ft.v
+
+
+def _z2z3_green_jet(r):
+    """G(e,e|r) and its r-derivatives: G = 1 / (1 - r (F_s + 2 F_t)/3)."""
+    x = _Jet(r, 1.0)
+    fs, ft = _z2z3_first_passage_jets(x)
     return 1 / (1 - x * (fs + 2 * ft) / 3)
 
 
@@ -220,7 +233,7 @@ def z2z3_i2(r):
 
 def z2z3_radius():
     """R: the least positive zero of the discriminant b^2 - 4ac of the
-    quadratic for F_t in ``_z2z3_green_jet``, where the branch through
+    quadratic for F_t in ``_z2z3_first_passage_jets``, where the branch through
     F_t(0) = 0 ends.  Bisection in exact rationals on [1, 3/2], where the
     discriminant changes sign once, down to adjacent floats."""
 

@@ -55,6 +55,13 @@ class TestSpectralRadius:
         long = spectral_radius(return_probabilities(f2_srw, 2000, method="radial"))
         assert long.rho_lower >= short.rho_lower - 1e-12
 
+    def test_uncertainty_covers_the_error(self, f2_srw):
+        # one-sided bar from rho_hat down to the rigorous lower bound
+        seq = return_probabilities(f2_srw, 4000, method="radial")
+        est = spectral_radius(seq)
+        assert est.uncertainty() == est.rho_hat - est.rho_lower
+        assert abs(est.rho_hat - 1.0 / F2_RADIUS) <= est.uncertainty() < 0.01
+
 
 class TestClosedForms:
     def test_green_at_one(self, ev):
@@ -247,10 +254,6 @@ class TestISums:
         with pytest.raises(NonConvergenceError) as err:
             ev.i_sums(0.9995 * F2_RADIUS)
         assert err.value.diagnostics["rel_gap"] > 1e-3
-
-    def test_parabolic_sums_finite(self, ev):
-        res = ev.parabolic_i_sums(0, ev.R_hat, order=1)
-        assert math.isfinite(res)
 
     def test_requires_single_syllable_support(self, f2):
         from fractions import Fraction

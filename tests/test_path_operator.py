@@ -169,7 +169,7 @@ def test_prune_distance_is_the_distance_to_the_factor(factor_id):
     assert op.size > 100
     for g, d in zip(op.elements(), op.dist.tolist()):
         want = min(
-            group.dist(group.syllable(factor_id, (j,)), g) for j in range(-12, 13)
+            group.dist(((factor_id, (j,)),) if j else (), g) for j in range(-12, 13)
         )
         assert d == want
 
@@ -209,4 +209,5 @@ def test_kernel_engines_agree_and_conserve_mass(mu, data):
 @given(mu=_cyclic_measures(), n=st.integers(0, 8), ball=st.integers(0, 4))
 def test_truncated_powers_conserve_mass_exactly(mu, n, ball):
     for dist in convolve_powers(mu, n, ball_bound=ball):
-        assert dist.total_mass() + dist.escaped_mass == 1
+        total = Fraction(sum(dist.numerators.values()), dist.denominator)
+        assert total + dist.escaped_mass == 1

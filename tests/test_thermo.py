@@ -6,16 +6,12 @@ from freewalk.green import GreenEvaluator
 from freewalk.thermo import (
     build_transfer,
     iterate_empty,
-    partition_function,
-    partition_growth,
     potential_eval,
     pressure,
-    recurrence_band,
     sphere_identity_check,
-    transfer_apply,
 )
 
-from oracles import f2_first_passage
+from oracles import f2_first_passage, z2z3_first_passages
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +55,6 @@ class TestTransfer:
                     assert tm.matrix[i, j] == 0.0
                 else:
                     assert tm.matrix[i, j] > 0.0
-
-    def test_apply_rejects_wrong_length(self, ev):
-        tm = build_transfer(ev, 0.5, cap=1, depth=2)
-        with pytest.raises(ValueError):
-            transfer_apply(tm, [1.0])
 
     def test_sphere_identity(self, ev):
         rows = sphere_identity_check(ev, 0.9 * ev.R_hat, cap=2, n_max=4)
@@ -124,6 +115,18 @@ class TestPerronRoot:
         (comp,) = pressure(ev, r, ladder=((cap, 3),)).components
         assert abs(comp.eigenvalue - want) / want < 1e-13
 
+    @pytest.mark.parametrize("frac", [0.5, 0.9, 0.98])
+    def test_z2z3_root_matches_the_closed_form(self, z2z3_srw, frac):
+        # at cap 2 the symbols are s, t, t^-1; s carries F(e,s) F(s,e) =
+        # F_s^2 and t^(+-1) carry F_t^2 to every symbol of the other factor,
+        # so the bipartite symbol graph has root^2 = F_s^2 * 2 F_t^2
+        ev23 = GreenEvaluator(z2z3_srw)
+        r = frac * ev23.R_hat
+        fs, ft = z2z3_first_passages(r)
+        want = math.sqrt(2.0) * fs * ft
+        (comp,) = pressure(ev23, r, ladder=((2, 3),)).components
+        assert abs(comp.eigenvalue - want) / want < 1e-13
+
 
 class TestPressureFrozen:
     # float.hex of the estimate at 0.9*R_hat with the default ladder: the
@@ -156,42 +159,7 @@ class TestPressureFrozen:
         ]
 
 
-class TestPartitionFunction:
-    def test_odd_cycles_vanish(self, ev):
-        tm = build_transfer(ev, 0.9 * ev.R_hat, cap=2, depth=3)
-        sym = tm.symbols[0]
-        assert partition_function(tm, 1, sym) == 0.0
-        assert partition_function(tm, 3, sym) == 0.0
-
-    def test_growth_matches_pressure(self, ev):
-        r = 0.9 * ev.R_hat
-        tm = build_transfer(ev, r, cap=2, depth=3)
-        est = pressure(ev, r, ladder=((2, 3),))
-        for sym in tm.symbols[:2]:
-            growth = partition_growth(tm, 2, sym, period=2)
-            assert abs(growth - est.value) < 0.1
-
-    def test_growth_finite_factors(self, z2z3_srw):
-        ev23 = GreenEvaluator(z2z3_srw)
-        r = 0.9 * ev23.R_hat
-        tm = build_transfer(ev23, r, cap=2, depth=3)
-        est = pressure(ev23, r, ladder=((2, 3),))
-        growth = partition_growth(tm, 2, tm.symbols[0], period=2)
-        assert abs(growth - est.value) < 0.1
-
-    def test_growth_raises_without_orbits(self, ev):
-        tm = build_transfer(ev, 0.9 * ev.R_hat, cap=2, depth=3)
-        with pytest.raises(ValueError):
-            partition_growth(tm, 1, tm.symbols[0], period=2)
-
-
 class TestRecurrence:
-    def test_band_is_bounded(self, ev):
-        tm = build_transfer(ev, 0.9 * ev.R_hat, cap=2, depth=3)
-        band = recurrence_band(tm, n_max=8)
-        assert all(v > 0 for v in band)
-        assert max(band) / min(band) < 10.0
-
     def test_iterates_decay_inside_radius(self, ev):
         tm = build_transfer(ev, 0.5 * ev.R_hat, cap=2, depth=3)
         seq = iterate_empty(tm, 6)
