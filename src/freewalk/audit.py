@@ -28,23 +28,29 @@ DEVIATION_FLOOR = 1e-9
 # -- element sampling ---------------------------------------------------------
 
 
-def _random_syllable(group, rng, fid, cap):
-    factor = group.factors[fid]
-    if factor.kind == "lattice":
-        choices = [p for p in factor.nontrivial_elements(cap)]
-    else:
-        choices = list(factor.nontrivial_elements())
-    return (fid, rng.choice(choices))
+def syllable_choices(group, cap=3):
+    """Per factor, the payloads a random syllable is drawn from: every
+    nontrivial element, up to factor word length ``cap`` on a lattice."""
+    return [
+        list(f.nontrivial_elements(cap if f.kind == "lattice" else None))
+        for f in group.factors
+    ]
 
 
-def random_element(group, rng, n_syllables, cap=3):
-    """A uniform-ish random normal form with ``n_syllables`` syllables."""
+def _random_syllable(rng, choices, fids):
+    fid = rng.choice(fids)
+    return (fid, rng.choice(choices[fid]))
+
+
+def random_element(choices, rng, n_syllables):
+    """A uniform-ish random normal form with ``n_syllables`` syllables,
+    drawn from ``choices`` (see ``syllable_choices``)."""
     out = []
     last = None
     for _ in range(n_syllables):
-        fid = rng.choice([k for k in range(len(group.factors)) if k != last])
-        out.append(_random_syllable(group, rng, fid, cap))
-        last = fid
+        fids = [k for k in range(len(choices)) if k != last]
+        out.append(_random_syllable(rng, choices, fids))
+        last = out[-1][0]
     return tuple(out)
 
 
@@ -111,13 +117,14 @@ def ancona_audit(
     """
     group = evaluator.group
     rng = random.Random(seed)
+    choices = syllable_choices(group, syllable_cap)
     ratios = []
     skipped = 0
     ok = 0
     for _ in range(n_triples):
         span = rng.randint(2, max_rel_dist)
-        x = random_element(group, rng, rng.randint(0, 2), syllable_cap)
-        delta = random_element(group, rng, span, syllable_cap)
+        x = random_element(choices, rng, rng.randint(0, 2))
+        delta = random_element(choices, rng, span)
         z = group.multiply(x, delta)
         geo = group.rel_geodesic(x, z)
         y = geo[rng.randint(1, len(geo) - 1)]
@@ -140,16 +147,16 @@ def ancona_audit(
     strong = []
     for n in range(1, max_rel_dist + 1):
         for _ in range(10):
-            prefix = random_element(group, rng, n, syllable_cap)
+            prefix = random_element(choices, rng, n)
             first_fid = prefix[0][0]
             last_fid = prefix[-1][0]
             # x, x' extend backwards from e; y, y' extend past the prefix
             back_fids = [k for k in range(len(group.factors)) if k != first_fid]
             fwd_fids = [k for k in range(len(group.factors)) if k != last_fid]
-            x = group.invert((_random_syllable(group, rng, rng.choice(back_fids), syllable_cap),))
-            xp = group.invert((_random_syllable(group, rng, rng.choice(back_fids), syllable_cap),))
-            y = group.multiply(prefix, (_random_syllable(group, rng, rng.choice(fwd_fids), syllable_cap),))
-            yp = group.multiply(prefix, (_random_syllable(group, rng, rng.choice(fwd_fids), syllable_cap),))
+            x = group.invert((_random_syllable(rng, choices, back_fids),))
+            xp = group.invert((_random_syllable(rng, choices, back_fids),))
+            y = group.multiply(prefix, (_random_syllable(rng, choices, fwd_fids),))
+            yp = group.multiply(prefix, (_random_syllable(rng, choices, fwd_fids),))
             if x == xp or y == yp:
                 continue
             num = evaluator.green(x, y, r).value * evaluator.green(xp, yp, r).value

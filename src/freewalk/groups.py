@@ -218,9 +218,6 @@ class FreeProduct:
     def word_length(self, a):
         return sum(self.factors[fid].length(p) for fid, p in a)
 
-    def dist(self, x, y):
-        return self.word_length(self.multiply(self.invert(x), y))
-
     def canonical_key(self, a):
         """Sort key: (syllable count, factor ids, payload keys)."""
         return (
@@ -262,13 +259,12 @@ class FreeProduct:
         return sorted(elems, key=self.canonical_key)
 
     def sphere(self, radius, metric="word", syllable_cap=None, budget=10**7):
-        if radius == 0:
-            return [()]
-        inner = set(self.ball(radius - 1, metric, syllable_cap, budget))
+        """The elements of ``ball(radius)`` at distance exactly ``radius``."""
+        length = len if metric == "relative" else self.word_length
         return [
             g
             for g in self.ball(radius, metric, syllable_cap, budget)
-            if g not in inner
+            if length(g) == radius
         ]
 
     def _word_ball(self, radius, budget):

@@ -8,6 +8,11 @@ propagator (integer numerators, rational r folded into the steps) serves
 rational r and additionally prunes by remaining steps (a state farther from
 H_k than the steps left cannot contribute, so the prune is lossless); its
 float propagator serves the rest.  States are truncated to a word ball.
+Where the truncated chain is lumpable onto its expansion levels (the tree
+and finite-factor walks), the float propagator steps one block per level,
+which keeps the masses within rounding of the exact chain; elsewhere it
+steps every state (``PathOperator.float_absorb``).  ``chain_size`` records
+which: the blocks and sinks the steps propagated.
 
 Over a factor ball the kernel is a finite non-negative matrix K.  Its
 Perron root is read off the eigenvalues of K, and an induced Green
@@ -57,6 +62,7 @@ class ReturnKernel:
     in_flight_mass: object  # weight still outside H_k at step L
     escaped_mass: object  # weight dropped at the ball boundary
     exact: bool
+    chain_size: int  # states (float mode: blocks and sinks) the steps propagate
 
 
 def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=None):
@@ -85,8 +91,9 @@ def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=
                 break
         returned = sum(row.values(), Fraction(0))
         in_flight = Fraction(sum(nums), denom)
+        chain_size = op.size
     else:
-        row, returned, in_flight, escaped = op.float_absorb(max_len)
+        row, returned, in_flight, escaped, chain_size = op.float_absorb(max_len)
     return ReturnKernel(
         factor_id=factor_id,
         r=r,
@@ -97,6 +104,7 @@ def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=
         in_flight_mass=in_flight,
         escaped_mass=escaped,
         exact=exact,
+        chain_size=chain_size,
     )
 
 

@@ -12,8 +12,8 @@ level at a time in numpy: a step is a lookup in its syllable's merge
 table, and no word is multiplied, measured or hashed.  The exact
 propagator keeps integer numerators over a power denominator and does
 each step as one product and one grouped sum over object arrays; the
-float propagator applies the ball's weighted transition list once per
-step.
+float propagator applies a weighted transition list once per step, over
+the ball's expansion levels where the chain is lumpable onto them.
 
 Exact return probabilities meet in the middle: p_{a+b}(e,e) pairs mu^{*a}
 with the powers of the reflected measure g -> mu(g^-1) (mu itself when it
@@ -266,7 +266,9 @@ class PathOperator:
     ``exact_steps`` keeps integer numerators over ``denominator ** n``,
     with the rational r folded into the step numerators, and expands the
     states new at each step as one batch.  ``float_absorb`` expands the
-    ball one level at a time and applies its transition list per step.
+    ball one level at a time and applies one transition list per step:
+    over the levels when the chain is lumpable onto them, over the
+    states otherwise.
     Element tuples are built only by ``elements``.  Operators built on one
     ``tree`` share its node ids, so their states pair by node.
     """
@@ -441,36 +443,67 @@ class PathOperator:
             yield ids, nums, hits, escaped
 
     def float_absorb(self, n):
-        """(absorbed, absorbed_total, in_flight, escaped) after n steps.
+        """(absorbed, absorbed_total, in_flight, escaped, size) after n steps.
 
         Masses are floats; ``absorbed`` maps labels to masses.  The ball
         of a new operator is expanded level by level from e, each level's
-        new in-flight states as one batch, into one list of weighted
-        (source, destination) entries over the in-flight states (in the
-        order they were reached) followed by the sinks: the escape sink,
-        then the absorbing states.  A unit self-loop on each sink comes
-        first, so the mass in it accumulates.  Each step is one
-        ``np.bincount`` over that list, which adds into every destination
-        in list order.
+        new in-flight states as one batch; a live state's level is the
+        expansion that first reached it (e alone is level 0).  The steps
+        run on a chain of live blocks followed by the sinks: the escape
+        sink, then one per absorbing state.  With one block per level,
+        the check is that every live state's sorted (target block, step
+        numerator) pairs equal those of its level's first state.  Then
+        the chain is lumpable onto its levels (Kemeny and Snell 1960):
+        each level is one block, stepped by its first state's row, and
+        the steps into one block are one weight, their numerators' sum
+        over the denominator.  Otherwise each live state is a block, in
+        the order it was reached, with one entry per step.  The chain is
+        one list of weighted (source, destination) entries, with a unit
+        self-loop on each sink first, so the mass in it accumulates.  Each
+        step is one ``np.bincount`` over that list, which adds into every
+        destination in list order.  ``size`` counts the blocks and sinks.
         """
         levels, frontier = [], np.zeros(1, np.int64)
         while len(frontier):
             first = self.size
-            levels.append(self._expand(frontier).ravel())
+            levels.append(self._expand(frontier))
             fresh = np.arange(first, self.size)
             frontier = fresh[~self.absorbs[fresh]]
         live = ~self.absorbs
         live[0] = True  # e starts every path
         pos = np.cumsum(live) - 1
-        k = int(pos[-1]) + 1
-        sink = k + np.cumsum(self.absorbs)  # the escape sink is k
-        t = np.concatenate(levels)
-        dst = np.where(t < 0, k, np.where(self.absorbs[t], sink[t], pos[t]))
+        nth = np.cumsum(self.absorbs) - 1  # absorbing state -> its sink's rank
+        t = np.concatenate(levels)  # (live state, step) targets
+
+        def targets(block, k):
+            """Block of each target, live state i being in ``block[i]`` of k."""
+            sink = np.where(self.absorbs[t], k + 1 + nth[t], block[pos[t]])
+            return np.where(t < 0, k, sink)
+
+        counts = [len(level) for level in levels]
+        level = np.repeat(np.arange(len(levels)), counts)
+        firsts = np.cumsum(counts) - counts
+        rank = {v: i for i, v in enumerate(sorted(set(self.numerators)))}
+        steps = np.array([rank[v] for v in self.numerators])
+        dst = targets(level, len(levels))
+        pairs = np.sort(dst * len(rank) + steps, axis=1)
+        if (pairs == pairs[firsts[level]]).all():
+            k, merged = len(levels), {}
+            for i, row in enumerate(dst[firsts].tolist()):
+                for b, num in zip(row, self.numerators):
+                    merged[i, b] = merged.get((i, b), 0) + num
+            src, dst = np.array(list(merged), np.int64).T
+            wgt = [num / self.denominator for num in merged.values()]
+        else:
+            k = len(t)
+            src = np.repeat(np.arange(k), len(self.numerators))
+            dst = targets(np.arange(k), k).ravel()
+            wgt = np.tile(self.float_weights, k)
         loops = np.arange(k, k + 1 + len(self.labels))
         size = len(loops) + k
-        src = np.concatenate([loops, np.repeat(np.arange(k), len(self.numerators))])
+        src = np.concatenate([loops, src])
         dst = np.concatenate([loops, dst])
-        wgt = np.concatenate([np.ones(len(loops)), np.tile(self.float_weights, k)])
+        wgt = np.concatenate([np.ones(len(loops)), wgt])
         x = np.zeros(size)
         x[0] = 1.0
         for _ in range(n):
@@ -482,7 +515,8 @@ class PathOperator:
             for i, label in enumerate(self.labels.values())
             if x[k + 1 + i]
         }
-        return absorbed, float(x[k + 1:].sum()), float(x[:k].sum()), float(x[k])
+        return (absorbed, float(x[k + 1:].sum()), float(x[:k].sum()), float(x[k]),
+                size)
 
 
 @dataclass
@@ -496,10 +530,6 @@ class Distribution:
 
     def mass(self, elem):
         return Fraction(self.numerators.get(elem, 0), self.denominator)
-
-    @property
-    def escaped_mass(self):
-        return Fraction(self.escaped_numerator, self.denominator)
 
 
 def convolve_power(measure, n, ball_bound=None, budget=5 * 10**6):

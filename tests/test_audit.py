@@ -8,6 +8,7 @@ from freewalk.audit import (
     llt_fit,
     random_element,
     ratio_report,
+    syllable_choices,
     synthetic_log_probs,
 )
 from freewalk.green import GreenEvaluator
@@ -24,7 +25,7 @@ class TestSampling:
 
         rng = random.Random(7)
         for n in range(6):
-            g = random_element(f2, rng, n)
+            g = random_element(syllable_choices(f2), rng, n)
             assert len(g) == n
             assert f2.is_valid(g)
 
