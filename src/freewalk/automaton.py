@@ -55,6 +55,3 @@ class Automaton:
             counts = [(total - counts[k]) * per_factor[k] for k in range(len(counts))]
         return sum(counts)
 
-
-def build_automaton(group, cap):
-    return Automaton(group, cap)

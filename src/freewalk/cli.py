@@ -188,7 +188,7 @@ def cmd_pressure(cfg, args, shared):
     started = time.time()
     ev = shared.evaluator
     grid = cfg.resolve_r_grid(ev.R_hat) or [ev.R_hat]
-    ladder = ((cfg.cap, cfg.depth - 1), (cfg.cap, cfg.depth))
+    ladder = (max(cfg.cap - 1, 1), cfg.cap)
     results = []
     for r in grid:
         est = pressure(ev, r, ladder=ladder)
@@ -265,7 +265,7 @@ def cmd_report(cfg, args, shared):
         rc = max(rc, sub(cfg, args, shared))
     started = time.time()
     ev = shared.evaluator
-    ident = sphere_identity_check(ev, 0.9 * ev.R_hat, cfg.cap, 4, cfg.depth)
+    ident = sphere_identity_check(ev, 0.9 * ev.R_hat, cfg.cap, 4)
     payload = _report_header(cfg, args, started)
     payload.update(
         {

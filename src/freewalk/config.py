@@ -97,7 +97,6 @@ class ExperimentConfig:
     horizon: int = 200
     r_grid: list = field(default_factory=list)  # entries: float or "0.9R"
     cap: int = 3  # syllable word-length truncation D
-    depth: int = 3  # cylinder depth m for transfer matrices
     kernel_len: int = 30  # first-return path-length cap L
     kernel_ball: int = 8  # first-return state-ball cap B
     seed: int = 0
@@ -131,7 +130,6 @@ _TOP_OPTIONAL = [
     "horizon",
     "r_grid",
     "cap",
-    "depth",
     "kernel_len",
     "kernel_ball",
     "seed",
@@ -160,7 +158,7 @@ def parse_config(raw):
     group = FreeProduct(factors, name=raw["name"])
     measure = _build_measure(group, raw["measure"])
     knobs = {}
-    for key in ("horizon", "cap", "depth", "kernel_len", "kernel_ball", "seed"):
+    for key in ("horizon", "cap", "kernel_len", "kernel_ball", "seed"):
         if key in raw:
             value = raw[key]
             if not isinstance(value, int) or (value <= 0 and key != "seed"):

@@ -429,19 +429,14 @@ class GreenEvaluator:
 
     # -- derivative ----------------------------------------------------------
 
-    def green_derivative(self, x, y, r, mode="series"):
-        """d/dr ( r G(e,e|r) ), by the return series or by the
-        sum-over-gamma identity (the relative-sphere I1); (x, y) = (e, e)."""
+    def green_derivative(self, x, y, r):
+        """d/dr ( r G(e,e|r) ) by the return series; (x, y) = (e, e).  The
+        relative-sphere route to the same value is ``i_sums(r).i1``."""
         self._check_r(r)
         if x or y:
             raise ValueError(f"green_derivative is available at (e, e) only, not ({x}, {y})")
-        if mode == "series":
-            v, tail, tag, n = _eval_series(_binomial_weighted(self._return_logs, 1), r)
-            return GreenValue(v, tail, f"derivative-series/{tag}", n)
-        if mode == "identity":
-            s = self.i_sums(r)
-            return GreenValue(s.i1, 0.0, "derivative-identity/sphere", 0)
-        raise ValueError(f"unknown mode {mode!r}")
+        v, tail, tag, n = _eval_series(_binomial_weighted(self._return_logs, 1), r)
+        return GreenValue(v, tail, f"derivative-series/{tag}", n)
 
     # -- I sums --------------------------------------------------------------
 
@@ -479,7 +474,7 @@ class GreenEvaluator:
             syls = [((fid, p),) for p in factor.nontrivial_elements(cap)]
             t.append(sum(fp((), s, r).value * fp(s, (), r).value for s in syls))
         total = gee * gee * (1.0 + _sphere_sum(t, r))
-        dg = self.green_derivative((), (), r, mode="series").value
+        dg = self.green_derivative((), (), r).value
         rel_gap = abs(total - dg) / dg
         if rel_gap > I1_ROUTE_TOL:
             raise NonConvergenceError(

@@ -271,13 +271,13 @@ class FreeProduct:
         gens = self.generators()
         seen = {(): 0}
         frontier = [()]
-        for depth in range(radius):
+        for n in range(radius):
             nxt = []
             for g in frontier:
                 for s in gens:
                     h = self.multiply(g, s)
                     if h not in seen:
-                        seen[h] = depth + 1
+                        seen[h] = n + 1
                         nxt.append(h)
                         if len(seen) > budget:
                             raise BudgetError(

@@ -2,15 +2,18 @@
 
 The potential of a nonempty symbol path x with element g and first syllable
 g_1 is phi_r(x) = log( H(e,g|r) / H(g_1,g|r) ), with H(x,y|r) the product of
-the two Green functions between x and y.  Summing phi_r along the shift
-telescopes, which yields the sphere identity
+the two Green functions between x and y.  For a measure on single
+syllables every syllable prefix is a cut vertex (Woess 2000), so
+phi_r(x) = log F(e,g_1|r) F(g_1,e|r) depends on the first symbol alone and
+the transfer operator is a matrix over the symbols; other measures are
+refused.  Summing phi_r along the shift telescopes, which yields the
+sphere identity
 
     (L_r^n 1)(empty) * H(e,e|r) = sum over the relative n-sphere of H(e,g|r)
 
 used here both as a consistency check and as the route to the Gurevich
 pressure P(r) = log of the leading transfer eigenvalue, the Perron root of
-the truncated transfer matrix read off its eigenvalues
-(``algebraic.perron_root``).
+the truncated transfer matrix (``algebraic.perron_root``).
 
 The empty path is excluded from the potential's domain; iteration at the
 empty word is seeded directly with the single-symbol values.
@@ -18,26 +21,22 @@ empty word is seeded directly with the single-symbol values.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebraic import perron_root
-from .automaton import build_automaton
-from .errors import NonConvergenceError
+from .automaton import Automaton
+from .errors import GroupSpecError, NonConvergenceError
 
 
 def potential_eval(evaluator, path, r):
     """phi_r of a nonempty symbol path, via Green function ratios."""
     if not path:
         raise ValueError("the potential is not defined on the empty path")
-    group = evaluator.group
     g = tuple(path)
     num = evaluator.h_value(g, r)
-    if len(path) == 1:
-        den = evaluator.h_value((), r)
-    else:
-        den = evaluator.h_value(g[1:], r)
+    den = evaluator.h_value(g[1:], r)
     if num <= 0 or den <= 0:
         raise NonConvergenceError(
             "Green function vanished in a potential ratio",
@@ -46,41 +45,37 @@ def potential_eval(evaluator, path, r):
     return math.log(num / den)
 
 
-def _representative(symbols, start, depth, follows):
-    """A canonical depth-``depth`` continuation beginning with ``start``."""
-    path = [start]
-    while len(path) < depth:
-        nxt = next(s for s in symbols if follows(path[-1], s))
-        path.append(nxt)
-    return tuple(path)
-
-
 @dataclass
 class TransferMatrix:
     r: float
     cap: int
-    depth: int
     symbols: tuple
-    matrix: np.ndarray  # matrix[i, j] = e^{phi_r(symbols[i] . rep(symbols[j]))}
+    matrix: np.ndarray  # matrix[i, j] = seed[i] if symbols[j] follows symbols[i], else 0
     seed: np.ndarray  # seed[i] = e^{phi_r((symbols[i],))}
 
 
-def build_transfer(evaluator, r, cap, depth=3):
-    """Truncated transfer matrix over the cap-D symbol set at cylinder depth m."""
-    auto = build_automaton(evaluator.group, cap)
+def build_transfer(evaluator, r, cap):
+    """Truncated transfer matrix over the cap-D symbol set.
+
+    Row i is e^{phi_r(s_i)} on every symbol that may follow s_i and 0
+    elsewhere, one potential evaluation per symbol; raises
+    ``GroupSpecError`` off single-syllable support.
+    """
+    if not evaluator.single_syllable_support:
+        raise GroupSpecError(
+            "the transfer matrix requires single-syllable support, where the "
+            "potential depends on the first symbol alone"
+        )
+    auto = Automaton(evaluator.group, cap)
     symbols = auto.symbols()
-    n = len(symbols)
-    mat = np.zeros((n, n))
-    seed = np.zeros(n)
-    for i, s in enumerate(symbols):
-        seed[i] = math.exp(potential_eval(evaluator, (s,), r))
-        for j, t in enumerate(symbols):
-            if not auto.follows(s, t):
-                continue
-            rep = _representative(symbols, t, depth, auto.follows)
-            mat[i, j] = math.exp(potential_eval(evaluator, (s,) + rep, r))
+    seed = np.array([math.exp(potential_eval(evaluator, (s,), r)) for s in symbols])
+    follows = np.array([[auto.follows(s, t) for t in symbols] for s in symbols])
     return TransferMatrix(
-        r=float(r), cap=cap, depth=depth, symbols=symbols, matrix=mat, seed=seed
+        r=float(r),
+        cap=cap,
+        symbols=symbols,
+        matrix=np.where(follows, seed[:, None], 0.0),
+        seed=seed,
     )
 
 
@@ -99,15 +94,15 @@ def iterate_empty(tm, n_max):
     return out
 
 
-def sphere_identity_check(evaluator, r, cap, n_max, depth=3):
+def sphere_identity_check(evaluator, r, cap, n_max):
     """Compare (L^n 1)(empty)*H(e,e|r) against direct relative-sphere sums.
 
     Returns a list of (n, transfer_value, direct_value, rel_err).
     """
-    tm = build_transfer(evaluator, r, cap, depth)
+    tm = build_transfer(evaluator, r, cap)
     lhs_seq = iterate_empty(tm, n_max)
     hee = evaluator.h_value((), r)
-    auto = build_automaton(evaluator.group, cap)
+    auto = Automaton(evaluator.group, cap)
     rows = []
     for n in range(1, n_max + 1):
         direct = sum(
@@ -120,23 +115,13 @@ def sphere_identity_check(evaluator, r, cap, n_max, depth=3):
 
 
 @dataclass
-class ComponentInfo:
-    size: int
-    eigenvalue: float
-    is_maximal: bool
-
-
-@dataclass
 class PressureEstimate:
     r: float
-    eigenvalue: float
+    eigenvalue: float  # Perron root of the last rung's matrix
     value: float  # log eigenvalue
     cap: int
-    depth: int
-    ladder: list  # [(cap, depth, P_hat)]
+    ladder: list  # [(cap, P_hat)]
     stabilized: bool
-    components: list = field(default_factory=list)
-    semisimple_proxy: bool = True
 
     def to_json(self):
         return json.dumps(
@@ -145,46 +130,34 @@ class PressureEstimate:
                 "eigenvalue": self.eigenvalue,
                 "pressure": self.value,
                 "cap": self.cap,
-                "depth": self.depth,
                 "ladder": self.ladder,
                 "stabilized": self.stabilized,
-                "semisimple_proxy": self.semisimple_proxy,
-                "components": [
-                    {"size": c.size, "eigenvalue": c.eigenvalue, "maximal": c.is_maximal}
-                    for c in self.components
-                ],
             },
             indent=2,
         )
 
 
-def pressure(evaluator, r, ladder=((3, 2), (3, 3), (4, 3)), stab_tol=5e-3):
-    """Gurevich pressure estimate with a (cap, depth) stabilization ladder.
+def pressure(evaluator, r, ladder=(2, 3, 4), stab_tol=5e-3):
+    """Gurevich pressure estimate with a ladder over syllable caps.
 
-    The symbol graph is strongly connected: a symbol can be followed by
-    every symbol of another factor, and there are at least two factors.  So
-    the last rung's matrix is its one component, maximal by itself, and the
-    semisimplicity proxy (no maximal component reaches another) holds.
+    Each rung is log of the Perron root of ``build_transfer`` at that cap,
+    so multi-syllable measures are refused; the estimate is the last rung,
+    and ``stabilized`` says its last two rungs differ by less than
+    ``stab_tol``.  The symbol graph is one strongly connected component: a
+    symbol can be followed by every symbol of another factor, and there
+    are at least two factors.
     """
     rungs = []
-    for cap, depth in ladder:
-        tm = build_transfer(evaluator, r, cap, depth)
-        lam = perron_root(tm.matrix)
-        rungs.append((cap, depth, math.log(lam) if lam > 0 else -math.inf))
-    p_hat = rungs[-1][2]
-    stabilized = (
-        len(rungs) > 1 and abs(rungs[-1][2] - rungs[-2][2]) < stab_tol
-    )
+    for cap in ladder:
+        lam = perron_root(build_transfer(evaluator, r, cap).matrix)
+        rungs.append((cap, math.log(lam) if lam > 0 else -math.inf))
+    p_hat = rungs[-1][1]
+    stabilized = len(rungs) > 1 and abs(rungs[-1][1] - rungs[-2][1]) < stab_tol
     return PressureEstimate(
         r=float(r),
-        eigenvalue=math.exp(p_hat) if p_hat > -math.inf else 0.0,
+        eigenvalue=lam,
         value=p_hat,
         cap=rungs[-1][0],
-        depth=rungs[-1][1],
         ladder=rungs,
         stabilized=stabilized,
-        components=[
-            ComponentInfo(size=len(tm.symbols), eigenvalue=lam, is_maximal=True)
-        ],
-        semisimple_proxy=True,
     )

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from freewalk.audit import ancona_audit, llt_fit, ratio_report, synthetic_log_probs
-from freewalk.automaton import build_automaton
+from freewalk.automaton import Automaton
 from freewalk.errors import NonConvergenceError
 from freewalk.green import GreenEvaluator, spectral_radius
 from freewalk.parabolic import degeneracy_test, first_return_kernel, induced_green
@@ -102,11 +102,11 @@ def test_criterion_04_derivative_identity(ev):
     worst = 0.0
     for frac in (0.5, 0.8, 0.9):
         r = frac * ev.R_hat
-        series = ev.green_derivative((), (), r, mode="series").value
-        ident = ev.green_derivative((), (), r, mode="identity").value
+        series = ev.green_derivative((), (), r).value
+        ident = ev.i_sums(r).i1
         worst = max(worst, abs(series - ident) / series)
     ok = worst <= 1e-3
-    assert _line(4, ok, f"derivative modes agree to {worst:.1e}")
+    assert _line(4, ok, f"derivative routes agree to {worst:.1e}")
 
 
 def test_criterion_05_first_return_kernel(f2_srw, f2, ev):
@@ -156,7 +156,7 @@ def test_criterion_07_coding_bijection(f2, z2z3):
     ok = True
     for group in (f2, z2z3):
         for cap in (1, 2):
-            auto = build_automaton(group, cap)
+            auto = Automaton(group, cap)
             spheres = bfs_relative_spheres(group, 5, cap=cap)
             for n in range(6):
                 elems = [e for _, e in auto.enumerate_sphere(n)]
@@ -174,12 +174,12 @@ def test_criterion_08_thermodynamic_layer(ev):
     ok &= inside.value < 0.0
     at_radius = pressure(ev, ev.R_hat)
     ok &= -0.05 < at_radius.value <= 0.01
-    rung_values = [abs(p) for _, _, p in at_radius.ladder]
+    rung_values = [abs(p) for _, p in at_radius.ladder]
     ok &= rung_values[-1] <= rung_values[0]  # ladder trends toward 0
     prods = []
     for f in (0.90, 0.95, 0.98):
         r = f * ev.R_hat
-        p = pressure(ev, r, ladder=((3, 3),)).value
+        p = pressure(ev, r, ladder=(3,)).value
         prods.append(abs(p) * ev.i_sums(r).i1)
     band = max(prods) / min(prods)
     ok &= band < 4.0

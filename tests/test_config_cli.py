@@ -51,9 +51,10 @@ class TestConfigParsing:
         assert cfg.measure.is_symmetric()
 
     def test_unknown_top_level_key(self):
-        bad = dict(BASE, horizons=10)
-        with pytest.raises(ConfigError):
-            parse_config(bad)
+        # "depth" too: the transfer matrix has no cylinder depth
+        for key in ("horizons", "depth"):
+            with pytest.raises(ConfigError):
+                parse_config(dict(BASE, **{key: 3}))
 
     def test_wrong_schema_version(self):
         with pytest.raises(ConfigError):
@@ -154,6 +155,12 @@ class TestCliExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["walk", "--config", str(path)]) == 2
+
+    def test_depth_knob_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(dict(BASE, depth=3)))
+        assert main(["pressure", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_r_grid_past_the_radius(self, tmp_path, capsys):
         path = tmp_path / "tree.json"
@@ -301,6 +308,20 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_report_exits_zero(self, path, tmp_path):
         assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_pressure_keeps_the_benchmark_fields(self, path, tmp_path):
+        # the fields the benchmark's pressure check reads; the transfer
+        # matrix has no cylinder depth and is one component, so no key says so
+        name = json.loads(path.read_text())["name"]
+        assert main(["pressure", "--config", str(path), "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / f"{name}_pressure.json").read_text())
+        assert data["estimates"]
+        for est in data["estimates"]:
+            assert isinstance(est["r"], float)
+            assert est["eigenvalue"] > 0
+            assert {"pressure", "cap", "ladder", "stabilized"} <= est.keys()
+            assert not {"depth", "components", "semisimple_proxy"} & est.keys()
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_report_reads_the_first_passage_system(self, path, tmp_path):

@@ -116,17 +116,17 @@ class TestDerivative:
     def test_series_vs_identity(self, ev):
         for frac in (0.5, 0.8, 0.9):
             r = frac * ev.R_hat
-            series = ev.green_derivative((), (), r, mode="series").value
-            ident = ev.green_derivative((), (), r, mode="identity").value
+            series = ev.green_derivative((), (), r).value
+            ident = ev.i_sums(r).i1
             assert abs(series - ident) / series < 1e-3
 
-    def test_identity_mode_only_at_identity(self, ev):
+    def test_derivative_only_at_identity(self, ev):
         with pytest.raises(ValueError):
-            ev.green_derivative((), ((0, (1,)),), 0.5, mode="identity")
+            ev.green_derivative((), ((0, (1,)),), 0.5)
 
     def test_derivative_positive_and_increasing(self, ev):
         vals = [
-            ev.green_derivative((), (), f * ev.R_hat, mode="series").value
+            ev.green_derivative((), (), f * ev.R_hat).value
             for f in (0.3, 0.6, 0.9)
         ]
         assert all(v > 0 for v in vals)

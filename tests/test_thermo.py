@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from freewalk.errors import GroupSpecError
 from freewalk.green import GreenEvaluator
 from freewalk.thermo import (
     build_transfer,
@@ -12,6 +13,7 @@ from freewalk.thermo import (
 )
 
 from oracles import f2_first_passage, z2z3_first_passages
+from test_path_operator import _measure
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +33,7 @@ class TestPotential:
 
     def test_depends_only_on_first_symbol(self, ev):
         # the cut-vertex factorization makes the Green ratio insensitive to
-        # the continuation, so cylinder depth does not matter
+        # the continuation, so build_transfer reads one value per symbol
         r = 0.9 * ev.R_hat
         one = potential_eval(ev, ((0, (1,)),), r)
         two = potential_eval(ev, ((0, (1,)), (1, (2,))), r)
@@ -46,15 +48,26 @@ class TestPotential:
 
 class TestTransfer:
     def test_matrix_shape_and_positivity(self, ev):
-        tm = build_transfer(ev, 0.9 * ev.R_hat, cap=2, depth=3)
+        tm = build_transfer(ev, 0.9 * ev.R_hat, cap=2)
         n = len(tm.symbols)
         assert tm.matrix.shape == (n, n)
+        assert (tm.seed > 0.0).all()
         for i, s in enumerate(tm.symbols):
             for j, t in enumerate(tm.symbols):
                 if s[0] == t[0]:
                     assert tm.matrix[i, j] == 0.0
                 else:
-                    assert tm.matrix[i, j] > 0.0
+                    assert tm.matrix[i, j] == tm.seed[i]
+
+    def test_refuses_multi_syllable_support(self):
+        # off single syllables the potential depends on more than the
+        # first symbol, so there is no symbol-level matrix to build
+        ev_m = GreenEvaluator(_measure("f2_two_letter"), horizon=30, ball_bound=6)
+        r = 0.5 * ev_m.R_hat
+        with pytest.raises(GroupSpecError):
+            build_transfer(ev_m, r, cap=2)
+        with pytest.raises(GroupSpecError):
+            pressure(ev_m, r)
 
     def test_sphere_identity(self, ev):
         rows = sphere_identity_check(ev, 0.9 * ev.R_hat, cap=2, n_max=4)
@@ -81,26 +94,20 @@ class TestPressure:
 
     def test_eigenvalue_monotone_in_r(self, ev):
         vals = [
-            pressure(ev, f * ev.R_hat, ladder=((2, 2), (2, 3))).eigenvalue
+            pressure(ev, f * ev.R_hat, ladder=(2, 3)).eigenvalue
             for f in (0.5, 0.7, 0.9)
         ]
         assert vals == sorted(vals)
 
-    def test_components_and_semisimplicity(self, ev):
-        est = pressure(ev, 0.9 * ev.R_hat)
-        assert est.semisimple_proxy
-        assert any(c.is_maximal for c in est.components)
-        assert sum(c.size for c in est.components) == len(
-            build_transfer(ev, 0.9 * ev.R_hat, cap=est.cap, depth=2).symbols
-        )
-
     def test_json_round_trip(self, ev):
         import json
 
-        est = pressure(ev, 0.9 * ev.R_hat, ladder=((2, 2), (2, 3)))
+        est = pressure(ev, 0.9 * ev.R_hat, ladder=(2, 3))
         blob = json.loads(est.to_json())
         assert blob["pressure"] == est.value
-        assert blob["semisimple_proxy"] is True
+        assert blob["eigenvalue"] == est.eigenvalue
+        assert blob["ladder"] == [list(rung) for rung in est.ladder]
+        assert blob["stabilized"] is est.stabilized
 
 
 class TestPerronRoot:
@@ -112,8 +119,8 @@ class TestPerronRoot:
         r = frac * ev.R_hat
         f = f2_first_passage(r)
         want = 2.0 * sum(f ** (2 * k) for k in range(1, cap + 1))
-        (comp,) = pressure(ev, r, ladder=((cap, 3),)).components
-        assert abs(comp.eigenvalue - want) / want < 1e-13
+        est = pressure(ev, r, ladder=(cap,))
+        assert abs(est.eigenvalue - want) / want < 1e-13
 
     @pytest.mark.parametrize("frac", [0.5, 0.9, 0.98])
     def test_z2z3_root_matches_the_closed_form(self, z2z3_srw, frac):
@@ -124,43 +131,39 @@ class TestPerronRoot:
         r = frac * ev23.R_hat
         fs, ft = z2z3_first_passages(r)
         want = math.sqrt(2.0) * fs * ft
-        (comp,) = pressure(ev23, r, ladder=((2, 3),)).components
-        assert abs(comp.eigenvalue - want) / want < 1e-13
+        est = pressure(ev23, r, ladder=(2,))
+        assert abs(est.eigenvalue - want) / want < 1e-13
 
 
 class TestPressureFrozen:
-    # float.hex of the estimate at 0.9*R_hat with the default ladder: the
-    # eigenvalue, the ladder's log-eigenvalues and the one component's
-    # eigenvalue (the raw Perron root, not exp of its log).  On both
+    # float.hex of the estimate at 0.9*R_hat with the default cap ladder
+    # (2, 3, 4): the eigenvalue (the raw Perron root of the cap-4 matrix,
+    # not exp of its log) and the ladder's log-eigenvalues.  On both
     # measures R_hat is the branch point of the first-passage system and
     # the Green series come from its coefficients.
     FROZEN = {
         "f2_srw": (
             "0x1.3484c27499a12p-2",
-            ["-0x1.339eee758c661p+0", "-0x1.339eee758c661p+0", "-0x1.331edd3140045p+0"],
-            (16, "0x1.3484c27499a12p-2"),
+            ["-0x1.3779393e1e1c0p+0", "-0x1.339eee758c661p+0", "-0x1.331edd3140045p+0"],
         ),
         "z2z3_srw": (
             "0x1.63c86741fb7b0p-2",
             ["-0x1.0ea177ba5a846p+0", "-0x1.0ea177ba5a846p+0", "-0x1.0ea177ba5a846p+0"],
-            (3, "0x1.63c86741fb7b0p-2"),
         ),
     }
 
     @pytest.mark.parametrize("measure", sorted(FROZEN))
     def test_values_frozen(self, request, measure):
-        eig, ladder, (size, comp) = self.FROZEN[measure]
+        eig, ladder = self.FROZEN[measure]
         ev_m = GreenEvaluator(request.getfixturevalue(measure))
         est = pressure(ev_m, 0.9 * ev_m.R_hat)
         assert est.eigenvalue.hex() == eig
-        assert [p.hex() for _, _, p in est.ladder] == ladder
-        assert [(c.size, c.eigenvalue.hex(), c.is_maximal) for c in est.components] == [
-            (size, comp, True)
-        ]
+        assert [p.hex() for _, p in est.ladder] == ladder
+        assert [cap for cap, _ in est.ladder] == [2, 3, 4]
 
 
 class TestRecurrence:
     def test_iterates_decay_inside_radius(self, ev):
-        tm = build_transfer(ev, 0.5 * ev.R_hat, cap=2, depth=3)
+        tm = build_transfer(ev, 0.5 * ev.R_hat, cap=2)
         seq = iterate_empty(tm, 6)
         assert seq[-1] < seq[0]
