@@ -191,7 +191,16 @@ class FirstPassageSystem:
 
 
 def perron_root(a):
-    """The Perron root of a non-negative square matrix: its spectral radius."""
+    """The Perron root of a non-negative square matrix: its spectral radius.
+
+    An exactly symmetric matrix has it as its largest eigenvalue.  The
+    Rayleigh quotient of that eigenvector (``np.linalg.eigh``), taken in
+    extended precision (``np.longdouble``), rounds to the nearest float of
+    the root wherever the top eigenvalue is well separated.
+    """
+    if np.array_equal(a, a.T):
+        v = np.linalg.eigh(a)[1][:, -1].astype(np.longdouble)
+        return float(v @ (a @ v) / (v @ v))
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 

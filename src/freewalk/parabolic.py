@@ -8,14 +8,17 @@ propagator (integer numerators, rational r folded into the steps) serves
 rational r and additionally prunes by remaining steps (a state farther from
 H_k than the steps left cannot contribute, so the prune is lossless); its
 float propagator serves the rest.  States are truncated to a word ball.
-Where the truncated chain is lumpable onto its expansion levels (the tree
-and finite-factor walks), the float propagator steps one block per level,
+Where the syllable types of a single-syllable measure certify that the
+truncated chain is lumpable onto its expansion levels (the tree and
+finite-factor walks), the float propagator steps one block per level,
+built from the types with no ball expanded (``walks.level_absorb``),
 which keeps the masses within rounding of the exact chain; elsewhere it
-steps every state (``PathOperator.float_absorb``).  ``chain_size`` records
-which: the blocks and sinks the steps propagated.
+expands the ball and steps every state (``PathOperator.float_absorb``).
+``chain_size`` records which: the blocks and sinks the steps propagated.
 
 Over a factor ball the kernel is a finite non-negative matrix K.  Its
-Perron root is read off the eigenvalues of K, and an induced Green
+Perron root is read off the eigenvalues of K (by a Rayleigh quotient
+where K is symmetric), and an induced Green
 function is one entry of (I - t K)^-1, one M-matrix solve that refuses
 where the Neumann series diverges (``algebraic.perron_root`` and
 ``algebraic.m_matrix_solve``).
@@ -36,7 +39,7 @@ import numpy as np
 from .algebraic import m_matrix_solve, perron_root
 from .errors import NonConvergenceError
 from .groups import _lattice_ball
-from .walks import PathOperator
+from .walks import PathOperator, level_absorb
 
 
 def _in_factor(group, elem, factor_id):
@@ -71,16 +74,17 @@ def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=
     Runs the path operator with H_k as its absorbing set.  Exact mode
     (rational r, or ``exact=True``) propagates integer numerators with the
     lossless remaining-steps prune and returns Fraction rows; float mode
-    expands the ball once and reuses its transition list at every step,
-    which makes long horizons cheap.
+    builds one transition list, over the levels where the syllable types
+    certify them and over the ball's states otherwise, and reuses it at
+    every step, which makes long horizons cheap.
     """
     if exact is None:
         exact = isinstance(r, (int, Fraction))
     if not exact and ball_radius is None:
         raise ValueError("float mode needs an explicit ball_radius")
     r = Fraction(r) if exact else float(r)
-    op = PathOperator(measure, ball_radius, r, factor=factor_id)
     if exact:
+        op = PathOperator(measure, ball_radius, r, factor=factor_id)
         row, escaped, denom, nums = {}, Fraction(0), 1, [1]
         for ids, nums, hits, esc in op.exact_steps(max_len, prune=True):
             denom *= op.denominator
@@ -93,7 +97,10 @@ def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=
         in_flight = Fraction(sum(nums), denom)
         chain_size = op.size
     else:
-        row, returned, in_flight, escaped, chain_size = op.float_absorb(max_len)
+        row, returned, in_flight, escaped, chain_size = (
+            level_absorb(measure, max_len, ball_radius, r, factor_id)
+            or PathOperator(measure, ball_radius, r, factor=factor_id).float_absorb(max_len)
+        )
     return ReturnKernel(
         factor_id=factor_id,
         r=r,

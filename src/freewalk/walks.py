@@ -12,8 +12,11 @@ level at a time in numpy: a step is a lookup in its syllable's merge
 table, and no word is multiplied, measured or hashed.  The exact
 propagator keeps integer numerators over a power denominator and does
 each step as one product and one grouped sum over object arrays; the
-float propagator applies a weighted transition list once per step, over
-the ball's expansion levels where the chain is lumpable onto them.
+float propagator applies a weighted transition list once per step.  For
+a single-syllable measure whose syllable types certify that the chain is
+lumpable onto the ball's expansion levels, ``level_absorb`` builds that
+list over the levels from the types alone, with no ball expanded; the
+state chain of ``PathOperator.float_absorb`` serves every other measure.
 
 Exact return probabilities meet in the middle: p_{a+b}(e,e) pairs mu^{*a}
 with the powers of the reflected measure g -> mu(g^-1) (mu itself when it
@@ -266,9 +269,9 @@ class PathOperator:
     ``exact_steps`` keeps integer numerators over ``denominator ** n``,
     with the rational r folded into the step numerators, and expands the
     states new at each step as one batch.  ``float_absorb`` expands the
-    ball one level at a time and applies one transition list per step:
-    over the levels when the chain is lumpable onto them, over the
-    states otherwise.
+    ball one level at a time and applies one transition list over its
+    live states per step; measures whose level chain is certified
+    (``level_absorb``) need no operator.
     Element tuples are built only by ``elements``.  Operators built on one
     ``tree`` share its node ids, so their states pair by node.
     """
@@ -280,15 +283,12 @@ class PathOperator:
         self.max_step_length = measure.max_step_length
         self.ball_bound = ball_bound
         self.factor, self.target = factor, target
-        rq = Fraction(r)
-        self.denominator = measure.common_denominator() * rq.denominator
-        self.numerators = [int(rq * w * self.denominator) for _, w in measure.support]
+        self.denominator, self.numerators = _step_numerators(measure, r)
         self.float_weights = [float(r) * float(w) for _, w in measure.support]
         self._moves = [[self.tree.code_of(f, p) for f, p in s] for s, _ in measure.support]
         self._target = None if target is None else self.tree.node_of(target)
         if factor is not None:
-            h = group.factors[factor]
-            self._unit = (0,) * h.rank if h.kind == "lattice" else 0
+            self._unit = _unit(group.factors[factor])
         self.node = np.zeros(0, np.int64)  # state id -> node
         self._state = np.zeros(0, np.int64)  # node -> state id, or -1
         self.absorbs = np.zeros(0, bool)
@@ -445,23 +445,11 @@ class PathOperator:
     def float_absorb(self, n):
         """(absorbed, absorbed_total, in_flight, escaped, size) after n steps.
 
-        Masses are floats; ``absorbed`` maps labels to masses.  The ball
-        of a new operator is expanded level by level from e, each level's
-        new in-flight states as one batch; a live state's level is the
-        expansion that first reached it (e alone is level 0).  The steps
-        run on a chain of live blocks followed by the sinks: the escape
-        sink, then one per absorbing state.  With one block per level,
-        the check is that every live state's sorted (target block, step
-        numerator) pairs equal those of its level's first state.  Then
-        the chain is lumpable onto its levels (Kemeny and Snell 1960):
-        each level is one block, stepped by its first state's row, and
-        the steps into one block are one weight, their numerators' sum
-        over the denominator.  Otherwise each live state is a block, in
-        the order it was reached, with one entry per step.  The chain is
-        one list of weighted (source, destination) entries, with a unit
-        self-loop on each sink first, so the mass in it accumulates.  Each
-        step is one ``np.bincount`` over that list, which adds into every
-        destination in list order.  ``size`` counts the blocks and sinks.
+        The state chain, for measures whose level chain has no certificate
+        (see ``level_absorb``).  The ball of a new operator is expanded
+        level by level from e, each level's new in-flight states as one
+        batch.  Each live state (e among them) is a block, in the order it
+        was reached, with one entry per step; ``_absorb`` steps the chain.
         """
         levels, frontier = [], np.zeros(1, np.int64)
         while len(frontier):
@@ -469,54 +457,160 @@ class PathOperator:
             levels.append(self._expand(frontier))
             fresh = np.arange(first, self.size)
             frontier = fresh[~self.absorbs[fresh]]
+        t = np.concatenate(levels)  # (live state, step) targets
+        k = len(t)
         live = ~self.absorbs
         live[0] = True  # e starts every path
-        pos = np.cumsum(live) - 1
-        nth = np.cumsum(self.absorbs) - 1  # absorbing state -> its sink's rank
-        t = np.concatenate(levels)  # (live state, step) targets
+        block = np.where(self.absorbs, k + np.cumsum(self.absorbs), np.cumsum(live) - 1)
+        dst = np.where(t < 0, k, block[t]).ravel()
+        src = np.repeat(np.arange(k), len(self.numerators))
+        wgt = np.tile(self.float_weights, k)
+        return _absorb(src, dst, wgt, k, list(self.labels.values()), n)
 
-        def targets(block, k):
-            """Block of each target, live state i being in ``block[i]`` of k."""
-            sink = np.where(self.absorbs[t], k + 1 + nth[t], block[pos[t]])
-            return np.where(t < 0, k, sink)
 
-        counts = [len(level) for level in levels]
-        level = np.repeat(np.arange(len(levels)), counts)
-        firsts = np.cumsum(counts) - counts
-        rank = {v: i for i, v in enumerate(sorted(set(self.numerators)))}
-        steps = np.array([rank[v] for v in self.numerators])
-        dst = targets(level, len(levels))
-        pairs = np.sort(dst * len(rank) + steps, axis=1)
-        if (pairs == pairs[firsts[level]]).all():
-            k, merged = len(levels), {}
-            for i, row in enumerate(dst[firsts].tolist()):
-                for b, num in zip(row, self.numerators):
-                    merged[i, b] = merged.get((i, b), 0) + num
-            src, dst = np.array(list(merged), np.int64).T
-            wgt = [num / self.denominator for num in merged.values()]
-        else:
-            k = len(t)
-            src = np.repeat(np.arange(k), len(self.numerators))
-            dst = targets(np.arange(k), k).ravel()
-            wgt = np.tile(self.float_weights, k)
-        loops = np.arange(k, k + 1 + len(self.labels))
-        size = len(loops) + k
-        src = np.concatenate([loops, src])
-        dst = np.concatenate([loops, dst])
-        wgt = np.concatenate([np.ones(len(loops)), wgt])
-        x = np.zeros(size)
-        x[0] = 1.0
-        for _ in range(n):
-            x = np.bincount(dst, weights=wgt * x[src], minlength=size)
-            if not x[:k].any():
-                break
-        absorbed = {
-            label: float(x[k + 1 + i])
-            for i, label in enumerate(self.labels.values())
-            if x[k + 1 + i]
-        }
-        return (absorbed, float(x[k + 1:].sum()), float(x[:k].sum()), float(x[k]),
-                size)
+def _absorb(src, dst, wgt, k, labels, n):
+    """(absorbed, absorbed_total, in_flight, escaped, size) after n steps.
+
+    The chain is ``k`` live blocks, block 0 holding e, followed by
+    the sinks: the escape sink, then one per label.  It is one list of
+    weighted (source, destination) entries, with a unit self-loop on each
+    sink last, so the mass in it accumulates.  Each step is one
+    ``np.bincount`` over that list, which adds into every destination in
+    list order: a step's increments into a sink are summed before the
+    mass already there is added.  ``absorbed`` maps labels to masses;
+    ``size`` counts the blocks and sinks.
+    """
+    loops = np.arange(k, k + 1 + len(labels))
+    size = len(loops) + k
+    src = np.concatenate([src, loops])
+    dst = np.concatenate([dst, loops])
+    wgt = np.concatenate([wgt, np.ones(len(loops))])
+    x = np.zeros(size)
+    x[0] = 1.0
+    for _ in range(n):
+        x = np.bincount(dst, weights=wgt * x[src], minlength=size)
+        if not x[:k].any():
+            break
+    absorbed = {
+        label: float(x[k + 1 + i]) for i, label in enumerate(labels) if x[k + 1 + i]
+    }
+    return (absorbed, float(x[k + 1:].sum()), float(x[:k].sum()), float(x[k]), size)
+
+
+def level_absorb(measure, n, ball_bound, r, factor):
+    """``PathOperator.float_absorb`` of the first returns to H_``factor``,
+    stepped over the ball's expansion levels; or None without a
+    certificate that the chain is lumpable onto them.
+
+    For a single-syllable measure every syllable prefix is a cut vertex,
+    so a live state's level is the sum of its syllables' step distances
+    inside their factors (BFS over the support, within the ball).  Where
+    that distance is the factor word length for every syllable the BFS
+    reaches, the level is the word length, and the target of a step from
+    a state of type (last syllable s, level l) depends on the type alone:
+    a lazy step stays at l, a step in the factor of s goes to
+    l - |s| + |st| (to the unit sink where that is e), any other step t to
+    l + |t|, and a target past ``ball_bound`` to the escape sink.  A type is
+    present at level l if its prefix can be e (s outside H_k, |s| = l) or
+    a present type of another factor at l - |s|.  The certificate is that
+    the present types of each level have one sorted multiset of (target
+    block, step numerator); then the chain is lumpable onto its levels
+    (Kemeny and Snell 1960), and no word ball is expanded.  Each level is
+    one block, stepped by the row of its breadth-first first state: e's
+    first live step, then each such state's first step up, in support
+    order.  The steps of a row into one block are one weight, their
+    numerators' sum over the denominator.
+    """
+    if any(len(g) > 1 for g, _ in measure.support):
+        return None
+    group = measure.group
+    steps = [g[0] if g else None for g, _ in measure.support]  # None: the lazy step
+    syllables = []
+    for fid, h in enumerate(group.factors):
+        moves = [s[1] for s in steps if s and s[0] == fid]
+        seen = {_unit(h)}
+        frontier, dist = [_unit(h)], 0
+        while frontier:
+            dist, new = dist + 1, []
+            for x in frontier:
+                for q in moves:
+                    y = h.mul(x, q)
+                    if y in seen or h.length(y) > ball_bound:
+                        continue
+                    if h.length(y) != dist:
+                        return None
+                    seen.add(y)
+                    new.append(y)
+            syllables += [(fid, y) for y in new]
+            frontier = new
+    length = {s: group.factors[s[0]].length(s[1]) for s in syllables}
+    present = [[None]]  # last syllables of the types at each level; None is e
+    kinds = [set()]  # the factors of those syllables
+    for level in range(1, ball_bound + 1):
+        here = [s for s in syllables if (
+            s[0] != factor if length[s] == level
+            else length[s] < level and kinds[level - length[s]] - {s[0]}
+        )]
+        if not here:
+            break
+        present.append(here)
+        kinds.append({s[0] for s in here})
+    k = len(present)
+    labels = [_unit(group.factors[factor])]
+    sink = {}  # the steps into H_k from e, each absorbed in its own sink
+    for s in steps:
+        if s and s[0] == factor:
+            sink[s[1]] = k + 1 + len(labels)
+            labels.append(s[1])
+
+    def target(s, level, t):
+        """(block, last syllable) of a state of type (s, level) times step t;
+        the last syllable is not computed for a step down to the prefix."""
+        if t is None:
+            return level or k + 1, s
+        f, q = t
+        h = group.factors[f]
+        if s is None and f == factor:
+            return sink[q], None
+        if s is not None and s[0] == f:
+            level -= length[s]
+            t = (f, h.mul(s[1], q))
+            if h.is_identity(t[1]):
+                return level or k + 1, None
+        level += h.length(t[1])
+        return (level if level <= ball_bound else k), t
+
+    denominator, numerators = _step_numerators(measure, r)
+    for level in range(1, k):
+        rows = {tuple(sorted(zip([target(s, level, t)[0] for t in steps], numerators)))
+                for s in present[level]}
+        if len(rows) > 1:
+            return None
+    src, dst, wgt, s = [], [], [], None
+    for level in range(k):
+        row = [target(s, level, t) for t in steps]
+        merged = {}
+        for (b, _), num in zip(row, numerators):
+            merged[b] = merged.get(b, 0) + num
+        src += [level] * len(merged)
+        dst += merged
+        wgt += [num / denominator for num in merged.values()]
+        s = next((u for b, u in row if b == level + 1), None)
+    return _absorb(np.array(src, np.int64), np.array(dst, np.int64), np.array(wgt),
+                   k, labels, n)
+
+
+def _unit(factor):
+    """The identity payload of a factor."""
+    return (0,) * factor.rank if factor.kind == "lattice" else 0
+
+
+def _step_numerators(measure, r):
+    """(denominator, numerators): r mu(s) is numerator / denominator for
+    each step s in support order, exactly for the rational value of r."""
+    rq = Fraction(r)
+    denominator = measure.common_denominator() * rq.denominator
+    return denominator, [int(rq * w * denominator) for _, w in measure.support]
 
 
 @dataclass

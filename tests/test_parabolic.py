@@ -129,13 +129,16 @@ class TestSpectralRadius:
         assert rhos == sorted(rhos)
 
     def test_degeneracy_rungs_match_the_symmetric_eigenvalues(self, f2_srw, f2, ev):
-        # the f2 kernel matrix is symmetric, so eigvalsh is an independent
-        # route to the same Perron root
+        # the f2 kernel row lives on a^-1, e and a, with one weight on a^-1
+        # and a, so its matrix over the 61 payloads |j| <= 30 is symmetric
+        # tridiagonal Toeplitz, with largest eigenvalue w0 + 2 w1 cos(pi/62)
         for v in degeneracy_test(f2_srw, ev.R_hat).per_factor:
             for L, B, rho in v.ladder:
                 kern = first_return_kernel(f2_srw, v.factor_id, ev.R_hat, L, B, exact=False)
-                _, mat = kernel_matrix(kern, f2, factor_ball=30)
-                assert abs(rho - max(np.linalg.eigvalsh(mat))) < 1e-13
+                assert set(kern.row) == {(-1,), (0,), (1,)}
+                w0, w1 = kern.row[(0,)], kern.row[(1,)]
+                assert kern.row[(-1,)] == w1
+                assert abs(rho - (w0 + 2 * w1 * math.cos(math.pi / 62))) < 1e-15
 
 
 class TestInducedGreen:

@@ -2,13 +2,15 @@
 
 The float kernels are checked against the exact rational kernel at the
 same (L, B, r), and pinned by ``float.hex()`` (row in key order, returned,
-in-flight and escaped masses).  The pins of the measures whose chain is
-not lumpable by expansion level (``f2_asym``, ``f2_two_letter``,
-``z2sq_z2``) were taken from the state-by-state loop, which the fallback
-keeps bit for bit; the others were taken from the level chain once it
-matched the exact kernel.  The exact ``convolve_powers`` powers are pinned
-by a SHA-256 each (denominator, escaped numerator and numerators, key
-order included).
+in-flight and escaped masses).  The measures whose syllable types certify
+a level chain step it without expanding the ball (``walks.level_absorb``);
+their pins were taken from the level chain once it matched the exact
+kernel, and the typed chain keeps them bit for bit.  The others
+(``f2_asym``, ``f2_two_letter``, ``z2sq_z2``) step every state
+(``PathOperator.float_absorb``); their pins were taken once the sinks'
+self-loops came last in its entry list.  The exact ``convolve_powers``
+powers are pinned by a SHA-256 each (denominator, escaped numerator and
+numerators, key order included).
 """
 
 import hashlib
@@ -24,6 +26,7 @@ from freewalk.walks import (
     PathOperator,
     StepMeasure,
     convolve_powers,
+    level_absorb,
     uniform_on_generators,
 )
 
@@ -94,10 +97,10 @@ def _convolution_digests(name):
     ]
 
 
-FROZEN_KERNELS = {'f2_asym': {'masses': ['0x1.301f92217bafep-1',
+FROZEN_KERNELS = {'f2_asym': {'masses': ['0x1.301f92217bb00p-1',
                         '0x1.9980d31f3e669p-10',
-                        '0x1.9e275ae9e967dp-2'],
-             'row': [((0,), '0x1.8d4b1552bb8c8p-3'),
+                        '0x1.9e275ae9e9670p-2'],
+             'row': [((0,), '0x1.8d4b1552bb8cap-3'),
                      ((-1,), '0x1.999999999999ap-4'),
                      ((1,), '0x1.3333333333333p-2')]},
  'f2_at_R': {'masses': ['0x1.bc9c39e99f31ap-1',
@@ -126,7 +129,7 @@ FROZEN_KERNELS = {'f2_asym': {'masses': ['0x1.301f92217bafep-1',
                              ((1,), '0x1.32b2f0ceb0000p-4')]},
  'z2sq_z2': {'masses': ['0x1.b4350ba2929d8p-1',
                         '0x1.a520804b38cd6p-6',
-                        '0x1.f50f82d89cdbap-4'],
+                        '0x1.f50f82d89ce08p-4'],
              'row': [((0, 0), '0x1.a9b7208f903f1p-5'),
                      ((-1, 0), '0x1.999999999999ap-3'),
                      ((0, -1), '0x1.999999999999ap-3'),
@@ -168,10 +171,8 @@ def test_float_kernel_is_bitwise_frozen(case):
     assert _kernel_hex(case) == FROZEN_KERNELS[case]
 
 
-# The cases whose chain is not lumpable by expansion level, so the float
-# kernel steps every state.  That chain adds each escaping increment to the
-# accumulated escaped mass one by one, which leaves the escaped mass further
-# off the exact value: 1.3e-14 (f2_asym) and 8.8e-15 (z2sq_z2).
+# The cases the syllable types do not certify, so the float kernel steps
+# every state.
 STATE_CHAIN = ("f2_asym", "f2_two_letter_a", "f2_two_letter_b", "z2sq_z2")
 
 
@@ -199,20 +200,49 @@ def test_float_kernel_matches_the_exact_kernel(case):
         ("escaped", kern.escaped_mass, escaped),
     ]
     for what, got, want in pairs:
-        tol = 2e-14 if case in STATE_CHAIN and what == "escaped" else 2e-15
+        # f2_asym's state chain adds up to 13 122 escaping increments a
+        # step into the escape sink one by one, in np.bincount; their
+        # math.fsum would leave its escaped mass 5.0e-16 off, not 1.2e-14
+        tol = 2e-14 if case == "f2_asym" and what == "escaped" else 2e-15
         assert abs(Fraction(got) - want) <= tol * want, what
 
 
-def test_level_chain_propagates_one_block_per_level():
+def test_level_chain_propagates_one_block_per_level(monkeypatch):
     # f2 at (L, B) = (140, 11): levels 0..11, the escape sink and the sinks
-    # of a^-1, e and a
-    kern = first_return_kernel(_measure("f2"), 0, 1.0, 140, 11, exact=False)
+    # of a^-1, e and a, built from syllable types with no state expanded
+    mu, calls = _measure("f2"), []  # the measure's reach check expands
+    expand = PathOperator._expand
+    monkeypatch.setattr(PathOperator, "_expand",
+                        lambda self, *a, **k: calls.append(1) or expand(self, *a, **k))
+    kern = first_return_kernel(mu, 0, 1.0, 140, 11, exact=False)
     assert kern.chain_size == 12 + 1 + 3
+    assert calls == []
+
+
+# The benchmark's float kernel (f2, factor a, r = 1, L = 140, B = 11),
+# pinned to the values of the lumped chain over all 177 149 expanded states;
+# the exact kernel at this size would take too long to compare against.
+FROZEN_BENCHMARK_KERNEL = {
+    "row": [((0,), "0x1.55550125fc2fep-3"),
+            ((-1,), "0x1.0000000000000p-2"),
+            ((1,), "0x1.0000000000000p-2")],
+    "masses": ["0x1.555540497f0c0p-1", "0x1.a22164024a869p-34", "0x1.55557f6b5fc6cp-2"],
+}
+
+
+def test_benchmark_float_kernel_is_bitwise_frozen():
+    kern = first_return_kernel(_measure("f2"), 0, 1.0, 140, 11, exact=False)
+    assert {
+        "row": [(p, w.hex()) for p, w in kern.row.items()],
+        "masses": [m.hex() for m in
+                   (kern.returned_mass, kern.in_flight_mass, kern.escaped_mass)],
+    } == FROZEN_BENCHMARK_KERNEL
 
 
 @pytest.mark.parametrize("case", STATE_CHAIN)
 def test_state_chain_propagates_every_state(case):
     name, fid, r, L, B = KERNEL_CASES[case]
+    assert level_absorb(_measure(name), L, B, r, fid) is None
     kern = first_return_kernel(_measure(name), fid, r, L, B, exact=False)
     op = PathOperator(_measure(name), B, r, factor=fid)
     op.float_absorb(L)
@@ -271,6 +301,21 @@ def test_kernel_engines_agree_and_conserve_mass(mu, data):
         assert abs(float(w) - flt.row[payload]) < 1e-12
     total = flt.returned_mass + flt.in_flight_mass + flt.escaped_mass
     assert abs(total - 1.0) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(mu=_cyclic_measures(), data=st.data())
+def test_typed_level_chain_matches_the_state_chain(mu, data):
+    factor_id = data.draw(st.integers(0, len(mu.group.factors) - 1))
+    L, B = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 6))
+    typed = level_absorb(mu, L, B, 1.0, factor_id)
+    if typed is None:
+        return  # no certificate: the state chain alone serves
+    state = PathOperator(mu, B, 1.0, factor=factor_id).float_absorb(L)
+    assert set(typed[0]) == set(state[0])
+    pairs = [(w, state[0][p]) for p, w in typed[0].items()] + list(zip(typed[1:4], state[1:4]))
+    for got, want in pairs:
+        assert abs(got - want) <= 2e-15 * want
 
 
 @settings(max_examples=30, deadline=None)
