@@ -10,7 +10,10 @@ syllable prefix is a cut vertex of a free product's Cayley graph, so for
 a measure supported on single syllables G(e,gamma) = G(e,e) F(e,gamma),
 F(e,gamma) is the product of its syllables' first passages, and
 F(e,a^k) = F(e,a)^k on a lattice factor stepping by +-1: series are summed
-only for G(e,e) and single-syllable first passages.  Multi-syllable
+only for G(e,e) and single-syllable first passages.  The evaluator keeps
+one table per r of syllable weights (F(e,u)^k, relative tail, terms),
+each filled on first use, and forms G(e,gamma) and F(e,gamma) by
+multiplying them left to right from G(e,e) and from 1.  Multi-syllable
 measures read the convolution table's series for each gamma.
 
 Every reported value carries a tail estimate and a method tag; tails are
@@ -210,17 +213,6 @@ def _eval_series(logs, r):
     return value + tail, tail, method, len(ns)
 
 
-def _product(factors):
-    """GreenValue of prod f^k over the (f, k) in ``factors``; the relative
-    tails add, to first order."""
-    value, rel_tail, n_terms = 1.0, 0.0, 0
-    for f, k in factors:
-        value *= f.value**k
-        rel_tail += k * f.tail / f.value if f.value else 0.0
-        n_terms = max(n_terms, f.n_terms)
-    return GreenValue(value, abs(value) * rel_tail, "factored", n_terms)
-
-
 # ---------------------------------------------------------------------------
 # spectral radius
 
@@ -348,6 +340,8 @@ class GreenEvaluator:
         )
         self._fp_cache = {}
         self._val_cache = {}
+        self._syllable_tables = {}  # r -> {syllable: syllable_weight}
+        self._weighted_returns = {}  # k -> _binomial_weighted(return logs, k)
 
     @property
     def R_hat(self):
@@ -363,8 +357,9 @@ class GreenEvaluator:
     # -- Green function and first passage -----------------------------------
 
     def green(self, x, y, r):
-        """G(x,y|r) with tail estimate: G(e,e|r) F(e,gamma|r) for a
-        single-syllable measure, else the table's series for gamma."""
+        """G(x,y|r) with tail estimate: G(e,e|r) times gamma's syllable
+        weights for a single-syllable measure, else the table's series for
+        gamma."""
         self._check_r(r)
         gamma = self.group.multiply(self.group.invert(x), y)
         key = ("G", gamma, r)
@@ -372,9 +367,8 @@ class GreenEvaluator:
         if cached is not None:
             return cached
         if gamma and self.single_syllable_support:
-            out = _product(
-                [(self.green((), (), r), 1)] + self._passages(self._bases(gamma), r)
-            )
+            gee = self.green((), (), r)
+            out = self._factored(gee.value, gee.tail / gee.value, gee.n_terms, gamma, r)
         else:
             v, tail, tag, n = _eval_series(self.table.log_coefficients(gamma), r)
             out = GreenValue(v, tail, f"series/{tag}", n)
@@ -384,8 +378,9 @@ class GreenEvaluator:
     def first_passage(self, x, y, r):
         """F(x,y|r); satisfies G(x,y|r)=F(x,y|r)G(e,e|r).
 
-        The table's first-visit series where gamma is its own only base
-        (``_bases``), else the product of its bases' values.
+        The table's first-visit series where gamma is its own base
+        (``_base``) or the measure is not on single syllables, else the
+        product of gamma's syllable weights.
         """
         self._check_r(r)
         gamma = self.group.multiply(self.group.invert(x), y)
@@ -393,35 +388,53 @@ class GreenEvaluator:
         cached = self._val_cache.get(key)
         if cached is not None:
             return cached
-        bases = self._bases(gamma)
-        if bases == [(gamma, 1)]:
+        if gamma and (
+            not self.single_syllable_support or self._base(gamma[0]) == (gamma, 1)
+        ):
             if gamma not in self._fp_cache:
                 self._fp_cache[gamma] = self.table.first_visit_logs(gamma)
             v, tail, tag, n = _eval_series(self._fp_cache[gamma], r)
             out = GreenValue(v, tail, f"first-visit/{tag}", n)
         else:
-            out = _product(self._passages(bases, r))
+            out = self._factored(1.0, 0.0, 0, gamma, r)
         self._val_cache[key] = out
         return out
 
-    def _bases(self, gamma):
-        """(base, power) pairs with F(e, gamma) = prod F(e, base) ** power.
-
-        For a single-syllable measure every syllable prefix of gamma is a
-        cut vertex, so the bases are its syllables; on the first-passage
-        system each is a power of one unknown (F_{a^k} = F_a^k).
-        """
-        if not gamma:
-            return []
-        if not self.single_syllable_support:
-            return [(gamma, 1)]
+    def _base(self, syl):
+        """(base, power) with F(e, (syl,)) = F(e, base) ** power: on the
+        first-passage system a power of one unknown (F_{a^k} = F_a^k),
+        else the syllable itself."""
         if self.system is None:
-            return [((syl,), 1) for syl in gamma]
-        monomials = [monomial(self.group, *syl) for syl in gamma]
-        return [((u,), k) for u, k in monomials]
+            return (syl,), 1
+        u, k = monomial(self.group, *syl)
+        return (u,), k
 
-    def _passages(self, bases, r):
-        return [(self.first_passage((), b, r), k) for b, k in bases]
+    def syllable_weight(self, syl, r):
+        """(F(e,u|r)^k, k * relative tail, n_terms) of one syllable, with
+        (u, k) its ``_base``; a single-syllable measure's F(e, gamma) and
+        G(e, gamma) are products of these.  One table per r, each entry
+        filled on first use."""
+        table = self._syllable_tables.setdefault(r, {})
+        w = table.get(syl)
+        if w is None:
+            base, k = self._base(syl)
+            f = self.first_passage((), base, r)
+            rel = k * f.tail / f.value if f.value else 0.0
+            w = table[syl] = (f.value**k, rel, f.n_terms)
+        return w
+
+    def _factored(self, value, rel_tail, n_terms, gamma, r):
+        """GreenValue of ``value`` times gamma's syllable weights, multiplied
+        left to right.  Every syllable prefix of gamma is a cut vertex of a
+        single-syllable measure's walk, so F(e, gamma) is the product of
+        its syllables' first passages; the relative tails add, to first
+        order."""
+        for syl in gamma:
+            w, rel, n = self.syllable_weight(syl, r)
+            value *= w
+            rel_tail += rel
+            n_terms = max(n_terms, n)
+        return GreenValue(value, abs(value) * rel_tail, "factored", n_terms)
 
     def h_value(self, gamma, r):
         """H(e,gamma|r) = G(e,gamma|r) G(gamma,e|r)."""
@@ -429,13 +442,19 @@ class GreenEvaluator:
 
     # -- derivative ----------------------------------------------------------
 
+    def _binomial_returns(self, k):
+        """``_binomial_weighted`` of the return logs, built once per k."""
+        if k not in self._weighted_returns:
+            self._weighted_returns[k] = _binomial_weighted(self._return_logs, k)
+        return self._weighted_returns[k]
+
     def green_derivative(self, x, y, r):
         """d/dr ( r G(e,e|r) ) by the return series; (x, y) = (e, e).  The
         relative-sphere route to the same value is ``i_sums(r).i1``."""
         self._check_r(r)
         if x or y:
             raise ValueError(f"green_derivative is available at (e, e) only, not ({x}, {y})")
-        v, tail, tag, n = _eval_series(_binomial_weighted(self._return_logs, 1), r)
+        v, tail, tag, n = _eval_series(self._binomial_returns(1), r)
         return GreenValue(v, tail, f"derivative-series/{tag}", n)
 
     # -- I sums --------------------------------------------------------------
@@ -488,7 +507,7 @@ class GreenEvaluator:
                     "rel_gap": rel_gap,
                 },
             )
-        i2, tail, tag, n = _eval_series(_binomial_weighted(self._return_logs, 2), r)
+        i2, tail, tag, n = _eval_series(self._binomial_returns(2), r)
         if tag == "power-law":
             raise NonConvergenceError(
                 f"I2 series at r = {r:.10g} does not decay geometrically within "

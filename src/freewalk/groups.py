@@ -259,13 +259,16 @@ class FreeProduct:
         return sorted(elems, key=self.canonical_key)
 
     def sphere(self, radius, metric="word", syllable_cap=None, budget=10**7):
-        """The elements of ``ball(radius)`` at distance exactly ``radius``."""
-        length = len if metric == "relative" else self.word_length
-        return [
-            g
-            for g in self.ball(radius, metric, syllable_cap, budget)
-            if length(g) == radius
-        ]
+        """The elements at distance exactly ``radius`` from e, canonically
+        ordered: the word sphere filters ``ball(radius)``, the relative one
+        is built directly (``_relative_sphere``)."""
+        if metric != "relative":
+            return [
+                g
+                for g in self.ball(radius, metric, syllable_cap, budget)
+                if self.word_length(g) == radius
+            ]
+        return list(self._relative_sphere(radius, syllable_cap, budget))
 
     def _word_ball(self, radius, budget):
         gens = self.generators()
@@ -314,6 +317,31 @@ class FreeProduct:
             out.extend(nxt)
             frontier = nxt
         return out
+
+    def _relative_sphere(self, radius, syllable_cap, budget):
+        """Yield the relative sphere in ``canonical_key`` order, without a
+        sort: the alternating factor-id sequences of length ``radius`` in
+        lexicographic order, and for each the product of its factors'
+        payload lists sorted by ``_payload_key``.  A lattice factor raises
+        ``BudgetError`` without a ``syllable_cap``."""
+        payloads = [
+            sorted(f.nontrivial_elements(syllable_cap),
+                   key=lambda p, fid=fid: self._payload_key(fid, p))
+            for fid, f in enumerate(self.factors)
+        ]
+        count = 0
+        for fids in itertools.product(range(len(self.factors)), repeat=radius):
+            if any(a == b for a, b in zip(fids, fids[1:])):
+                continue
+            for ps in itertools.product(*(payloads[fid] for fid in fids)):
+                count += 1
+                if count > budget:
+                    raise BudgetError(
+                        "relative sphere exceeded element budget",
+                        consumed=count,
+                        budget=budget,
+                    )
+                yield tuple(zip(fids, ps))
 
     def rel_geodesic(self, x, y):
         """The d_hat-geodesic vertices from x to y (syllable prefixes of x^-1 y)."""

@@ -13,7 +13,10 @@ sphere identity
 
 used here both as a consistency check and as the route to the Gurevich
 pressure P(r) = log of the leading transfer eigenvalue, the Perron root of
-the truncated transfer matrix (``algebraic.perron_root``).
+the truncated transfer matrix (``algebraic.perron_root``).  The check's
+direct side is built sphere by sphere from the evaluator's per-r syllable
+weights, which the transfer side reads too: it checks the algebra of the
+shift, not the Green values themselves.
 
 The empty path is excluded from the potential's domain; iteration at the
 empty word is seeded directly with the single-symbol values.
@@ -97,20 +100,34 @@ def iterate_empty(tm, n_max):
 def sphere_identity_check(evaluator, r, cap, n_max):
     """Compare (L^n 1)(empty)*H(e,e|r) against direct relative-sphere sums.
 
-    Returns a list of (n, transfer_value, direct_value, rel_err).
+    The direct side is built sphere by sphere from the evaluator's
+    syllable weights w: G(e,g) = G(e,g[:-1]) w(g[-1]) and
+    G(g,e) = G(g[1:],e) w(g[0]^-1), the products ``GreenEvaluator.green``
+    forms, kept for the previous sphere only.  Returns a list of
+    (n, transfer_value, direct_value, rel_err).
     """
     tm = build_transfer(evaluator, r, cap)
     lhs_seq = iterate_empty(tm, n_max)
-    hee = evaluator.h_value((), r)
-    auto = Automaton(evaluator.group, cap)
+    gee = evaluator.green((), (), r).value
+    hee = gee * gee
+    group = evaluator.group
+    weight = {s: evaluator.syllable_weight(s, r)[0] for s in tm.symbols}
+    inv_weight = {
+        (fid, p): weight[fid, group.factors[fid].inv(p)] for fid, p in tm.symbols
+    }
+    auto = Automaton(group, cap)
+    prev = {(): (gee, gee)}  # g -> (G(e,g|r), G(g,e|r)) on the previous sphere
     rows = []
     for n in range(1, n_max + 1):
-        direct = sum(
-            evaluator.h_value(g, r) for _, g in auto.enumerate_sphere(n)
-        )
+        cur = {
+            g: (prev[g[:-1]][0] * weight[g[-1]], prev[g[1:]][1] * inv_weight[g[0]])
+            for _, g in auto.enumerate_sphere(n)
+        }
+        direct = sum(to * back for to, back in cur.values())
         lhs = lhs_seq[n - 1] * hee
         rel = abs(lhs - direct) / direct if direct else math.inf
         rows.append((n, lhs, direct, rel))
+        prev = cur
     return rows
 
 

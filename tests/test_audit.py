@@ -66,6 +66,24 @@ class TestAncona:
         assert a == b
 
 
+class TestAnconaFrozen:
+    # float.hex of (min, max, mean) and the skip count of the default audit
+    # (200 triples, seed 0) at 0.9*R_hat: the ratios are 1 up to rounding,
+    # and the rounding follows the order in which each Green value is formed
+    FROZEN = {
+        "f2_srw": ("0x1.ffffffffffffep-1", "0x1.0000000000001p+0", "0x1.0000000000000p+0", 0),
+        "z2z3_srw": ("0x1.fffffffffffffp-1", "0x1.0000000000001p+0", "0x1.0000000000000p+0", 0),
+    }
+
+    @pytest.mark.parametrize("measure", sorted(FROZEN))
+    def test_values_frozen(self, request, measure):
+        ev_m = GreenEvaluator(request.getfixturevalue(measure))
+        rep = ancona_audit(ev_m, 0.9 * ev_m.R_hat)
+        got = (rep.min_ratio.hex(), rep.max_ratio.hex(), rep.mean_ratio.hex(), rep.n_skipped)
+        assert got == self.FROZEN[measure]
+        assert rep.n_triples == 200
+
+
 class TestLltFit:
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
     @pytest.mark.parametrize("growth", [1.05, 1.2, 2.0])

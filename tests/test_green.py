@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from freewalk.algebraic import monomial
+from freewalk.audit import syllable_choices
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
 from freewalk.green import (
     AlgebraicGreenTable,
@@ -274,6 +277,44 @@ class TestISums:
         ev2 = GreenEvaluator(mu, horizon=40, ball_bound=8)
         with pytest.raises(GroupSpecError):
             ev2.i_sums(1.0)
+
+
+@pytest.fixture(scope="module", params=["f2", "z2z3", "z2sq_z2"])
+def single_syllable_ev(request):
+    # f2 and z2z3 run on the first-passage system; Z^2 * Z2 on the
+    # convolution table, where each syllable is its own base
+    if request.param == "z2sq_z2":
+        return GreenEvaluator(_measure("z2sq_z2"), horizon=30, ball_bound=6)
+    return GreenEvaluator(_measure(request.param))
+
+
+def _left_to_right(ev, gamma, r, value):
+    """``value`` times F(e,u|r)^k over gamma's syllables, left to right,
+    with (u, k) the syllable's unknown and power on the system."""
+    for fid, p in gamma:
+        u, k = monomial(ev.group, fid, p) if ev.system else ((fid, p), 1)
+        value *= ev.first_passage((), (u,), r).value ** k
+    return value
+
+
+class TestSyllableTable:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_values_are_left_to_right_products(self, single_syllable_ev, data):
+        ev = single_syllable_ev
+        group = ev.group
+        choices = syllable_choices(group)
+        g, last = [], None
+        for _ in range(data.draw(st.integers(0, 6))):
+            fid = data.draw(st.sampled_from([k for k in range(len(choices)) if k != last]))
+            g.append((fid, data.draw(st.sampled_from(choices[fid]))))
+            last = fid
+        g = tuple(g)
+        r = data.draw(st.sampled_from((0.3, 0.8, 0.95, 1.0))) * ev.R_hat
+        gee = ev.green((), (), r).value
+        assert ev.green((), g, r).value == _left_to_right(ev, g, r, gee)
+        assert ev.green(g, (), r).value == _left_to_right(ev, group.invert(g), r, gee)
+        assert ev.first_passage((), g, r).value == _left_to_right(ev, g, r, 1.0)
 
 
 def _eval_series_loop(logs, r):

@@ -166,6 +166,38 @@ class TestEnumeration:
         with pytest.raises(BudgetError):
             f2.ball(2, metric="relative")
 
+    FACTORS = {
+        "Z2": lambda: cyclic_factor(2),
+        "Z3": lambda: cyclic_factor(3),
+        "Z4": lambda: cyclic_factor(4),  # a word-length-2 element, cut by cap 1
+        "Z": lambda: LatticeFactor(1),
+        "Z^2": lambda: LatticeFactor(2),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_relative_sphere_is_the_sorted_ball_shell(self, data):
+        # the sphere is built directly in canonical order; the reference
+        # sorts the whole relative ball by canonical_key and keeps one shell
+        names = data.draw(st.lists(st.sampled_from(sorted(self.FACTORS)),
+                                   min_size=2, max_size=3))
+        group = FreeProduct([self.FACTORS[n]() for n in names], warn_elementary=False)
+        cap = data.draw(st.integers(1, 2 if "Z^2" in names else 3))
+        radius = data.draw(st.integers(0, 3))
+        want = sorted(
+            (g for g in group._relative_ball(radius, cap, 10**7) if len(g) == radius),
+            key=group.canonical_key,
+        )
+        assert group.sphere(radius, "relative", cap) == want
+
+    def test_relative_sphere_budget_and_cap(self, f2):
+        # two factor orders times 4 * 4 payloads (a^{+-1,+-2}, b^{+-1,+-2})
+        assert len(f2.sphere(2, "relative", 2, budget=32)) == 32
+        with pytest.raises(BudgetError):
+            f2.sphere(2, "relative", 2, budget=31)
+        with pytest.raises(BudgetError):
+            f2.sphere(2, "relative")
+
     def test_rel_geodesic_endpoints(self, z2z3):
         x = ((0, 1),)
         y = ((0, 1), (1, 2), (0, 1))

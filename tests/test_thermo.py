@@ -1,6 +1,10 @@
+import gc
 import math
+import weakref
 
 import pytest
+
+from freewalk.audit import ancona_audit
 
 from freewalk.errors import GroupSpecError
 from freewalk.green import GreenEvaluator
@@ -80,6 +84,61 @@ class TestTransfer:
         rows = sphere_identity_check(ev23, 0.9 * ev23.R_hat, cap=2, n_max=3)
         for _, _, _, rel in rows:
             assert rel < 0.02
+
+
+class TestSphereIdentityFrozen:
+    # float.hex of (n, transfer, direct, rel_err) at 0.9*R_hat for n <= 4, at
+    # the shipped caps (f2 3, z2z3 2), as ``report`` writes them.  The direct
+    # side is built sphere by sphere from the syllable weights; these are
+    # the sums of ``h_value`` over each sphere, bit for bit.
+    FROZEN = {
+        ("f2_srw", 3): [
+            (1, "0x1.8b7d7a56b30b2p+0", "0x1.8b7d7a56b30afp+0", "0x1.f11ff966cdc9ap-52"),
+            (2, "0x1.dbb1dbb8d224dp-2", "0x1.dbb1dbb8d224bp-2", "0x1.1389bcc7cc5bfp-52"),
+            (3, "0x1.1e15150a0ce4fp-3", "0x1.1e15150a0ce49p-3", "0x1.579f0fda8cc1fp-50"),
+            (4, "0x1.58196a7c844a2p-5", "0x1.58196a7c84422p-5", "0x1.7ce9cf6ba71cdp-46"),
+        ],
+        ("z2z3_srw", 2): [
+            (1, "0x1.6595a8e323da4p+1", "0x1.6595a8e323da5p+1", "0x1.6e8c57d784c21p-53"),
+            (2, "0x1.b2dd737be67cfp-1", "0x1.b2dd737be67cdp-1", "0x1.2d689060732e9p-52"),
+            (3, "0x1.5955678f7820fp-2", "0x1.5955678f7820fp-2", "0x0.0p+0"),
+            (4, "0x1.a3f7652132469p-4", "0x1.a3f7652132467p-4", "0x1.3819e62ae97d6p-52"),
+        ],
+    }
+
+    @pytest.mark.parametrize("measure,cap", sorted(FROZEN))
+    def test_rows_frozen(self, request, measure, cap):
+        ev_m = GreenEvaluator(request.getfixturevalue(measure))
+        rows = sphere_identity_check(ev_m, 0.9 * ev_m.R_hat, cap, 4)
+        got = [(n, a.hex(), b.hex(), e.hex()) for n, a, b, e in rows]
+        assert got == self.FROZEN[measure, cap]
+
+    def test_direct_side_is_the_sum_of_h_values(self, ev):
+        r = 0.7 * ev.R_hat
+        rows = sphere_identity_check(ev, r, cap=2, n_max=3)
+        group = ev.group
+        for n, _, direct, _ in rows:
+            sphere = group.sphere(n, "relative", 2)
+            assert direct == sum(ev.h_value(g, r) for g in sphere)
+
+
+def test_dropped_evaluator_needs_no_cycle_collection(f2_srw):
+    # the syllable tables hold no reference back to the evaluator, so
+    # dropping it frees it at once; a cycle would keep every evaluator of a
+    # long run alive until the cyclic collector ran
+    ev_f = GreenEvaluator(f2_srw)
+    r = 0.9 * ev_f.R_hat
+    ev_f.green((), ((0, (2,)), (1, (-1,))), r)
+    ancona_audit(ev_f, r, n_triples=20)
+    sphere_identity_check(ev_f, r, cap=2, n_max=3)
+    ref = weakref.ref(ev_f)
+    gc.disable()
+    try:
+        del ev_f
+        alive = ref() is not None
+    finally:
+        gc.enable()
+    assert not alive
 
 
 class TestPressure:
