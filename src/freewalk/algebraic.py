@@ -19,9 +19,14 @@ wherever it exists (Etessami and Yannakakis, J. ACM 2009).  The radius R
 is the largest r at which it exists with I - J a non-singular M-matrix
 (Perron root of the Jacobian J below 1) and U below 1; for an admissible
 walk it is a square-root branch point (Lalley 1993).  The coefficients
-come from the same equations read coefficientwise, each [r^n] from the
-ones below it, in the variable r/R: c_n R^n decays like n^(-3/2) where
-c_n itself underflows.
+come from the same equations read coefficientwise, in the variable r/R:
+c_n R^n decays like n^(-3/2) where c_n itself underflows.  Each [r^n]
+takes only the ones below it, and the quadratic terms pair an early
+coefficient with a late one, so a block of B coefficients is linear in
+its own unknowns once the ones before the block are known (a relaxed
+recurrence): the first block is stepped one coefficient at a time, and
+every later block is one correlation per unknown and one product with a
+lower-triangular matrix built once from the first block.
 """
 
 import math
@@ -33,6 +38,8 @@ import numpy as np
 # and even at R(1 - 1e-16) the linear phase halves the error per step
 NEWTON_STEPS = 200
 EPS = sys.float_info.epsilon
+# coefficients per block of the relaxed recurrence (``_extend``)
+B = 64
 
 
 class FirstPassageSystem:
@@ -141,21 +148,56 @@ class FirstPassageSystem:
         [r^k] Phi takes the unknowns' coefficients below k only, because
         every term of Phi carries a factor r and F_s(0) = 0: the product
         x * (C x) is one row-wise sum over the splits j + (k-1-j), and G
-        follows U by the renewal g_k = sum_j u_j g_{k-j}.  Time-reversed
-        copies keep both factors of each split sum contiguous.
+        follows U by the renewal g_k = sum_j u_j g_{k-j}.  The first block
+        (k < B) is stepped one coefficient at a time.  Each later block
+        [K, K+B) is linear in its own unknowns once the splits with both
+        indices below K are summed (one ``np.correlate`` per unknown):
+        Y_d = known_d + sum_{e<d} L_{d-1-e} Y_e, with L_0 = A and
+        L_d = diag(w_d) + diag(y_d) C read from the first block, so one
+        lower-triangular matrix, the inverse of I - T, solves every block.
+        G follows by the same blocked renewal; its in-block inverse is the
+        Toeplitz matrix of the coefficients of 1 / (1 - sum_{d<B} u_d r^d),
+        which are g_0..g_{B-1}.  Blocks always end at a multiple of B, so
+        the coefficients do not depend on how the horizon was reached.
         """
-        have = len(self._g) - 1
-        if n <= have:
+        if len(self._g) == 1:
+            self._first_block()
+        have = len(self._g)  # a multiple of B
+        if n < have:
             return
-        m, R = len(self.unknowns), self.radius
+        m, R, top = len(self.unknowns), self.radius, (n // B + 1) * B
+        a, cross, back = R * self._a, R * self._cross, R * self._back
+        y, w = np.zeros((m, top)), np.zeros((m, top))
+        u, g = np.zeros(top), np.zeros(top)
+        y[:, :have], w[:, :have] = self._y, self._w
+        u[:have], g[:have] = self._u, self._g
+        solve = _lower_toeplitz(_block_inverse(a, cross, y, w))
+        for k in range(have, top, B):
+            # known[d, s] = sum_{j<k, k+d-1-j<k} y_j w_{k+d-1-j}; w is 0 from k
+            known = np.empty((B, m))
+            for s in range(m):
+                known[:, s] = np.correlate(w[s, : k + B - 1], y[s, k - 1 :: -1])
+            known[0] += a @ y[:, k - 1]
+            y[:, k : k + B] = (solve @ known.ravel()).reshape(B, m).T
+            w[:, k : k + B] = cross @ y[:, k : k + B]
+        # u_k = back . y_{k-1}, summed row by row so that each u_k has one
+        # rounding whatever the range it was computed in
+        u[have:] = sum(b * row for b, row in zip(back, y[:, have - 1 : -1]))
+        renewal = _lower_toeplitz(g[:B, None, None])
+        for k in range(have, top, B):
+            g[k : k + B] = renewal @ np.correlate(u[1 : k + B], g[k - 1 :: -1])
+        self._y, self._w, self._u, self._g = y, w, u, g
+
+    def _first_block(self):
+        """Coefficients 1..B-1, each from the ones below it."""
+        m, R, n = len(self.unknowns), self.radius, B - 1
         c, a, cross = R * self._c, R * self._a, R * self._cross
         lazy, back = R * self._lazy, R * self._back
         y, w = np.zeros((m, n + 1)), np.zeros((m, n + 1))
         u, g = np.zeros(n + 1), np.zeros(n + 1)
-        y[:, : have + 1], w[:, : have + 1] = self._y, self._w
-        u[: have + 1], g[: have + 1] = self._u, self._g
+        g[0] = 1.0
         wr, gr = w[:, ::-1].copy(), g[::-1].copy()  # wr[:, n - k] = w[:, k]
-        for k in range(have + 1, n + 1):
+        for k in range(1, n + 1):
             prev = y[:, k - 1]
             yk = a @ prev
             uk = back @ prev
@@ -188,6 +230,33 @@ class FirstPassageSystem:
     def return_log_probs(self, horizon):
         """log p_n(e,e) for n = 0..horizon."""
         return self.unscaled_logs(self.scaled_green(horizon))
+
+
+def _block_inverse(a, cross, y, w):
+    """M_0..M_{B-1}, the blocks of (I - T)^-1 for the in-block operator T.
+
+    M_0 = I and M_d = sum_{e=1..d} L_{e-1} M_{d-e}, with L_0 = A and
+    L_d = diag(w_d) + diag(y_d) C from the first block's coefficients.
+    """
+    m = len(a)
+    lin = np.empty((B - 1, m, m))
+    lin[0] = a
+    ys, ws = y[:, 1 : B - 1].T[:, :, None], w[:, 1 : B - 1].T[:, :, None]
+    lin[1:] = ys * cross + ws * np.eye(m)
+    inv = np.empty((B, m, m))
+    inv[0] = np.eye(m)
+    for d in range(1, B):
+        inv[d] = np.tensordot(lin[:d], inv[d - 1 :: -1], axes=([0, 2], [0, 1]))
+    return inv
+
+
+def _lower_toeplitz(blocks):
+    """The (mB x mB) lower-triangular matrix whose (m x m) block (d, e) is
+    ``blocks[d - e]``, for vectors ordered block offset first."""
+    lag = np.subtract.outer(np.arange(B), np.arange(B))  # d - e
+    full = np.where((lag >= 0)[:, :, None, None], blocks[np.maximum(lag, 0)], 0.0)
+    m = blocks.shape[1]
+    return full.transpose(0, 2, 1, 3).reshape(B * m, B * m)
 
 
 def perron_root(a):

@@ -2,11 +2,11 @@
 
 Elements are kept in normal form: a tuple of syllables ``(factor_id, payload)``
 with adjacent syllables from distinct factors and no identity syllables.  The
-empty tuple is the group identity.  Balls and spheres come in two metrics:
-the word metric ``d`` (sum of factor word lengths) and the relative metric
-``d_hat`` (syllable count, so the relative length of a normal form is its
-``len``), which is the graph metric of the Cayley graph with every factor
-added wholesale to the generating set.
+empty tuple is the group identity.  Spheres come in two metrics: the word
+metric ``d`` (sum of factor word lengths), which also has balls, and the
+relative metric ``d_hat`` (syllable count, so the relative length of a
+normal form is its ``len``), which is the graph metric of the Cayley graph
+with every factor added wholesale to the generating set.
 """
 
 import itertools
@@ -241,31 +241,25 @@ class FreeProduct:
                 out.append(((fid, p),))
         return out
 
-    def ball(self, radius, metric="word", syllable_cap=None, budget=10**7):
-        """All elements within ``radius`` of e, canonically ordered.
-
-        For the relative metric with infinite factors, ``syllable_cap`` bounds
-        each syllable's factor word length.  Raises BudgetError instead of
-        silently truncating.
-        """
+    def ball(self, radius, metric="word", budget=10**7):
+        """All elements within word distance ``radius`` of e, canonically
+        ordered.  Raises BudgetError instead of silently truncating.  The
+        relative metric has spheres only (``sphere``)."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        if metric == "word":
-            elems = self._word_ball(radius, budget)
-        elif metric == "relative":
-            elems = self._relative_ball(radius, syllable_cap, budget)
-        else:
+        if metric != "word":
             raise ValueError(f"unknown metric {metric!r}")
-        return sorted(elems, key=self.canonical_key)
+        return sorted(self._word_ball(radius, budget), key=self.canonical_key)
 
     def sphere(self, radius, metric="word", syllable_cap=None, budget=10**7):
         """The elements at distance exactly ``radius`` from e, canonically
         ordered: the word sphere filters ``ball(radius)``, the relative one
-        is built directly (``_relative_sphere``)."""
+        is built directly (``_relative_sphere``), each syllable's factor
+        word length bounded by ``syllable_cap``."""
         if metric != "relative":
             return [
                 g
-                for g in self.ball(radius, metric, syllable_cap, budget)
+                for g in self.ball(radius, metric, budget)
                 if self.word_length(g) == radius
             ]
         return list(self._relative_sphere(radius, syllable_cap, budget))
@@ -290,33 +284,6 @@ class FreeProduct:
                             )
             frontier = nxt
         return list(seen)
-
-    def _relative_ball(self, radius, syllable_cap, budget):
-        for factor in self.factors:
-            if factor.kind == "lattice" and syllable_cap is None:
-                raise BudgetError(
-                    "relative ball over a lattice factor needs a syllable_cap"
-                )
-        out = [()]
-        frontier = [()]
-        for _ in range(radius):
-            nxt = []
-            for g in frontier:
-                last = g[-1][0] if g else None
-                for fid, factor in enumerate(self.factors):
-                    if fid == last:
-                        continue
-                    for p in factor.nontrivial_elements(syllable_cap):
-                        nxt.append(g + ((fid, p),))
-                        if len(out) + len(nxt) > budget:
-                            raise BudgetError(
-                                "relative ball exceeded element budget",
-                                consumed=len(out) + len(nxt),
-                                budget=budget,
-                            )
-            out.extend(nxt)
-            frontier = nxt
-        return out
 
     def _relative_sphere(self, radius, syllable_cap, budget):
         """Yield the relative sphere in ``canonical_key`` order, without a

@@ -263,6 +263,24 @@ def z_log_return_probs(n_max):
     return out
 
 
+def tree_return_probabilities(q, n_max):
+    """Exact p_n(e,e), n = 0..n_max, for simple random walk on the
+    (q+1)-regular tree, by counting paths per distance class with plain
+    integers: from distance m > 0 one step leads back and q lead out, from
+    e all q+1 lead out."""
+    counts = [1]  # counts[m]: paths of the current length ending at distance m
+    out = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        nxt = [0] * (len(counts) + 1)
+        for m, c in enumerate(counts):
+            if m:
+                nxt[m - 1] += c
+            nxt[m + 1] += c * (q if m else q + 1)
+        counts = nxt
+        out.append(Fraction(counts[0], (q + 1) ** n))
+    return out
+
+
 # -- independent relative-sphere BFS ------------------------------------------
 
 

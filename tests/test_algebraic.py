@@ -6,15 +6,17 @@ and first visits from the path operator for the coefficients, and the
 zeros of closed-form discriminants in ``oracles`` for the radius.
 """
 
+import json
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from freewalk.algebraic import m_matrix_solve, perron_root
+from freewalk.algebraic import B as BLOCK, m_matrix_solve, perron_root
 from freewalk.errors import GroupSpecError
 from freewalk.walks import (
     StepMeasure,
@@ -23,10 +25,45 @@ from freewalk.walks import (
     return_probabilities,
 )
 
-from oracles import F2_RADIUS, f2_first_passage, f2_green, z2z2z2_radius, z2z3_radius
+from oracles import (
+    F2_RADIUS,
+    f2_first_passage,
+    f2_green,
+    tree_return_probabilities,
+    z2z2z2_radius,
+    z2z3_first_passages,
+    z2z3_green,
+    z2z3_radius,
+)
 from test_path_operator import _cyclic_measures, _f2, _measure
 
 A, AI, B, BI = ((0, (1,)),), ((0, (-1,)),), ((1, (1,)),), ((1, (-1,)),)
+
+# scaled_green(63) and scaled_first_passage(., 63), as hex floats taken from
+# the coefficient-at-a-time recurrence that the first block still runs
+FIRST_BLOCK = json.loads((Path(__file__).parent / "first_block_hex.json").read_text())
+
+
+def _skewed_f2():
+    # unequal weights on a and a^-1: not radial, and the two directions of
+    # the Z factor are separate unknowns, with F_{a^2} = F_a^2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return StepMeasure(_f2(), {A: Fraction(3, 8), AI: Fraction(1, 8),
+                                   B: Fraction(1, 4), BI: Fraction(1, 4)})
+
+
+def _system(name):
+    mu = _skewed_f2() if name == "f2_skewed" else _measure(name)
+    return mu.first_passage_system
+
+
+def _series(system, horizon):
+    """Bytes of every scaled series the system holds, up to ``horizon``."""
+    out = [system.scaled_green(horizon).tobytes()]
+    for unknown in system.unknowns:
+        out.append(system.scaled_first_passage(unknown, horizon).tobytes())
+    return out
 
 
 def _assert_returns_match_exact(mu, horizon, tol):
@@ -147,20 +184,57 @@ class TestCoefficients:
         assert abs(alg[live] - rad[live]).max() < 1e-11
 
     def test_extension_equals_one_pass(self):
-        # coefficients asked for in two steps equal those asked for at once
-        short, long = _measure("z2z3"), _measure("z2z3")
-        short.first_passage_system.scaled_green(100)
-        a = short.first_passage_system.return_log_probs(600)
-        b = long.first_passage_system.return_log_probs(600)
-        assert list(a) == list(b)
+        # coefficients asked for in two steps equal those asked for at once,
+        # bit for bit, on both sides of the first block's end and across
+        # the later blocks' bounds
+        assert BLOCK == 64
+        for name in ["z2z3", "f2", "z2z2z2", "f2_skewed"]:
+            whole = _series(_system(name), 5000)
+            for first, second in [(10, 63), (63, 64), (64, 65), (65, 200), (4000, 5000)]:
+                system = _system(name)
+                system.scaled_green(first)
+                want = [b[: 8 * (second + 1)] for b in whole]
+                assert _series(system, second) == want, (name, first, second)
+
+    @pytest.mark.parametrize("name", ["z2z3", "f2"])
+    def test_first_block_frozen(self, name):
+        system, want = _system(name), FIRST_BLOCK[name]
+        assert [float.hex(float(v)) for v in system.scaled_green(63)] == want["green"]
+        for unknown in system.unknowns:
+            got = system.scaled_first_passage(unknown, 63)
+            assert [float.hex(float(v)) for v in got] == want["first_passage"][repr(unknown)]
+
+    @pytest.mark.parametrize("name, q", [("f2", 3), ("z2z2z2", 2)])
+    def test_tree_returns_match_path_counts_across_blocks(self, name, q):
+        # n <= 300 crosses four block bounds; the largest distance measured
+        # is 9.0e-15 on f2 and 3.2e-14 on z2z2z2, most of it from the
+        # n log R of the unscaled logs
+        exact = tree_return_probabilities(q, 300)
+        logs = return_probabilities(_measure(name), 300, method="algebraic").log_values
+        for n, p in enumerate(exact):
+            if p:
+                assert abs(math.exp(logs[n]) - float(p)) / float(p) < 1e-13, n
+            else:
+                assert logs[n] == -math.inf, n
+
+    def test_z2z3_series_match_the_closed_form_across_blocks(self):
+        # the tree walks have no linear part (A = 0); z2z3 has one, from the
+        # steps inside Z3.  At 0.98 R the coefficients from the second block
+        # on carry 0.13 of G(e,e), and the sums to 5000 lie within 8.6e-16
+        # of the closed forms
+        system = _system("z2z3")
+        powers = 0.98 ** np.arange(5001)
+        r = 0.98 * system.radius
+        fs, ft = z2z3_first_passages(r)
+        want = {(0, 1): fs, (1, 1): ft, (1, 2): ft}
+        got = math.fsum(system.scaled_green(5000) * powers)
+        assert abs(got - z2z3_green(r)) / z2z3_green(r) < 1e-14
+        for unknown in system.unknowns:
+            got = math.fsum(system.scaled_first_passage(unknown, 5000) * powers)
+            assert abs(got - want[unknown]) / want[unknown] < 1e-14
 
     def test_skewed_f2_covers_the_lattice_unknowns(self):
-        # unequal weights on a and a^-1: not radial, and the two directions
-        # of the Z factor are separate unknowns, with F_{a^2} = F_a^2
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mu = StepMeasure(_f2(), {A: Fraction(3, 8), AI: Fraction(1, 8),
-                                     B: Fraction(1, 4), BI: Fraction(1, 4)})
+        mu = _skewed_f2()
         assert mu.radial_chain is None
         _assert_returns_match_exact(mu, 20, 1e-13)
 

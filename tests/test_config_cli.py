@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from freewalk.algebraic import FirstPassageSystem
 from freewalk.cli import main
 from freewalk.config import ConfigError, parse_config
 from freewalk.errors import DivergenceError
@@ -143,6 +144,26 @@ def test_cli_import_needs_neither_networkx_nor_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_report_needs_no_scipy():
+    # the package declares numpy as its only dependency: a whole report,
+    # in a fresh process, must not import scipy on any path it takes
+    root = Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import sys, tempfile",
+        f"sys.path.insert(0, {str(root / 'src')!r})",
+        "from freewalk.cli import main",
+        "with tempfile.TemporaryDirectory() as out:",
+        f"    rc = main(['report', '--config', {str(root / 'configs' / 'z2z3.json')!r},"
+        " '--out', out])",
+        "print(rc, 'scipy' in sys.modules)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 class TestCliExitCodes:
@@ -302,6 +323,30 @@ class TestReportSharing:
 
         for name in names:
             assert timeless(together / name) == timeless(alone / name), name
+
+    def test_report_walk_equals_a_standalone_walk(self, tmp_path, monkeypatch):
+        # report grows the coefficients in two steps (the Green evaluator's
+        # horizon, then the walk's), a standalone walk in one; the rows
+        # must not depend on the path taken
+        path = Path(__file__).resolve().parents[1] / "configs" / "z2z3.json"
+        grown = []
+        extend = FirstPassageSystem._extend
+
+        def counted_extend(self, n):
+            before = len(self._g)
+            extend(self, n)
+            if len(self._g) != before:
+                grown.append(n)
+
+        monkeypatch.setattr(FirstPassageSystem, "_extend", counted_extend)
+        together, alone = tmp_path / "report", tmp_path / "alone"
+        assert main(["report", "--config", str(path), "--out", str(together)]) == 0
+        assert len(grown) == 2
+        assert main(["walk", "--config", str(path), "--out", str(alone)]) == 0
+        assert len(grown) == 3
+        assert (together / "z2z3_walk.csv").read_bytes() == (
+            alone / "z2z3_walk.csv"
+        ).read_bytes()
 
 
 class TestShippedConfigs:

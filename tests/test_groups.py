@@ -9,6 +9,8 @@ from freewalk.groups import (
     cyclic_factor,
 )
 
+from oracles import bfs_relative_spheres
+
 
 class TestFiniteFactor:
     def test_rejects_non_square_table(self):
@@ -162,10 +164,6 @@ class TestEnumeration:
         with pytest.raises(BudgetError):
             f2.ball(8, budget=100)
 
-    def test_relative_ball_needs_cap_for_lattice(self, f2):
-        with pytest.raises(BudgetError):
-            f2.ball(2, metric="relative")
-
     FACTORS = {
         "Z2": lambda: cyclic_factor(2),
         "Z3": lambda: cyclic_factor(3),
@@ -177,17 +175,16 @@ class TestEnumeration:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_relative_sphere_is_the_sorted_ball_shell(self, data):
-        # the sphere is built directly in canonical order; the reference
-        # sorts the whole relative ball by canonical_key and keeps one shell
+        # the sphere is built directly in canonical order; the reference is
+        # the same shell by plain BFS over capped syllables, sorted by
+        # canonical_key
         names = data.draw(st.lists(st.sampled_from(sorted(self.FACTORS)),
                                    min_size=2, max_size=3))
         group = FreeProduct([self.FACTORS[n]() for n in names], warn_elementary=False)
         cap = data.draw(st.integers(1, 2 if "Z^2" in names else 3))
         radius = data.draw(st.integers(0, 3))
-        want = sorted(
-            (g for g in group._relative_ball(radius, cap, 10**7) if len(g) == radius),
-            key=group.canonical_key,
-        )
+        want = sorted(bfs_relative_spheres(group, radius, cap)[radius],
+                      key=group.canonical_key)
         assert group.sphere(radius, "relative", cap) == want
 
     def test_relative_sphere_budget_and_cap(self, f2):
