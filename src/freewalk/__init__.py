@@ -9,7 +9,6 @@ from .errors import (
     FreewalkError,
     GroupSpecError,
     NonConvergenceError,
-    NonRadialError,
 )
 from .groups import FiniteFactor, FreeProduct, LatticeFactor, cyclic_factor
 from .walks import StepMeasure, uniform_on_generators
@@ -22,7 +21,6 @@ __all__ = [
     "FreewalkError",
     "GroupSpecError",
     "NonConvergenceError",
-    "NonRadialError",
     "FiniteFactor",
     "FreeProduct",
     "LatticeFactor",

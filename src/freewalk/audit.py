@@ -5,6 +5,7 @@ Three instruments:
 * ``ancona_audit`` samples geodesic triples and checks the multiplicative
   comparison G(x,z) G(e,e) >= G(x,y) G(y,z) at interior geodesic points,
   together with a deviation-vs-shared-prefix-length decay fit on quadruples.
+  G is left-invariant, so each value is read at its displacement x^-1 y.
 * ``llt_fit`` estimates the polynomial correction exponent alpha in
   p_n ~ C R^{-n} n^{-alpha}, jointly with R and separately with R pinned.
 * ``ratio_report`` tabulates the near-radius scaling combinations
@@ -23,6 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEVIATION_FLOOR = 1e-9
+# largest summed relative tail of a triple's four Green values; a triple
+# past it is skipped
+TAIL_TOL = 0.05
+# slack below 1, on top of three times that tail, for the triple bound
+LOWER_TOL = 1e-9
 
 
 # -- element sampling ---------------------------------------------------------
@@ -67,7 +73,6 @@ class AnconaReport:
     max_ratio: float
     mean_ratio: float
     lower_bound_fraction: float  # fraction of triples with ratio >= 1 - tol
-    strong_pairs: list  # (shared prefix length, |ratio - 1|)
     strong_rho: float
     strong_c: float
     deviations_below_floor: bool
@@ -91,23 +96,17 @@ class AnconaReport:
         )
 
 
-def ancona_audit(
-    evaluator,
-    r,
-    n_triples=200,
-    max_rel_dist=6,
-    seed=0,
-    syllable_cap=3,
-    tail_tol=0.05,
-    lower_tol=1e-9,
-):
+def ancona_audit(evaluator, r, n_triples=200, max_rel_dist=6, seed=0):
     """Sampled geodesic-triple ratio statistics plus a strong-form decay fit.
 
     The triple ratio is G(x,z) G(y,y) / (G(x,y) G(y,z)) with y an interior
     point of the syllable geodesic from x to z; supermultiplicativity of
     path weights makes it >= 1 up to series tolerance.  The strong-form
     audit takes quadruples whose geodesics share an n-syllable prefix and
-    fits |ratio - 1| <= C rho^n.
+    fits |ratio - 1| <= C rho^n.  G is left-invariant and the evaluator
+    reads only x^-1 y, so every Green value is taken from e to the
+    displacement: delta = x^-1 z and its two pieces at y for a triple, and
+    (s,) + prefix + (t,) for a quadruple.
 
     On a measure supported on single syllables the evaluator forms every
     G(x,z) as G(e,e) times its syllables' first passages, so the ratio is 1
@@ -117,50 +116,54 @@ def ancona_audit(
     """
     group = evaluator.group
     rng = random.Random(seed)
-    choices = syllable_choices(group, syllable_cap)
+    choices = syllable_choices(group)
     ratios = []
     skipped = 0
     ok = 0
     for _ in range(n_triples):
         span = rng.randint(2, max_rel_dist)
-        x = random_element(choices, rng, rng.randint(0, 2))
+        # the base point x: no value reads it, but each seed keeps its triples
+        random_element(choices, rng, rng.randint(0, 2))
         delta = random_element(choices, rng, span)
-        z = group.multiply(x, delta)
-        geo = group.rel_geodesic(x, z)
-        y = geo[rng.randint(1, len(geo) - 1)]
-        gxz = evaluator.green(x, z, r)
-        gxy = evaluator.green(x, y, r)
-        gyz = evaluator.green(y, z, r)
+        cut = rng.randint(1, span)  # y = x delta[:cut]
+        gxz = evaluator.green((), delta, r)
+        gxy = evaluator.green((), delta[:cut], r)
+        gyz = evaluator.green((), delta[cut:], r)
         gee = evaluator.green((), (), r)
         rel_tail = sum(
             g.tail / g.value if g.value else math.inf
             for g in (gxz, gxy, gyz, gee)
         )
-        if rel_tail > tail_tol:
+        if rel_tail > TAIL_TOL:
             skipped += 1
             continue
         ratio = (gxz.value * gee.value) / (gxy.value * gyz.value)
         ratios.append(ratio)
         # the bound is checked up to the propagated series tolerance
-        if ratio >= 1.0 - (lower_tol + 3.0 * rel_tail):
+        if ratio >= 1.0 - (LOWER_TOL + 3.0 * rel_tail):
             ok += 1
+
+    def green_to(word):
+        return evaluator.green((), word, r).value
+
     strong = []
     for n in range(1, max_rel_dist + 1):
         for _ in range(10):
             prefix = random_element(choices, rng, n)
             first_fid = prefix[0][0]
             last_fid = prefix[-1][0]
-            # x, x' extend backwards from e; y, y' extend past the prefix
+            # x = s^-1 and x' = s'^-1 extend backwards from e; y = prefix t
+            # and y' = prefix t' extend past the prefix
             back_fids = [k for k in range(len(group.factors)) if k != first_fid]
             fwd_fids = [k for k in range(len(group.factors)) if k != last_fid]
-            x = group.invert((_random_syllable(rng, choices, back_fids),))
-            xp = group.invert((_random_syllable(rng, choices, back_fids),))
-            y = group.multiply(prefix, (_random_syllable(rng, choices, fwd_fids),))
-            yp = group.multiply(prefix, (_random_syllable(rng, choices, fwd_fids),))
-            if x == xp or y == yp:
+            s = _random_syllable(rng, choices, back_fids)
+            sp = _random_syllable(rng, choices, back_fids)
+            t = _random_syllable(rng, choices, fwd_fids)
+            tp = _random_syllable(rng, choices, fwd_fids)
+            if s == sp or t == tp:
                 continue
-            num = evaluator.green(x, y, r).value * evaluator.green(xp, yp, r).value
-            den = evaluator.green(xp, y, r).value * evaluator.green(x, yp, r).value
+            num = green_to((s,) + prefix + (t,)) * green_to((sp,) + prefix + (tp,))
+            den = green_to((sp,) + prefix + (t,)) * green_to((s,) + prefix + (tp,))
             strong.append((n, abs(num / den - 1.0)))
     below_floor = all(d <= DEVIATION_FLOOR for _, d in strong)
     if below_floor or len(strong) < 2:
@@ -181,7 +184,6 @@ def ancona_audit(
         max_ratio=max(ratios) if ratios else math.nan,
         mean_ratio=sum(ratios) / len(ratios) if ratios else math.nan,
         lower_bound_fraction=ok / len(ratios) if ratios else math.nan,
-        strong_pairs=strong,
         strong_rho=rho,
         strong_c=c,
         deviations_below_floor=below_floor,

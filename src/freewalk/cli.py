@@ -1,10 +1,12 @@
 """Command-line frontend: run named experiments from a JSON config.
 
 Subcommands: walk, green, isums, degeneracy, pressure, ancona, llt, report.
-Every report embeds the config hash and the package version; identical
-config and version produce identical output files.  ``report`` runs the
-other subcommands on one ``Shared``, so the Green evaluator and each return
-sequence are built once per run; a standalone subcommand builds its own.
+Every size a run uses (horizon, kernel ladder, r-grid, cap) comes from the
+config, which every report identifies by its hash; reports also embed the
+package version, and identical config and version produce identical
+output files.  ``report`` runs the other subcommands on one ``Shared``, so
+the Green evaluator and each return sequence are built once per run; a
+standalone subcommand builds its own.
 """
 
 import argparse
@@ -81,10 +83,6 @@ def _write_csv(path, rows):
     print(path)
 
 
-def _horizon(cfg, args):
-    return args.budget if args.budget else cfg.horizon
-
-
 def _return_method(cfg, args):
     """The return-probability engine ``--method`` names, or None.
 
@@ -106,7 +104,7 @@ def _return_method(cfg, args):
 
 def cmd_walk(cfg, args, shared):
     started = time.time()
-    horizon = _horizon(cfg, args)
+    horizon = cfg.horizon
     method = _return_method(cfg, args)
     if method is None:
         return 2
@@ -173,8 +171,6 @@ def cmd_degeneracy(cfg, args, shared):
         (3 * cfg.kernel_len // 4, max(cfg.kernel_ball - 1, 3)),
         (cfg.kernel_len, cfg.kernel_ball),
     )
-    if args.budget and args.budget < cfg.kernel_len:
-        ladder = ((args.budget, max(cfg.kernel_ball - 2, 3)),)
     report = degeneracy_test(cfg.measure, ev.R_hat, ladder=ladder)
     if report.verdict == "inconclusive":
         print("warning: degeneracy ladder did not stabilize", file=sys.stderr)
@@ -204,10 +200,9 @@ def cmd_ancona(cfg, args, shared):
     ev = shared.evaluator
     grid = cfg.resolve_r_grid(ev.R_hat) or [0.9 * ev.R_hat]
     seed = args.seed if args.seed is not None else cfg.seed
-    n_triples = min(args.budget, 200) if args.budget else 200
     results = []
     for r in grid:
-        rep = ancona_audit(ev, r, n_triples=n_triples, seed=seed)
+        rep = ancona_audit(ev, r, seed=seed)
         results.append(json.loads(rep.to_json()))
     payload = _report_header(cfg, args, started)
     payload.update({"reports": results})
@@ -217,7 +212,7 @@ def cmd_ancona(cfg, args, shared):
 
 def cmd_llt(cfg, args, shared):
     started = time.time()
-    horizon = _horizon(cfg, args)
+    horizon = cfg.horizon
     method = _return_method(cfg, args)
     if method is None:
         return 2
@@ -299,12 +294,6 @@ def build_parser():
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="override the dominant size knob of the subcommand",
-    )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--method",

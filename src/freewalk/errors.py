@@ -22,10 +22,6 @@ class ConfigError(FreewalkError):
     """A configuration file failed to parse or validate."""
 
 
-class NonRadialError(FreewalkError):
-    """The radial fast path was requested for a non-radial measure."""
-
-
 class DegenerateInputError(FreewalkError):
     """Input sequence carries no usable information (e.g. all-zero p_n)."""
 

@@ -25,7 +25,7 @@ coefficients C(n+2, 2) p_n(e,e), with the same tail closure.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,13 +124,11 @@ class GreenValue:
 class ConvolutionGreenTable:
     """log p_n(e, gamma) from one truncated exact convolution pass."""
 
-    def __init__(self, measure, horizon, ball_bound, budget=5 * 10**6):
+    def __init__(self, measure, horizon, ball_bound):
         self.measure = measure
         self.horizon = horizon
         self.ball_bound = ball_bound
-        self.dists = walks.convolve_powers(
-            measure, horizon, ball_bound=ball_bound, budget=budget
-        )
+        self.dists = walks.convolve_powers(measure, horizon, ball_bound=ball_bound)
         self._cache = {}
 
     def log_coefficients(self, gamma):
@@ -221,9 +219,6 @@ class SpectralRadiusEstimate:
     rho_lower: float  # rigorous: sup_n p_{2n}^{1/2n}
     rho_hat: float  # extrapolated 1/R
     R_hat: float
-    n_used: int
-    ratio_tail: list
-    exceeds_one: bool  # R_hat > 1, expected for non-amenable groups
     rho_bracket: tuple = None  # (rho_lo, rho_hi) from the first-passage system
 
     def uncertainty(self):
@@ -235,6 +230,17 @@ class SpectralRadiusEstimate:
         return self.rho_hat - self.rho_lower
 
 
+def _even_terms(logs):
+    """(n, log p_n) at the even n >= 2 where p_n > 0."""
+    return [(n, logs[n]) for n in range(2, len(logs), 2) if logs[n] > NEG_INF]
+
+
+def _rho_lower(even):
+    """sup_n p_{2n}^{1/2n} over ``_even_terms``: a rigorous lower bound on
+    rho, as p_{2n}(e,e) is supermultiplicative."""
+    return max(math.exp(l / n) for n, l in even)
+
+
 def spectral_radius(seq):
     """Estimate rho = 1/R from a return sequence.
 
@@ -243,13 +249,12 @@ def spectral_radius(seq):
     stage, which removes the leading correction of a C R^{-2n} n^{-alpha}
     tail.
     """
-    logs = seq.log_values
-    even = [(n, logs[n]) for n in range(2, seq.horizon + 1, 2) if logs[n] > NEG_INF]
+    even = _even_terms(seq.log_values)
     if len(even) < 10:
         raise DegenerateInputError(
             "spectral radius estimation needs at least 10 nonzero even terms"
         )
-    rho_lower = max(math.exp(l / n) for n, l in even)
+    rho_lower = _rho_lower(even)
     ratios = []
     for (n1, l1), (n2, l2) in zip(even, even[1:]):
         ratios.append((n1 // 2, math.exp((l2 - l1) / (n2 - n1) * 2)))
@@ -261,12 +266,7 @@ def spectral_radius(seq):
     rho_sq = sum(window) / len(window)
     rho_hat = math.sqrt(max(rho_sq, rho_lower**2))
     return SpectralRadiusEstimate(
-        rho_lower=rho_lower,
-        rho_hat=rho_hat,
-        R_hat=1.0 / rho_hat,
-        n_used=even[-1][0],
-        ratio_tail=[x for _, x in ratios[-5:]],
-        exceeds_one=1.0 / rho_hat > 1.0,
+        rho_lower=rho_lower, rho_hat=rho_hat, R_hat=1.0 / rho_hat
     )
 
 
@@ -288,53 +288,39 @@ class ISums:
 class GreenEvaluator:
     """Green functions for one (group, measure) pair at a fixed horizon."""
 
-    def __init__(
-        self,
-        measure,
-        horizon=None,
-        ball_bound=None,
-        budget=5 * 10**6,
-    ):
+    def __init__(self, measure, horizon=None, ball_bound=None):
         self.measure = measure
         self.group = measure.group
         self.system = measure.first_passage_system
         if self.system is not None:
             self.horizon = horizon or 4000
             self.table = AlgebraicGreenTable(self.system, self.horizon)
-            seq = walks.ReturnSequence(
-                horizon=self.horizon,
-                method="algebraic",
-                log_values=self.table.log_coefficients(self.group.identity),
+            self._return_logs = self.table.log_coefficients(self.group.identity)
+            # R is the system's branch point; the return logs give the
+            # rigorous lower bound sup p_2n^(1/2n)
+            lo, hi = self.system.bracket
+            self.radius_estimate = SpectralRadiusEstimate(
+                rho_lower=_rho_lower(_even_terms(self._return_logs)),
+                rho_hat=1.0 / lo, R_hat=lo, rho_bracket=(1.0 / hi, 1.0 / lo),
             )
         else:
             self.horizon = horizon or 80
             if ball_bound is None:
                 ball_bound = max(12, (self.horizon // 4) * measure.max_step_length)
-            self.table = ConvolutionGreenTable(
-                measure, self.horizon, ball_bound, budget=budget
-            )
+            self.table = ConvolutionGreenTable(measure, self.horizon, ball_bound)
+            self._return_logs = self.table.log_coefficients(self.group.identity)
             # radius estimate from the first 61 powers of the same table;
             # beyond n = 2*ball_bound/max_step the returns are slightly
             # undercounted, which can only nudge R_hat upward
             seq_h = min(self.horizon, 60)
-            seq = walks.ReturnSequence(
+            self.radius_estimate = spectral_radius(walks.ReturnSequence(
                 horizon=seq_h,
                 method="exact",
                 values=[
                     d.mass(self.group.identity)
                     for d in self.table.dists[: seq_h + 1]
                 ],
-            )
-        self._return_logs = self.table.log_coefficients(self.group.identity)
-        self.radius_estimate = spectral_radius(seq)
-        if self.system is not None:
-            # R is the system's branch point; the sequence keeps the
-            # rigorous lower bound sup p_2n^(1/2n)
-            lo, hi = self.system.bracket
-            self.radius_estimate = replace(
-                self.radius_estimate, rho_hat=1.0 / lo, R_hat=lo,
-                exceeds_one=lo > 1.0, rho_bracket=(1.0 / hi, 1.0 / lo),
-            )
+            ))
         self.single_syllable_support = all(
             len(g) <= 1 for g, _ in measure.support
         )

@@ -241,14 +241,12 @@ class FreeProduct:
                 out.append(((fid, p),))
         return out
 
-    def ball(self, radius, metric="word", budget=10**7):
+    def ball(self, radius, budget=10**7):
         """All elements within word distance ``radius`` of e, canonically
         ordered.  Raises BudgetError instead of silently truncating.  The
         relative metric has spheres only (``sphere``)."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        if metric != "word":
-            raise ValueError(f"unknown metric {metric!r}")
         return sorted(self._word_ball(radius, budget), key=self.canonical_key)
 
     def sphere(self, radius, metric="word", syllable_cap=None, budget=10**7):
@@ -259,7 +257,7 @@ class FreeProduct:
         if metric != "relative":
             return [
                 g
-                for g in self.ball(radius, metric, budget)
+                for g in self.ball(radius, budget)
                 if self.word_length(g) == radius
             ]
         return list(self._relative_sphere(radius, syllable_cap, budget))
@@ -309,13 +307,3 @@ class FreeProduct:
                         budget=budget,
                     )
                 yield tuple(zip(fids, ps))
-
-    def rel_geodesic(self, x, y):
-        """The d_hat-geodesic vertices from x to y (syllable prefixes of x^-1 y)."""
-        diff = self.multiply(self.invert(x), y)
-        vertices = [x]
-        acc = x
-        for syl in diff:
-            acc = self.multiply(acc, (syl,))
-            vertices.append(acc)
-        return vertices

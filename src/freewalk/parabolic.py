@@ -202,16 +202,11 @@ class DegeneracyReport:
 
 
 DEFAULT_LADDER = ((20, 6), (30, 8), (40, 9))
+# factor word length of the ball over which each rung's kernel matrix is taken
+FACTOR_BALL = 30
 
 
-def degeneracy_test(
-    measure,
-    r,
-    ladder=DEFAULT_LADDER,
-    factor_ids=None,
-    factor_ball=30,
-    stab_tol=0.02,
-):
+def degeneracy_test(measure, r, ladder=DEFAULT_LADDER, stab_tol=0.02):
     """Per-factor spectral-degeneracy verdicts at parameter r (usually R_hat).
 
     rho estimates increase along the (L, B) ladder.  Truncated partial sums
@@ -221,14 +216,12 @@ def degeneracy_test(
     the larger of that extrapolated gap and three times the last increment.
     """
     group = measure.group
-    if factor_ids is None:
-        factor_ids = range(len(group.factors))
     verdicts = []
-    for k in factor_ids:
+    for k in range(len(group.factors)):
         rungs = []
         for L, B in ladder:
             kern = first_return_kernel(measure, k, r, L, B, exact=False)
-            rungs.append((L, B, kernel_spectral_radius(kern, group, factor_ball)))
+            rungs.append((L, B, kernel_spectral_radius(kern, group, FACTOR_BALL)))
         rho = rungs[-1][2]
         if len(rungs) > 1:
             (l1, _, r1), (l2, _, r2) = rungs[-2], rungs[-1]

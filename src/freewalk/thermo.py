@@ -32,6 +32,9 @@ from .algebraic import perron_root
 from .automaton import Automaton
 from .errors import GroupSpecError, NonConvergenceError
 
+# largest change of the pressure between the last two caps of a stabilized ladder
+STAB_TOL = 5e-3
+
 
 def potential_eval(evaluator, path, r):
     """phi_r of a nonempty symbol path, via Green function ratios."""
@@ -154,13 +157,13 @@ class PressureEstimate:
         )
 
 
-def pressure(evaluator, r, ladder=(2, 3, 4), stab_tol=5e-3):
+def pressure(evaluator, r, ladder=(2, 3, 4)):
     """Gurevich pressure estimate with a ladder over syllable caps.
 
     Each rung is log of the Perron root of ``build_transfer`` at that cap,
     so multi-syllable measures are refused; the estimate is the last rung,
     and ``stabilized`` says its last two rungs differ by less than
-    ``stab_tol``.  The symbol graph is one strongly connected component: a
+    ``STAB_TOL``.  The symbol graph is one strongly connected component: a
     symbol can be followed by every symbol of another factor, and there
     are at least two factors.
     """
@@ -169,7 +172,7 @@ def pressure(evaluator, r, ladder=(2, 3, 4), stab_tol=5e-3):
         lam = perron_root(build_transfer(evaluator, r, cap).matrix)
         rungs.append((cap, math.log(lam) if lam > 0 else -math.inf))
     p_hat = rungs[-1][1]
-    stabilized = len(rungs) > 1 and abs(rungs[-1][1] - rungs[-2][1]) < stab_tol
+    stabilized = len(rungs) > 1 and abs(rungs[-1][1] - rungs[-2][1]) < STAB_TOL
     return PressureEstimate(
         r=float(r),
         eigenvalue=lam,

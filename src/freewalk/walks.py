@@ -26,11 +26,10 @@ second route, the first-passage system of ``algebraic``, built once per
 measure (``StepMeasure.first_passage_system``): its coefficients give
 p_n(e,e) to any horizon in floats, with no ball and no path sums, and it
 is the engine the Green evaluator and the CLI use wherever it applies.
-The radial distance chain projects isotropic nearest-neighbor walks to a
-birth-death chain on distances, checked once per measure.  It shares no
-code with the first-passage system and covers a subset of its measures,
-so it serves as a reference engine: ``return_probabilities`` still offers
-it (``method="radial"``), and the tests check the system against it.
+The radial distance chain (``is_radial``) projects isotropic
+nearest-neighbor walks to a birth-death chain on distances.  No command
+reads it: it shares no code with the first-passage system, and the tests
+hold that system to it.
 """
 
 import math
@@ -42,12 +41,12 @@ from functools import cached_property
 import numpy as np
 
 from . import algebraic
-from .errors import (
-    BudgetError,
-    DegenerateInputError,
-    GroupSpecError,
-    NonRadialError,
-)
+from .errors import BudgetError, DegenerateInputError, GroupSpecError
+
+# largest number of path-operator states an exact convolution may hold
+ELEMENT_BUDGET = 5 * 10**6
+# radius of the word ball over which ``is_radial`` checks the projection
+RADIAL_CHECK_RADIUS = 8
 
 
 class StepMeasure:
@@ -78,7 +77,7 @@ class StepMeasure:
         # Admissibility is undecidable in general at this layer; warn if the
         # support's closure misses part of the radius-3 ball.
         try:
-            target = set(self.group.ball(3, metric="word", budget=200000))
+            target = set(self.group.ball(3, budget=200000))
         except BudgetError:
             return
         op = PathOperator(self, ball_bound=3)
@@ -104,11 +103,6 @@ class StepMeasure:
             # it is admissible exactly when mu is, and mu was checked
             warnings.simplefilter("ignore")
             return StepMeasure(self.group, weights, name=f"{self.name}~")
-
-    @cached_property
-    def radial_chain(self):
-        """``is_radial(self)``, checked once per measure."""
-        return is_radial(self)
 
     @cached_property
     def first_passage_system(self):
@@ -626,12 +620,12 @@ class Distribution:
         return Fraction(self.numerators.get(elem, 0), self.denominator)
 
 
-def convolve_power(measure, n, ball_bound=None, budget=5 * 10**6):
+def convolve_power(measure, n, ball_bound=None):
     """Exact mu^{*n} on the ball; records escaped mass when truncated."""
-    return convolve_powers(measure, n, ball_bound, budget)[-1]
+    return convolve_powers(measure, n, ball_bound)[-1]
 
 
-def convolve_powers(measure, n, ball_bound=None, budget=5 * 10**6):
+def convolve_powers(measure, n, ball_bound=None):
     """All mu^{*k} for k = 0..n in one pass of the path operator."""
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -642,11 +636,11 @@ def convolve_powers(measure, n, ball_bound=None, budget=5 * 10**6):
     escaped = 0
     out = [Distribution(0, 1, {measure.group.identity: 1}, 0)]
     for step, (ids, nums, _, esc) in enumerate(op.exact_steps(n), 1):
-        if op.size > budget:
+        if op.size > ELEMENT_BUDGET:
             raise BudgetError(
                 "convolution exceeded element budget",
                 consumed=op.size,
-                budget=budget,
+                budget=ELEMENT_BUDGET,
             )
         denom *= op.denominator
         escaped = escaped * op.denominator + esc
@@ -676,12 +670,10 @@ class RadialChain:
     """Distance projection of an isotropic nearest-neighbor walk.
 
     ``rows[m]`` holds exact (down, stay, up) step probabilities at distance m;
-    the final row repeats for all larger distances.  ``checked_radius`` is the
-    radius over which sphere-constancy and row stabilization were verified.
+    the final row repeats for all larger distances.
     """
 
     rows: list  # [(down, stay, up)] with rows[-1] reused beyond
-    checked_radius: int
 
     def row(self, m):
         return self.rows[min(m, len(self.rows) - 1)]
@@ -731,26 +723,27 @@ class RadialChain:
         return masses, logscales
 
 
-def is_radial(measure, check_radius=8, budget=10**6):
+def is_radial(measure):
     """Distance-projection chain for mu, or None if the projection fails.
 
     Requires single-syllable support (plus possibly e) with every step moving
     distance by at most 1, constant transition profiles on each sphere, and
-    row stabilization before ``check_radius`` so the last row can be repeated.
+    row stabilization before ``RADIAL_CHECK_RADIUS`` so the last row can be
+    repeated.
     """
     group = measure.group
     for g, _ in measure.support:
         if len(g) > 1 or (len(g) == 1 and group.word_length(g) != 1):
             return None
     try:
-        ball = group.ball(check_radius, metric="word", budget=budget)
+        ball = group.ball(RADIAL_CHECK_RADIUS, budget=10**6)
     except BudgetError:
         return None
     dist = {g: group.word_length(g) for g in ball}
     profiles = {}
     for g in ball:
         m = dist[g]
-        if m >= check_radius:
+        if m >= RADIAL_CHECK_RADIUS:
             continue
         down = stay = up = Fraction(0)
         for s, w in measure.support:
@@ -768,11 +761,11 @@ def is_radial(measure, check_radius=8, budget=10**6):
         if m in profiles and profiles[m] != prof:
             return None
         profiles[m] = prof
-    rows = [profiles[m] for m in range(check_radius)]
+    rows = [profiles[m] for m in range(RADIAL_CHECK_RADIUS)]
     # need at least two identical trailing rows to certify the repeated tail
     if len(rows) < 3 or rows[-1] != rows[-2]:
         return None
-    return RadialChain(rows=rows, checked_radius=check_radius)
+    return RadialChain(rows=rows)
 
 
 @dataclass
@@ -780,7 +773,7 @@ class ReturnSequence:
     """p_n(e,e) for n = 0..horizon, exact or float-log, with provenance."""
 
     horizon: int
-    method: str  # "exact" | "radial" | "algebraic"
+    method: str  # "exact" | "algebraic"
     values: list = None  # exact Fractions, when method == "exact"
     log_values: np.ndarray = None
 
@@ -794,21 +787,12 @@ class ReturnSequence:
         return [n for n in range(1, self.horizon + 1) if self.log_values[n] > -math.inf]
 
 
-def return_probabilities(measure, horizon, method="exact", budget=5 * 10**6):
-    """p_n(e,e) for n = 0..horizon: exact, by the radial chain, or from the
-    coefficients of the first-passage system (``method="algebraic"``)."""
+def return_probabilities(measure, horizon, method="exact"):
+    """p_n(e,e) for n = 0..horizon: exact, or from the coefficients of the
+    first-passage system (``method="algebraic"``)."""
     if method == "exact":
-        vals = _exact_returns(measure, horizon, budget)
+        vals = _exact_returns(measure, horizon)
         return ReturnSequence(horizon=horizon, method="exact", values=vals)
-    if method == "radial":
-        chain = measure.radial_chain
-        if chain is None:
-            raise NonRadialError(
-                "radial method requested but the measure has no valid "
-                "distance projection"
-            )
-        logs = chain.return_log_probs(horizon)
-        return ReturnSequence(horizon=horizon, method="radial", log_values=logs)
     if method == "algebraic":
         system = measure.first_passage_system
         if system is None:
@@ -821,7 +805,7 @@ def return_probabilities(measure, horizon, method="exact", budget=5 * 10**6):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _exact_returns(measure, horizon, budget):
+def _exact_returns(measure, horizon):
     """Exact p_n(e,e) for n = 0..horizon, meeting in the middle.
 
     p_{a+b}(e,e) = sum_g mu^{*a}(g) mu'^{*b}(g), where mu'(g) = mu(g^-1)
@@ -852,11 +836,11 @@ def _exact_returns(measure, horizon, budget):
     prev_b = (np.zeros(1, np.int64), np.ones(1, dtype=object))
     for ids, nums, *cur_b in steps:
         consumed = fwd.size + (bwd.size if bwd is not None else 0)
-        if consumed > budget:
+        if consumed > ELEMENT_BUDGET:
             raise BudgetError(
                 "return probabilities exceeded element budget",
                 consumed=consumed,
-                budget=budget,
+                budget=ELEMENT_BUDGET,
             )
         if bwd is not None:
             ids = bwd.state_of(fwd.node[ids])

@@ -61,10 +61,10 @@ def test_criterion_01_exact_kinematics(f2_srw):
 
 def test_criterion_02_spectral_radius(f2_srw, z2cubed_srw):
     started = time.perf_counter()
-    est_f2 = spectral_radius(return_probabilities(f2_srw, 4000, method="radial"))
+    est_f2 = spectral_radius(return_probabilities(f2_srw, 4000, method="algebraic"))
     err_f2 = abs(est_f2.rho_hat - math.sqrt(3.0) / 2.0)
     est_z2 = spectral_radius(
-        return_probabilities(z2cubed_srw, 4000, method="radial")
+        return_probabilities(z2cubed_srw, 4000, method="algebraic")
     )
     err_z2 = abs(est_z2.rho_hat - 2.0 * math.sqrt(2.0) / 3.0)
     elapsed = time.perf_counter() - started
@@ -77,7 +77,7 @@ def test_criterion_02_spectral_radius(f2_srw, z2cubed_srw):
 def test_criterion_03_local_limit_exponent(f2_srw, z2cubed_srw):
     alphas = {}
     for name, mu in (("tree", f2_srw), ("involutions", z2cubed_srw)):
-        seq = return_probabilities(mu, 5000, method="radial")
+        seq = return_probabilities(mu, 5000, method="algebraic")
         est = spectral_radius(seq)
         fit = llt_fit(
             seq.log_values, detect_period(seq).period, (500, 5000), 1.0 / est.rho_hat

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from freewalk.algebraic import FirstPassageSystem
-from freewalk.cli import main
+from freewalk.cli import build_parser, main
 from freewalk.config import ConfigError, parse_config
 from freewalk.errors import DivergenceError
 from freewalk.green import GreenEvaluator
@@ -166,6 +167,29 @@ def test_report_needs_no_scipy():
     assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
+def test_readme_flags_are_the_parser_options():
+    # the backticked --flags of README's "Flags:" paragraph, against the
+    # options the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("\nFlags:"):].split("\n\n")[0]
+    documented = {span.split()[0] for span in re.findall(r"`(--[^`]*)`", paragraph)}
+    options = {
+        opt
+        for action in build_parser()._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+    assert documented == options
+
+
+def test_budget_flag_is_gone(cfg_path, capsys):
+    # every size comes from the config; --budget is refused as an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        main(["walk", "--config", cfg_path, "--budget", "20"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 class TestCliExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["walk", "--config", str(tmp_path / "nope.json")])
@@ -220,11 +244,10 @@ class TestCliExitCodes:
             assert "outside the first-passage system" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_llt_with_tiny_budget_fails_cleanly(self, cfg_path, tmp_path, capsys):
-        rc = main(
-            ["llt", "--config", cfg_path, "--budget", "60",
-             "--out", str(tmp_path / "out")]
-        )
+    def test_llt_with_tiny_budget_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(dict(BASE, horizon=60)))
+        rc = main(["llt", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 5
         assert "usable lattice points" in capsys.readouterr().err
 
@@ -243,10 +266,11 @@ class TestCliExitCodes:
 
 
 class TestCliOutputs:
-    def test_walk_csv(self, cfg_path, tmp_path, capsys):
+    def test_walk_csv(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(dict(BASE, horizon=20)))
         out = tmp_path / "out"
-        rc = main(["walk", "--config", cfg_path, "--budget", "20",
-                   "--out", str(out)])
+        rc = main(["walk", "--config", str(path), "--out", str(out)])
         assert rc == 0
         lines = (out / "tree_walk.csv").read_text().strip().splitlines()
         assert lines[0] == "n,p_n"
@@ -273,11 +297,13 @@ class TestCliOutputs:
         assert blob["verdict"] in {"non-degenerate", "degenerate", "inconclusive"}
         assert len(blob["factors"]) == 2
 
-    def test_deterministic_reruns(self, cfg_path, tmp_path):
+    def test_deterministic_reruns(self, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(dict(BASE, horizon=30)))
+        cfg_path = str(path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         for out in (out1, out2):
-            assert main(["walk", "--config", cfg_path, "--budget", "30",
-                         "--out", str(out)]) == 0
+            assert main(["walk", "--config", cfg_path, "--out", str(out)]) == 0
             assert main(["green", "--config", cfg_path, "--out", str(out)]) == 0
         assert (out1 / "tree_walk.csv").read_bytes() == (
             out2 / "tree_walk.csv"

@@ -17,7 +17,7 @@ from freewalk.green import (
     spectral_radius,
 )
 from freewalk.groups import FreeProduct, LatticeFactor, cyclic_factor
-from freewalk.walks import return_probabilities
+from freewalk.walks import is_radial, return_probabilities
 
 from oracles import (
     F2_RADIUS,
@@ -42,25 +42,25 @@ def ev(f2_srw):
 
 class TestSpectralRadius:
     def test_f2_radius(self, f2_srw):
-        seq = return_probabilities(f2_srw, 4000, method="radial")
+        seq = return_probabilities(f2_srw, 4000, method="algebraic")
         est = spectral_radius(seq)
         assert abs(est.rho_hat - 1.0 / F2_RADIUS) < 1e-3
         assert est.rho_lower <= est.rho_hat
-        assert est.exceeds_one  # R_hat > 1: the group is non-amenable
+        assert est.R_hat > 1.0  # the group is non-amenable
 
     def test_z2cubed_radius(self, z2cubed_srw):
-        seq = return_probabilities(z2cubed_srw, 4000, method="radial")
+        seq = return_probabilities(z2cubed_srw, 4000, method="algebraic")
         est = spectral_radius(seq)
         assert abs(est.rho_hat - 1.0 / z2z2z2_radius()) < 2e-3
 
     def test_lower_bound_is_monotone(self, f2_srw):
-        short = spectral_radius(return_probabilities(f2_srw, 400, method="radial"))
-        long = spectral_radius(return_probabilities(f2_srw, 2000, method="radial"))
+        short = spectral_radius(return_probabilities(f2_srw, 400, method="algebraic"))
+        long = spectral_radius(return_probabilities(f2_srw, 2000, method="algebraic"))
         assert long.rho_lower >= short.rho_lower - 1e-12
 
     def test_uncertainty_covers_the_error(self, f2_srw):
         # one-sided bar from rho_hat down to the rigorous lower bound
-        seq = return_probabilities(f2_srw, 4000, method="radial")
+        seq = return_probabilities(f2_srw, 4000, method="algebraic")
         est = spectral_radius(seq)
         assert est.uncertainty() == est.rho_hat - est.rho_lower
         assert abs(est.rho_hat - 1.0 / F2_RADIUS) <= est.uncertainty() < 0.01
@@ -297,24 +297,57 @@ def _left_to_right(ev, gamma, r, value):
     return value
 
 
+def _draw_element(data, choices, max_syllables):
+    """A normal form of at most ``max_syllables`` syllables from ``choices``."""
+    g, last = [], None
+    for _ in range(data.draw(st.integers(0, max_syllables))):
+        fid = data.draw(st.sampled_from([k for k in range(len(choices)) if k != last]))
+        g.append((fid, data.draw(st.sampled_from(choices[fid]))))
+        last = fid
+    return tuple(g)
+
+
 class TestSyllableTable:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_values_are_left_to_right_products(self, single_syllable_ev, data):
         ev = single_syllable_ev
         group = ev.group
-        choices = syllable_choices(group)
-        g, last = [], None
-        for _ in range(data.draw(st.integers(0, 6))):
-            fid = data.draw(st.sampled_from([k for k in range(len(choices)) if k != last]))
-            g.append((fid, data.draw(st.sampled_from(choices[fid]))))
-            last = fid
-        g = tuple(g)
+        g = _draw_element(data, syllable_choices(group), 6)
         r = data.draw(st.sampled_from((0.3, 0.8, 0.95, 1.0))) * ev.R_hat
         gee = ev.green((), (), r).value
         assert ev.green((), g, r).value == _left_to_right(ev, g, r, gee)
         assert ev.green(g, (), r).value == _left_to_right(ev, group.invert(g), r, gee)
         assert ev.first_passage((), g, r).value == _left_to_right(ev, g, r, 1.0)
+
+
+@pytest.fixture(scope="module")
+def twin_ev(single_syllable_ev):
+    """A second evaluator of the same measure, with caches of its own."""
+    ev = single_syllable_ev
+    if ev.system is None:
+        return GreenEvaluator(ev.measure, horizon=ev.horizon,
+                              ball_bound=ev.table.ball_bound)
+    return GreenEvaluator(ev.measure)
+
+
+class TestLeftInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_values_depend_on_the_displacement_only(self, single_syllable_ev,
+                                                    twin_ev, data):
+        # G(x, xg) = G(e, g) and F(x, xg) = F(e, g), bit for bit: the
+        # Ancona audit reads every value at its displacement.  The twin is
+        # asked only from x, so no cache carries a value from e over.
+        ev = single_syllable_ev
+        group = ev.group
+        choices = syllable_choices(group)
+        x = _draw_element(data, choices, 3)
+        g = _draw_element(data, choices, 5)
+        xg = group.multiply(x, g)
+        r = data.draw(st.sampled_from((0.3, 0.8, 0.95, 1.0))) * ev.R_hat
+        assert twin_ev.green(x, xg, r) == ev.green((), g, r)
+        assert twin_ev.first_passage(x, xg, r) == ev.first_passage((), g, r)
 
 
 def _eval_series_loop(logs, r):
@@ -384,7 +417,7 @@ class TestTables:
     )
     def test_radial_measures_read_the_first_passage_system(self, measure, radius):
         mu = _measure(measure)
-        assert mu.radial_chain is not None
+        assert is_radial(mu) is not None
         ev_m = GreenEvaluator(mu)
         assert isinstance(ev_m.table, AlgebraicGreenTable)
         assert ev_m.R_hat == mu.first_passage_system.radius
@@ -398,7 +431,7 @@ class TestTables:
         # those over n, and the evaluator forms it as G(e,e) F(e, gamma)
         mu = _measure(measure)
         ev_m = GreenEvaluator(mu, horizon=600)
-        masses, logscales = mu.radial_chain.float_masses(600)
+        masses, logscales = is_radial(mu).float_masses(600)
         sizes = sphere_sizes(mu.group, 8)
         n = np.arange(601)
         for frac in (0.5, 0.9):

@@ -195,15 +195,6 @@ class TestEnumeration:
         with pytest.raises(BudgetError):
             f2.sphere(2, "relative")
 
-    def test_rel_geodesic_endpoints(self, z2z3):
-        x = ((0, 1),)
-        y = ((0, 1), (1, 2), (0, 1))
-        geo = z2z3.rel_geodesic(x, y)
-        assert geo[0] == x and geo[-1] == y
-        assert len(geo) == len(z2z3.multiply(z2z3.invert(x), y)) + 1
-        for u, v in zip(geo, geo[1:]):
-            assert len(z2z3.multiply(z2z3.invert(u), v)) == 1
-
 
 class TestElementaryWarning:
     def test_z2_z2_warns(self):
