@@ -3,18 +3,16 @@
 The kernel p_{k,r}(h,h') sums r^n mu(h^-1 g_1) ... mu(g_{n-1}^-1 h') over
 paths whose intermediate points avoid H_k.  Translation invariance reduces it
 to the single row from e, which is the mass ``walks.PathOperator`` absorbs
-in H_k, labelled by factor payload.  Its exact
-propagator (integer numerators, rational r folded into the steps) serves
-rational r and additionally prunes by remaining steps (a state farther from
-H_k than the steps left cannot contribute, so the prune is lossless); its
-float propagator serves the rest.  States are truncated to a word ball.
-Where the syllable types of a single-syllable measure certify that the
-truncated chain is lumpable onto its expansion levels (the tree and
-finite-factor walks), the float propagator steps one block per level,
-built from the types with no ball expanded (``walks.level_absorb``),
-which keeps the masses within rounding of the exact chain; elsewhere it
-expands the ball and steps every state (``PathOperator.float_absorb``).
-``chain_size`` records which: the blocks and sinks the steps propagated.
+in H_k, labelled by factor payload.  Its exact propagator (integer
+numerators, rational r folded into the steps) serves rational r and
+additionally prunes by remaining steps (a state farther from H_k than the
+steps left cannot contribute, so the prune is lossless); its float
+propagator serves the rest.  States are truncated to a word ball.  Where
+the syllable types of a single-syllable measure certify that the chain is
+lumpable onto its expansion levels (the tree and finite-factor walks),
+both step one block per level, built from the types with no ball expanded
+(``walks.level_absorb``); elsewhere they expand the ball and step every
+state.  ``chain_size`` records which.
 
 Over a factor ball the kernel is a finite non-negative matrix K.  Its
 Perron root is read off the eigenvalues of K (by a Rayleigh quotient
@@ -65,17 +63,17 @@ class ReturnKernel:
     in_flight_mass: object  # weight still outside H_k at step L
     escaped_mass: object  # weight dropped at the ball boundary
     exact: bool
-    chain_size: int  # states (float mode: blocks and sinks) the steps propagate
+    chain_size: int  # blocks and sinks stepped (exact state chain: states)
 
 
 def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=None):
     """The row p_{k,r}(e, .) of the first-return kernel to factor ``factor_id``.
 
-    Runs the path operator with H_k as its absorbing set.  Exact mode
-    (rational r, or ``exact=True``) propagates integer numerators with the
-    lossless remaining-steps prune and returns Fraction rows; float mode
-    builds one transition list, over the levels where the syllable types
-    certify them and over the ball's states otherwise, and reuses it at
+    Runs the path operator with H_k as its absorbing set, over the levels
+    where the syllable types certify them and over the ball's states
+    otherwise.  Exact mode (rational r, or ``exact=True``) propagates
+    integer numerators with the lossless remaining-steps prune and returns
+    Fraction rows; float mode builds one transition list and reuses it at
     every step, which makes long horizons cheap.
     """
     if exact is None:
@@ -83,24 +81,11 @@ def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=
     if not exact and ball_radius is None:
         raise ValueError("float mode needs an explicit ball_radius")
     r = Fraction(r) if exact else float(r)
-    if exact:
+    result = level_absorb(measure, max_len, ball_radius, r, factor_id)
+    if result is None:
         op = PathOperator(measure, ball_radius, r, factor=factor_id)
-        row, escaped, denom, nums = {}, Fraction(0), 1, [1]
-        for ids, nums, hits, esc in op.exact_steps(max_len, prune=True):
-            denom *= op.denominator
-            for payload, num in hits.items():
-                row[payload] = row.get(payload, 0) + Fraction(num, denom)
-            escaped += Fraction(esc, denom)
-            if not len(ids):
-                break
-        returned = sum(row.values(), Fraction(0))
-        in_flight = Fraction(sum(nums), denom)
-        chain_size = op.size
-    else:
-        row, returned, in_flight, escaped, chain_size = (
-            level_absorb(measure, max_len, ball_radius, r, factor_id)
-            or PathOperator(measure, ball_radius, r, factor=factor_id).float_absorb(max_len)
-        )
+        result = (op.exact_absorb if exact else op.float_absorb)(max_len)
+    row, returned, in_flight, escaped, chain_size = result
     return ReturnKernel(
         factor_id=factor_id,
         r=r,
@@ -214,7 +199,10 @@ def degeneracy_test(measure, r, ladder=DEFAULT_LADDER, stab_tol=0.02):
     coefficients decay like n^{-3/2}), so the remaining gap is estimated by
     fitting rho(L) = rho_inf - c/sqrt(L) to the last two rungs; the slack is
     the larger of that extrapolated gap and three times the last increment.
+    A ladder of fewer than two rungs has no increment, and is refused.
     """
+    if len(ladder) < 2:
+        raise ValueError("the degeneracy ladder needs at least two rungs")
     group = measure.group
     verdicts = []
     for k in range(len(group.factors)):
@@ -223,14 +211,11 @@ def degeneracy_test(measure, r, ladder=DEFAULT_LADDER, stab_tol=0.02):
             kern = first_return_kernel(measure, k, r, L, B, exact=False)
             rungs.append((L, B, kernel_spectral_radius(kern, group, FACTOR_BALL)))
         rho = rungs[-1][2]
-        if len(rungs) > 1:
-            (l1, _, r1), (l2, _, r2) = rungs[-2], rungs[-1]
-            delta = abs(r2 - r1)
-            denom = 1.0 / math.sqrt(l1) - 1.0 / math.sqrt(l2)
-            gap = ((r2 - r1) / denom) / math.sqrt(l2) if denom > 0 else 0.0
-            slack = max(3.0 * delta, gap)
-        else:
-            delta, slack = math.inf, math.inf
+        (l1, _, r1), (l2, _, r2) = rungs[-2], rungs[-1]
+        delta = abs(r2 - r1)
+        denom = 1.0 / math.sqrt(l1) - 1.0 / math.sqrt(l2)
+        gap = ((r2 - r1) / denom) / math.sqrt(l2) if denom > 0 else 0.0
+        slack = max(3.0 * delta, gap)
         stabilized = delta < stab_tol
         if rho >= 1.0:
             verdict = "degenerate"  # rigorous: truncation underestimates rho
@@ -243,7 +228,7 @@ def degeneracy_test(measure, r, ladder=DEFAULT_LADDER, stab_tol=0.02):
                 factor_id=k,
                 ladder=rungs,
                 rho_hat=rho,
-                rho_extrapolated=rho + (slack if math.isfinite(slack) else 0.0),
+                rho_extrapolated=rho + slack,
                 row_mass=float(kern.returned_mass),
                 slack=slack,
                 stabilized=stabilized,

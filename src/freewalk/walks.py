@@ -15,8 +15,8 @@ each step as one product and one grouped sum over object arrays; the
 float propagator applies a weighted transition list once per step.  For
 a single-syllable measure whose syllable types certify that the chain is
 lumpable onto the ball's expansion levels, ``level_absorb`` builds that
-list over the levels from the types alone, with no ball expanded; the
-state chain of ``PathOperator.float_absorb`` serves every other measure.
+list over the levels from the types alone, with no ball expanded, for
+either propagator; ``PathOperator``'s state chains serve every other measure.
 
 Exact return probabilities meet in the middle: p_{a+b}(e,e) pairs mu^{*a}
 with the powers of the reflected measure g -> mu(g^-1) (mu itself when it
@@ -262,10 +262,10 @@ class PathOperator:
 
     ``exact_steps`` keeps integer numerators over ``denominator ** n``,
     with the rational r folded into the step numerators, and expands the
-    states new at each step as one batch.  ``float_absorb`` expands the
-    ball one level at a time and applies one transition list over its
-    live states per step; measures whose level chain is certified
-    (``level_absorb``) need no operator.
+    states new at each step as one batch (``exact_absorb`` sums them).
+    ``float_absorb`` expands the ball one level at a time and applies one
+    transition list over its live states per step; measures whose level
+    chain is certified (``level_absorb``) need no operator.
     Element tuples are built only by ``elements``.  Operators built on one
     ``tree`` share its node ids, so their states pair by node.
     """
@@ -436,6 +436,11 @@ class PathOperator:
             ids, nums = targets[keep], sums[keep]
             yield ids, nums, hits, escaped
 
+    def exact_absorb(self, n):
+        """``float_absorb`` in Fractions, after n pruned ``exact_steps``;
+        ``size`` counts the states interned."""
+        return (*_exact_sums(self.exact_steps(n, prune=True), self.denominator), self.size)
+
     def float_absorb(self, n):
         """(absorbed, absorbed_total, in_flight, escaped, size) after n steps.
 
@@ -491,10 +496,60 @@ def _absorb(src, dst, wgt, k, labels, n):
     return (absorbed, float(x[k + 1:].sum()), float(x[:k].sum()), float(x[k]), size)
 
 
+def _exact_sums(steps, denominator):
+    """(absorbed, absorbed_total, in_flight, escaped) in Fractions, from steps
+    ending in numerators (in-flight, {label: absorbed}, escaped) / denominator**step."""
+    row, escaped, denom, nums = {}, Fraction(0), 1, [1]
+    for *_, nums, hits, esc in steps:
+        denom *= denominator
+        for label, num in hits.items():
+            row[label] = row.get(label, 0) + Fraction(num, denom)
+        escaped += Fraction(esc, denom)
+        if not any(nums):
+            break
+    return row, sum(row.values(), Fraction(0)), Fraction(sum(nums), denom), escaped
+
+
 def level_absorb(measure, n, ball_bound, r, factor):
-    """``PathOperator.float_absorb`` of the first returns to H_``factor``,
-    stepped over the ball's expansion levels; or None without a
-    certificate that the chain is lumpable onto them.
+    """``PathOperator.exact_absorb`` (Fraction r) or ``float_absorb``
+    (float r) of the first returns to H_``factor``, over the ball's
+    expansion levels; or None without a certificate that the chain is
+    lumpable onto them.  ``_level_chain`` builds the chain; ``_absorb``
+    steps it in floats, ``_level_steps`` in integers.  Exact mode needs no
+    ball: it builds the levels its prune can reach, n // 2 steps out."""
+    step_length = measure.max_step_length
+    bound = n // 2 * step_length if ball_bound is None else ball_bound
+    chain = _level_chain(measure, bound, r, factor)
+    if chain is None:
+        return None
+    src, dst, nums, denominator, k, labels = chain
+    if isinstance(r, Fraction):
+        steps = _level_steps(src, dst, nums, k, labels, n, step_length,
+                             ball_bound is not None)
+        return (*_exact_sums(steps, denominator), k + 1 + len(labels))
+    return _absorb(np.array(src, np.int64), np.array(dst, np.int64),
+                   np.array([num / denominator for num in nums]), k, labels, n)
+
+
+def _level_steps(src, dst, nums, k, labels, n, step_length, escapes):
+    """The level chain's steps for ``_exact_sums``, with ``exact_steps``'s
+    prune: a live state's distance to H_k is its level, so after step s
+    a level past (n - s) * ``step_length`` is dropped.  The escape sink
+    counts only where ``escapes`` (an explicit ball)."""
+    x = [1] + [0] * (k - 1)
+    for step in range(1, n + 1):
+        y = [0] * (k + 1 + len(labels))
+        for s, d, num in zip(src, dst, nums):
+            y[d] += x[s] * num
+        reach = (n - step) * step_length
+        x = [v if level <= reach else 0 for level, v in enumerate(y[:k])]
+        yield x, {a: v for a, v in zip(labels, y[k + 1:]) if v}, y[k] * escapes
+
+
+def _level_chain(measure, ball_bound, r, factor):
+    """(src, dst, nums, denominator, k, labels): the first returns to
+    H_``factor`` as a chain over the ball's expansion levels, or None
+    without a certificate that the state chain is lumpable onto them.
 
     For a single-syllable measure every syllable prefix is a cut vertex,
     so a live state's level is the sum of its syllables' step distances
@@ -512,8 +567,9 @@ def level_absorb(measure, n, ball_bound, r, factor):
     (Kemeny and Snell 1960), and no word ball is expanded.  Each level is
     one block, stepped by the row of its breadth-first first state: e's
     first live step, then each such state's first step up, in support
-    order.  The steps of a row into one block are one weight, their
-    numerators' sum over the denominator.
+    order.  The steps of a row into one block are one entry, whose integer
+    numerator is theirs summed, over ``denominator``.  Blocks are numbered
+    as in ``_absorb``: the k levels, the escape sink, one sink per label.
     """
     if any(len(g) > 1 for g, _ in measure.support):
         return None
@@ -580,7 +636,7 @@ def level_absorb(measure, n, ball_bound, r, factor):
                 for s in present[level]}
         if len(rows) > 1:
             return None
-    src, dst, wgt, s = [], [], [], None
+    src, dst, nums, s = [], [], [], None
     for level in range(k):
         row = [target(s, level, t) for t in steps]
         merged = {}
@@ -588,10 +644,9 @@ def level_absorb(measure, n, ball_bound, r, factor):
             merged[b] = merged.get(b, 0) + num
         src += [level] * len(merged)
         dst += merged
-        wgt += [num / denominator for num in merged.values()]
+        nums += merged.values()
         s = next((u for b, u in row if b == level + 1), None)
-    return _absorb(np.array(src, np.int64), np.array(dst, np.int64), np.array(wgt),
-                   k, labels, n)
+    return src, dst, nums, denominator, k, labels
 
 
 def _unit(factor):

@@ -14,7 +14,7 @@ from freewalk.parabolic import (
     kernel_matrix,
     kernel_spectral_radius,
 )
-from freewalk.walks import StepMeasure
+from freewalk.walks import PathOperator, StepMeasure
 
 from oracles import F2_RADIUS, f2_first_passage
 
@@ -81,12 +81,16 @@ class TestExactKernel:
 
     @pytest.mark.parametrize("walk, factor_id", [("f2_srw", 0), ("z2z3_srw", 1)])
     def test_exact_and_float_rows_agree(self, walk, factor_id, request):
+        # both kernels step the level chain here, so the reference is the
+        # exact state chain
         measure = request.getfixturevalue(walk)
         exact = first_return_kernel(measure, factor_id, Fraction(1), 12, 6)
         flt = first_return_kernel(measure, factor_id, 1.0, 12, 6, exact=False)
+        state = PathOperator(measure, 6, Fraction(1), factor=factor_id).exact_absorb(12)
         assert exact.exact and not flt.exact
-        assert set(exact.row) == set(flt.row)
-        for payload, w in exact.row.items():
+        assert exact.row == state[0]
+        assert set(state[0]) == set(flt.row)
+        for payload, w in state[0].items():
             assert isinstance(w, Fraction)
             assert math.isclose(flt.row[payload], float(w), rel_tol=1e-12)
 
@@ -188,6 +192,10 @@ class TestDegeneracy:
             z2z3_srw, ev23.R_hat, ladder=((30, 8), (45, 9), (60, 10))
         )
         assert report.verdict == "non-degenerate"
+
+    def test_one_rung_ladder_is_refused(self, f2_srw, ev):
+        with pytest.raises(ValueError, match="two rungs"):
+            degeneracy_test(f2_srw, ev.R_hat, ladder=((20, 6),))
 
     def test_short_ladder_is_inconclusive(self, f2_srw, ev):
         report = degeneracy_test(

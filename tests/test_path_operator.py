@@ -8,9 +8,12 @@ their pins were taken from the level chain once it matched the exact
 kernel, and the typed chain keeps them bit for bit.  The others
 (``f2_asym``, ``f2_two_letter``, ``z2sq_z2``) step every state
 (``PathOperator.float_absorb``); their pins were taken once the sinks'
-self-loops came last in its entry list.  The exact ``convolve_powers``
-powers are pinned by a SHA-256 each (denominator, escaped numerator and
-numerators, key order included).
+self-loops came last in its entry list.  Where the level chain is
+certified the exact kernel steps it too; it is held to the pruned state
+chain (``exact_steps(prune=True)``) Fraction for Fraction, and every exact
+reference for a float kernel comes from the state chain.  The exact
+``convolve_powers`` powers are pinned by a SHA-256 each (denominator,
+escaped numerator and numerators, key order included).
 """
 
 import hashlib
@@ -176,11 +179,12 @@ def test_float_kernel_is_bitwise_frozen(case):
 STATE_CHAIN = ("f2_asym", "f2_two_letter_a", "f2_two_letter_b", "z2sq_z2")
 
 
-def _exact_kernel(name, fid, r, L, B):
-    """(row, returned, in-flight, escaped) of the unpruned exact kernel."""
-    op = PathOperator(_measure(name), B, Fraction(r), factor=fid)
+def _exact_kernel(mu, fid, r, L, B, prune=False):
+    """(row, returned, in-flight, escaped) of the exact kernel on the state
+    chain, unpruned by default; with ``prune``, as the exact kernel prunes."""
+    op = PathOperator(mu, B, Fraction(r), factor=fid)
     row, escaped, denom, nums = {}, Fraction(0), 1, [1]
-    for _, nums, hits, esc in op.exact_steps(L):
+    for _, nums, hits, esc in op.exact_steps(L, prune=prune):
         denom *= op.denominator
         for payload, num in hits.items():
             row[payload] = row.get(payload, 0) + Fraction(num, denom)
@@ -192,7 +196,7 @@ def _exact_kernel(name, fid, r, L, B):
 def test_float_kernel_matches_the_exact_kernel(case):
     name, fid, r, L, B = KERNEL_CASES[case]
     kern = first_return_kernel(_measure(name), fid, r, L, B, exact=False)
-    row, returned, in_flight, escaped = _exact_kernel(*KERNEL_CASES[case])
+    row, returned, in_flight, escaped = _exact_kernel(_measure(name), fid, r, L, B)
     assert set(kern.row) == set(row)
     pairs = [(("row", p), w, row[p]) for p, w in kern.row.items()] + [
         ("returned", kern.returned_mass, returned),
@@ -216,6 +220,10 @@ def test_level_chain_propagates_one_block_per_level(monkeypatch):
                         lambda self, *a, **k: calls.append(1) or expand(self, *a, **k))
     kern = first_return_kernel(mu, 0, 1.0, 140, 11, exact=False)
     assert kern.chain_size == 12 + 1 + 3
+    # the exact kernel at L = 20 with no ball: levels 0..10, as far as the
+    # prune lets a path go and still return, the escape sink and the sinks
+    kern = first_return_kernel(mu, 0, Fraction(1), 20)
+    assert kern.chain_size == 11 + 1 + 3
     assert calls == []
 
 
@@ -237,6 +245,41 @@ def test_benchmark_float_kernel_is_bitwise_frozen():
         "masses": [m.hex() for m in
                    (kern.returned_mass, kern.in_flight_mass, kern.escaped_mass)],
     } == FROZEN_BENCHMARK_KERNEL
+
+
+# The benchmark's exact kernel (f2, factor a, r = 1, L = 20, no ball), as
+# Fraction strings, pinned to the values of the pruned state chain over all
+# 59 051 states it interns.
+FROZEN_BENCHMARK_EXACT_KERNEL = {
+    "row": {(-1,): "1/4", (1,): "1/4", (0,): "45719617997/274877906944"},
+    "masses": ["183158571469/274877906944", "0", "0"],
+}
+
+
+def test_benchmark_exact_kernel_is_frozen():
+    kern = first_return_kernel(_measure("f2"), 0, Fraction(1), 20)
+    assert all(isinstance(w, Fraction) for w in kern.row.values())
+    assert {
+        "row": {p: str(w) for p, w in kern.row.items()},
+        "masses": [str(m) for m in
+                   (kern.returned_mass, kern.in_flight_mass, kern.escaped_mass)],
+    } == FROZEN_BENCHMARK_EXACT_KERNEL
+
+
+# (measure, factor, L, B): certified measures, with and without a ball
+EXACT_LEVEL_CASES = [("f2", 0, L, None) for L in (12, 14, 20, 22)] + [
+    ("f2", 0, 12, 6), ("f2", 1, 16, 5), ("z2z3", 0, 16, None), ("z2z3", 1, 16, None),
+    ("f2_lazy", 0, 14, None), ("z2z2z2", 2, 12, 4),
+]
+
+
+@pytest.mark.parametrize("name, fid, L, B", EXACT_LEVEL_CASES)
+def test_exact_kernel_cases_match_the_pruned_state_chain(name, fid, L, B):
+    mu = _measure(name)
+    assert level_absorb(mu, L, B, Fraction(1), fid) is not None
+    kern = first_return_kernel(mu, fid, Fraction(1), L, B)
+    got = (kern.row, kern.returned_mass, kern.in_flight_mass, kern.escaped_mass)
+    assert got == _exact_kernel(mu, fid, 1, L, B, prune=True)
 
 
 @pytest.mark.parametrize("case", STATE_CHAIN)
@@ -294,10 +337,12 @@ def _cyclic_measures(draw):
 def test_kernel_engines_agree_and_conserve_mass(mu, data):
     factor_id = data.draw(st.integers(0, len(mu.group.factors) - 1))
     L, B = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
-    exact = first_return_kernel(mu, factor_id, Fraction(1), L, B)
+    # the exact reference is the pruned state chain, not the level chain
+    # the float kernel may itself step
+    exact_row = _exact_kernel(mu, factor_id, 1, L, B, prune=True)[0]
     flt = first_return_kernel(mu, factor_id, 1.0, L, B, exact=False)
-    assert set(exact.row) == set(flt.row)
-    for payload, w in exact.row.items():
+    assert set(exact_row) == set(flt.row)
+    for payload, w in exact_row.items():
         assert abs(float(w) - flt.row[payload]) < 1e-12
     total = flt.returned_mass + flt.in_flight_mass + flt.escaped_mass
     assert abs(total - 1.0) < 1e-12
@@ -316,6 +361,19 @@ def test_typed_level_chain_matches_the_state_chain(mu, data):
     pairs = [(w, state[0][p]) for p, w in typed[0].items()] + list(zip(typed[1:4], state[1:4]))
     for got, want in pairs:
         assert abs(got - want) <= 2e-15 * want
+
+
+@settings(max_examples=50, deadline=None)
+@given(mu=_cyclic_measures(), data=st.data())
+def test_exact_level_chain_matches_the_state_chain(mu, data):
+    factor_id = data.draw(st.integers(0, len(mu.group.factors) - 1))
+    L = data.draw(st.integers(0, 10))
+    B = data.draw(st.one_of(st.none(), st.integers(0, 6)))
+    if level_absorb(mu, L, B, Fraction(1), factor_id) is None:
+        return  # no certificate: the state chain alone serves
+    kern = first_return_kernel(mu, factor_id, Fraction(1), L, B)
+    got = (kern.row, kern.returned_mass, kern.in_flight_mass, kern.escaped_mass)
+    assert got == _exact_kernel(mu, factor_id, 1, L, B, prune=True)
 
 
 @settings(max_examples=30, deadline=None)
