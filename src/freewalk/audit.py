@@ -6,6 +6,7 @@ Three instruments:
   comparison G(x,z) G(e,e) >= G(x,y) G(y,z) at interior geodesic points,
   together with a deviation-vs-shared-prefix-length decay fit on quadruples.
   G is left-invariant, so each value is read at its displacement x^-1 y.
+  One sample serves a whole r grid.
 * ``llt_fit`` estimates the polynomial correction exponent alpha in
   p_n ~ C R^{-n} n^{-alpha}, jointly with R and separately with R pinned.
 * ``ratio_report`` tabulates the near-radius scaling combinations
@@ -96,8 +97,9 @@ class AnconaReport:
         )
 
 
-def ancona_audit(evaluator, r, n_triples=200, max_rel_dist=6, seed=0):
-    """Sampled geodesic-triple ratio statistics plus a strong-form decay fit.
+def ancona_audit(evaluator, grid, n_triples=200, max_rel_dist=6, seed=0):
+    """Sampled geodesic-triple ratio statistics plus a strong-form decay fit,
+    one ``AnconaReport`` per r of ``grid``.
 
     The triple ratio is G(x,z) G(y,y) / (G(x,y) G(y,z)) with y an interior
     point of the syllable geodesic from x to z; supermultiplicativity of
@@ -106,7 +108,9 @@ def ancona_audit(evaluator, r, n_triples=200, max_rel_dist=6, seed=0):
     fits |ratio - 1| <= C rho^n.  G is left-invariant and the evaluator
     reads only x^-1 y, so every Green value is taken from e to the
     displacement: delta = x^-1 z and its two pieces at y for a triple, and
-    (s,) + prefix + (t,) for a quadruple.
+    (s,) + prefix + (t,) for a quadruple.  No draw depends on r, so the
+    triples and quadruples are drawn once and every r audits the same
+    sample; a report at r is the one a grid of r alone gives.
 
     On a measure supported on single syllables the evaluator forms every
     G(x,z) as G(e,e) times its syllables' first passages, so the ratio is 1
@@ -117,18 +121,46 @@ def ancona_audit(evaluator, r, n_triples=200, max_rel_dist=6, seed=0):
     group = evaluator.group
     rng = random.Random(seed)
     choices = syllable_choices(group)
-    ratios = []
-    skipped = 0
-    ok = 0
+    triples = []
     for _ in range(n_triples):
         span = rng.randint(2, max_rel_dist)
         # the base point x: no value reads it, but each seed keeps its triples
         random_element(choices, rng, rng.randint(0, 2))
         delta = random_element(choices, rng, span)
         cut = rng.randint(1, span)  # y = x delta[:cut]
-        gxz = evaluator.green((), delta, r)
-        gxy = evaluator.green((), delta[:cut], r)
-        gyz = evaluator.green((), delta[cut:], r)
+        triples.append((delta, delta[:cut], delta[cut:]))
+    quadruples = []
+    for n in range(1, max_rel_dist + 1):
+        for _ in range(10):
+            prefix = random_element(choices, rng, n)
+            first_fid = prefix[0][0]
+            last_fid = prefix[-1][0]
+            # x = s^-1 and x' = s'^-1 extend backwards from e; y = prefix t
+            # and y' = prefix t' extend past the prefix
+            back_fids = [k for k in range(len(group.factors)) if k != first_fid]
+            fwd_fids = [k for k in range(len(group.factors)) if k != last_fid]
+            s = _random_syllable(rng, choices, back_fids)
+            sp = _random_syllable(rng, choices, back_fids)
+            t = _random_syllable(rng, choices, fwd_fids)
+            tp = _random_syllable(rng, choices, fwd_fids)
+            if s != sp and t != tp:
+                quadruples.append((n, s, sp, prefix, t, tp))
+    return [_ancona_at(evaluator, r, seed, triples, quadruples) for r in grid]
+
+
+def _ancona_at(evaluator, r, seed, triples, quadruples):
+    """The ``AnconaReport`` at r of the drawn triples and quadruples."""
+
+    def green_to(word):
+        return evaluator.green((), word, r).value
+
+    ratios = []
+    skipped = 0
+    ok = 0
+    for xz, xy, yz in triples:
+        gxz = evaluator.green((), xz, r)
+        gxy = evaluator.green((), xy, r)
+        gyz = evaluator.green((), yz, r)
         gee = evaluator.green((), (), r)
         rel_tail = sum(
             g.tail / g.value if g.value else math.inf
@@ -143,28 +175,11 @@ def ancona_audit(evaluator, r, n_triples=200, max_rel_dist=6, seed=0):
         if ratio >= 1.0 - (LOWER_TOL + 3.0 * rel_tail):
             ok += 1
 
-    def green_to(word):
-        return evaluator.green((), word, r).value
-
     strong = []
-    for n in range(1, max_rel_dist + 1):
-        for _ in range(10):
-            prefix = random_element(choices, rng, n)
-            first_fid = prefix[0][0]
-            last_fid = prefix[-1][0]
-            # x = s^-1 and x' = s'^-1 extend backwards from e; y = prefix t
-            # and y' = prefix t' extend past the prefix
-            back_fids = [k for k in range(len(group.factors)) if k != first_fid]
-            fwd_fids = [k for k in range(len(group.factors)) if k != last_fid]
-            s = _random_syllable(rng, choices, back_fids)
-            sp = _random_syllable(rng, choices, back_fids)
-            t = _random_syllable(rng, choices, fwd_fids)
-            tp = _random_syllable(rng, choices, fwd_fids)
-            if s == sp or t == tp:
-                continue
-            num = green_to((s,) + prefix + (t,)) * green_to((sp,) + prefix + (tp,))
-            den = green_to((sp,) + prefix + (t,)) * green_to((s,) + prefix + (tp,))
-            strong.append((n, abs(num / den - 1.0)))
+    for n, s, sp, prefix, t, tp in quadruples:
+        num = green_to((s,) + prefix + (t,)) * green_to((sp,) + prefix + (tp,))
+        den = green_to((sp,) + prefix + (t,)) * green_to((s,) + prefix + (tp,))
+        strong.append((n, abs(num / den - 1.0)))
     below_floor = all(d <= DEVIATION_FLOOR for _, d in strong)
     if below_floor or len(strong) < 2:
         rho, c = 0.0, 0.0

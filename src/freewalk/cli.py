@@ -200,12 +200,9 @@ def cmd_ancona(cfg, args, shared):
     ev = shared.evaluator
     grid = cfg.resolve_r_grid(ev.R_hat) or [0.9 * ev.R_hat]
     seed = args.seed if args.seed is not None else cfg.seed
-    results = []
-    for r in grid:
-        rep = ancona_audit(ev, r, seed=seed)
-        results.append(json.loads(rep.to_json()))
+    reports = ancona_audit(ev, grid, seed=seed)
     payload = _report_header(cfg, args, started)
-    payload.update({"reports": results})
+    payload.update({"reports": [json.loads(rep.to_json()) for rep in reports]})
     _write_json(_out_dir(args) / f"{cfg.name}_ancona.json", payload)
     return 0
 

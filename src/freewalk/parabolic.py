@@ -21,6 +21,13 @@ function is one entry of (I - t K)^-1, one M-matrix solve that refuses
 where the Neumann series diverges (``algebraic.perron_root`` and
 ``algebraic.m_matrix_solve``).
 
+Factors j < k are exchangeable when they are the same factor group (same
+rank, or the same table and generators) and swapping j and k in every step
+of the support maps mu onto itself.  The swap is then an automorphism of
+the free product that fixes mu, preserves word length and carries H_j onto
+H_k, so it carries each truncated kernel to H_j onto the one to H_k, and
+``degeneracy_test`` builds one ladder per orbit of exchangeable factors.
+
 Truncation only ever removes non-negative path weights, so every reported
 spectral-radius estimate is a lower bound and the (L, B) ladder increases
 monotonically toward the true value.  A verdict of "degenerate" is therefore
@@ -29,7 +36,7 @@ rigorous, while "non-degenerate" additionally requires ladder stabilization.
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -104,26 +111,39 @@ def kernel_matrix(kernel, group, factor_ball):
     """(states, matrix): the kernel as a matrix over a factor ball.
 
     states are factor payloads with factor word length <= factor_ball;
-    M[i, j] = p(states[i], states[j]) = row(states[i]^-1 states[j]).
+    M[i, j] = p(states[i], states[j]) = row(states[i]^-1 states[j]).  Every
+    pair's states[i]^-1 states[j] gets an integer code in one array step,
+    and M is one sorted lookup of those codes among the row's.
     """
     factor = group.factors[kernel.factor_id]
     if factor.kind == "lattice":
-        states = [
-            p
-            for p in _lattice_ball(factor.rank, factor_ball)
-            if factor.length(p) <= factor_ball
-        ]
+        # a difference of two states has every coordinate in [-2B, 2B], so
+        # it is one balanced digit per coordinate in base 4B + 1
+        span = 2 * factor_ball
+        if (2 * span + 1) ** factor.rank > 2**62:
+            raise ValueError(
+                f"a rank-{factor.rank} lattice over a factor ball of radius "
+                f"{factor_ball} has differences past 64-bit codes"
+            )
+        states = list(_lattice_ball(factor.rank, factor_ball))
+        place = [(2 * span + 1) ** c for c in range(factor.rank)]
+        pos = np.array(states) @ place
+        codes = pos[None, :] - pos[:, None]
+        entries = {
+            sum(a * b for a, b in zip(q, place)): w
+            for q, w in kernel.row.items()
+            if max(map(abs, q)) <= span
+        }
     else:
         states = list(range(factor.order))
-    index = {p: i for i, p in enumerate(states)}
-    mat = np.zeros((len(states), len(states)))
-    for i, p in enumerate(states):
-        for q, w in kernel.row.items():
-            target = factor.mul(p, q)
-            j = index.get(target)
-            if j is not None:
-                mat[i, j] = float(w)
-    return states, mat
+        codes = np.array(factor.mult)[list(factor.inv_table)]
+        entries = kernel.row
+    # the last key is a code no pair has, so every lookup lands on a key
+    found = sorted(entries)
+    keys = np.array(found + [np.iinfo(np.int64).max])
+    weights = np.array([float(entries[c]) for c in found] + [0.0])
+    at = np.searchsorted(keys, codes)
+    return states, np.where(keys[at] == codes, weights[at], 0.0)
 
 
 def kernel_spectral_radius(kernel, group, factor_ball):
@@ -191,6 +211,71 @@ DEFAULT_LADDER = ((20, 6), (30, 8), (40, 9))
 FACTOR_BALL = 30
 
 
+def _exchangeable(measure, j, k):
+    """Whether swapping factors j and k in every step of the support, with
+    payloads unchanged, maps the measure onto itself between equal factors."""
+    fj, fk = measure.group.factors[j], measure.group.factors[k]
+    if fj.kind != fk.kind:
+        return False
+    if fj.kind == "lattice":
+        if fj.rank != fk.rank:
+            return False
+    elif fj.mult != fk.mult or fj.generators != fk.generators:
+        return False
+    swap = {j: k, k: j}
+    return all(
+        measure.weights.get(tuple((swap.get(fid, fid), p) for fid, p in g)) == w
+        for g, w in measure.support
+    )
+
+
+def _orbit_representatives(measure):
+    """Per factor, the least factor exchangeable with it (itself if none).
+
+    Exchangeability is an equivalence (a transposition conjugated by another
+    is a third), so comparing with each orbit's least factor suffices.
+    """
+    reps = []
+    for k in range(len(measure.group.factors)):
+        reps.append(next(
+            (j for j in range(k) if reps[j] == j and _exchangeable(measure, j, k)),
+            k,
+        ))
+    return reps
+
+
+def _factor_verdict(measure, k, r, ladder, stab_tol):
+    """The ladder and verdict of factor k on its own."""
+    rungs = []
+    for L, B in ladder:
+        kern = first_return_kernel(measure, k, r, L, B, exact=False)
+        rungs.append((L, B, kernel_spectral_radius(kern, measure.group, FACTOR_BALL)))
+    rho = rungs[-1][2]
+    (l1, _, r1), (l2, _, r2) = rungs[-2], rungs[-1]
+    delta = abs(r2 - r1)
+    denom = 1.0 / math.sqrt(l1) - 1.0 / math.sqrt(l2)
+    gap = ((r2 - r1) / denom) / math.sqrt(l2) if denom > 0 else 0.0
+    slack = max(3.0 * delta, gap)
+    stabilized = delta < stab_tol
+    if rho >= 1.0:
+        verdict = "degenerate"  # rigorous: truncation underestimates rho
+    elif stabilized and rho + slack < 1.0:
+        verdict = "non-degenerate"
+    else:
+        verdict = "inconclusive"
+    return FactorVerdict(
+        factor_id=k,
+        ladder=rungs,
+        rho_hat=rho,
+        rho_extrapolated=rho + slack,
+        row_mass=float(kern.returned_mass),
+        slack=slack,
+        stabilized=stabilized,
+        verdict=verdict,
+        margin=1.0 - (rho + slack),
+    )
+
+
 def degeneracy_test(measure, r, ladder=DEFAULT_LADDER, stab_tol=0.02):
     """Per-factor spectral-degeneracy verdicts at parameter r (usually R_hat).
 
@@ -200,42 +285,24 @@ def degeneracy_test(measure, r, ladder=DEFAULT_LADDER, stab_tol=0.02):
     fitting rho(L) = rho_inf - c/sqrt(L) to the last two rungs; the slack is
     the larger of that extrapolated gap and three times the last increment.
     A ladder of fewer than two rungs has no increment, and is refused.
+
+    The ladder is built for the least factor of each orbit of exchangeable
+    factors only.  Another factor of the orbit is its image under a swap
+    that fixes the measure and preserves word length, so each of its
+    truncated kernels is the image of the least factor's, with the same
+    matrix over the factor ball; it takes that factor's verdict, with its
+    own ``factor_id``.
     """
     if len(ladder) < 2:
         raise ValueError("the degeneracy ladder needs at least two rungs")
-    group = measure.group
     verdicts = []
-    for k in range(len(group.factors)):
-        rungs = []
-        for L, B in ladder:
-            kern = first_return_kernel(measure, k, r, L, B, exact=False)
-            rungs.append((L, B, kernel_spectral_radius(kern, group, FACTOR_BALL)))
-        rho = rungs[-1][2]
-        (l1, _, r1), (l2, _, r2) = rungs[-2], rungs[-1]
-        delta = abs(r2 - r1)
-        denom = 1.0 / math.sqrt(l1) - 1.0 / math.sqrt(l2)
-        gap = ((r2 - r1) / denom) / math.sqrt(l2) if denom > 0 else 0.0
-        slack = max(3.0 * delta, gap)
-        stabilized = delta < stab_tol
-        if rho >= 1.0:
-            verdict = "degenerate"  # rigorous: truncation underestimates rho
-        elif stabilized and rho + slack < 1.0:
-            verdict = "non-degenerate"
-        else:
-            verdict = "inconclusive"
-        verdicts.append(
-            FactorVerdict(
-                factor_id=k,
-                ladder=rungs,
-                rho_hat=rho,
-                rho_extrapolated=rho + slack,
-                row_mass=float(kern.returned_mass),
-                slack=slack,
-                stabilized=stabilized,
-                verdict=verdict,
-                margin=1.0 - (rho + slack),
+    for k, j in enumerate(_orbit_representatives(measure)):
+        if j < k:
+            verdicts.append(
+                replace(verdicts[j], factor_id=k, ladder=list(verdicts[j].ladder))
             )
-        )
+        else:
+            verdicts.append(_factor_verdict(measure, k, r, ladder, stab_tol))
     overall = "non-degenerate"
     if any(v.verdict == "degenerate" for v in verdicts):
         overall = "degenerate"

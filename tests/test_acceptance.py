@@ -191,11 +191,13 @@ def test_criterion_08_thermodynamic_layer(ev):
 
 
 def test_criterion_09_ancona_audit(ev, z2z3_srw):
-    rep = ancona_audit(ev, 0.9 * ev.R_hat, n_triples=200, seed=0)
+    (rep,) = ancona_audit(ev, [0.9 * ev.R_hat], n_triples=200, seed=0)
     dev = max(abs(rep.min_ratio - 1.0), abs(rep.max_ratio - 1.0))
     ok = rep.lower_bound_fraction == 1.0 and dev < 1e-9
     ev23 = GreenEvaluator(z2z3_srw)
-    rep23 = ancona_audit(ev23, 0.9 * ev23.R_hat, n_triples=60, max_rel_dist=4, seed=0)
+    (rep23,) = ancona_audit(
+        ev23, [0.9 * ev23.R_hat], n_triples=60, max_rel_dist=4, seed=0
+    )
     ok &= rep23.lower_bound_fraction == 1.0
     ok &= rep23.strong_rho < 1.0
     assert _line(

@@ -32,7 +32,7 @@ class TestSampling:
 
 class TestAncona:
     def test_tree_ratios_are_exactly_one(self, ev):
-        rep = ancona_audit(ev, 0.9 * ev.R_hat, n_triples=60, seed=1)
+        (rep,) = ancona_audit(ev, [0.9 * ev.R_hat], n_triples=60, seed=1)
         assert rep.n_triples > 30
         # every interior geodesic point is a cut vertex, so the Green
         # function factors and the comparison ratio is identically 1
@@ -41,29 +41,38 @@ class TestAncona:
         assert rep.lower_bound_fraction == 1.0
 
     def test_strong_form_deviations_vanish(self, ev):
-        rep = ancona_audit(ev, 0.9 * ev.R_hat, n_triples=20, seed=2)
+        (rep,) = ancona_audit(ev, [0.9 * ev.R_hat], n_triples=20, seed=2)
         assert rep.deviations_below_floor
         assert rep.strong_rho == 0.0
         assert rep.strong_rho < 1.0
 
     def test_finite_factor_product(self, z2z3_srw):
         ev23 = GreenEvaluator(z2z3_srw)
-        rep = ancona_audit(
-            ev23, 0.9 * ev23.R_hat, n_triples=40, max_rel_dist=4, seed=3
+        (rep,) = ancona_audit(
+            ev23, [0.9 * ev23.R_hat], n_triples=40, max_rel_dist=4, seed=3
         )
         assert rep.n_triples > 10
         assert rep.lower_bound_fraction == 1.0
 
     def test_report_serializes(self, ev):
-        rep = ancona_audit(ev, 0.5 * ev.R_hat, n_triples=10, seed=4)
+        (rep,) = ancona_audit(ev, [0.5 * ev.R_hat], n_triples=10, seed=4)
         blob = json.loads(rep.to_json())
         assert blob["triples"] == rep.n_triples
         assert blob["deviations_below_floor"] is True
 
     def test_deterministic_in_seed(self, ev):
-        a = ancona_audit(ev, 0.9 * ev.R_hat, n_triples=25, seed=5)
-        b = ancona_audit(ev, 0.9 * ev.R_hat, n_triples=25, seed=5)
+        (a,) = ancona_audit(ev, [0.9 * ev.R_hat], n_triples=25, seed=5)
+        (b,) = ancona_audit(ev, [0.9 * ev.R_hat], n_triples=25, seed=5)
         assert a == b
+
+    def test_one_sample_serves_the_grid(self, ev):
+        # no draw depends on r, so a grid audits one sample, and each of
+        # its reports is the one a grid of that r alone gives
+        grid = [0.5 * ev.R_hat, 0.9 * ev.R_hat, 0.98 * ev.R_hat]
+        reports = ancona_audit(ev, grid, n_triples=25, seed=6)
+        assert [rep.r for rep in reports] == grid
+        alone = [ancona_audit(ev, [r], n_triples=25, seed=6)[0] for r in grid]
+        assert reports == alone
 
 
 class TestAnconaFrozen:
@@ -78,7 +87,7 @@ class TestAnconaFrozen:
     @pytest.mark.parametrize("measure", sorted(FROZEN))
     def test_values_frozen(self, request, measure):
         ev_m = GreenEvaluator(request.getfixturevalue(measure))
-        rep = ancona_audit(ev_m, 0.9 * ev_m.R_hat)
+        (rep,) = ancona_audit(ev_m, [0.9 * ev_m.R_hat])
         got = (rep.min_ratio.hex(), rep.max_ratio.hex(), rep.mean_ratio.hex(), rep.n_skipped)
         assert got == self.FROZEN[measure]
         assert rep.n_triples == 200

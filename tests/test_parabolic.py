@@ -7,7 +7,12 @@ import pytest
 
 from freewalk.errors import NonConvergenceError
 from freewalk.green import GreenEvaluator
+from freewalk.groups import FreeProduct, LatticeFactor, _lattice_ball
 from freewalk.parabolic import (
+    DEFAULT_LADDER,
+    ReturnKernel,
+    _factor_verdict,
+    _orbit_representatives,
     degeneracy_test,
     first_return_kernel,
     induced_green,
@@ -17,6 +22,7 @@ from freewalk.parabolic import (
 from freewalk.walks import PathOperator, StepMeasure
 
 from oracles import F2_RADIUS, f2_first_passage
+from test_path_operator import KERNEL_CASES, _measure
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +106,76 @@ class TestExactKernel:
         assert kern.row[1] == kern.row[2]
 
 
+def _kernel_matrix_by_entry(kernel, group, factor_ball):
+    """The reference for ``kernel_matrix``: M[i, j] set entry by entry, for
+    each state and each payload of the row."""
+    factor = group.factors[kernel.factor_id]
+    if factor.kind == "lattice":
+        states = [
+            p
+            for p in _lattice_ball(factor.rank, factor_ball)
+            if factor.length(p) <= factor_ball
+        ]
+    else:
+        states = list(range(factor.order))
+    index = {p: i for i, p in enumerate(states)}
+    mat = np.zeros((len(states), len(states)))
+    for i, p in enumerate(states):
+        for q, w in kernel.row.items():
+            j = index.get(factor.mul(p, q))
+            if j is not None:
+                mat[i, j] = float(w)
+    return states, mat
+
+
 class TestKernelMatrix:
+    @pytest.mark.parametrize("factor_ball", [5, 30, 40])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_gather_matches_the_entry_loop_rank_one(self, f2_srw, f2, exact, factor_ball):
+        if exact:
+            kern = first_return_kernel(f2_srw, 0, Fraction(1), 20)
+        else:
+            kern = first_return_kernel(f2_srw, 0, 1.0, 140, 11, exact=False)
+        self._assert_matches(kern, f2, factor_ball)
+
+    @pytest.mark.parametrize("factor_ball", [0, 1, 6])
+    @pytest.mark.parametrize("case", ["z2sq_z2", "f2_asym", "f2_two_letter_b"])
+    def test_gather_matches_the_entry_loop_on_other_kernels(self, case, factor_ball):
+        # a rank-2 lattice, a row that is not symmetric, and a row reaching
+        # payload length 2; over the 0-ball only the row's entry at e counts
+        name, fid, r, L, B = KERNEL_CASES[case]
+        measure = _measure(name)
+        kern = first_return_kernel(measure, fid, r, L, B, exact=False)
+        self._assert_matches(kern, measure.group, factor_ball)
+
+    @pytest.mark.parametrize("factor_id", [0, 1])
+    def test_gather_matches_the_entry_loop_finite(self, z2z3_srw, z2z3, factor_id):
+        kern = first_return_kernel(z2z3_srw, factor_id, Fraction(1), 12)
+        self._assert_matches(kern, z2z3, 10)
+
+    def test_far_payloads_do_not_alias(self):
+        # in base 5, (5, 0) has the code of (0, 1): it lies past every
+        # difference of the 1-ball, so it must set no entry
+        group = FreeProduct([LatticeFactor(2), LatticeFactor(2)])
+        row = {(5, 0): 0.25, (0, 0): 0.5}
+        kern = ReturnKernel(0, 1.0, 0, 2, row, 0.75, 0.0, 0.0, False, 0)
+        self._assert_matches(kern, group, 1)
+
+    def test_refuses_differences_past_64_bit_codes(self):
+        # 1861 states in the 2-ball of Z^30, but 9^30 digit codes
+        group = FreeProduct([LatticeFactor(30), LatticeFactor(30)])
+        kern = ReturnKernel(0, 1.0, 0, 2, {(0,) * 30: 0.5}, 0.5, 0.0, 0.0, False, 0)
+        with pytest.raises(ValueError, match="64-bit"):
+            kernel_matrix(kern, group, 2)
+
+    @staticmethod
+    def _assert_matches(kern, group, factor_ball):
+        states, mat = kernel_matrix(kern, group, factor_ball)
+        ref_states, ref = _kernel_matrix_by_entry(kern, group, factor_ball)
+        assert states == ref_states
+        assert mat.dtype == ref.dtype and mat.shape == ref.shape
+        assert mat.tobytes() == ref.tobytes()
+
     def test_translation_invariance(self, f2_srw, f2):
         kern = first_return_kernel(f2_srw, 0, Fraction(1), max_len=12)
         states, mat = kernel_matrix(kern, f2, factor_ball=5)
@@ -196,6 +271,36 @@ class TestDegeneracy:
     def test_one_rung_ladder_is_refused(self, f2_srw, ev):
         with pytest.raises(ValueError, match="two rungs"):
             degeneracy_test(f2_srw, ev.R_hat, ladder=((20, 6),))
+
+    @pytest.mark.parametrize(
+        "walk, orbits",
+        [("f2_srw", [0, 0]), ("z2cubed_srw", [0, 0, 0]), ("z2z3_srw", [0, 1])],
+    )
+    def test_exchangeable_factors_share_one_ladder(self, walk, orbits, request):
+        # swapping two equal factors fixes the simple random walk, so the
+        # factors of an orbit take its least factor's verdict; it equals the
+        # one computed for each factor on its own, bit for bit
+        measure = request.getfixturevalue(walk)
+        assert _orbit_representatives(measure) == orbits
+        r = measure.first_passage_system.radius
+        forced = [
+            _factor_verdict(measure, k, r, DEFAULT_LADDER, 0.02)
+            for k in range(len(orbits))
+        ]
+        assert degeneracy_test(measure, r).per_factor == forced
+
+    def test_a_swap_that_moves_the_measure_shares_nothing(self, f2):
+        # weight 1/3 on a^+-1 and 1/6 on b^+-1: the factors are equal, but
+        # swapping them moves the measure, so each builds its own ladder
+        a, ai = ((0, (1,)),), ((0, (-1,)),)
+        b, bi = ((1, (1,)),), ((1, (-1,)),)
+        third, sixth = Fraction(1, 3), Fraction(1, 6)
+        measure = StepMeasure(f2, {a: third, ai: third, b: sixth, bi: sixth})
+        assert _orbit_representatives(measure) == [0, 1]
+        r = measure.first_passage_system.radius
+        forced = [_factor_verdict(measure, k, r, DEFAULT_LADDER, 0.02) for k in (0, 1)]
+        assert forced[0].ladder != forced[1].ladder
+        assert degeneracy_test(measure, r).per_factor == forced
 
     def test_short_ladder_is_inconclusive(self, f2_srw, ev):
         report = degeneracy_test(

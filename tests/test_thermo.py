@@ -129,7 +129,7 @@ def test_dropped_evaluator_needs_no_cycle_collection(f2_srw):
     ev_f = GreenEvaluator(f2_srw)
     r = 0.9 * ev_f.R_hat
     ev_f.green((), ((0, (2,)), (1, (-1,))), r)
-    ancona_audit(ev_f, r, n_triples=20)
+    ancona_audit(ev_f, [r], n_triples=20)
     sphere_identity_check(ev_f, r, cap=2, n_max=3)
     ref = weakref.ref(ev_f)
     gc.disable()
