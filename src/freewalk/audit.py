@@ -6,7 +6,8 @@ Three instruments:
   comparison G(x,z) G(e,e) >= G(x,y) G(y,z) at interior geodesic points,
   together with a deviation-vs-shared-prefix-length decay fit on quadruples.
   G is left-invariant, so each value is read at its displacement x^-1 y.
-  One sample serves a whole r grid.
+  One sample, encoded once as syllable ids, serves a whole r grid, with
+  one batch of Green values per r.
 * ``llt_fit`` estimates the polynomial correction exponent alpha in
   p_n ~ C R^{-n} n^{-alpha}, jointly with R and separately with R pinned.
 * ``ratio_report`` tabulates the near-radius scaling combinations
@@ -20,7 +21,7 @@ refuses a grid point where the two routes to I1 in ``i_sums`` disagree.
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,22 +80,9 @@ class AnconaReport:
     deviations_below_floor: bool
 
     def to_json(self):
-        return json.dumps(
-            {
-                "r": self.r,
-                "seed": self.seed,
-                "triples": self.n_triples,
-                "skipped": self.n_skipped,
-                "ratio_min": self.min_ratio,
-                "ratio_max": self.max_ratio,
-                "ratio_mean": self.mean_ratio,
-                "lower_bound_fraction": self.lower_bound_fraction,
-                "strong_rho": self.strong_rho,
-                "strong_c": self.strong_c,
-                "deviations_below_floor": self.deviations_below_floor,
-            },
-            indent=2,
-        )
+        names = dict(n_triples="triples", n_skipped="skipped", min_ratio="ratio_min",
+                     max_ratio="ratio_max", mean_ratio="ratio_mean")
+        return json.dumps({names.get(k, k): v for k, v in vars(self).items()}, indent=2)
 
 
 def ancona_audit(evaluator, grid, n_triples=200, max_rel_dist=6, seed=0):
@@ -105,31 +93,38 @@ def ancona_audit(evaluator, grid, n_triples=200, max_rel_dist=6, seed=0):
     point of the syllable geodesic from x to z; supermultiplicativity of
     path weights makes it >= 1 up to series tolerance.  The strong-form
     audit takes quadruples whose geodesics share an n-syllable prefix and
-    fits |ratio - 1| <= C rho^n.  G is left-invariant and the evaluator
-    reads only x^-1 y, so every Green value is taken from e to the
-    displacement: delta = x^-1 z and its two pieces at y for a triple, and
-    (s,) + prefix + (t,) for a quadruple.  No draw depends on r, so the
-    triples and quadruples are drawn once and every r audits the same
-    sample; a report at r is the one a grid of r alone gives.
+    fits |ratio - 1| <= C rho^n.  G is left-invariant, so every value is
+    read from e to its displacement x^-1 y.  No draw depends on r: the
+    sample is drawn and encoded once (``_sample``, ``syllable_ids``), each
+    r reads all its values in one ``green_batch``, and a report at r is
+    the one a grid of r alone gives.
 
-    On a measure supported on single syllables the evaluator forms every
-    G(x,z) as G(e,e) times its syllables' first passages, so the ratio is 1
-    by construction and its deviation measures rounding only; it compares
-    two independent numbers only on measures read from the convolution
-    table.
+    On a measure supported on single syllables every G(x,z) is G(e,e)
+    times its syllables' first passages, so the ratio is 1 by construction
+    and its deviation measures rounding only: there the audit is an
+    identity check, and it compares two independent numbers only on
+    measures read from the convolution table.
     """
-    group = evaluator.group
+    words, ns = _sample(evaluator.group, n_triples, max_rel_dist, seed)
+    ids = evaluator.syllable_ids(words)
+    return [_ancona_at(evaluator, r, seed, ids, n_triples, ns) for r in grid]
+
+
+def _sample(group, n_triples, max_rel_dist, seed):
+    """(words, ns) of the audit's draw: x^-1 z, x^-1 y and y^-1 z of each
+    triple, then the four displacements of each quadruple, whose shared
+    prefix lengths are ``ns``."""
     rng = random.Random(seed)
     choices = syllable_choices(group)
-    triples = []
+    words = []
     for _ in range(n_triples):
         span = rng.randint(2, max_rel_dist)
         # the base point x: no value reads it, but each seed keeps its triples
         random_element(choices, rng, rng.randint(0, 2))
         delta = random_element(choices, rng, span)
         cut = rng.randint(1, span)  # y = x delta[:cut]
-        triples.append((delta, delta[:cut], delta[cut:]))
-    quadruples = []
+        words += [delta, delta[:cut], delta[cut:]]
+    ns = []
     for n in range(1, max_rel_dist + 1):
         for _ in range(10):
             prefix = random_element(choices, rng, n)
@@ -144,49 +139,38 @@ def ancona_audit(evaluator, grid, n_triples=200, max_rel_dist=6, seed=0):
             t = _random_syllable(rng, choices, fwd_fids)
             tp = _random_syllable(rng, choices, fwd_fids)
             if s != sp and t != tp:
-                quadruples.append((n, s, sp, prefix, t, tp))
-    return [_ancona_at(evaluator, r, seed, triples, quadruples) for r in grid]
+                ns.append(n)
+                words += [(s,) + prefix + (t,), (sp,) + prefix + (tp,),
+                          (sp,) + prefix + (t,), (s,) + prefix + (tp,)]
+    return words, ns
 
 
-def _ancona_at(evaluator, r, seed, triples, quadruples):
-    """The ``AnconaReport`` at r of the drawn triples and quadruples."""
+def _ancona_at(evaluator, r, seed, ids, n_drawn, ns):
+    """The ``AnconaReport`` at r of a ``_sample`` of ``n_drawn`` triples,
+    encoded as ``ids``, in one ``green_batch``.  Sums run in sequence, as
+    a loop over the triples adds."""
+    values, tails = evaluator.green_batch(ids, r)
+    gee = evaluator.green((), (), r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(values != 0, tails / values, math.inf)
+    gxz, gxy, gyz = (values[k : 3 * n_drawn : 3] for k in range(3))
+    rxz, rxy, ryz = (rel[k : 3 * n_drawn : 3] for k in range(3))
+    rel_tail = rxz + rxy + ryz + (gee.tail / gee.value if gee.value else math.inf)
+    kept = ~(rel_tail > TAIL_TOL)
+    ratio = ((gxz * gee.value) / (gxy * gyz))[kept]
+    # the bound is checked up to the propagated series tolerance
+    ok = int(np.count_nonzero(ratio >= 1.0 - (LOWER_TOL + 3.0 * rel_tail[kept])))
+    ratios = ratio.tolist()
 
-    def green_to(word):
-        return evaluator.green((), word, r).value
-
-    ratios = []
-    skipped = 0
-    ok = 0
-    for xz, xy, yz in triples:
-        gxz = evaluator.green((), xz, r)
-        gxy = evaluator.green((), xy, r)
-        gyz = evaluator.green((), yz, r)
-        gee = evaluator.green((), (), r)
-        rel_tail = sum(
-            g.tail / g.value if g.value else math.inf
-            for g in (gxz, gxy, gyz, gee)
-        )
-        if rel_tail > TAIL_TOL:
-            skipped += 1
-            continue
-        ratio = (gxz.value * gee.value) / (gxy.value * gyz.value)
-        ratios.append(ratio)
-        # the bound is checked up to the propagated series tolerance
-        if ratio >= 1.0 - (LOWER_TOL + 3.0 * rel_tail):
-            ok += 1
-
-    strong = []
-    for n, s, sp, prefix, t, tp in quadruples:
-        num = green_to((s,) + prefix + (t,)) * green_to((sp,) + prefix + (tp,))
-        den = green_to((sp,) + prefix + (t,)) * green_to((s,) + prefix + (tp,))
-        strong.append((n, abs(num / den - 1.0)))
-    below_floor = all(d <= DEVIATION_FLOOR for _, d in strong)
-    if below_floor or len(strong) < 2:
+    g1, g2, g3, g4 = (values[3 * n_drawn + k :: 4] for k in range(4))
+    devs = np.abs((g1 * g2) / (g3 * g4) - 1.0)
+    below_floor = bool(np.all(devs <= DEVIATION_FLOOR))
+    if below_floor or len(devs) < 2:
         rho, c = 0.0, 0.0
     else:
-        pts = [(n, d) for n, d in strong if d > DEVIATION_FLOOR]
-        ns = np.array([n for n, _ in pts], dtype=float)
-        logs = np.array([math.log(d) for _, d in pts])
+        above = devs > DEVIATION_FLOOR
+        ns = np.array(ns, dtype=float)[above]
+        logs = np.array([math.log(d) for d in devs[above].tolist()])
         design = np.column_stack([np.ones_like(ns), ns])
         coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
         c, rho = math.exp(coef[0]), math.exp(coef[1])
@@ -194,7 +178,7 @@ def _ancona_at(evaluator, r, seed, triples, quadruples):
         r=float(r),
         seed=seed,
         n_triples=len(ratios),
-        n_skipped=skipped,
+        n_skipped=n_drawn - len(ratios),
         min_ratio=min(ratios) if ratios else math.nan,
         max_ratio=max(ratios) if ratios else math.nan,
         mean_ratio=sum(ratios) / len(ratios) if ratios else math.nan,
@@ -320,39 +304,16 @@ class RatioReport:
     non_monotone: list = field(default_factory=list)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "r_hat": self.r_hat,
-                "rows": [vars(row) for row in self.rows],
-                "band_i1_scaled": self.band_i1,
-                "band_i2_over_i1_cubed": self.band_i2_ratio,
-                "band_dgreen_scaled": self.band_dgreen,
-                "non_monotone": self.non_monotone,
-            },
-            indent=2,
-        )
+        names = dict(band_i1="band_i1_scaled", band_i2_ratio="band_i2_over_i1_cubed",
+                     band_dgreen="band_dgreen_scaled")
+        out = {names.get(k, k): v for k, v in asdict(self).items()}
+        return json.dumps(out, indent=2)
 
     def to_csv_rows(self):
-        header = [
-            "r",
-            "i1",
-            "i2",
-            "i1_sqrt_gap",
-            "i2_over_i1_cubed",
-            "dgreen",
-            "dgreen_sqrt_gap",
-        ]
-        yield header
-        for row in self.rows:
-            yield [
-                row.r,
-                row.i1,
-                row.i2,
-                row.i1_scaled,
-                row.i2_over_i1_cubed,
-                row.dgreen,
-                row.dgreen_scaled,
-            ]
+        yield ["r", "i1", "i2", "i1_sqrt_gap", "i2_over_i1_cubed", "dgreen",
+               "dgreen_sqrt_gap"]
+        for row in self.rows:  # the columns in RatioRow's field order
+            yield list(vars(row).values())
 
 
 def _band(values):

@@ -12,8 +12,9 @@ F(e,gamma) is the product of its syllables' first passages, and
 F(e,a^k) = F(e,a)^k on a lattice factor stepping by +-1: series are summed
 only for G(e,e) and single-syllable first passages.  The evaluator keeps
 one table per r of syllable weights (F(e,u)^k, relative tail, terms),
-each filled on first use, and forms G(e,gamma) and F(e,gamma) by
-multiplying them left to right from G(e,e) and from 1.  Multi-syllable
+arrays indexed by syllable id, and forms G(e,gamma) and F(e,gamma) by
+multiplying them left to right from G(e,e) and from 1, a whole batch of
+words (rows of ids) in one array pass (``green_batch``).  Multi-syllable
 measures read the convolution table's series for each gamma.
 
 Every reported value carries a tail estimate and a method tag; tails are
@@ -24,6 +25,7 @@ I2 = (1/2) d^2/dr^2 (r^2 G(e,e|r)) comes from the return series alone, the
 coefficients C(n+2, 2) p_n(e,e), with the same tail closure.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -110,12 +112,22 @@ def _close_tail(ns, log_terms):
     return float(terms.sum()), "power-law"
 
 
+def accumulate(op, start, columns):
+    """``start`` op each row of ``columns``, applied left to right by a
+    ufunc's accumulate: the rounding of a loop over the columns."""
+    first = np.full((len(columns), 1), start)
+    return op.accumulate(np.hstack([first, columns]), axis=1)[:, -1]
+
+
 @dataclass(frozen=True)
 class GreenValue:
     value: float
     tail: float
     method: str
     n_terms: int
+
+
+_PADDING = (np.ones(1), np.zeros(1), np.zeros(1, int))  # syllable_weights of id 0
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +338,8 @@ class GreenEvaluator:
         )
         self._fp_cache = {}
         self._val_cache = {}
-        self._syllable_tables = {}  # r -> {syllable: syllable_weight}
+        self._syllable_index = {}  # syllable -> id >= 1; id 0 pads a word
+        self._syllable_tables = {}  # r -> syllable_weights(r)
         self._weighted_returns = {}  # k -> _binomial_weighted(return logs, k)
 
     @property
@@ -347,14 +360,13 @@ class GreenEvaluator:
         weights for a single-syllable measure, else the table's series for
         gamma."""
         self._check_r(r)
-        gamma = self.group.multiply(self.group.invert(x), y)
+        gamma = self.group.multiply(self.group.invert(x), y) if x else tuple(y)
         key = ("G", gamma, r)
         cached = self._val_cache.get(key)
         if cached is not None:
             return cached
         if gamma and self.single_syllable_support:
-            gee = self.green((), (), r)
-            out = self._factored(gee.value, gee.tail / gee.value, gee.n_terms, gamma, r)
+            out = self._factored(self.green((), (), r), gamma, r)
         else:
             v, tail, tag, n = _eval_series(self.table.log_coefficients(gamma), r)
             out = GreenValue(v, tail, f"series/{tag}", n)
@@ -369,7 +381,7 @@ class GreenEvaluator:
         product of gamma's syllable weights.
         """
         self._check_r(r)
-        gamma = self.group.multiply(self.group.invert(x), y)
+        gamma = self.group.multiply(self.group.invert(x), y) if x else tuple(y)
         key = ("F", gamma, r)
         cached = self._val_cache.get(key)
         if cached is not None:
@@ -382,7 +394,7 @@ class GreenEvaluator:
             v, tail, tag, n = _eval_series(self._fp_cache[gamma], r)
             out = GreenValue(v, tail, f"first-visit/{tag}", n)
         else:
-            out = self._factored(1.0, 0.0, 0, gamma, r)
+            out = self._factored(GreenValue(1.0, 0.0, "unit", 0), gamma, r)
         self._val_cache[key] = out
         return out
 
@@ -395,32 +407,63 @@ class GreenEvaluator:
         u, k = monomial(self.group, *syl)
         return (u,), k
 
-    def syllable_weight(self, syl, r):
-        """(F(e,u|r)^k, k * relative tail, n_terms) of one syllable, with
-        (u, k) its ``_base``; a single-syllable measure's F(e, gamma) and
-        G(e, gamma) are products of these.  One table per r, each entry
-        filled on first use."""
-        table = self._syllable_tables.setdefault(r, {})
-        w = table.get(syl)
-        if w is None:
-            base, k = self._base(syl)
-            f = self.first_passage((), base, r)
-            rel = k * f.tail / f.value if f.value else 0.0
-            w = table[syl] = (f.value**k, rel, f.n_terms)
-        return w
+    def syllable_ids(self, words):
+        """The words as rows of syllable ids, 0-padded to the longest: the
+        batch form of ``green_batch``.  New syllables take the next ids."""
+        index, width = self._syllable_index, max(map(len, words), default=0)
+        rows = [[index.setdefault(s, len(index) + 1) for s in w] for w in words]
+        return np.array([row + [0] * (width - len(row)) for row in rows],
+                        dtype=np.intp).reshape(len(words), width)
 
-    def _factored(self, value, rel_tail, n_terms, gamma, r):
-        """GreenValue of ``value`` times gamma's syllable weights, multiplied
-        left to right.  Every syllable prefix of gamma is a cut vertex of a
-        single-syllable measure's walk, so F(e, gamma) is the product of
-        its syllables' first passages; the relative tails add, to first
-        order."""
-        for syl in gamma:
-            w, rel, n = self.syllable_weight(syl, r)
-            value *= w
-            rel_tail += rel
-            n_terms = max(n_terms, n)
-        return GreenValue(value, abs(value) * rel_tail, "factored", n_terms)
+    def syllable_weights(self, r):
+        """(F(e,u|r)^k, k * relative tail, n_terms) arrays by syllable id,
+        (u, k) the syllable's ``_base``, and (1.0, 0.0, 0) at the padding
+        id 0: one table per r, extended to each syllable as it is seen."""
+        table = self._syllable_tables.get(r, _PADDING)
+        if len(table[0]) <= len(self._syllable_index):
+            rows = []
+            for syl in itertools.islice(self._syllable_index, len(table[0]) - 1, None):
+                base, k = self._base(syl)
+                f = self.first_passage((), base, r)
+                rel = k * f.tail / f.value if f.value else 0.0
+                rows.append((f.value**k, rel, f.n_terms))
+            table = self._syllable_tables[r] = tuple(
+                np.concatenate([old, new]) for old, new in zip(table, zip(*rows)))
+        return table
+
+    def syllable_pair_weights(self, syllables, r):
+        """(F(e,s|r), F(s,e|r)) arrays: the weights of s and of s^-1."""
+        inverses = [[(fid, self.group.factors[fid].inv(p))] for fid, p in syllables]
+        ids = self.syllable_ids([[s] for s in syllables] + inverses)[:, 0]
+        w = self.syllable_weights(r)[0][ids]
+        return w[: len(syllables)], w[len(syllables):]
+
+    def _products(self, start, ids, r):
+        """(values, tails, n_terms) of the GreenValue ``start`` times each
+        word's syllable weights (cut vertices make F(e, gamma) their
+        product), left to right; the relative tails add, to first order,
+        and an empty word keeps ``start``'s tail."""
+        w, rel, n = self.syllable_weights(r)
+        values = accumulate(np.multiply, start.value, w[ids])
+        rels = accumulate(np.add, start.tail / start.value, rel[ids])
+        tails = np.where(ids.any(axis=1), np.abs(values) * rels, start.tail)
+        return values, tails, np.maximum.reduce(n[ids], axis=1, initial=start.n_terms)
+
+    def _factored(self, start, gamma, r):
+        values, tails, n = self._products(start, self.syllable_ids([gamma]), r)
+        return GreenValue(float(values[0]), float(tails[0]), "factored", int(n[0]))
+
+    def green_batch(self, ids, r):
+        """(values, tails) of G(e, w|r) over the words w of ``ids`` in one
+        array pass, bit for bit what ``green`` returns; one ``green`` per
+        word off single-syllable support."""
+        gee = self.green((), (), r)
+        if self.single_syllable_support:
+            return self._products(gee, ids, r)[:2]
+        syllables = [None, *self._syllable_index]
+        out = [self.green((), tuple(syllables[i] for i in row if i), r)
+               for row in ids.tolist()]
+        return np.array([g.value for g in out]), np.array([g.tail for g in out])
 
     def h_value(self, gamma, r):
         """H(e,gamma|r) = G(e,gamma|r) G(gamma,e|r)."""
@@ -471,14 +514,13 @@ class GreenEvaluator:
             raise GroupSpecError(
                 "i_sums requires single-syllable support for the factored route"
             )
-        gee = self.green((), (), r).value
-        fp = self.first_passage
         t = []  # t[k]: sum of F(e,s|r) F(s,e|r) over the syllables s of factor k
         for fid, factor in enumerate(self.group.factors):
             cap = SYLLABLE_CAP if factor.kind == "lattice" else None
-            syls = [((fid, p),) for p in factor.nontrivial_elements(cap)]
-            t.append(sum(fp((), s, r).value * fp(s, (), r).value for s in syls))
-        total = gee * gee * (1.0 + _sphere_sum(t, r))
+            syls = [(fid, p) for p in factor.nontrivial_elements(cap)]
+            fwd, back = self.syllable_pair_weights(syls, r)
+            t.append(sum((fwd * back).tolist()))  # in sequence, as a loop adds
+        total = self.h_value((), r) * (1.0 + _sphere_sum(t, r))
         dg = self.green_derivative((), (), r).value
         rel_gap = abs(total - dg) / dg
         if rel_gap > I1_ROUTE_TOL:

@@ -13,15 +13,17 @@ sphere identity
 
 used here both as a consistency check and as the route to the Gurevich
 pressure P(r) = log of the leading transfer eigenvalue, the Perron root of
-the truncated transfer matrix (``algebraic.perron_root``).  The check's
-direct side is built sphere by sphere from the evaluator's per-r syllable
-weights, which the transfer side reads too: it checks the algebra of the
+the truncated transfer matrix (``algebraic.perron_root``).  The
+transfer seeds and the check's direct side both read the evaluator's
+per-r syllable weight array, the direct side accumulating it along each
+sphere taken as one array of symbols: the check tests the algebra of the
 shift, not the Green values themselves.
 
 The empty path is excluded from the potential's domain; iteration at the
 empty word is seeded directly with the single-symbol values.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -31,24 +33,10 @@ import numpy as np
 from .algebraic import perron_root
 from .automaton import Automaton
 from .errors import GroupSpecError, NonConvergenceError
+from .green import accumulate
 
 # largest change of the pressure between the last two caps of a stabilized ladder
 STAB_TOL = 5e-3
-
-
-def potential_eval(evaluator, path, r):
-    """phi_r of a nonempty symbol path, via Green function ratios."""
-    if not path:
-        raise ValueError("the potential is not defined on the empty path")
-    g = tuple(path)
-    num = evaluator.h_value(g, r)
-    den = evaluator.h_value(g[1:], r)
-    if num <= 0 or den <= 0:
-        raise NonConvergenceError(
-            "Green function vanished in a potential ratio",
-            diagnostics={"path": path, "r": r},
-        )
-    return math.log(num / den)
 
 
 @dataclass
@@ -63,9 +51,9 @@ class TransferMatrix:
 def build_transfer(evaluator, r, cap):
     """Truncated transfer matrix over the cap-D symbol set.
 
-    Row i is e^{phi_r(s_i)} on every symbol that may follow s_i and 0
-    elsewhere, one potential evaluation per symbol; raises
-    ``GroupSpecError`` off single-syllable support.
+    Row i is e^{phi_r(s_i)} = H(e,s_i|r) / H(e,e|r) on every symbol that
+    may follow s_i and 0 elsewhere, from the syllable weights of s_i and
+    s_i^-1; raises ``GroupSpecError`` off single-syllable support.
     """
     if not evaluator.single_syllable_support:
         raise GroupSpecError(
@@ -74,7 +62,16 @@ def build_transfer(evaluator, r, cap):
         )
     auto = Automaton(evaluator.group, cap)
     symbols = auto.symbols()
-    seed = np.array([math.exp(potential_eval(evaluator, (s,), r)) for s in symbols])
+    gee = evaluator.green((), (), r).value
+    fwd, back = evaluator.syllable_pair_weights(symbols, r)
+    num = (gee * fwd) * (gee * back)  # H(e,s|r), the products green forms
+    den = evaluator.h_value((), r)
+    if den <= 0 or (num <= 0).any():
+        raise NonConvergenceError(
+            "Green function vanished in a potential ratio",
+            diagnostics={"r": r},
+        )
+    seed = np.array([math.exp(math.log(h / den)) for h in num.tolist()])
     follows = np.array([[auto.follows(s, t) for t in symbols] for s in symbols])
     return TransferMatrix(
         r=float(r),
@@ -100,37 +97,45 @@ def iterate_empty(tm, n_max):
     return out
 
 
+def _sphere(by_factor, n):
+    """The capped relative n-sphere as an (|S_n|, n) array of symbol
+    indices, in canonical order: the alternating factor sequences in
+    lexicographic order, each the product of its factors' symbols
+    (``by_factor``) with the last syllable varying fastest."""
+    blocks = []
+    for fids in itertools.product(range(len(by_factor)), repeat=n):
+        if all(a != b for a, b in zip(fids, fids[1:])):
+            grids = np.meshgrid(*(by_factor[k] for k in fids), indexing="ij")
+            blocks.append(np.column_stack([g.ravel() for g in grids]))
+    return np.concatenate(blocks)
+
+
 def sphere_identity_check(evaluator, r, cap, n_max):
     """Compare (L^n 1)(empty)*H(e,e|r) against direct relative-sphere sums.
 
-    The direct side is built sphere by sphere from the evaluator's
-    syllable weights w: G(e,g) = G(e,g[:-1]) w(g[-1]) and
-    G(g,e) = G(g[1:],e) w(g[0]^-1), the products ``GreenEvaluator.green``
-    forms, kept for the previous sphere only.  Returns a list of
+    The direct side sums G(e,g|r) G(g,e|r) over each sphere, taken as one
+    array of symbols in canonical order: G(e,g) is G(e,e) times g's
+    syllable weights w, accumulated left to right, and G(g,e) = G(e,g^-1)
+    the same over the reversed columns of the inverse weights, the
+    products ``GreenEvaluator.green`` forms.  Returns a list of
     (n, transfer_value, direct_value, rel_err).
     """
     tm = build_transfer(evaluator, r, cap)
     lhs_seq = iterate_empty(tm, n_max)
     gee = evaluator.green((), (), r).value
-    hee = gee * gee
-    group = evaluator.group
-    weight = {s: evaluator.syllable_weight(s, r)[0] for s in tm.symbols}
-    inv_weight = {
-        (fid, p): weight[fid, group.factors[fid].inv(p)] for fid, p in tm.symbols
-    }
-    auto = Automaton(group, cap)
-    prev = {(): (gee, gee)}  # g -> (G(e,g|r), G(g,e|r)) on the previous sphere
+    hee = evaluator.h_value((), r)
+    fwd, back = evaluator.syllable_pair_weights(tm.symbols, r)
+    fids = np.array([fid for fid, _ in tm.symbols])
+    by_factor = [np.flatnonzero(fids == k) for k in range(len(evaluator.group.factors))]
     rows = []
     for n in range(1, n_max + 1):
-        cur = {
-            g: (prev[g[:-1]][0] * weight[g[-1]], prev[g[1:]][1] * inv_weight[g[0]])
-            for _, g in auto.enumerate_sphere(n)
-        }
-        direct = sum(to * back for to, back in cur.values())
+        sphere = _sphere(by_factor, n)
+        to = accumulate(np.multiply, gee, fwd[sphere])
+        from_g = accumulate(np.multiply, gee, back[sphere[:, ::-1]])
+        direct = sum((to * from_g).tolist())  # in sequence, as a loop adds
         lhs = lhs_seq[n - 1] * hee
         rel = abs(lhs - direct) / direct if direct else math.inf
         rows.append((n, lhs, direct, rel))
-        prev = cur
     return rows
 
 
@@ -144,17 +149,8 @@ class PressureEstimate:
     stabilized: bool
 
     def to_json(self):
-        return json.dumps(
-            {
-                "r": self.r,
-                "eigenvalue": self.eigenvalue,
-                "pressure": self.value,
-                "cap": self.cap,
-                "ladder": self.ladder,
-                "stabilized": self.stabilized,
-            },
-            indent=2,
-        )
+        out = {"pressure" if k == "value" else k: v for k, v in vars(self).items()}
+        return json.dumps(out, indent=2)
 
 
 def pressure(evaluator, r, ladder=(2, 3, 4)):

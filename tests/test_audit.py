@@ -1,9 +1,15 @@
 import json
 import math
+import tracemalloc
+from array import array
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from freewalk import audit
 from freewalk.audit import (
+    AnconaReport,
     ancona_audit,
     llt_fit,
     random_element,
@@ -11,7 +17,12 @@ from freewalk.audit import (
     syllable_choices,
     synthetic_log_probs,
 )
+from freewalk.config import load_config
 from freewalk.green import GreenEvaluator
+
+from test_green import reference_green
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +102,101 @@ class TestAnconaFrozen:
         got = (rep.min_ratio.hex(), rep.max_ratio.hex(), rep.mean_ratio.hex(), rep.n_skipped)
         assert got == self.FROZEN[measure]
         assert rep.n_triples == 200
+
+
+def _ancona_at_reference(evaluator, r, seed, words, n_triples, ns):
+    """The per-triple loop ``_ancona_at`` ran before its batch, on the
+    scalar values of ``reference_green``: the reference for every report."""
+
+    def green(word):
+        return reference_green(evaluator, word, r)
+
+    ratios = []
+    skipped = 0
+    ok = 0
+    for i in range(n_triples):
+        gxz, gxy, gyz = (green(w) for w in words[3 * i : 3 * i + 3])
+        gee = evaluator.green((), (), r)
+        rel_tail = sum(
+            g.tail / g.value if g.value else math.inf
+            for g in (gxz, gxy, gyz, gee)
+        )
+        if rel_tail > audit.TAIL_TOL:
+            skipped += 1
+            continue
+        ratio = (gxz.value * gee.value) / (gxy.value * gyz.value)
+        ratios.append(ratio)
+        if ratio >= 1.0 - (audit.LOWER_TOL + 3.0 * rel_tail):
+            ok += 1
+
+    strong = []
+    quads = words[3 * n_triples :]
+    for j, n in enumerate(ns):
+        g1, g2, g3, g4 = (green(w).value for w in quads[4 * j : 4 * j + 4])
+        strong.append((n, abs((g1 * g2) / (g3 * g4) - 1.0)))
+    below_floor = all(d <= audit.DEVIATION_FLOOR for _, d in strong)
+    if below_floor or len(strong) < 2:
+        rho, c = 0.0, 0.0
+    else:
+        pts = [(n, d) for n, d in strong if d > audit.DEVIATION_FLOOR]
+        ns = np.array([n for n, _ in pts], dtype=float)
+        logs = np.array([math.log(d) for _, d in pts])
+        design = np.column_stack([np.ones_like(ns), ns])
+        coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
+        c, rho = math.exp(coef[0]), math.exp(coef[1])
+    return AnconaReport(
+        r=float(r),
+        seed=seed,
+        n_triples=len(ratios),
+        n_skipped=skipped,
+        min_ratio=min(ratios) if ratios else math.nan,
+        max_ratio=max(ratios) if ratios else math.nan,
+        mean_ratio=sum(ratios) / len(ratios) if ratios else math.nan,
+        lower_bound_fraction=ok / len(ratios) if ratios else math.nan,
+        strong_rho=rho,
+        strong_c=c,
+        deviations_below_floor=below_floor,
+    )
+
+
+@pytest.fixture(scope="module", params=["f2_srw", "z2z3", "z2z2z2"])
+def shipped(request):
+    """(config, evaluator) of a shipped config, as ``report`` builds them."""
+    cfg = load_config(CONFIGS / f"{request.param}.json")
+    return cfg, GreenEvaluator(cfg.measure)
+
+
+class TestAnconaBatch:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_equal_the_scalar_loop(self, shipped, seed):
+        # field for field and bit for bit, on the report's own grid
+        cfg, ev_c = shipped
+        grid = cfg.resolve_r_grid(ev_c.R_hat)
+        reports = ancona_audit(ev_c, grid, seed=seed)
+        words, ns = audit._sample(ev_c.group, 200, 6, seed)
+        for rep, r in zip(reports, grid):
+            want = _ancona_at_reference(ev_c, r, seed, words, 200, ns)
+            assert [type(v) for v in vars(rep).values()] == [
+                type(v) for v in vars(want).values()
+            ]
+            assert rep.to_json() == want.to_json()
+
+    def test_repeated_audits_hold_no_memory(self, f2_srw):
+        # the sample's id arrays live for one call and the weight tables
+        # for the evaluator: once the first call has filled the tables, the
+        # traced peak stops growing.  One call's sample is about 50 kB of
+        # ids; the slack covers CPython's free lists, not a kept sample.
+        ev_f = GreenEvaluator(f2_srw)
+        grid = [0.9 * ev_f.R_hat, 0.95 * ev_f.R_hat]
+        peaks = array("q", [0] * 20)  # records without allocating
+        tracemalloc.start()
+        try:
+            for i in range(20):
+                ancona_audit(ev_f, grid)
+                peaks[i] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] - peaks[1] < 4096, list(peaks)
 
 
 class TestLltFit:

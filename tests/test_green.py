@@ -11,6 +11,7 @@ from freewalk.green import (
     AlgebraicGreenTable,
     ConvolutionGreenTable,
     GreenEvaluator,
+    GreenValue,
     _binomial_weighted,
     _eval_series,
     sphere_sizes,
@@ -348,6 +349,87 @@ class TestLeftInvariance:
         r = data.draw(st.sampled_from((0.3, 0.8, 0.95, 1.0))) * ev.R_hat
         assert twin_ev.green(x, xg, r) == ev.green((), g, r)
         assert twin_ev.first_passage(x, xg, r) == ev.first_passage((), g, r)
+
+
+def syllable_weight(ev, syl, r):
+    """(F(e,u|r)^k, k * relative tail, n_terms) of one syllable, (u, k) its
+    unknown and power on the system: one entry of the evaluator's weight
+    table, computed on its own."""
+    u, k = monomial(ev.group, *syl) if ev.system else (syl, 1)
+    f = ev.first_passage((), (u,), r)
+    return f.value**k, (k * f.tail / f.value if f.value else 0.0), f.n_terms
+
+
+def reference_green(ev, gamma, r):
+    """G(e,gamma|r) by the scalar loop the evaluator ran before its batch:
+    G(e,e) times gamma's syllable weights, one syllable at a time, the
+    relative tails added in the same order.  Off single-syllable support,
+    or at gamma = e, the evaluator's series value."""
+    gee = ev.green((), (), r)
+    if not gamma or not ev.single_syllable_support:
+        return ev.green((), gamma, r)
+    value, rel_tail, n_terms = gee.value, gee.tail / gee.value, gee.n_terms
+    for syl in gamma:
+        w, rel, n = syllable_weight(ev, syl, r)
+        value *= w
+        rel_tail += rel
+        n_terms = max(n_terms, n)
+    return GreenValue(value, abs(value) * rel_tail, "factored", n_terms)
+
+
+@pytest.fixture(scope="module", params=["f2", "z2z3", "z2z2z2", "f2_asym", "f2_lazy"])
+def batch_ev(request):
+    # the shipped groups, a skewed and a lazy walk on f2: all on the system
+    return GreenEvaluator(_measure(request.param))
+
+
+class TestGreenBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_the_scalar_path(self, batch_ev, data):
+        # lattice powers up to a^5, finite syllables, and the empty word
+        ev = batch_ev
+        choices = syllable_choices(ev.group, cap=5)
+        n_words = data.draw(st.integers(1, 6))
+        words = [_draw_element(data, choices, 6) for _ in range(n_words)]
+        words.insert(data.draw(st.integers(0, len(words))), ())
+        r = data.draw(st.sampled_from((0.9, 0.98))) * ev.R_hat
+        values, tails = ev.green_batch(ev.syllable_ids(words), r)
+        assert values.dtype == tails.dtype == np.float64
+        for w, v, t in zip(words, values.tolist(), tails.tolist()):
+            g, ref = ev.green((), w, r), reference_green(ev, w, r)
+            assert (v.hex(), t.hex()) == (g.value.hex(), g.tail.hex())
+            assert (g.value.hex(), g.tail.hex()) == (ref.value.hex(), ref.tail.hex())
+            assert g.n_terms == ref.n_terms
+
+    def test_empty_word_keeps_its_own_tail(self, batch_ev):
+        ev = batch_ev
+        r = 0.9 * ev.R_hat
+        values, tails = ev.green_batch(ev.syllable_ids([(), ()]), r)
+        gee = ev.green((), (), r)
+        assert values.tolist() == [gee.value] * 2 and tails.tolist() == [gee.tail] * 2
+
+    def test_multi_syllable_measures_fall_back_to_green(self):
+        # off single syllables the batch asks the scalar path word by word
+        ev = GreenEvaluator(_measure("f2_two_letter"), horizon=30, ball_bound=6)
+        assert not ev.single_syllable_support
+        r = 0.9 * ev.R_hat
+        words = [(), ((0, (1,)),), ((1, (1,)), (0, (1,))),
+                 ((0, (-1,)), (1, (-1,)), (0, (2,))), ((1, (2,)),)]
+        values, tails = ev.green_batch(ev.syllable_ids(words), r)
+        want = [ev.green((), w, r) for w in words]
+        assert values.tolist() == [g.value for g in want]
+        assert tails.tolist() == [g.tail for g in want]
+
+    def test_weight_tables_are_arrays_by_syllable_id(self, f2_srw):
+        ev = GreenEvaluator(f2_srw)
+        r = 0.9 * ev.R_hat
+        ids = ev.syllable_ids([((0, (2,)), (1, (-1,))), ((1, (-1,)),), ()])
+        assert ids.tolist() == [[1, 2], [2, 0], [0, 0]]
+        w, rel, n = ev.syllable_weights(r)
+        assert (w[0], rel[0], n[0]) == (1.0, 0.0, 0)
+        for i, syl in ((1, (0, (2,))), (2, (1, (-1,)))):
+            assert (w[i], rel[i], n[i]) == syllable_weight(ev, syl, r)
 
 
 def _eval_series_loop(logs, r):

@@ -5,18 +5,21 @@ import weakref
 import pytest
 
 from freewalk.audit import ancona_audit
+from freewalk.automaton import Automaton
+from freewalk.config import load_config
 
 from freewalk.errors import GroupSpecError
 from freewalk.green import GreenEvaluator
 from freewalk.thermo import (
     build_transfer,
     iterate_empty,
-    potential_eval,
     pressure,
     sphere_identity_check,
 )
 
 from oracles import f2_first_passage, z2z3_first_passages
+from test_audit import CONFIGS
+from test_green import syllable_weight
 from test_path_operator import _measure
 
 
@@ -27,6 +30,15 @@ def ev(f2_srw):
 
 A = ((0, (1,)),)
 B = ((1, (1,)),)
+
+
+def potential_eval(evaluator, path, r):
+    """phi_r of a nonempty symbol path, log(H(e,g|r) / H(g_1,g|r)), from
+    scalar Green values: the reference for ``build_transfer``'s seeds."""
+    if not path:
+        raise ValueError("the potential is not defined on the empty path")
+    g = tuple(path)
+    return math.log(evaluator.h_value(g, r) / evaluator.h_value(g[1:], r))
 
 
 class TestPotential:
@@ -45,9 +57,15 @@ class TestPotential:
         assert math.isclose(one, two, rel_tol=1e-9)
         assert math.isclose(one, three, rel_tol=1e-9)
 
-    def test_rejects_empty_path(self, ev):
-        with pytest.raises(ValueError):
-            potential_eval(ev, (), 1.0)
+    @pytest.mark.parametrize("frac", [0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("measure", ["f2_srw", "z2z3_srw", "z2cubed_srw"])
+    def test_seeds_are_the_scalar_potentials(self, request, measure, frac):
+        # each seed is e^phi_r of its one-symbol path, bit for bit
+        ev_m = GreenEvaluator(request.getfixturevalue(measure))
+        r = frac * ev_m.R_hat
+        tm = build_transfer(ev_m, r, cap=3)
+        want = [math.exp(potential_eval(ev_m, (s,), r)) for s in tm.symbols]
+        assert tm.seed.tolist() == want
 
 
 class TestTransfer:
@@ -120,6 +138,51 @@ class TestSphereIdentityFrozen:
         for n, _, direct, _ in rows:
             sphere = group.sphere(n, "relative", 2)
             assert direct == sum(ev.h_value(g, r) for g in sphere)
+
+
+def _sphere_rows_reference(evaluator, r, cap, n_max):
+    """The dict-based builder ``sphere_identity_check`` ran before its
+    sphere arrays: G(e,g) = G(e,g[:-1]) w(g[-1]) and G(g,e) =
+    G(g[1:],e) w(g[0]^-1) element by element, each weight computed on its
+    own, summed over the sphere in canonical order."""
+    tm = build_transfer(evaluator, r, cap)
+    lhs_seq = iterate_empty(tm, n_max)
+    gee = evaluator.green((), (), r).value
+    hee = gee * gee
+    group = evaluator.group
+    weight = {s: syllable_weight(evaluator, s, r)[0] for s in tm.symbols}
+    inv_weight = {
+        (fid, p): weight[fid, group.factors[fid].inv(p)] for fid, p in tm.symbols
+    }
+    auto = Automaton(group, cap)
+    prev = {(): (gee, gee)}
+    rows = []
+    for n in range(1, n_max + 1):
+        cur = {
+            g: (prev[g[:-1]][0] * weight[g[-1]], prev[g[1:]][1] * inv_weight[g[0]])
+            for _, g in auto.enumerate_sphere(n)
+        }
+        direct = sum(to * back for to, back in cur.values())
+        lhs = lhs_seq[n - 1] * hee
+        rel = abs(lhs - direct) / direct if direct else math.inf
+        rows.append((n, lhs, direct, rel))
+        prev = cur
+    return rows
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.9, 0.98])
+@pytest.mark.parametrize("name", ["f2_srw", "z2z3", "z2z2z2"])
+def test_sphere_rows_equal_the_dict_builder(name, frac):
+    # every row bit for bit, at the shipped cap and the report's n_max
+    cfg = load_config(CONFIGS / f"{name}.json")
+    ev_c = GreenEvaluator(cfg.measure)
+    r = frac * ev_c.R_hat
+    rows = sphere_identity_check(ev_c, r, cfg.cap, 4)
+    want = _sphere_rows_reference(ev_c, r, cfg.cap, 4)
+    assert [(n, a.hex(), b.hex(), e.hex()) for n, a, b, e in rows] == [
+        (n, a.hex(), b.hex(), e.hex()) for n, a, b, e in want
+    ]
+    assert all(type(x) is float for row in rows for x in row[1:])
 
 
 def test_dropped_evaluator_needs_no_cycle_collection(f2_srw):
