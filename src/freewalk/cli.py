@@ -120,7 +120,7 @@ def cmd_walk(cfg, args, shared):
     _write_csv(out / f"{cfg.name}_walk.csv", rows)
     meta = _report_header(cfg, args, started)
     meta.update({"horizon": horizon, "method": seq.method,
-                 "period": detect_period(seq).period})
+                 "period": detect_period(seq)})
     _write_json(out / f"{cfg.name}_walk_meta.json", meta)
     return 0
 
@@ -185,10 +185,12 @@ def cmd_pressure(cfg, args, shared):
     ev = shared.evaluator
     grid = cfg.resolve_r_grid(ev.R_hat) or [ev.R_hat]
     ladder = (max(cfg.cap - 1, 1), cfg.cap)
-    results = []
-    for r in grid:
-        est = pressure(ev, r, ladder=ladder)
-        results.append(json.loads(est.to_json()))
+    estimates = [pressure(ev, r, ladder=ladder) for r in grid]
+    if any(est.repeated for est in estimates):
+        print(f"warning: pressure ladder caps {ladder} give equal transfer "
+              f"weights, so 'stabilized' compares a matrix with itself",
+              file=sys.stderr)
+    results = [json.loads(est.to_json()) for est in estimates]
     payload = _report_header(cfg, args, started)
     payload.update({"R_hat": ev.R_hat, "estimates": results})
     _write_json(_out_dir(args) / f"{cfg.name}_pressure.json", payload)
@@ -219,7 +221,7 @@ def cmd_llt(cfg, args, shared):
         r_hat = cfg.measure.first_passage_system.radius
     else:
         r_hat = 1.0 / spectral_radius(seq).rho_hat
-    period = detect_period(seq).period
+    period = detect_period(seq)
     window = (max(horizon // 10, 50 * period), horizon)
     try:
         fit = llt_fit(seq.log_values, period, window, r_hat)

@@ -39,6 +39,7 @@ from .errors import (
 )
 from . import walks
 from .algebraic import m_matrix_solve, monomial
+from .automaton import factor_matrix
 
 NEG_INF = -math.inf
 # largest relative gap allowed between the relative-sphere I1 and the series
@@ -438,6 +439,22 @@ class GreenEvaluator:
         w = self.syllable_weights(r)[0][ids]
         return w[: len(syllables)], w[len(syllables):]
 
+    def factor_sums(self, payloads, r):
+        """t[k] = sum of F(e,s|r) F(s,e|r) over the syllables s = (k, p),
+        p in ``payloads[k]``, added in sequence as a loop adds: the factor
+        weights of ``automaton.factor_matrix``.  Off single-syllable support
+        no cut vertex factors the sums, and ``GroupSpecError`` is raised."""
+        if not self.single_syllable_support:
+            raise GroupSpecError(
+                "factor weights require single-syllable support, where every "
+                "syllable prefix is a cut vertex"
+            )
+        t = []
+        for fid, ps in enumerate(payloads):
+            fwd, back = self.syllable_pair_weights([(fid, p) for p in ps], r)
+            t.append(sum((fwd * back).tolist()))
+        return np.array(t)
+
     def _products(self, start, ids, r):
         """(values, tails, n_terms) of the GreenValue ``start`` times each
         word's syllable weights (cut vertices make F(e, gamma) their
@@ -510,16 +527,10 @@ class GreenEvaluator:
         0.998*R on the tree walks.
         """
         self._check_r(r)
-        if not self.single_syllable_support:
-            raise GroupSpecError(
-                "i_sums requires single-syllable support for the factored route"
-            )
-        t = []  # t[k]: sum of F(e,s|r) F(s,e|r) over the syllables s of factor k
-        for fid, factor in enumerate(self.group.factors):
-            cap = SYLLABLE_CAP if factor.kind == "lattice" else None
-            syls = [(fid, p) for p in factor.nontrivial_elements(cap)]
-            fwd, back = self.syllable_pair_weights(syls, r)
-            t.append(sum((fwd * back).tolist()))  # in sequence, as a loop adds
+        t = self.factor_sums([
+            f.nontrivial_elements(SYLLABLE_CAP if f.kind == "lattice" else None)
+            for f in self.group.factors
+        ], r)
         total = self.h_value((), r) * (1.0 + _sphere_sum(t, r))
         dg = self.green_derivative((), (), r).value
         rel_gap = abs(total - dg) / dg
@@ -553,18 +564,17 @@ class GreenEvaluator:
 
 
 def _sphere_sum(t, r):
-    """1^T (I - M)^-1 t = sum_{m >= 1} 1^T M^(m-1) t, M[k, j] = t_k for j != k.
+    """1^T (I - M)^-1 t = sum_{m >= 1} 1^T M^(m-1) t, M = factor_matrix(t).
 
-    M^(m-1) t sums the m-syllable words by the factor of their last
+    M^(m-1) t sums the m-syllable words by the factor of their first
     syllable, weighted by their syllables' t.  Raises unless I - M is a
     non-singular M-matrix.
     """
-    n = len(t)
-    rest = m_matrix_solve(np.array(t)[:, None] * (1.0 - np.eye(n)), t)
+    rest = m_matrix_solve(factor_matrix(t), t)
     if rest is None:
         raise NonConvergenceError(
             f"relative-sphere sums diverge at r = {r:.10g}: I - M is not a "
             f"non-singular M-matrix",
-            diagnostics={"r": float(r), "syllable_weights": t},
+            diagnostics={"r": float(r), "syllable_weights": t.tolist()},
         )
     return float(rest.sum())

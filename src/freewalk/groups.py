@@ -2,11 +2,12 @@
 
 Elements are kept in normal form: a tuple of syllables ``(factor_id, payload)``
 with adjacent syllables from distinct factors and no identity syllables.  The
-empty tuple is the group identity.  Spheres come in two metrics: the word
-metric ``d`` (sum of factor word lengths), which also has balls, and the
-relative metric ``d_hat`` (syllable count, so the relative length of a
-normal form is its ``len``), which is the graph metric of the Cayley graph
-with every factor added wholesale to the generating set.
+empty tuple is the group identity.  The word metric ``d`` (sum of factor word
+lengths) has balls and spheres here.  The relative metric ``d_hat`` is the
+syllable count, so the relative length of a normal form is its ``len``: the
+graph metric of the Cayley graph with every factor added wholesale to the
+generating set, whose capped spheres ``automaton`` builds as the paths of the
+coded shift.
 """
 
 import itertools
@@ -243,24 +244,16 @@ class FreeProduct:
 
     def ball(self, radius, budget=10**7):
         """All elements within word distance ``radius`` of e, canonically
-        ordered.  Raises BudgetError instead of silently truncating.  The
-        relative metric has spheres only (``sphere``)."""
+        ordered.  Raises BudgetError instead of silently truncating."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         return sorted(self._word_ball(radius, budget), key=self.canonical_key)
 
-    def sphere(self, radius, metric="word", syllable_cap=None, budget=10**7):
-        """The elements at distance exactly ``radius`` from e, canonically
-        ordered: the word sphere filters ``ball(radius)``, the relative one
-        is built directly (``_relative_sphere``), each syllable's factor
-        word length bounded by ``syllable_cap``."""
-        if metric != "relative":
-            return [
-                g
-                for g in self.ball(radius, budget)
-                if self.word_length(g) == radius
-            ]
-        return list(self._relative_sphere(radius, syllable_cap, budget))
+    def sphere(self, radius, budget=10**7):
+        """The elements at word distance exactly ``radius`` from e,
+        canonically ordered: ``ball(radius)`` filtered.  The capped relative
+        spheres are the paths of the coded shift (``automaton``)."""
+        return [g for g in self.ball(radius, budget) if self.word_length(g) == radius]
 
     def _word_ball(self, radius, budget):
         gens = self.generators()
@@ -282,28 +275,3 @@ class FreeProduct:
                             )
             frontier = nxt
         return list(seen)
-
-    def _relative_sphere(self, radius, syllable_cap, budget):
-        """Yield the relative sphere in ``canonical_key`` order, without a
-        sort: the alternating factor-id sequences of length ``radius`` in
-        lexicographic order, and for each the product of its factors'
-        payload lists sorted by ``_payload_key``.  A lattice factor raises
-        ``BudgetError`` without a ``syllable_cap``."""
-        payloads = [
-            sorted(f.nontrivial_elements(syllable_cap),
-                   key=lambda p, fid=fid: self._payload_key(fid, p))
-            for fid, f in enumerate(self.factors)
-        ]
-        count = 0
-        for fids in itertools.product(range(len(self.factors)), repeat=radius):
-            if any(a == b for a, b in zip(fids, fids[1:])):
-                continue
-            for ps in itertools.product(*(payloads[fid] for fid in fids)):
-                count += 1
-                if count > budget:
-                    raise BudgetError(
-                        "relative sphere exceeded element budget",
-                        consumed=count,
-                        budget=budget,
-                    )
-                yield tuple(zip(fids, ps))

@@ -911,11 +911,6 @@ def _exact_returns(measure, horizon):
     return vals
 
 
-@dataclass(frozen=True)
-class PeriodInfo:
-    period: int
-
-
 def detect_period(seq):
     """Period gcd{n >= 1 : p_n(e,e) > 0} over the available horizon."""
     positive = seq.nonzero_indices()
@@ -924,4 +919,4 @@ def detect_period(seq):
     p = 0
     for n in positive:
         p = math.gcd(p, n)
-    return PeriodInfo(period=p)
+    return p

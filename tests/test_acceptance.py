@@ -80,7 +80,7 @@ def test_criterion_03_local_limit_exponent(f2_srw, z2cubed_srw):
         seq = return_probabilities(mu, 5000, method="algebraic")
         est = spectral_radius(seq)
         fit = llt_fit(
-            seq.log_values, detect_period(seq).period, (500, 5000), 1.0 / est.rho_hat
+            seq.log_values, detect_period(seq), (500, 5000), 1.0 / est.rho_hat
         )
         alphas[name] = fit.alpha
     control = llt_fit(z_log_return_probs(5000), 2, (500, 5000), 1.0)

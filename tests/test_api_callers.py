@@ -19,7 +19,6 @@ SCANNED = (PACKAGE, ROOT / "perfbench")
 ALLOWED = {
     "convolve_power": "criterion 1 checks exact kinematics on single powers",
     "synthetic_log_probs": "criterion 3 fits the exponent on synthetic data",
-    "Automaton.sphere_size": "criterion 7 counts spheres independently",
 }
 
 

@@ -230,6 +230,33 @@ class TestLltFit:
 
 
 class TestRatioReport:
+    # float.hex of (i1, i2, dgreen) for every row of the shipped configs'
+    # grids, as ``isums`` reports them
+    PINNED = {
+        "f2_srw": [
+            ("0x1.323f5d36ef03dp+2", "0x1.6a93157e45695p+4", "0x1.323f5d36ef052p+2"),
+            ("0x1.0d611fe85c577p+3", "0x1.204a4583dd97dp+6", "0x1.0d611fe85c581p+3"),
+            ("0x1.0f65f860e49c2p+4", "0x1.4127aa04c1e13p+8", "0x1.0f65f860e49cfp+4"),
+        ],
+        "z2z3": [
+            ("0x1.ea4e547e8aa3fp+2", "0x1.796afad2485c7p+5", "0x1.ea4e547e8aa4ap+2"),
+            ("0x1.0d8f52c95e8d1p+4", "0x1.886cb0231535bp+7", "0x1.0d8f52c95e8dcp+4"),
+        ],
+        "z2z2z2": [
+            ("0x1.7aed36d7a71f0p+2", "0x1.f3e46fa578cc1p+4", "0x1.7aed36d7a7200p+2"),
+            ("0x1.69fab4e09c781p+3", "0x1.b57ec97ef574fp+6", "0x1.69fab4e09c786p+3"),
+            ("0x1.936781ae47f03p+4", "0x1.0e41ba8ecf34fp+9", "0x1.936781ae47f1fp+4"),
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_rows_pinned(self, name):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        ev_c = GreenEvaluator(cfg.measure)
+        rep = ratio_report(ev_c, cfg.resolve_r_grid(ev_c.R_hat))
+        got = [(row.i1.hex(), row.i2.hex(), row.dgreen.hex()) for row in rep.rows]
+        assert got == self.PINNED[name]
+
     def test_structure_and_bands(self, ev):
         grid = [f * ev.R_hat for f in (0.90, 0.95, 0.98)]
         rep = ratio_report(ev, grid)

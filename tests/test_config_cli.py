@@ -395,6 +395,18 @@ class TestShippedConfigs:
             assert not {"depth", "components", "semisimple_proxy"} & est.keys()
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_pressure_warns_when_two_rungs_agree(self, path, tmp_path, capsys):
+        # every element of Z2 and Z3 has word length 1, so on z2z3 (caps 1, 2)
+        # and z2z2z2 (caps 1, 1) both rungs have the same t; the report
+        # itself does not change
+        name = json.loads(path.read_text())["name"]
+        assert main(["pressure", "--config", str(path), "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert ("warning: pressure ladder" in err) == (name != "f2_srw")
+        data = json.loads((tmp_path / f"{name}_pressure.json").read_text())
+        assert all("repeated" not in est for est in data["estimates"])
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_report_reads_the_first_passage_system(self, path, tmp_path):
         cfg = parse_config(json.loads(path.read_text()))
         name = cfg.name

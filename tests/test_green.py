@@ -522,7 +522,7 @@ class TestTables:
                 with np.errstate(divide="ignore"):
                     logs = np.log(masses[:, m]) + logscales - math.log(sizes[m])
                 want = float(np.exp(logs + n * math.log(r)).sum())
-                sphere = mu.group.sphere(m, metric="word")
+                sphere = mu.group.sphere(m)
                 for gamma in {sphere[0], sphere[len(sphere) // 2], sphere[-1]}:
                     got = ev_m.green((), gamma, r).value
                     assert abs(got - want) / want < 1e-12, (r, gamma, got, want)
@@ -574,7 +574,7 @@ class TestSphereSizes:
     def test_z2z3_spheres_match_direct(self, z2z3):
         sizes = sphere_sizes(z2z3, 15)
         for n in range(8):
-            assert sizes[n] == len(z2z3.sphere(n, metric="word"))
+            assert sizes[n] == len(z2z3.sphere(n))
 
     def test_three_finite_factors_match_direct(self):
         # order-4 recurrence, beyond the reach of a fitted short one
@@ -582,10 +582,10 @@ class TestSphereSizes:
         sizes = sphere_sizes(group, 8)
         assert sizes == [1, 5, 18, 64, 226, 804, 2848, 10108, 35848]
         for n in range(9):
-            assert sizes[n] == len(group.sphere(n, metric="word"))
+            assert sizes[n] == len(group.sphere(n))
 
     def test_rank_two_lattice_factor_matches_direct(self):
         group = FreeProduct([LatticeFactor(2), cyclic_factor(2)])
         sizes = sphere_sizes(group, 7)
         for n in range(8):
-            assert sizes[n] == len(group.sphere(n, metric="word"))
+            assert sizes[n] == len(group.sphere(n))

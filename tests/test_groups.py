@@ -5,11 +5,8 @@ from freewalk.errors import BudgetError, GroupSpecError
 from freewalk.groups import (
     FiniteFactor,
     FreeProduct,
-    LatticeFactor,
     cyclic_factor,
 )
-
-from oracles import bfs_relative_spheres
 
 
 class TestFiniteFactor:
@@ -156,44 +153,9 @@ class TestEnumeration:
         for n in (1, 2, 3):
             assert len(f2.sphere(n)) == 4 * 3 ** (n - 1)
 
-    def test_relative_sphere_sizes_z2z3(self, z2z3):
-        assert len(z2z3.sphere(1, metric="relative")) == 3
-        assert len(z2z3.sphere(2, metric="relative")) == 4
-
     def test_budget_error(self, f2):
         with pytest.raises(BudgetError):
             f2.ball(8, budget=100)
-
-    FACTORS = {
-        "Z2": lambda: cyclic_factor(2),
-        "Z3": lambda: cyclic_factor(3),
-        "Z4": lambda: cyclic_factor(4),  # a word-length-2 element, cut by cap 1
-        "Z": lambda: LatticeFactor(1),
-        "Z^2": lambda: LatticeFactor(2),
-    }
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_relative_sphere_is_the_sorted_ball_shell(self, data):
-        # the sphere is built directly in canonical order; the reference is
-        # the same shell by plain BFS over capped syllables, sorted by
-        # canonical_key
-        names = data.draw(st.lists(st.sampled_from(sorted(self.FACTORS)),
-                                   min_size=2, max_size=3))
-        group = FreeProduct([self.FACTORS[n]() for n in names], warn_elementary=False)
-        cap = data.draw(st.integers(1, 2 if "Z^2" in names else 3))
-        radius = data.draw(st.integers(0, 3))
-        want = sorted(bfs_relative_spheres(group, radius, cap)[radius],
-                      key=group.canonical_key)
-        assert group.sphere(radius, "relative", cap) == want
-
-    def test_relative_sphere_budget_and_cap(self, f2):
-        # two factor orders times 4 * 4 payloads (a^{+-1,+-2}, b^{+-1,+-2})
-        assert len(f2.sphere(2, "relative", 2, budget=32)) == 32
-        with pytest.raises(BudgetError):
-            f2.sphere(2, "relative", 2, budget=31)
-        with pytest.raises(BudgetError):
-            f2.sphere(2, "relative")
 
 
 class TestElementaryWarning:

@@ -2,8 +2,10 @@ import gc
 import math
 import weakref
 
+import numpy as np
 import pytest
 
+from freewalk.algebraic import perron_root
 from freewalk.audit import ancona_audit
 from freewalk.automaton import Automaton
 from freewalk.config import load_config
@@ -26,6 +28,13 @@ from test_path_operator import _measure
 @pytest.fixture(scope="module")
 def ev(f2_srw):
     return GreenEvaluator(f2_srw)
+
+
+@pytest.fixture(scope="module", params=["f2_asym", "f2_lazy", "z2sq_z2"])
+def lumped_ev(request):
+    if request.param == "z2sq_z2":  # outside the first-passage system
+        return GreenEvaluator(_measure(request.param), horizon=30, ball_bound=6)
+    return GreenEvaluator(_measure(request.param))
 
 
 A = ((0, (1,)),)
@@ -60,26 +69,25 @@ class TestPotential:
     @pytest.mark.parametrize("frac", [0.5, 0.9, 1.0])
     @pytest.mark.parametrize("measure", ["f2_srw", "z2z3_srw", "z2cubed_srw"])
     def test_seeds_are_the_scalar_potentials(self, request, measure, frac):
-        # each seed is e^phi_r of its one-symbol path, bit for bit
+        # the seed of a symbol is e^phi_r of its one-symbol path, and t_k
+        # sums the seeds of factor k's symbols
         ev_m = GreenEvaluator(request.getfixturevalue(measure))
         r = frac * ev_m.R_hat
-        tm = build_transfer(ev_m, r, cap=3)
-        want = [math.exp(potential_eval(ev_m, (s,), r)) for s in tm.symbols]
-        assert tm.seed.tolist() == want
+        _, t = build_transfer(ev_m, r, cap=3)
+        want = [
+            math.fsum(math.exp(potential_eval(ev_m, ((fid, p),), r)) for p in ps)
+            for fid, ps in enumerate(Automaton(ev_m.group, 3).payloads)
+        ]
+        assert t.tolist() == pytest.approx(want, rel=1e-14, abs=0)
 
 
 class TestTransfer:
     def test_matrix_shape_and_positivity(self, ev):
-        tm = build_transfer(ev, 0.9 * ev.R_hat, cap=2)
-        n = len(tm.symbols)
-        assert tm.matrix.shape == (n, n)
-        assert (tm.seed > 0.0).all()
-        for i, s in enumerate(tm.symbols):
-            for j, t in enumerate(tm.symbols):
-                if s[0] == t[0]:
-                    assert tm.matrix[i, j] == 0.0
-                else:
-                    assert tm.matrix[i, j] == tm.seed[i]
+        # one row and column per factor: t_k off the diagonal of row k
+        matrix, t = build_transfer(ev, 0.9 * ev.R_hat, cap=2)
+        assert matrix.shape == (2, 2)
+        assert (t > 0.0).all()
+        assert matrix.tolist() == [[0.0, t[0]], [t[1], 0.0]]
 
     def test_refuses_multi_syllable_support(self):
         # off single syllables the potential depends on more than the
@@ -108,19 +116,21 @@ class TestSphereIdentityFrozen:
     # float.hex of (n, transfer, direct, rel_err) at 0.9*R_hat for n <= 4, at
     # the shipped caps (f2 3, z2z3 2), as ``report`` writes them.  The direct
     # side is built sphere by sphere from the syllable weights; these are
-    # the sums of ``h_value`` over each sphere, bit for bit.
+    # the sums of ``h_value`` over each sphere, bit for bit.  The transfer
+    # side iterates the factor matrix; each transfer value is within its
+    # direct value's distance to a 50-digit closed form, plus 4 ulps.
     FROZEN = {
         ("f2_srw", 3): [
-            (1, "0x1.8b7d7a56b30b2p+0", "0x1.8b7d7a56b30afp+0", "0x1.f11ff966cdc9ap-52"),
-            (2, "0x1.dbb1dbb8d224dp-2", "0x1.dbb1dbb8d224bp-2", "0x1.1389bcc7cc5bfp-52"),
-            (3, "0x1.1e15150a0ce4fp-3", "0x1.1e15150a0ce49p-3", "0x1.579f0fda8cc1fp-50"),
-            (4, "0x1.58196a7c844a2p-5", "0x1.58196a7c84422p-5", "0x1.7ce9cf6ba71cdp-46"),
+            (1, "0x1.8b7d7a56b30b1p+0", "0x1.8b7d7a56b30afp+0", "0x1.4b6aa64489312p-52"),
+            (2, "0x1.dbb1dbb8d224ep-2", "0x1.dbb1dbb8d224bp-2", "0x1.9d4e9b2bb289fp-52"),
+            (3, "0x1.1e15150a0ce50p-3", "0x1.1e15150a0ce49p-3", "0x1.90e43d29a4379p-50"),
+            (4, "0x1.58196a7c844a5p-5", "0x1.58196a7c84422p-5", "0x1.85d74a482d077p-46"),
         ],
         ("z2z3_srw", 2): [
-            (1, "0x1.6595a8e323da4p+1", "0x1.6595a8e323da5p+1", "0x1.6e8c57d784c21p-53"),
-            (2, "0x1.b2dd737be67cfp-1", "0x1.b2dd737be67cdp-1", "0x1.2d689060732e9p-52"),
+            (1, "0x1.6595a8e323da5p+1", "0x1.6595a8e323da5p+1", "0x0.0p+0"),
+            (2, "0x1.b2dd737be67cep-1", "0x1.b2dd737be67cdp-1", "0x1.2d689060732e9p-53"),
             (3, "0x1.5955678f7820fp-2", "0x1.5955678f7820fp-2", "0x0.0p+0"),
-            (4, "0x1.a3f7652132469p-4", "0x1.a3f7652132467p-4", "0x1.3819e62ae97d6p-52"),
+            (4, "0x1.a3f7652132468p-4", "0x1.a3f7652132467p-4", "0x1.3819e62ae97d6p-53"),
         ],
     }
 
@@ -134,10 +144,9 @@ class TestSphereIdentityFrozen:
     def test_direct_side_is_the_sum_of_h_values(self, ev):
         r = 0.7 * ev.R_hat
         rows = sphere_identity_check(ev, r, cap=2, n_max=3)
-        group = ev.group
+        auto = Automaton(ev.group, 2)
         for n, _, direct, _ in rows:
-            sphere = group.sphere(n, "relative", 2)
-            assert direct == sum(ev.h_value(g, r) for g in sphere)
+            assert direct == sum(ev.h_value(g, r) for _, g in auto.enumerate_sphere(n))
 
 
 def _sphere_rows_reference(evaluator, r, cap, n_max):
@@ -145,16 +154,15 @@ def _sphere_rows_reference(evaluator, r, cap, n_max):
     sphere arrays: G(e,g) = G(e,g[:-1]) w(g[-1]) and G(g,e) =
     G(g[1:],e) w(g[0]^-1) element by element, each weight computed on its
     own, summed over the sphere in canonical order."""
-    tm = build_transfer(evaluator, r, cap)
-    lhs_seq = iterate_empty(tm, n_max)
+    lhs_seq = iterate_empty(build_transfer(evaluator, r, cap), n_max)
     gee = evaluator.green((), (), r).value
     hee = gee * gee
     group = evaluator.group
-    weight = {s: syllable_weight(evaluator, s, r)[0] for s in tm.symbols}
-    inv_weight = {
-        (fid, p): weight[fid, group.factors[fid].inv(p)] for fid, p in tm.symbols
-    }
     auto = Automaton(group, cap)
+    weight = {s: syllable_weight(evaluator, s, r)[0] for s in auto.symbols()}
+    inv_weight = {
+        (fid, p): weight[fid, group.factors[fid].inv(p)] for fid, p in auto.symbols()
+    }
     prev = {(): (gee, gee)}
     rows = []
     for n in range(1, n_max + 1):
@@ -259,18 +267,19 @@ class TestPerronRoot:
 
 class TestPressureFrozen:
     # float.hex of the estimate at 0.9*R_hat with the default cap ladder
-    # (2, 3, 4): the eigenvalue (the raw Perron root of the cap-4 matrix,
-    # not exp of its log) and the ladder's log-eigenvalues.  On both
-    # measures R_hat is the branch point of the first-passage system and
-    # the Green series come from its coefficients.
+    # (2, 3, 4): the eigenvalue (the raw Perron root of the cap-4 factor
+    # matrix, not exp of its log) and the ladder's log-eigenvalues.  On
+    # both measures R_hat is the branch point of the first-passage system
+    # and the Green series come from its coefficients.  Each value is within
+    # its t's distance to a 50-digit closed form, plus 4 ulps.
     FROZEN = {
         "f2_srw": (
-            "0x1.3484c27499a12p-2",
-            ["-0x1.3779393e1e1c0p+0", "-0x1.339eee758c661p+0", "-0x1.331edd3140045p+0"],
+            "0x1.3484c27499a11p-2",
+            ["-0x1.3779393e1e1c2p+0", "-0x1.339eee758c661p+0", "-0x1.331edd3140045p+0"],
         ),
         "z2z3_srw": (
-            "0x1.63c86741fb7b0p-2",
-            ["-0x1.0ea177ba5a846p+0", "-0x1.0ea177ba5a846p+0", "-0x1.0ea177ba5a846p+0"],
+            "0x1.63c86741fb7b1p-2",
+            ["-0x1.0ea177ba5a845p+0", "-0x1.0ea177ba5a845p+0", "-0x1.0ea177ba5a845p+0"],
         ),
     }
 
@@ -286,6 +295,39 @@ class TestPressureFrozen:
 
 class TestRecurrence:
     def test_iterates_decay_inside_radius(self, ev):
-        tm = build_transfer(ev, 0.5 * ev.R_hat, cap=2)
-        seq = iterate_empty(tm, 6)
+        seq = iterate_empty(build_transfer(ev, 0.5 * ev.R_hat, cap=2), 6)
         assert seq[-1] < seq[0]
+
+
+def symbol_transfer(evaluator, r, cap):
+    """The symbol x symbol transfer matrix diag(seed)[fid(i) != fid(j)] with
+    seed[s] = F(e,s|r) F(s,e|r), from scalar first passages: the reference
+    for the factor matrix of ``build_transfer``."""
+    symbols = Automaton(evaluator.group, cap).symbols()
+    seed = np.array([
+        evaluator.first_passage((), (s,), r).value
+        * evaluator.first_passage((s,), (), r).value
+        for s in symbols
+    ])
+    fids = np.array([fid for fid, _ in symbols])
+    return np.where(fids[:, None] != fids, seed[:, None], 0.0), seed
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.9])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+def test_factor_matrix_has_the_symbol_matrix_spectrum(lumped_ev, cap, frac):
+    # diag(seed)[fid(i) != fid(j)] = A B with A the symbols' seeds by
+    # factor and B the factor adjacency, so its nonzero spectrum is that of
+    # B A = factor_matrix(t)
+    ev_m = lumped_ev
+    r = frac * ev_m.R_hat
+    matrix, t = build_transfer(ev_m, r, cap)
+    sym, seed = symbol_transfer(ev_m, r, cap)
+    assert matrix.shape == (2, 2)
+    want = max(abs(np.linalg.eigvals(sym)))
+    assert perron_root(matrix) == pytest.approx(want, rel=1e-14, abs=0)
+    v, sums = seed, []
+    for _ in range(6):
+        sums.append(v.sum())
+        v = sym @ v
+    assert iterate_empty((matrix, t), 6) == pytest.approx(sums, rel=1e-14, abs=0)

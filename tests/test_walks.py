@@ -154,15 +154,15 @@ class TestRadial:
 class TestPeriod:
     def test_bipartite_walk_has_period_two(self, f2_srw):
         seq = return_probabilities(f2_srw, 10)
-        assert detect_period(seq).period == 2
+        assert detect_period(seq) == 2
 
     def test_lazy_walk_is_aperiodic(self, f2):
         mu = uniform_on_generators(f2, lazy=Fraction(1, 5))
         seq = return_probabilities(mu, 10)
-        assert detect_period(seq).period == 1
+        assert detect_period(seq) == 1
 
     def test_z2z3_period(self, z2z3_srw):
         # t + t + t = e gives an odd return, so the walk is aperiodic
         seq = return_probabilities(z2z3_srw, 12)
         assert seq.values[3] > 0
-        assert detect_period(seq).period == 1
+        assert detect_period(seq) == 1
