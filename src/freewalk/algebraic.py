@@ -26,11 +26,15 @@ coefficient with a late one, so a block of B coefficients is linear in
 its own unknowns once the ones before the block are known (a relaxed
 recurrence): the first block is stepped one coefficient at a time, and
 every later block is one correlation per unknown and one product with a
-lower-triangular matrix built once from the first block.
+lower-triangular matrix built once from the first block.  The weights are
+integers over the measure's common denominator d, so the same equations
+read in Python integers give the exact coefficients d^n [r^n] F_s, which
+the first-return kernels of ``parabolic`` take for rational r.
 """
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,19 +54,24 @@ class FirstPassageSystem:
     products are F_s times a first passage back to e (C[s, j] sums mu(t)
     over the steps t out of H(s) with t^-1 the unknown j) and, on a
     lattice factor, F_s^2 = F_{s^2} (C[s, s] is the weight of the opposite
-    step).  U(r, x) = r (mu(e) + b.x).  ``radius`` is R and ``bracket``
-    the adjacent floats (lo, hi) around it where the least solution exists
-    and where it does not.  Coefficients are kept scaled by R^n and
-    extended on demand, so every caller shares one computation to the
-    largest horizon asked for.
+    step).  U(r, x) = r (mu(e) + b.x).  The weights of c, A, C, mu(e)
+    and b are integers over the measure's common denominator d, and the
+    float arrays are those integers divided by d.  ``radius`` is R and
+    ``bracket`` the adjacent floats (lo, hi) around it where the least
+    solution exists and where it does not.  Coefficients are kept scaled
+    by R^n, and exactly as integers over d^n, each extended on demand, so
+    every caller shares one computation to the largest horizon asked for.
     """
 
-    def __init__(self, group, unknowns, const, lin, cross, lazy, back):
+    def __init__(self, group, unknowns, denominator, const, lin, cross, lazy, back):
         self.group = group
         self.unknowns = unknowns
         self._index = {u: i for i, u in enumerate(unknowns)}
-        self._c, self._a, self._cross = const, lin, cross
-        self._lazy, self._back = lazy, back
+        self._d, self._ci, self._ai, self._crossi = denominator, const, lin, cross
+        self._c, self._a, self._cross, self._back = (
+            (x / denominator).astype(float) for x in (const, lin, cross, back)
+        )
+        self._lazy = lazy / denominator
         self.bracket = self._branch_point()
         self.radius = self.bracket[0] if self.bracket else math.inf
         m = len(unknowns)
@@ -70,6 +79,8 @@ class FirstPassageSystem:
         self._w = np.zeros((m, 1))  # the same of R C F
         self._u = np.zeros(1)  # scaled [r^n] U
         self._g = np.ones(1)  # scaled [r^n] G(e,e)
+        self._nums = [np.zeros(m, object)]  # d^n [r^n] F_s, as Python ints
+        self._crossed = [np.zeros(m, object)]  # the same of d C F
 
     # -- the radius ----------------------------------------------------------
 
@@ -222,6 +233,41 @@ class FirstPassageSystem:
         self._extend(horizon)
         return self._y[self._index[unknown], : horizon + 1]
 
+    def integer_coefficients(self, n):
+        """N_0..N_n, with [r^m] F_s = N_m[s] / d^m for every unknown s.
+
+        The system read coefficientwise over the integer weights:
+        N_1 = c and N_m = A N_{m-1} + sum_{j=1}^{m-2} N_j * (C N_{m-1-j}),
+        in Python integers, so the coefficients are exact.
+        """
+        nums, crossed = self._nums, self._crossed
+        while len(nums) <= n:
+            k = len(nums)
+            top = self._ci if k == 1 else self._ai @ nums[-1] + sum(
+                (nums[j] * crossed[k - 1 - j] for j in range(1, k - 1)), nums[0]
+            )
+            nums.append(top)
+            crossed.append(self._crossi @ top)
+        return nums[: n + 1]
+
+    def first_passage_sums(self, x, n):
+        """{s: sum_{m=1}^{n} [r^m] F_s x^m} over the unknowns s.
+
+        A Fraction x gives Fractions, from the integer coefficients; a float
+        x gives floats, each the ``math.fsum`` of the scaled coefficients
+        times (x/R)^m.
+        """
+        if isinstance(x, Fraction):
+            p, q = x.numerator, x.denominator * self._d
+            nums = self.integer_coefficients(n)
+            tops = sum((nums[m] * (p**m * q ** (n - m)) for m in range(1, n + 1)), nums[0])
+            sums = [Fraction(top, q**n) for top in tops.tolist()]
+        else:
+            self._extend(n)
+            powers = (x / self.radius) ** np.arange(1, n + 1)
+            sums = [math.fsum(row) for row in (self._y[:, 1 : n + 1] * powers).tolist()]
+        return dict(zip(self.unknowns, sums))
+
     def unscaled_logs(self, scaled):
         """log c_n from the scaled c_n R^n (minus infinity where zero)."""
         with np.errstate(divide="ignore"):
@@ -316,14 +362,15 @@ def first_passage_system(measure):
         else:
             unknowns += [(fid, p) for p in factor.nontrivial_elements()]
     index = {u: i for i, u in enumerate(unknowns)}
-    m = len(unknowns)
-    const, lin, cross, back = np.zeros(m), np.zeros((m, m)), np.zeros((m, m)), np.zeros(m)
-    lazy = 0.0
+    m, d = len(unknowns), measure.common_denominator()
+    const, back = np.zeros(m, object), np.zeros(m, object)
+    lin, cross = np.zeros((m, m), object), np.zeros((m, m), object)
+    lazy = 0
     for g, w in measure.support:
-        w = float(w)
+        w = int(w * d)
         if not g:
             lazy = w
-            lin += w * np.eye(m)
+            lin[np.diag_indices(m)] += w
             continue
         (tf, tp), = g
         factor = group.factors[tf]
@@ -342,5 +389,5 @@ def first_passage_system(measure):
                 lin[s, index[u]] += w
             else:  # s^2 on a lattice factor: u is s itself
                 cross[s, s] += w
-    system = FirstPassageSystem(group, unknowns, const, lin, cross, lazy, back)
+    system = FirstPassageSystem(group, unknowns, d, const, lin, cross, lazy, back)
     return system if system.bracket is not None else None

@@ -98,7 +98,7 @@ class ExperimentConfig:
     r_grid: list = field(default_factory=list)  # entries: float or "0.9R"
     cap: int = 3  # syllable word-length truncation D
     kernel_len: int = 30  # first-return path-length cap L
-    kernel_ball: int = 8  # first-return state-ball cap B
+    kernel_ball: int = 8  # state-chain ball cap B (measures outside the system)
     seed: int = 0
 
     def resolve_r_grid(self, r_hat):

@@ -28,6 +28,7 @@ class FiniteFactor:
     """
 
     kind = "finite"
+    identity = 0
 
     def __init__(self, mult_table, generators, name=""):
         self.name = name
@@ -112,6 +113,7 @@ class LatticeFactor:
             raise GroupSpecError("lattice rank must be >= 1")
         self.rank = rank
         self.name = name
+        self.identity = (0,) * rank
 
     def mul(self, x, y):
         return tuple(a + b for a, b in zip(x, y))

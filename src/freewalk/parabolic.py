@@ -2,17 +2,21 @@
 
 The kernel p_{k,r}(h,h') sums r^n mu(h^-1 g_1) ... mu(g_{n-1}^-1 h') over
 paths whose intermediate points avoid H_k.  Translation invariance reduces it
-to the single row from e, which is the mass ``walks.PathOperator`` absorbs
-in H_k, labelled by factor payload.  Its exact propagator (integer
-numerators, rational r folded into the steps) serves rational r and
-additionally prunes by remaining steps (a state farther from H_k than the
-steps left cannot contribute, so the prune is lossless); its float
-propagator serves the rest.  States are truncated to a word ball.  Where
-the syllable types of a single-syllable measure certify that the chain is
-lumpable onto its expansion levels (the tree and finite-factor walks),
-both step one block per level, built from the types with no ball expanded
-(``walks.level_absorb``); elsewhere they expand the ball and step every
-state.  ``chain_size`` records which.
+to the single row from e, truncated at path length L.  For a measure whose
+steps are single syllables, e is a cut vertex between H_k and the cone of
+every step out of H_k (Woess 2000), so the row needs no path enumeration:
+a step inside H_k returns at once, and a step t out of it returns first at
+e, through a first passage from t back to e.  Where the first-passage
+system of ``algebraic`` covers the measure, the row is read off its
+coefficients, exactly (integer coefficients, for rational r) or in floats,
+and no ball truncates it.  Every other measure (multi-syllable steps, Z^d
+factors with d >= 2) runs ``walks.PathOperator`` with H_k as its absorbing
+set over the states of a word ball: its exact propagator (integer
+numerators, rational r folded into the steps) additionally prunes by
+remaining steps (a state farther from H_k than the steps left cannot
+contribute, so the prune is lossless), and its float propagator needs an
+explicit ball.  ``chain_size`` records the unknowns of the system, or the
+states (exact) or blocks and sinks (float) of the state chain.
 
 Over a factor ball the kernel is a finite non-negative matrix K.  Its
 Perron root is read off the eigenvalues of K (by a Rayleigh quotient
@@ -30,8 +34,9 @@ H_k, so it carries each truncated kernel to H_j onto the one to H_k, and
 
 Truncation only ever removes non-negative path weights, so every reported
 spectral-radius estimate is a lower bound and the (L, B) ladder increases
-monotonically toward the true value.  A verdict of "degenerate" is therefore
-rigorous, while "non-degenerate" additionally requires ladder stabilization.
+monotonically toward the true value (B bounds the state chain only).  A
+verdict of "degenerate" is therefore rigorous, while "non-degenerate"
+additionally requires ladder stabilization.
 """
 
 import json
@@ -41,19 +46,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebraic import m_matrix_solve, perron_root
+from .algebraic import m_matrix_solve, monomial, perron_root
 from .errors import NonConvergenceError
 from .groups import _lattice_ball
-from .walks import PathOperator, level_absorb
+from .walks import PathOperator
 
 
 def _in_factor(group, elem, factor_id):
     """Payload of elem inside H_k, or None if elem is outside the factor."""
     if elem == ():
-        factor = group.factors[factor_id]
-        if factor.kind == "lattice":
-            return (0,) * factor.rank
-        return 0
+        return group.factors[factor_id].identity
     if len(elem) == 1 and elem[0][0] == factor_id:
         return elem[0][1]
     return None
@@ -64,32 +66,36 @@ class ReturnKernel:
     factor_id: int
     r: object  # Fraction or float
     max_len: int  # L: maximal path length
-    ball_radius: int  # B: word-ball cap on intermediate states
+    ball_radius: int  # B: word-ball cap on the state chain's states; -1 without
     row: dict  # factor payload -> weight (row from e)
     returned_mass: object  # sum of the row
     in_flight_mass: object  # weight still outside H_k at step L
     escaped_mass: object  # weight dropped at the ball boundary
     exact: bool
-    chain_size: int  # blocks and sinks stepped (exact state chain: states)
+    chain_size: int  # unknowns of the first-passage system, else states or blocks
 
 
 def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=None):
     """The row p_{k,r}(e, .) of the first-return kernel to factor ``factor_id``.
 
-    Runs the path operator with H_k as its absorbing set, over the levels
-    where the syllable types certify them and over the ball's states
-    otherwise.  Exact mode (rational r, or ``exact=True``) propagates
-    integer numerators with the lossless remaining-steps prune and returns
-    Fraction rows; float mode builds one transition list and reuses it at
-    every step, which makes long horizons cheap.
+    Where the first-passage system covers the measure, the row is read off
+    its coefficients (``_series_kernel``) and ``ball_radius`` is not used.
+    Otherwise the path operator runs with H_k as its absorbing set over
+    the states of the word ball of radius ``ball_radius``.  Exact mode
+    (rational r, or ``exact=True``) returns Fraction rows; on the state
+    chain it propagates integer numerators with the lossless
+    remaining-steps prune, and float mode there needs an explicit ball.
     """
     if exact is None:
         exact = isinstance(r, (int, Fraction))
-    if not exact and ball_radius is None:
-        raise ValueError("float mode needs an explicit ball_radius")
     r = Fraction(r) if exact else float(r)
-    result = level_absorb(measure, max_len, ball_radius, r, factor_id)
-    if result is None:
+    system = measure.first_passage_system
+    if system is not None:
+        ball_radius = None  # the series needs no ball
+        result = _series_kernel(measure, system, factor_id, r, max_len)
+    else:
+        if not exact and ball_radius is None:
+            raise ValueError("float mode needs an explicit ball_radius")
         op = PathOperator(measure, ball_radius, r, factor=factor_id)
         result = (op.exact_absorb if exact else op.float_absorb)(max_len)
     row, returned, in_flight, escaped, chain_size = result
@@ -105,6 +111,49 @@ def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=
         exact=exact,
         chain_size=chain_size,
     )
+
+
+def _series_kernel(measure, system, k, r, n):
+    """(row, returned, in_flight, escaped, unknowns) of the paths of length
+    at most n, from the first-passage series of a single-syllable measure.
+
+    A first step u in H_k returns at once, with weight r mu(u).  A first
+    step t out of H_k enters t's cone, and e is a cut vertex between that
+    cone and H_k, so the path returns first at e, with weight
+    r mu(t) sum_{m<n} f_m(t^-1) r^m, f_m = [z^m] F(e, t^-1 | z).  The row
+    is the unit first, then H_k's steps in support order.  Exact rows
+    (Fraction r) match the pruned state chain, which holds no mass in
+    flight after a step.  Float rows add each sum with ``math.fsum``, so
+    the order of its terms does not matter (a swap of exchangeable
+    factors permutes them), and count in flight the mass of the paths out
+    of H_k that have not returned by step n.  Nothing escapes.
+    """
+    exact = isinstance(r, Fraction)
+    zero = Fraction(0) if exact else 0.0
+    if n == 0:
+        return {}, zero, zero + 1, zero, len(system.unknowns)
+    group = measure.group
+    sums = system.first_passage_sums(r, n - 1)
+    home, steps, out = [], {}, []  # unit terms, H_k's steps, (mu(t), unknown t^-1)
+    for g, w in measure.support:
+        rw = Fraction(r) * w if exact else float(Fraction(r) * w)
+        if not g:
+            home.append(rw)
+        elif g[0][0] == k:
+            steps[g[0][1]] = rw
+        else:
+            (f, p), = g
+            back = monomial(group, f, group.factors[f].inv(p))[0]
+            home.append(rw * sums[back])
+            out.append((w, back))
+    unit = sum(home, zero) if exact else math.fsum(home)
+    row = {group.factors[k].identity: unit} | steps
+    row = {p: v for p, v in row.items() if v}
+    if exact:
+        return row, sum(row.values(), zero), zero, zero, len(sums)
+    tails = system.first_passage_sums(1.0, n - 1)
+    in_flight = r**n * math.fsum(float(w) * (1.0 - tails[u]) for w, u in out)
+    return row, math.fsum(row.values()), in_flight, zero, len(sums)
 
 
 def kernel_matrix(kernel, group, factor_ball):

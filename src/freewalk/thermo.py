@@ -73,7 +73,8 @@ def sphere_identity_check(evaluator, r, cap, n_max):
     array of symbols in canonical order: G(e,g) is G(e,e) times g's
     syllable weights w, accumulated left to right, and G(g,e) = G(e,g^-1)
     the same over the reversed columns of the inverse weights, the
-    products ``GreenEvaluator.green`` forms.  Returns a list of
+    products ``GreenEvaluator.green`` forms, and the sphere's terms are
+    summed correctly rounded (``math.fsum``).  Returns a list of
     (n, transfer_value, direct_value, rel_err).
     """
     auto = Automaton(evaluator.group, cap)
@@ -86,7 +87,7 @@ def sphere_identity_check(evaluator, r, cap, n_max):
         sphere = np.concatenate(list(auto.sphere_rows(n)))
         to = accumulate(np.multiply, gee, fwd[sphere])
         from_g = accumulate(np.multiply, gee, back[sphere[:, ::-1]])
-        direct = sum((to * from_g).tolist())  # in sequence, as a loop adds
+        direct = math.fsum((to * from_g).tolist())
         lhs = lhs_seq[n - 1] * hee
         rel = abs(lhs - direct) / direct if direct else math.inf
         rows.append((n, lhs, direct, rel))

@@ -3,20 +3,17 @@ radial distance chain.
 
 Every truncated path sum in the package runs on one ``PathOperator``: the
 convolution powers mu^{*n}, the first visits to an element, the first-return
-kernels to a factor, and the reach check of a step measure.  It sends steps
-that leave the word ball to an escape sink and harvests mass that reaches
-an absorbing set (a factor, or one element).  Elements are nodes of a word
-tree keyed by (prefix node, last syllable code), after the cut-vertex
-structure of a free product (Woess 2000), and the ball is expanded one
-level at a time in numpy: a step is a lookup in its syllable's merge
-table, and no word is multiplied, measured or hashed.  The exact
-propagator keeps integer numerators over a power denominator and does
-each step as one product and one grouped sum over object arrays; the
-float propagator applies a weighted transition list once per step.  For
-a single-syllable measure whose syllable types certify that the chain is
-lumpable onto the ball's expansion levels, ``level_absorb`` builds that
-list over the levels from the types alone, with no ball expanded, for
-either propagator; ``PathOperator``'s state chains serve every other measure.
+kernels of the measures the first-passage system does not cover, and the
+reach check of a step measure.  It sends steps that leave the word ball to
+an escape sink and harvests mass that reaches an absorbing set (a factor,
+or one element).  Elements are nodes of a word tree keyed by (prefix node,
+last syllable code), after the cut-vertex structure of a free product
+(Woess 2000), and the ball is expanded one level at a time in numpy: a
+step is a lookup in its syllable's merge table, and no word is
+multiplied, measured or hashed.  The exact propagator keeps integer
+numerators over a power denominator and does each step as one product
+and one grouped sum over object arrays; the float propagator applies a
+weighted transition list once per step.
 
 Exact return probabilities meet in the middle: p_{a+b}(e,e) pairs mu^{*a}
 with the powers of the reflected measure g -> mu(g^-1) (mu itself when it
@@ -24,8 +21,9 @@ is symmetric), so a horizon n takes ceil(n/2) steps and keeps no powers.
 Single-syllable measures on finite and rank-1 lattice factors have a
 second route, the first-passage system of ``algebraic``, built once per
 measure (``StepMeasure.first_passage_system``): its coefficients give
-p_n(e,e) to any horizon in floats, with no ball and no path sums, and it
-is the engine the Green evaluator and the CLI use wherever it applies.
+p_n(e,e) to any horizon in floats, and the first-return kernels exactly
+or in floats, with no ball and no path sums, and it is the engine the
+Green evaluator, the kernels and the CLI use wherever it applies.
 The radial distance chain (``is_radial``) projects isotropic
 nearest-neighbor walks to a birth-death chain on distances.  No command
 reads it: it shares no code with the first-passage system, and the tests
@@ -264,8 +262,7 @@ class PathOperator:
     with the rational r folded into the step numerators, and expands the
     states new at each step as one batch (``exact_absorb`` sums them).
     ``float_absorb`` expands the ball one level at a time and applies one
-    transition list over its live states per step; measures whose level
-    chain is certified (``level_absorb``) need no operator.
+    transition list over its live states per step.
     Element tuples are built only by ``elements``.  Operators built on one
     ``tree`` share its node ids, so their states pair by node.
     """
@@ -282,7 +279,7 @@ class PathOperator:
         self._moves = [[self.tree.code_of(f, p) for f, p in s] for s, _ in measure.support]
         self._target = None if target is None else self.tree.node_of(target)
         if factor is not None:
-            self._unit = _unit(group.factors[factor])
+            self._unit = group.factors[factor].identity
         self.node = np.zeros(0, np.int64)  # state id -> node
         self._state = np.zeros(0, np.int64)  # node -> state id, or -1
         self.absorbs = np.zeros(0, bool)
@@ -439,16 +436,31 @@ class PathOperator:
     def exact_absorb(self, n):
         """``float_absorb`` in Fractions, after n pruned ``exact_steps``;
         ``size`` counts the states interned."""
-        return (*_exact_sums(self.exact_steps(n, prune=True), self.denominator), self.size)
+        row, escaped, denom, nums = {}, Fraction(0), 1, [1]
+        for _, nums, hits, esc in self.exact_steps(n, prune=True):
+            denom *= self.denominator
+            for label, num in hits.items():
+                row[label] = row.get(label, 0) + Fraction(num, denom)
+            escaped += Fraction(esc, denom)
+            if not any(nums):
+                break
+        returned, in_flight = sum(row.values(), Fraction(0)), Fraction(sum(nums), denom)
+        return row, returned, in_flight, escaped, self.size
 
     def float_absorb(self, n):
         """(absorbed, absorbed_total, in_flight, escaped, size) after n steps.
 
-        The state chain, for measures whose level chain has no certificate
-        (see ``level_absorb``).  The ball of a new operator is expanded
-        level by level from e, each level's new in-flight states as one
-        batch.  Each live state (e among them) is a block, in the order it
-        was reached, with one entry per step; ``_absorb`` steps the chain.
+        The ball of a new operator is expanded level by level from e, each
+        level's new in-flight states as one batch.  The chain is k live
+        blocks, each live state (e among them, block 0) in the order it was
+        reached, followed by the sinks: the escape sink, then one per
+        label.  It is one list of weighted (source, destination) entries,
+        one per block and step, with a unit self-loop on each sink last, so
+        the mass in it accumulates.  Each step is one ``np.bincount`` over
+        that list, which adds into every destination in list order: a
+        step's increments into a sink are summed before the mass already
+        there is added.  ``absorbed`` maps labels to masses; ``size``
+        counts the blocks and sinks.
         """
         levels, frontier = [], np.zeros(1, np.int64)
         while len(frontier):
@@ -457,201 +469,25 @@ class PathOperator:
             fresh = np.arange(first, self.size)
             frontier = fresh[~self.absorbs[fresh]]
         t = np.concatenate(levels)  # (live state, step) targets
-        k = len(t)
+        k, labels = len(t), list(self.labels.values())
         live = ~self.absorbs
         live[0] = True  # e starts every path
         block = np.where(self.absorbs, k + np.cumsum(self.absorbs), np.cumsum(live) - 1)
-        dst = np.where(t < 0, k, block[t]).ravel()
-        src = np.repeat(np.arange(k), len(self.numerators))
-        wgt = np.tile(self.float_weights, k)
-        return _absorb(src, dst, wgt, k, list(self.labels.values()), n)
-
-
-def _absorb(src, dst, wgt, k, labels, n):
-    """(absorbed, absorbed_total, in_flight, escaped, size) after n steps.
-
-    The chain is ``k`` live blocks, block 0 holding e, followed by
-    the sinks: the escape sink, then one per label.  It is one list of
-    weighted (source, destination) entries, with a unit self-loop on each
-    sink last, so the mass in it accumulates.  Each step is one
-    ``np.bincount`` over that list, which adds into every destination in
-    list order: a step's increments into a sink are summed before the
-    mass already there is added.  ``absorbed`` maps labels to masses;
-    ``size`` counts the blocks and sinks.
-    """
-    loops = np.arange(k, k + 1 + len(labels))
-    size = len(loops) + k
-    src = np.concatenate([src, loops])
-    dst = np.concatenate([dst, loops])
-    wgt = np.concatenate([wgt, np.ones(len(loops))])
-    x = np.zeros(size)
-    x[0] = 1.0
-    for _ in range(n):
-        x = np.bincount(dst, weights=wgt * x[src], minlength=size)
-        if not x[:k].any():
-            break
-    absorbed = {
-        label: float(x[k + 1 + i]) for i, label in enumerate(labels) if x[k + 1 + i]
-    }
-    return (absorbed, float(x[k + 1:].sum()), float(x[:k].sum()), float(x[k]), size)
-
-
-def _exact_sums(steps, denominator):
-    """(absorbed, absorbed_total, in_flight, escaped) in Fractions, from steps
-    ending in numerators (in-flight, {label: absorbed}, escaped) / denominator**step."""
-    row, escaped, denom, nums = {}, Fraction(0), 1, [1]
-    for *_, nums, hits, esc in steps:
-        denom *= denominator
-        for label, num in hits.items():
-            row[label] = row.get(label, 0) + Fraction(num, denom)
-        escaped += Fraction(esc, denom)
-        if not any(nums):
-            break
-    return row, sum(row.values(), Fraction(0)), Fraction(sum(nums), denom), escaped
-
-
-def level_absorb(measure, n, ball_bound, r, factor):
-    """``PathOperator.exact_absorb`` (Fraction r) or ``float_absorb``
-    (float r) of the first returns to H_``factor``, over the ball's
-    expansion levels; or None without a certificate that the chain is
-    lumpable onto them.  ``_level_chain`` builds the chain; ``_absorb``
-    steps it in floats, ``_level_steps`` in integers.  Exact mode needs no
-    ball: it builds the levels its prune can reach, n // 2 steps out."""
-    step_length = measure.max_step_length
-    bound = n // 2 * step_length if ball_bound is None else ball_bound
-    chain = _level_chain(measure, bound, r, factor)
-    if chain is None:
-        return None
-    src, dst, nums, denominator, k, labels = chain
-    if isinstance(r, Fraction):
-        steps = _level_steps(src, dst, nums, k, labels, n, step_length,
-                             ball_bound is not None)
-        return (*_exact_sums(steps, denominator), k + 1 + len(labels))
-    return _absorb(np.array(src, np.int64), np.array(dst, np.int64),
-                   np.array([num / denominator for num in nums]), k, labels, n)
-
-
-def _level_steps(src, dst, nums, k, labels, n, step_length, escapes):
-    """The level chain's steps for ``_exact_sums``, with ``exact_steps``'s
-    prune: a live state's distance to H_k is its level, so after step s
-    a level past (n - s) * ``step_length`` is dropped.  The escape sink
-    counts only where ``escapes`` (an explicit ball)."""
-    x = [1] + [0] * (k - 1)
-    for step in range(1, n + 1):
-        y = [0] * (k + 1 + len(labels))
-        for s, d, num in zip(src, dst, nums):
-            y[d] += x[s] * num
-        reach = (n - step) * step_length
-        x = [v if level <= reach else 0 for level, v in enumerate(y[:k])]
-        yield x, {a: v for a, v in zip(labels, y[k + 1:]) if v}, y[k] * escapes
-
-
-def _level_chain(measure, ball_bound, r, factor):
-    """(src, dst, nums, denominator, k, labels): the first returns to
-    H_``factor`` as a chain over the ball's expansion levels, or None
-    without a certificate that the state chain is lumpable onto them.
-
-    For a single-syllable measure every syllable prefix is a cut vertex,
-    so a live state's level is the sum of its syllables' step distances
-    inside their factors (BFS over the support, within the ball).  Where
-    that distance is the factor word length for every syllable the BFS
-    reaches, the level is the word length, and the target of a step from
-    a state of type (last syllable s, level l) depends on the type alone:
-    a lazy step stays at l, a step in the factor of s goes to
-    l - |s| + |st| (to the unit sink where that is e), any other step t to
-    l + |t|, and a target past ``ball_bound`` to the escape sink.  A type is
-    present at level l if its prefix can be e (s outside H_k, |s| = l) or
-    a present type of another factor at l - |s|.  The certificate is that
-    the present types of each level have one sorted multiset of (target
-    block, step numerator); then the chain is lumpable onto its levels
-    (Kemeny and Snell 1960), and no word ball is expanded.  Each level is
-    one block, stepped by the row of its breadth-first first state: e's
-    first live step, then each such state's first step up, in support
-    order.  The steps of a row into one block are one entry, whose integer
-    numerator is theirs summed, over ``denominator``.  Blocks are numbered
-    as in ``_absorb``: the k levels, the escape sink, one sink per label.
-    """
-    if any(len(g) > 1 for g, _ in measure.support):
-        return None
-    group = measure.group
-    steps = [g[0] if g else None for g, _ in measure.support]  # None: the lazy step
-    syllables = []
-    for fid, h in enumerate(group.factors):
-        moves = [s[1] for s in steps if s and s[0] == fid]
-        seen = {_unit(h)}
-        frontier, dist = [_unit(h)], 0
-        while frontier:
-            dist, new = dist + 1, []
-            for x in frontier:
-                for q in moves:
-                    y = h.mul(x, q)
-                    if y in seen or h.length(y) > ball_bound:
-                        continue
-                    if h.length(y) != dist:
-                        return None
-                    seen.add(y)
-                    new.append(y)
-            syllables += [(fid, y) for y in new]
-            frontier = new
-    length = {s: group.factors[s[0]].length(s[1]) for s in syllables}
-    present = [[None]]  # last syllables of the types at each level; None is e
-    kinds = [set()]  # the factors of those syllables
-    for level in range(1, ball_bound + 1):
-        here = [s for s in syllables if (
-            s[0] != factor if length[s] == level
-            else length[s] < level and kinds[level - length[s]] - {s[0]}
-        )]
-        if not here:
-            break
-        present.append(here)
-        kinds.append({s[0] for s in here})
-    k = len(present)
-    labels = [_unit(group.factors[factor])]
-    sink = {}  # the steps into H_k from e, each absorbed in its own sink
-    for s in steps:
-        if s and s[0] == factor:
-            sink[s[1]] = k + 1 + len(labels)
-            labels.append(s[1])
-
-    def target(s, level, t):
-        """(block, last syllable) of a state of type (s, level) times step t;
-        the last syllable is not computed for a step down to the prefix."""
-        if t is None:
-            return level or k + 1, s
-        f, q = t
-        h = group.factors[f]
-        if s is None and f == factor:
-            return sink[q], None
-        if s is not None and s[0] == f:
-            level -= length[s]
-            t = (f, h.mul(s[1], q))
-            if h.is_identity(t[1]):
-                return level or k + 1, None
-        level += h.length(t[1])
-        return (level if level <= ball_bound else k), t
-
-    denominator, numerators = _step_numerators(measure, r)
-    for level in range(1, k):
-        rows = {tuple(sorted(zip([target(s, level, t)[0] for t in steps], numerators)))
-                for s in present[level]}
-        if len(rows) > 1:
-            return None
-    src, dst, nums, s = [], [], [], None
-    for level in range(k):
-        row = [target(s, level, t) for t in steps]
-        merged = {}
-        for (b, _), num in zip(row, numerators):
-            merged[b] = merged.get(b, 0) + num
-        src += [level] * len(merged)
-        dst += merged
-        nums += merged.values()
-        s = next((u for b, u in row if b == level + 1), None)
-    return src, dst, nums, denominator, k, labels
-
-
-def _unit(factor):
-    """The identity payload of a factor."""
-    return (0,) * factor.rank if factor.kind == "lattice" else 0
+        loops = np.arange(k, k + 1 + len(labels))
+        size = len(loops) + k
+        src = np.concatenate([np.repeat(np.arange(k), len(self.numerators)), loops])
+        dst = np.concatenate([np.where(t < 0, k, block[t]).ravel(), loops])
+        wgt = np.concatenate([np.tile(self.float_weights, k), np.ones(len(loops))])
+        x = np.zeros(size)
+        x[0] = 1.0
+        for _ in range(n):
+            x = np.bincount(dst, weights=wgt * x[src], minlength=size)
+            if not x[:k].any():
+                break
+        absorbed = {
+            label: float(x[k + 1 + i]) for i, label in enumerate(labels) if x[k + 1 + i]
+        }
+        return absorbed, float(x[k + 1:].sum()), float(x[:k].sum()), float(x[k]), size
 
 
 def _step_numerators(measure, r):

@@ -214,6 +214,15 @@ def z2z3_first_passages(r):
     return fs.v, ft.v
 
 
+def z2z3_first_passages_at_radius():
+    """(F_s, F_t) at R, where the discriminant of the quadratic for F_t
+    vanishes, so its root is -b / 2a = 6R / b; ``z2z3_first_passages``
+    takes a square root of a rounded, possibly negative, zero there."""
+    r = z2z3_radius()
+    ft = 6 * r / (r * r - 3 * r + 9)
+    return r / (3 - 2 * r * ft), ft
+
+
 def _z2z3_green_jet(r):
     """G(e,e|r) and its r-derivatives: G = 1 / (1 - r (F_s + 2 F_t)/3)."""
     x = _Jet(r, 1.0)

@@ -173,6 +173,24 @@ class TestCoefficients:
                 else:
                     assert logs[n] == -math.inf
 
+    @pytest.mark.parametrize("name, horizon", [("z2z3", 16), ("f2_skewed", 8), ("f2_lazy", 8)])
+    def test_integer_coefficients_are_the_first_visits(self, name, horizon):
+        # N_n / d^n = [r^n] F_s exactly, against the path operator's first
+        # visits; the sums at x = 7/8 in Fractions are theirs, and in floats
+        # within 1e-14
+        mu = _skewed_f2() if name == "f2_skewed" else _measure(name)
+        system, d, x = mu.first_passage_system, mu.common_denominator(), Fraction(7, 8)
+        nums = system.integer_coefficients(horizon)
+        exact_sums = system.first_passage_sums(x, horizon)
+        float_sums = system.first_passage_sums(float(x), horizon)
+        for i, syl in enumerate(system.unknowns):
+            denom, hits = first_visits(mu, (syl,), horizon, ball_bound=horizon)
+            want = [Fraction(hit, denom**n) for n, hit in enumerate(hits, 1)]
+            assert [Fraction(int(N[i]), d**n) for n, N in enumerate(nums[1:], 1)] == want
+            total = sum(w * x**n for n, w in enumerate(want, 1))
+            assert exact_sums[syl] == total
+            assert abs(float_sums[syl] - float(total)) <= 1e-14 * float(total)
+
     @pytest.mark.parametrize("name", ["f2", "z2z2z2"])
     def test_tree_configs_match_the_radial_chain(self, name):
         # two float engines that share no code; past n = 4000 the radial

@@ -16,10 +16,29 @@ from freewalk.errors import DivergenceError
 from freewalk.green import GreenEvaluator
 from freewalk.walks import return_probabilities
 
-from oracles import F2_RADIUS, z2z2z2_radius, z2z3_radius
+from oracles import (
+    F2_RADIUS,
+    tree_first_passage,
+    z2z2z2_radius,
+    z2z3_first_passages_at_radius,
+    z2z3_radius,
+)
 from test_path_operator import _measure
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+def _closed_form_rho(name, factor_id):
+    """rho_k(R), the row sum of the first-return kernel to factor k at R:
+    r mu over the steps inside H_k, plus r mu(t) F(e, t^-1 | r) over the
+    steps t out of it, which return through e."""
+    if name == "f2_srw":  # steps a^+-1 inside, b^+-1 out
+        return F2_RADIUS / 2 * (1 + tree_first_passage(4, F2_RADIUS))
+    if name == "z2z2z2":  # one involution inside, two out
+        r = z2z2z2_radius()
+        return r / 3 * (1 + 2 * tree_first_passage(3, r))
+    r, (fs, ft) = z2z3_radius(), z2z3_first_passages_at_radius()
+    return r / 3 * (1 + 2 * ft) if factor_id == 0 else r / 3 * (2 + fs)
 
 BASE = {
     "schema_version": 1,
@@ -405,6 +424,19 @@ class TestShippedConfigs:
         assert ("warning: pressure ladder" in err) == (name != "f2_srw")
         data = json.loads((tmp_path / f"{name}_pressure.json").read_text())
         assert all("repeated" not in est for est in data["estimates"])
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_degeneracy_rungs_rise_below_the_closed_form(self, path, tmp_path):
+        # the kernels are L-truncated sums of non-negative path weights, so
+        # each rung's Perron root lies below the next one's and below the
+        # row sum of the untruncated kernel at R, which bounds it
+        name = json.loads(path.read_text())["name"]
+        assert main(["degeneracy", "--config", str(path), "--out", str(tmp_path)]) == 0
+        factors = json.loads((tmp_path / f"{name}_degeneracy.json").read_text())["factors"]
+        for f in factors:
+            rhos = [rho for _, _, rho in f["ladder"]]
+            assert rhos == sorted(set(rhos))
+            assert rhos[-1] == f["rho_hat"] <= _closed_form_rho(name, f["factor_id"])
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_report_reads_the_first_passage_system(self, path, tmp_path):

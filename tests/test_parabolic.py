@@ -22,7 +22,7 @@ from freewalk.parabolic import (
 from freewalk.walks import PathOperator, StepMeasure
 
 from oracles import F2_RADIUS, f2_first_passage
-from test_path_operator import KERNEL_CASES, _measure
+from test_path_operator import KERNEL_CASES, _exact_kernel, _measure
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +60,11 @@ class TestExactKernel:
         assert abs(1.0 / 6.0 - k_long.row[(0,)]) < 1e-6
 
     def test_prune_is_lossless(self, f2_srw):
-        pruned = first_return_kernel(f2_srw, 0, Fraction(1), max_len=14)
-        wide = first_return_kernel(
-            f2_srw, 0, Fraction(1), max_len=14, ball_radius=14
-        )
-        assert pruned.row == wide.row
+        # the state chain's pruned row equals the unpruned one, over every
+        # state 10 steps reach, and the first-passage series gives it too
+        pruned = PathOperator(f2_srw, None, Fraction(1), factor=0).exact_absorb(10)[0]
+        assert pruned == _exact_kernel(f2_srw, 0, 1, 10, None)[0]
+        assert pruned == first_return_kernel(f2_srw, 0, Fraction(1), max_len=10).row
 
     @pytest.mark.parametrize("factor_id", [0, 1])
     def test_prune_with_multi_letter_steps(self, f2, factor_id):
@@ -87,8 +87,9 @@ class TestExactKernel:
 
     @pytest.mark.parametrize("walk, factor_id", [("f2_srw", 0), ("z2z3_srw", 1)])
     def test_exact_and_float_rows_agree(self, walk, factor_id, request):
-        # both kernels step the level chain here, so the reference is the
-        # exact state chain
+        # both kernels read the first-passage series here, so the reference
+        # is the exact state chain, whose ball of radius 6 holds every state
+        # its prune keeps at L = 12
         measure = request.getfixturevalue(walk)
         exact = first_return_kernel(measure, factor_id, Fraction(1), 12, 6)
         flt = first_return_kernel(measure, factor_id, 1.0, 12, 6, exact=False)

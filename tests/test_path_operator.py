@@ -1,19 +1,17 @@
-"""Regression and property tests of the truncated-ball path operator.
+"""Regression and property tests of the first-return kernels and the
+truncated-ball path operator.
 
-The float kernels are checked against the exact rational kernel at the
-same (L, B, r), and pinned by ``float.hex()`` (row in key order, returned,
-in-flight and escaped masses).  The measures whose syllable types certify
-a level chain step it without expanding the ball (``walks.level_absorb``);
-their pins were taken from the level chain once it matched the exact
-kernel, and the typed chain keeps them bit for bit.  The others
-(``f2_asym``, ``f2_two_letter``, ``z2sq_z2``) step every state
-(``PathOperator.float_absorb``); their pins were taken once the sinks'
-self-loops came last in its entry list.  Where the level chain is
-certified the exact kernel steps it too; it is held to the pruned state
-chain (``exact_steps(prune=True)``) Fraction for Fraction, and every exact
-reference for a float kernel comes from the state chain.  The exact
-``convolve_powers`` powers are pinned by a SHA-256 each (denominator,
-escaped numerator and numerators, key order included).
+Where the first-passage system covers the measure (single syllables on
+finite and rank-1 lattice factors), the kernel is read off the system's
+coefficients, with no ball: the exact rows equal the pruned state chain's
+(``PathOperator.exact_absorb`` without a ball) Fraction for Fraction, and
+the float rows are held to the exact L-truncated row.  The other measures
+(``f2_two_letter``, ``z2sq_z2``) step every state of the ball
+(``PathOperator.float_absorb``); their float kernels are held to the exact
+state chain at the same (L, B, r).  Float kernels are pinned by
+``float.hex()`` (row in key order, returned, in-flight and escaped masses).
+The exact ``convolve_powers`` powers are pinned by a SHA-256 each
+(denominator, escaped numerator and numerators, key order included).
 """
 
 import hashlib
@@ -21,7 +19,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from freewalk.groups import FreeProduct, LatticeFactor, cyclic_factor
 from freewalk.parabolic import first_return_kernel
@@ -29,7 +27,6 @@ from freewalk.walks import (
     PathOperator,
     StepMeasure,
     convolve_powers,
-    level_absorb,
     uniform_on_generators,
 )
 
@@ -66,7 +63,7 @@ def _measure(name):
     raise KeyError(name)
 
 
-# (measure, factor, r, L, B)
+# (measure, factor, r, L, B); B bounds the state-chain cases only
 KERNEL_CASES = {
     "f2_at_R": ("f2", 0, F2_RADIUS, 40, 9),
     "z2z3": ("z2z3", 1, 1.0, 30, 10),
@@ -100,22 +97,22 @@ def _convolution_digests(name):
     ]
 
 
-FROZEN_KERNELS = {'f2_asym': {'masses': ['0x1.301f92217bb00p-1',
-                        '0x1.9980d31f3e669p-10',
-                        '0x1.9e275ae9e9670p-2'],
-             'row': [((0,), '0x1.8d4b1552bb8cap-3'),
+FROZEN_KERNELS = {'f2_asym': {'masses': ['0x1.301fb940ac87bp-1',
+                        '0x1.9fc08d7ea6f0bp-2',
+                        '0x0.0p+0'],
+             'row': [((0,), '0x1.8d4bb1cf7eeb8p-3'),
                      ((-1,), '0x1.999999999999ap-4'),
                      ((1,), '0x1.3333333333333p-2')]},
- 'f2_at_R': {'masses': ['0x1.bc9c39e99f31ap-1',
-                        '0x1.f09a2f0467fe8p-2',
-                        '0x1.7b5117defbff3p+2'],
-             'row': [((0,), '0x1.2a038b2137ffdp-2'),
+ 'f2_at_R': {'masses': ['0x1.bcdf979c35dc5p-1',
+                        '0x1.a4758e5bea6efp+6',
+                        '0x0.0p+0'],
+             'row': [((0,), '0x1.2a8a468665552p-2'),
                      ((-1,), '0x1.279a74590331cp-2'),
                      ((1,), '0x1.279a74590331cp-2')]},
- 'f2_lazy': {'masses': ['0x1.8e143b6ac0472p-1',
-                        '0x1.3dfa93a4aaaedp-6',
-                        '0x1.9fefbfe0698d1p-3'],
-             'row': [((0,), '0x1.c6d321802b38fp-2'),
+ 'f2_lazy': {'masses': ['0x1.8e14f71a3fa99p-1',
+                        '0x1.c7ac23970159ap-3',
+                        '0x0.0p+0'],
+             'row': [((0,), '0x1.c6d498df29fddp-2'),
                      ((-1,), '0x1.5555555555555p-3'),
                      ((1,), '0x1.5555555555555p-3')]},
  'f2_two_letter_a': {'masses': ['0x1.550e4c18b0000p-1',
@@ -138,14 +135,14 @@ FROZEN_KERNELS = {'f2_asym': {'masses': ['0x1.301f92217bb00p-1',
                      ((0, -1), '0x1.999999999999ap-3'),
                      ((0, 1), '0x1.999999999999ap-3'),
                      ((1, 0), '0x1.999999999999ap-3')]},
- 'z2z2z2': {'masses': ['0x1.544507f0492e5p-1',
-                       '0x1.339282ffd505ep-5',
-                       '0x1.31039fbf73024p-2'],
-            'row': [(0, '0x1.5334ba8b3d075p-2'), (1, '0x1.5555555555555p-2')]},
- 'z2z3': {'masses': ['0x1.bf7f13d4ec708p-1',
-                     '0x1.68ca527850bb5p-4',
-                     '0x1.367a1dc097800p-5'],
-          'row': [(0, '0x1.a8a6f9fe5c6c9p-3'),
+ 'z2z2z2': {'masses': ['0x1.5453e55f53488p-1',
+                       '0x1.57583541596f0p-2',
+                       '0x0.0p+0'],
+            'row': [(0, '0x1.53527569513bap-2'), (1, '0x1.5555555555555p-2')]},
+ 'z2z3': {'masses': ['0x1.bf7f2c3294f09p-1',
+                     '0x1.02034f35ac3d9p-3',
+                     '0x0.0p+0'],
+          'row': [(0, '0x1.a8a75b74fe6d1p-3'),
                   (1, '0x1.5555555555555p-2'),
                   (2, '0x1.5555555555555p-2')]}}
 
@@ -174,9 +171,9 @@ def test_float_kernel_is_bitwise_frozen(case):
     assert _kernel_hex(case) == FROZEN_KERNELS[case]
 
 
-# The cases the syllable types do not certify, so the float kernel steps
-# every state.
-STATE_CHAIN = ("f2_asym", "f2_two_letter_a", "f2_two_letter_b", "z2sq_z2")
+# The cases outside the first-passage system, whose kernels step every
+# state of the ball.
+STATE_CHAIN = ("f2_two_letter_a", "f2_two_letter_b", "z2sq_z2")
 
 
 def _exact_kernel(mu, fid, r, L, B, prune=False):
@@ -192,11 +189,24 @@ def _exact_kernel(mu, fid, r, L, B, prune=False):
     return row, sum(row.values(), Fraction(0)), Fraction(sum(nums), denom), escaped
 
 
+def _exact_series_kernel(mu, fid, r, L):
+    """(row, returned, in-flight, escaped) of the exact L-truncated kernel
+    with no ball, L >= 1.  Nothing escapes, so at r = 1 the mass in flight
+    is what has not returned, and a path in flight has weight r^L."""
+    kern = first_return_kernel(mu, fid, Fraction(r), L)
+    returned_at_one = first_return_kernel(mu, fid, Fraction(1), L).returned_mass
+    in_flight = Fraction(r) ** L * (1 - returned_at_one)
+    return kern.row, kern.returned_mass, in_flight, Fraction(0)
+
+
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_float_kernel_matches_the_exact_kernel(case):
     name, fid, r, L, B = KERNEL_CASES[case]
     kern = first_return_kernel(_measure(name), fid, r, L, B, exact=False)
-    row, returned, in_flight, escaped = _exact_kernel(_measure(name), fid, r, L, B)
+    if case in STATE_CHAIN:
+        row, returned, in_flight, escaped = _exact_kernel(_measure(name), fid, r, L, B)
+    else:
+        row, returned, in_flight, escaped = _exact_series_kernel(_measure(name), fid, r, L)
     assert set(kern.row) == set(row)
     pairs = [(("row", p), w, row[p]) for p, w in kern.row.items()] + [
         ("returned", kern.returned_mass, returned),
@@ -204,37 +214,32 @@ def test_float_kernel_matches_the_exact_kernel(case):
         ("escaped", kern.escaped_mass, escaped),
     ]
     for what, got, want in pairs:
-        # f2_asym's state chain adds up to 13 122 escaping increments a
-        # step into the escape sink one by one, in np.bincount; their
-        # math.fsum would leave its escaped mass 5.0e-16 off, not 1.2e-14
-        tol = 2e-14 if case == "f2_asym" and what == "escaped" else 2e-15
-        assert abs(Fraction(got) - want) <= tol * want, what
+        assert abs(Fraction(got) - want) <= 2e-15 * want, what
 
 
-def test_level_chain_propagates_one_block_per_level(monkeypatch):
-    # f2 at (L, B) = (140, 11): levels 0..11, the escape sink and the sinks
-    # of a^-1, e and a, built from syllable types with no state expanded
+def test_series_kernel_expands_no_state(monkeypatch):
+    # f2 is covered by the first-passage system: both kernels read its
+    # four unknowns, with no ball and no state expanded
     mu, calls = _measure("f2"), []  # the measure's reach check expands
     expand = PathOperator._expand
     monkeypatch.setattr(PathOperator, "_expand",
                         lambda self, *a, **k: calls.append(1) or expand(self, *a, **k))
-    kern = first_return_kernel(mu, 0, 1.0, 140, 11, exact=False)
-    assert kern.chain_size == 12 + 1 + 3
-    # the exact kernel at L = 20 with no ball: levels 0..10, as far as the
-    # prune lets a path go and still return, the escape sink and the sinks
-    kern = first_return_kernel(mu, 0, Fraction(1), 20)
-    assert kern.chain_size == 11 + 1 + 3
+    for kern in (first_return_kernel(mu, 0, 1.0, 140, 11, exact=False),
+                 first_return_kernel(mu, 0, Fraction(1), 20)):
+        assert kern.chain_size == len(mu.first_passage_system.unknowns) == 4
+        assert kern.ball_radius == -1
     assert calls == []
 
 
-# The benchmark's float kernel (f2, factor a, r = 1, L = 140, B = 11),
-# pinned to the values of the lumped chain over all 177 149 expanded states;
-# the exact kernel at this size would take too long to compare against.
+# The benchmark's float kernel (f2, factor a, r = 1, L = 140; the ball
+# radius 11 is not used), pinned to the first-passage series.  Its entry
+# at e is 1.0e-16 relative from the exact L-truncated row, which lies
+# 8.0e-13 below its limit 1/6; the other entries are exactly 1/4.
 FROZEN_BENCHMARK_KERNEL = {
-    "row": [((0,), "0x1.55550125fc2fep-3"),
+    "row": [((0,), "0x1.555555554e454p-3"),
             ((-1,), "0x1.0000000000000p-2"),
             ((1,), "0x1.0000000000000p-2")],
-    "masses": ["0x1.555540497f0c0p-1", "0x1.a22164024a869p-34", "0x1.55557f6b5fc6cp-2"],
+    "masses": ["0x1.5555555553915p-1", "0x1.5555555558dd6p-2", "0x0.0p+0"],
 }
 
 
@@ -266,26 +271,27 @@ def test_benchmark_exact_kernel_is_frozen():
     } == FROZEN_BENCHMARK_EXACT_KERNEL
 
 
-# (measure, factor, L, B): certified measures, with and without a ball
-EXACT_LEVEL_CASES = [("f2", 0, L, None) for L in (12, 14, 20, 22)] + [
+# (measure, factor, L, B): measures the first-passage system covers, with
+# and without a ball, which their kernels do not use
+EXACT_CASES = [("f2", 0, L, None) for L in (12, 14, 20, 22)] + [
     ("f2", 0, 12, 6), ("f2", 1, 16, 5), ("z2z3", 0, 16, None), ("z2z3", 1, 16, None),
     ("f2_lazy", 0, 14, None), ("z2z2z2", 2, 12, 4),
 ]
 
 
-@pytest.mark.parametrize("name, fid, L, B", EXACT_LEVEL_CASES)
+@pytest.mark.parametrize("name, fid, L, B", EXACT_CASES)
 def test_exact_kernel_cases_match_the_pruned_state_chain(name, fid, L, B):
     mu = _measure(name)
-    assert level_absorb(mu, L, B, Fraction(1), fid) is not None
     kern = first_return_kernel(mu, fid, Fraction(1), L, B)
+    assert kern.ball_radius == -1
     got = (kern.row, kern.returned_mass, kern.in_flight_mass, kern.escaped_mass)
-    assert got == _exact_kernel(mu, fid, 1, L, B, prune=True)
+    assert got == _exact_kernel(mu, fid, 1, L, None, prune=True)
 
 
 @pytest.mark.parametrize("case", STATE_CHAIN)
 def test_state_chain_propagates_every_state(case):
     name, fid, r, L, B = KERNEL_CASES[case]
-    assert level_absorb(_measure(name), L, B, r, fid) is None
+    assert _measure(name).first_passage_system is None
     kern = first_return_kernel(_measure(name), fid, r, L, B, exact=False)
     op = PathOperator(_measure(name), B, r, factor=fid)
     op.float_absorb(L)
@@ -332,48 +338,61 @@ def _cyclic_measures(draw):
         return StepMeasure(group, {g: Fraction(w, total) for g, w in zip(support, weights)})
 
 
+@st.composite
+def _single_syllable_measures(draw):
+    """A random measure in the first-passage system's scope: single
+    syllables on a free product of 2-3 factors, each a small cyclic group
+    or Z stepping by +-1 (the two weights drawn apart), with positive
+    integer weights and maybe a lazy part."""
+    kinds = draw(st.lists(st.sampled_from([2, 3, 4, 5, "Z"]), min_size=2, max_size=3))
+    group = FreeProduct([LatticeFactor(1) if n == "Z" else cyclic_factor(n) for n in kinds],
+                        warn_elementary=False)
+    steps = []
+    for fid, n in enumerate(kinds):
+        payloads = [(1,), (-1,)] if n == "Z" else range(1, n)
+        steps += [((fid, p),) for p in payloads]
+    support = draw(st.lists(st.sampled_from(steps), min_size=1, unique=True))
+    if draw(st.booleans()):
+        support.append(())
+    weights = [draw(st.integers(1, 5)) for _ in support]
+    total = sum(weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a random support need not be admissible
+        return StepMeasure(group, {g: Fraction(w, total) for g, w in zip(support, weights)})
+
+
+@settings(max_examples=50, deadline=None)
+@given(mu=_single_syllable_measures(), data=st.data())
+def test_series_kernel_matches_the_state_chain(mu, data):
+    assume(mu.first_passage_system is not None)
+    factor_id = data.draw(st.integers(0, len(mu.group.factors) - 1))
+    L = data.draw(st.integers(0, 10))
+    r = data.draw(st.sampled_from([Fraction(1), Fraction(7, 8)]))
+    exact = first_return_kernel(mu, factor_id, r, L)
+    got = (exact.row, exact.returned_mass, exact.in_flight_mass, exact.escaped_mass)
+    assert got == PathOperator(mu, None, r, factor=factor_id).exact_absorb(L)[:4]
+    flt = first_return_kernel(mu, factor_id, float(r), L, exact=False)
+    assert set(flt.row) == set(exact.row)
+    for payload, w in exact.row.items():
+        assert abs(flt.row[payload] - float(w)) <= 1e-12 * float(w)
+    assert flt.escaped_mass == 0.0
+    at_one = first_return_kernel(mu, factor_id, 1.0, L, exact=False)
+    assert abs(at_one.returned_mass + at_one.in_flight_mass - 1.0) < 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(mu=_cyclic_measures(), data=st.data())
 def test_kernel_engines_agree_and_conserve_mass(mu, data):
+    # the state chain's float and exact engines, truncated to a ball
     factor_id = data.draw(st.integers(0, len(mu.group.factors) - 1))
     L, B = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
-    # the exact reference is the pruned state chain, not the level chain
-    # the float kernel may itself step
     exact_row = _exact_kernel(mu, factor_id, 1, L, B, prune=True)[0]
-    flt = first_return_kernel(mu, factor_id, 1.0, L, B, exact=False)
-    assert set(exact_row) == set(flt.row)
+    row, returned, in_flight, escaped, _ = PathOperator(
+        mu, B, 1.0, factor=factor_id).float_absorb(L)
+    assert set(exact_row) == set(row)
     for payload, w in exact_row.items():
-        assert abs(float(w) - flt.row[payload]) < 1e-12
-    total = flt.returned_mass + flt.in_flight_mass + flt.escaped_mass
-    assert abs(total - 1.0) < 1e-12
-
-
-@settings(max_examples=50, deadline=None)
-@given(mu=_cyclic_measures(), data=st.data())
-def test_typed_level_chain_matches_the_state_chain(mu, data):
-    factor_id = data.draw(st.integers(0, len(mu.group.factors) - 1))
-    L, B = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 6))
-    typed = level_absorb(mu, L, B, 1.0, factor_id)
-    if typed is None:
-        return  # no certificate: the state chain alone serves
-    state = PathOperator(mu, B, 1.0, factor=factor_id).float_absorb(L)
-    assert set(typed[0]) == set(state[0])
-    pairs = [(w, state[0][p]) for p, w in typed[0].items()] + list(zip(typed[1:4], state[1:4]))
-    for got, want in pairs:
-        assert abs(got - want) <= 2e-15 * want
-
-
-@settings(max_examples=50, deadline=None)
-@given(mu=_cyclic_measures(), data=st.data())
-def test_exact_level_chain_matches_the_state_chain(mu, data):
-    factor_id = data.draw(st.integers(0, len(mu.group.factors) - 1))
-    L = data.draw(st.integers(0, 10))
-    B = data.draw(st.one_of(st.none(), st.integers(0, 6)))
-    if level_absorb(mu, L, B, Fraction(1), factor_id) is None:
-        return  # no certificate: the state chain alone serves
-    kern = first_return_kernel(mu, factor_id, Fraction(1), L, B)
-    got = (kern.row, kern.returned_mass, kern.in_flight_mass, kern.escaped_mass)
-    assert got == _exact_kernel(mu, factor_id, 1, L, B, prune=True)
+        assert abs(float(w) - row[payload]) < 1e-12
+    assert abs(returned + in_flight + escaped - 1.0) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
