@@ -361,19 +361,31 @@ def _single_syllable_measures(draw):
         return StepMeasure(group, {g: Fraction(w, total) for g, w in zip(support, weights)})
 
 
-@settings(max_examples=50, deadline=None)
-@given(mu=_single_syllable_measures(), data=st.data())
-def test_series_kernel_matches_the_state_chain(mu, data):
+def _series_case(mu, data):
+    """A factor, a length L and a weight r drawn for mu, with the exact
+    L-truncated row of the pruned state chain at them."""
     assume(mu.first_passage_system is not None)
     factor_id = data.draw(st.integers(0, len(mu.group.factors) - 1))
     L = data.draw(st.integers(0, 10))
     r = data.draw(st.sampled_from([Fraction(1), Fraction(7, 8)]))
+    return factor_id, L, r, PathOperator(mu, None, r, factor=factor_id).exact_absorb(L)[:4]
+
+
+@settings(max_examples=50, deadline=None)
+@given(mu=_single_syllable_measures(), data=st.data())
+def test_exact_series_kernel_matches_the_state_chain(mu, data):
+    factor_id, L, r, want = _series_case(mu, data)
     exact = first_return_kernel(mu, factor_id, r, L)
-    got = (exact.row, exact.returned_mass, exact.in_flight_mass, exact.escaped_mass)
-    assert got == PathOperator(mu, None, r, factor=factor_id).exact_absorb(L)[:4]
+    assert (exact.row, exact.returned_mass, exact.in_flight_mass, exact.escaped_mass) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(mu=_single_syllable_measures(), data=st.data())
+def test_float_series_kernel_matches_the_state_chain(mu, data):
+    factor_id, L, r, (row, _, _, _) = _series_case(mu, data)
     flt = first_return_kernel(mu, factor_id, float(r), L, exact=False)
-    assert set(flt.row) == set(exact.row)
-    for payload, w in exact.row.items():
+    assert set(flt.row) == set(row)
+    for payload, w in row.items():
         assert abs(flt.row[payload] - float(w)) <= 1e-12 * float(w)
     assert flt.escaped_mass == 0.0
     at_one = first_return_kernel(mu, factor_id, 1.0, L, exact=False)
