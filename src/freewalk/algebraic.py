@@ -58,9 +58,10 @@ class FirstPassageSystem:
     and b are integers over the measure's common denominator d, and the
     float arrays are those integers divided by d.  ``radius`` is R and
     ``bracket`` the adjacent floats (lo, hi) around it where the least
-    solution exists and where it does not.  Coefficients are kept scaled
-    by R^n, and exactly as integers over d^n, each extended on demand, so
-    every caller shares one computation to the largest horizon asked for.
+    solution exists and where it does not; the search keeps the least
+    solution at R.  Coefficients are kept scaled by R^n, and exactly as
+    integers over d^n, each extended on demand, so every caller shares one
+    computation to the largest horizon asked for.
     """
 
     def __init__(self, group, unknowns, denominator, const, lin, cross, lazy, back):
@@ -72,7 +73,7 @@ class FirstPassageSystem:
             (x / denominator).astype(float) for x in (const, lin, cross, back)
         )
         self._lazy = lazy / denominator
-        self.bracket = self._branch_point()
+        self.bracket, self._at_radius = self._branch_point()
         self.radius = self.bracket[0] if self.bracket else math.inf
         m = len(unknowns)
         self._y = np.zeros((m, 1))  # scaled [r^n] F_s; F_s(0) = 0
@@ -94,16 +95,19 @@ class FirstPassageSystem:
     def least_solution(self, r, x=None):
         """The least solution of x = Phi(r, x), or None past the radius.
 
-        Newton starts from ``x`` (0 by default), which must lie below the
-        least solution.  Past R the iterates reach a point where I - J is
-        no longer a non-singular M-matrix (``m_matrix_solve``).  Near R the
-        convergence is only linear and the Newton step carries rounding
-        noise amplified by 1/(1 - rho(J)), so convergence is judged on the
-        residual Phi(x) - x, which that noise does not inflate, and a
-        residual that stops falling at a small floor counts as converged,
-        not as divergence.
+        Newton starts from ``x``, which must lie below the least solution:
+        by default 0, or at R the one the search for R found (from 0,
+        Newton converges only linearly at the branch point).  Past R the
+        iterates reach a point where I - J is no longer a non-singular
+        M-matrix (``m_matrix_solve``).  Near R the convergence is only
+        linear and the Newton step carries rounding noise amplified by
+        1/(1 - rho(J)), so convergence is judged on the residual
+        Phi(x) - x, which that noise does not inflate, and a residual that
+        stops falling at a small floor counts as converged, not as
+        divergence.
         """
-        x = np.zeros(len(self.unknowns)) if x is None else x
+        if x is None:
+            x = self._at_radius if r == self.radius else np.zeros(len(self.unknowns))
         best, stalled = math.inf, 0
         for _ in range(NEWTON_STEPS):
             phi, jac = self._phi(r, x)
@@ -126,12 +130,14 @@ class FirstPassageSystem:
         return None
 
     def _branch_point(self):
-        """(lo, hi): the largest r with a least solution, and the next float.
+        """((lo, hi), x): the largest r with a least solution, the next
+        float, and the least solution at lo.
 
         Doubling brackets R (it is at least 1, since p_n <= 1) and bisection
         closes the bracket to adjacent floats.  A solution at lo lies below
         the least solution at any r > lo, so each Newton run starts from
-        the last one that succeeded.  None when the walk never returns.
+        the last one that succeeded.  (None, None) when the walk never
+        returns.
         """
         lo, x_lo, hi = 0.0, np.zeros(len(self.unknowns)), 1.0
         while True:
@@ -140,11 +146,11 @@ class FirstPassageSystem:
                 break
             lo, x_lo, hi = hi, x, 2.0 * hi
             if hi > 2.0**20:
-                return None
+                return None, None
         while True:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
-                return lo, hi
+                return (lo, hi), x_lo
             x = self.least_solution(mid, x_lo)
             if x is None:
                 hi = mid

@@ -1,12 +1,12 @@
 """Command-line frontend: run named experiments from a JSON config.
 
 Subcommands: walk, green, isums, degeneracy, pressure, ancona, llt, report.
-Every size a run uses (horizon, kernel ladder, r-grid, cap) comes from the
-config, which every report identifies by its hash; reports also embed the
-package version, and identical config and version produce identical
-output files.  ``report`` runs the other subcommands on one ``Shared``, so
-the Green evaluator and each return sequence are built once per run; a
-standalone subcommand builds its own.
+Every size a run uses (horizon, r-grid, cap) comes from the config, which
+every report identifies by its hash; reports also embed the package
+version, and identical config and version produce identical output files.
+``report`` runs the other subcommands on one ``Shared``, so the Green
+evaluator and each return sequence are built once per run; a standalone
+subcommand builds its own.
 """
 
 import argparse
@@ -165,15 +165,11 @@ def cmd_isums(cfg, args, shared):
 
 def cmd_degeneracy(cfg, args, shared):
     started = time.time()
-    ev = shared.evaluator
-    ladder = (
-        (cfg.kernel_len // 2, max(cfg.kernel_ball - 2, 3)),
-        (3 * cfg.kernel_len // 4, max(cfg.kernel_ball - 1, 3)),
-        (cfg.kernel_len, cfg.kernel_ball),
-    )
-    report = degeneracy_test(cfg.measure, ev.R_hat, ladder=ladder)
-    if report.verdict == "inconclusive":
-        print("warning: degeneracy ladder did not stabilize", file=sys.stderr)
+    # the system's branch point, the R_hat of the run's evaluator; a
+    # measure outside the system is refused before r is read
+    system = cfg.measure.first_passage_system
+    r_hat = system.radius if system is not None else None
+    report = degeneracy_test(cfg.measure, r_hat)
     payload = _report_header(cfg, args, started)
     payload.update(json.loads(report.to_json()))
     _write_json(_out_dir(args) / f"{cfg.name}_degeneracy.json", payload)

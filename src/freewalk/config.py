@@ -97,8 +97,6 @@ class ExperimentConfig:
     horizon: int = 200
     r_grid: list = field(default_factory=list)  # entries: float or "0.9R"
     cap: int = 3  # syllable word-length truncation D
-    kernel_len: int = 30  # first-return path-length cap L
-    kernel_ball: int = 8  # state-chain ball cap B (measures outside the system)
     seed: int = 0
 
     def resolve_r_grid(self, r_hat):
@@ -130,8 +128,6 @@ _TOP_OPTIONAL = [
     "horizon",
     "r_grid",
     "cap",
-    "kernel_len",
-    "kernel_ball",
     "seed",
 ]
 
@@ -158,7 +154,7 @@ def parse_config(raw):
     group = FreeProduct(factors, name=raw["name"])
     measure = _build_measure(group, raw["measure"])
     knobs = {}
-    for key in ("horizon", "cap", "kernel_len", "kernel_ball", "seed"):
+    for key in ("horizon", "cap", "seed"):
         if key in raw:
             value = raw[key]
             if not isinstance(value, int) or (value <= 0 and key != "seed"):

@@ -2,52 +2,47 @@
 
 The kernel p_{k,r}(h,h') sums r^n mu(h^-1 g_1) ... mu(g_{n-1}^-1 h') over
 paths whose intermediate points avoid H_k.  Translation invariance reduces it
-to the single row from e, truncated at path length L.  For a measure whose
-steps are single syllables, e is a cut vertex between H_k and the cone of
-every step out of H_k (Woess 2000), so the row needs no path enumeration:
-a step inside H_k returns at once, and a step t out of it returns first at
-e, through a first passage from t back to e.  Where the first-passage
-system of ``algebraic`` covers the measure, the row is read off its
-coefficients, exactly (integer coefficients, for rational r) or in floats,
-and no ball truncates it.  Every other measure (multi-syllable steps, Z^d
-factors with d >= 2) runs ``walks.PathOperator`` with H_k as its absorbing
-set over the states of a word ball: its exact propagator (integer
-numerators, rational r folded into the steps) additionally prunes by
-remaining steps (a state farther from H_k than the steps left cannot
-contribute, so the prune is lossless), and its float propagator needs an
-explicit ball.  ``chain_size`` records the unknowns of the system, or the
-states (exact) or blocks and sinks (float) of the state chain.
+to the single row from e.  For a measure whose steps are single syllables,
+e is a cut vertex between H_k and the cone of every step out of H_k (Woess
+2000), so the row needs no path enumeration: a step inside H_k returns at
+once, and a step t out of it returns first at e, through a first passage
+from t back to e.  Where the first-passage system of ``algebraic`` covers
+the measure, the row is exact and finite.
 
-Over a factor ball the kernel is a finite non-negative matrix K.  Its
-Perron root is read off the eigenvalues of K (by a Rayleigh quotient
-where K is symmetric), and an induced Green
-function is one entry of (I - t K)^-1, one M-matrix solve that refuses
-where the Neumann series diverges (``algebraic.perron_root`` and
-``algebraic.m_matrix_solve``).
+``degeneracy_test`` takes the spectral radius of the untruncated row in
+closed form, and refuses every other measure.
 
-Factors j < k are exchangeable when they are the same factor group (same
-rank, or the same table and generators) and swapping j and k in every step
-of the support maps mu onto itself.  The swap is then an automorphism of
-the free product that fixes mu, preserves word length and carries H_j onto
-H_k, so it carries each truncated kernel to H_j onto the one to H_k, and
-``degeneracy_test`` builds one ladder per orbit of exchangeable factors.
+``first_return_kernel`` truncates the row at path length L, as a reference
+the closed form is held to and for measures outside the system.  In scope
+the row is read off the system's coefficients, exactly (integer
+coefficients, for rational r) or in floats, and no ball truncates it.
+Every other measure (multi-syllable steps, Z^d factors with d >= 2) runs
+``walks.PathOperator`` with H_k as its absorbing set over the states of a
+word ball: its exact propagator (integer numerators, rational r folded
+into the steps) additionally prunes by remaining steps (a state farther
+from H_k than the steps left cannot contribute, so the prune is
+lossless), and its float propagator needs an explicit ball.
+``chain_size`` records the unknowns of the system, or the states (exact)
+or blocks and sinks (float) of the state chain.  Truncation only removes
+non-negative path weights, so a truncated kernel's spectral radius is a
+lower bound for the untruncated one's.
 
-Truncation only ever removes non-negative path weights, so every reported
-spectral-radius estimate is a lower bound and the (L, B) ladder increases
-monotonically toward the true value (B bounds the state chain only).  A
-verdict of "degenerate" is therefore rigorous, while "non-degenerate"
-additionally requires ladder stabilization.
+Over a factor ball a truncated kernel is a finite non-negative matrix K.
+Its Perron root is read off the eigenvalues of K (by a Rayleigh quotient
+where K is symmetric), and an induced Green function is one entry of
+(I - t K)^-1, one M-matrix solve that refuses where the Neumann series
+diverges (``algebraic.perron_root`` and ``algebraic.m_matrix_solve``).
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .algebraic import m_matrix_solve, monomial, perron_root
-from .errors import NonConvergenceError
+from .errors import DivergenceError, GroupSpecError, NonConvergenceError
 from .groups import _lattice_ball
 from .walks import PathOperator
 
@@ -117,23 +112,39 @@ def _series_kernel(measure, system, k, r, n):
     """(row, returned, in_flight, escaped, unknowns) of the paths of length
     at most n, from the first-passage series of a single-syllable measure.
 
-    A first step u in H_k returns at once, with weight r mu(u).  A first
-    step t out of H_k enters t's cone, and e is a cut vertex between that
-    cone and H_k, so the path returns first at e, with weight
-    r mu(t) sum_{m<n} f_m(t^-1) r^m, f_m = [z^m] F(e, t^-1 | z).  The row
-    is the unit first, then H_k's steps in support order.  Exact rows
-    (Fraction r) match the pruned state chain, which holds no mass in
-    flight after a step.  Float rows add each sum with ``math.fsum``, so
-    the order of its terms does not matter (a swap of exchangeable
-    factors permutes them), and count in flight the mass of the paths out
-    of H_k that have not returned by step n.  Nothing escapes.
+    The row is ``_kernel_row`` over the first passages summed to m < n.
+    Exact rows (Fraction r) match the pruned state chain, which holds no
+    mass in flight after a step.  Float rows count in flight the mass of
+    the paths out of H_k that have not returned by step n.  Nothing
+    escapes.
     """
     exact = isinstance(r, Fraction)
     zero = Fraction(0) if exact else 0.0
     if n == 0:
         return {}, zero, zero + 1, zero, len(system.unknowns)
-    group = measure.group
     sums = system.first_passage_sums(r, n - 1)
+    row, out = _kernel_row(measure, k, r, sums)
+    if exact:
+        return row, sum(row.values(), zero), zero, zero, len(sums)
+    tails = system.first_passage_sums(1.0, n - 1)
+    in_flight = r**n * math.fsum(float(w) * (1.0 - tails[u]) for w, u in out)
+    return row, math.fsum(row.values()), in_flight, zero, len(sums)
+
+
+def _kernel_row(measure, k, r, passages):
+    """(row, out) of the first-return kernel to H_k of a single-syllable
+    measure, with F(e, s | r) read from ``passages`` for each unknown s.
+
+    A first step u in H_k returns at once, with weight r mu(u).  A first
+    step t out of H_k enters t's cone, and e is a cut vertex between that
+    cone and H_k, so the path returns first at e, with weight
+    r mu(t) F(e, t^-1 | r).  The row from e is the unit first, then H_k's
+    steps in support order, without zeros; ``out`` lists (mu(t), the
+    unknown of t^-1).  Float r adds the unit's terms with ``math.fsum``,
+    so a swap of exchangeable factors, which permutes them, changes nothing.
+    """
+    exact = isinstance(r, Fraction)
+    group = measure.group
     home, steps, out = [], {}, []  # unit terms, H_k's steps, (mu(t), unknown t^-1)
     for g, w in measure.support:
         rw = Fraction(r) * w if exact else float(Fraction(r) * w)
@@ -144,16 +155,11 @@ def _series_kernel(measure, system, k, r, n):
         else:
             (f, p), = g
             back = monomial(group, f, group.factors[f].inv(p))[0]
-            home.append(rw * sums[back])
+            home.append(rw * passages[back])
             out.append((w, back))
-    unit = sum(home, zero) if exact else math.fsum(home)
+    unit = sum(home, Fraction(0)) if exact else math.fsum(home)
     row = {group.factors[k].identity: unit} | steps
-    row = {p: v for p, v in row.items() if v}
-    if exact:
-        return row, sum(row.values(), zero), zero, zero, len(sums)
-    tails = system.first_passage_sums(1.0, n - 1)
-    in_flight = r**n * math.fsum(float(w) * (1.0 - tails[u]) for w, u in out)
-    return row, math.fsum(row.values()), in_flight, zero, len(sums)
+    return {p: v for p, v in row.items() if v}, out
 
 
 def kernel_matrix(kernel, group, factor_ball):
@@ -228,14 +234,10 @@ def induced_green(kernel, group, h, h_prime, t, factor_ball=40):
 @dataclass
 class FactorVerdict:
     factor_id: int
-    ladder: list  # [(L, B, rho_hat)]
-    rho_hat: float  # certified lower bound (last rung)
-    rho_extrapolated: float  # sqrt-law extrapolation of the ladder
-    row_mass: float  # sum of the last rung's row from e; Fourier value at 0 for lattices
-    slack: float
-    stabilized: bool
-    verdict: str  # non-degenerate | degenerate | inconclusive
-    margin: float
+    rho_hat: float  # spectral radius of the untruncated kernel at r
+    row_mass: float  # sum of the row from e; Fourier value at 0 for lattices
+    verdict: str  # non-degenerate | degenerate
+    margin: float  # 1 - rho_hat
 
 
 @dataclass
@@ -255,106 +257,44 @@ class DegeneracyReport:
         )
 
 
-DEFAULT_LADDER = ((20, 6), (30, 8), (40, 9))
-# factor word length of the ball over which each rung's kernel matrix is taken
-FACTOR_BALL = 30
+def degeneracy_test(measure, r):
+    """Per-factor spectral-degeneracy verdicts at parameter r (usually R).
 
-
-def _exchangeable(measure, j, k):
-    """Whether swapping factors j and k in every step of the support, with
-    payloads unchanged, maps the measure onto itself between equal factors."""
-    fj, fk = measure.group.factors[j], measure.group.factors[k]
-    if fj.kind != fk.kind:
-        return False
-    if fj.kind == "lattice":
-        if fj.rank != fk.rank:
-            return False
-    elif fj.mult != fk.mult or fj.generators != fk.generators:
-        return False
-    swap = {j: k, k: j}
-    return all(
-        measure.weights.get(tuple((swap.get(fid, fid), p) for fid, p in g)) == w
-        for g, w in measure.support
-    )
-
-
-def _orbit_representatives(measure):
-    """Per factor, the least factor exchangeable with it (itself if none).
-
-    Exchangeability is an equivalence (a transposition conjugated by another
-    is a third), so comparing with each orbit's least factor suffices.
+    Each factor's kernel row is ``_kernel_row`` over the least solution of
+    the first-passage system at r, untruncated.  It is translation
+    invariant on H_k, so its spectral radius is the row mass on a finite
+    factor and w_0 + 2 sqrt(w_+ w_-) on a rank-1 lattice factor (the
+    growth of a walk on Z); the factor is non-degenerate exactly when that
+    is below 1.  A measure outside the system is refused (GroupSpecError),
+    and so is an r past R (DivergenceError).
     """
-    reps = []
-    for k in range(len(measure.group.factors)):
-        reps.append(next(
-            (j for j in range(k) if reps[j] == j and _exchangeable(measure, j, k)),
-            k,
-        ))
-    return reps
-
-
-def _factor_verdict(measure, k, r, ladder, stab_tol):
-    """The ladder and verdict of factor k on its own."""
-    rungs = []
-    for L, B in ladder:
-        kern = first_return_kernel(measure, k, r, L, B, exact=False)
-        rungs.append((L, B, kernel_spectral_radius(kern, measure.group, FACTOR_BALL)))
-    rho = rungs[-1][2]
-    (l1, _, r1), (l2, _, r2) = rungs[-2], rungs[-1]
-    delta = abs(r2 - r1)
-    denom = 1.0 / math.sqrt(l1) - 1.0 / math.sqrt(l2)
-    gap = ((r2 - r1) / denom) / math.sqrt(l2) if denom > 0 else 0.0
-    slack = max(3.0 * delta, gap)
-    stabilized = delta < stab_tol
-    if rho >= 1.0:
-        verdict = "degenerate"  # rigorous: truncation underestimates rho
-    elif stabilized and rho + slack < 1.0:
-        verdict = "non-degenerate"
-    else:
-        verdict = "inconclusive"
-    return FactorVerdict(
-        factor_id=k,
-        ladder=rungs,
-        rho_hat=rho,
-        rho_extrapolated=rho + slack,
-        row_mass=float(kern.returned_mass),
-        slack=slack,
-        stabilized=stabilized,
-        verdict=verdict,
-        margin=1.0 - (rho + slack),
-    )
-
-
-def degeneracy_test(measure, r, ladder=DEFAULT_LADDER, stab_tol=0.02):
-    """Per-factor spectral-degeneracy verdicts at parameter r (usually R_hat).
-
-    rho estimates increase along the (L, B) ladder.  Truncated partial sums
-    of the kernel approach their limits like 1/sqrt(L) (the series
-    coefficients decay like n^{-3/2}), so the remaining gap is estimated by
-    fitting rho(L) = rho_inf - c/sqrt(L) to the last two rungs; the slack is
-    the larger of that extrapolated gap and three times the last increment.
-    A ladder of fewer than two rungs has no increment, and is refused.
-
-    The ladder is built for the least factor of each orbit of exchangeable
-    factors only.  Another factor of the orbit is its image under a swap
-    that fixes the measure and preserves word length, so each of its
-    truncated kernels is the image of the least factor's, with the same
-    matrix over the factor ball; it takes that factor's verdict, with its
-    own ``factor_id``.
-    """
-    if len(ladder) < 2:
-        raise ValueError("the degeneracy ladder needs at least two rungs")
+    system = measure.first_passage_system
+    if system is None:
+        raise GroupSpecError(
+            "the degeneracy test needs the first-passage system: one-syllable "
+            "steps on finite and rank-1 lattice factors, lattice steps +-1"
+        )
+    r = float(r)
+    x = system.least_solution(r) if r <= system.radius else None
+    if x is None:
+        raise DivergenceError(f"r = {r!r} lies past the radius R = {system.radius!r}")
+    passages = dict(zip(system.unknowns, x.tolist()))
     verdicts = []
-    for k, j in enumerate(_orbit_representatives(measure)):
-        if j < k:
-            verdicts.append(
-                replace(verdicts[j], factor_id=k, ladder=list(verdicts[j].ladder))
+    for k, factor in enumerate(measure.group.factors):
+        row = _kernel_row(measure, k, r, passages)[0]
+        mass = math.fsum(row.values())
+        rho = mass
+        if factor.kind == "lattice":
+            rho = row.get(factor.identity, 0.0) + 2.0 * math.sqrt(
+                row.get((1,), 0.0) * row.get((-1,), 0.0)
             )
-        else:
-            verdicts.append(_factor_verdict(measure, k, r, ladder, stab_tol))
-    overall = "non-degenerate"
-    if any(v.verdict == "degenerate" for v in verdicts):
-        overall = "degenerate"
-    elif any(v.verdict == "inconclusive" for v in verdicts):
-        overall = "inconclusive"
-    return DegeneracyReport(r=float(r), per_factor=verdicts, verdict=overall)
+        verdicts.append(FactorVerdict(
+            factor_id=k,
+            rho_hat=rho,
+            row_mass=mass,
+            verdict="non-degenerate" if rho < 1.0 else "degenerate",
+            margin=1.0 - rho,
+        ))
+    degenerate = any(v.verdict == "degenerate" for v in verdicts)
+    overall = "degenerate" if degenerate else "non-degenerate"
+    return DegeneracyReport(r=r, per_factor=verdicts, verdict=overall)

@@ -262,6 +262,30 @@ def z2z3_radius():
     return float(lo)
 
 
+# -- spectral radius of the first-return kernel to a factor, at R -------------
+
+
+def kernel_rho_at_radius(name, factor_id):
+    """rho_k(R) for the simple random walks of the shipped configs.
+
+    The kernel row from e is r mu(u) at each step u inside H_k and, at e,
+    the sum of r mu(t) F(e, t^-1 | r) over the steps t out of it, which
+    return through e.  The steps inside the factor have equal weights, so
+    the spectral radius is the row sum (on Z, w_0 + 2 sqrt(w_+ w_-) with
+    w_+ = w_-).  F is taken at R exactly: F(R) = 1/sqrt(d - 1) on the
+    d-regular tree (the double root of (d-1) r F^2 - d F + r = 0 at
+    r = R = d / (2 sqrt(d - 1))), and ``z2z3_first_passages_at_radius``.
+    """
+    if name == "f2_srw":  # steps a^+-1 inside, b^+-1 out
+        return F2_RADIUS / 2 * (1 + 1 / math.sqrt(3.0))
+    if name == "z2z2z2":  # one involution inside, two out
+        return z2z2z2_radius() / 3 * (1 + 2 / math.sqrt(2.0))
+    if name == "z2z3":  # factor 0 is <s>, factor 1 is <t>
+        r, (fs, ft) = z2z3_radius(), z2z3_first_passages_at_radius()
+        return r / 3 * (1 + 2 * ft) if factor_id == 0 else r / 3 * (2 + fs)
+    raise ValueError(f"no closed form for {name!r}")
+
+
 def z_log_return_probs(n_max):
     """log p_n for SRW on the integers, via the exact binomial formula."""
     out = [-math.inf] * (n_max + 1)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from freewalk import algebraic
 from freewalk.algebraic import B as BLOCK, m_matrix_solve, perron_root
 from freewalk.errors import GroupSpecError
 from freewalk.walks import (
@@ -131,6 +132,27 @@ class TestRadius:
         system = _measure("z2z3").first_passage_system
         assert system.least_solution(system.radius * (1 - 1e-12)) is not None
         assert system.least_solution(system.radius * (1 + 1e-12)) is None
+
+
+    @pytest.mark.parametrize("name", ["f2", "z2z3", "z2z2z2"])
+    def test_least_solution_at_the_radius_starts_from_the_search(self, name, monkeypatch):
+        # from 0, Newton converges only linearly at the branch point; the
+        # search for R ends holding the least solution at R, and Newton
+        # from it stops after one step, on the same x
+        system = _measure(name).first_passage_system
+        solves = []
+
+        def counted(a, b):
+            solves.append(a)
+            return m_matrix_solve(a, b)
+
+        monkeypatch.setattr(algebraic, "m_matrix_solve", counted)
+        x = system.least_solution(system.radius)
+        assert len(solves) == 1
+        assert np.array_equal(x, system._at_radius)
+        cold = system.least_solution(system.radius, np.zeros(len(system.unknowns)))
+        assert len(solves) > 10
+        assert np.allclose(x, cold, rtol=1e-7, atol=0.0)
 
 
 class TestMMatrixSolve:

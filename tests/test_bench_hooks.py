@@ -43,32 +43,33 @@ def test_traced_report_counts_green_calls(tmp_path):
 
 
 def test_traced_kernel_layers_count_their_calls():
-    # degeneracy_test reaches the Perron root through the module, so the
-    # hook sees one call per ladder and rung: the two f2 factors are
-    # exchanged by a swap that fixes the simple random walk and share one
-    # ladder (3 calls), while weights 1/3 on a^+-1 and 1/6 on b^+-1 give
-    # each factor its own (6 calls)
+    # the hooks count direct calls of the truncated kernel's Perron root
+    # and induced Green function; the degeneracy verdict is in closed form
+    # and takes no Perron root, on the simple random walk or a skewed one
     proc = _run([
         "from fractions import Fraction",
         "from freewalk.groups import FreeProduct, LatticeFactor",
-        "from freewalk.parabolic import degeneracy_test, first_return_kernel, induced_green",
+        "from freewalk.parabolic import (degeneracy_test, first_return_kernel,",
+        "                                induced_green, kernel_spectral_radius)",
         "from freewalk.walks import StepMeasure, uniform_on_generators",
         "f2 = FreeProduct([LatticeFactor(1, 'a'), LatticeFactor(1, 'b')])",
-        "def radius_calls(mu):",
-        "    before = rec.summary()[0].get('parabolic.spectral_radius', {}).get('calls', 0)",
-        "    degeneracy_test(mu, mu.first_passage_system.radius)",
-        "    return rec.summary()[0]['parabolic.spectral_radius']['calls'] - before",
+        "def calls():",
+        "    return {k: v['calls'] for k, v in rec.summary()[0].items()}",
         "mu = uniform_on_generators(f2)",
-        "n_srw = radius_calls(mu)",
-        "assert n_srw == 3, n_srw",
         "third, sixth = Fraction(1, 3), Fraction(1, 6)",
         "skew = StepMeasure(f2, {((0, (1,)),): third, ((0, (-1,)),): third,",
         "                        ((1, (1,)),): sixth, ((1, (-1,)),): sixth})",
-        "n_skew = radius_calls(skew)",
-        "assert n_skew == 6, n_skew",
+        "for m in (mu, skew):",
+        "    degeneracy_test(m, m.first_passage_system.radius)",
+        "seen = calls()",
+        "assert seen['parabolic.degeneracy'] == 2, seen",
+        "assert 'parabolic.spectral_radius' not in seen, seen",
         "kern = first_return_kernel(mu, 0, 1.0, 20, 6, exact=False)",
+        "kernel_spectral_radius(kern, f2, 30)",
+        "kernel_spectral_radius(kern, f2, 10)",
         "induced_green(kern, f2, (), ((0, (1,)),), 1.0)",
-        "calls = {k: v['calls'] for k, v in rec.summary()[0].items()}",
-        "assert calls.get('parabolic.induced_green', 0) >= 1, calls",
+        "seen = calls()",
+        "assert seen['parabolic.spectral_radius'] == 2, seen",
+        "assert seen.get('parabolic.induced_green', 0) >= 1, seen",
     ])
     assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freewalk.algebraic import FirstPassageSystem
@@ -16,29 +17,11 @@ from freewalk.errors import DivergenceError
 from freewalk.green import GreenEvaluator
 from freewalk.walks import return_probabilities
 
-from oracles import (
-    F2_RADIUS,
-    tree_first_passage,
-    z2z2z2_radius,
-    z2z3_first_passages_at_radius,
-    z2z3_radius,
-)
+from oracles import F2_RADIUS, kernel_rho_at_radius, z2z2z2_radius, z2z3_radius
 from test_path_operator import _measure
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
-
-def _closed_form_rho(name, factor_id):
-    """rho_k(R), the row sum of the first-return kernel to factor k at R:
-    r mu over the steps inside H_k, plus r mu(t) F(e, t^-1 | r) over the
-    steps t out of it, which return through e."""
-    if name == "f2_srw":  # steps a^+-1 inside, b^+-1 out
-        return F2_RADIUS / 2 * (1 + tree_first_passage(4, F2_RADIUS))
-    if name == "z2z2z2":  # one involution inside, two out
-        r = z2z2z2_radius()
-        return r / 3 * (1 + 2 * tree_first_passage(3, r))
-    r, (fs, ft) = z2z3_radius(), z2z3_first_passages_at_radius()
-    return r / 3 * (1 + 2 * ft) if factor_id == 0 else r / 3 * (2 + fs)
 
 BASE = {
     "schema_version": 1,
@@ -50,8 +33,6 @@ BASE = {
     "measure": {"type": "uniform"},
     "horizon": 300,
     "r_grid": ["0.5R", "0.9R"],
-    "kernel_len": 20,
-    "kernel_ball": 6,
 }
 
 
@@ -67,13 +48,15 @@ class TestConfigParsing:
         cfg = parse_config(BASE)
         assert cfg.name == "tree"
         assert cfg.horizon == 300
-        assert cfg.kernel_ball == 6
+        assert cfg.r_grid == ["0.5R", "0.9R"]
         assert len(cfg.group.factors) == 2
         assert cfg.measure.is_symmetric()
 
     def test_unknown_top_level_key(self):
-        # "depth" too: the transfer matrix has no cylinder depth
-        for key in ("horizons", "depth"):
+        # "depth" too: the transfer matrix has no cylinder depth; and the
+        # kernel ladder's "kernel_len" and "kernel_ball", since the verdict
+        # is in closed form
+        for key in ("horizons", "depth", "kernel_len", "kernel_ball"):
             with pytest.raises(ConfigError):
                 parse_config(dict(BASE, **{key: 3}))
 
@@ -209,6 +192,22 @@ def test_budget_flag_is_gone(cfg_path, capsys):
     assert "--budget" in capsys.readouterr().err
 
 
+def _z2sq_z2_config(tmp_path):
+    """A config whose rank-2 lattice factor is outside the first-passage
+    system."""
+    raw = dict(
+        BASE,
+        name="z2sq_z2",
+        factors=[
+            {"kind": "lattice", "rank": 2, "name": "a"},
+            {"kind": "cyclic", "n": 2, "name": "s"},
+        ],
+    )
+    path = tmp_path / "z2sq_z2.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
 class TestCliExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["walk", "--config", str(tmp_path / "nope.json")])
@@ -243,17 +242,7 @@ class TestCliExitCodes:
         assert list(out.iterdir()) == []
 
     def test_algebraic_flag_outside_the_system(self, tmp_path, capsys):
-        # a rank-2 lattice factor is outside the first-passage system
-        raw = dict(
-            BASE,
-            name="z2sq_z2",
-            factors=[
-                {"kind": "lattice", "rank": 2, "name": "a"},
-                {"kind": "cyclic", "n": 2, "name": "s"},
-            ],
-        )
-        path = tmp_path / "z2sq_z2.json"
-        path.write_text(json.dumps(raw))
+        path = _z2sq_z2_config(tmp_path)
         for sub in ("walk", "llt"):
             rc = main(
                 [sub, "--config", str(path), "--method", "algebraic",
@@ -261,6 +250,21 @@ class TestCliExitCodes:
             )
             assert rc == 2
             assert "outside the first-passage system" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_degeneracy_outside_the_system_is_refused_at_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the verdict needs the first-passage system, so it is refused
+        # before any Green evaluator is built (whose convolution table on
+        # this measure runs for about half a minute, then exits 3)
+        builds = []
+        monkeypatch.setattr(GreenEvaluator, "__init__", lambda *a, **k: builds.append(a))
+        path = _z2sq_z2_config(tmp_path)
+        rc = main(["degeneracy", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert "needs the first-passage system" in capsys.readouterr().err
+        assert builds == []
         assert not (tmp_path / "out").exists()
 
     def test_llt_with_tiny_budget_fails_cleanly(self, tmp_path, capsys):
@@ -313,7 +317,7 @@ class TestCliOutputs:
         rc = main(["degeneracy", "--config", cfg_path, "--out", str(out)])
         assert rc == 0
         blob = json.loads((out / "tree_degeneracy.json").read_text())
-        assert blob["verdict"] in {"non-degenerate", "degenerate", "inconclusive"}
+        assert blob["verdict"] in {"non-degenerate", "degenerate"}
         assert len(blob["factors"]) == 2
 
     def test_deterministic_reruns(self, tmp_path):
@@ -356,7 +360,9 @@ class TestReportSharing:
         for sub in ("walk", "green", "isums", "degeneracy", "pressure",
                     "ancona", "llt"):
             assert main([sub, "--config", cfg_path, "--out", str(alone)]) == 0
-        assert len(builds) == 6  # each standalone user of one builds its own
+        # each standalone user of one builds its own; degeneracy reads R
+        # off the first-passage system and builds none
+        assert len(builds) == 5
         names = sorted(p.name for p in alone.iterdir())
         assert sorted(p.name for p in together.iterdir()) == sorted(
             names + ["tree_report.json"]
@@ -426,17 +432,37 @@ class TestShippedConfigs:
         assert all("repeated" not in est for est in data["estimates"])
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
-    def test_degeneracy_rungs_rise_below_the_closed_form(self, path, tmp_path):
-        # the kernels are L-truncated sums of non-negative path weights, so
-        # each rung's Perron root lies below the next one's and below the
-        # row sum of the untruncated kernel at R, which bounds it
+    def test_degeneracy_matches_the_closed_form(self, path, tmp_path):
+        # each factor's rho_hat is the spectral radius of the untruncated
+        # first-return kernel at R, within the rounding floor of the least
+        # solution at the branch point
         name = json.loads(path.read_text())["name"]
         assert main(["degeneracy", "--config", str(path), "--out", str(tmp_path)]) == 0
-        factors = json.loads((tmp_path / f"{name}_degeneracy.json").read_text())["factors"]
-        for f in factors:
-            rhos = [rho for _, _, rho in f["ladder"]]
-            assert rhos == sorted(set(rhos))
-            assert rhos[-1] == f["rho_hat"] <= _closed_form_rho(name, f["factor_id"])
+        blob = json.loads((tmp_path / f"{name}_degeneracy.json").read_text())
+        assert blob["verdict"] == "non-degenerate"
+        for f in blob["factors"]:
+            want = kernel_rho_at_radius(name, f["factor_id"])
+            assert abs(f["rho_hat"] / want - 1) < 1e-7
+            assert f["verdict"] == "non-degenerate"
+            assert f["margin"] == 1 - f["rho_hat"]
+            assert not {"ladder", "rho_extrapolated", "slack", "stabilized"} & f.keys()
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_report_makes_no_large_eigensolve(self, path, tmp_path, monkeypatch):
+        # the only spectral radius a report takes numerically is the
+        # pressure's, of the |factors| x |factors| factor matrix; the
+        # degeneracy verdict is in closed form
+        sizes = []
+        for name in ("eigh", "eigvals"):
+            def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+                sizes.append(np.shape(a))
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        factors = len(json.loads(path.read_text())["factors"])
+        assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert sizes
+        assert all(max(shape) <= factors for shape in sizes), sizes
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_report_reads_the_first_passage_system(self, path, tmp_path):

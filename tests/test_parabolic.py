@@ -1,18 +1,16 @@
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from freewalk.errors import NonConvergenceError
+from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
 from freewalk.green import GreenEvaluator
 from freewalk.groups import FreeProduct, LatticeFactor, _lattice_ball
 from freewalk.parabolic import (
-    DEFAULT_LADDER,
     ReturnKernel,
-    _factor_verdict,
-    _orbit_representatives,
     degeneracy_test,
     first_return_kernel,
     induced_green,
@@ -21,7 +19,7 @@ from freewalk.parabolic import (
 )
 from freewalk.walks import PathOperator, StepMeasure
 
-from oracles import F2_RADIUS, f2_first_passage
+from oracles import F2_RADIUS, f2_first_passage, kernel_rho_at_radius
 from test_path_operator import KERNEL_CASES, _exact_kernel, _measure
 
 
@@ -208,17 +206,36 @@ class TestSpectralRadius:
             rhos.append(kernel_spectral_radius(kern, f2, factor_ball=20))
         assert rhos == sorted(rhos)
 
-    def test_degeneracy_rungs_match_the_symmetric_eigenvalues(self, f2_srw, f2, ev):
-        # the f2 kernel row lives on a^-1, e and a, with one weight on a^-1
-        # and a, so its matrix over the 61 payloads |j| <= 30 is symmetric
+    @pytest.mark.parametrize(
+        "walk, name",
+        [("f2_srw", "f2_srw"), ("z2cubed_srw", "z2z2z2"), ("z2z3_srw", "z2z3")],
+        ids=["f2_srw", "z2z2z2", "z2z3"],
+    )
+    def test_truncated_rungs_rise_below_the_closed_form(self, walk, name, request):
+        # the L-truncated kernels at R sum ever more non-negative path
+        # weights, so the Perron roots of their matrices rise with L and
+        # stay below rho_k(R), which degeneracy_test reports.  A rank-1
+        # lattice row lives on a^-1, e and a, with one weight on a^-1 and
+        # a, so its matrix over the 61 payloads |j| <= 30 is symmetric
         # tridiagonal Toeplitz, with largest eigenvalue w0 + 2 w1 cos(pi/62)
-        for v in degeneracy_test(f2_srw, ev.R_hat).per_factor:
-            for L, B, rho in v.ladder:
-                kern = first_return_kernel(f2_srw, v.factor_id, ev.R_hat, L, B, exact=False)
-                assert set(kern.row) == {(-1,), (0,), (1,)}
-                w0, w1 = kern.row[(0,)], kern.row[(1,)]
-                assert kern.row[(-1,)] == w1
-                assert abs(rho - (w0 + 2 * w1 * math.cos(math.pi / 62))) < 1e-15
+        measure = request.getfixturevalue(walk)
+        group = measure.group
+        r = measure.first_passage_system.radius
+        for v in degeneracy_test(measure, r).per_factor:
+            want = kernel_rho_at_radius(name, v.factor_id)
+            assert abs(v.rho_hat / want - 1) < 1e-7
+            rungs = []
+            for L, B in ((20, 6), (30, 8), (40, 9), (60, 10)):
+                kern = first_return_kernel(measure, v.factor_id, r, L, B, exact=False)
+                rho = kernel_spectral_radius(kern, group, factor_ball=30)
+                if group.factors[v.factor_id].kind == "lattice":
+                    assert set(kern.row) == {(-1,), (0,), (1,)}
+                    w0, w1 = kern.row[(0,)], kern.row[(1,)]
+                    assert kern.row[(-1,)] == w1
+                    assert abs(rho - (w0 + 2 * w1 * math.cos(math.pi / 62))) < 1e-15
+                rungs.append(rho)
+            assert rungs == sorted(set(rungs))
+            assert rungs[-1] < want
 
 
 class TestInducedGreen:
@@ -257,54 +274,57 @@ class TestDegeneracy:
     def test_f2_verdict(self, f2_srw, ev):
         report = degeneracy_test(f2_srw, ev.R_hat)
         assert report.verdict == "non-degenerate"
+        assert report.r == ev.R_hat
         for v in report.per_factor:
-            assert v.stabilized
             assert v.rho_hat < 0.95
-            assert v.rho_extrapolated < 1.0
+            assert v.margin == 1.0 - v.rho_hat
+            assert v.rho_hat == v.row_mass  # the row is symmetric
+            assert abs(v.rho_hat / kernel_rho_at_radius("f2_srw", v.factor_id) - 1) < 1e-7
 
-    def test_finite_factor_verdict(self, z2z3_srw, z2z3_srw_ev=None):
-        ev23 = GreenEvaluator(z2z3_srw)
-        report = degeneracy_test(
-            z2z3_srw, ev23.R_hat, ladder=((30, 8), (45, 9), (60, 10))
-        )
+    def test_finite_factor_verdict(self, z2z3_srw):
+        report = degeneracy_test(z2z3_srw, GreenEvaluator(z2z3_srw).R_hat)
         assert report.verdict == "non-degenerate"
+        for v in report.per_factor:
+            assert v.rho_hat == v.row_mass  # the row sums of a finite factor
+            assert abs(v.rho_hat / kernel_rho_at_radius("z2z3", v.factor_id) - 1) < 1e-7
 
-    def test_one_rung_ladder_is_refused(self, f2_srw, ev):
-        with pytest.raises(ValueError, match="two rungs"):
-            degeneracy_test(f2_srw, ev.R_hat, ladder=((20, 6),))
+    def test_a_drift_takes_the_lattice_radius_below_the_row_mass(self):
+        # f2_asym steps a with 3/10 and a^-1 with 1/10: on Z the kernel's
+        # spectral radius is w0 + 2 sqrt(w+ w-), below its row mass.  Below
+        # R the L-truncated row converges geometrically to the untruncated
+        # one, and over the 61 payloads |j| <= 30 its tridiagonal Toeplitz
+        # matrix has largest eigenvalue w0 + 2 sqrt(w+ w-) cos(pi/62)
+        measure = _measure("f2_asym")
+        assert measure.first_passage_system.radius > 1.0
+        for v in degeneracy_test(measure, 1.0).per_factor:
+            kern = first_return_kernel(measure, v.factor_id, 1.0, 400, exact=False)
+            w0, wp, wm = kern.row[(0,)], kern.row[(1,)], kern.row[(-1,)]
+            assert math.isclose(v.row_mass, w0 + wp + wm, rel_tol=1e-12)
+            assert math.isclose(v.rho_hat, w0 + 2 * math.sqrt(wp * wm), rel_tol=1e-12)
+            assert v.rho_hat < v.row_mass
+            rho_ball = kernel_spectral_radius(kern, measure.group, factor_ball=30)
+            want = w0 + 2 * math.sqrt(wp * wm) * math.cos(math.pi / 62)
+            assert abs(rho_ball - want) < 1e-12
 
-    @pytest.mark.parametrize(
-        "walk, orbits",
-        [("f2_srw", [0, 0]), ("z2cubed_srw", [0, 0, 0]), ("z2z3_srw", [0, 1])],
-    )
-    def test_exchangeable_factors_share_one_ladder(self, walk, orbits, request):
-        # swapping two equal factors fixes the simple random walk, so the
-        # factors of an orbit take its least factor's verdict; it equals the
-        # one computed for each factor on its own, bit for bit
+    @pytest.mark.parametrize("walk", ["f2_srw", "z2cubed_srw"])
+    def test_exchangeable_factors_get_one_verdict(self, walk, request):
+        # swapping two equal factors fixes the simple random walk and
+        # permutes the terms of each kernel row, which add up the same
         measure = request.getfixturevalue(walk)
-        assert _orbit_representatives(measure) == orbits
-        r = measure.first_passage_system.radius
-        forced = [
-            _factor_verdict(measure, k, r, DEFAULT_LADDER, 0.02)
-            for k in range(len(orbits))
-        ]
-        assert degeneracy_test(measure, r).per_factor == forced
+        report = degeneracy_test(measure, measure.first_passage_system.radius)
+        first = report.per_factor[0]
+        for k, v in enumerate(report.per_factor):
+            assert v == replace(first, factor_id=k)
 
-    def test_a_swap_that_moves_the_measure_shares_nothing(self, f2):
-        # weight 1/3 on a^+-1 and 1/6 on b^+-1: the factors are equal, but
-        # swapping them moves the measure, so each builds its own ladder
-        a, ai = ((0, (1,)),), ((0, (-1,)),)
-        b, bi = ((1, (1,)),), ((1, (-1,)),)
-        third, sixth = Fraction(1, 3), Fraction(1, 6)
-        measure = StepMeasure(f2, {a: third, ai: third, b: sixth, bi: sixth})
-        assert _orbit_representatives(measure) == [0, 1]
-        r = measure.first_passage_system.radius
-        forced = [_factor_verdict(measure, k, r, DEFAULT_LADDER, 0.02) for k in (0, 1)]
-        assert forced[0].ladder != forced[1].ladder
-        assert degeneracy_test(measure, r).per_factor == forced
+    @pytest.mark.parametrize("name", ["z2sq_z2", "f2_two_letter"])
+    def test_outside_the_system_is_refused(self, name):
+        measure = _measure(name)
+        assert measure.first_passage_system is None
+        with pytest.raises(GroupSpecError, match="first-passage system"):
+            degeneracy_test(measure, 1.0)
 
-    def test_short_ladder_is_inconclusive(self, f2_srw, ev):
-        report = degeneracy_test(
-            f2_srw, ev.R_hat, ladder=((4, 4), (6, 5)), stab_tol=1e-4
-        )
-        assert report.verdict == "inconclusive"
+    def test_past_the_radius_is_refused(self, f2_srw):
+        lo, hi = f2_srw.first_passage_system.bracket
+        assert degeneracy_test(f2_srw, lo).verdict == "non-degenerate"
+        with pytest.raises(DivergenceError, match="past the radius"):
+            degeneracy_test(f2_srw, hi)
