@@ -38,6 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import DivergenceError, GroupSpecError
+
 # Newton steps allowed for one solve; from a warm start a handful suffice,
 # and even at R(1 - 1e-16) the linear phase halves the error per step
 NEWTON_STEPS = 200
@@ -397,3 +399,23 @@ def first_passage_system(measure):
                 cross[s, s] += w
     system = FirstPassageSystem(group, unknowns, d, const, lin, cross, lazy, back)
     return system if system.bracket is not None else None
+
+
+def point_passages(measure, r):
+    """{unknown: F_u(r)} from the least solution of ``measure``'s system.
+
+    Refuses a measure outside the system (GroupSpecError) and an r past R
+    (DivergenceError), r compared with R first: one float past R, Newton
+    from 0 can stop at its rounding floor with a solution.
+    """
+    system = measure.first_passage_system
+    if system is None:
+        raise GroupSpecError(
+            "this value needs the first-passage system: one-syllable steps on "
+            "finite and rank-1 lattice factors, lattice steps +-1"
+        )
+    r = float(r)
+    x = system.least_solution(r) if r <= system.radius else None
+    if x is None:
+        raise DivergenceError(f"r = {r!r} lies past the radius R = {system.radius!r}")
+    return dict(zip(system.unknowns, x.tolist()))

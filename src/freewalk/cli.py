@@ -1,12 +1,13 @@
 """Command-line frontend: run named experiments from a JSON config.
 
 Subcommands: walk, green, isums, degeneracy, pressure, ancona, llt, report.
-Every size a run uses (horizon, r-grid, cap) comes from the config, which
+Every size a run uses (horizon, r-grid) comes from the config, which
 every report identifies by its hash; reports also embed the package
 version, and identical config and version produce identical output files.
 ``report`` runs the other subcommands on one ``Shared``, so the Green
 evaluator and each return sequence are built once per run; a standalone
-subcommand builds its own.
+subcommand builds its own.  ``degeneracy`` and ``pressure`` read R and
+their values off the first-passage system and build no evaluator.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .config import load_config
 from .errors import BudgetError, ConfigError, DivergenceError, FreewalkError
 from .green import GreenEvaluator, spectral_radius
 from .parabolic import degeneracy_test
-from .thermo import pressure, sphere_identity_check
+from .thermo import IDENTITY_CAP, pressure, sphere_identity_check
 from .walks import detect_period, return_probabilities
 
 
@@ -178,17 +179,14 @@ def cmd_degeneracy(cfg, args, shared):
 
 def cmd_pressure(cfg, args, shared):
     started = time.time()
-    ev = shared.evaluator
-    grid = cfg.resolve_r_grid(ev.R_hat) or [ev.R_hat]
-    ladder = (max(cfg.cap - 1, 1), cfg.cap)
-    estimates = [pressure(ev, r, ladder=ladder) for r in grid]
-    if any(est.repeated for est in estimates):
-        print(f"warning: pressure ladder caps {ladder} give equal transfer "
-              f"weights, so 'stabilized' compares a matrix with itself",
-              file=sys.stderr)
-    results = [json.loads(est.to_json()) for est in estimates]
+    # R as ``cmd_degeneracy`` reads it; P(R) first refuses a measure off the system
+    system = cfg.measure.first_passage_system
+    r_hat = system.radius if system is not None else None
+    at_radius = pressure(cfg.measure, r_hat).value
+    grid = cfg.resolve_r_grid(r_hat) or [r_hat]
+    results = [json.loads(pressure(cfg.measure, r).to_json()) for r in grid]
     payload = _report_header(cfg, args, started)
-    payload.update({"R_hat": ev.R_hat, "estimates": results})
+    payload.update({"R_hat": r_hat, "estimates": results, "pressure_at_R": at_radius})
     _write_json(_out_dir(args) / f"{cfg.name}_pressure.json", payload)
     return 0
 
@@ -255,7 +253,7 @@ def cmd_report(cfg, args, shared):
         rc = max(rc, sub(cfg, args, shared))
     started = time.time()
     ev = shared.evaluator
-    ident = sphere_identity_check(ev, 0.9 * ev.R_hat, cfg.cap, 4)
+    ident = sphere_identity_check(ev, 0.9 * ev.R_hat, IDENTITY_CAP, 4)
     payload = _report_header(cfg, args, started)
     payload.update(
         {

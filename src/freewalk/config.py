@@ -96,7 +96,6 @@ class ExperimentConfig:
     measure: StepMeasure = field(repr=False)
     horizon: int = 200
     r_grid: list = field(default_factory=list)  # entries: float or "0.9R"
-    cap: int = 3  # syllable word-length truncation D
     seed: int = 0
 
     def resolve_r_grid(self, r_hat):
@@ -127,7 +126,6 @@ _TOP_REQUIRED = ["schema_version", "name", "factors", "measure"]
 _TOP_OPTIONAL = [
     "horizon",
     "r_grid",
-    "cap",
     "seed",
 ]
 
@@ -154,7 +152,7 @@ def parse_config(raw):
     group = FreeProduct(factors, name=raw["name"])
     measure = _build_measure(group, raw["measure"])
     knobs = {}
-    for key in ("horizon", "cap", "seed"):
+    for key in ("horizon", "seed"):
         if key in raw:
             value = raw[key]
             if not isinstance(value, int) or (value <= 0 and key != "seed"):

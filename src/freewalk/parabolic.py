@@ -41,8 +41,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebraic import m_matrix_solve, monomial, perron_root
-from .errors import DivergenceError, GroupSpecError, NonConvergenceError
+from .algebraic import m_matrix_solve, monomial, perron_root, point_passages
+from .errors import NonConvergenceError
 from .groups import _lattice_ball
 from .walks import PathOperator
 
@@ -266,19 +266,10 @@ def degeneracy_test(measure, r):
     factor and w_0 + 2 sqrt(w_+ w_-) on a rank-1 lattice factor (the
     growth of a walk on Z); the factor is non-degenerate exactly when that
     is below 1.  A measure outside the system is refused (GroupSpecError),
-    and so is an r past R (DivergenceError).
+    and so is an r past R (DivergenceError; ``algebraic.point_passages``).
     """
-    system = measure.first_passage_system
-    if system is None:
-        raise GroupSpecError(
-            "the degeneracy test needs the first-passage system: one-syllable "
-            "steps on finite and rank-1 lattice factors, lattice steps +-1"
-        )
+    passages = point_passages(measure, r)
     r = float(r)
-    x = system.least_solution(r) if r <= system.radius else None
-    if x is None:
-        raise DivergenceError(f"r = {r!r} lies past the radius R = {system.radius!r}")
-    passages = dict(zip(system.unknowns, x.tolist()))
     verdicts = []
     for k, factor in enumerate(measure.group.factors):
         row = _kernel_row(measure, k, r, passages)[0]

@@ -7,18 +7,16 @@ syllables every syllable prefix is a cut vertex (Woess 2000), so
 phi_r(x) = log F(e,g_1|r) F(g_1,e|r) depends on the first symbol alone and
 the transfer operator is a matrix over the symbols; other measures are
 refused.  That matrix lumps onto the factors: it is read here as
-``automaton.factor_matrix(t)``, t_k summing e^phi over factor k's symbols
-(``GreenEvaluator.factor_sums``).  Summing phi_r along the shift
-telescopes, which yields the sphere identity
+``automaton.factor_matrix(t)``, t_k summing e^phi over factor k's symbols.
+Summing phi_r along the shift telescopes, which yields the sphere identity
 
     (L_r^n 1)(empty) * H(e,e|r) = sum over the relative n-sphere of H(e,g|r)
 
-used here both as a consistency check and as the route to the Gurevich
-pressure P(r) = log of the leading transfer eigenvalue, the Perron root of
-the truncated factor matrix (``algebraic.perron_root``).  The check's
+checked here under a syllable cap (``GreenEvaluator.factor_sums``); its
 direct side accumulates the evaluator's per-r syllable weights along each
 sphere, taken as one array of symbols (``Automaton.sphere_rows``): it tests
-the algebra of the shift, not the Green values themselves.
+the algebra of the shift, not the Green values themselves.  The Gurevich
+pressure P(r) is the log of the Perron root of the untruncated matrix.
 
 The empty path is excluded from the potential's domain; iteration at the
 empty word is seeded directly with t.
@@ -30,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic import perron_root
+from .algebraic import perron_root, point_passages
 from .automaton import Automaton, factor_matrix
 from .green import accumulate
 
-# largest change of the pressure between the last two caps of a stabilized ladder
-STAB_TOL = 5e-3
+# syllable cap of the sphere identity that ``report`` writes
+IDENTITY_CAP = 3
 
 
 def build_transfer(evaluator, r, cap):
@@ -97,42 +95,32 @@ def sphere_identity_check(evaluator, r, cap, n_max):
 @dataclass
 class PressureEstimate:
     r: float
-    eigenvalue: float  # Perron root of the last rung's matrix
+    eigenvalue: float  # Perron root of the untruncated factor matrix
     value: float  # log eigenvalue
-    cap: int
-    ladder: list  # [(cap, P_hat)]
-    stabilized: bool
-    repeated: bool  # two rungs have equal t, so one matrix; not reported
 
     def to_json(self):
-        out = {"pressure" if k == "value" else k: v
-               for k, v in vars(self).items() if k != "repeated"}
+        out = {"pressure" if k == "value" else k: v for k, v in vars(self).items()}
         return json.dumps(out, indent=2)
 
 
-def pressure(evaluator, r, ladder=(2, 3, 4)):
-    """Gurevich pressure estimate with a ladder over syllable caps.
+def pressure(measure, r):
+    """Gurevich pressure P(r), the log of the Perron root of the untruncated
+    ``factor_matrix(t)``; P(R) = 0 (Gouezel 2014).
 
-    Each rung is log of the Perron root of ``build_transfer`` at that cap,
-    so multi-syllable measures are refused; the estimate is the last rung,
-    and ``stabilized`` says its last two rungs differ by less than
-    ``STAB_TOL``.  The factor matrix is irreducible: every factor may
-    follow every other, and there are at least two.
+    t_k sums F_s F_{s^-1} over every syllable s of factor k at the least
+    solution (``point_passages``, which refuses r past R and measures off
+    the system): a finite factor's unknowns, and 2y / (1 - y) with
+    y = F_+ F_- on a rank-1 lattice, where F_{a^k} = F_a^k.
     """
-    rungs, ts = [], []
-    for cap in ladder:
-        matrix, t = build_transfer(evaluator, r, cap)
-        lam = perron_root(matrix)
-        rungs.append((cap, math.log(lam) if lam > 0 else -math.inf))
-        ts.append(tuple(t.tolist()))
-    p_hat = rungs[-1][1]
-    stabilized = len(rungs) > 1 and abs(rungs[-1][1] - rungs[-2][1]) < STAB_TOL
-    return PressureEstimate(
-        r=float(r),
-        eigenvalue=lam,
-        value=p_hat,
-        cap=rungs[-1][0],
-        ladder=rungs,
-        stabilized=stabilized,
-        repeated=len(set(ts)) < len(ts),
-    )
+    x = point_passages(measure, r)
+    t = []
+    for k, factor in enumerate(measure.group.factors):
+        if factor.kind == "lattice":
+            y = x[k, (1,)] * x[k, (-1,)]
+            t.append(2.0 * y / (1.0 - y))
+        else:
+            t.append(math.fsum(
+                x[k, p] * x[k, factor.inv(p)] for p in factor.nontrivial_elements()
+            ))
+    lam = perron_root(factor_matrix(np.array(t)))
+    return PressureEstimate(float(r), lam, math.log(lam) if lam > 0 else -math.inf)

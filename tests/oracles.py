@@ -286,6 +286,36 @@ def kernel_rho_at_radius(name, factor_id):
     raise ValueError(f"no closed form for {name!r}")
 
 
+# -- Gurevich pressure of the Green potential ---------------------------------
+
+
+def pressure_closed_form(name, r=None):
+    """P(r) for the simple random walks of the shipped configs; at R when r
+    is None.
+
+    P(r) is the log of the Perron root of the factor matrix with t_k off
+    the diagonal of row k, t_k summing F(e,s|r) F(s,e|r) over the syllables
+    s of factor k.  f2: each factor has t = sum_{k != 0} y^|k| = 2y / (1 - y)
+    with y = F^2, F the first passage of the 4-regular tree, and the root
+    is t.  z2z2z2: each factor has t = F^2 on the 3-regular tree, and the
+    root of t (J - I) over three factors is 2t.  z2z3: t_0 = F_s^2 and
+    t_1 = 2 F_t^2, and the root is sqrt(t_0 t_1).  At R, F = 1/sqrt(d - 1)
+    on the d-regular tree and ``z2z3_first_passages_at_radius``, where
+    P = 0.
+    """
+    if name == "f2_srw":
+        f = 1 / math.sqrt(3.0) if r is None else f2_first_passage(r)
+        y = f * f
+        return math.log(2 * y / (1 - y))
+    if name == "z2z2z2":
+        f = 1 / math.sqrt(2.0) if r is None else tree_first_passage(3, r)
+        return math.log(2 * f * f)
+    if name == "z2z3":
+        fs, ft = z2z3_first_passages_at_radius() if r is None else z2z3_first_passages(r)
+        return math.log(math.sqrt(2.0) * fs * ft)
+    raise ValueError(f"no closed form for {name!r}")
+
+
 def z_log_return_probs(n_max):
     """log p_n for SRW on the integers, via the exact binomial formula."""
     out = [-math.inf] * (n_max + 1)

@@ -16,12 +16,13 @@ from fractions import Fraction
 
 import pytest
 
+from freewalk.algebraic import perron_root
 from freewalk.audit import ancona_audit, llt_fit, ratio_report, synthetic_log_probs
 from freewalk.automaton import Automaton
 from freewalk.errors import NonConvergenceError
 from freewalk.green import GreenEvaluator, spectral_radius
 from freewalk.parabolic import degeneracy_test, first_return_kernel, induced_green
-from freewalk.thermo import pressure, sphere_identity_check
+from freewalk.thermo import build_transfer, pressure, sphere_identity_check
 from freewalk.walks import convolve_power, detect_period, return_probabilities
 
 from oracles import (
@@ -175,23 +176,28 @@ def test_criterion_08_thermodynamic_layer(ev):
     rows = sphere_identity_check(ev, 0.9 * ev.R_hat, cap=3, n_max=4)
     worst_rel = max(rel for _, _, _, rel in rows)
     ok = worst_rel < 0.02
-    inside = pressure(ev, 0.9 * ev.R_hat)
+    inside = pressure(ev.measure, 0.9 * ev.R_hat)
     ok &= inside.value < 0.0
-    at_radius = pressure(ev, ev.R_hat)
+    at_radius = pressure(ev.measure, ev.R_hat)
     ok &= -0.05 < at_radius.value <= 0.01
-    rung_values = [abs(p) for _, p in at_radius.ladder]
+    ok &= abs(at_radius.value) <= 1e-7  # P(R) = 0
+    # the cap-D truncations at R, each below the untruncated P(R)
+    rungs = [math.log(perron_root(build_transfer(ev, ev.R_hat, cap)[0]))
+             for cap in (2, 3, 4)]
+    ok &= all(p <= at_radius.value for p in rungs)
+    rung_values = [abs(p) for p in rungs]
     ok &= rung_values[-1] <= rung_values[0]  # ladder trends toward 0
     prods = []
     for f in (0.90, 0.95, 0.98):
         r = f * ev.R_hat
-        p = pressure(ev, r, ladder=(3,)).value
+        p = pressure(ev.measure, r).value
         prods.append(abs(p) * ev.i_sums(r).i1)
     band = max(prods) / min(prods)
     ok &= band < 4.0
     assert _line(
         8,
         ok,
-        f"identity to {worst_rel:.1e}, P(R)={at_radius.value:.4f}, |P|*I1 band {band:.2f}x",
+        f"identity to {worst_rel:.1e}, P(R)={at_radius.value:.1e}, |P|*I1 band {band:.2f}x",
     )
 
 

@@ -53,10 +53,10 @@ class TestConfigParsing:
         assert cfg.measure.is_symmetric()
 
     def test_unknown_top_level_key(self):
-        # "depth" too: the transfer matrix has no cylinder depth; and the
+        # "depth" too: the transfer matrix has no cylinder depth; the
         # kernel ladder's "kernel_len" and "kernel_ball", since the verdict
-        # is in closed form
-        for key in ("horizons", "depth", "kernel_len", "kernel_ball"):
+        # is in closed form; and "cap", since the pressure is untruncated
+        for key in ("horizons", "depth", "kernel_len", "kernel_ball", "cap"):
             with pytest.raises(ConfigError):
                 parse_config(dict(BASE, **{key: 3}))
 
@@ -267,6 +267,19 @@ class TestCliExitCodes:
         assert builds == []
         assert not (tmp_path / "out").exists()
 
+    def test_pressure_outside_the_system_is_refused_at_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the untruncated pressure needs the first-passage system too
+        builds = []
+        monkeypatch.setattr(GreenEvaluator, "__init__", lambda *a, **k: builds.append(a))
+        path = _z2sq_z2_config(tmp_path)
+        rc = main(["pressure", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert "needs the first-passage system" in capsys.readouterr().err
+        assert builds == []
+        assert not (tmp_path / "out").exists()
+
     def test_llt_with_tiny_budget_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "tree.json"
         path.write_text(json.dumps(dict(BASE, horizon=60)))
@@ -360,9 +373,9 @@ class TestReportSharing:
         for sub in ("walk", "green", "isums", "degeneracy", "pressure",
                     "ancona", "llt"):
             assert main([sub, "--config", cfg_path, "--out", str(alone)]) == 0
-        # each standalone user of one builds its own; degeneracy reads R
-        # off the first-passage system and builds none
-        assert len(builds) == 5
+        # each standalone user of one builds its own; degeneracy and
+        # pressure read R off the first-passage system and build none
+        assert len(builds) == 4
         names = sorted(p.name for p in alone.iterdir())
         assert sorted(p.name for p in together.iterdir()) == sorted(
             names + ["tree_report.json"]
@@ -407,29 +420,18 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_pressure_keeps_the_benchmark_fields(self, path, tmp_path):
-        # the fields the benchmark's pressure check reads; the transfer
-        # matrix has no cylinder depth and is one component, so no key says so
+        # the fields the benchmark's pressure check reads, and the pressure
+        # at R, which vanishes; the transfer matrix has no cylinder depth
+        # and is one component, so no key says so
         name = json.loads(path.read_text())["name"]
         assert main(["pressure", "--config", str(path), "--out", str(tmp_path)]) == 0
         data = json.loads((tmp_path / f"{name}_pressure.json").read_text())
         assert data["estimates"]
+        assert abs(data["pressure_at_R"]) <= 1e-7
         for est in data["estimates"]:
             assert isinstance(est["r"], float)
             assert est["eigenvalue"] > 0
-            assert {"pressure", "cap", "ladder", "stabilized"} <= est.keys()
-            assert not {"depth", "components", "semisimple_proxy"} & est.keys()
-
-    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
-    def test_pressure_warns_when_two_rungs_agree(self, path, tmp_path, capsys):
-        # every element of Z2 and Z3 has word length 1, so on z2z3 (caps 1, 2)
-        # and z2z2z2 (caps 1, 1) both rungs have the same t; the report
-        # itself does not change
-        name = json.loads(path.read_text())["name"]
-        assert main(["pressure", "--config", str(path), "--out", str(tmp_path)]) == 0
-        err = capsys.readouterr().err
-        assert ("warning: pressure ladder" in err) == (name != "f2_srw")
-        data = json.loads((tmp_path / f"{name}_pressure.json").read_text())
-        assert all("repeated" not in est for est in data["estimates"])
+            assert est.keys() == {"r", "eigenvalue", "pressure"}
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_degeneracy_matches_the_closed_form(self, path, tmp_path):

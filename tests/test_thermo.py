@@ -10,16 +10,17 @@ from freewalk.audit import ancona_audit
 from freewalk.automaton import Automaton
 from freewalk.config import load_config
 
-from freewalk.errors import GroupSpecError
+from freewalk.errors import DivergenceError, GroupSpecError
 from freewalk.green import GreenEvaluator
 from freewalk.thermo import (
+    IDENTITY_CAP,
     build_transfer,
     iterate_empty,
     pressure,
     sphere_identity_check,
 )
 
-from oracles import f2_first_passage, z2z3_first_passages
+from oracles import f2_first_passage, pressure_closed_form, z2z3_first_passages
 from test_audit import CONFIGS
 from test_green import syllable_weight
 from test_path_operator import _measure
@@ -96,8 +97,6 @@ class TestTransfer:
         r = 0.5 * ev_m.R_hat
         with pytest.raises(GroupSpecError):
             build_transfer(ev_m, r, cap=2)
-        with pytest.raises(GroupSpecError):
-            pressure(ev_m, r)
 
     def test_sphere_identity(self, ev):
         rows = sphere_identity_check(ev, 0.9 * ev.R_hat, cap=2, n_max=4)
@@ -182,12 +181,12 @@ def _sphere_rows_reference(evaluator, r, cap, n_max):
 @pytest.mark.parametrize("frac", [0.5, 0.9, 0.98])
 @pytest.mark.parametrize("name", ["f2_srw", "z2z3", "z2z2z2"])
 def test_sphere_rows_equal_the_dict_builder(name, frac):
-    # every row bit for bit, at the shipped cap and the report's n_max
+    # every row bit for bit, at the report's cap and n_max
     cfg = load_config(CONFIGS / f"{name}.json")
     ev_c = GreenEvaluator(cfg.measure)
     r = frac * ev_c.R_hat
-    rows = sphere_identity_check(ev_c, r, cfg.cap, 4)
-    want = _sphere_rows_reference(ev_c, r, cfg.cap, 4)
+    rows = sphere_identity_check(ev_c, r, IDENTITY_CAP, 4)
+    want = _sphere_rows_reference(ev_c, r, IDENTITY_CAP, 4)
     assert [(n, a.hex(), b.hex(), e.hex()) for n, a, b, e in rows] == [
         (n, a.hex(), b.hex(), e.hex()) for n, a, b, e in want
     ]
@@ -214,31 +213,56 @@ def test_dropped_evaluator_needs_no_cycle_collection(f2_srw):
 
 
 class TestPressure:
-    def test_negative_inside_radius(self, ev):
-        est = pressure(ev, 0.9 * ev.R_hat)
+    def test_negative_inside_radius(self, f2_srw):
+        est = pressure(f2_srw, 0.9 * f2_srw.first_passage_system.radius)
         assert est.value < -0.05
-        assert est.stabilized
 
-    def test_small_at_radius(self, ev):
-        est = pressure(ev, ev.R_hat)
+    def test_small_at_radius(self, f2_srw):
+        est = pressure(f2_srw, f2_srw.first_passage_system.radius)
         assert -0.05 < est.value <= 0.01
 
-    def test_eigenvalue_monotone_in_r(self, ev):
-        vals = [
-            pressure(ev, f * ev.R_hat, ladder=(2, 3)).eigenvalue
-            for f in (0.5, 0.7, 0.9)
-        ]
+    def test_eigenvalue_monotone_in_r(self, f2_srw):
+        radius = f2_srw.first_passage_system.radius
+        vals = [pressure(f2_srw, f * radius).eigenvalue for f in (0.5, 0.7, 0.9)]
         assert vals == sorted(vals)
 
-    def test_json_round_trip(self, ev):
+    def test_json_round_trip(self, f2_srw):
         import json
 
-        est = pressure(ev, 0.9 * ev.R_hat, ladder=(2, 3))
+        est = pressure(f2_srw, 0.9 * f2_srw.first_passage_system.radius)
         blob = json.loads(est.to_json())
-        assert blob["pressure"] == est.value
-        assert blob["eigenvalue"] == est.eigenvalue
-        assert blob["ladder"] == [list(rung) for rung in est.ladder]
-        assert blob["stabilized"] is est.stabilized
+        assert blob == {"r": est.r, "eigenvalue": est.eigenvalue, "pressure": est.value}
+
+    @pytest.mark.parametrize("frac", [0.5, 0.9, 0.98, 0.999])
+    @pytest.mark.parametrize("name", ["f2_srw", "z2z3", "z2z2z2"])
+    def test_matches_the_closed_form(self, name, frac):
+        # the untruncated t: every syllable of every factor, however near R
+        measure = load_config(CONFIGS / f"{name}.json").measure
+        r = frac * measure.first_passage_system.radius
+        want = pressure_closed_form(name, r)
+        assert abs(pressure(measure, r).value / want - 1) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["f2_srw", "z2z3", "z2z2z2"])
+    def test_vanishes_at_the_radius(self, name):
+        # within the square-root floor of the least solution at the branch
+        # point; the closed form there is 0 to rounding
+        measure = load_config(CONFIGS / f"{name}.json").measure
+        value = pressure(measure, measure.first_passage_system.radius).value
+        assert abs(value) <= 1e-7
+        assert abs(value - pressure_closed_form(name)) <= 1e-7
+
+    @pytest.mark.parametrize("name", ["z2sq_z2", "f2_two_letter"])
+    def test_outside_the_system_is_refused(self, name):
+        with pytest.raises(GroupSpecError, match="needs the first-passage system"):
+            pressure(_measure(name), 1.0)
+
+    def test_past_the_radius_is_refused(self, f2_srw):
+        # one float past R, Newton from 0 stops at its rounding floor and
+        # finds a solution, so r is compared with R first
+        lo, hi = f2_srw.first_passage_system.bracket
+        assert abs(pressure(f2_srw, lo).value) <= 1e-7
+        with pytest.raises(DivergenceError, match="past the radius"):
+            pressure(f2_srw, hi)
 
 
 class TestPerronRoot:
@@ -246,12 +270,13 @@ class TestPerronRoot:
     @pytest.mark.parametrize("cap", [2, 3, 4])
     def test_f2_root_matches_the_closed_form(self, ev, frac, cap):
         # a symbol a^k carries e^phi = F(e,a^k) F(a^k,e) = f^(2|k|) to every
-        # symbol of the other factor, so the root is the per-factor sum
+        # symbol of the other factor, so the root of the cap-D transfer
+        # matrix is the per-factor sum to D
         r = frac * ev.R_hat
         f = f2_first_passage(r)
         want = 2.0 * sum(f ** (2 * k) for k in range(1, cap + 1))
-        est = pressure(ev, r, ladder=(cap,))
-        assert abs(est.eigenvalue - want) / want < 1e-13
+        got = perron_root(build_transfer(ev, r, cap)[0])
+        assert abs(got - want) / want < 1e-13
 
     @pytest.mark.parametrize("frac", [0.5, 0.9, 0.98])
     def test_z2z3_root_matches_the_closed_form(self, z2z3_srw, frac):
@@ -262,36 +287,26 @@ class TestPerronRoot:
         r = frac * ev23.R_hat
         fs, ft = z2z3_first_passages(r)
         want = math.sqrt(2.0) * fs * ft
-        est = pressure(ev23, r, ladder=(2,))
-        assert abs(est.eigenvalue - want) / want < 1e-13
+        got = perron_root(build_transfer(ev23, r, 2)[0])
+        assert abs(got - want) / want < 1e-13
 
 
 class TestPressureFrozen:
-    # float.hex of the estimate at 0.9*R_hat with the default cap ladder
-    # (2, 3, 4): the eigenvalue (the raw Perron root of the cap-4 factor
-    # matrix, not exp of its log) and the ladder's log-eigenvalues.  On
-    # both measures R_hat is the branch point of the first-passage system
-    # and the Green series come from its coefficients.  Each value is within
-    # its t's distance to a 50-digit closed form, plus 4 ulps.
+    # float.hex of (eigenvalue, pressure) at 0.9*R: the eigenvalue is the
+    # raw Perron root of the untruncated factor matrix, not exp of its log.
+    # R is the branch point of the first-passage system and t comes from
+    # its least solution there.  The pressures are within 5.5e-16 (f2) and
+    # 3.6e-16 (z2z3) relative of a 50-digit closed form.
     FROZEN = {
-        "f2_srw": (
-            "0x1.3484c27499a11p-2",
-            ["-0x1.3779393e1e1c2p+0", "-0x1.339eee758c661p+0", "-0x1.331edd3140045p+0"],
-        ),
-        "z2z3_srw": (
-            "0x1.63c86741fb7b1p-2",
-            ["-0x1.0ea177ba5a845p+0", "-0x1.0ea177ba5a845p+0", "-0x1.0ea177ba5a845p+0"],
-        ),
+        "f2_srw": ("0x1.349bfe829e8b5p-2", "-0x1.330b96640080dp+0"),
+        "z2z3_srw": ("0x1.63c86741fb7afp-2", "-0x1.0ea177ba5a847p+0"),
     }
 
     @pytest.mark.parametrize("measure", sorted(FROZEN))
     def test_values_frozen(self, request, measure):
-        eig, ladder = self.FROZEN[measure]
-        ev_m = GreenEvaluator(request.getfixturevalue(measure))
-        est = pressure(ev_m, 0.9 * ev_m.R_hat)
-        assert est.eigenvalue.hex() == eig
-        assert [p.hex() for _, p in est.ladder] == ladder
-        assert [cap for cap, _ in est.ladder] == [2, 3, 4]
+        mu = request.getfixturevalue(measure)
+        est = pressure(mu, 0.9 * mu.first_passage_system.radius)
+        assert (est.eigenvalue.hex(), est.value.hex()) == self.FROZEN[measure]
 
 
 class TestRecurrence:
