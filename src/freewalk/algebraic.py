@@ -43,6 +43,7 @@ from .errors import DivergenceError, GroupSpecError
 # Newton steps allowed for one solve; from a warm start a handful suffice,
 # and even at R(1 - 1e-16) the linear phase halves the error per step
 NEWTON_STEPS = 200
+FOLD_STEPS, FOLD_CHECK = 20, 2.0**-20  # fold Newton steps; its checks' distance from R
 EPS = sys.float_info.epsilon
 # coefficients per block of the relaxed recurrence (``_extend``)
 B = 64
@@ -58,12 +59,11 @@ class FirstPassageSystem:
     lattice factor, F_s^2 = F_{s^2} (C[s, s] is the weight of the opposite
     step).  U(r, x) = r (mu(e) + b.x).  The weights of c, A, C, mu(e)
     and b are integers over the measure's common denominator d, and the
-    float arrays are those integers divided by d.  ``radius`` is R and
-    ``bracket`` the adjacent floats (lo, hi) around it where the least
-    solution exists and where it does not; the search keeps the least
-    solution at R.  Coefficients are kept scaled by R^n, and exactly as
-    integers over d^n, each extended on demand, so every caller shares one
-    computation to the largest horizon asked for.
+    float arrays are those integers divided by d.  ``radius`` is R, found
+    with x(R) on the fold system (``_fold``, else ``_bisect``), and
+    ``bracket`` its bar (lo, hi).  Coefficients are kept scaled by R^n,
+    and exactly as integers over d^n, each extended on demand, so every
+    caller shares one computation to the largest horizon asked for.
     """
 
     def __init__(self, group, unknowns, denominator, const, lin, cross, lazy, back):
@@ -74,9 +74,9 @@ class FirstPassageSystem:
         self._c, self._a, self._cross, self._back = (
             (x / denominator).astype(float) for x in (const, lin, cross, back)
         )
-        self._lazy = lazy / denominator
-        self.bracket, self._at_radius = self._branch_point()
-        self.radius = self.bracket[0] if self.bracket else math.inf
+        self._lazy, self._lazyi, self._backi = lazy / denominator, lazy, back
+        self.bracket = None  # no bar on R yet: every r is solved by Newton
+        self.radius, self.bracket, self._at_radius = self._fold() or self._bisect()
         m = len(unknowns)
         self._y = np.zeros((m, 1))  # scaled [r^n] F_s; F_s(0) = 0
         self._w = np.zeros((m, 1))  # the same of R C F
@@ -97,19 +97,17 @@ class FirstPassageSystem:
     def least_solution(self, r, x=None):
         """The least solution of x = Phi(r, x), or None past the radius.
 
-        Newton starts from ``x``, which must lie below the least solution:
-        by default 0, or at R the one the search for R found (from 0,
-        Newton converges only linearly at the branch point).  Past R the
-        iterates reach a point where I - J is no longer a non-singular
-        M-matrix (``m_matrix_solve``).  Near R the convergence is only
-        linear and the Newton step carries rounding noise amplified by
-        1/(1 - rho(J)), so convergence is judged on the residual
-        Phi(x) - x, which that noise does not inflate, and a residual that
-        stops falling at a small floor counts as converged, not as
-        divergence.
+        Inside R's bar ``bracket`` it is x(R), found with R.  Below it
+        Newton runs from ``x``, below the least solution (by default 0),
+        until the residual Phi(x) - x and the step are at rounding level;
+        past R the iterates leave the non-singular M-matrices
+        (``m_matrix_solve``).  Near R, where the convergence is linear and
+        the step carries rounding noise amplified by 1/(1 - rho(J)), a
+        residual that stops falling at a small floor counts as converged.
         """
-        if x is None:
-            x = self._at_radius if r == self.radius else np.zeros(len(self.unknowns))
+        if self.bracket is not None and r >= self.bracket[0]:
+            return self._at_radius.copy() if r <= self.bracket[1] else None
+        x = np.zeros(len(self.unknowns)) if x is None else x
         best, stalled = math.inf, 0
         for _ in range(NEWTON_STEPS):
             phi, jac = self._phi(r, x)
@@ -120,7 +118,7 @@ class FirstPassageSystem:
             if step is None:
                 return None
             size, scale = float(np.max(np.abs(residual))), float(np.max(phi))
-            if size <= 8 * EPS * scale:
+            if max(size, float(np.max(np.abs(step)))) <= 8 * EPS * scale:
                 return x
             if size < best:
                 best, stalled = size, 0
@@ -131,33 +129,60 @@ class FirstPassageSystem:
             x = x + step
         return None
 
-    def _branch_point(self):
-        """((lo, hi), x): the largest r with a least solution, the next
-        float, and the least solution at lo.
+    def _fold(self):
+        """(R, (lo, hi), x(R)) by Newton on the fold system, or None.
 
-        Doubling brackets R (it is at least 1, since p_n <= 1) and bisection
-        closes the bracket to adjacent floats.  A solution at lo lies below
-        the least solution at any r > lo, so each Newton run starts from
-        the last one that succeeded.  (None, None) when the walk never
-        returns.
+        At R the least solution is a simple fold (Lalley 1993), so the system
+        x = Phi(r, x), (I - J) v = 0, sum(v) = 1 in (x, v, r) is regular and
+        Newton converges quadratically (Moore and Spence 1980): from r = 1
+        and the z = (I - J)^-1 1 of the M-matrix test, along J's Perron
+        vector, to the least residual.  None unless Newton from 0 solves
+        below x(R) at R(1 - 2^-20) and fails at R(1 + 2^-20), with G(R)
+        below 2^20: an inadmissible measure, or U = 1 at R (Z2 * Z2).
         """
-        lo, x_lo, hi = 0.0, np.zeros(len(self.unknowns)), 1.0
-        while True:
-            x = self.least_solution(hi, x_lo)
-            if x is None:
-                break
-            lo, x_lo, hi = hi, x, 2.0 * hi
-            if hi > 2.0**20:
-                return None, None
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                return (lo, hi), x_lo
+        m, r, x = len(self.unknowns), 1.0, self.least_solution(1.0)
+        if x is None:
+            return None
+        v = m_matrix_solve(self._phi(r, x)[1], np.ones(m))  # least_solution passed this test
+        v, eye, ones, best = v / v.sum(), np.eye(m), np.ones((1, m)), (math.inf, r, x, 0.0)
+        for _ in range(FOLD_STEPS):
+            phi, jac = self._phi(r, x)
+            residual = np.concatenate([x - phi, v - jac @ v, [1 - v.sum()]])
+            size, tol = float(np.max(np.abs(residual))), 8 * EPS * max(1.0, np.max(x))
+            if best[0] <= tol and not size < best[0]:
+                break  # converged, and the residual no longer falls
+            dfold = r * (v[:, None] * self._cross + np.diag(self._cross @ v))  # d(Jv)/dx
+            outer = np.block([[jac - eye, 0 * jac, phi[:, None] / r],
+                              [dfold, jac - eye, (jac @ v)[:, None] / r],
+                              [0 * ones, ones, np.zeros((1, 1))]])
+            try:
+                step = np.linalg.solve(outer, residual)
+            except np.linalg.LinAlgError:
+                return None
+            if size < best[0]:  # the bar: 2 ulps, or the r-step if larger
+                best = (size, r, x, max(2 * math.ulp(r), abs(float(step[-1]))))
+            x, v, r = x + step[:m], v + step[m : 2 * m], float(r + step[-1])
+        size, r, x, pad = best
+        below = self.least_solution(r * (1 - FOLD_CHECK)) if size <= tol else None
+        ok = (below is not None and np.all(below <= x)
+              and self.least_solution(r * (1 + FOLD_CHECK)) is None
+              and r * (self._lazy + self._back @ x) < 1 - FOLD_CHECK)
+        return (r, (r - pad, r + pad), x) if ok else None
+
+    def _bisect(self):
+        """(lo, (lo, hi), x) where ``_fold`` fails: the largest float r with
+        a least solution, the next float, and the least solution at lo, by
+        bisection on (0, 2^20), each Newton run from the last solution,
+        which lies below the next.  (inf, None, None) if the walk never returns.
+        """
+        lo, x_lo, hi = 0.0, np.zeros(len(self.unknowns)), 2.0**20
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
             x = self.least_solution(mid, x_lo)
             if x is None:
                 hi = mid
             else:
                 lo, x_lo = mid, x
+        return (lo, (lo, hi), x_lo) if hi < 2.0**20 else (math.inf, None, None)
 
     # -- coefficients ----------------------------------------------------------
 
@@ -208,10 +233,14 @@ class FirstPassageSystem:
         self._y, self._w, self._u, self._g = y, w, u, g
 
     def _first_block(self):
-        """Coefficients 1..B-1, each from the ones below it."""
-        m, R, n = len(self.unknowns), self.radius, B - 1
-        c, a, cross = R * self._c, R * self._a, R * self._cross
-        lazy, back = R * self._lazy, R * self._back
+        """Coefficients 1..B-1, each from the ones below it, in the integer
+        weights: d^k [r^k] of F_s, U and G, exact below 2^53 and free of R,
+        then scaled by (R/d)^k.  Where d^(B-1) overflows, in the scaled weights.
+        """
+        m, n = len(self.unknowns), B - 1
+        z = float(self._d) if self._d**n < 2**1000 else self.radius
+        c, a, cross, back, lazy = (np.array(v, float) * (z / self._d) for v in (
+            self._ci, self._ai, self._crossi, self._backi, self._lazyi))
         y, w = np.zeros((m, n + 1)), np.zeros((m, n + 1))
         u, g = np.zeros(n + 1), np.zeros(n + 1)
         g[0] = 1.0
@@ -229,7 +258,11 @@ class FirstPassageSystem:
             w[:, k] = wr[:, n - k] = cross @ yk
             u[k] = uk
             g[k] = gr[n - k] = u[1 : k + 1] @ gr[n - k + 1 :]
-        self._y, self._w, self._u, self._g = y, w, u, g
+        self._powers = z ** np.arange(B)
+        self._block_green = g  # p_n times z^n
+        scale = self.radius ** np.arange(B) / self._powers
+        self._y, self._u, self._g = y * scale, u * scale, g * scale
+        self._w = (self.radius * self._cross) @ self._y
 
     def scaled_green(self, horizon):
         """[r^n] G(e,e|r) R^n for n = 0..horizon."""
@@ -282,8 +315,11 @@ class FirstPassageSystem:
             return np.log(scaled) - np.arange(len(scaled)) * math.log(self.radius)
 
     def return_log_probs(self, horizon):
-        """log p_n(e,e) for n = 0..horizon."""
-        return self.unscaled_logs(self.scaled_green(horizon))
+        """log p_n(e,e) for n = 0..horizon; below B from d^n p_n, free of R."""
+        logs = self.unscaled_logs(self.scaled_green(horizon))
+        with np.errstate(divide="ignore"):
+            logs[:B] = np.log(self._block_green / self._powers)[: horizon + 1]
+        return logs
 
 
 def _block_inverse(a, cross, y, w):
@@ -401,12 +437,12 @@ def first_passage_system(measure):
     return system if system.bracket is not None else None
 
 
-def point_passages(measure, r):
+def point_passages(measure, r, below=None):
     """{unknown: F_u(r)} from the least solution of ``measure``'s system.
 
-    Refuses a measure outside the system (GroupSpecError) and an r past R
-    (DivergenceError), r compared with R first: one float past R, Newton
-    from 0 can stop at its rounding floor with a solution.
+    ``below``, the passages at a smaller r, warm-starts Newton.  Inside
+    R's bar they are x(R).  Refuses a measure outside the system
+    (GroupSpecError) and an r past the bar (DivergenceError).
     """
     system = measure.first_passage_system
     if system is None:
@@ -415,7 +451,7 @@ def point_passages(measure, r):
             "finite and rank-1 lattice factors, lattice steps +-1"
         )
     r = float(r)
-    x = system.least_solution(r) if r <= system.radius else None
+    x = system.least_solution(r, None if below is None else np.array(list(below.values())))
     if x is None:
         raise DivergenceError(f"r = {r!r} lies past the radius R = {system.radius!r}")
     return dict(zip(system.unknowns, x.tolist()))

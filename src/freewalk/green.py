@@ -309,12 +309,12 @@ class GreenEvaluator:
             self.horizon = horizon or 4000
             self.table = AlgebraicGreenTable(self.system, self.horizon)
             self._return_logs = self.table.log_coefficients(self.group.identity)
-            # R is the system's branch point; the return logs give the
-            # rigorous lower bound sup p_2n^(1/2n)
-            lo, hi = self.system.bracket
+            # R is the system's branch point, inside its bar (lo, hi); the
+            # return logs give the rigorous lower bound sup p_2n^(1/2n)
+            (lo, hi), R = self.system.bracket, self.system.radius
             self.radius_estimate = SpectralRadiusEstimate(
                 rho_lower=_rho_lower(_even_terms(self._return_logs)),
-                rho_hat=1.0 / lo, R_hat=lo, rho_bracket=(1.0 / hi, 1.0 / lo),
+                rho_hat=1.0 / R, R_hat=R, rho_bracket=(1.0 / hi, 1.0 / lo),
             )
         else:
             self.horizon = horizon or 80

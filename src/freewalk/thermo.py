@@ -103,16 +103,16 @@ class PressureEstimate:
         return json.dumps(out, indent=2)
 
 
-def pressure(measure, r):
+def pressure(measure, r, passages=None):
     """Gurevich pressure P(r), the log of the Perron root of the untruncated
     ``factor_matrix(t)``; P(R) = 0 (Gouezel 2014).
 
     t_k sums F_s F_{s^-1} over every syllable s of factor k at the least
-    solution (``point_passages``, which refuses r past R and measures off
-    the system): a finite factor's unknowns, and 2y / (1 - y) with
-    y = F_+ F_- on a rank-1 lattice, where F_{a^k} = F_a^k.
+    solution, ``passages`` or ``point_passages`` (which refuses r past R and
+    measures off the system): a finite factor's unknowns, and 2y / (1 - y)
+    with y = F_+ F_- on a rank-1 lattice, where F_{a^k} = F_a^k.
     """
-    x = point_passages(measure, r)
+    x = point_passages(measure, r) if passages is None else passages
     t = []
     for k, factor in enumerate(measure.group.factors):
         if factor.kind == "lattice":

@@ -240,26 +240,40 @@ def z2z3_i2(r):
     return (x * x * _z2z3_green_jet(r)).d2 / 2.0
 
 
+def _z2z3_disc(r):
+    """The discriminant b^2 - 4ac of the quadratic for F_t in
+    ``_z2z3_first_passage_jets``, in the type of r."""
+    a, b, c = 2 * r * r - 6 * r, r * r - 3 * r + 9, -3 * r
+    return b * b - 4 * a * c
+
+
 def z2z3_radius():
-    """R: the least positive zero of the discriminant b^2 - 4ac of the
-    quadratic for F_t in ``_z2z3_first_passage_jets``, where the branch through
-    F_t(0) = 0 ends.  Bisection in exact rationals on [1, 3/2], where the
-    discriminant changes sign once, down to adjacent floats."""
-
-    def disc(r):
-        a, b, c = 2 * r * r - 6 * r, r * r - 3 * r + 9, -3 * r
-        return b * b - 4 * a * c
-
+    """R: the least positive zero of ``_z2z3_disc``, where the branch
+    through F_t(0) = 0 ends.  Bisection in exact rationals on [1, 3/2],
+    where the discriminant changes sign once, down to adjacent floats."""
     lo, hi = Fraction(1), Fraction(3, 2)
-    if not disc(lo) > 0 > disc(hi):
+    if not _z2z3_disc(lo) > 0 > _z2z3_disc(hi):
         raise ValueError("the bracket does not straddle a sign change")
     while float(lo) != float(hi):
         mid = (lo + hi) / 2
-        if disc(mid) > 0:
+        if _z2z3_disc(mid) > 0:
             lo = mid
         else:
             hi = mid
     return float(lo)
+
+
+def radius_in_bracket(name, lo, hi):
+    """Whether the floats lo < hi hold the true R of a shipped config, in
+    exact rationals: R^2 = 4/3 on f2 and 9/8 on z2z2z2 (R = d / (2 sqrt(d - 1))
+    on the d-regular tree), and the sign change of ``_z2z3_disc`` on z2z3."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if name in ("f2", "z2z2z2"):
+        square = Fraction(4, 3) if name == "f2" else Fraction(9, 8)
+        return lo * lo < square < hi * hi
+    if name == "z2z3":
+        return _z2z3_disc(lo) > 0 > _z2z3_disc(hi)
+    raise ValueError(f"no closed form for {name!r}")
 
 
 # -- spectral radius of the first-return kernel to a factor, at R -------------

@@ -149,7 +149,7 @@ def test_criterion_06_degeneracy_verdict(f2_srw, z2z3_srw, ev):
         for name, report in (("f2_srw", rep), ("z2z3", rep23))
         for v in report.per_factor
     )
-    ok &= worst < 1e-7
+    ok &= worst < 1e-13
     assert _line(
         6,
         ok,
@@ -180,7 +180,7 @@ def test_criterion_08_thermodynamic_layer(ev):
     ok &= inside.value < 0.0
     at_radius = pressure(ev.measure, ev.R_hat)
     ok &= -0.05 < at_radius.value <= 0.01
-    ok &= abs(at_radius.value) <= 1e-7  # P(R) = 0
+    ok &= abs(at_radius.value) <= 1e-13  # P(R) = 0
     # the cap-D truncations at R, each below the untruncated P(R)
     rungs = [math.log(perron_root(build_transfer(ev, ev.R_hat, cap)[0]))
              for cap in (2, 3, 4)]

@@ -14,35 +14,39 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from freewalk import algebraic
 from freewalk.algebraic import B as BLOCK, m_matrix_solve, perron_root
 from freewalk.errors import GroupSpecError
+from freewalk.groups import FreeProduct, cyclic_factor
 from freewalk.walks import (
     StepMeasure,
     convolve_powers,
     first_visits,
     is_radial,
     return_probabilities,
+    uniform_on_generators,
 )
 
 from oracles import (
     F2_RADIUS,
     f2_first_passage,
     f2_green,
+    radius_in_bracket,
     tree_return_probabilities,
     z2z2z2_radius,
     z2z3_first_passages,
     z2z3_green,
     z2z3_radius,
 )
-from test_path_operator import _cyclic_measures, _f2, _measure
+from test_path_operator import _cyclic_measures, _f2, _measure, _single_syllable_measures
 
 A, AI, B, BI = ((0, (1,)),), ((0, (-1,)),), ((1, (1,)),), ((1, (-1,)),)
 
 # scaled_green(63) and scaled_first_passage(., 63), as hex floats taken from
-# the coefficient-at-a-time recurrence that the first block still runs
+# the coefficient-at-a-time recurrence that the first block still runs, in
+# the integer weights; each within 4.7e-16 of the exact coefficient times R^n
 FIRST_BLOCK = json.loads((Path(__file__).parent / "first_block_hex.json").read_text())
 
 
@@ -105,10 +109,18 @@ class TestScope:
 
 class TestRadius:
     def test_z2z3_matches_the_discriminant(self):
+        # the fold's R lies within an ulp of the discriminant's zero, inside
+        # its bar of 2 ulps or the last Newton r-step on each side
         system = _measure("z2z3").first_passage_system
-        assert abs(system.radius - z2z3_radius()) / z2z3_radius() < 1e-12
+        assert abs(system.radius - z2z3_radius()) <= math.ulp(system.radius)
         lo, hi = system.bracket
-        assert system.radius == lo and hi == math.nextafter(lo, 2.0)
+        assert lo < system.radius < hi
+        assert hi - system.radius == system.radius - lo >= 2 * math.ulp(system.radius)
+
+    @pytest.mark.parametrize("name", ["f2", "z2z2z2", "z2z3"])
+    def test_bracket_holds_the_true_radius(self, name):
+        lo, hi = _measure(name).first_passage_system.bracket
+        assert radius_in_bracket(name, lo, hi)
 
     @pytest.mark.parametrize("name, radius", [("f2", F2_RADIUS), ("z2z2z2", z2z2z2_radius())])
     def test_tree_radii(self, name, radius):
@@ -126,19 +138,23 @@ class TestRadius:
         gee = 1.0 / (1.0 - r * x.sum() / 4)
         assert abs(gee - f2_green(r)) / f2_green(r) < 1e-12
 
-    def test_least_solution_from_zero_is_sharp(self):
-        # Newton from 0, with no warm start, still tells the two sides of
-        # R apart at a relative distance of 1e-12
+    def test_least_solution_from_zero_is_sharp(self, monkeypatch):
+        # Newton from 0, with no warm start and no bar on R to answer for
+        # it, still tells the two sides of R apart at a relative distance
+        # of 1e-12; the fold's checks and the bisection rely on it
         system = _measure("z2z3").first_passage_system
+        monkeypatch.setattr(system, "bracket", None)
         assert system.least_solution(system.radius * (1 - 1e-12)) is not None
         assert system.least_solution(system.radius * (1 + 1e-12)) is None
 
 
     @pytest.mark.parametrize("name", ["f2", "z2z3", "z2z2z2"])
     def test_least_solution_at_the_radius_starts_from_the_search(self, name, monkeypatch):
-        # from 0, Newton converges only linearly at the branch point; the
-        # search for R ends holding the least solution at R, and Newton
-        # from it stops after one step, on the same x
+        # the search for R, Newton on the fold system, ends holding x(R);
+        # anywhere in R's bar that is the least solution, with no Newton
+        # step, and one float past the bar there is none.  Just below the
+        # bar Newton from 0 converges only linearly, and stops at its
+        # square-root floor near the same x
         system = _measure(name).first_passage_system
         solves = []
 
@@ -147,12 +163,27 @@ class TestRadius:
             return m_matrix_solve(a, b)
 
         monkeypatch.setattr(algebraic, "m_matrix_solve", counted)
-        x = system.least_solution(system.radius)
-        assert len(solves) == 1
-        assert np.array_equal(x, system._at_radius)
-        cold = system.least_solution(system.radius, np.zeros(len(system.unknowns)))
+        lo, hi = system.bracket
+        for r in (lo, system.radius, hi):
+            assert np.array_equal(system.least_solution(r), system._at_radius)
+        assert system.least_solution(math.nextafter(hi, 2.0)) is None
+        assert solves == []
+        cold = system.least_solution(math.nextafter(lo, 0.0))
         assert len(solves) > 10
-        assert np.allclose(x, cold, rtol=1e-7, atol=0.0)
+        assert np.allclose(system._at_radius, cold, rtol=1e-7, atol=0.0)
+
+    def test_z2z2_takes_the_bisection(self):
+        # Z2 * Z2 is recurrent: U reaches 1 at R = 1, where G = 1/sqrt(1 - r^2)
+        # diverges, so the fold is refused and R is bisected to adjacent
+        # floats
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # Z2 * Z2 is elementary
+            mu = uniform_on_generators(FreeProduct([cyclic_factor(2)] * 2))
+        system = mu.first_passage_system
+        assert system._fold() is None
+        lo, hi = system.bracket
+        assert system.radius == lo and hi == math.nextafter(lo, 2.0)
+        assert abs(lo - 1.0) < 1e-14
 
 
 class TestMMatrixSolve:
@@ -274,6 +305,18 @@ class TestCoefficients:
             got = math.fsum(system.scaled_first_passage(unknown, 5000) * powers)
             assert abs(got - want[unknown]) / want[unknown] < 1e-14
 
+    def test_float_weights_overflow_the_integer_block(self):
+        # weights read from binary floats have a common denominator near
+        # 2^56, whose 63rd power overflows a float: the first block then
+        # runs in the scaled weights
+        fourth = 1 - Fraction(0.1) - Fraction(0.4) - Fraction(0.3)
+        mu = StepMeasure(_f2(), {A: Fraction(0.1), AI: Fraction(0.4),
+                                 B: Fraction(0.3), BI: fourth})
+        assert mu.common_denominator() ** (BLOCK - 1) > 2**1024  # past the floats
+        _assert_returns_match_exact(mu, 12, 1e-13)
+        logs = return_probabilities(mu, 300, method="algebraic").log_values
+        assert np.all(np.isfinite(logs[::2])) and np.all(logs[1::2] == -math.inf)
+
     def test_skewed_f2_covers_the_lattice_unknowns(self):
         mu = _skewed_f2()
         assert is_radial(mu) is None
@@ -290,3 +333,30 @@ def test_returns_match_exact_on_random_cyclic_measures(mu):
     while s > 1 and s ** (horizon // 2) > 2 * 10**5:
         horizon -= 2
     _assert_returns_match_exact(mu, horizon, 1e-13)
+
+
+def _admissible(mu):
+    """Whether each factor's steps generate it as a semigroup, on a group
+    other than Z2 * Z2: a cyclic factor's steps have gcd 1 with its order,
+    and Z steps both ways."""
+    factors = mu.group.factors
+    if [getattr(f, "order", 0) for f in factors] == [2, 2]:
+        return False
+    for fid, factor in enumerate(factors):
+        steps = [g[0][1] for g, _ in mu.support if g and g[0][0] == fid]
+        if factor.kind == "lattice":
+            if {(1,), (-1,)} - set(steps):
+                return False
+        elif math.gcd(factor.order, *steps) != 1:
+            return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=_single_syllable_measures())
+def test_fold_matches_the_bisection_on_admissible_measures(mu):
+    assume(_admissible(mu))
+    system = mu.first_passage_system
+    fold = system._fold()
+    assert fold is not None
+    assert abs(fold[0] - system._bisect()[0]) <= 1e-14 * fold[0]

@@ -234,18 +234,18 @@ class TestRatioReport:
     # grids, as ``isums`` reports them
     PINNED = {
         "f2_srw": [
-            ("0x1.323f5d36ef03dp+2", "0x1.6a93157e45695p+4", "0x1.323f5d36ef052p+2"),
-            ("0x1.0d611fe85c577p+3", "0x1.204a4583dd97dp+6", "0x1.0d611fe85c581p+3"),
-            ("0x1.0f65f860e49c2p+4", "0x1.4127aa04c1e13p+8", "0x1.0f65f860e49cfp+4"),
+            ("0x1.323f5d36ef019p+2", "0x1.6a93157e4562ep+4", "0x1.323f5d36ef026p+2"),
+            ("0x1.0d611fe85c533p+3", "0x1.204a4583dd8dcp+6", "0x1.0d611fe85c534p+3"),
+            ("0x1.0f65f860e491fp+4", "0x1.4127aa04c1c6bp+8", "0x1.0f65f860e4924p+4"),
         ],
         "z2z3": [
-            ("0x1.ea4e547e8aa3fp+2", "0x1.796afad2485c7p+5", "0x1.ea4e547e8aa4ap+2"),
-            ("0x1.0d8f52c95e8d1p+4", "0x1.886cb0231535bp+7", "0x1.0d8f52c95e8dcp+4"),
+            ("0x1.ea4e547e8a9fcp+2", "0x1.796afad248568p+5", "0x1.ea4e547e8a9fbp+2"),
+            ("0x1.0d8f52c95e87dp+4", "0x1.886cb02315278p+7", "0x1.0d8f52c95e88ap+4"),
         ],
         "z2z2z2": [
-            ("0x1.7aed36d7a71f0p+2", "0x1.f3e46fa578cc1p+4", "0x1.7aed36d7a7200p+2"),
-            ("0x1.69fab4e09c781p+3", "0x1.b57ec97ef574fp+6", "0x1.69fab4e09c786p+3"),
-            ("0x1.936781ae47f03p+4", "0x1.0e41ba8ecf34fp+9", "0x1.936781ae47f1fp+4"),
+            ("0x1.7aed36d7a71bfp+2", "0x1.f3e46fa578c5dp+4", "0x1.7aed36d7a71d8p+2"),
+            ("0x1.69fab4e09c72ap+3", "0x1.b57ec97ef567fp+6", "0x1.69fab4e09c72cp+3"),
+            ("0x1.936781ae47e29p+4", "0x1.0e41ba8ecf220p+9", "0x1.936781ae47e44p+4"),
         ],
     }
 

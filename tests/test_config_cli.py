@@ -427,7 +427,7 @@ class TestShippedConfigs:
         assert main(["pressure", "--config", str(path), "--out", str(tmp_path)]) == 0
         data = json.loads((tmp_path / f"{name}_pressure.json").read_text())
         assert data["estimates"]
-        assert abs(data["pressure_at_R"]) <= 1e-7
+        assert abs(data["pressure_at_R"]) <= 1e-13
         for est in data["estimates"]:
             assert isinstance(est["r"], float)
             assert est["eigenvalue"] > 0
@@ -444,7 +444,7 @@ class TestShippedConfigs:
         assert blob["verdict"] == "non-degenerate"
         for f in blob["factors"]:
             want = kernel_rho_at_radius(name, f["factor_id"])
-            assert abs(f["rho_hat"] / want - 1) < 1e-7
+            assert abs(f["rho_hat"] / want - 1) < 1e-13
             assert f["verdict"] == "non-degenerate"
             assert f["margin"] == 1 - f["rho_hat"]
             assert not {"ladder", "rho_extrapolated", "slack", "stabilized"} & f.keys()
