@@ -38,8 +38,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DivergenceError, GroupSpecError
+from .errors import DivergenceError
 
+# the one refusal of a measure outside the system (``StepMeasure.route``)
+SCOPE = ("this value needs the first-passage system: one-syllable steps on "
+         "finite and rank-1 lattice factors, lattice steps +-1")
 # Newton steps allowed for one solve; from a warm start a handful suffice,
 # and even at R(1 - 1e-16) the linear phase halves the error per step
 NEWTON_STEPS = 200
@@ -442,14 +445,9 @@ def point_passages(measure, r, below=None):
 
     ``below``, the passages at a smaller r, warm-starts Newton.  Inside
     R's bar they are x(R).  Refuses a measure outside the system
-    (GroupSpecError) and an r past the bar (DivergenceError).
+    (``StepMeasure.route``) and an r past the bar (DivergenceError).
     """
-    system = measure.first_passage_system
-    if system is None:
-        raise GroupSpecError(
-            "this value needs the first-passage system: one-syllable steps on "
-            "finite and rank-1 lattice factors, lattice steps +-1"
-        )
+    system = measure.route
     r = float(r)
     x = system.least_solution(r, None if below is None else np.array(list(below.values())))
     if x is None:

@@ -272,14 +272,6 @@ def llt_fit(log_probs, period, window, r_hat):
     )
 
 
-def synthetic_log_probs(alpha, r_growth, n_max, period=1, c=1.0):
-    """log(C r^{-n} n^{-alpha}) on the period lattice, for fit calibration."""
-    out = [-math.inf] * (n_max + 1)
-    for n in range(period, n_max + 1, period):
-        out[n] = math.log(c) - n * math.log(r_growth) - alpha * math.log(n)
-    return out
-
-
 # -- near-radius ratio report -------------------------------------------------
 
 

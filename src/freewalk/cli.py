@@ -6,8 +6,9 @@ every report identifies by its hash; reports also embed the package
 version, and identical config and version produce identical output files.
 ``report`` runs the other subcommands on one ``Shared``, so the Green
 evaluator and each return sequence are built once per run; a standalone
-subcommand builds its own.  ``degeneracy`` and ``pressure`` read R and
-their values off the first-passage system and build no evaluator.
+subcommand builds its own.  ``walk`` and ``llt`` read the first-passage
+system where it covers the measure, else exact convolution; ``degeneracy``
+and ``pressure`` read it through ``StepMeasure.route`` and build no evaluator.
 """
 
 import argparse
@@ -44,14 +45,15 @@ class Shared:
         # no other engine covers, costs exponentially in its horizon)
         return GreenEvaluator(self.measure)
 
-    def returns(self, horizon, method):
-        """The return sequence p_0..p_horizon(e,e) by ``method``."""
-        key = (horizon, method)
-        if key not in self._returns:
-            self._returns[key] = return_probabilities(
-                self.measure, horizon, method=method
+    def returns(self, horizon):
+        """The return sequence p_0..p_horizon(e,e): from the first-passage
+        system where it covers the measure, else by exact convolution."""
+        if horizon not in self._returns:
+            covered = self.measure.first_passage_system is not None
+            self._returns[horizon] = return_probabilities(
+                self.measure, horizon, method="algebraic" if covered else "exact"
             )
-        return self._returns[key]
+        return self._returns[horizon]
 
 
 def _out_dir(args):
@@ -85,32 +87,10 @@ def _write_csv(path, rows):
     print(path)
 
 
-def _return_method(cfg, args):
-    """The return-probability engine ``--method`` names, or None.
-
-    ``auto`` takes the first-passage system, else exact convolution.  The
-    algebraic engine named outright for a measure it does not cover is an
-    error, reported here.
-    """
-    system = cfg.measure.first_passage_system
-    if args.method == "auto":
-        return "algebraic" if system is not None else "exact"
-    if args.method == "algebraic" and system is None:
-        print("error: the algebraic engine was requested but the measure is "
-              "outside the first-passage system (it needs one-syllable steps on "
-              "finite and rank-1 lattice factors, lattice steps +-1)",
-              file=sys.stderr)
-        return None
-    return args.method
-
-
 def cmd_walk(cfg, args, shared):
     started = time.time()
     horizon = cfg.horizon
-    method = _return_method(cfg, args)
-    if method is None:
-        return 2
-    seq = shared.returns(horizon, method)
+    seq = shared.returns(horizon)
     out = _out_dir(args)
     rows = [["n", "p_n"]]
     if seq.values is not None:
@@ -167,11 +147,8 @@ def cmd_isums(cfg, args, shared):
 
 def cmd_degeneracy(cfg, args, shared):
     started = time.time()
-    # the system's branch point, the R_hat of the run's evaluator; a
-    # measure outside the system is refused before r is read
-    system = cfg.measure.first_passage_system
-    r_hat = system.radius if system is not None else None
-    report = degeneracy_test(cfg.measure, r_hat)
+    # the system's branch point, the R_hat of the run's evaluator
+    report = degeneracy_test(cfg.measure, cfg.measure.route.radius)
     payload = _report_header(cfg, args, started)
     payload.update(json.loads(report.to_json()))
     _write_json(_out_dir(args) / f"{cfg.name}_degeneracy.json", payload)
@@ -180,9 +157,7 @@ def cmd_degeneracy(cfg, args, shared):
 
 def cmd_pressure(cfg, args, shared):
     started = time.time()
-    # R as ``cmd_degeneracy`` reads it; P(R) first refuses a measure off the system
-    system = cfg.measure.first_passage_system
-    r_hat = system.radius if system is not None else None
+    r_hat = cfg.measure.route.radius  # as ``cmd_degeneracy`` reads it
     at_radius = pressure(cfg.measure, r_hat).value
     grid = cfg.resolve_r_grid(r_hat) or [r_hat]
     passages, below = {}, None  # each r's Newton run starts from the last r's solution
@@ -210,13 +185,9 @@ def cmd_ancona(cfg, args, shared):
 def cmd_llt(cfg, args, shared):
     started = time.time()
     horizon = cfg.horizon
-    method = _return_method(cfg, args)
-    if method is None:
-        return 2
-    seq = shared.returns(horizon, method)
-    if method == "algebraic":
-        # the system's branch point, the R_hat of the run's evaluator
-        r_hat = cfg.measure.first_passage_system.radius
+    seq = shared.returns(horizon)
+    if seq.method == "algebraic":  # the branch point, the run's evaluator's R_hat
+        r_hat = cfg.measure.route.radius
     else:
         r_hat = 1.0 / spectral_radius(seq).rho_hat
     period = detect_period(seq)
@@ -292,12 +263,6 @@ def build_parser():
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--method",
-        choices=["auto", "exact", "algebraic"],
-        default="auto",
-        help="return-probability engine for the walk and llt subcommands",
-    )
     return parser
 
 

@@ -316,6 +316,7 @@ class GreenEvaluator:
                 rho_lower=_rho_lower(_even_terms(self._return_logs)),
                 rho_hat=1.0 / R, R_hat=R, rho_bracket=(1.0 / hi, 1.0 / lo),
             )
+            self._r_max = hi
         else:
             self.horizon = horizon or 80
             if ball_bound is None:
@@ -334,6 +335,7 @@ class GreenEvaluator:
                     for d in self.table.dists[: seq_h + 1]
                 ],
             ))
+            self._r_max = self.R_hat
         self.single_syllable_support = all(
             len(g) <= 1 for g, _ in measure.support
         )
@@ -348,11 +350,10 @@ class GreenEvaluator:
         return self.radius_estimate.R_hat
 
     def _check_r(self, r):
-        # r = R_hat is allowed, as it is in ExperimentConfig.resolve_r_grid
-        if r > self.R_hat:
-            raise DivergenceError(
-                f"r = {r} exceeds the estimated convergence radius {self.R_hat}"
-            )
+        # the top of R's bar on the system, as in ``point_passages``; else
+        # R_hat itself, as in ExperimentConfig.resolve_r_grid
+        if r > self._r_max:
+            raise DivergenceError(f"r = {r!r} lies past the radius R = {self.R_hat!r}")
 
     # -- Green function and first passage -----------------------------------
 

@@ -22,8 +22,9 @@ Single-syllable measures on finite and rank-1 lattice factors have a
 second route, the first-passage system of ``algebraic``, built once per
 measure (``StepMeasure.first_passage_system``): its coefficients give
 p_n(e,e) to any horizon in floats, and the first-return kernels exactly
-or in floats, with no ball and no path sums, and it is the engine the
-Green evaluator, the kernels and the CLI use wherever it applies.
+or in floats, with no ball and no path sums.  The Green evaluator, the
+kernels and the CLI's returns take it wherever it applies; a value only it
+gives reads it through ``StepMeasure.route``, which refuses the rest.
 The radial distance chain (``is_radial``) projects isotropic
 nearest-neighbor walks to a birth-death chain on distances.  No command
 reads it: it shares no code with the first-passage system, and the tests
@@ -107,6 +108,14 @@ class StepMeasure:
         """The measure's ``algebraic.FirstPassageSystem``, or None outside
         its scope; built once per measure, so its coefficients are shared."""
         return algebraic.first_passage_system(self)
+
+    @property
+    def route(self):
+        """The first-passage system, which every point value reads; a
+        measure outside it is refused here (GroupSpecError)."""
+        if self.first_passage_system is None:
+            raise GroupSpecError(algebraic.SCOPE)
+        return self.first_passage_system
 
     def common_denominator(self):
         return math.lcm(*(w.denominator for _, w in self.support))
@@ -511,11 +520,6 @@ class Distribution:
         return Fraction(self.numerators.get(elem, 0), self.denominator)
 
 
-def convolve_power(measure, n, ball_bound=None):
-    """Exact mu^{*n} on the ball; records escaped mass when truncated."""
-    return convolve_powers(measure, n, ball_bound)[-1]
-
-
 def convolve_powers(measure, n, ball_bound=None):
     """All mu^{*k} for k = 0..n in one pass of the path operator."""
     if n < 0:
@@ -680,18 +684,12 @@ class ReturnSequence:
 
 def return_probabilities(measure, horizon, method="exact"):
     """p_n(e,e) for n = 0..horizon: exact, or from the coefficients of the
-    first-passage system (``method="algebraic"``)."""
+    first-passage system (``method="algebraic"``, through ``route``)."""
     if method == "exact":
         vals = _exact_returns(measure, horizon)
         return ReturnSequence(horizon=horizon, method="exact", values=vals)
     if method == "algebraic":
-        system = measure.first_passage_system
-        if system is None:
-            raise GroupSpecError(
-                "algebraic method requested but the measure is outside the "
-                "first-passage system's scope"
-            )
-        logs = system.return_log_probs(horizon)
+        logs = measure.route.return_log_probs(horizon)
         return ReturnSequence(horizon=horizon, method="algebraic", log_values=logs)
     raise ValueError(f"unknown method {method!r}")
 

@@ -340,6 +340,14 @@ def z_log_return_probs(n_max):
     return out
 
 
+def synthetic_log_probs(alpha, r_growth, n_max, period=1, c=1.0):
+    """log(C r^{-n} n^{-alpha}) on the period lattice, for fit calibration."""
+    out = [-math.inf] * (n_max + 1)
+    for n in range(period, n_max + 1, period):
+        out[n] = math.log(c) - n * math.log(r_growth) - alpha * math.log(n)
+    return out
+
+
 def tree_return_probabilities(q, n_max):
     """Exact p_n(e,e), n = 0..n_max, for simple random walk on the
     (q+1)-regular tree, by counting paths per distance class with plain

@@ -91,7 +91,7 @@ class TestScope:
     def test_none_outside_its_scope(self, name):
         mu = _measure(name)
         assert mu.first_passage_system is None
-        with pytest.raises(GroupSpecError):
+        with pytest.raises(GroupSpecError, match="needs the first-passage system"):
             return_probabilities(mu, 10, method="algebraic")
 
     def test_lattice_steps_must_be_unit_steps(self):

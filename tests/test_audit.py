@@ -15,11 +15,11 @@ from freewalk.audit import (
     random_element,
     ratio_report,
     syllable_choices,
-    synthetic_log_probs,
 )
 from freewalk.config import load_config
 from freewalk.green import GreenEvaluator
 
+from oracles import synthetic_log_probs
 from test_green import reference_green
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

@@ -192,6 +192,15 @@ def test_budget_flag_is_gone(cfg_path, capsys):
     assert "--budget" in capsys.readouterr().err
 
 
+def test_method_flag_is_gone(cfg_path, capsys):
+    # the engine is the first-passage system where it covers the measure,
+    # else exact convolution; --method is refused as an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        main(["walk", "--config", cfg_path, "--method", "exact"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+
+
 def _z2sq_z2_config(tmp_path):
     """A config whose rank-2 lattice factor is outside the first-passage
     system."""
@@ -241,16 +250,21 @@ class TestCliExitCodes:
         assert "config error" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    def test_algebraic_flag_outside_the_system(self, tmp_path, capsys):
+    def test_walk_outside_the_system_runs_exact(self, tmp_path):
+        # the engine is chosen per measure: off the first-passage system
+        # the return sequence is the exact convolution
         path = _z2sq_z2_config(tmp_path)
-        for sub in ("walk", "llt"):
-            rc = main(
-                [sub, "--config", str(path), "--method", "algebraic",
-                 "--out", str(tmp_path / "out")]
-            )
-            assert rc == 2
-            assert "outside the first-passage system" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(raw, horizon=20)))
+        out = tmp_path / "out"
+        assert main(["walk", "--config", str(path), "--out", str(out)]) == 0
+        meta = json.loads((out / "z2sq_z2_walk_meta.json").read_text())
+        assert meta["method"] == "exact" and meta["horizon"] == 20
+        with open(out / "z2sq_z2_walk.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        cfg = parse_config(json.loads(path.read_text()))
+        exact = return_probabilities(cfg.measure, 20, method="exact").values
+        assert [(int(n), Fraction(p)) for n, p in rows] == list(enumerate(exact))
 
     def test_degeneracy_outside_the_system_is_refused_at_once(
         self, tmp_path, capsys, monkeypatch

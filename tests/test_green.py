@@ -546,6 +546,17 @@ class TestTables:
             ev23.first_passage((), ((0, 1),), 1.001 * ev23.R_hat)
         at_r = ev23.green((), (), ev23.R_hat)
         assert at_r.method == "series/power-law" and math.isfinite(at_r.value)
+        # the bound is the top of R's bar, as for ``point_passages`` (and
+        # so the pressure and the verdict): hi is allowed, the next float not
+        hi = z2z3_srw.first_passage_system.bracket[1]
+        assert hi > ev23.R_hat
+        for value in (ev23.green((), (), hi), ev23.first_passage((), ((0, 1),), hi)):
+            assert math.isfinite(value.value)
+        past = math.nextafter(hi, 2.0)
+        with pytest.raises(DivergenceError, match="past the radius"):
+            ev23.green((), (), past)
+        with pytest.raises(DivergenceError, match="past the radius"):
+            ev23.first_passage((), ((0, 1),), past)
 
     # float.hex of R_hat and of G(e,e|0.9 R_hat) with horizon 30 and ball
     # bound 6, frozen from the convolution table before the algebraic one

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from freewalk.errors import GroupSpecError
 from freewalk.walks import (
     StepMeasure,
-    convolve_power,
     convolve_powers,
     detect_period,
     first_visits,
@@ -57,15 +56,15 @@ class TestStepMeasure:
 
 class TestConvolution:
     def test_known_small_values(self, f2_srw):
-        assert convolve_power(f2_srw, 2).mass(()) == Fraction(1, 4)
-        assert convolve_power(f2_srw, 4).mass(()) == Fraction(7, 64)
+        assert convolve_powers(f2_srw, 2)[-1].mass(()) == Fraction(1, 4)
+        assert convolve_powers(f2_srw, 4)[-1].mass(()) == Fraction(7, 64)
 
     def test_against_path_counting(self, f2_srw):
         for n in range(0, 9):
-            assert convolve_power(f2_srw, n).mass(()) == f2_return_probability(n)
+            assert convolve_powers(f2_srw, n)[-1].mass(()) == f2_return_probability(n)
 
     def test_total_mass_with_escape(self, f2_srw):
-        dist = convolve_power(f2_srw, 8, ball_bound=3)
+        dist = convolve_powers(f2_srw, 8, ball_bound=3)[-1]
         escaped = Fraction(dist.escaped_numerator, dist.denominator)
         assert escaped > 0
         total = Fraction(sum(dist.numerators.values()), dist.denominator)
@@ -75,13 +74,13 @@ class TestConvolution:
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(min_value=0, max_value=8))
     def test_mass_conservation(self, z2z3_srw, n):
-        dist = convolve_power(z2z3_srw, n)
+        dist = convolve_powers(z2z3_srw, n)[-1]
         assert Fraction(sum(dist.numerators.values()), dist.denominator) == 1
 
     def test_convolve_powers_consistent(self, z2z3_srw):
         seq = convolve_powers(z2z3_srw, 6)
         for n, dist in enumerate(seq):
-            assert dist.mass(()) == convolve_power(z2z3_srw, n).mass(())
+            assert dist.mass(()) == convolve_powers(z2z3_srw, n)[-1].mass(())
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_exact_returns_meet_in_the_middle(self, z2z3, z2z3_srw, symmetric):
