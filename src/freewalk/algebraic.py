@@ -18,8 +18,11 @@ method from below the least solution increases monotonically to it
 wherever it exists (Etessami and Yannakakis, J. ACM 2009).  The radius R
 is the largest r at which it exists with I - J a non-singular M-matrix
 (Perron root of the Jacobian J below 1) and U below 1; for an admissible
-walk it is a square-root branch point (Lalley 1993).  The coefficients
-come from the same equations read coefficientwise, in the variable r/R:
+walk it is a square-root branch point (Lalley 1993).  Every point value
+at r (G, the first passages, ``factor_weights``, and G' and G'' from two
+solves with I - J in ``green_jet``) reads the one least solution there.
+The coefficients, for the return sequence and the kernels, come from the
+same equations read coefficientwise, in the variable r/R:
 c_n R^n decays like n^(-3/2) where c_n itself underflows.  Each [r^n]
 takes only the ones below it, and the quadratic terms pair an early
 coefficient with a late one, so a block of B coefficients is linear in
@@ -38,13 +41,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, NonConvergenceError
 
 # the one refusal of a measure outside the system (``StepMeasure.route``)
 SCOPE = ("this value needs the first-passage system: one-syllable steps on "
          "finite and rank-1 lattice factors, lattice steps +-1")
-# Newton steps allowed for one solve; from a warm start a handful suffice,
-# and even at R(1 - 1e-16) the linear phase halves the error per step
+# Newton steps allowed for one solve; even at R(1 - 1e-16) the linear
+# phase halves the error per step
 NEWTON_STEPS = 200
 FOLD_STEPS, FOLD_CHECK = 20, 2.0**-20  # fold Newton steps; its checks' distance from R
 EPS = sys.float_info.epsilon
@@ -72,13 +75,13 @@ class FirstPassageSystem:
     def __init__(self, group, unknowns, denominator, const, lin, cross, lazy, back):
         self.group = group
         self.unknowns = unknowns
-        self._index = {u: i for i, u in enumerate(unknowns)}
         self._d, self._ci, self._ai, self._crossi = denominator, const, lin, cross
         self._c, self._a, self._cross, self._back = (
             (x / denominator).astype(float) for x in (const, lin, cross, back)
         )
         self._lazy, self._lazyi, self._backi = lazy / denominator, lazy, back
         self.bracket = None  # no bar on R yet: every r is solved by Newton
+        self._solutions = {}  # r -> least solution, each from 0
         self.radius, self.bracket, self._at_radius = self._fold() or self._bisect()
         m = len(unknowns)
         self._y = np.zeros((m, 1))  # scaled [r^n] F_s; F_s(0) = 0
@@ -97,24 +100,39 @@ class FirstPassageSystem:
         jac = r * (self._a + np.diag(cx) + x[:, None] * self._cross)
         return phi, jac
 
-    def least_solution(self, r, x=None):
+    def _u_of(self, r, x):
+        """U(r, x); G(e,e|r) = 1 / (1 - U) at the least solution."""
+        return r * (self._lazy + self._back @ x)
+
+    def least_solution(self, r):
         """The least solution of x = Phi(r, x), or None past the radius.
 
-        Inside R's bar ``bracket`` it is x(R), found with R.  Below it
-        Newton runs from ``x``, below the least solution (by default 0),
-        until the residual Phi(x) - x and the step are at rounding level;
-        past R the iterates leave the non-singular M-matrices
-        (``m_matrix_solve``).  Near R, where the convergence is linear and
-        the step carries rounding noise amplified by 1/(1 - rho(J)), a
-        residual that stops falling at a small floor counts as converged.
+        Inside R's bar ``bracket`` it is x(R), found with R.  Below it,
+        Newton from 0 (``_newton``), solved once per r and kept read-only:
+        every caller at r shares one solve, whatever the order of calls.
         """
         if self.bracket is not None and r >= self.bracket[0]:
-            return self._at_radius.copy() if r <= self.bracket[1] else None
-        x = np.zeros(len(self.unknowns)) if x is None else x
+            x = self._at_radius if r <= self.bracket[1] else None
+        else:
+            if r not in self._solutions:
+                self._solutions[r] = self._newton(r, np.zeros(len(self.unknowns)))
+            x = self._solutions[r]
+        if x is not None:
+            x.flags.writeable = False
+        return x
+
+    def _newton(self, r, x):
+        """Newton from ``x``, below the least solution, until the residual
+        Phi(x) - x and the step are at rounding level; None past R, where
+        the iterates leave the non-singular M-matrices (``m_matrix_solve``).
+        Near R, where the convergence is linear and the step carries
+        rounding noise amplified by 1/(1 - rho(J)), a residual that stops
+        falling at a small floor counts as converged.
+        """
         best, stalled = math.inf, 0
         for _ in range(NEWTON_STEPS):
             phi, jac = self._phi(r, x)
-            if not np.all(np.isfinite(phi)) or r * (self._lazy + self._back @ x) >= 1.0:
+            if not np.all(np.isfinite(phi)) or self._u_of(r, x) >= 1.0:
                 return None  # past the pole of G = 1/(1 - U)
             residual = phi - x
             step = m_matrix_solve(jac, residual)
@@ -131,6 +149,44 @@ class FirstPassageSystem:
                     return x  # the rounding floor
             x = x + step
         return None
+
+    def _solved(self, r):
+        """The least solution at r; past R's bar, DivergenceError."""
+        x = self.least_solution(r)
+        if x is None:
+            raise DivergenceError(f"r = {r!r} lies past the radius R = {self.radius!r}")
+        return x
+
+    def green_jet(self, r, order=2):
+        """[G, G', G''][: order + 1] of G(e,e|r) = 1 / (1 - U), as floats.
+
+        x = Phi(r, x) differentiated in r gives two solves with the one
+        matrix I - J: (I - J) x' = c + A x + x * (C x), which is x / r, and
+        (I - J) x'' = 2 (A x' + x' * (C x) + x * (C x') + r x' * (C x')).
+        Then U' = mu(e) + b.x + r b.x', U'' = 2 b.x' + r b.x'', G' = U' G^2
+        and G'' = (U'' + 2 U'^2 G) G^2.  The derivatives are refused
+        (NonConvergenceError) where a solve fails and inside R's bar, whose
+        least solution is the fold x(R), where I - J is singular.
+        """
+        x = self._solved(r)
+        g = float(1.0 / (1.0 - self._u_of(r, x)))
+        if order == 0:
+            return [g]
+        jac, cx, d1, d2 = self._phi(r, x)[1], self._cross @ x, None, None
+        if r < self.bracket[0]:
+            d1 = m_matrix_solve(jac, self._c + self._a @ x + x * cx)
+        if d1 is not None:
+            cd = self._cross @ d1
+            d2 = m_matrix_solve(jac, 2.0 * (self._a @ d1 + d1 * cx + x * cd + r * d1 * cd))
+        if d2 is None:
+            raise NonConvergenceError(
+                f"the r-derivatives of the first passages diverge at r = {r:.10g}: "
+                f"I - J is not a non-singular M-matrix there",
+                diagnostics={"r": float(r)},
+            )
+        du = self._lazy + self._back @ x + r * (self._back @ d1)
+        ddu = 2.0 * (self._back @ d1) + r * (self._back @ d2)
+        return [g, float(du * g * g), float((ddu + 2.0 * du * du * g) * g * g)][: order + 1]
 
     def _fold(self):
         """(R, (lo, hi), x(R)) by Newton on the fold system, or None.
@@ -169,7 +225,7 @@ class FirstPassageSystem:
         below = self.least_solution(r * (1 - FOLD_CHECK)) if size <= tol else None
         ok = (below is not None and np.all(below <= x)
               and self.least_solution(r * (1 + FOLD_CHECK)) is None
-              and r * (self._lazy + self._back @ x) < 1 - FOLD_CHECK)
+              and self._u_of(r, x) < 1 - FOLD_CHECK)
         return (r, (r - pad, r + pad), x) if ok else None
 
     def _bisect(self):
@@ -180,7 +236,7 @@ class FirstPassageSystem:
         """
         lo, x_lo, hi = 0.0, np.zeros(len(self.unknowns)), 2.0**20
         while lo < (mid := 0.5 * (lo + hi)) < hi:
-            x = self.least_solution(mid, x_lo)
+            x = self._newton(mid, x_lo)
             if x is None:
                 hi = mid
             else:
@@ -271,11 +327,6 @@ class FirstPassageSystem:
         """[r^n] G(e,e|r) R^n for n = 0..horizon."""
         self._extend(horizon)
         return self._g[: horizon + 1]
-
-    def scaled_first_passage(self, unknown, horizon):
-        """[r^n] F(e, (unknown,) | r) R^n for n = 0..horizon."""
-        self._extend(horizon)
-        return self._y[self._index[unknown], : horizon + 1]
 
     def integer_coefficients(self, n):
         """N_0..N_n, with [r^m] F_s = N_m[s] / d^m for every unknown s.
@@ -440,16 +491,29 @@ def first_passage_system(measure):
     return system if system.bracket is not None else None
 
 
-def point_passages(measure, r, below=None):
-    """{unknown: F_u(r)} from the least solution of ``measure``'s system.
-
-    ``below``, the passages at a smaller r, warm-starts Newton.  Inside
-    R's bar they are x(R).  Refuses a measure outside the system
-    (``StepMeasure.route``) and an r past the bar (DivergenceError).
-    """
+def point_passages(measure, r):
+    """{unknown: F_u(r)} from the least solution of ``measure``'s system,
+    x(R) inside R's bar.  Refuses a measure outside the system
+    (``StepMeasure.route``) and an r past the bar (DivergenceError)."""
     system = measure.route
-    r = float(r)
-    x = system.least_solution(r, None if below is None else np.array(list(below.values())))
-    if x is None:
-        raise DivergenceError(f"r = {r!r} lies past the radius R = {system.radius!r}")
-    return dict(zip(system.unknowns, x.tolist()))
+    return dict(zip(system.unknowns, system._solved(float(r)).tolist()))
+
+
+def factor_weights(group, passages):
+    """t[k] = sum of F(e,s) F(s,e) over every syllable s of factor k, the
+    weights of ``automaton.factor_matrix``, untruncated, from ``passages``
+    ({unknown: F_u}, as ``point_passages`` gives them): F_u F_{u^-1} over
+    a finite factor's unknowns, and on a rank-1 lattice factor, where
+    F_{a^k} = F_a^k, the geometric series 2y / (1 - y) with y = F_+ F_-.
+    """
+    t = []
+    for k, factor in enumerate(group.factors):
+        if factor.kind == "lattice":
+            y = passages[k, (1,)] * passages[k, (-1,)]
+            t.append(2.0 * y / (1.0 - y))
+        else:
+            t.append(math.fsum(
+                passages[k, p] * passages[k, factor.inv(p)]
+                for p in factor.nontrivial_elements()
+            ))
+    return np.array(t)

@@ -119,8 +119,6 @@ def _sample(group, n_triples, max_rel_dist, seed):
     words = []
     for _ in range(n_triples):
         span = rng.randint(2, max_rel_dist)
-        # the base point x: no value reads it, but each seed keeps its triples
-        random_element(choices, rng, rng.randint(0, 2))
         delta = random_element(choices, rng, span)
         cut = rng.randint(1, span)  # y = x delta[:cut]
         words += [delta, delta[:cut], delta[cut:]]

@@ -21,7 +21,6 @@ from functools import cached_property
 from pathlib import Path
 
 from . import __version__
-from .algebraic import point_passages
 from .audit import ancona_audit, llt_fit, ratio_report
 from .config import load_config
 from .errors import BudgetError, ConfigError, DivergenceError, FreewalkError
@@ -160,10 +159,7 @@ def cmd_pressure(cfg, args, shared):
     r_hat = cfg.measure.route.radius  # as ``cmd_degeneracy`` reads it
     at_radius = pressure(cfg.measure, r_hat).value
     grid = cfg.resolve_r_grid(r_hat) or [r_hat]
-    passages, below = {}, None  # each r's Newton run starts from the last r's solution
-    for r in sorted(grid):
-        passages[r] = below = point_passages(cfg.measure, r, below)
-    results = [json.loads(pressure(cfg.measure, r, passages[r]).to_json()) for r in grid]
+    results = [json.loads(pressure(cfg.measure, r).to_json()) for r in grid]
     payload = _report_header(cfg, args, started)
     payload.update({"R_hat": r_hat, "estimates": results, "pressure_at_R": at_radius})
     _write_json(_out_dir(args) / f"{cfg.name}_pressure.json", payload)

@@ -1,28 +1,23 @@
-"""Green functions G(x,y|r), first-passage series, spectral radius, and I-sums.
+"""Green functions G(x,y|r), spectral radius, and I-sums.
 
-Two coefficient sources back every evaluation: an algebraic table
-(single-syllable measures on finite and rank-1 lattice factors, radial ones
-included: p_n(e,e) and the unknowns' first visits from the first-passage
-system of ``algebraic``, whose branch point is R itself) and, for the rest
-(Z^d factors with d >= 2, multi-syllable steps), a convolution table, the
-powers mu^{*n} from the truncated-ball path operator of ``walks``.  Every
-syllable prefix is a cut vertex of a free product's Cayley graph, so for
-a measure supported on single syllables G(e,gamma) = G(e,e) F(e,gamma),
-F(e,gamma) is the product of its syllables' first passages, and
-F(e,a^k) = F(e,a)^k on a lattice factor stepping by +-1: series are summed
-only for G(e,e) and single-syllable first passages.  The evaluator keeps
-one table per r of syllable weights (F(e,u)^k, relative tail, terms),
-arrays indexed by syllable id, and forms G(e,gamma) and F(e,gamma) by
-multiplying them left to right from G(e,e) and from 1, a whole batch of
-words (rows of ids) in one array pass (``green_batch``).  Multi-syllable
-measures read the convolution table's series for each gamma.
-
-Every reported value carries a tail estimate and a method tag; tails are
-closed geometrically away from the convergence radius and with a power-law
-model near it, never hidden.  The two routes to I1 (relative spheres and
-d/dr (r G)) are compared on every I-sum, and a disagreement is an error.
-I2 = (1/2) d^2/dr^2 (r^2 G(e,e|r)) comes from the return series alone, the
-coefficients C(n+2, 2) p_n(e,e), with the same tail closure.
+Where the first-passage system of ``algebraic`` covers the measure
+(single-syllable steps on finite and rank-1 lattice factors), every value
+is read off its least solution at r: G(e,e|r) = 1 / (1 - U), each
+unknown's first passage x_u, and the r-derivatives of G from its jet
+(``FirstPassageSystem.green_jet``); tails are 0, and R is the system's
+branch point.  Other measures (Z^d factors with d >= 2, multi-syllable
+steps) sum series over a convolution table, the powers mu^{*n} of the
+truncated-ball path operator of ``walks``, each with its tail, closed
+geometrically away from the radius and by a power-law model near it.
+Every syllable prefix is a cut vertex of a free product's Cayley graph,
+so on single syllables G(e,gamma) = G(e,e) F(e,gamma), F(e,gamma) is the
+product of its syllables' first passages, and F(e,a^k) = F(e,a)^k on a
+lattice factor stepping by +-1.  The evaluator keeps one table per r of
+syllable weights (F(e,u)^k and relative tail), arrays by syllable id,
+and multiplies them left to right, a batch of words (rows of ids) in one
+array pass (``green_batch``).  Every value carries a tail and a method
+tag.  The two routes to I1 (relative spheres and d/dr (r G)) are
+compared on every I-sum, and a disagreement is an error.
 """
 
 import itertools
@@ -38,15 +33,16 @@ from .errors import (
     NonConvergenceError,
 )
 from . import walks
-from .algebraic import m_matrix_solve, monomial
+from .algebraic import factor_weights, m_matrix_solve, monomial, point_passages
 from .automaton import factor_matrix
 
 NEG_INF = -math.inf
-# largest relative gap allowed between the relative-sphere I1 and the series
-# for d/dr (r G(e,e|r)), which equals I1 by the derivative identity
+# largest relative gap allowed between the relative-sphere I1 and d/dr (r G),
+# from the jet or the return series, which equals I1 by the derivative identity
 I1_ROUTE_TOL = 1e-3
 # largest |k| of the lattice syllables a^k whose weights the relative-sphere
-# I1 sums: F(e,a^k) F(a^k,e) falls geometrically in |k| below R
+# I1 sums off the first-passage system: F(e,a^k) F(a^k,e) falls
+# geometrically in |k| below R
 SYLLABLE_CAP = 30
 
 
@@ -125,10 +121,9 @@ class GreenValue:
     value: float
     tail: float
     method: str
-    n_terms: int
 
 
-_PADDING = (np.ones(1), np.zeros(1), np.zeros(1, int))  # syllable_weights of id 0
+_PADDING = (np.ones(1), np.zeros(1))  # syllable_weights of id 0
 
 
 # ---------------------------------------------------------------------------
@@ -166,32 +161,6 @@ class ConvolutionGreenTable:
         return logs
 
 
-class AlgebraicGreenTable:
-    """log p_n(e,e) and the unknowns' first visits from the first-passage system.
-
-    These are the only series it holds: every other G(e, gamma) and
-    F(e, gamma) is a product of their values across cut vertices, formed
-    by ``GreenEvaluator`` at each r.
-    """
-
-    def __init__(self, system, horizon):
-        self.system = system
-        self.horizon = horizon
-
-    def log_coefficients(self, gamma):
-        """log p_n(e,e); ``gamma`` must be the identity."""
-        if gamma:
-            raise ValueError(f"the algebraic table holds p_n(e,e) only, not {gamma}")
-        return self.system.return_log_probs(self.horizon)
-
-    def first_visit_logs(self, gamma):
-        """log first-visit masses f_n(e, gamma) of a one-syllable unknown."""
-        (unknown,) = gamma
-        return self.system.unscaled_logs(
-            self.system.scaled_first_passage(unknown, self.horizon)
-        )
-
-
 def _binomial_weighted(logs, k):
     """log of C(n+k, k) c_n from log c_n: the coefficients of
     (1/k!) d^k/dr^k (r^k sum_n c_n r^n)."""
@@ -202,7 +171,7 @@ def _binomial_weighted(logs, k):
 
 
 def _eval_series(logs, r):
-    """(value, tail, method, n_terms) for sum_n c_n r^n from log c_n.
+    """(value, tail, method) for sum_n c_n r^n from log c_n.
 
     The terms are summed left to right (a cumulative sum, not numpy's
     pairwise sum), so the value does not depend on how the sum is split.
@@ -213,15 +182,15 @@ def _eval_series(logs, r):
     logs = np.asarray(logs, dtype=float)
     ns = np.flatnonzero(logs > NEG_INF)
     if not len(ns):
-        return 0.0, 0.0, "empty", 0
+        return 0.0, 0.0, "empty"
     with np.errstate(invalid="ignore"):  # 0 * log 0 at n = 0, not taken
         log_terms = np.where(ns > 0, logs[ns] + ns * logr, logs[ns])
     peak = float(log_terms.max())
     if peak == NEG_INF:  # r = 0 and c_0 = 0
-        return 0.0, 0.0, "none", len(ns)
+        return 0.0, 0.0, "none"
     value = math.exp(peak) * float(np.cumsum(np.exp(log_terms - peak))[-1])
     tail, method = _close_tail(ns, log_terms)
-    return value + tail, tail, method, len(ns)
+    return value + tail, tail, method
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +259,7 @@ def spectral_radius(seq):
 class ISums:
     r: float
     i1: float
-    i1_derivative: float  # the series for d/dr (r G(e,e|r)), checked against i1
+    i1_derivative: float  # d/dr (r G(e,e|r)), checked against i1
     i2: float
     i2_method: str
 
@@ -306,14 +275,12 @@ class GreenEvaluator:
         self.group = measure.group
         self.system = measure.first_passage_system
         if self.system is not None:
-            self.horizon = horizon or 4000
-            self.table = AlgebraicGreenTable(self.system, self.horizon)
-            self._return_logs = self.table.log_coefficients(self.group.identity)
-            # R is the system's branch point, inside its bar (lo, hi); the
-            # return logs give the rigorous lower bound sup p_2n^(1/2n)
+            # no table: R is the system's branch point, in its bar (lo, hi),
+            # and its return coefficients give the lower bound sup p_2n^(1/2n)
+            self.horizon, self.table = horizon or 4000, None
             (lo, hi), R = self.system.bracket, self.system.radius
             self.radius_estimate = SpectralRadiusEstimate(
-                rho_lower=_rho_lower(_even_terms(self._return_logs)),
+                rho_lower=_rho_lower(_even_terms(self.system.return_log_probs(self.horizon))),
                 rho_hat=1.0 / R, R_hat=R, rho_bracket=(1.0 / hi, 1.0 / lo),
             )
             self._r_max = hi
@@ -343,7 +310,6 @@ class GreenEvaluator:
         self._val_cache = {}
         self._syllable_index = {}  # syllable -> id >= 1; id 0 pads a word
         self._syllable_tables = {}  # r -> syllable_weights(r)
-        self._weighted_returns = {}  # k -> _binomial_weighted(return logs, k)
 
     @property
     def R_hat(self):
@@ -359,8 +325,8 @@ class GreenEvaluator:
 
     def green(self, x, y, r):
         """G(x,y|r) with tail estimate: G(e,e|r) times gamma's syllable
-        weights for a single-syllable measure, else the table's series for
-        gamma."""
+        weights for a single-syllable measure, else 1 / (1 - U) at the
+        least solution on the system, else the table's series for gamma."""
         self._check_r(r)
         gamma = self.group.multiply(self.group.invert(x), y) if x else tuple(y)
         key = ("G", gamma, r)
@@ -369,34 +335,36 @@ class GreenEvaluator:
             return cached
         if gamma and self.single_syllable_support:
             out = self._factored(self.green((), (), r), gamma, r)
+        elif self.system is not None:
+            out = GreenValue(self.system.green_jet(r, 0)[0], 0.0, "point/newton")
         else:
-            v, tail, tag, n = _eval_series(self.table.log_coefficients(gamma), r)
-            out = GreenValue(v, tail, f"series/{tag}", n)
+            v, tail, tag = _eval_series(self.table.log_coefficients(gamma), r)
+            out = GreenValue(v, tail, f"series/{tag}")
         self._val_cache[key] = out
         return out
 
     def first_passage(self, x, y, r):
-        """F(x,y|r); satisfies G(x,y|r)=F(x,y|r)G(e,e|r).
-
-        The table's first-visit series where gamma is its own base
-        (``_base``) or the measure is not on single syllables, else the
-        product of gamma's syllable weights.
-        """
+        """F(x,y|r); satisfies G(x,y|r)=F(x,y|r)G(e,e|r).  The product of
+        gamma's syllable weights, unless gamma is its own base (``_base``)
+        or the measure is not on single syllables: then x_u at the least
+        solution on the system, else the table's first-visit series."""
         self._check_r(r)
         gamma = self.group.multiply(self.group.invert(x), y) if x else tuple(y)
         key = ("F", gamma, r)
         cached = self._val_cache.get(key)
         if cached is not None:
             return cached
-        if gamma and (
-            not self.single_syllable_support or self._base(gamma[0]) == (gamma, 1)
+        if not gamma or (
+            self.single_syllable_support and self._base(gamma[0]) != (gamma, 1)
         ):
+            out = self._factored(GreenValue(1.0, 0.0, "unit"), gamma, r)
+        elif self.system is not None:
+            out = GreenValue(point_passages(self.measure, r)[gamma[0]], 0.0, "point/newton")
+        else:
             if gamma not in self._fp_cache:
                 self._fp_cache[gamma] = self.table.first_visit_logs(gamma)
-            v, tail, tag, n = _eval_series(self._fp_cache[gamma], r)
-            out = GreenValue(v, tail, f"first-visit/{tag}", n)
-        else:
-            out = self._factored(GreenValue(1.0, 0.0, "unit", 0), gamma, r)
+            v, tail, tag = _eval_series(self._fp_cache[gamma], r)
+            out = GreenValue(v, tail, f"first-visit/{tag}")
         self._val_cache[key] = out
         return out
 
@@ -418,17 +386,16 @@ class GreenEvaluator:
                         dtype=np.intp).reshape(len(words), width)
 
     def syllable_weights(self, r):
-        """(F(e,u|r)^k, k * relative tail, n_terms) arrays by syllable id,
-        (u, k) the syllable's ``_base``, and (1.0, 0.0, 0) at the padding
-        id 0: one table per r, extended to each syllable as it is seen."""
+        """(F(e,u|r)^k, k * relative tail) arrays by syllable id, (u, k)
+        the syllable's ``_base``, and (1.0, 0.0) at the padding id 0: one
+        table per r, extended to each syllable as it is seen."""
         table = self._syllable_tables.get(r, _PADDING)
         if len(table[0]) <= len(self._syllable_index):
             rows = []
             for syl in itertools.islice(self._syllable_index, len(table[0]) - 1, None):
                 base, k = self._base(syl)
                 f = self.first_passage((), base, r)
-                rel = k * f.tail / f.value if f.value else 0.0
-                rows.append((f.value**k, rel, f.n_terms))
+                rows.append((f.value**k, k * f.tail / f.value if f.value else 0.0))
             table = self._syllable_tables[r] = tuple(
                 np.concatenate([old, new]) for old, new in zip(table, zip(*rows)))
         return table
@@ -457,19 +424,18 @@ class GreenEvaluator:
         return np.array(t)
 
     def _products(self, start, ids, r):
-        """(values, tails, n_terms) of the GreenValue ``start`` times each
-        word's syllable weights (cut vertices make F(e, gamma) their
-        product), left to right; the relative tails add, to first order,
-        and an empty word keeps ``start``'s tail."""
-        w, rel, n = self.syllable_weights(r)
+        """(values, tails) of the GreenValue ``start`` times each word's
+        syllable weights (cut vertices make F(e, gamma) their product),
+        left to right; the relative tails add, to first order, and an
+        empty word keeps ``start``'s tail."""
+        w, rel = self.syllable_weights(r)
         values = accumulate(np.multiply, start.value, w[ids])
         rels = accumulate(np.add, start.tail / start.value, rel[ids])
-        tails = np.where(ids.any(axis=1), np.abs(values) * rels, start.tail)
-        return values, tails, np.maximum.reduce(n[ids], axis=1, initial=start.n_terms)
+        return values, np.where(ids.any(axis=1), np.abs(values) * rels, start.tail)
 
     def _factored(self, start, gamma, r):
-        values, tails, n = self._products(start, self.syllable_ids([gamma]), r)
-        return GreenValue(float(values[0]), float(tails[0]), "factored", int(n[0]))
+        values, tails = self._products(start, self.syllable_ids([gamma]), r)
+        return GreenValue(float(values[0]), float(tails[0]), "factored")
 
     def green_batch(self, ids, r):
         """(values, tails) of G(e, w|r) over the words w of ``ids`` in one
@@ -477,7 +443,7 @@ class GreenEvaluator:
         word off single-syllable support."""
         gee = self.green((), (), r)
         if self.single_syllable_support:
-            return self._products(gee, ids, r)[:2]
+            return self._products(gee, ids, r)
         syllables = [None, *self._syllable_index]
         out = [self.green((), tuple(syllables[i] for i in row if i), r)
                for row in ids.tolist()]
@@ -489,20 +455,16 @@ class GreenEvaluator:
 
     # -- derivative ----------------------------------------------------------
 
-    def _binomial_returns(self, k):
-        """``_binomial_weighted`` of the return logs, built once per k."""
-        if k not in self._weighted_returns:
-            self._weighted_returns[k] = _binomial_weighted(self._return_logs, k)
-        return self._weighted_returns[k]
-
-    def green_derivative(self, x, y, r):
-        """d/dr ( r G(e,e|r) ) by the return series; (x, y) = (e, e).  The
-        relative-sphere route to the same value is ``i_sums(r).i1``."""
+    def green_derivative(self, r):
+        """d/dr ( r G(e,e|r) ) = G + r G': the system's jet, else the return
+        series.  The relative-sphere route to the same value is
+        ``i_sums(r).i1``."""
         self._check_r(r)
-        if x or y:
-            raise ValueError(f"green_derivative is available at (e, e) only, not ({x}, {y})")
-        v, tail, tag, n = _eval_series(self._binomial_returns(1), r)
-        return GreenValue(v, tail, f"derivative-series/{tag}", n)
+        if self.system is not None:
+            g, dg = self.system.green_jet(r, 1)
+            return GreenValue(g + r * dg, 0.0, "point/jet")
+        v, tail, tag = _eval_series(_binomial_weighted(self._return_logs, 1), r)
+        return GreenValue(v, tail, f"derivative-series/{tag}")
 
     # -- I sums --------------------------------------------------------------
 
@@ -512,56 +474,47 @@ class GreenEvaluator:
         Across cut vertices H(e, gamma) is h_ee times the product of its
         syllables' weights F(e,s|r) F(s,e|r), so the relative spheres
         form a geometric matrix series and I1 = h_ee (1 + 1^T (I - M)^-1 t)
-        (``_sphere_sum``); lattice syllables are capped at
-        ``SYLLABLE_CAP``.  I1 also equals d/dr (r G(e,e|r)); raises
-        ``NonConvergenceError`` when that series and the sphere sum
-        differ by more than ``I1_ROUTE_TOL`` relative, as they do from
-        about 0.9995*R on the rank-2 free group.
+        (``_sphere_sum``), t untruncated on the system
+        (``algebraic.factor_weights``) and capped at ``SYLLABLE_CAP`` on
+        lattice factors off it.  I1 also equals d/dr (r G(e,e|r))
+        (``green_derivative``); ``NonConvergenceError`` is raised when the
+        two differ by more than ``I1_ROUTE_TOL`` relative.
 
-        I2 = (1/2) d^2/dr^2 (r^2 G(e,e|r)) is the series
-        sum_n C(n+2, 2) p_n(e,e) r^n: a length-n loop at e with two marked
-        times splits into the three Green factors of I2.  It is summed from
-        the evaluator's return sequence (the algebraic table's 4000 terms,
-        or the convolution table's), and raises ``NonConvergenceError``
-        where that sum would close its tail with the power-law model: the
-        terms then stop short of where they decay, as they do from about
-        0.998*R on the tree walks.
+        I2 = (1/2) d^2/dr^2 (r^2 G(e,e|r)) = G + 2 r G' + r^2 G'' / 2 from
+        the system's jet, which refuses inside R's bar; off the system the
+        series sum_n C(n+2, 2) p_n(e,e) r^n, refused where it would close
+        its tail with the power-law model.
         """
         self._check_r(r)
-        t = self.factor_sums([
-            f.nontrivial_elements(SYLLABLE_CAP if f.kind == "lattice" else None)
-            for f in self.group.factors
-        ], r)
+        if self.system is not None:
+            g, dg, ddg = self.system.green_jet(r)
+            i1, i2, method = g + r * dg, g + 2.0 * r * dg + 0.5 * r * r * ddg, "point/jet"
+            t = factor_weights(self.group, point_passages(self.measure, r))
+        else:
+            i2, tail, tag = _eval_series(_binomial_weighted(self._return_logs, 2), r)
+            if tag == "power-law":
+                raise NonConvergenceError(
+                    f"I2 series at r = {r:.10g} does not decay geometrically within "
+                    f"the table's horizon {self.horizon}: the power-law tail model "
+                    f"would set {tail / i2:.1%} of the value",
+                    diagnostics={"r": float(r), "i2": i2, "i2_tail": tail},
+                )
+            i1, method = self.green_derivative(r).value, f"series/{tag}"
+            t = self.factor_sums([
+                f.nontrivial_elements(SYLLABLE_CAP if f.kind == "lattice" else None)
+                for f in self.group.factors
+            ], r)
         total = self.h_value((), r) * (1.0 + _sphere_sum(t, r))
-        dg = self.green_derivative((), (), r).value
-        rel_gap = abs(total - dg) / dg
+        rel_gap = abs(total - i1) / i1
         if rel_gap > I1_ROUTE_TOL:
             raise NonConvergenceError(
                 f"I1 routes disagree at r = {r:.10g}: relative spheres give "
-                f"{total:.8g}, d/dr(rG) gives {dg:.8g}, relative gap "
+                f"{total:.8g}, d/dr(rG) gives {i1:.8g}, relative gap "
                 f"{rel_gap:.2e} > {I1_ROUTE_TOL:g}",
-                diagnostics={
-                    "r": float(r),
-                    "i1_spheres": total,
-                    "i1_derivative": dg,
-                    "rel_gap": rel_gap,
-                },
+                diagnostics={"r": float(r), "i1_spheres": total,
+                             "i1_derivative": i1, "rel_gap": rel_gap},
             )
-        i2, tail, tag, n = _eval_series(self._binomial_returns(2), r)
-        if tag == "power-law":
-            raise NonConvergenceError(
-                f"I2 series at r = {r:.10g} does not decay geometrically within "
-                f"its {n} terms: the power-law tail model would set {tail / i2:.1%} "
-                f"of the value",
-                diagnostics={"r": float(r), "i2": i2, "i2_tail": tail, "n_terms": n},
-            )
-        return ISums(
-            r=r,
-            i1=total,
-            i1_derivative=dg,
-            i2=i2,
-            i2_method=f"series/{tag}",
-        )
+        return ISums(r=r, i1=total, i1_derivative=i1, i2=i2, i2_method=method)
 
 
 def _sphere_sum(t, r):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic import perron_root, point_passages
+from .algebraic import factor_weights, perron_root, point_passages
 from .automaton import Automaton, factor_matrix
 from .green import accumulate
 
@@ -103,24 +103,11 @@ class PressureEstimate:
         return json.dumps(out, indent=2)
 
 
-def pressure(measure, r, passages=None):
+def pressure(measure, r):
     """Gurevich pressure P(r), the log of the Perron root of the untruncated
-    ``factor_matrix(t)``; P(R) = 0 (Gouezel 2014).
-
-    t_k sums F_s F_{s^-1} over every syllable s of factor k at the least
-    solution, ``passages`` or ``point_passages`` (which refuses r past R and
-    measures off the system): a finite factor's unknowns, and 2y / (1 - y)
-    with y = F_+ F_- on a rank-1 lattice, where F_{a^k} = F_a^k.
-    """
-    x = point_passages(measure, r) if passages is None else passages
-    t = []
-    for k, factor in enumerate(measure.group.factors):
-        if factor.kind == "lattice":
-            y = x[k, (1,)] * x[k, (-1,)]
-            t.append(2.0 * y / (1.0 - y))
-        else:
-            t.append(math.fsum(
-                x[k, p] * x[k, factor.inv(p)] for p in factor.nontrivial_elements()
-            ))
-    lam = perron_root(factor_matrix(np.array(t)))
+    ``factor_matrix(t)``; P(R) = 0 (Gouezel 2014).  t is
+    ``algebraic.factor_weights`` at the least solution (``point_passages``,
+    which refuses r past R and measures off the system)."""
+    t = factor_weights(measure.group, point_passages(measure, r))
+    lam = perron_root(factor_matrix(t))
     return PressureEstimate(float(r), lam, math.log(lam) if lam > 0 else -math.inf)

@@ -234,6 +234,11 @@ def z2z3_green(r):
     return _z2z3_green_jet(r).v
 
 
+def z2z3_i1(r):
+    """I1 = d/dr (r G(e,e|r)), differentiated exactly."""
+    return (_Jet(r, 1.0) * _z2z3_green_jet(r)).d1
+
+
 def z2z3_i2(r):
     """I2 = (1/2) d^2/dr^2 (r^2 G(e,e|r)), differentiated exactly."""
     x = _Jet(r, 1.0)

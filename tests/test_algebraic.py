@@ -44,7 +44,7 @@ from test_path_operator import _cyclic_measures, _f2, _measure, _single_syllable
 
 A, AI, B, BI = ((0, (1,)),), ((0, (-1,)),), ((1, (1,)),), ((1, (-1,)),)
 
-# scaled_green(63) and scaled_first_passage(., 63), as hex floats taken from
+# scaled_green(63) and scaled_first_passage(system, ., 63), as hex floats taken from
 # the coefficient-at-a-time recurrence that the first block still runs, in
 # the integer weights; each within 4.7e-16 of the exact coefficient times R^n
 FIRST_BLOCK = json.loads((Path(__file__).parent / "first_block_hex.json").read_text())
@@ -64,11 +64,17 @@ def _system(name):
     return mu.first_passage_system
 
 
+def scaled_first_passage(system, unknown, horizon):
+    """[r^n] F(e, (unknown,) | r) R^n for n = 0..horizon, the system's rows."""
+    system.scaled_green(horizon)  # extends every scaled series
+    return system._y[system.unknowns.index(unknown), : horizon + 1]
+
+
 def _series(system, horizon):
     """Bytes of every scaled series the system holds, up to ``horizon``."""
     out = [system.scaled_green(horizon).tobytes()]
     for unknown in system.unknowns:
-        out.append(system.scaled_first_passage(unknown, horizon).tobytes())
+        out.append(scaled_first_passage(system, unknown, horizon).tobytes())
     return out
 
 
@@ -218,7 +224,7 @@ class TestCoefficients:
         system = mu.first_passage_system
         for syl in ((0, 1), (1, 1), (1, 2)):
             denom, hits = first_visits(mu, (syl,), 20, ball_bound=20)
-            logs = system.unscaled_logs(system.scaled_first_passage(syl, 20))
+            logs = system.unscaled_logs(scaled_first_passage(system, syl, 20))
             for n, hit in enumerate(hits, 1):
                 if hit:
                     want = Fraction(hit, denom**n)
@@ -273,7 +279,7 @@ class TestCoefficients:
         system, want = _system(name), FIRST_BLOCK[name]
         assert [float.hex(float(v)) for v in system.scaled_green(63)] == want["green"]
         for unknown in system.unknowns:
-            got = system.scaled_first_passage(unknown, 63)
+            got = scaled_first_passage(system, unknown, 63)
             assert [float.hex(float(v)) for v in got] == want["first_passage"][repr(unknown)]
 
     @pytest.mark.parametrize("name, q", [("f2", 3), ("z2z2z2", 2)])
@@ -302,7 +308,7 @@ class TestCoefficients:
         got = math.fsum(system.scaled_green(5000) * powers)
         assert abs(got - z2z3_green(r)) / z2z3_green(r) < 1e-14
         for unknown in system.unknowns:
-            got = math.fsum(system.scaled_first_passage(unknown, 5000) * powers)
+            got = math.fsum(scaled_first_passage(system, unknown, 5000) * powers)
             assert abs(got - want[unknown]) / want[unknown] < 1e-14
 
     def test_float_weights_overflow_the_integer_block(self):

@@ -91,8 +91,8 @@ class TestAnconaFrozen:
     # (200 triples, seed 0) at 0.9*R_hat: the ratios are 1 up to rounding,
     # and the rounding follows the order in which each Green value is formed
     FROZEN = {
-        "f2_srw": ("0x1.ffffffffffffep-1", "0x1.0000000000001p+0", "0x1.0000000000000p+0", 0),
-        "z2z3_srw": ("0x1.fffffffffffffp-1", "0x1.0000000000001p+0", "0x1.0000000000000p+0", 0),
+        "f2_srw": ("0x1.ffffffffffffdp-1", "0x1.0000000000001p+0", "0x1.0000000000000p+0", 0),
+        "z2z3_srw": ("0x1.ffffffffffffep-1", "0x1.0000000000001p+0", "0x1.0000000000000p+0", 0),
     }
 
     @pytest.mark.parametrize("measure", sorted(FROZEN))
@@ -234,18 +234,18 @@ class TestRatioReport:
     # grids, as ``isums`` reports them
     PINNED = {
         "f2_srw": [
-            ("0x1.323f5d36ef019p+2", "0x1.6a93157e4562ep+4", "0x1.323f5d36ef026p+2"),
-            ("0x1.0d611fe85c533p+3", "0x1.204a4583dd8dcp+6", "0x1.0d611fe85c534p+3"),
-            ("0x1.0f65f860e491fp+4", "0x1.4127aa04c1c6bp+8", "0x1.0f65f860e4924p+4"),
+            ("0x1.323f5d36ef021p+2", "0x1.6a93157e45628p+4", "0x1.323f5d36ef022p+2"),
+            ("0x1.0d611fe85c537p+3", "0x1.204a4583dd8e1p+6", "0x1.0d611fe85c537p+3"),
+            ("0x1.0f65f860e492bp+4", "0x1.4127aa04c1c60p+8", "0x1.0f65f860e492cp+4"),
         ],
         "z2z3": [
-            ("0x1.ea4e547e8a9fcp+2", "0x1.796afad248568p+5", "0x1.ea4e547e8a9fbp+2"),
-            ("0x1.0d8f52c95e87dp+4", "0x1.886cb02315278p+7", "0x1.0d8f52c95e88ap+4"),
+            ("0x1.ea4e547e8a9ffp+2", "0x1.796afad248571p+5", "0x1.ea4e547e8a9ffp+2"),
+            ("0x1.0d8f52c95e885p+4", "0x1.886cb02315274p+7", "0x1.0d8f52c95e886p+4"),
         ],
         "z2z2z2": [
-            ("0x1.7aed36d7a71bfp+2", "0x1.f3e46fa578c5dp+4", "0x1.7aed36d7a71d8p+2"),
-            ("0x1.69fab4e09c72ap+3", "0x1.b57ec97ef567fp+6", "0x1.69fab4e09c72cp+3"),
-            ("0x1.936781ae47e29p+4", "0x1.0e41ba8ecf220p+9", "0x1.936781ae47e44p+4"),
+            ("0x1.7aed36d7a71cep+2", "0x1.f3e46fa578c45p+4", "0x1.7aed36d7a71d0p+2"),
+            ("0x1.69fab4e09c722p+3", "0x1.b57ec97ef566cp+6", "0x1.69fab4e09c723p+3"),
+            ("0x1.936781ae47e33p+4", "0x1.0e41ba8ecf207p+9", "0x1.936781ae47e35p+4"),
         ],
     }
 

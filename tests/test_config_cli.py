@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from freewalk import green
 from freewalk.algebraic import FirstPassageSystem
 from freewalk.cli import build_parser, main
 from freewalk.config import ConfigError, parse_config
@@ -17,7 +18,9 @@ from freewalk.errors import DivergenceError
 from freewalk.green import GreenEvaluator
 from freewalk.walks import return_probabilities
 
-from oracles import F2_RADIUS, kernel_rho_at_radius, z2z2z2_radius, z2z3_radius
+from oracles import (
+    F2_RADIUS, f2_i1, f2_i2, kernel_rho_at_radius, z2z2z2_radius, z2z3_radius,
+)
 from test_path_operator import _measure
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -301,18 +304,29 @@ class TestCliExitCodes:
         assert rc == 5
         assert "usable lattice points" in capsys.readouterr().err
 
-    def test_isums_refuses_near_radius(self, tmp_path, capsys):
-        # at 0.999*R the I2 series would close its tail with the power-law
-        # model; at 0.9995*R the two routes to I1 disagree
-        for point, reason in (("0.999R", "I2 series"),
-                              ("0.9995R", "I1 routes disagree")):
-            path = tmp_path / "tree.json"
-            path.write_text(json.dumps(dict(BASE, r_grid=["0.9R", point])))
-            out = tmp_path / "out"
-            rc = main(["isums", "--config", str(path), "--out", str(out)])
-            assert rc == 4
-            assert reason in capsys.readouterr().err
-            assert not list(tmp_path.rglob("*_isums.csv"))
+    def test_isums_matches_near_radius(self, tmp_path):
+        # within 0.1% of R the jet and the relative spheres both hold: the
+        # CSV matches the tree closed forms to 1e-10
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(dict(BASE, r_grid=["0.999R", "0.9995R", "0.9998R"])))
+        out = tmp_path / "out"
+        assert main(["isums", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "tree_isums.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for row in rows:
+            r = float(row["r"])
+            for key, want in (("i1", f2_i1(r)), ("dgreen", f2_i1(r)), ("i2", f2_i2(r))):
+                assert abs(float(row[key]) - want) / want < 1e-10, (key, r)
+
+    def test_isums_refuses_at_the_radius(self, tmp_path, capsys):
+        # at R the jet's I - J is singular: exit 4, and no CSV is written
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(dict(BASE, r_grid=["0.9R", "1R"])))
+        out = tmp_path / "out"
+        assert main(["isums", "--config", str(path), "--out", str(out)]) == 4
+        assert "I - J" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*_isums.csv"))
 
 
 class TestCliOutputs:
@@ -462,6 +476,16 @@ class TestShippedConfigs:
             assert f["verdict"] == "non-degenerate"
             assert f["margin"] == 1 - f["rho_hat"]
             assert not {"ladder", "rho_extrapolated", "slack", "stabilized"} & f.keys()
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_report_sums_no_green_series(self, path, tmp_path, monkeypatch):
+        # every Green value of an in-scope report is read off the least
+        # solution: no series is summed
+        def refused(logs, r):
+            raise AssertionError(f"a series was summed at r = {r!r}")
+
+        monkeypatch.setattr(green, "_eval_series", refused)
+        assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_report_makes_no_large_eigensolve(self, path, tmp_path, monkeypatch):

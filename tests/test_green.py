@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freewalk import green
 from freewalk.algebraic import monomial
-from freewalk.audit import syllable_choices
+from freewalk.audit import ratio_report, syllable_choices
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
 from freewalk.green import (
-    AlgebraicGreenTable,
     ConvolutionGreenTable,
     GreenEvaluator,
     GreenValue,
@@ -18,6 +18,8 @@ from freewalk.green import (
     spectral_radius,
 )
 from freewalk.groups import FreeProduct, LatticeFactor, cyclic_factor
+from freewalk.parabolic import degeneracy_test
+from freewalk.thermo import pressure
 from freewalk.walks import is_radial, return_probabilities
 
 from oracles import (
@@ -30,10 +32,13 @@ from oracles import (
     tree_i2,
     z2z2z2_radius,
     z2z3_green,
+    z2z3_i1,
     z2z3_i2,
     z2z3_radius,
 )
 from test_path_operator import _measure
+
+NEAR_RADIUS = (0.999, 0.9995, 0.9998)
 
 
 @pytest.fixture(scope="module")
@@ -118,19 +123,22 @@ class TestClosedForms:
 
 class TestDerivative:
     def test_series_vs_identity(self, ev):
+        # the system's jet against the relative-sphere sum, both exact
         for frac in (0.5, 0.8, 0.9):
             r = frac * ev.R_hat
-            series = ev.green_derivative((), (), r).value
+            jet = ev.green_derivative(r)
             ident = ev.i_sums(r).i1
-            assert abs(series - ident) / series < 1e-3
+            assert abs(jet.value - ident) / jet.value < 1e-13
+            assert (jet.tail, jet.method) == (0.0, "point/jet")
 
     def test_derivative_only_at_identity(self, ev):
-        with pytest.raises(ValueError):
+        # d/dr (r G) is offered at (e, e) alone: it takes r and nothing else
+        with pytest.raises(TypeError):
             ev.green_derivative((), ((0, (1,)),), 0.5)
 
     def test_derivative_positive_and_increasing(self, ev):
         vals = [
-            ev.green_derivative((), (), f * ev.R_hat).value
+            ev.green_derivative(f * ev.R_hat).value
             for f in (0.3, 0.6, 0.9)
         ]
         assert all(v > 0 for v in vals)
@@ -169,19 +177,19 @@ class TestISums:
 
     @pytest.mark.parametrize("measure, degree", [("f2_srw", 4), ("z2cubed_srw", 3)])
     def test_i2_matches_tree_closed_form(self, request, measure, degree):
-        # both walks are simple random walk on a d-regular tree; the I2
-        # series runs over the algebraic table's 4000 return coefficients
+        # both walks are simple random walk on a d-regular tree; I2 comes
+        # from the first-passage system's jet
         tree_ev = GreenEvaluator(request.getfixturevalue(measure))
         for frac in (0.90, 0.95, 0.98):
             r = frac * tree_ev.R_hat
             s = tree_ev.i_sums(r)
             want = tree_i2(degree, r)
             assert abs(s.i2 - want) / want < 1e-12
-            assert s.i2_method.startswith("series/")
+            assert s.i2_method == "point/jet"
 
     def test_z2z3_oracle_is_consistent(self, z2z3_srw):
-        # the first-passage system reproduces the package's G(e,e|r) where
-        # the series converges fast, and its exact second derivative agrees
+        # the first-passage system reproduces the package's G(e,e|r), and
+        # the oracle's exact second derivative agrees
         # with a second difference of r^2 G
         ev23 = GreenEvaluator(z2z3_srw)
         r = 0.5 * ev23.R_hat
@@ -193,8 +201,7 @@ class TestISums:
             assert math.isclose(second, z2z3_i2(r), rel_tol=1e-5)
 
     def test_i2_matches_first_passage_system_on_z2z3(self, z2z3_srw):
-        # the series runs over the 4000 coefficients of the algebraic
-        # table, so no truncation shows at 0.95*R
+        # read off the system's jet, with no truncation
         ev23 = GreenEvaluator(z2z3_srw)
         for frac in (0.90, 0.95):
             r = frac * ev23.R_hat
@@ -210,20 +217,28 @@ class TestISums:
         ids=["f2_srw", "z2cubed_srw"],
     )
     def test_near_radius_matches_tree_closed_forms(self, request, measure, i1, i2):
-        # the 4000 coefficients of the first-passage system carry I1 and I2
-        # to 0.997*R; from 0.998*R the I2 series would close its tail with
-        # the power-law model, and i_sums refuses
+        # the jet holds up to the branch point: both I1 routes and I2 match
+        # the closed forms to 1e-10 (I1 3.2e-13, I2 8.5e-13 at 0.9998*R)
         tree_ev = GreenEvaluator(request.getfixturevalue(measure))
         radius = F2_RADIUS if measure == "f2_srw" else z2z2z2_radius()
-        for frac in (0.99, 0.995, 0.997):
+        for frac in (0.99, 0.995, 0.997, *NEAR_RADIUS):
             r = frac * radius
             s = tree_ev.i_sums(r)
-            assert abs(s.i1 - i1(r)) / i1(r) < 1e-6
-            assert abs(s.i2 - i2(r)) / i2(r) < 1e-6
-        for frac in (0.998, 0.999):
-            with pytest.raises(NonConvergenceError) as err:
-                tree_ev.i_sums(frac * radius)
-            assert err.value.diagnostics["r"] == frac * radius
+            for got in (s.i1, s.i1_derivative):
+                assert abs(got - i1(r)) / i1(r) < 1e-10, (frac, got)
+            assert abs(s.i2 - i2(r)) / i2(r) < 1e-10, frac
+
+    def test_near_radius_matches_z2z3_closed_forms(self, z2z3_srw):
+        # not a tree walk: I1 and I2 from the oracle's exact jets of the
+        # quadratic for F_t, through i_sums and ratio_report
+        ev23 = GreenEvaluator(z2z3_srw)
+        grid = [frac * z2z3_radius() for frac in NEAR_RADIUS]
+        for row in ratio_report(ev23, grid).rows:
+            r = row.r
+            for got in (row.i1, row.dgreen):
+                assert abs(got - z2z3_i1(r)) / z2z3_i1(r) < 1e-10
+            assert abs(row.i2 - z2z3_i2(r)) / z2z3_i2(r) < 1e-10
+            assert abs(ev23.green((), (), r).value / z2z3_green(r) - 1) < 1e-12
 
     @pytest.mark.parametrize("measure, degree", [("f2_srw", 4), ("z2cubed_srw", 3)])
     def test_i1_sums_every_sphere(self, request, measure, degree):
@@ -236,28 +251,54 @@ class TestISums:
             assert abs(s.i1 - want) / want < 1e-12
             assert abs(s.i1 - s.i1_derivative) / want < 1e-12
 
-    def test_reads_each_unknown_series_once(self, f2_srw):
-        # F(e, a^k) is F(e, a)^k: the 4 unknowns' series are the only
-        # first-visit series one r needs
-        fresh = GreenEvaluator(f2_srw)
-        calls = []
-        read = fresh.table.first_visit_logs
-        fresh.table.first_visit_logs = lambda gamma: calls.append(gamma) or read(gamma)
-        fresh.i_sums(0.9 * fresh.R_hat)
-        assert len(calls) <= 4
-        assert len(set(calls)) == len(calls)
+    def test_one_newton_solve_per_r(self):
+        # G, every first passage, the jet, the untruncated factor weights,
+        # the pressure and the degeneracy verdict share the one least
+        # solution at r, solved from 0; F(e, a^k) is F(e, a)^k, so no
+        # other value is asked of the system
+        mu = _measure("f2")
+        fresh = GreenEvaluator(mu)
+        system, solves = mu.first_passage_system, []
+        newton = system._newton
+        system._newton = lambda r, x: solves.append((r, x.tolist())) or newton(r, x)
+        r = 0.9 * fresh.R_hat
+        fresh.i_sums(r)
+        fresh.green_batch(fresh.syllable_ids([((0, (3,)), (1, (-2,)))]), r)
+        pressure(mu, r), degeneracy_test(mu, r)
+        assert solves == [(r, [0.0] * 4)]
 
-    def test_refuses_near_radius(self, ev):
-        # at 0.999*R the I2 series would lean on its power-law tail, and at
-        # 0.9995*R the relative-sphere I1 and the series for d/dr (r G)
-        # disagree by more than I1_ROUTE_TOL; i_sums itself must refuse both
-        with pytest.raises(NonConvergenceError) as err:
-            ev.i_sums(0.999 * F2_RADIUS)
-        assert "I2 series" in str(err.value) and "power-law" in str(err.value)
-        assert err.value.diagnostics["r"] == 0.999 * F2_RADIUS
-        with pytest.raises(NonConvergenceError) as err:
-            ev.i_sums(0.9995 * F2_RADIUS)
-        assert err.value.diagnostics["rel_gap"] > 1e-3
+    def test_refuses_only_at_the_radius(self, ev):
+        # near R the jet and the relative spheres agree with each other and
+        # with the closed forms; inside R's bar I - J is singular, so the
+        # jet, and with it i_sums and ratio_report, refuses
+        for frac in NEAR_RADIUS:
+            r = frac * F2_RADIUS
+            (row,) = ratio_report(ev, [r]).rows
+            for got, want in ((row.i1, f2_i1(r)), (row.dgreen, f2_i1(r)), (row.i2, f2_i2(r))):
+                assert abs(got - want) / want < 1e-10, (frac, got, want)
+        for r in (*ev.system.bracket, ev.R_hat):
+            with pytest.raises(NonConvergenceError, match="I - J") as err:
+                ev.i_sums(r)
+            assert err.value.diagnostics["r"] == r
+            with pytest.raises(NonConvergenceError):
+                ratio_report(ev, [0.9 * r, r])
+        # G(e,e|R) itself is finite: no derivative is taken
+        assert abs(ev.green((), (), ev.R_hat).value / f2_green(F2_RADIUS) - 1) < 1e-7
+
+    @pytest.mark.parametrize("frac, reason", [(0.9, "I1 routes disagree"),
+                                              (0.98, "I2 series")])
+    def test_convolution_route_refuses(self, frac, reason, monkeypatch):
+        # off the system (Z^2 * Z2, horizon 30, ball 6) the series keep
+        # both refusals: the relative spheres against the derivative
+        # series, and the I2 series where it would close its tail with the
+        # power-law model, which is checked first.  A syllable cap of 3
+        # keeps the sphere sum fast: at the default cap the rank-2 factor
+        # asks about 1800 first-visit series, some 50 s
+        monkeypatch.setattr(green, "SYLLABLE_CAP", 3)
+        ev_conv = GreenEvaluator(_measure("z2sq_z2"), horizon=30, ball_bound=6)
+        with pytest.raises(NonConvergenceError, match=reason) as err:
+            ev_conv.i_sums(frac * ev_conv.R_hat)
+        assert err.value.diagnostics["r"] == frac * ev_conv.R_hat
 
     def test_requires_single_syllable_support(self, f2):
         from fractions import Fraction
@@ -352,12 +393,12 @@ class TestLeftInvariance:
 
 
 def syllable_weight(ev, syl, r):
-    """(F(e,u|r)^k, k * relative tail, n_terms) of one syllable, (u, k) its
-    unknown and power on the system: one entry of the evaluator's weight
-    table, computed on its own."""
+    """(F(e,u|r)^k, k * relative tail) of one syllable, (u, k) its unknown
+    and power on the system: one entry of the evaluator's weight table,
+    computed on its own."""
     u, k = monomial(ev.group, *syl) if ev.system else (syl, 1)
     f = ev.first_passage((), (u,), r)
-    return f.value**k, (k * f.tail / f.value if f.value else 0.0), f.n_terms
+    return f.value**k, (k * f.tail / f.value if f.value else 0.0)
 
 
 def reference_green(ev, gamma, r):
@@ -368,13 +409,12 @@ def reference_green(ev, gamma, r):
     gee = ev.green((), (), r)
     if not gamma or not ev.single_syllable_support:
         return ev.green((), gamma, r)
-    value, rel_tail, n_terms = gee.value, gee.tail / gee.value, gee.n_terms
+    value, rel_tail = gee.value, gee.tail / gee.value
     for syl in gamma:
-        w, rel, n = syllable_weight(ev, syl, r)
+        w, rel = syllable_weight(ev, syl, r)
         value *= w
         rel_tail += rel
-        n_terms = max(n_terms, n)
-    return GreenValue(value, abs(value) * rel_tail, "factored", n_terms)
+    return GreenValue(value, abs(value) * rel_tail, "factored")
 
 
 @pytest.fixture(scope="module", params=["f2", "z2z3", "z2z2z2", "f2_asym", "f2_lazy"])
@@ -400,7 +440,6 @@ class TestGreenBatch:
             g, ref = ev.green((), w, r), reference_green(ev, w, r)
             assert (v.hex(), t.hex()) == (g.value.hex(), g.tail.hex())
             assert (g.value.hex(), g.tail.hex()) == (ref.value.hex(), ref.tail.hex())
-            assert g.n_terms == ref.n_terms
 
     def test_empty_word_keeps_its_own_tail(self, batch_ev):
         ev = batch_ev
@@ -426,10 +465,11 @@ class TestGreenBatch:
         r = 0.9 * ev.R_hat
         ids = ev.syllable_ids([((0, (2,)), (1, (-1,))), ((1, (-1,)),), ()])
         assert ids.tolist() == [[1, 2], [2, 0], [0, 0]]
-        w, rel, n = ev.syllable_weights(r)
-        assert (w[0], rel[0], n[0]) == (1.0, 0.0, 0)
+        w, rel = ev.syllable_weights(r)
+        assert (w[0], rel[0]) == (1.0, 0.0)
         for i, syl in ((1, (0, (2,))), (2, (1, (-1,)))):
-            assert (w[i], rel[i], n[i]) == syllable_weight(ev, syl, r)
+            assert (w[i], rel[i]) == syllable_weight(ev, syl, r)
+            assert rel[i] == 0.0  # point values have no tail
 
 
 def _eval_series_loop(logs, r):
@@ -437,12 +477,12 @@ def _eval_series_loop(logs, r):
     logr = math.log(r) if r > 0 else -math.inf
     terms = [(n, lc + n * logr if n else lc) for n, lc in enumerate(logs) if lc > -math.inf]
     if not terms:
-        return 0.0, 0.0, "empty", 0
+        return 0.0, 0.0, "empty"
     peak = max(lt for _, lt in terms)
     value = math.exp(peak) * sum(math.exp(lt - peak) for _, lt in terms)
     finite = [(n, lt) for n, lt in terms if lt > -math.inf]
     if len(finite) < 4:
-        return value, 0.0, "none", len(terms)
+        return value, 0.0, "none"
     (n1, l1), (n2, l2) = finite[-2], finite[-1]
     q, last = math.exp(l2 - l1), math.exp(l2)
     if q < 0.995:
@@ -452,21 +492,22 @@ def _eval_series_loop(logs, r):
         j = np.arange(1, 200001)
         tail = float((last * qt_p**j * (n2 / (n2 + (n2 - n1) * j)) ** 1.5).sum())
         method = "power-law"
-    return value + tail, tail, method, len(terms)
+    return value + tail, tail, method
 
 
 class TestEvalSeries:
     def test_matches_the_term_loop(self, z2z3_srw):
         # same terms, same left-to-right order; only the exponentials move
-        # from libm to numpy, so the values agree to a few ulps
-        ev23 = GreenEvaluator(z2z3_srw)
-        r_hat = ev23.R_hat
+        # from libm to numpy, so the values agree to a few ulps.  The long
+        # series are the first-passage system's 4000 return coefficients
+        system = z2z3_srw.first_passage_system
+        r_hat, returns = system.radius, system.return_log_probs(4000)
         conv = GreenEvaluator(_measure("f2_two_letter"), horizon=30, ball_bound=6)
         cases = [
-            (ev23.table.log_coefficients(()), (0.0, 0.5 * r_hat, 0.9 * r_hat, r_hat)),
-            (ev23.table.first_visit_logs(((1, 2),)), (0.3, 0.99 * r_hat, r_hat)),
-            (_binomial_weighted(ev23.table.log_coefficients(()), 2), (0.95 * r_hat,)),
+            (returns, (0.0, 0.5 * r_hat, 0.9 * r_hat, r_hat)),
+            (_binomial_weighted(returns, 2), (0.95 * r_hat,)),
             (conv.table.log_coefficients(((0, (1,)),)), (0.5, 0.9 * conv.R_hat)),
+            (conv.table.first_visit_logs(((0, (1,)),)), (0.3, 0.99 * conv.R_hat)),
         ]
         for logs, grid in cases:
             for r in grid:
@@ -483,8 +524,9 @@ class TestEvalSeries:
 
 
 class TestTables:
-    """The first-passage system's table wherever the system covers the
-    measure, radial walks included; the convolution table elsewhere."""
+    """No table wherever the first-passage system covers the measure,
+    radial walks included: point values come from the system.  The
+    convolution table elsewhere."""
 
     @pytest.mark.parametrize(
         "measure, radius",
@@ -501,7 +543,7 @@ class TestTables:
         mu = _measure(measure)
         assert is_radial(mu) is not None
         ev_m = GreenEvaluator(mu)
-        assert isinstance(ev_m.table, AlgebraicGreenTable)
+        assert ev_m.table is None and ev_m.system is mu.first_passage_system
         assert ev_m.R_hat == mu.first_passage_system.radius
         assert abs(ev_m.R_hat - radius) < 1e-12
 
@@ -529,7 +571,7 @@ class TestTables:
 
     def test_z2z3_reads_the_first_passage_system(self, z2z3_srw):
         ev23 = GreenEvaluator(z2z3_srw)
-        assert isinstance(ev23.table, AlgebraicGreenTable)
+        assert ev23.table is None and ev23.system is z2z3_srw.first_passage_system
         assert ev23.horizon == 4000
         assert ev23.R_hat == z2z3_srw.first_passage_system.radius
         assert abs(ev23.R_hat - z2z3_radius()) / z2z3_radius() < 1e-12
@@ -545,7 +587,7 @@ class TestTables:
         with pytest.raises(DivergenceError):
             ev23.first_passage((), ((0, 1),), 1.001 * ev23.R_hat)
         at_r = ev23.green((), (), ev23.R_hat)
-        assert at_r.method == "series/power-law" and math.isfinite(at_r.value)
+        assert (at_r.tail, at_r.method) == (0.0, "point/newton") and math.isfinite(at_r.value)
         # the bound is the top of R's bar, as for ``point_passages`` (and
         # so the pressure and the verdict): hi is allowed, the next float not
         hi = z2z3_srw.first_passage_system.bracket[1]

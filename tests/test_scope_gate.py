@@ -18,7 +18,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freewalk"
 READERS = {
     ("walks.py", "StepMeasure.first_passage_system"),  # builds it, once per measure
     ("walks.py", "StepMeasure.route"),  # the gate
-    ("green.py", "GreenEvaluator.__init__"),  # series tables: system or convolution
+    ("green.py", "GreenEvaluator.__init__"),  # point values off the system, else the convolution table
     ("parabolic.py", "first_return_kernel"),  # kernel rows: system or path operator
     ("cli.py", "Shared.returns"),  # return sequence: system or exact convolution
 }
