@@ -260,8 +260,9 @@ class FirstPassageSystem:
         lower-triangular matrix, the inverse of I - T, solves every block.
         G follows by the same blocked renewal; its in-block inverse is the
         Toeplitz matrix of the coefficients of 1 / (1 - sum_{d<B} u_d r^d),
-        which are g_0..g_{B-1}.  Blocks always end at a multiple of B, so
-        the coefficients do not depend on how the horizon was reached.
+        which are g_0..g_{B-1}.  ``_first_block`` builds both matrices, once
+        per system.  Blocks always end at a multiple of B, so the
+        coefficients do not depend on how the horizon was reached.
         """
         if len(self._g) == 1:
             self._first_block()
@@ -274,27 +275,27 @@ class FirstPassageSystem:
         u, g = np.zeros(top), np.zeros(top)
         y[:, :have], w[:, :have] = self._y, self._w
         u[:have], g[:have] = self._u, self._g
-        solve = _lower_toeplitz(_block_inverse(a, cross, y, w))
         for k in range(have, top, B):
             # known[d, s] = sum_{j<k, k+d-1-j<k} y_j w_{k+d-1-j}; w is 0 from k
             known = np.empty((B, m))
             for s in range(m):
                 known[:, s] = np.correlate(w[s, : k + B - 1], y[s, k - 1 :: -1])
             known[0] += a @ y[:, k - 1]
-            y[:, k : k + B] = (solve @ known.ravel()).reshape(B, m).T
+            y[:, k : k + B] = (self._solve @ known.ravel()).reshape(B, m).T
             w[:, k : k + B] = cross @ y[:, k : k + B]
         # u_k = back . y_{k-1}, summed row by row so that each u_k has one
         # rounding whatever the range it was computed in
         u[have:] = sum(b * row for b, row in zip(back, y[:, have - 1 : -1]))
-        renewal = _lower_toeplitz(g[:B, None, None])
         for k in range(have, top, B):
-            g[k : k + B] = renewal @ np.correlate(u[1 : k + B], g[k - 1 :: -1])
+            g[k : k + B] = self._renewal @ np.correlate(u[1 : k + B], g[k - 1 :: -1])
         self._y, self._w, self._u, self._g = y, w, u, g
 
     def _first_block(self):
         """Coefficients 1..B-1, each from the ones below it, in the integer
         weights: d^k [r^k] of F_s, U and G, exact below 2^53 and free of R,
         then scaled by (R/d)^k.  Where d^(B-1) overflows, in the scaled weights.
+        Then the two lower-triangular matrices that solve every later block,
+        built once per system.
         """
         m, n = len(self.unknowns), B - 1
         z = float(self._d) if self._d**n < 2**1000 else self.radius
@@ -322,6 +323,10 @@ class FirstPassageSystem:
         scale = self.radius ** np.arange(B) / self._powers
         self._y, self._u, self._g = y * scale, u * scale, g * scale
         self._w = (self.radius * self._cross) @ self._y
+        # the in-block inverses of every later block (``_extend``)
+        self._solve = _lower_toeplitz(_block_inverse(
+            self.radius * self._a, self.radius * self._cross, self._y, self._w))
+        self._renewal = _lower_toeplitz(self._g[:, None, None])
 
     def scaled_green(self, horizon):
         """[r^n] G(e,e|r) R^n for n = 0..horizon."""

@@ -217,15 +217,12 @@ def llt_fit(log_probs, period, window, r_hat):
     finite-difference ratio estimator.
     """
     n_min, n_max = window
-    ns = [
-        n
-        for n in range(n_min, min(n_max, len(log_probs) - 1) + 1)
-        if n % period == 0 and math.isfinite(log_probs[n])
-    ]
+    log_probs = np.asarray(log_probs, dtype=float)
+    ns = np.arange(n_min, min(n_max, len(log_probs) - 1) + 1)
+    ns = ns[(ns % period == 0) & np.isfinite(log_probs[ns])]
     if len(ns) < 50:
         raise ValueError(f"only {len(ns)} usable lattice points in the window")
-    ns_arr = np.array(ns, dtype=float)
-    ys = np.array([log_probs[n] for n in ns])
+    ns_arr, ys = ns.astype(float), log_probs[ns]
 
     def joint(ns_a, ys_a):
         design = np.column_stack(
@@ -244,15 +241,13 @@ def llt_fit(log_probs, period, window, r_hat):
     coef2, *_ = np.linalg.lstsq(design2, pinned, rcond=None)
     alpha_fixed = float(coef2[1])
 
-    # finite-difference estimator on the upper half of the window
-    half = ns[len(ns) // 2 :]
-    diffs = []
-    for n0, n1 in zip(half, half[1:]):
-        dlp = log_probs[n1] - log_probs[n0]
-        diffs.append(-(dlp + (n1 - n0) * log_r) / (math.log(n1) - math.log(n0)))
-    alpha_ratio = float(np.median(diffs)) if diffs else math.nan
-
+    # finite-difference estimator on the upper half of the window, with
+    # math.log per index (np.log may round differently)
     mid = len(ns) // 2
+    logs = np.array([math.log(n) for n in ns[mid:].tolist()])
+    diffs = -(np.diff(ys[mid:]) + np.diff(ns[mid:]) * log_r) / np.diff(logs)
+    alpha_ratio = float(np.median(diffs))
+
     lo_coef, _ = joint(ns_arr[:mid], ys[:mid])
     hi_coef, _ = joint(ns_arr[mid:], ys[mid:])
 

@@ -5,10 +5,14 @@ Every size a run uses (horizon, r-grid) comes from the config, which
 every report identifies by its hash; reports also embed the package
 version, and identical config and version produce identical output files.
 ``report`` runs the other subcommands on one ``Shared``, so the Green
-evaluator and each return sequence are built once per run; a standalone
-subcommand builds its own.  ``walk`` and ``llt`` read the first-passage
-system where it covers the measure, else exact convolution; ``degeneracy``
-and ``pressure`` read it through ``StepMeasure.route`` and build no evaluator.
+evaluator and each return sequence are built once per run (the walk's
+coefficients are the ones the evaluator's radius estimate reads later);
+a standalone subcommand builds its own.  ``walk`` and ``llt`` read the
+first-passage system where it covers the measure, else exact convolution;
+``degeneracy`` and ``pressure`` read it through ``StepMeasure.route`` and
+build no evaluator.  ``walk.csv`` is written in one string, with the
+bytes ``csv.writer`` gives for its rows, and each JSON file from one
+``json.dumps``.
 """
 
 import argparse
@@ -71,18 +75,19 @@ def _report_header(cfg, args, started):
     }
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_text(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
     print(path)
+
+
+def _write_json(path, payload):
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(fh).writerows(rows)
     print(path)
 
 
@@ -91,14 +96,14 @@ def cmd_walk(cfg, args, shared):
     horizon = cfg.horizon
     seq = shared.returns(horizon)
     out = _out_dir(args)
-    rows = [["n", "p_n"]]
+    # the rows ``csv.writer`` writes (floats as repr), in one string
     if seq.values is not None:
-        for n, v in enumerate(seq.values):
-            rows.append([n, str(v)])
+        cells = map(str, seq.values)
     else:
-        for n, lv in enumerate(seq.log_values):
-            rows.append([n, math.exp(lv) if lv > -math.inf else 0.0])
-    _write_csv(out / f"{cfg.name}_walk.csv", rows)
+        cells = (repr(math.exp(lv)) if lv > -math.inf else "0.0"
+                 for lv in seq.log_values.tolist())
+    rows = "".join(f"{n},{c}\r\n" for n, c in enumerate(cells))
+    _write_text(out / f"{cfg.name}_walk.csv", "n,p_n\r\n" + rows)
     meta = _report_header(cfg, args, started)
     meta.update({"horizon": horizon, "method": seq.method,
                  "period": detect_period(seq)})

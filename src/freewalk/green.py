@@ -23,6 +23,7 @@ compared on every I-sum, and a disagreement is an error.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +39,9 @@ from .automaton import factor_matrix
 
 NEG_INF = -math.inf
 # largest relative gap allowed between the relative-sphere I1 and d/dr (r G),
-# from the jet or the return series, which equals I1 by the derivative identity
-I1_ROUTE_TOL = 1e-3
+# which equals I1 by the derivative identity: from the jet, where both routes
+# read the least solution, and from the return series off the system
+I1_POINT_TOL, I1_ROUTE_TOL = 1e-10, 1e-3
 # largest |k| of the lattice syllables a^k whose weights the relative-sphere
 # I1 sums off the first-passage system: F(e,a^k) F(a^k,e) falls
 # geometrically in |k| below R
@@ -275,33 +277,15 @@ class GreenEvaluator:
         self.group = measure.group
         self.system = measure.first_passage_system
         if self.system is not None:
-            # no table: R is the system's branch point, in its bar (lo, hi),
-            # and its return coefficients give the lower bound sup p_2n^(1/2n)
+            # no table: R is the system's branch point, in its bar (lo, hi)
             self.horizon, self.table = horizon or 4000, None
-            (lo, hi), R = self.system.bracket, self.system.radius
-            self.radius_estimate = SpectralRadiusEstimate(
-                rho_lower=_rho_lower(_even_terms(self.system.return_log_probs(self.horizon))),
-                rho_hat=1.0 / R, R_hat=R, rho_bracket=(1.0 / hi, 1.0 / lo),
-            )
-            self._r_max = hi
+            self._r_max = self.system.bracket[1]
         else:
             self.horizon = horizon or 80
             if ball_bound is None:
                 ball_bound = max(12, (self.horizon // 4) * measure.max_step_length)
             self.table = ConvolutionGreenTable(measure, self.horizon, ball_bound)
             self._return_logs = self.table.log_coefficients(self.group.identity)
-            # radius estimate from the first 61 powers of the same table;
-            # beyond n = 2*ball_bound/max_step the returns are slightly
-            # undercounted, which can only nudge R_hat upward
-            seq_h = min(self.horizon, 60)
-            self.radius_estimate = spectral_radius(walks.ReturnSequence(
-                horizon=seq_h,
-                method="exact",
-                values=[
-                    d.mass(self.group.identity)
-                    for d in self.table.dists[: seq_h + 1]
-                ],
-            ))
             self._r_max = self.R_hat
         self.single_syllable_support = all(
             len(g) <= 1 for g, _ in measure.support
@@ -311,9 +295,28 @@ class GreenEvaluator:
         self._syllable_index = {}  # syllable -> id >= 1; id 0 pads a word
         self._syllable_tables = {}  # r -> syllable_weights(r)
 
+    @cached_property
+    def radius_estimate(self):
+        """R_hat and its bar, built on first read.  On the system: R, its
+        bracket, and sup p_2n^(1/2n) over its first ``horizon`` return
+        coefficients.  Else from the first 61 powers of the table; beyond
+        n = 2*ball_bound/max_step the returns are slightly undercounted,
+        which can only nudge R_hat upward."""
+        if self.system is not None:
+            (lo, hi), R = self.system.bracket, self.system.radius
+            return SpectralRadiusEstimate(
+                rho_lower=_rho_lower(_even_terms(self.system.return_log_probs(self.horizon))),
+                rho_hat=1.0 / R, R_hat=R, rho_bracket=(1.0 / hi, 1.0 / lo),
+            )
+        seq_h = min(self.horizon, 60)
+        return spectral_radius(walks.ReturnSequence(
+            horizon=seq_h, method="exact",
+            values=[d.mass(self.group.identity) for d in self.table.dists[: seq_h + 1]],
+        ))
+
     @property
     def R_hat(self):
-        return self.radius_estimate.R_hat
+        return self.radius_estimate.R_hat if self.system is None else self.system.radius
 
     def _check_r(self, r):
         # the top of R's bar on the system, as in ``point_passages``; else
@@ -478,7 +481,8 @@ class GreenEvaluator:
         (``algebraic.factor_weights``) and capped at ``SYLLABLE_CAP`` on
         lattice factors off it.  I1 also equals d/dr (r G(e,e|r))
         (``green_derivative``); ``NonConvergenceError`` is raised when the
-        two differ by more than ``I1_ROUTE_TOL`` relative.
+        two differ by more than ``I1_POINT_TOL`` relative on the system,
+        ``I1_ROUTE_TOL`` off it.
 
         I2 = (1/2) d^2/dr^2 (r^2 G(e,e|r)) = G + 2 r G' + r^2 G'' / 2 from
         the system's jet, which refuses inside R's bar; off the system the
@@ -489,6 +493,7 @@ class GreenEvaluator:
         if self.system is not None:
             g, dg, ddg = self.system.green_jet(r)
             i1, i2, method = g + r * dg, g + 2.0 * r * dg + 0.5 * r * r * ddg, "point/jet"
+            tol = I1_POINT_TOL
             t = factor_weights(self.group, point_passages(self.measure, r))
         else:
             i2, tail, tag = _eval_series(_binomial_weighted(self._return_logs, 2), r)
@@ -499,18 +504,18 @@ class GreenEvaluator:
                     f"would set {tail / i2:.1%} of the value",
                     diagnostics={"r": float(r), "i2": i2, "i2_tail": tail},
                 )
-            i1, method = self.green_derivative(r).value, f"series/{tag}"
+            i1, method, tol = self.green_derivative(r).value, f"series/{tag}", I1_ROUTE_TOL
             t = self.factor_sums([
                 f.nontrivial_elements(SYLLABLE_CAP if f.kind == "lattice" else None)
                 for f in self.group.factors
             ], r)
         total = self.h_value((), r) * (1.0 + _sphere_sum(t, r))
         rel_gap = abs(total - i1) / i1
-        if rel_gap > I1_ROUTE_TOL:
+        if rel_gap > tol:
             raise NonConvergenceError(
                 f"I1 routes disagree at r = {r:.10g}: relative spheres give "
                 f"{total:.8g}, d/dr(rG) gives {i1:.8g}, relative gap "
-                f"{rel_gap:.2e} > {I1_ROUTE_TOL:g}",
+                f"{rel_gap:.2e} > {tol:g}",
                 diagnostics={"r": float(r), "i1_spheres": total,
                              "i1_derivative": i1, "rel_gap": rel_gap},
             )

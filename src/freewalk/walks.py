@@ -678,9 +678,6 @@ class ReturnSequence:
                 [math.log(v) if v > 0 else -math.inf for v in self.values]
             )
 
-    def nonzero_indices(self):
-        return [n for n in range(1, self.horizon + 1) if self.log_values[n] > -math.inf]
-
 
 def return_probabilities(measure, horizon, method="exact"):
     """p_n(e,e) for n = 0..horizon: exact, or from the coefficients of the
@@ -747,10 +744,7 @@ def _exact_returns(measure, horizon):
 
 def detect_period(seq):
     """Period gcd{n >= 1 : p_n(e,e) > 0} over the available horizon."""
-    positive = seq.nonzero_indices()
-    if not positive:
+    positive = np.flatnonzero(seq.log_values[1 : seq.horizon + 1] > -math.inf) + 1
+    if not len(positive):
         raise DegenerateInputError("no positive return probability found")
-    p = 0
-    for n in positive:
-        p = math.gcd(p, n)
-    return p
+    return math.gcd(*positive.tolist())

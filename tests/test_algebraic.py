@@ -274,6 +274,24 @@ class TestCoefficients:
                 want = [b[: 8 * (second + 1)] for b in whole]
                 assert _series(system, second) == want, (name, first, second)
 
+    @pytest.mark.parametrize("name", ["f2", "z2z3", "z2z2z2"])
+    def test_growth_path_leaves_every_series_unchanged(self, name, monkeypatch):
+        # the shipped configs' systems grown to 100, then 4000, then 5000
+        # (the report's old path, through the evaluator's 4000) hold every
+        # series bit for bit as grown to 5000 at once, and build the block
+        # inverse once, with the first block
+        whole, stepped, inverses = _system(name), _system(name), []
+        whole._extend(5000)
+        block_inverse = algebraic._block_inverse
+        monkeypatch.setattr(algebraic, "_block_inverse",
+                            lambda *a: inverses.append(1) or block_inverse(*a))
+        for n in (100, 4000, 5000):
+            stepped._extend(n)
+        assert len(inverses) == 1
+        for key in ("_y", "_w", "_u", "_g"):
+            got, want = getattr(stepped, key), getattr(whole, key)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+
     @pytest.mark.parametrize("name", ["z2z3", "f2"])
     def test_first_block_frozen(self, name):
         system, want = _system(name), FIRST_BLOCK[name]

@@ -18,9 +18,11 @@ from freewalk.audit import (
 )
 from freewalk.config import load_config
 from freewalk.green import GreenEvaluator
+from freewalk.walks import detect_period, return_probabilities
 
 from oracles import synthetic_log_probs
 from test_green import reference_green
+from test_path_operator import _measure
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -199,7 +201,61 @@ class TestAnconaBatch:
         assert peaks[-1] - peaks[1] < 4096, list(peaks)
 
 
+def _llt_fit_loop(log_probs, period, window, r_hat):
+    """``llt_fit`` as it picked its window and formed the ratio estimator
+    one index at a time: the reference its array pass must equal."""
+    n_min, n_max = window
+    ns = [
+        n
+        for n in range(n_min, min(n_max, len(log_probs) - 1) + 1)
+        if n % period == 0 and math.isfinite(log_probs[n])
+    ]
+    ns_arr = np.array(ns, dtype=float)
+    ys = np.array([log_probs[n] for n in ns])
+
+    def joint(ns_a, ys_a):
+        design = np.column_stack([np.ones_like(ns_a), -ns_a, -np.log(ns_a)])
+        coef, *_ = np.linalg.lstsq(design, ys_a, rcond=None)
+        resid = ys_a - design @ coef
+        return coef, math.sqrt(float(resid @ resid) / len(ys_a))
+
+    coef, rms = joint(ns_arr, ys)
+    log_r = math.log(r_hat)
+    design2 = np.column_stack([np.ones_like(ns_arr), -np.log(ns_arr)])
+    coef2, *_ = np.linalg.lstsq(design2, ys + ns_arr * log_r, rcond=None)
+    half = ns[len(ns) // 2 :]
+    diffs = []
+    for n0, n1 in zip(half, half[1:]):
+        dlp = log_probs[n1] - log_probs[n0]
+        diffs.append(-(dlp + (n1 - n0) * log_r) / (math.log(n1) - math.log(n0)))
+    mid = len(ns) // 2
+    lo_coef, _ = joint(ns_arr[:mid], ys[:mid])
+    hi_coef, _ = joint(ns_arr[mid:], ys[mid:])
+    return audit.LltFit(
+        alpha=float(coef[2]), log_r=float(coef[1]), intercept=float(coef[0]),
+        alpha_fixed=float(coef2[1]), alpha_ratio=float(np.median(diffs)),
+        r_hat_used=r_hat, window=(n_min, n_max), period=period,
+        residual_rms=rms, window_halves=(float(lo_coef[2]), float(hi_coef[2])),
+    )
+
+
 class TestLltFit:
+    @pytest.mark.parametrize("case", ["f2", "z2z3", "period1", "period2"])
+    def test_equals_the_index_loop(self, case):
+        # every field bit for bit (repr tells floats apart to the last
+        # bit): the report's two walks to n = 5000 on their system's R,
+        # and synthetic sequences fitted at an r_hat off their growth
+        if case in ("f2", "z2z3"):
+            mu = _measure(case)
+            seq = return_probabilities(mu, 5000, method="algebraic")
+            args = (seq.log_values, detect_period(seq), (500, 5000),
+                    mu.first_passage_system.radius)
+        else:
+            period = int(case[-1])
+            logs = synthetic_log_probs(1.5, 1.2, 3000, period=period, c=0.7)
+            args = (logs, period, (300, 2999), 1.19)
+        assert repr(llt_fit(*args)) == repr(_llt_fit_loop(*args))
+
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
     @pytest.mark.parametrize("growth", [1.05, 1.2, 2.0])
     def test_recovers_synthetic_exponent(self, alpha, growth):

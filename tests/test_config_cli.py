@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freewalk import green
+from freewalk import algebraic, green
 from freewalk.algebraic import FirstPassageSystem
 from freewalk.cli import build_parser, main
 from freewalk.config import ConfigError, parse_config
@@ -345,6 +346,36 @@ class TestCliOutputs:
         assert meta["tool_version"]
         assert meta["config_hash"]
 
+    @pytest.mark.parametrize("name", ["f2_srw", "z2sq_z2"])
+    def test_walk_csv_bytes_equal_the_csv_writer(self, name, tmp_path):
+        # walk.csv is written as one string; its bytes are those of the
+        # csv.writer rows it replaced: floats by repr, "0.0" where p_n is
+        # 0, and exact Fractions by str.  The f2 walk to n = 5000 has zero
+        # rows (odd n) and subnormal ones (p_n below 2.2e-308 from n = 4848)
+        if name == "f2_srw":
+            path = Path(__file__).resolve().parents[1] / "configs" / "f2_srw.json"
+        else:
+            path = _z2sq_z2_config(tmp_path)
+            path.write_text(json.dumps(dict(json.loads(path.read_text()), horizon=20)))
+        cfg = parse_config(json.loads(path.read_text()))
+        out = tmp_path / "out"
+        assert main(["walk", "--config", str(path), "--out", str(out)]) == 0
+        method = "algebraic" if cfg.measure.first_passage_system else "exact"
+        seq = return_probabilities(cfg.measure, cfg.horizon, method=method)
+        rows = [["n", "p_n"]]
+        if seq.values is not None:
+            for n, v in enumerate(seq.values):
+                rows.append([n, str(v)])
+        else:
+            for n, lv in enumerate(seq.log_values):
+                rows.append([n, math.exp(lv) if lv > -math.inf else 0.0])
+        want = io.StringIO(newline="")
+        csv.writer(want).writerows(rows)
+        assert (out / f"{cfg.name}_walk.csv").read_bytes() == want.getvalue().encode()
+        if name == "f2_srw":
+            ps = [p for _, p in rows[1:]]
+            assert 0.0 in ps and any(0.0 < p < sys.float_info.min for p in ps)
+
     def test_green_outputs(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         assert main(["green", "--config", cfg_path, "--out", str(out)]) == 0
@@ -383,6 +414,21 @@ class TestCliOutputs:
             assert a == b
 
 
+def _count_growth(monkeypatch):
+    """The horizons of the ``_extend`` calls that grow a system's coefficients."""
+    grown = []
+    extend = FirstPassageSystem._extend
+
+    def counted_extend(self, n):
+        before = len(self._g)
+        extend(self, n)
+        if len(self._g) != before:
+            grown.append(n)
+
+    monkeypatch.setattr(FirstPassageSystem, "_extend", counted_extend)
+    return grown
+
+
 class TestReportSharing:
     def test_report_writes_what_the_subcommands_write(
         self, cfg_path, tmp_path, monkeypatch
@@ -417,25 +463,17 @@ class TestReportSharing:
             assert timeless(together / name) == timeless(alone / name), name
 
     def test_report_walk_equals_a_standalone_walk(self, tmp_path, monkeypatch):
-        # report grows the coefficients in two steps (the Green evaluator's
-        # horizon, then the walk's), a standalone walk in one; the rows
-        # must not depend on the path taken
+        # report grows the coefficients once, to the walk's horizon (the
+        # evaluator reads its 4000 for rho_lower_bound later, from them),
+        # and a standalone walk once; that the coefficients do not depend
+        # on the growth path is ``test_algebraic``'s to check
         path = Path(__file__).resolve().parents[1] / "configs" / "z2z3.json"
-        grown = []
-        extend = FirstPassageSystem._extend
-
-        def counted_extend(self, n):
-            before = len(self._g)
-            extend(self, n)
-            if len(self._g) != before:
-                grown.append(n)
-
-        monkeypatch.setattr(FirstPassageSystem, "_extend", counted_extend)
+        grown = _count_growth(monkeypatch)
         together, alone = tmp_path / "report", tmp_path / "alone"
         assert main(["report", "--config", str(path), "--out", str(together)]) == 0
-        assert len(grown) == 2
+        assert len(grown) == 1
         assert main(["walk", "--config", str(path), "--out", str(alone)]) == 0
-        assert len(grown) == 3
+        assert len(grown) == 2
         assert (together / "z2z3_walk.csv").read_bytes() == (
             alone / "z2z3_walk.csv"
         ).read_bytes()
@@ -445,6 +483,18 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_report_exits_zero(self, path, tmp_path):
         assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_report_grows_the_coefficients_once(self, path, tmp_path, monkeypatch):
+        # one growth step, to the walk's horizon, and one block inverse,
+        # built with the first block and reused by every later one
+        grown, inverses = _count_growth(monkeypatch), []
+        block_inverse = algebraic._block_inverse
+        monkeypatch.setattr(algebraic, "_block_inverse",
+                            lambda *a: inverses.append(1) or block_inverse(*a))
+        assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert grown == [json.loads(path.read_text())["horizon"]]
+        assert len(inverses) == 1
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_pressure_keeps_the_benchmark_fields(self, path, tmp_path):

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from freewalk import green
 from freewalk.algebraic import monomial
-from freewalk.audit import ratio_report, syllable_choices
+from freewalk.audit import ancona_audit, ratio_report, syllable_choices
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
 from freewalk.green import (
     ConvolutionGreenTable,
@@ -36,7 +36,7 @@ from oracles import (
     z2z3_i2,
     z2z3_radius,
 )
-from test_path_operator import _measure
+from test_path_operator import _measure, _single_syllable_measures
 
 NEAR_RADIUS = (0.999, 0.9995, 0.9998)
 
@@ -266,6 +266,50 @@ class TestISums:
         fresh.green_batch(fresh.syllable_ids([((0, (3,)), (1, (-2,)))]), r)
         pressure(mu, r), degeneracy_test(mu, r)
         assert solves == [(r, [0.0] * 4)]
+
+    def test_reads_no_coefficient(self):
+        # the evaluator's radius estimate is built on first read, so
+        # i_sums and the Ancona audit extend no coefficient; read, its
+        # rho_lower_bound is sup p_n^(1/n) over the even n <= 4000
+        mu = _measure("f2")
+        fresh, system = GreenEvaluator(mu), mu.first_passage_system
+        fresh.i_sums(0.9 * fresh.R_hat)
+        ancona_audit(fresh, [0.9 * fresh.R_hat], n_triples=20)
+        assert len(system._g) == 1
+        logs = system.return_log_probs(4000)
+        want = max(math.exp(logs[n] / n) for n in range(2, 4001, 2))
+        assert fresh.radius_estimate.rho_lower == want
+        assert fresh.R_hat == system.radius == fresh.radius_estimate.R_hat
+
+    def test_route_check_refuses_a_perturbed_jet(self, monkeypatch):
+        # on the system both I1 routes read the least solution, so they
+        # must agree to 1e-10: G' scaled by 1 + 1e-8 is refused
+        mu = _measure("f2")
+        fresh, system = GreenEvaluator(mu), mu.first_passage_system
+        r, jet = 0.9 * fresh.R_hat, system.green_jet
+        s = fresh.i_sums(r)
+        assert abs(s.i1 - s.i1_derivative) / s.i1 < 1e-13
+
+        def perturbed(r, order=2):
+            out = jet(r, order)
+            out[1] *= 1 + 1e-8
+            return out
+
+        monkeypatch.setattr(system, "green_jet", perturbed)
+        with pytest.raises(NonConvergenceError, match="I1 routes disagree") as err:
+            fresh.i_sums(r)
+        assert 1e-10 < err.value.diagnostics["rel_gap"] < 1e-8
+
+    @settings(max_examples=30, deadline=None)
+    @given(mu=_single_syllable_measures())
+    def test_routes_agree_on_random_measures(self, mu):
+        # the 1e-10 route check holds up to 0.9999 R on measures in the
+        # system's scope (3.2e-14 at most over 279 drawn measures)
+        assume(mu.first_passage_system is not None)
+        rand_ev = GreenEvaluator(mu)
+        for frac in (0.5, 0.9, 0.999, 0.9999):
+            s = rand_ev.i_sums(frac * rand_ev.R_hat)
+            assert abs(s.i1 - s.i1_derivative) / s.i1 < 1e-12
 
     def test_refuses_only_at_the_radius(self, ev):
         # near R the jet and the relative spheres agree with each other and

@@ -2,11 +2,13 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freewalk.errors import GroupSpecError
+from freewalk.errors import DegenerateInputError, GroupSpecError
 from freewalk.walks import (
+    ReturnSequence,
     StepMeasure,
     convolve_powers,
     detect_period,
@@ -165,3 +167,24 @@ class TestPeriod:
         seq = return_probabilities(z2z3_srw, 12)
         assert seq.values[3] > 0
         assert detect_period(seq) == 1
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=60), st.integers(1, 6))
+    def test_equals_the_gcd_loop(self, returns, step):
+        # positive p_n at step * (index + 1) where ``returns`` holds, as the
+        # loop over n >= 1 found them
+        horizon = step * len(returns)
+        logs = np.full(horizon + 1, -math.inf)
+        logs[0] = 0.0
+        for i, positive in enumerate(returns):
+            if positive:
+                logs[step * (i + 1)] = -1.0
+        seq = ReturnSequence(horizon=horizon, method="algebraic", log_values=logs)
+        p = 0
+        for n in range(1, horizon + 1):
+            if logs[n] > -math.inf:
+                p = math.gcd(p, n)
+        if p == 0:
+            with pytest.raises(DegenerateInputError):
+                detect_period(seq)
+        else:
+            assert detect_period(seq) == p
