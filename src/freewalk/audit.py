@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 DEVIATION_FLOOR = 1e-9
-# largest summed relative tail of a triple's four Green values; a triple
-# past it is skipped
+# largest summed relative tail of the four Green values of a triple or a
+# quadruple; one past it is skipped, as is one with a zero value
 TAIL_TOL = 0.05
 # slack below 1, on top of three times that tail, for the triple bound
 LOWER_TOL = 1e-9
@@ -151,23 +151,24 @@ def _ancona_at(evaluator, r, seed, ids, n_drawn, ns):
     gee = evaluator.green((), (), r)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(values != 0, tails / values, math.inf)
-    gxz, gxy, gyz = (values[k : 3 * n_drawn : 3] for k in range(3))
     rxz, rxy, ryz = (rel[k : 3 * n_drawn : 3] for k in range(3))
     rel_tail = rxz + rxy + ryz + (gee.tail / gee.value if gee.value else math.inf)
     kept = ~(rel_tail > TAIL_TOL)
-    ratio = ((gxz * gee.value) / (gxy * gyz))[kept]
+    gxz, gxy, gyz = (values[k : 3 * n_drawn : 3][kept] for k in range(3))
+    ratio = (gxz * gee.value) / (gxy * gyz)
     # the bound is checked up to the propagated series tolerance
     ok = int(np.count_nonzero(ratio >= 1.0 - (LOWER_TOL + 3.0 * rel_tail[kept])))
     ratios = ratio.tolist()
 
-    g1, g2, g3, g4 = (values[3 * n_drawn + k :: 4] for k in range(4))
+    kept = ~(sum(rel[3 * n_drawn + k :: 4] for k in range(4)) > TAIL_TOL)
+    g1, g2, g3, g4 = (values[3 * n_drawn + k :: 4][kept] for k in range(4))
     devs = np.abs((g1 * g2) / (g3 * g4) - 1.0)
     below_floor = bool(np.all(devs <= DEVIATION_FLOOR))
     if below_floor or len(devs) < 2:
         rho, c = 0.0, 0.0
     else:
         above = devs > DEVIATION_FLOOR
-        ns = np.array(ns, dtype=float)[above]
+        ns = np.array(ns, dtype=float)[kept][above]
         logs = np.array([math.log(d) for d in devs[above].tolist()])
         design = np.column_stack([np.ones_like(ns), ns])
         coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
@@ -246,7 +247,9 @@ def llt_fit(log_probs, period, window, r_hat):
     mid = len(ns) // 2
     logs = np.array([math.log(n) for n in ns[mid:].tolist()])
     diffs = -(np.diff(ys[mid:]) + np.diff(ns[mid:]) * log_r) / np.diff(logs)
-    alpha_ratio = float(np.median(diffs))
+    # the median, from the sorted differences: np.median would import numpy.ma
+    s, k = np.sort(diffs), len(diffs) // 2
+    alpha_ratio = float(s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2)
 
     lo_coef, _ = joint(ns_arr[:mid], ys[:mid])
     hi_coef, _ = joint(ns_arr[mid:], ys[mid:])

@@ -42,10 +42,6 @@ NEG_INF = -math.inf
 # which equals I1 by the derivative identity: from the jet, where both routes
 # read the least solution, and from the return series off the system
 I1_POINT_TOL, I1_ROUTE_TOL = 1e-10, 1e-3
-# largest |k| of the lattice syllables a^k whose weights the relative-sphere
-# I1 sums off the first-passage system: F(e,a^k) F(a^k,e) falls
-# geometrically in |k| below R
-SYLLABLE_CAP = 30
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +136,11 @@ class ConvolutionGreenTable:
         self.ball_bound = ball_bound
         self.dists = walks.convolve_powers(measure, horizon, ball_bound=ball_bound)
         self._cache = {}
+
+    @property
+    def visit_radius(self):
+        """Largest word length with a first visit: one step past the ball."""
+        return self.ball_bound + self.measure.max_step_length
 
     def log_coefficients(self, gamma):
         if gamma not in self._cache:
@@ -478,8 +479,9 @@ class GreenEvaluator:
         syllables' weights F(e,s|r) F(s,e|r), so the relative spheres
         form a geometric matrix series and I1 = h_ee (1 + 1^T (I - M)^-1 t)
         (``_sphere_sum``), t untruncated on the system
-        (``algebraic.factor_weights``) and capped at ``SYLLABLE_CAP`` on
-        lattice factors off it.  I1 also equals d/dr (r G(e,e|r))
+        (``algebraic.factor_weights``) and, off it, over the lattice
+        syllables the table's first visits reach (``visit_radius``): every
+        other one has F = 0.  I1 also equals d/dr (r G(e,e|r))
         (``green_derivative``); ``NonConvergenceError`` is raised when the
         two differ by more than ``I1_POINT_TOL`` relative on the system,
         ``I1_ROUTE_TOL`` off it.
@@ -506,7 +508,7 @@ class GreenEvaluator:
                 )
             i1, method, tol = self.green_derivative(r).value, f"series/{tag}", I1_ROUTE_TOL
             t = self.factor_sums([
-                f.nontrivial_elements(SYLLABLE_CAP if f.kind == "lattice" else None)
+                f.nontrivial_elements(self.table.visit_radius if f.kind == "lattice" else None)
                 for f in self.group.factors
             ], r)
         total = self.h_value((), r) * (1.0 + _sphere_sum(t, r))

@@ -3,7 +3,7 @@
 Elements are kept in normal form: a tuple of syllables ``(factor_id, payload)``
 with adjacent syllables from distinct factors and no identity syllables.  The
 empty tuple is the group identity.  The word metric ``d`` (sum of factor word
-lengths) has balls and spheres here.  The relative metric ``d_hat`` is the
+lengths) has its balls here.  The relative metric ``d_hat`` is the
 syllable count, so the relative length of a normal form is its ``len``: the
 graph metric of the Cayley graph with every factor added wholesale to the
 generating set, whose capped spheres ``automaton`` builds as the paths of the
@@ -250,12 +250,6 @@ class FreeProduct:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         return sorted(self._word_ball(radius, budget), key=self.canonical_key)
-
-    def sphere(self, radius, budget=10**7):
-        """The elements at word distance exactly ``radius`` from e,
-        canonically ordered: ``ball(radius)`` filtered.  The capped relative
-        spheres are the paths of the coded shift (``automaton``)."""
-        return [g for g in self.ball(radius, budget) if self.word_length(g) == radius]
 
     def _word_ball(self, radius, budget):
         gens = self.generators()

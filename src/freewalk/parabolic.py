@@ -18,12 +18,12 @@ the row is read off the system's coefficients, exactly (integer
 coefficients, for rational r) or in floats, and no ball truncates it.
 Every other measure (multi-syllable steps, Z^d factors with d >= 2) runs
 ``walks.PathOperator`` with H_k as its absorbing set over the states of a
-word ball: its exact propagator (integer numerators, rational r folded
-into the steps) additionally prunes by remaining steps (a state farther
-from H_k than the steps left cannot contribute, so the prune is
-lossless), and its float propagator needs an explicit ball.
-``chain_size`` records the unknowns of the system, or the states (exact)
-or blocks and sinks (float) of the state chain.  Truncation only removes
+word ball, in one stepping loop (``PathOperator.absorb``): exact mode
+(integer numerators, rational r folded into the steps) additionally
+prunes by remaining steps (a state farther from H_k than the steps left
+cannot contribute, so the prune is lossless), and float mode steps every
+state of an explicit ball.  ``chain_size`` records the unknowns of the
+system, or the states the state chain interns.  Truncation only removes
 non-negative path weights, so a truncated kernel's spectral radius is a
 lower bound for the untruncated one's.
 
@@ -67,7 +67,7 @@ class ReturnKernel:
     in_flight_mass: object  # weight still outside H_k at step L
     escaped_mass: object  # weight dropped at the ball boundary
     exact: bool
-    chain_size: int  # unknowns of the first-passage system, else states or blocks
+    chain_size: int  # unknowns of the first-passage system, else states interned
 
 
 def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=None):
@@ -92,20 +92,11 @@ def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=
         if not exact and ball_radius is None:
             raise ValueError("float mode needs an explicit ball_radius")
         op = PathOperator(measure, ball_radius, r, factor=factor_id)
-        result = (op.exact_absorb if exact else op.float_absorb)(max_len)
+        result = op.absorb(max_len, exact)
     row, returned, in_flight, escaped, chain_size = result
-    return ReturnKernel(
-        factor_id=factor_id,
-        r=r,
-        max_len=max_len,
-        ball_radius=ball_radius if ball_radius is not None else -1,
-        row=row,
-        returned_mass=returned,
-        in_flight_mass=in_flight,
-        escaped_mass=escaped,
-        exact=exact,
-        chain_size=chain_size,
-    )
+    ball = -1 if ball_radius is None else ball_radius
+    return ReturnKernel(factor_id, r, max_len, ball, row, returned, in_flight, escaped,
+                        exact, chain_size)
 
 
 def _series_kernel(measure, system, k, r, n):

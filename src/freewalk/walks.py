@@ -8,12 +8,11 @@ reach check of a step measure.  It sends steps that leave the word ball to
 an escape sink and harvests mass that reaches an absorbing set (a factor,
 or one element).  Elements are nodes of a word tree keyed by (prefix node,
 last syllable code), after the cut-vertex structure of a free product
-(Woess 2000), and the ball is expanded one level at a time in numpy: a
+(Woess 2000), and the ball is expanded one step at a time in numpy: a
 step is a lookup in its syllable's merge table, and no word is
-multiplied, measured or hashed.  The exact propagator keeps integer
-numerators over a power denominator and does each step as one product
-and one grouped sum over object arrays; the float propagator applies a
-weighted transition list once per step.
+multiplied, measured or hashed.  One stepping loop carries integer
+numerators over a power denominator or float masses, and does each step
+as one product and one grouped sum.
 
 Exact return probabilities meet in the middle: p_{a+b}(e,e) pairs mu^{*a}
 with the powers of the reflected measure g -> mu(g^-1) (mu itself when it
@@ -80,7 +79,7 @@ class StepMeasure:
         except BudgetError:
             return
         op = PathOperator(self, ball_bound=3)
-        for _ in op.exact_steps(3 * max(1, self.max_step_length) + 3):
+        for _ in op.steps(3 * max(1, self.max_step_length) + 3):
             pass
         if not target <= set(op.elements()):
             warnings.warn(
@@ -267,11 +266,10 @@ class PathOperator:
     Mass that reaches an absorbing state is harvested under its label and
     not propagated; e starts every path even when it is absorbing.
 
-    ``exact_steps`` keeps integer numerators over ``denominator ** n``,
-    with the rational r folded into the step numerators, and expands the
-    states new at each step as one batch (``exact_absorb`` sums them).
-    ``float_absorb`` expands the ball one level at a time and applies one
-    transition list over its live states per step.
+    ``steps`` is the one propagator: it keeps integer numerators over
+    ``denominator ** n`` (the rational r folded into the step numerators)
+    or float masses, and expands the states new at each step as one batch;
+    ``absorb`` sums what it harvests.
     Element tuples are built only by ``elements``.  Operators built on one
     ``tree`` share its node ids, so their states pair by node.
     """
@@ -391,43 +389,54 @@ class PathOperator:
             out[new] = res
         return out.reshape(len(src), len(self._moves))
 
-    def exact_steps(self, n, prune=False):
+    def steps(self, n, prune=False, exact=True):
         """Yield (ids, nums, hits, escaped) after each of steps 1..n.
 
-        ``ids`` are the in-flight states, in the order the step's paths
-        first reach them, and ``nums`` (an object array) their integer
-        numerators; ``hits`` maps labels to the numerators absorbed at
-        this step, and ``escaped`` is the numerator that left the ball at
-        this step, all over ``denominator ** step``.  The states new to a
-        step are expanded as one batch, and the step itself is one
-        product and one grouped sum over the rows of its states.  With
-        ``prune``, a state farther from H_k than the steps left can cover
-        (each step moves at most ``max_step_length``) is dropped, and not
-        added: it cannot be absorbed in time, so the prune loses no
-        absorbed mass.
+        ``ids`` are the in-flight states and ``nums`` their masses; ``hits``
+        maps labels to the mass absorbed at this step, and ``escaped`` is
+        the mass that left the ball at this step.  Exact mode keeps integer
+        numerators (an object array) over ``denominator ** step``, with ids
+        in the order the step's paths first reach them; float mode keeps
+        the masses of ``float_weights``, with ids in state order and only
+        where the mass is nonzero.  The states new to a step are expanded
+        as one batch, and the step itself is one product over the rows of
+        its states and one grouped sum: exact numerators grouped by a sort,
+        float masses by one ``np.bincount`` with the escape sink in slot 0,
+        which adds in (state, step) order.  With ``prune`` (exact mode
+        only), a state farther from H_k than the steps left can cover (each
+        step moves at most ``max_step_length``) is dropped, and not added:
+        it cannot be absorbed in time, so the prune loses no absorbed mass.
         """
-        weights = np.array(self.numerators, dtype=object)
+        weights = np.array(self.numerators if exact else self.float_weights,
+                           dtype=object if exact else float)
         rows = np.zeros((0, len(weights)), np.int64)
         expanded = np.zeros(0, bool)
-        ids, nums = np.zeros(1, np.int64), np.ones(1, dtype=object)
+        ids, nums = np.zeros(1, np.int64), np.ones(1, dtype=weights.dtype)
         for step in range(1, n + 1):
             reach = (n - step) * self.max_step_length
             grow = self.size - len(rows)
-            rows = np.concatenate([rows, np.zeros((grow, len(weights)), np.int64)])
-            expanded = np.concatenate([expanded, np.zeros(grow, bool)])
+            if grow:
+                rows = np.concatenate([rows, np.zeros((grow, len(weights)), np.int64)])
+                expanded = np.concatenate([expanded, np.zeros(grow, bool)])
             fresh = ids[~expanded[ids]]
             if len(fresh):
                 rows[fresh] = self._expand(fresh, reach if prune else None)
                 expanded[fresh] = True
-            targets = rows[ids].ravel()
+            targets = rows.take(ids, axis=0).ravel()
             mass = (nums[:, None] * weights).ravel()
-            escaped = mass[targets == -1].sum()
-            live = np.flatnonzero(targets >= 0)
-            order = live[np.argsort(targets[live], kind="stable")]
-            targets = targets[order]
-            starts = np.flatnonzero(np.diff(targets, prepend=-1))
-            sums = np.add.reduceat(mass[order], starts) if len(starts) else mass[:0]
-            targets, first = targets[starts], order[starts]
+            if exact:
+                escaped = mass[targets == -1].sum()
+                live = np.flatnonzero(targets >= 0)
+                order = live[np.argsort(targets[live], kind="stable")]
+                targets = targets[order]
+                starts = np.flatnonzero(np.diff(targets, prepend=-1))
+                sums = np.add.reduceat(mass[order], starts) if len(starts) else mass[:0]
+                targets, first = targets[starts], order[starts]
+            else:
+                sums = np.bincount(targets + 1, weights=mass, minlength=self.size + 1)
+                escaped, sums = float(sums[0]), sums[1:]
+                targets = np.flatnonzero(sums != 0)
+                sums = sums[targets]
             absorbed = np.flatnonzero(self.absorbs[targets])
             hits = {
                 self.labels[t]: v
@@ -438,65 +447,34 @@ class PathOperator:
             if prune:
                 keep &= self.dist[targets] <= reach
             keep = np.flatnonzero(keep)
-            keep = keep[np.argsort(first[keep])]
+            if exact:
+                keep = keep[np.argsort(first[keep])]
             ids, nums = targets[keep], sums[keep]
             yield ids, nums, hits, escaped
 
-    def exact_absorb(self, n):
-        """``float_absorb`` in Fractions, after n pruned ``exact_steps``;
-        ``size`` counts the states interned."""
-        row, escaped, denom, nums = {}, Fraction(0), 1, [1]
-        for _, nums, hits, esc in self.exact_steps(n, prune=True):
-            denom *= self.denominator
-            for label, num in hits.items():
-                row[label] = row.get(label, 0) + Fraction(num, denom)
-            escaped += Fraction(esc, denom)
-            if not any(nums):
-                break
-        returned, in_flight = sum(row.values(), Fraction(0)), Fraction(sum(nums), denom)
-        return row, returned, in_flight, escaped, self.size
+    def absorb(self, n, exact=True):
+        """(row, returned, in_flight, escaped, size) after n ``steps``.
 
-    def float_absorb(self, n):
-        """(absorbed, absorbed_total, in_flight, escaped, size) after n steps.
-
-        The ball of a new operator is expanded level by level from e, each
-        level's new in-flight states as one batch.  The chain is k live
-        blocks, each live state (e among them, block 0) in the order it was
-        reached, followed by the sinks: the escape sink, then one per
-        label.  It is one list of weighted (source, destination) entries,
-        one per block and step, with a unit self-loop on each sink last, so
-        the mass in it accumulates.  Each step is one ``np.bincount`` over
-        that list, which adds into every destination in list order: a
-        step's increments into a sink are summed before the mass already
-        there is added.  ``absorbed`` maps labels to masses; ``size``
-        counts the blocks and sinks.
+        ``row`` maps labels to the absorbed masses, in label (state) order,
+        and ``size`` counts the states interned.  Exact mode gives
+        Fractions and prunes; float mode steps every state of the ball,
+        and sums the returned and in-flight masses with ``math.fsum``.
         """
-        levels, frontier = [], np.zeros(1, np.int64)
-        while len(frontier):
-            first = self.size
-            levels.append(self._expand(frontier))
-            fresh = np.arange(first, self.size)
-            frontier = fresh[~self.absorbs[fresh]]
-        t = np.concatenate(levels)  # (live state, step) targets
-        k, labels = len(t), list(self.labels.values())
-        live = ~self.absorbs
-        live[0] = True  # e starts every path
-        block = np.where(self.absorbs, k + np.cumsum(self.absorbs), np.cumsum(live) - 1)
-        loops = np.arange(k, k + 1 + len(labels))
-        size = len(loops) + k
-        src = np.concatenate([np.repeat(np.arange(k), len(self.numerators)), loops])
-        dst = np.concatenate([np.where(t < 0, k, block[t]).ravel(), loops])
-        wgt = np.concatenate([np.tile(self.float_weights, k), np.ones(len(loops))])
-        x = np.zeros(size)
-        x[0] = 1.0
-        for _ in range(n):
-            x = np.bincount(dst, weights=wgt * x[src], minlength=size)
-            if not x[:k].any():
+        zero = Fraction(0) if exact else 0.0
+        row, escaped, scale = {}, zero, zero + 1  # scale: 1 / denominator**step
+        nums = np.ones(1, dtype=object if exact else float)
+        for _, nums, hits, esc in self.steps(n, prune=exact, exact=exact):
+            if exact:
+                scale /= self.denominator
+            for label, v in hits.items():
+                row[label] = row.get(label, zero) + v * scale
+            escaped += esc * scale
+            if not nums.any():
                 break
-        absorbed = {
-            label: float(x[k + 1 + i]) for i, label in enumerate(labels) if x[k + 1 + i]
-        }
-        return absorbed, float(x[k + 1:].sum()), float(x[:k].sum()), float(x[k]), size
+        row = {label: row[label] for label in self.labels.values() if label in row}
+        if exact:
+            return row, sum(row.values(), zero), sum(nums) * scale, escaped, self.size
+        return row, math.fsum(row.values()), math.fsum(nums), escaped, self.size
 
 
 def _step_numerators(measure, r):
@@ -530,7 +508,7 @@ def convolve_powers(measure, n, ball_bound=None):
     denom = 1
     escaped = 0
     out = [Distribution(0, 1, {measure.group.identity: 1}, 0)]
-    for step, (ids, nums, _, esc) in enumerate(op.exact_steps(n), 1):
+    for step, (ids, nums, _, esc) in enumerate(op.steps(n), 1):
         if op.size > ELEMENT_BUDGET:
             raise BudgetError(
                 "convolution exceeded element budget",
@@ -553,7 +531,7 @@ def first_visits(measure, gamma, n, ball_bound):
     """
     op = PathOperator(measure, ball_bound, target=gamma)
     hits = []
-    for ids, _, step_hits, _ in op.exact_steps(n):
+    for ids, _, step_hits, _ in op.steps(n):
         hits.append(step_hits.get(gamma, 0))
         if not len(ids):
             break
@@ -709,14 +687,14 @@ def _exact_returns(measure, horizon):
     fwd = PathOperator(measure)
     if measure.is_symmetric():
         bwd = None
-        steps = ((ids, nums, ids, nums) for ids, nums, _, _ in fwd.exact_steps(k))
+        steps = ((ids, nums, ids, nums) for ids, nums, _, _ in fwd.steps(k))
     else:
         # one word tree for both operators, so their states pair by node
         bwd = PathOperator(measure.reflected(), tree=fwd.tree)
         steps = (
             (ids, nums, ids_b, nums_b)
             for (ids, nums, _, _), (ids_b, nums_b, _, _)
-            in zip(fwd.exact_steps(k), bwd.exact_steps(k))
+            in zip(fwd.steps(k), bwd.steps(k))
         )
     vals = [Fraction(1)]
     prev_b = (np.zeros(1, np.int64), np.ones(1, dtype=object))

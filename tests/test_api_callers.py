@@ -1,10 +1,11 @@
 """Every public function and method of the package has a caller.
 
-A public module-level function or class method counts as called when its
-name appears as an identifier (a name, an attribute, or a string naming a
-hook target) somewhere in ``src/freewalk`` or ``perfbench/`` outside its
-own definition.  Tests do not count: an entry point that only a test
-reaches is dead API.
+A public module-level function counts as called when its name appears as
+an identifier (a name, an attribute, or a string naming a hook target)
+somewhere in ``src/freewalk`` or ``perfbench/`` outside its own definition.
+A public method counts as called only through an attribute or a hook
+string: a local variable that shares its name calls nothing.  Tests do
+not count: an entry point that only a test reaches is dead API.
 """
 
 import ast
@@ -39,12 +40,13 @@ def _public_defs(tree):
                         yield f"{node.name}.{item.name}", item.name, item
 
 
-def _identifiers(node):
-    """Counter of the identifiers used under ``node``."""
+def _identifiers(node, names=True):
+    """Counter of the attributes and hook strings used under ``node``, and
+    of its bare names too with ``names``."""
     out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out[sub.id] += 1
+            out[sub.id] += names
         elif isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
@@ -55,7 +57,8 @@ def _identifiers(node):
 
 def test_every_public_definition_has_a_caller():
     trees = list(_trees())
-    used = sum((_identifiers(tree) for _, tree in trees), Counter())
+    used = {names: sum((_identifiers(tree, names) for _, tree in trees), Counter())
+            for names in (True, False)}
     uncalled = []
     for path, tree in trees:
         if PACKAGE not in path.parents:
@@ -63,7 +66,8 @@ def test_every_public_definition_has_a_caller():
         for qualname, name, node in _public_defs(tree):
             if qualname in ALLOWED:
                 continue
-            if used[name] - _identifiers(node)[name] <= 0:
+            names = "." not in qualname  # a method is called as an attribute
+            if used[names][name] - _identifiers(node, names)[name] <= 0:
                 uncalled.append(f"{path.name}:{qualname}")
     assert not uncalled, f"public API without a caller: {uncalled}"
 

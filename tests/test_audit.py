@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from array import array
 from pathlib import Path
 
@@ -86,6 +87,18 @@ class TestAncona:
         assert [rep.r for rep in reports] == grid
         alone = [ancona_audit(ev, [r], n_triples=25, seed=6)[0] for r in grid]
         assert reports == alone
+
+
+def test_strong_fit_skips_quadruples_past_the_ball():
+    # off the system the table's ball holds no word past radius 6, so most
+    # quadruples read G = 0: they are skipped as triples are, and the fit
+    # runs on the rest (it read NaN and infinite deviations before)
+    ev_t = GreenEvaluator(_measure("f2_two_letter"), horizon=30, ball_bound=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (rep,) = ancona_audit(ev_t, [0.5 * ev_t.R_hat], seed=1)
+    assert rep.n_skipped > 0 and not rep.deviations_below_floor
+    assert math.isfinite(rep.strong_rho) and math.isfinite(rep.strong_c)
 
 
 class TestAnconaFrozen:

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freewalk import algebraic, green
+from freewalk import algebraic, cli, green
 from freewalk.algebraic import FirstPassageSystem
 from freewalk.cli import build_parser, main
 from freewalk.config import ConfigError, parse_config
@@ -129,6 +130,28 @@ class TestConfigParsing:
         with pytest.raises(DivergenceError):
             ev.green((), (), 1.0004 * ev.R_hat)
 
+    def test_finite_factor_from_a_table(self, tmp_path):
+        # S3 from its multiplication table, generated by its three
+        # transpositions, free with Z2: in the first-passage system's scope
+        perms = list(itertools.permutations(range(3)))
+        index = {p: i for i, p in enumerate(perms)}
+        table = [[index[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms]
+        raw = dict(BASE, name="s3z2", factors=[
+            {"kind": "finite", "table": table, "generators": [1, 2, 5], "name": "S3"},
+            {"kind": "cyclic", "n": 2},
+        ])
+        cfg = parse_config(raw)
+        s3 = cfg.group.factors[0]
+        assert (s3.kind, s3.order, s3.name) == ("finite", 6, "S3")
+        assert s3.lengths == (0, 1, 1, 2, 2, 1)
+        assert cfg.measure.first_passage_system is not None
+        path = tmp_path / "s3z2.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["degeneracy", "--config", str(path), "--out", str(out)]) == 0
+        verdict = json.loads((out / "s3z2_degeneracy.json").read_text())
+        assert len(verdict["factors"]) == 2
+
     def test_hash_is_stable_and_sensitive(self):
         a = parse_config(BASE).hash()
         b = parse_config(dict(BASE)).hash()
@@ -221,6 +244,27 @@ def _z2sq_z2_config(tmp_path):
     return path
 
 
+def test_llt_imports_no_numpy_ma():
+    # numpy's median imports numpy.ma on its first call; llt takes the
+    # middle of the sorted differences instead, so a fresh process is
+    # spared the import
+    root = Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import sys, tempfile",
+        f"sys.path.insert(0, {str(root / 'src')!r})",
+        "from freewalk.cli import main",
+        "with tempfile.TemporaryDirectory() as out:",
+        f"    rc = main(['llt', '--config', {str(root / 'configs' / 'f2_srw.json')!r},"
+        " '--out', out])",
+        "print(rc, 'numpy.ma' in sys.modules)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 class TestCliExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["walk", "--config", str(tmp_path / "nope.json")])
@@ -297,6 +341,22 @@ class TestCliExitCodes:
         assert "needs the first-passage system" in capsys.readouterr().err
         assert builds == []
         assert not (tmp_path / "out").exists()
+
+    def test_llt_outside_the_system_reads_r_off_the_exact_walk(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # off the first-passage system llt estimates R from the exact
+        # return sequence; at horizon 20 its window holds no lattice point
+        seen = []
+        estimate = cli.spectral_radius
+        monkeypatch.setattr(cli, "spectral_radius",
+                            lambda seq: seen.append(seq.method) or estimate(seq))
+        path = _z2sq_z2_config(tmp_path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), horizon=20)))
+        rc = main(["llt", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 5
+        assert "usable lattice points" in capsys.readouterr().err
+        assert seen == ["exact"]
 
     def test_llt_with_tiny_budget_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "tree.json"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from freewalk import green
 from freewalk.algebraic import monomial
 from freewalk.audit import ancona_audit, ratio_report, syllable_choices
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
@@ -14,6 +13,7 @@ from freewalk.green import (
     GreenValue,
     _binomial_weighted,
     _eval_series,
+    _sphere_sum,
     sphere_sizes,
     spectral_radius,
 )
@@ -331,18 +331,28 @@ class TestISums:
 
     @pytest.mark.parametrize("frac, reason", [(0.9, "I1 routes disagree"),
                                               (0.98, "I2 series")])
-    def test_convolution_route_refuses(self, frac, reason, monkeypatch):
+    def test_convolution_route_refuses(self, frac, reason):
         # off the system (Z^2 * Z2, horizon 30, ball 6) the series keep
         # both refusals: the relative spheres against the derivative
         # series, and the I2 series where it would close its tail with the
-        # power-law model, which is checked first.  A syllable cap of 3
-        # keeps the sphere sum fast: at the default cap the rank-2 factor
-        # asks about 1800 first-visit series, some 50 s
-        monkeypatch.setattr(green, "SYLLABLE_CAP", 3)
+        # power-law model, which is checked first.  The sphere sum asks
+        # the lattice syllables up to the table's visit radius 7 only
         ev_conv = GreenEvaluator(_measure("z2sq_z2"), horizon=30, ball_bound=6)
         with pytest.raises(NonConvergenceError, match=reason) as err:
             ev_conv.i_sums(frac * ev_conv.R_hat)
         assert err.value.diagnostics["r"] == frac * ev_conv.R_hat
+
+    def test_first_visits_stop_one_step_past_the_ball(self):
+        # the target absorbs, so a syllable has a first visit only within
+        # one step of the ball: F is positive at the visit radius and
+        # exactly 0 one past it, so the sphere sum drops nothing there
+        ev_conv = GreenEvaluator(_measure("z2sq_z2"), horizon=30, ball_bound=6)
+        cap, r = ev_conv.table.visit_radius, 0.5 * ev_conv.R_hat
+        assert cap == 7
+        for payload in ((cap, 0), (3, cap - 3), (0, -cap)):
+            assert ev_conv.first_passage((), ((0, payload),), r).value > 0.0
+        for payload in ((cap + 1, 0), (4, cap - 3), (0, -cap - 1)):
+            assert ev_conv.first_passage((), ((0, payload),), r).value == 0.0
 
     def test_requires_single_syllable_support(self, f2):
         from fractions import Fraction
@@ -363,6 +373,18 @@ class TestISums:
         ev2 = GreenEvaluator(mu, horizon=40, ball_bound=8)
         with pytest.raises(GroupSpecError):
             ev2.i_sums(1.0)
+
+    def test_sphere_sum_refuses_a_singular_matrix(self):
+        # t = (1, 1) gives M = [[0, 1], [1, 0]]: I - M is singular, and the
+        # relative-sphere series diverges
+        with pytest.raises(NonConvergenceError, match="relative-sphere sums diverge") as err:
+            _sphere_sum(np.array([1.0, 1.0]), 0.5)
+        assert err.value.diagnostics == {"r": 0.5, "syllable_weights": [1.0, 1.0]}
+
+
+def _sphere(group, n):
+    """The elements at word distance exactly n from e, canonically ordered."""
+    return [g for g in group.ball(n) if group.word_length(g) == n]
 
 
 @pytest.fixture(scope="module", params=["f2", "z2z3", "z2sq_z2"])
@@ -608,7 +630,7 @@ class TestTables:
                 with np.errstate(divide="ignore"):
                     logs = np.log(masses[:, m]) + logscales - math.log(sizes[m])
                 want = float(np.exp(logs + n * math.log(r)).sum())
-                sphere = mu.group.sphere(m)
+                sphere = _sphere(mu.group, m)
                 for gamma in {sphere[0], sphere[len(sphere) // 2], sphere[-1]}:
                     got = ev_m.green((), gamma, r).value
                     assert abs(got - want) / want < 1e-12, (r, gamma, got, want)
@@ -671,7 +693,7 @@ class TestSphereSizes:
     def test_z2z3_spheres_match_direct(self, z2z3):
         sizes = sphere_sizes(z2z3, 15)
         for n in range(8):
-            assert sizes[n] == len(z2z3.sphere(n))
+            assert sizes[n] == len(_sphere(z2z3, n))
 
     def test_three_finite_factors_match_direct(self):
         # order-4 recurrence, beyond the reach of a fitted short one
@@ -679,10 +701,10 @@ class TestSphereSizes:
         sizes = sphere_sizes(group, 8)
         assert sizes == [1, 5, 18, 64, 226, 804, 2848, 10108, 35848]
         for n in range(9):
-            assert sizes[n] == len(group.sphere(n))
+            assert sizes[n] == len(_sphere(group, n))
 
     def test_rank_two_lattice_factor_matches_direct(self):
         group = FreeProduct([LatticeFactor(2), cyclic_factor(2)])
         sizes = sphere_sizes(group, 7)
         for n in range(8):
-            assert sizes[n] == len(group.sphere(n))
+            assert sizes[n] == len(_sphere(group, n))

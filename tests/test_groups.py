@@ -151,7 +151,7 @@ class TestEnumeration:
         # 4-regular tree: |S_n| = 4 * 3^(n-1)
         assert len(f2.ball(0)) == 1
         for n in (1, 2, 3):
-            assert len(f2.sphere(n)) == 4 * 3 ** (n - 1)
+            assert sum(f2.word_length(g) == n for g in f2.ball(n)) == 4 * 3 ** (n - 1)
 
     def test_budget_error(self, f2):
         with pytest.raises(BudgetError):

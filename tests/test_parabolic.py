@@ -60,7 +60,7 @@ class TestExactKernel:
     def test_prune_is_lossless(self, f2_srw):
         # the state chain's pruned row equals the unpruned one, over every
         # state 10 steps reach, and the first-passage series gives it too
-        pruned = PathOperator(f2_srw, None, Fraction(1), factor=0).exact_absorb(10)[0]
+        pruned = PathOperator(f2_srw, None, Fraction(1), factor=0).absorb(10)[0]
         assert pruned == _exact_kernel(f2_srw, 0, 1, 10, None)[0]
         assert pruned == first_return_kernel(f2_srw, 0, Fraction(1), max_len=10).row
 
@@ -91,7 +91,7 @@ class TestExactKernel:
         measure = request.getfixturevalue(walk)
         exact = first_return_kernel(measure, factor_id, Fraction(1), 12, 6)
         flt = first_return_kernel(measure, factor_id, 1.0, 12, 6, exact=False)
-        state = PathOperator(measure, 6, Fraction(1), factor=factor_id).exact_absorb(12)
+        state = PathOperator(measure, 6, Fraction(1), factor=factor_id).absorb(12)
         assert exact.exact and not flt.exact
         assert exact.row == state[0]
         assert set(state[0]) == set(flt.row)

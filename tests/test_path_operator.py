@@ -4,11 +4,11 @@ truncated-ball path operator.
 Where the first-passage system covers the measure (single syllables on
 finite and rank-1 lattice factors), the kernel is read off the system's
 coefficients, with no ball: the exact rows equal the pruned state chain's
-(``PathOperator.exact_absorb`` without a ball) Fraction for Fraction, and
-the float rows are held to the exact L-truncated row.  The other measures
+(``PathOperator.absorb`` without a ball) Fraction for Fraction, and the
+float rows are held to the exact L-truncated row.  The other measures
 (``f2_two_letter``, ``z2sq_z2``) step every state of the ball
-(``PathOperator.float_absorb``); their float kernels are held to the exact
-state chain at the same (L, B, r).  Float kernels are pinned by
+(``PathOperator.absorb(L, exact=False)``); their float kernels are held to
+the exact state chain at the same (L, B, r).  Float kernels are pinned by
 ``float.hex()`` (row in key order, returned, in-flight and escaped masses).
 The exact ``convolve_powers`` powers are pinned by a SHA-256 each
 (denominator, escaped numerator and numerators, key order included).
@@ -127,7 +127,7 @@ FROZEN_KERNELS = {'f2_asym': {'masses': ['0x1.301fb940ac87bp-1',
                      'row': [((0,), '0x1.4380e9222c000p-2'),
                              ((-1,), '0x1.32d65eec00000p-4'),
                              ((1,), '0x1.32b2f0ceb0000p-4')]},
- 'z2sq_z2': {'masses': ['0x1.b4350ba2929d8p-1',
+ 'z2sq_z2': {'masses': ['0x1.b4350ba2929d9p-1',
                         '0x1.a520804b38cd6p-6',
                         '0x1.f50f82d89ce08p-4'],
              'row': [((0, 0), '0x1.a9b7208f903f1p-5'),
@@ -181,7 +181,7 @@ def _exact_kernel(mu, fid, r, L, B, prune=False):
     chain, unpruned by default; with ``prune``, as the exact kernel prunes."""
     op = PathOperator(mu, B, Fraction(r), factor=fid)
     row, escaped, denom, nums = {}, Fraction(0), 1, [1]
-    for _, nums, hits, esc in op.exact_steps(L, prune=prune):
+    for _, nums, hits, esc in op.steps(L, prune=prune):
         denom *= op.denominator
         for payload, num in hits.items():
             row[payload] = row.get(payload, 0) + Fraction(num, denom)
@@ -290,15 +290,21 @@ def test_exact_kernel_cases_match_the_pruned_state_chain(name, fid, L, B):
 
 @pytest.mark.parametrize("case", STATE_CHAIN)
 def test_state_chain_propagates_every_state(case):
+    # the float kernel steps every state of the ball: L steps reach them
+    # all, further steps add none, and the unpruned exact chain interns
+    # the same states in the same order
     name, fid, r, L, B = KERNEL_CASES[case]
-    assert _measure(name).first_passage_system is None
-    kern = first_return_kernel(_measure(name), fid, r, L, B, exact=False)
-    op = PathOperator(_measure(name), B, r, factor=fid)
-    op.float_absorb(L)
-    # every live state (e among them) and one sink per absorbing state,
-    # plus the escape sink: e is live and absorbing
-    live = op.size - int(op.absorbs.sum()) + 1
-    assert kern.chain_size == live + 1 + len(op.labels)
+    mu = _measure(name)
+    assert mu.first_passage_system is None
+    kern = first_return_kernel(mu, fid, r, L, B, exact=False)
+    flt = PathOperator(mu, B, r, factor=fid)
+    assert flt.absorb(L, exact=False)[4] == flt.size == kern.chain_size
+    exact, closure = (PathOperator(mu, B, Fraction(r), factor=fid) for _ in range(2))
+    for _ in exact.steps(L):
+        pass
+    for _ in closure.steps(L + 10, exact=False):
+        pass
+    assert flt.elements() == exact.elements() == closure.elements()
 
 
 @pytest.mark.parametrize("name", CONVOLUTION_CASES)
@@ -312,7 +318,7 @@ def test_prune_distance_is_the_distance_to_the_factor(factor_id):
     mu = _measure("f2_two_letter")
     group = mu.group
     op = PathOperator(mu, 6, factor=factor_id)
-    for _ in op.exact_steps(5):
+    for _ in op.steps(5):
         pass
     assert op.size > 100
     factor = [((factor_id, (j,)),) if j else () for j in range(-12, 13)]
@@ -368,7 +374,7 @@ def _series_case(mu, data):
     factor_id = data.draw(st.integers(0, len(mu.group.factors) - 1))
     L = data.draw(st.integers(0, 10))
     r = data.draw(st.sampled_from([Fraction(1), Fraction(7, 8)]))
-    return factor_id, L, r, PathOperator(mu, None, r, factor=factor_id).exact_absorb(L)[:4]
+    return factor_id, L, r, PathOperator(mu, None, r, factor=factor_id).absorb(L)[:4]
 
 
 @settings(max_examples=50, deadline=None)
@@ -400,7 +406,7 @@ def test_kernel_engines_agree_and_conserve_mass(mu, data):
     L, B = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
     exact_row = _exact_kernel(mu, factor_id, 1, L, B, prune=True)[0]
     row, returned, in_flight, escaped, _ = PathOperator(
-        mu, B, 1.0, factor=factor_id).float_absorb(L)
+        mu, B, 1.0, factor=factor_id).absorb(L, exact=False)
     assert set(exact_row) == set(row)
     for payload, w in exact_row.items():
         assert abs(float(w) - row[payload]) < 1e-12
