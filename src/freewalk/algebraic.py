@@ -33,6 +33,12 @@ lower-triangular matrix built once from the first block.  The weights are
 integers over the measure's common denominator d, so the same equations
 read in Python integers give the exact coefficients d^n [r^n] F_s, which
 the first-return kernels of ``parabolic`` take for rational r.
+
+The coefficients run on the quotient by the coarsest equitable partition
+of the unknowns (``_quotient``), one unknown per cell.  The first block
+and the in-block matrices are built in long double and rounded once: their
+rounding enters every later block.  Point values stay on the whole system,
+whose rounding keeps the I-sums closer to their closed forms.
 """
 
 import math
@@ -68,23 +74,25 @@ class FirstPassageSystem:
     float arrays are those integers divided by d.  ``radius`` is R, found
     with x(R) on the fold system (``_fold``, else ``_bisect``), and
     ``bracket`` its bar (lo, hi).  Coefficients are kept scaled by R^n,
-    and exactly as integers over d^n, each extended on demand, so every
-    caller shares one computation to the largest horizon asked for.
+    and exactly as integers over d^n, one row per cell of the quotient
+    (``_cell`` maps each unknown to its cell), each extended on demand, so
+    every caller shares one computation to the largest horizon asked for.
     """
 
     def __init__(self, group, unknowns, denominator, const, lin, cross, lazy, back):
         self.group = group
         self.unknowns = unknowns
-        self._d, self._ci, self._ai, self._crossi = denominator, const, lin, cross
+        self._d, self._lazy, self._lazyi = denominator, lazy / denominator, lazy
         self._c, self._a, self._cross, self._back = (
             (x / denominator).astype(float) for x in (const, lin, cross, back)
         )
-        self._lazy, self._lazyi, self._backi = lazy / denominator, lazy, back
+        self._cell, self._ci, self._ai, self._crossi, self._backi = _quotient(
+            const, lin, cross, back)
         self.bracket = None  # no bar on R yet: every r is solved by Newton
         self._solutions = {}  # r -> least solution, each from 0
         self.radius, self.bracket, self._at_radius = self._fold() or self._bisect()
-        m = len(unknowns)
-        self._y = np.zeros((m, 1))  # scaled [r^n] F_s; F_s(0) = 0
+        m = len(self._ci)
+        self._y = np.zeros((m, 1))  # scaled [r^n] F_s of each cell; F_s(0) = 0
         self._w = np.zeros((m, 1))  # the same of R C F
         self._u = np.zeros(1)  # scaled [r^n] U
         self._g = np.ones(1)  # scaled [r^n] G(e,e)
@@ -269,8 +277,8 @@ class FirstPassageSystem:
         have = len(self._g)  # a multiple of B
         if n < have:
             return
-        m, R, top = len(self.unknowns), self.radius, (n // B + 1) * B
-        a, cross, back = R * self._a, R * self._cross, R * self._back
+        m, top = len(self._y), (n // B + 1) * B
+        a, cross, back = self._weights
         y, w = np.zeros((m, top)), np.zeros((m, top))
         u, g = np.zeros(top), np.zeros(top)
         y[:, :have], w[:, :have] = self._y, self._w
@@ -292,17 +300,18 @@ class FirstPassageSystem:
 
     def _first_block(self):
         """Coefficients 1..B-1, each from the ones below it, in the integer
-        weights: d^k [r^k] of F_s, U and G, exact below 2^53 and free of R,
+        weights: d^k [r^k] of F_s, U and G, exact below 2^64 and free of R,
         then scaled by (R/d)^k.  Where d^(B-1) overflows, in the scaled weights.
         Then the two lower-triangular matrices that solve every later block,
-        built once per system.
+        built once per system.  All in long double, each rounded to float once.
         """
-        m, n = len(self.unknowns), B - 1
-        z = float(self._d) if self._d**n < 2**1000 else self.radius
-        c, a, cross, back, lazy = (np.array(v, float) * (z / self._d) for v in (
+        ld, m, n = np.longdouble, len(self._ci), B - 1
+        d, R = ld(self._d), ld(self.radius)
+        z = d if self._d**n < 2**1000 else R
+        c, a, cross, back, lazy = (np.array(v, ld) * (z / d) for v in (
             self._ci, self._ai, self._crossi, self._backi, self._lazyi))
-        y, w = np.zeros((m, n + 1)), np.zeros((m, n + 1))
-        u, g = np.zeros(n + 1), np.zeros(n + 1)
+        y, w = np.zeros((m, n + 1), ld), np.zeros((m, n + 1), ld)
+        u, g = np.zeros(n + 1, ld), np.zeros(n + 1, ld)
         g[0] = 1.0
         wr, gr = w[:, ::-1].copy(), g[::-1].copy()  # wr[:, n - k] = w[:, k]
         for k in range(1, n + 1):
@@ -320,13 +329,14 @@ class FirstPassageSystem:
             g[k] = gr[n - k] = u[1 : k + 1] @ gr[n - k + 1 :]
         self._powers = z ** np.arange(B)
         self._block_green = g  # p_n times z^n
-        scale = self.radius ** np.arange(B) / self._powers
-        self._y, self._u, self._g = y * scale, u * scale, g * scale
-        self._w = (self.radius * self._cross) @ self._y
+        y, u, g = (v * (R ** np.arange(B) / self._powers) for v in (y, u, g))
+        a, cross, back = (v * (R / z) for v in (a, cross, back))  # R times the weights
+        w = cross @ y
+        self._y, self._w, self._u, self._g = (v.astype(float) for v in (y, w, u, g))
+        self._weights = tuple(v.astype(float) for v in (a, cross, back))
         # the in-block inverses of every later block (``_extend``)
-        self._solve = _lower_toeplitz(_block_inverse(
-            self.radius * self._a, self.radius * self._cross, self._y, self._w))
-        self._renewal = _lower_toeplitz(self._g[:, None, None])
+        self._solve = _lower_toeplitz(_block_inverse(a, cross, y, w)).astype(float)
+        self._renewal = _lower_toeplitz(g[:, None, None]).astype(float)
 
     def scaled_green(self, horizon):
         """[r^n] G(e,e|r) R^n for n = 0..horizon."""
@@ -334,9 +344,9 @@ class FirstPassageSystem:
         return self._g[: horizon + 1]
 
     def integer_coefficients(self, n):
-        """N_0..N_n, with [r^m] F_s = N_m[s] / d^m for every unknown s.
+        """N_0..N_n, with [r^m] F_s = N_m[i] / d^m for each unknown s of cell i.
 
-        The system read coefficientwise over the integer weights:
+        The quotient read coefficientwise over its integer weights:
         N_1 = c and N_m = A N_{m-1} + sum_{j=1}^{m-2} N_j * (C N_{m-1-j}),
         in Python integers, so the coefficients are exact.
         """
@@ -354,24 +364,34 @@ class FirstPassageSystem:
         """{s: sum_{m=1}^{n} [r^m] F_s x^m} over the unknowns s.
 
         A Fraction x gives Fractions, from the integer coefficients; a float
-        x gives floats, each the ``math.fsum`` of the scaled coefficients
-        times (x/R)^m.
+        x gives floats, each the sum of the scaled coefficients of its cell
+        times (x/R)^m in long double, rounded once.
         """
         if isinstance(x, Fraction):
             p, q = x.numerator, x.denominator * self._d
             nums = self.integer_coefficients(n)
             tops = sum((nums[m] * (p**m * q ** (n - m)) for m in range(1, n + 1)), nums[0])
-            sums = [Fraction(top, q**n) for top in tops.tolist()]
+            sums = [Fraction(top, q**n) for top in tops[self._cell].tolist()]
         else:
             self._extend(n)
-            powers = (x / self.radius) ** np.arange(1, n + 1)
-            sums = [math.fsum(row) for row in (self._y[:, 1 : n + 1] * powers).tolist()]
+            powers = np.cumprod(np.full(n, np.longdouble(x) / self.radius))
+            sums = (self._y[:, 1 : n + 1] @ powers)[self._cell].astype(float).tolist()
         return dict(zip(self.unknowns, sums))
 
     def unscaled_logs(self, scaled):
         """log c_n from the scaled c_n R^n (minus infinity where zero)."""
         with np.errstate(divide="ignore"):
             return np.log(scaled) - np.arange(len(scaled)) * math.log(self.radius)
+
+    def return_probs(self, horizon):
+        """p_n(e,e) for n = 0..horizon, each rounded to float once: below B
+        d^n p_n / d^n, from B on c_n R^n times R^-n in long double, where
+        R^-(jB + i) = R^-(jB) R^-i takes about horizon/B + B powers."""
+        self._extend(horizon)
+        R = np.longdouble(self.radius)
+        p = self._g * np.outer(R ** -np.arange(0, len(self._g), B), R ** -np.arange(B)).ravel()
+        p[:B] = self._block_green / self._powers
+        return p[: horizon + 1].astype(float)
 
     def return_log_probs(self, horizon):
         """log p_n(e,e) for n = 0..horizon; below B from d^n p_n, free of R."""
@@ -388,11 +408,11 @@ def _block_inverse(a, cross, y, w):
     L_d = diag(w_d) + diag(y_d) C from the first block's coefficients.
     """
     m = len(a)
-    lin = np.empty((B - 1, m, m))
+    lin = np.empty((B - 1, m, m), a.dtype)
     lin[0] = a
     ys, ws = y[:, 1 : B - 1].T[:, :, None], w[:, 1 : B - 1].T[:, :, None]
     lin[1:] = ys * cross + ws * np.eye(m)
-    inv = np.empty((B, m, m))
+    inv = np.empty((B, m, m), a.dtype)
     inv[0] = np.eye(m)
     for d in range(1, B):
         inv[d] = np.tensordot(lin[:d], inv[d - 1 :: -1], axes=([0, 2], [0, 1]))
@@ -406,6 +426,27 @@ def _lower_toeplitz(blocks):
     full = np.where((lag >= 0)[:, :, None, None], blocks[np.maximum(lag, 0)], 0.0)
     m = blocks.shape[1]
     return full.transpose(0, 2, 1, 3).reshape(B * m, B * m)
+
+
+def _quotient(const, lin, cross, back):
+    """(cell, c, A, C, b) of the quotient by the coarsest equitable
+    partition of the unknowns, by colour refinement from (c_s, b_s) (McKay
+    1981; Godsil and Royle 2001, ch. 9): c and b are constant on each cell,
+    and the rows of A and C in a cell have equal sums into each cell, so
+    every coefficient is constant on the cells.  A cell keeps its first
+    unknown's rows, with columns summed over each cell, and b is summed."""
+    keys, count = list(zip(const.tolist(), back.tolist())), 0
+    while True:
+        ids = {}
+        cell = np.array([ids.setdefault(key, len(ids)) for key in keys])
+        if len(ids) == count:
+            break
+        count = len(ids)
+        onehot = (cell[:, None] == np.arange(count)).astype(int).astype(object)
+        lumped = lin @ onehot, cross @ onehot
+        keys = [(i, *a, *c) for i, a, c in zip(cell.tolist(), *(x.tolist() for x in lumped))]
+    first = np.unique(cell, return_index=True)[1]
+    return cell, const[first], lumped[0][first], lumped[1][first], back @ onehot
 
 
 def perron_root(a):

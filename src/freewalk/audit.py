@@ -93,11 +93,12 @@ def ancona_audit(evaluator, grid, n_triples=200, max_rel_dist=6, seed=0):
     point of the syllable geodesic from x to z; supermultiplicativity of
     path weights makes it >= 1 up to series tolerance.  The strong-form
     audit takes quadruples whose geodesics share an n-syllable prefix and
-    fits |ratio - 1| <= C rho^n.  G is left-invariant, so every value is
-    read from e to its displacement x^-1 y.  No draw depends on r: the
-    sample is drawn and encoded once (``_sample``, ``syllable_ids``), each
-    r reads all its values in one ``green_batch``, and a report at r is
-    the one a grid of r alone gives.
+    fits |ratio - 1| <= C rho^n; rho = C = 0 where the deviations above
+    the floor span fewer than two n, which fix no slope.  G is
+    left-invariant, so every value is read from e to its displacement
+    x^-1 y.  No draw depends on r: the sample is drawn and encoded once
+    (``_sample``, ``syllable_ids``), each r reads all its values in one
+    ``green_batch``, and a report at r is the one a grid of r alone gives.
 
     On a measure supported on single syllables every G(x,z) is G(e,e)
     times its syllables' first passages, so the ratio is 1 by construction
@@ -164,11 +165,11 @@ def _ancona_at(evaluator, r, seed, ids, n_drawn, ns):
     g1, g2, g3, g4 = (values[3 * n_drawn + k :: 4][kept] for k in range(4))
     devs = np.abs((g1 * g2) / (g3 * g4) - 1.0)
     below_floor = bool(np.all(devs <= DEVIATION_FLOOR))
-    if below_floor or len(devs) < 2:
+    above = devs > DEVIATION_FLOOR
+    ns = np.array(ns, dtype=float)[kept][above]
+    if below_floor or len(set(ns.tolist())) < 2:  # no slope in n to fit
         rho, c = 0.0, 0.0
     else:
-        above = devs > DEVIATION_FLOOR
-        ns = np.array(ns, dtype=float)[kept][above]
         logs = np.array([math.log(d) for d in devs[above].tolist()])
         design = np.column_stack([np.ones_like(ns), ns])
         coef, *_ = np.linalg.lstsq(design, logs, rcond=None)

@@ -18,7 +18,6 @@ bytes ``csv.writer`` gives for its rows, and each JSON file from one
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from functools import cached_property
@@ -100,8 +99,7 @@ def cmd_walk(cfg, args, shared):
     if seq.values is not None:
         cells = map(str, seq.values)
     else:
-        cells = (repr(math.exp(lv)) if lv > -math.inf else "0.0"
-                 for lv in seq.log_values.tolist())
+        cells = map(repr, cfg.measure.route.return_probs(horizon).tolist())
     rows = "".join(f"{n},{c}\r\n" for n, c in enumerate(cells))
     _write_text(out / f"{cfg.name}_walk.csv", "n,p_n\r\n" + rows)
     meta = _report_header(cfg, args, started)

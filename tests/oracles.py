@@ -371,6 +371,23 @@ def tree_return_probabilities(q, n_max):
     return out
 
 
+def tree_return_probability(q, n):
+    """Exact p_n(e,e) for simple random walk on the (q+1)-regular tree, from
+    the closed form of its Green function: with x = 4 q z^2 / (q+1)^2,
+    G = ((q+1) sqrt(1 - x) - (q-1)) / (2 (1 - (q+1)^2 x / (4q))), so
+    p_2n = [x^n] G (4q / (q+1)^2)^n.  As [x^k] sqrt(1 - x) = -2 Cat(k-1) / 4^k
+    for k >= 1, that is the finite sum of rationals
+    p_2n = 1 - (q+1) sum_{k=1}^{n} Cat(k-1) q^k / (q+1)^(2k), summed in
+    integers over (q+1)^(2n)."""
+    if n % 2:
+        return Fraction(0)
+    top, cat = 1, 1  # (q+1)^(2k) p_2k; Cat(k-1)
+    for k in range(1, n // 2 + 1):
+        top = (q + 1) ** 2 * top - (q + 1) * cat * q**k
+        cat = cat * 2 * (2 * k - 1) // (k + 1)
+    return Fraction(top, (q + 1) ** n)
+
+
 # -- independent relative-sphere BFS ------------------------------------------
 
 

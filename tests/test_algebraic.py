@@ -35,18 +35,22 @@ from oracles import (
     f2_green,
     radius_in_bracket,
     tree_return_probabilities,
+    tree_return_probability,
     z2z2z2_radius,
     z2z3_first_passages,
     z2z3_green,
     z2z3_radius,
 )
-from test_path_operator import _cyclic_measures, _f2, _measure, _single_syllable_measures
+from test_path_operator import (
+    LONG_DOUBLE, _cyclic_measures, _f2, _measure, _single_syllable_measures,
+)
 
 A, AI, B, BI = ((0, (1,)),), ((0, (-1,)),), ((1, (1,)),), ((1, (-1,)),)
 
 # scaled_green(63) and scaled_first_passage(system, ., 63), as hex floats taken from
 # the coefficient-at-a-time recurrence that the first block still runs, in
-# the integer weights; each within 4.7e-16 of the exact coefficient times R^n
+# the integer weights and in long double, each rounded to float once
+# (``test_first_block_is_rounded_once`` bounds their distance to the exact values)
 FIRST_BLOCK = json.loads((Path(__file__).parent / "first_block_hex.json").read_text())
 
 
@@ -65,9 +69,10 @@ def _system(name):
 
 
 def scaled_first_passage(system, unknown, horizon):
-    """[r^n] F(e, (unknown,) | r) R^n for n = 0..horizon, the system's rows."""
+    """[r^n] F(e, (unknown,) | r) R^n for n = 0..horizon, the row of the
+    unknown's cell."""
     system.scaled_green(horizon)  # extends every scaled series
-    return system._y[system.unknowns.index(unknown), : horizon + 1]
+    return system._y[system._cell[system.unknowns.index(unknown)], : horizon + 1]
 
 
 def _series(system, horizon):
@@ -245,7 +250,8 @@ class TestCoefficients:
         for i, syl in enumerate(system.unknowns):
             denom, hits = first_visits(mu, (syl,), horizon, ball_bound=horizon)
             want = [Fraction(hit, denom**n) for n, hit in enumerate(hits, 1)]
-            assert [Fraction(int(N[i]), d**n) for n, N in enumerate(nums[1:], 1)] == want
+            cell = system._cell[i]
+            assert [Fraction(int(N[cell]), d**n) for n, N in enumerate(nums[1:], 1)] == want
             total = sum(w * x**n for n, w in enumerate(want, 1))
             assert exact_sums[syl] == total
             assert abs(float_sums[syl] - float(total)) <= 1e-14 * float(total)
@@ -292,6 +298,7 @@ class TestCoefficients:
             got, want = getattr(stepped, key), getattr(whole, key)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
 
+    @LONG_DOUBLE
     @pytest.mark.parametrize("name", ["z2z3", "f2"])
     def test_first_block_frozen(self, name):
         system, want = _system(name), FIRST_BLOCK[name]
@@ -299,6 +306,31 @@ class TestCoefficients:
         for unknown in system.unknowns:
             got = scaled_first_passage(system, unknown, 63)
             assert [float.hex(float(v)) for v in got] == want["first_passage"][repr(unknown)]
+
+    @LONG_DOUBLE
+    @pytest.mark.parametrize("name", ["z2z3", "f2"])
+    def test_first_block_is_rounded_once(self, name):
+        # each frozen value lies within 1/2 ulp + 2^-10 ulp of the exact
+        # coefficient times the float R^n, in Fractions: the long double
+        # keeps 11 bits past the float.  All but one are correctly rounded;
+        # f2's [r^59] F R^59 is exact to 6.6e-4 ulp of a midpoint and
+        # lies 0.50066 ulp off
+        system, want = _system(name), FIRST_BLOCK[name]
+        d, radius = system._d, Fraction(system.radius)
+        if name == "f2":
+            green = [tree_return_probability(3, n) for n in range(BLOCK)]
+        else:
+            green = return_probabilities(_measure(name), BLOCK - 1, method="exact").values
+        nums = system.integer_coefficients(BLOCK - 1)
+        for n in range(BLOCK):
+            pairs = [(want["green"][n], green[n])] + [
+                (want["first_passage"][repr(u)][n], Fraction(int(nums[n][cell]), d**n))
+                for u, cell in zip(system.unknowns, system._cell)]
+            for got, exact in pairs:
+                exact *= radius**n
+                ulp = math.ulp(float(exact))
+                assert abs(Fraction.from_float(float.fromhex(got)) - exact) <= (
+                    Fraction(1, 2) + Fraction(1, 2**10)) * Fraction(ulp), (n, got)
 
     @pytest.mark.parametrize("name, q", [("f2", 3), ("z2z2z2", 2)])
     def test_tree_returns_match_path_counts_across_blocks(self, name, q):
@@ -345,6 +377,78 @@ class TestCoefficients:
         mu = _skewed_f2()
         assert is_radial(mu) is None
         _assert_returns_match_exact(mu, 20, 1e-13)
+
+
+def _unreduced_coefficients(system, scaled_to, exact_to):
+    """(g, y, nums) from the whole system, one coefficient at a time: the
+    recurrence the quotient replaced, kept as the reference.  g[k] and
+    y[s, k] are [r^k] G(e,e) R^k and [r^k] F_s R^k in floats, k <= scaled_to;
+    nums[k][s] is d^k [r^k] F_s in Python integers, k <= exact_to."""
+    d, R = system._d, system.radius
+    c, a, cross, back = (R * v for v in (system._c, system._a, system._cross, system._back))
+    m = len(c)
+    y, w = np.zeros((m, scaled_to + 1)), np.zeros((m, scaled_to + 1))
+    u, g = np.zeros(scaled_to + 1), np.ones(scaled_to + 1)
+    for k in range(1, scaled_to + 1):
+        pairs = [y[:, j] * w[:, k - 1 - j] for j in range(1, k - 1)]
+        y[:, k] = (c if k == 1 else 0.0) + a @ y[:, k - 1] + sum(pairs, np.zeros(m))
+        w[:, k] = cross @ y[:, k]
+        u[k] = (R * system._lazy if k == 1 else 0.0) + back @ y[:, k - 1]
+        g[k] = u[1 : k + 1] @ g[k - 1 :: -1]
+    ints = [np.rint(v * d).astype(int).astype(object)
+            for v in (system._c, system._a, system._cross)]
+    assert all(np.array_equal(i / d, v) for i, v in zip(ints, (system._c, system._a, system._cross)))
+    nums, crossed = [np.zeros(m, object), ints[0]], [np.zeros(m, object), ints[2] @ ints[0]]
+    for k in range(2, exact_to + 1):
+        nums.append(ints[1] @ nums[k - 1] + sum(
+            (nums[j] * crossed[k - 1 - j] for j in range(1, k - 1)), nums[0]))
+        crossed.append(ints[2] @ nums[k])
+    return g, y, nums
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("name, cells", [
+        ("f2", [0, 0, 0, 0]), ("z2z2z2", [0, 0, 0]), ("z2z3", [0, 1, 1]),
+        # b and b^-1 weigh 1/4 each, a and a^-1 3/8 and 1/8
+        ("f2_skewed", [0, 1, 2, 2]),
+    ])
+    def test_exchangeable_unknowns_share_a_cell(self, name, cells):
+        system = _system(name)
+        assert system._cell.tolist() == cells
+        assert len(system._y) == len(system._ci) == max(cells) + 1
+
+    def test_nothing_exchangeable_is_the_trivial_partition(self):
+        system = _measure("f2_asym").first_passage_system  # four distinct weights
+        assert system._cell.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("name", ["f2", "z2z2z2", "z2z3", "f2_skewed"])
+    def test_a_cell_reads_one_value(self, name):
+        # the unknowns of one cell read bitwise the same rows and sums
+        system = _system(name)
+        rows = [scaled_first_passage(system, u, 300).tobytes() for u in system.unknowns]
+        sums = [system.first_passage_sums(x, 40) for x in (0.9 * system.radius, Fraction(7, 8))]
+        for i, cell in enumerate(system._cell):
+            first = system._cell.tolist().index(cell)
+            assert rows[i] == rows[first]
+            for got in sums:
+                u, v = system.unknowns[i], system.unknowns[first]
+                assert got[u] == got[v] and type(got[u]) is type(got[v])
+
+
+@settings(max_examples=30, deadline=None)
+@given(mu=_single_syllable_measures())
+def test_quotient_matches_the_whole_system(mu):
+    # the quotient's scaled coefficients lie within 1e-13 of the whole
+    # system's to n = 300, and its integer coefficients lift to the whole
+    # system's exactly
+    system = mu.first_passage_system
+    assume(system is not None)
+    g, y, nums = _unreduced_coefficients(system, 300, 30)
+    assert np.allclose(system.scaled_green(300), g, rtol=1e-13, atol=0.0)
+    for s, unknown in enumerate(system.unknowns):
+        assert np.allclose(scaled_first_passage(system, unknown, 300), y[s], rtol=1e-13, atol=0.0)
+    lifted = [row[system._cell] for row in system.integer_coefficients(30)]
+    assert all(np.array_equal(a, b) for a, b in zip(lifted, nums))
 
 
 @settings(max_examples=30, deadline=None)

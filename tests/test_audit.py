@@ -91,14 +91,15 @@ class TestAncona:
 
 def test_strong_fit_skips_quadruples_past_the_ball():
     # off the system the table's ball holds no word past radius 6, so most
-    # quadruples read G = 0: they are skipped as triples are, and the fit
-    # runs on the rest (it read NaN and infinite deviations before)
+    # quadruples read G = 0: they are skipped as triples are (the fit read
+    # NaN and infinite deviations before).  The two kept ones share the
+    # prefix length n = 1, which fixes no slope, so there is no fit
     ev_t = GreenEvaluator(_measure("f2_two_letter"), horizon=30, ball_bound=6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         (rep,) = ancona_audit(ev_t, [0.5 * ev_t.R_hat], seed=1)
     assert rep.n_skipped > 0 and not rep.deviations_below_floor
-    assert math.isfinite(rep.strong_rho) and math.isfinite(rep.strong_c)
+    assert rep.strong_rho == rep.strong_c == 0.0
 
 
 class TestAnconaFrozen:
@@ -150,10 +151,10 @@ def _ancona_at_reference(evaluator, r, seed, words, n_triples, ns):
         g1, g2, g3, g4 = (green(w).value for w in quads[4 * j : 4 * j + 4])
         strong.append((n, abs((g1 * g2) / (g3 * g4) - 1.0)))
     below_floor = all(d <= audit.DEVIATION_FLOOR for _, d in strong)
-    if below_floor or len(strong) < 2:
+    pts = [(n, d) for n, d in strong if d > audit.DEVIATION_FLOOR]
+    if below_floor or len({n for n, _ in pts}) < 2:
         rho, c = 0.0, 0.0
     else:
-        pts = [(n, d) for n, d in strong if d > audit.DEVIATION_FLOOR]
         ns = np.array([n for n, _ in pts], dtype=float)
         logs = np.array([math.log(d) for _, d in pts])
         design = np.column_stack([np.ones_like(ns), ns])

@@ -21,11 +21,13 @@ from freewalk.green import GreenEvaluator
 from freewalk.walks import return_probabilities
 
 from oracles import (
-    F2_RADIUS, f2_i1, f2_i2, kernel_rho_at_radius, z2z2z2_radius, z2z3_radius,
+    F2_RADIUS, f2_i1, f2_i2, kernel_rho_at_radius, tree_return_probability,
+    z2z2z2_radius, z2z3_radius,
 )
-from test_path_operator import _measure
+from test_path_operator import LONG_DOUBLE, _measure
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
 
 
 BASE = {
@@ -409,32 +411,44 @@ class TestCliOutputs:
     @pytest.mark.parametrize("name", ["f2_srw", "z2sq_z2"])
     def test_walk_csv_bytes_equal_the_csv_writer(self, name, tmp_path):
         # walk.csv is written as one string; its bytes are those of the
-        # csv.writer rows it replaced: floats by repr, "0.0" where p_n is
-        # 0, and exact Fractions by str.  The f2 walk to n = 5000 has zero
-        # rows (odd n) and subnormal ones (p_n below 2.2e-308 from n = 4848)
+        # csv.writer rows of its source: on the system the float p_n of
+        # ``return_probs``, by repr ("0.0" where p_n is 0), off it the
+        # exact Fractions by str.  The f2 walk to n = 5000 has zero rows
+        # (odd n) and subnormal ones (p_n below 2.2e-308 from n = 4848)
         if name == "f2_srw":
-            path = Path(__file__).resolve().parents[1] / "configs" / "f2_srw.json"
+            path = CONFIGS_DIR / "f2_srw.json"
         else:
             path = _z2sq_z2_config(tmp_path)
             path.write_text(json.dumps(dict(json.loads(path.read_text()), horizon=20)))
         cfg = parse_config(json.loads(path.read_text()))
         out = tmp_path / "out"
         assert main(["walk", "--config", str(path), "--out", str(out)]) == 0
-        method = "algebraic" if cfg.measure.first_passage_system else "exact"
-        seq = return_probabilities(cfg.measure, cfg.horizon, method=method)
-        rows = [["n", "p_n"]]
-        if seq.values is not None:
-            for n, v in enumerate(seq.values):
-                rows.append([n, str(v)])
+        system = cfg.measure.first_passage_system
+        if system is None:
+            values = return_probabilities(cfg.measure, cfg.horizon, method="exact").values
+            rows = [["n", "p_n"]] + [[n, str(v)] for n, v in enumerate(values)]
         else:
-            for n, lv in enumerate(seq.log_values):
-                rows.append([n, math.exp(lv) if lv > -math.inf else 0.0])
+            rows = [["n", "p_n"]] + list(enumerate(system.return_probs(cfg.horizon).tolist()))
         want = io.StringIO(newline="")
         csv.writer(want).writerows(rows)
         assert (out / f"{cfg.name}_walk.csv").read_bytes() == want.getvalue().encode()
         if name == "f2_srw":
             ps = [p for _, p in rows[1:]]
             assert 0.0 in ps and any(0.0 < p < sys.float_info.min for p in ps)
+
+    @LONG_DOUBLE
+    @pytest.mark.parametrize("name, q", [("f2_srw", 3), ("z2z2z2", 2)])
+    def test_tree_walk_csv_matches_the_exact_tree(self, name, q, tmp_path):
+        # the rows past the first block are c_n R^n times R^-n in long
+        # double, rounded once, with no n log R to round: on the trees they
+        # lie within 1e-14 of the exact p_n (7.6e-16 measured)
+        assert main(["walk", "--config", str(CONFIGS_DIR / f"{name}.json"),
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / f"{name}_walk.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        for n in (64, 500, 1000, 2500, 4000):
+            want = tree_return_probability(q, n)
+            assert abs(Fraction(rows[n][1]) - want) <= 1e-14 * want, n
 
     def test_green_outputs(self, cfg_path, tmp_path):
         out = tmp_path / "out"
