@@ -487,21 +487,31 @@ def monomial(group, fid, payload):
     return (fid, payload), 1
 
 
+def in_scope(measure):
+    """Whether the system's scope covers the support of ``measure``: every
+    step is e or one syllable, and every factor is finite or a rank-1
+    lattice whose steps are +-1."""
+    if any(len(g) > 1 for g, _ in measure.support):
+        return False
+    for fid, factor in enumerate(measure.group.factors):
+        if factor.kind == "lattice":
+            steps = {g[0][1] for g, _ in measure.support if g and g[0][0] == fid}
+            if factor.rank != 1 or not steps <= {(1,), (-1,)}:
+                return False
+    return True
+
+
 def first_passage_system(measure):
     """The system of ``measure``, or None outside its scope.
 
-    In scope: every step is e or one syllable, every factor is finite or a
-    rank-1 lattice whose steps are +-1, and the walk can return to e.
+    In scope: ``in_scope`` holds, and the walk can return to e.
     """
     group = measure.group
-    if any(len(g) > 1 for g, _ in measure.support):
+    if not in_scope(measure):
         return None
     unknowns = []
     for fid, factor in enumerate(group.factors):
         if factor.kind == "lattice":
-            steps = {g[0][1] for g, _ in measure.support if g and g[0][0] == fid}
-            if factor.rank != 1 or not steps <= {(1,), (-1,)}:
-                return None
             unknowns += [(fid, (1,)), (fid, (-1,))]
         else:
             unknowns += [(fid, p) for p in factor.nontrivial_elements()]

@@ -30,13 +30,17 @@ lower bound for the untruncated one's.
 Over a factor ball a truncated kernel is a finite non-negative matrix K.
 Its Perron root is read off the eigenvalues of K (by a Rayleigh quotient
 where K is symmetric), and an induced Green function is one entry of
-(I - t K)^-1, one M-matrix solve that refuses where the Neumann series
-diverges (``algebraic.perron_root`` and ``algebraic.m_matrix_solve``).
+(I - t K)^-1, read off row h of it: one M-matrix solve that refuses where
+the Neumann series diverges (``algebraic.perron_root`` and
+``algebraic.m_matrix_solve``).  A kernel keeps this linear algebra: it
+builds K once per factor ball, read-only, and solves row h once per
+(h, t, factor ball), so every endpoint h' of that row, and the Perron
+root, reuse them.
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +72,10 @@ class ReturnKernel:
     escaped_mass: object  # weight dropped at the ball boundary
     exact: bool
     chain_size: int  # unknowns of the first-passage system, else states interned
+    # factor ball -> (states, K); (h, t, factor ball) -> {h': G(h, h' | t)},
+    # or None where the Neumann series diverges.  Not an argument, so a
+    # copy made with ``dataclasses.replace`` starts empty.
+    _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=None):
@@ -159,8 +167,15 @@ def kernel_matrix(kernel, group, factor_ball):
     states are factor payloads with factor word length <= factor_ball;
     M[i, j] = p(states[i], states[j]) = row(states[i]^-1 states[j]).  Every
     pair's states[i]^-1 states[j] gets an integer code in one array step,
-    and M is one sorted lookup of those codes among the row's.
+    and M is one sorted lookup of those codes among the row's.  The kernel
+    keeps both for its later calls at this ball, so M is read-only.
     """
+    if factor_ball not in kernel._solved:
+        kernel._solved[factor_ball] = _kernel_matrix(kernel, group, factor_ball)
+    return kernel._solved[factor_ball]
+
+
+def _kernel_matrix(kernel, group, factor_ball):
     factor = group.factors[kernel.factor_id]
     if factor.kind == "lattice":
         # a difference of two states has every coordinate in [-2B, 2B], so
@@ -189,7 +204,9 @@ def kernel_matrix(kernel, group, factor_ball):
     keys = np.array(found + [np.iinfo(np.int64).max])
     weights = np.array([float(entries[c]) for c in found] + [0.0])
     at = np.searchsorted(keys, codes)
-    return states, np.where(keys[at] == codes, weights[at], 0.0)
+    mat = np.where(keys[at] == codes, weights[at], 0.0)
+    mat.flags.writeable = False
+    return states, mat
 
 
 def kernel_spectral_radius(kernel, group, factor_ball):
@@ -201,25 +218,30 @@ def induced_green(kernel, group, h, h_prime, t, factor_ball=40):
     """G_{k,r}(h,h'|t), the (h, h') entry of (I - t K)^-1 over the truncated
     kernel matrix K.
 
+    The kernel solves row h of (I - t K)^-1 once per (h, t, factor_ball),
+    over its ``kernel_matrix``, and reads every later h' off that row.
     Raises NonConvergenceError where the Neumann series sum_n t^n K^n
     diverges, i.e. unless the Perron root of t K is below 1.
     """
-    states, mat = kernel_matrix(kernel, group, factor_ball)
-    index = {p: i for i, p in enumerate(states)}
     hp = _in_factor(group, h, kernel.factor_id)
     hq = _in_factor(group, h_prime, kernel.factor_id)
     if hp is None or hq is None:
         raise ValueError("induced Green endpoints must lie in the factor")
-    unit = np.zeros(len(states))
-    unit[index[hp]] = 1.0
-    row = m_matrix_solve(t * mat.T, unit)  # row h of (I - t K)^-1
+    key = (hp, t, factor_ball)
+    if key not in kernel._solved:
+        states, mat = kernel_matrix(kernel, group, factor_ball)
+        unit = np.zeros(len(states))
+        unit[states.index(hp)] = 1.0
+        row = m_matrix_solve(t * mat.T, unit)  # row h of (I - t K)^-1
+        kernel._solved[key] = None if row is None else dict(zip(states, row.tolist()))
+    row = kernel._solved[key]
     if row is None:
         raise NonConvergenceError(
             "Neumann series for the induced Green function diverges: "
             "I - t K is not a non-singular M-matrix",
             diagnostics={"t": t, "factor_ball": factor_ball},
         )
-    return float(row[index[hq]])
+    return row[hq]
 
 
 @dataclass

@@ -2,11 +2,12 @@
 radial distance chain.
 
 Every truncated path sum in the package runs on one ``PathOperator``: the
-convolution powers mu^{*n}, the first visits to an element, the first-return
-kernels of the measures the first-passage system does not cover, and the
-reach check of a step measure.  It sends steps that leave the word ball to
-an escape sink and harvests mass that reaches an absorbing set (a factor,
-or one element).  Elements are nodes of a word tree keyed by (prefix node,
+convolution powers mu^{*n}, the first visits to an element, and the
+first-return kernels and the admissibility reach check of the measures the
+first-passage system does not cover (in its scope a measure's support
+decides admissibility).  It sends steps that leave the word ball to an
+escape sink and harvests mass that reaches an absorbing set (a factor, or
+one element).  Elements are nodes of a word tree keyed by (prefix node,
 last syllable code), after the cut-vertex structure of a free product
 (Woess 2000), and the ball is expanded one step at a time in numpy: a
 step is a lookup in its syllable's merge table, and no word is
@@ -69,24 +70,53 @@ class StepMeasure:
         self.max_step_length = max(
             (group.word_length(g) for g, _ in items), default=0
         )
-        self._check_admissible_reach()
+        self._check_admissible()
 
-    def _check_admissible_reach(self):
-        # Admissibility is undecidable in general at this layer; warn if the
-        # support's closure misses part of the radius-3 ball.
-        try:
-            target = set(self.group.ball(3, budget=200000))
-        except BudgetError:
-            return
-        op = PathOperator(self, ball_bound=3)
-        for _ in op.steps(3 * max(1, self.max_step_length) + 3):
-            pass
-        if not target <= set(op.elements()):
+    def _check_admissible(self):
+        # In the first-passage system's scope the support decides it
+        # (``_support_generates``).  Elsewhere admissibility is undecidable
+        # at this layer; warn if the support's closure misses part of the
+        # radius-3 ball.
+        if algebraic.in_scope(self):
+            admissible = self._support_generates()
+        else:
+            admissible = self._reaches_ball()
+        if not admissible:
             warnings.warn(
                 f"measure {self.name or '<unnamed>'} may not be admissible: "
                 "its support does not reach the full radius-3 ball",
                 stacklevel=3,
             )
+
+    def _support_generates(self):
+        """Whether the single-syllable steps reach every element: each
+        finite factor's steps generate it under its table, and each rank-1
+        lattice factor steps both +1 and -1."""
+        for fid, factor in enumerate(self.group.factors):
+            steps = {g[0][1] for g, _ in self.support if g and g[0][0] == fid}
+            if factor.kind == "lattice":
+                generated = steps == {(1,), (-1,)}
+            else:
+                reached = frontier = {factor.identity}
+                while frontier:
+                    frontier = {factor.mul(x, s) for x in frontier for s in steps} - reached
+                    reached = reached | frontier
+                generated = len(reached) == factor.order
+            if not generated:
+                return False
+        return True
+
+    def _reaches_ball(self):
+        """Whether the walk, stepping inside the radius-3 ball, reaches all
+        of it; True where the ball is past its budget."""
+        try:
+            target = set(self.group.ball(3, budget=200000))
+        except BudgetError:
+            return True
+        op = PathOperator(self, ball_bound=3)
+        for _ in op.steps(3 * max(1, self.max_step_length) + 3):
+            pass
+        return target <= set(op.elements())
 
     def is_symmetric(self):
         for g, w in self.support:

@@ -382,22 +382,28 @@ class TestCoefficients:
 def _unreduced_coefficients(system, scaled_to, exact_to):
     """(g, y, nums) from the whole system, one coefficient at a time: the
     recurrence the quotient replaced, kept as the reference.  g[k] and
-    y[s, k] are [r^k] G(e,e) R^k and [r^k] F_s R^k in floats, k <= scaled_to;
+    y[s, k] are [r^k] G(e,e) R^k and [r^k] F_s R^k, k <= scaled_to, grown in
+    long double from the integer weights and rounded to float once;
     nums[k][s] is d^k [r^k] F_s in Python integers, k <= exact_to."""
     d, R = system._d, system.radius
-    c, a, cross, back = (R * v for v in (system._c, system._a, system._cross, system._back))
+    ints = [np.rint(v * d).astype(int).astype(object)
+            for v in (system._c, system._a, system._cross, system._back)]
+    assert all(np.array_equal(i / d, v) for i, v in zip(
+        ints, (system._c, system._a, system._cross, system._back)))
+    # the scaled weights R w / d in long double, as ``_first_block`` has them
+    ld = np.longdouble
+    scale = ld(R) / ld(d)
+    c, a, cross, back = (np.array(v, ld) * scale for v in ints)
     m = len(c)
-    y, w = np.zeros((m, scaled_to + 1)), np.zeros((m, scaled_to + 1))
-    u, g = np.zeros(scaled_to + 1), np.ones(scaled_to + 1)
+    y, w = np.zeros((m, scaled_to + 1), ld), np.zeros((m, scaled_to + 1), ld)
+    u, g = np.zeros(scaled_to + 1, ld), np.ones(scaled_to + 1, ld)
     for k in range(1, scaled_to + 1):
         pairs = [y[:, j] * w[:, k - 1 - j] for j in range(1, k - 1)]
-        y[:, k] = (c if k == 1 else 0.0) + a @ y[:, k - 1] + sum(pairs, np.zeros(m))
+        y[:, k] = (c if k == 1 else 0.0) + a @ y[:, k - 1] + sum(pairs, np.zeros(m, ld))
         w[:, k] = cross @ y[:, k]
-        u[k] = (R * system._lazy if k == 1 else 0.0) + back @ y[:, k - 1]
+        u[k] = (ld(system._lazyi) * scale if k == 1 else 0.0) + back @ y[:, k - 1]
         g[k] = u[1 : k + 1] @ g[k - 1 :: -1]
-    ints = [np.rint(v * d).astype(int).astype(object)
-            for v in (system._c, system._a, system._cross)]
-    assert all(np.array_equal(i / d, v) for i, v in zip(ints, (system._c, system._a, system._cross)))
+    g, y = g.astype(float), y.astype(float)
     nums, crossed = [np.zeros(m, object), ints[0]], [np.zeros(m, object), ints[2] @ ints[0]]
     for k in range(2, exact_to + 1):
         nums.append(ints[1] @ nums[k - 1] + sum(
@@ -478,6 +484,18 @@ def _admissible(mu):
         elif math.gcd(factor.order, *steps) != 1:
             return False
     return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=_single_syllable_measures())
+def test_the_support_decides_admissibility_in_scope(mu):
+    # the support's decision is ``_admissible`` except on Z2 * Z2, which it
+    # admits; where it refuses, the reach walk misses the radius-3 ball too
+    decided = mu._support_generates()
+    if [getattr(f, "order", 0) for f in mu.group.factors] != [2, 2]:
+        assert decided == _admissible(mu)
+    if not decided:
+        assert not mu._reaches_ball()
 
 
 @settings(max_examples=40, deadline=None)

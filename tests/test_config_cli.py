@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freewalk import algebraic, cli, green
+from freewalk import algebraic, cli, green, walks
 from freewalk.algebraic import FirstPassageSystem
 from freewalk.cli import build_parser, main
-from freewalk.config import ConfigError, parse_config
+from freewalk.config import ConfigError, load_config, parse_config
 from freewalk.errors import DivergenceError
 from freewalk.green import GreenEvaluator
 from freewalk.walks import return_probabilities
@@ -557,6 +557,16 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_report_exits_zero(self, path, tmp_path):
         assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_loading_builds_no_path_operator(self, path, monkeypatch):
+        # every shipped measure is in the first-passage system's scope, so
+        # its support decides admissibility and no reach walk runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("loading a config built a path operator")
+
+        monkeypatch.setattr(walks, "PathOperator", refuse)
+        load_config(path)
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_report_grows_the_coefficients_once(self, path, tmp_path, monkeypatch):

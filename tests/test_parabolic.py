@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from freewalk import parabolic
+from freewalk.algebraic import m_matrix_solve
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
 from freewalk.green import GreenEvaluator
 from freewalk.groups import FreeProduct, LatticeFactor, _lattice_ball
@@ -238,7 +240,63 @@ class TestSpectralRadius:
             assert rungs[-1] < want
 
 
+def _induced_green_per_call(kernel, group, h, h_prime, t, factor_ball):
+    """The reference for ``induced_green``: a new kernel matrix (on a copy
+    of the kernel, which keeps nothing) and a new solve for each entry."""
+    states, mat = kernel_matrix(replace(kernel), group, factor_ball)
+    index = {p: i for i, p in enumerate(states)}
+    unit = np.zeros(len(states))
+    unit[index[h]] = 1.0
+    row = m_matrix_solve(t * mat.T, unit)
+    return float(row[index[h_prime]])
+
+
+def _count_calls(monkeypatch, name):
+    """The list that each later call of ``parabolic.<name>`` appends to."""
+    calls, fn = [], getattr(parabolic, name)
+    monkeypatch.setattr(parabolic, name, lambda *a: calls.append(1) or fn(*a))
+    return calls
+
+
 class TestInducedGreen:
+    @pytest.mark.parametrize("r, L, B", [(Fraction(1), 20, None), (1.0, 140, 11)])
+    def test_one_matrix_and_one_solve_per_row(self, f2_srw, f2, monkeypatch, r, L, B):
+        # the four entries of row e that the kernels benchmark reads, as the
+        # per-call code gave them bit for bit, from one build and one solve
+        kern = first_return_kernel(f2_srw, 0, r, L, B, exact=isinstance(r, Fraction))
+        payloads = [(j,) for j in range(4)]
+        want = [_induced_green_per_call(kern, f2, (0,), p, 1.0, 40) for p in payloads]
+        builds = _count_calls(monkeypatch, "_kernel_matrix")
+        solves = _count_calls(monkeypatch, "m_matrix_solve")
+        got = [induced_green(kern, f2, (), ((0, p),) if any(p) else (), 1.0) for p in payloads]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert (len(builds), len(solves)) == (1, 1)
+        # the Perron root reads the same stored matrix
+        kernel_spectral_radius(kern, f2, 40)
+        assert len(builds) == 1
+
+    def test_past_the_kernel_radius_every_call_is_refused(self, f2_srw, f2, monkeypatch):
+        kern = first_return_kernel(f2_srw, 0, 1.0, 60, 10, exact=False)
+        t = 1.05 / kernel_spectral_radius(kern, f2, factor_ball=40)
+        solves = _count_calls(monkeypatch, "m_matrix_solve")
+        for _ in range(2):
+            for g in ((), ((0, (1,)),), ((0, (2,)),)):
+                with pytest.raises(NonConvergenceError):
+                    induced_green(kern, f2, (), g, t)
+        assert len(solves) == 1
+
+    def test_the_stored_matrix_is_read_only(self, f2_srw, f2):
+        kern = first_return_kernel(f2_srw, 0, 1.0, 60, 10, exact=False)
+        states, mat = kernel_matrix(kern, f2, factor_ball=5)
+        assert kernel_matrix(kern, f2, factor_ball=5)[1] is mat
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+        # a copy of the kernel keeps nothing, and equals the original
+        copy = replace(kern)
+        assert copy == kern
+        assert kernel_matrix(copy, f2, factor_ball=5)[1] is not mat
+
     def test_matches_green_at_one(self, f2_srw, f2, ev):
         kern = first_return_kernel(f2_srw, 0, 1.0, max_len=60, ball_radius=10, exact=False)
         for payload, target in (((0,), ()), ((1,), ((0, (1,)),)), ((2,), ((0, (2,)),))):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freewalk.errors import DegenerateInputError, GroupSpecError
+from freewalk.groups import FreeProduct, cyclic_factor
 from freewalk.walks import (
     ReturnSequence,
     StepMeasure,
@@ -49,6 +50,24 @@ class TestStepMeasure:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             uniform_on_generators(f2)
+
+    def test_a_generating_support_does_not_warn(self):
+        # t alone generates Z7, but t^-1 = t^6 is 6 steps away, past the
+        # horizon of the reach walk, which misses the radius-3 ball; the
+        # measure is admissible, and its system has a fold at R = 1.14434
+        group = FreeProduct([cyclic_factor(7), cyclic_factor(3)])
+        t, u, ui = ((0, 1),), ((1, 1),), ((1, 2),)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = StepMeasure(group, {t: Fraction(1, 2), u: Fraction(1, 4), ui: Fraction(1, 4)})
+        assert not mu._reaches_ball()
+        assert abs(mu.first_passage_system.radius - 1.14434) < 1e-5
+
+    def test_off_the_system_the_reach_walk_warns(self, f2):
+        # two-syllable steps ab and (ab)^-1 never reach a alone
+        ab = ((0, (1,)), (1, (1,)))
+        with pytest.warns(UserWarning, match="admissible"):
+            StepMeasure(f2, {ab: Fraction(1, 2), f2.invert(ab): Fraction(1, 2)})
 
     def test_lazy_variant(self, f2):
         mu = uniform_on_generators(f2, lazy=Fraction(1, 3))
