@@ -26,10 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 DEVIATION_FLOOR = 1e-9
-# largest summed relative tail of the four Green values of a triple or a
-# quadruple; one past it is skipped, as is one with a zero value
-TAIL_TOL = 0.05
-# slack below 1, on top of three times that tail, for the triple bound
+# slack below 1 for the triple bound
 LOWER_TOL = 1e-9
 
 
@@ -91,20 +88,21 @@ def ancona_audit(evaluator, grid, n_triples=200, max_rel_dist=6, seed=0):
 
     The triple ratio is G(x,z) G(y,y) / (G(x,y) G(y,z)) with y an interior
     point of the syllable geodesic from x to z; supermultiplicativity of
-    path weights makes it >= 1 up to series tolerance.  The strong-form
-    audit takes quadruples whose geodesics share an n-syllable prefix and
-    fits |ratio - 1| <= C rho^n; rho = C = 0 where the deviations above
-    the floor span fewer than two n, which fix no slope.  G is
-    left-invariant, so every value is read from e to its displacement
+    path weights makes it >= 1 up to rounding (``LOWER_TOL``).  The
+    strong-form audit takes quadruples whose geodesics share an n-syllable
+    prefix and fits |ratio - 1| <= C rho^n; rho = C = 0 where the
+    deviations above the floor span fewer than two n, which fix no slope.
+    G is left-invariant, so every value is read from e to its displacement
     x^-1 y.  No draw depends on r: the sample is drawn and encoded once
     (``_sample``, ``syllable_ids``), each r reads all its values in one
     ``green_batch``, and a report at r is the one a grid of r alone gives.
 
-    On a measure supported on single syllables every G(x,z) is G(e,e)
-    times its syllables' first passages, so the ratio is 1 by construction
-    and its deviation measures rounding only: there the audit is an
-    identity check, and it compares two independent numbers only on
-    measures read from the convolution table.
+    The evaluator accepts only measures on single syllables, where every
+    G(x,z) is G(e,e) times its syllables' first passages, so the ratio is
+    1 by construction and its deviation measures rounding only: on every
+    measure it accepts the audit is an identity check, not a comparison
+    of two independent numbers.  A triple or quadruple is skipped only
+    for a zero value.
     """
     words, ns = _sample(evaluator.group, n_triples, max_rel_dist, seed)
     ids = evaluator.syllable_ids(words)
@@ -146,23 +144,20 @@ def _sample(group, n_triples, max_rel_dist, seed):
 
 def _ancona_at(evaluator, r, seed, ids, n_drawn, ns):
     """The ``AnconaReport`` at r of a ``_sample`` of ``n_drawn`` triples,
-    encoded as ``ids``, in one ``green_batch``.  Sums run in sequence, as
-    a loop over the triples adds."""
-    values, tails = evaluator.green_batch(ids, r)
-    gee = evaluator.green((), (), r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(values != 0, tails / values, math.inf)
-    rxz, rxy, ryz = (rel[k : 3 * n_drawn : 3] for k in range(3))
-    rel_tail = rxz + rxy + ryz + (gee.tail / gee.value if gee.value else math.inf)
-    kept = ~(rel_tail > TAIL_TOL)
-    gxz, gxy, gyz = (values[k : 3 * n_drawn : 3][kept] for k in range(3))
-    ratio = (gxz * gee.value) / (gxy * gyz)
-    # the bound is checked up to the propagated series tolerance
-    ok = int(np.count_nonzero(ratio >= 1.0 - (LOWER_TOL + 3.0 * rel_tail[kept])))
+    encoded as ``ids``, in one ``green_batch``.  A triple or a quadruple
+    with a zero value is skipped.  Sums run in sequence, as a loop over
+    the triples adds."""
+    values = evaluator.green_batch(ids, r)
+    gee = evaluator.green((), (), r).value
+    gxz, gxy, gyz = (values[k : 3 * n_drawn : 3] for k in range(3))
+    kept = (gxz != 0) & (gxy != 0) & (gyz != 0)
+    ratio = (gxz[kept] * gee) / (gxy[kept] * gyz[kept])
+    ok = int(np.count_nonzero(ratio >= 1.0 - LOWER_TOL))
     ratios = ratio.tolist()
 
-    kept = ~(sum(rel[3 * n_drawn + k :: 4] for k in range(4)) > TAIL_TOL)
-    g1, g2, g3, g4 = (values[3 * n_drawn + k :: 4][kept] for k in range(4))
+    quads = values[3 * n_drawn :].reshape(-1, 4)
+    kept = quads.all(axis=1)
+    g1, g2, g3, g4 = quads[kept].T
     devs = np.abs((g1 * g2) / (g3 * g4) - 1.0)
     below_floor = bool(np.all(devs <= DEVIATION_FLOOR))
     above = devs > DEVIATION_FLOOR

@@ -8,9 +8,12 @@ version, and identical config and version produce identical output files.
 evaluator and each return sequence are built once per run (the walk's
 coefficients are the ones the evaluator's radius estimate reads later);
 a standalone subcommand builds its own.  ``walk`` and ``llt`` read the
-first-passage system where it covers the measure, else exact convolution;
-``degeneracy`` and ``pressure`` read it through ``StepMeasure.route`` and
-build no evaluator.  ``walk.csv`` is written in one string, with the
+first-passage system where it covers the measure, else exact convolution.
+Every other subcommand reads it through ``StepMeasure.route``: ``green``,
+``isums``, ``ancona`` and ``report`` by building the evaluator first,
+``degeneracy`` and ``pressure`` directly, with no evaluator.  So a
+measure outside the system is refused (exit 4) before any work and
+before any file is written.  ``walk.csv`` is written in one string, with the
 bytes ``csv.writer`` gives for its rows, and each JSON file from one
 ``json.dumps``.
 """
@@ -42,9 +45,8 @@ class Shared:
 
     @cached_property
     def evaluator(self):
-        # the walk horizon governs return-probability runs only; Green series
-        # use the evaluator's own defaults (the convolution table, for what
-        # no other engine covers, costs exponentially in its horizon)
+        # the walk horizon governs return-probability runs only; the radius
+        # estimate reads the evaluator's own default horizon
         return GreenEvaluator(self.measure)
 
     def returns(self, horizon):

@@ -5,8 +5,9 @@ g_1 is phi_r(x) = log( H(e,g|r) / H(g_1,g|r) ), with H(x,y|r) the product of
 the two Green functions between x and y.  For a measure on single
 syllables every syllable prefix is a cut vertex (Woess 2000), so
 phi_r(x) = log F(e,g_1|r) F(g_1,e|r) depends on the first symbol alone and
-the transfer operator is a matrix over the symbols; other measures are
-refused.  That matrix lumps onto the factors: it is read here as
+the transfer operator is a matrix over the symbols; the Green evaluator
+refuses every other measure (``StepMeasure.route``) when it is built.
+That matrix lumps onto the factors: it is read here as
 ``automaton.factor_matrix(t)``, t_k summing e^phi over factor k's symbols.
 Summing phi_r along the shift telescopes, which yields the sphere identity
 
@@ -42,8 +43,7 @@ def build_transfer(evaluator, r, cap):
     The symbol matrix is diag(seed)[fid(i) != fid(j)] with seed[s] =
     e^{phi_r(s)} = F(e,s|r) F(s,e|r), and it has the nonzero spectrum of
     ``factor_matrix(t)``, t_k the sum of the seeds of factor k's cap-D
-    symbols (``GreenEvaluator.factor_sums``, which refuses measures off
-    single-syllable support).
+    symbols (``GreenEvaluator.factor_sums``).
     """
     t = evaluator.factor_sums(Automaton(evaluator.group, cap).payloads, r)
     return factor_matrix(t), t

@@ -2,10 +2,9 @@
 radial distance chain.
 
 Every truncated path sum in the package runs on one ``PathOperator``: the
-convolution powers mu^{*n}, the first visits to an element, and the
-first-return kernels and the admissibility reach check of the measures the
-first-passage system does not cover (in its scope a measure's support
-decides admissibility).  It sends steps that leave the word ball to an
+convolution powers mu^{*n}, and the first-return kernels and the
+admissibility reach check of the measures the first-passage system does
+not cover (in its scope a measure's support decides admissibility).  It sends steps that leave the word ball to an
 escape sink and harvests mass that reaches an absorbing set (a factor, or
 one element).  Elements are nodes of a word tree keyed by (prefix node,
 last syllable code), after the cut-vertex structure of a free product
@@ -22,9 +21,10 @@ Single-syllable measures on finite and rank-1 lattice factors have a
 second route, the first-passage system of ``algebraic``, built once per
 measure (``StepMeasure.first_passage_system``): its coefficients give
 p_n(e,e) to any horizon in floats, and the first-return kernels exactly
-or in floats, with no ball and no path sums.  The Green evaluator, the
-kernels and the CLI's returns take it wherever it applies; a value only it
-gives reads it through ``StepMeasure.route``, which refuses the rest.
+or in floats, with no ball and no path sums.  The kernels and the CLI's
+returns take it wherever it applies; a value only it gives (every Green
+value among them) reads it through ``StepMeasure.route``, which refuses
+the rest.
 The radial distance chain (``is_radial``) projects isotropic
 nearest-neighbor walks to a birth-death chain on distances.  No command
 reads it: it shares no code with the first-passage system, and the tests
@@ -524,9 +524,6 @@ class Distribution:
     numerators: dict  # element -> int
     escaped_numerator: int
 
-    def mass(self, elem):
-        return Fraction(self.numerators.get(elem, 0), self.denominator)
-
 
 def convolve_powers(measure, n, ball_bound=None):
     """All mu^{*k} for k = 0..n in one pass of the path operator."""
@@ -550,22 +547,6 @@ def convolve_powers(measure, n, ball_bound=None):
         numerators = dict(zip(op.elements(ids), nums.tolist()))
         out.append(Distribution(step, denom, numerators, escaped))
     return out
-
-
-def first_visits(measure, gamma, n, ball_bound):
-    """(denominator, hits): hits[k-1] / denominator**k = f_k(e, gamma).
-
-    f_k is the mass of the paths that first reach gamma at step k, from the
-    path operator with gamma as its absorbing set (for gamma = e, the first
-    returns).  The list stops early once no mass is left in flight.
-    """
-    op = PathOperator(measure, ball_bound, target=gamma)
-    hits = []
-    for ids, _, step_hits, _ in op.steps(n):
-        hits.append(step_hits.get(gamma, 0))
-        if not len(ids):
-            break
-    return op.denominator, hits
 
 
 @dataclass

@@ -23,7 +23,6 @@ from freewalk.groups import FreeProduct, cyclic_factor
 from freewalk.walks import (
     StepMeasure,
     convolve_powers,
-    first_visits,
     is_radial,
     return_probabilities,
     uniform_on_generators,
@@ -43,6 +42,7 @@ from oracles import (
 )
 from test_path_operator import (
     LONG_DOUBLE, _cyclic_measures, _f2, _measure, _single_syllable_measures,
+    first_visits, mass,
 )
 
 A, AI, B, BI = ((0, (1,)),), ((0, (-1,)),), ((1, (1,)),), ((1, (-1,)),)
@@ -218,7 +218,7 @@ class TestCoefficients:
         powers = convolve_powers(mu, 40, ball_bound=20)  # enough to return
         logs = return_probabilities(mu, 40, method="algebraic").log_values
         for n, p in enumerate(exact):
-            assert p == powers[n].mass(())
+            assert p == mass(powers[n], ())
             if p:
                 assert abs(math.exp(logs[n]) - float(p)) / float(p) < 1e-13
             else:

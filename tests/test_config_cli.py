@@ -12,11 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freewalk import algebraic, cli, green, walks
+from freewalk import algebraic, cli, walks
 from freewalk.algebraic import FirstPassageSystem
 from freewalk.cli import build_parser, main
 from freewalk.config import ConfigError, load_config, parse_config
-from freewalk.errors import DivergenceError
 from freewalk.green import GreenEvaluator
 from freewalk.walks import return_probabilities
 
@@ -24,7 +23,7 @@ from oracles import (
     F2_RADIUS, f2_i1, f2_i2, kernel_rho_at_radius, tree_return_probability,
     z2z2z2_radius, z2z3_radius,
 )
-from test_path_operator import LONG_DOUBLE, _measure
+from test_path_operator import LONG_DOUBLE
 
 CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
@@ -123,14 +122,6 @@ class TestConfigParsing:
             parse_config(dict(BASE, r_grid=["1.0004R"])).resolve_r_grid(2.0)
         r_hat = 1.1547005383792517
         assert parse_config(dict(BASE, r_grid=["1.0R"])).resolve_r_grid(r_hat) == [r_hat]
-        # the convolution table's R_hat is extrapolated, and its evaluator
-        # stops there too: what the grid admits, it evaluates
-        ev = GreenEvaluator(_measure("z2sq_z2"), horizon=30, ball_bound=6)
-        assert ev.system is None
-        (r,) = parse_config(dict(BASE, r_grid=["1.0R"])).resolve_r_grid(ev.R_hat)
-        assert math.isfinite(ev.green((), (), r).value)
-        with pytest.raises(DivergenceError):
-            ev.green((), (), 1.0004 * ev.R_hat)
 
     def test_finite_factor_from_a_table(self, tmp_path):
         # S3 from its multiplication table, generated by its three
@@ -246,6 +237,21 @@ def _z2sq_z2_config(tmp_path):
     return path
 
 
+def _f2_two_letter_config(tmp_path):
+    """A config whose two-letter steps are outside the first-passage
+    system."""
+    steps = [[[1, 1], [0, 1]], [[0, -1], [1, -1]], [[0, 1]], [[0, -1]]]
+    raw = dict(
+        BASE,
+        name="f2_two_letter",
+        measure={"type": "weights",
+                 "weights": [{"syllables": s, "weight": "1/4"} for s in steps]},
+    )
+    path = tmp_path / "f2_two_letter.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
 def test_llt_imports_no_numpy_ma():
     # numpy's median imports numpy.ma on its first call; llt takes the
     # middle of the sorted differences instead, so a fresh process is
@@ -320,8 +326,7 @@ class TestCliExitCodes:
         self, tmp_path, capsys, monkeypatch
     ):
         # the verdict needs the first-passage system, so it is refused
-        # before any Green evaluator is built (whose convolution table on
-        # this measure runs for about half a minute, then exits 3)
+        # before any Green evaluator is built
         builds = []
         monkeypatch.setattr(GreenEvaluator, "__init__", lambda *a, **k: builds.append(a))
         path = _z2sq_z2_config(tmp_path)
@@ -329,6 +334,26 @@ class TestCliExitCodes:
         assert rc == 4
         assert "needs the first-passage system" in capsys.readouterr().err
         assert builds == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:measure <unnamed> may not be admissible")
+    @pytest.mark.parametrize("command", ["green", "isums", "ancona", "report"])
+    @pytest.mark.parametrize("config", [_z2sq_z2_config, _f2_two_letter_config],
+                             ids=["z2sq_z2", "f2_two_letter"])
+    def test_green_outside_the_system_is_refused_at_once(
+        self, command, config, tmp_path, capsys, monkeypatch
+    ):
+        # every Green value needs the first-passage system, so the
+        # evaluator is refused as it is built: no power is convolved and
+        # no file is written
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Green run convolved powers")
+
+        monkeypatch.setattr(walks, "convolve_powers", refuse)
+        path = config(tmp_path)
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert capsys.readouterr().err == f"error: {algebraic.SCOPE}\n"
         assert not (tmp_path / "out").exists()
 
     def test_pressure_outside_the_system_is_refused_at_once(
@@ -613,12 +638,13 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_report_sums_no_green_series(self, path, tmp_path, monkeypatch):
-        # every Green value of an in-scope report is read off the least
-        # solution: no series is summed
-        def refused(logs, r):
-            raise AssertionError(f"a series was summed at r = {r!r}")
+        # every value of a shipped report is read off the first-passage
+        # system: no power is convolved and no path operator is stepped
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report ran a path sum")
 
-        monkeypatch.setattr(green, "_eval_series", refused)
+        monkeypatch.setattr(walks, "convolve_powers", refuse)
+        monkeypatch.setattr(walks.PathOperator, "steps", refuse)
         assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])

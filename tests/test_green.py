@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from freewalk.algebraic import monomial
+from freewalk import walks
+from freewalk.algebraic import SCOPE, monomial
 from freewalk.audit import ancona_audit, ratio_report, syllable_choices
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
 from freewalk.green import (
-    ConvolutionGreenTable,
     GreenEvaluator,
-    GreenValue,
-    _binomial_weighted,
-    _eval_series,
     _sphere_sum,
     sphere_sizes,
     spectral_radius,
@@ -120,25 +117,26 @@ class TestClosedForms:
         with pytest.raises(DivergenceError):
             ev.green((), (), ev.R_hat * 1.1)
 
+    def test_off_diagonal_at_zero(self, z2z3_srw):
+        # every term of G(e, gamma | 0) vanishes when gamma != e
+        ev23 = GreenEvaluator(z2z3_srw)
+        assert ev23.green((), ((1, 2),), 0.0).value == 0.0
+        assert ev23.first_passage((), ((1, 2),), 0.0).value == 0.0
+
 
 class TestDerivative:
     def test_series_vs_identity(self, ev):
-        # the system's jet against the relative-sphere sum, both exact
+        # d/dr (r G) from the system's jet against the relative-sphere sum
         for frac in (0.5, 0.8, 0.9):
             r = frac * ev.R_hat
-            jet = ev.green_derivative(r)
-            ident = ev.i_sums(r).i1
-            assert abs(jet.value - ident) / jet.value < 1e-13
-            assert (jet.tail, jet.method) == (0.0, "point/jet")
-
-    def test_derivative_only_at_identity(self, ev):
-        # d/dr (r G) is offered at (e, e) alone: it takes r and nothing else
-        with pytest.raises(TypeError):
-            ev.green_derivative((), ((0, (1,)),), 0.5)
+            g, dg = ev.system.green_jet(r, 1)
+            ident = ev.i_sums(r)
+            assert abs(g + r * dg - ident.i1) / (g + r * dg) < 1e-13
+            assert ident.i2_method == "point/jet"
 
     def test_derivative_positive_and_increasing(self, ev):
         vals = [
-            ev.green_derivative(f * ev.R_hat).value
+            ev.i_sums(f * ev.R_hat).i1_derivative
             for f in (0.3, 0.6, 0.9)
         ]
         assert all(v > 0 for v in vals)
@@ -329,31 +327,6 @@ class TestISums:
         # G(e,e|R) itself is finite: no derivative is taken
         assert abs(ev.green((), (), ev.R_hat).value / f2_green(F2_RADIUS) - 1) < 1e-7
 
-    @pytest.mark.parametrize("frac, reason", [(0.9, "I1 routes disagree"),
-                                              (0.98, "I2 series")])
-    def test_convolution_route_refuses(self, frac, reason):
-        # off the system (Z^2 * Z2, horizon 30, ball 6) the series keep
-        # both refusals: the relative spheres against the derivative
-        # series, and the I2 series where it would close its tail with the
-        # power-law model, which is checked first.  The sphere sum asks
-        # the lattice syllables up to the table's visit radius 7 only
-        ev_conv = GreenEvaluator(_measure("z2sq_z2"), horizon=30, ball_bound=6)
-        with pytest.raises(NonConvergenceError, match=reason) as err:
-            ev_conv.i_sums(frac * ev_conv.R_hat)
-        assert err.value.diagnostics["r"] == frac * ev_conv.R_hat
-
-    def test_first_visits_stop_one_step_past_the_ball(self):
-        # the target absorbs, so a syllable has a first visit only within
-        # one step of the ball: F is positive at the visit radius and
-        # exactly 0 one past it, so the sphere sum drops nothing there
-        ev_conv = GreenEvaluator(_measure("z2sq_z2"), horizon=30, ball_bound=6)
-        cap, r = ev_conv.table.visit_radius, 0.5 * ev_conv.R_hat
-        assert cap == 7
-        for payload in ((cap, 0), (3, cap - 3), (0, -cap)):
-            assert ev_conv.first_passage((), ((0, payload),), r).value > 0.0
-        for payload in ((cap + 1, 0), (4, cap - 3), (0, -cap - 1)):
-            assert ev_conv.first_passage((), ((0, payload),), r).value == 0.0
-
     def test_requires_single_syllable_support(self, f2):
         from fractions import Fraction
         from freewalk.walks import StepMeasure
@@ -370,9 +343,8 @@ class TestISums:
                 f2,
                 {ab: Fraction(1, 4), ba: Fraction(1, 4), a: Fraction(1, 4), ai: Fraction(1, 4)},
             )
-        ev2 = GreenEvaluator(mu, horizon=40, ball_bound=8)
-        with pytest.raises(GroupSpecError):
-            ev2.i_sums(1.0)
+        with pytest.raises(GroupSpecError, match="needs the first-passage system"):
+            GreenEvaluator(mu)
 
     def test_sphere_sum_refuses_a_singular_matrix(self):
         # t = (1, 1) gives M = [[0, 1], [1, 0]]: I - M is singular, and the
@@ -387,12 +359,8 @@ def _sphere(group, n):
     return [g for g in group.ball(n) if group.word_length(g) == n]
 
 
-@pytest.fixture(scope="module", params=["f2", "z2z3", "z2sq_z2"])
+@pytest.fixture(scope="module", params=["f2", "z2z3"])
 def single_syllable_ev(request):
-    # f2 and z2z3 run on the first-passage system; Z^2 * Z2 on the
-    # convolution table, where each syllable is its own base
-    if request.param == "z2sq_z2":
-        return GreenEvaluator(_measure("z2sq_z2"), horizon=30, ball_bound=6)
     return GreenEvaluator(_measure(request.param))
 
 
@@ -400,7 +368,7 @@ def _left_to_right(ev, gamma, r, value):
     """``value`` times F(e,u|r)^k over gamma's syllables, left to right,
     with (u, k) the syllable's unknown and power on the system."""
     for fid, p in gamma:
-        u, k = monomial(ev.group, fid, p) if ev.system else ((fid, p), 1)
+        u, k = monomial(ev.group, fid, p)
         value *= ev.first_passage((), (u,), r).value ** k
     return value
 
@@ -432,11 +400,7 @@ class TestSyllableTable:
 @pytest.fixture(scope="module")
 def twin_ev(single_syllable_ev):
     """A second evaluator of the same measure, with caches of its own."""
-    ev = single_syllable_ev
-    if ev.system is None:
-        return GreenEvaluator(ev.measure, horizon=ev.horizon,
-                              ball_bound=ev.table.ball_bound)
-    return GreenEvaluator(ev.measure)
+    return GreenEvaluator(single_syllable_ev.measure)
 
 
 class TestLeftInvariance:
@@ -459,28 +423,19 @@ class TestLeftInvariance:
 
 
 def syllable_weight(ev, syl, r):
-    """(F(e,u|r)^k, k * relative tail) of one syllable, (u, k) its unknown
-    and power on the system: one entry of the evaluator's weight table,
-    computed on its own."""
-    u, k = monomial(ev.group, *syl) if ev.system else (syl, 1)
-    f = ev.first_passage((), (u,), r)
-    return f.value**k, (k * f.tail / f.value if f.value else 0.0)
+    """F(e,u|r)^k of one syllable, (u, k) its unknown and power on the
+    system: one entry of the evaluator's weight table, computed on its own."""
+    u, k = monomial(ev.group, *syl)
+    return ev.first_passage((), (u,), r).value ** k
 
 
 def reference_green(ev, gamma, r):
     """G(e,gamma|r) by the scalar loop the evaluator ran before its batch:
-    G(e,e) times gamma's syllable weights, one syllable at a time, the
-    relative tails added in the same order.  Off single-syllable support,
-    or at gamma = e, the evaluator's series value."""
-    gee = ev.green((), (), r)
-    if not gamma or not ev.single_syllable_support:
-        return ev.green((), gamma, r)
-    value, rel_tail = gee.value, gee.tail / gee.value
+    G(e,e) times gamma's syllable weights, one syllable at a time."""
+    value = ev.green((), (), r).value
     for syl in gamma:
-        w, rel = syllable_weight(ev, syl, r)
-        value *= w
-        rel_tail += rel
-    return GreenValue(value, abs(value) * rel_tail, "factored")
+        value *= syllable_weight(ev, syl, r)
+    return value
 
 
 @pytest.fixture(scope="module", params=["f2", "z2z3", "z2z2z2", "f2_asym", "f2_lazy"])
@@ -500,99 +455,34 @@ class TestGreenBatch:
         words = [_draw_element(data, choices, 6) for _ in range(n_words)]
         words.insert(data.draw(st.integers(0, len(words))), ())
         r = data.draw(st.sampled_from((0.9, 0.98))) * ev.R_hat
-        values, tails = ev.green_batch(ev.syllable_ids(words), r)
-        assert values.dtype == tails.dtype == np.float64
-        for w, v, t in zip(words, values.tolist(), tails.tolist()):
+        values = ev.green_batch(ev.syllable_ids(words), r)
+        assert values.dtype == np.float64
+        for w, v in zip(words, values.tolist()):
             g, ref = ev.green((), w, r), reference_green(ev, w, r)
-            assert (v.hex(), t.hex()) == (g.value.hex(), g.tail.hex())
-            assert (g.value.hex(), g.tail.hex()) == (ref.value.hex(), ref.tail.hex())
+            assert v.hex() == g.value.hex() == ref.hex()
+            assert g.tail == 0.0  # a point value of the least solution
 
     def test_empty_word_keeps_its_own_tail(self, batch_ev):
         ev = batch_ev
         r = 0.9 * ev.R_hat
-        values, tails = ev.green_batch(ev.syllable_ids([(), ()]), r)
+        values = ev.green_batch(ev.syllable_ids([(), ()]), r)
         gee = ev.green((), (), r)
-        assert values.tolist() == [gee.value] * 2 and tails.tolist() == [gee.tail] * 2
-
-    def test_multi_syllable_measures_fall_back_to_green(self):
-        # off single syllables the batch asks the scalar path word by word
-        ev = GreenEvaluator(_measure("f2_two_letter"), horizon=30, ball_bound=6)
-        assert not ev.single_syllable_support
-        r = 0.9 * ev.R_hat
-        words = [(), ((0, (1,)),), ((1, (1,)), (0, (1,))),
-                 ((0, (-1,)), (1, (-1,)), (0, (2,))), ((1, (2,)),)]
-        values, tails = ev.green_batch(ev.syllable_ids(words), r)
-        want = [ev.green((), w, r) for w in words]
-        assert values.tolist() == [g.value for g in want]
-        assert tails.tolist() == [g.tail for g in want]
+        assert values.tolist() == [gee.value] * 2 and gee.tail == 0.0
 
     def test_weight_tables_are_arrays_by_syllable_id(self, f2_srw):
         ev = GreenEvaluator(f2_srw)
         r = 0.9 * ev.R_hat
         ids = ev.syllable_ids([((0, (2,)), (1, (-1,))), ((1, (-1,)),), ()])
         assert ids.tolist() == [[1, 2], [2, 0], [0, 0]]
-        w, rel = ev.syllable_weights(r)
-        assert (w[0], rel[0]) == (1.0, 0.0)
+        w = ev.syllable_weights(r)
+        assert w[0] == 1.0
         for i, syl in ((1, (0, (2,))), (2, (1, (-1,)))):
-            assert (w[i], rel[i]) == syllable_weight(ev, syl, r)
-            assert rel[i] == 0.0  # point values have no tail
-
-
-def _eval_series_loop(logs, r):
-    """The term-by-term loop ``_eval_series`` replaced, kept as its reference."""
-    logr = math.log(r) if r > 0 else -math.inf
-    terms = [(n, lc + n * logr if n else lc) for n, lc in enumerate(logs) if lc > -math.inf]
-    if not terms:
-        return 0.0, 0.0, "empty"
-    peak = max(lt for _, lt in terms)
-    value = math.exp(peak) * sum(math.exp(lt - peak) for _, lt in terms)
-    finite = [(n, lt) for n, lt in terms if lt > -math.inf]
-    if len(finite) < 4:
-        return value, 0.0, "none"
-    (n1, l1), (n2, l2) = finite[-2], finite[-1]
-    q, last = math.exp(l2 - l1), math.exp(l2)
-    if q < 0.995:
-        tail, method = last * q / (1.0 - q), "geometric"
-    else:
-        qt_p = min(q * (n2 / n1) ** 1.5, 1.0)
-        j = np.arange(1, 200001)
-        tail = float((last * qt_p**j * (n2 / (n2 + (n2 - n1) * j)) ** 1.5).sum())
-        method = "power-law"
-    return value + tail, tail, method
-
-
-class TestEvalSeries:
-    def test_matches_the_term_loop(self, z2z3_srw):
-        # same terms, same left-to-right order; only the exponentials move
-        # from libm to numpy, so the values agree to a few ulps.  The long
-        # series are the first-passage system's 4000 return coefficients
-        system = z2z3_srw.first_passage_system
-        r_hat, returns = system.radius, system.return_log_probs(4000)
-        conv = GreenEvaluator(_measure("f2_two_letter"), horizon=30, ball_bound=6)
-        cases = [
-            (returns, (0.0, 0.5 * r_hat, 0.9 * r_hat, r_hat)),
-            (_binomial_weighted(returns, 2), (0.95 * r_hat,)),
-            (conv.table.log_coefficients(((0, (1,)),)), (0.5, 0.9 * conv.R_hat)),
-            (conv.table.first_visit_logs(((0, (1,)),)), (0.3, 0.99 * conv.R_hat)),
-        ]
-        for logs, grid in cases:
-            for r in grid:
-                got, want = _eval_series(logs, r), _eval_series_loop(logs, r)
-                assert got[2:] == want[2:], (r, got, want)
-                assert math.isclose(got[0], want[0], rel_tol=1e-14, abs_tol=1e-300)
-                assert math.isclose(got[1], want[1], rel_tol=1e-14, abs_tol=1e-300)
-
-    def test_off_diagonal_at_zero(self, z2z3_srw):
-        # every term of G(e, gamma | 0) vanishes when gamma != e
-        ev23 = GreenEvaluator(z2z3_srw)
-        assert ev23.green((), ((1, 2),), 0.0).value == 0.0
-        assert ev23.first_passage((), ((1, 2),), 0.0).value == 0.0
+            assert w[i] == syllable_weight(ev, syl, r)
 
 
 class TestTables:
-    """No table wherever the first-passage system covers the measure,
-    radial walks included: point values come from the system.  The
-    convolution table elsewhere."""
+    """Point values come from the first-passage system wherever it covers
+    the measure, radial walks included; every other measure is refused."""
 
     @pytest.mark.parametrize(
         "measure, radius",
@@ -609,7 +499,7 @@ class TestTables:
         mu = _measure(measure)
         assert is_radial(mu) is not None
         ev_m = GreenEvaluator(mu)
-        assert ev_m.table is None and ev_m.system is mu.first_passage_system
+        assert ev_m.system is mu.first_passage_system
         assert ev_m.R_hat == mu.first_passage_system.radius
         assert abs(ev_m.R_hat - radius) < 1e-12
 
@@ -637,7 +527,7 @@ class TestTables:
 
     def test_z2z3_reads_the_first_passage_system(self, z2z3_srw):
         ev23 = GreenEvaluator(z2z3_srw)
-        assert ev23.table is None and ev23.system is z2z3_srw.first_passage_system
+        assert ev23.system is z2z3_srw.first_passage_system
         assert ev23.horizon == 4000
         assert ev23.R_hat == z2z3_srw.first_passage_system.radius
         assert abs(ev23.R_hat - z2z3_radius()) / z2z3_radius() < 1e-12
@@ -666,21 +556,19 @@ class TestTables:
         with pytest.raises(DivergenceError, match="past the radius"):
             ev23.first_passage((), ((0, 1),), past)
 
-    # float.hex of R_hat and of G(e,e|0.9 R_hat) with horizon 30 and ball
-    # bound 6, frozen from the convolution table before the algebraic one
-    # existed: the measures it does not cover must keep their numbers
-    CONVOLUTION_FROZEN = {
-        "z2sq_z2": ("0x1.2b59b9ae4240ep+0", "0x1.891eda0929637p+0"),
-        "f2_two_letter": ("0x1.40db8598c4335p+0", "0x1.f8002ec629bb6p+0"),
-    }
+    @pytest.mark.parametrize("name", ["f2_two_letter", "z2sq_z2"])
+    def test_uncovered_measures_are_refused(self, name, monkeypatch):
+        # a two-letter step, or a rank-2 lattice factor, is outside the
+        # system: the evaluator is refused as it is built, with the one
+        # scope message, before any path is stepped
+        def refuse(*args, **kwargs):
+            raise AssertionError("the evaluator stepped a path operator")
 
-    @pytest.mark.parametrize("name", sorted(CONVOLUTION_FROZEN))
-    def test_uncovered_measures_keep_the_convolution_table(self, name):
-        ev_m = GreenEvaluator(_measure(name), horizon=30, ball_bound=6)
-        assert isinstance(ev_m.table, ConvolutionGreenTable) and ev_m.system is None
-        r_hat, gee = self.CONVOLUTION_FROZEN[name]
-        assert ev_m.R_hat.hex() == r_hat
-        assert ev_m.green((), (), 0.9 * ev_m.R_hat).value.hex() == gee
+        mu = _measure(name)
+        monkeypatch.setattr(walks.PathOperator, "steps", refuse)
+        with pytest.raises(GroupSpecError) as err:
+            GreenEvaluator(mu)
+        assert str(err.value) == SCOPE
 
 
 class TestSphereSizes:

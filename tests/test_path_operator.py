@@ -64,6 +64,27 @@ def _measure(name):
     raise KeyError(name)
 
 
+def mass(dist, elem):
+    """mu^{*n}(elem) of one ``convolve_powers`` power, as a Fraction."""
+    return Fraction(dist.numerators.get(elem, 0), dist.denominator)
+
+
+def first_visits(measure, gamma, n, ball_bound):
+    """(denominator, hits): hits[k-1] / denominator**k = f_k(e, gamma).
+
+    f_k is the mass of the paths that first reach gamma at step k, from the
+    path operator with gamma as its absorbing set (for gamma = e, the first
+    returns).  The list stops early once no mass is left in flight.
+    """
+    op = PathOperator(measure, ball_bound, target=gamma)
+    hits = []
+    for ids, _, step_hits, _ in op.steps(n):
+        hits.append(step_hits.get(gamma, 0))
+        if not len(ids):
+            break
+    return op.denominator, hits
+
+
 # the tests of digits that only an extended (80-bit) long double keeps
 LONG_DOUBLE = pytest.mark.skipif(
     np.finfo(np.longdouble).nmant < 63,

@@ -31,10 +31,8 @@ def ev(f2_srw):
     return GreenEvaluator(f2_srw)
 
 
-@pytest.fixture(scope="module", params=["f2_asym", "f2_lazy", "z2sq_z2"])
+@pytest.fixture(scope="module", params=["f2_asym", "f2_lazy", "z2z3"])
 def lumped_ev(request):
-    if request.param == "z2sq_z2":  # outside the first-passage system
-        return GreenEvaluator(_measure(request.param), horizon=30, ball_bound=6)
     return GreenEvaluator(_measure(request.param))
 
 
@@ -92,11 +90,10 @@ class TestTransfer:
 
     def test_refuses_multi_syllable_support(self):
         # off single syllables the potential depends on more than the
-        # first symbol, so there is no symbol-level matrix to build
-        ev_m = GreenEvaluator(_measure("f2_two_letter"), horizon=30, ball_bound=6)
-        r = 0.5 * ev_m.R_hat
-        with pytest.raises(GroupSpecError):
-            build_transfer(ev_m, r, cap=2)
+        # first symbol, so there is no symbol-level matrix to build: the
+        # evaluator it would be built from is refused
+        with pytest.raises(GroupSpecError, match="needs the first-passage system"):
+            GreenEvaluator(_measure("f2_two_letter"))
 
     def test_sphere_identity(self, ev):
         rows = sphere_identity_check(ev, 0.9 * ev.R_hat, cap=2, n_max=4)
@@ -158,7 +155,7 @@ def _sphere_rows_reference(evaluator, r, cap, n_max):
     hee = gee * gee
     group = evaluator.group
     auto = Automaton(group, cap)
-    weight = {s: syllable_weight(evaluator, s, r)[0] for s in auto.symbols()}
+    weight = {s: syllable_weight(evaluator, s, r) for s in auto.symbols()}
     inv_weight = {
         (fid, p): weight[fid, group.factors[fid].inv(p)] for fid, p in auto.symbols()
     }

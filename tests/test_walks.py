@@ -13,13 +13,13 @@ from freewalk.walks import (
     StepMeasure,
     convolve_powers,
     detect_period,
-    first_visits,
     is_radial,
     return_probabilities,
     uniform_on_generators,
 )
 
 from oracles import f2_return_probability
+from test_path_operator import first_visits, mass
 
 
 class TestStepMeasure:
@@ -77,12 +77,12 @@ class TestStepMeasure:
 
 class TestConvolution:
     def test_known_small_values(self, f2_srw):
-        assert convolve_powers(f2_srw, 2)[-1].mass(()) == Fraction(1, 4)
-        assert convolve_powers(f2_srw, 4)[-1].mass(()) == Fraction(7, 64)
+        assert mass(convolve_powers(f2_srw, 2)[-1], ()) == Fraction(1, 4)
+        assert mass(convolve_powers(f2_srw, 4)[-1], ()) == Fraction(7, 64)
 
     def test_against_path_counting(self, f2_srw):
         for n in range(0, 9):
-            assert convolve_powers(f2_srw, n)[-1].mass(()) == f2_return_probability(n)
+            assert mass(convolve_powers(f2_srw, n)[-1], ()) == f2_return_probability(n)
 
     def test_total_mass_with_escape(self, f2_srw):
         dist = convolve_powers(f2_srw, 8, ball_bound=3)[-1]
@@ -101,7 +101,7 @@ class TestConvolution:
     def test_convolve_powers_consistent(self, z2z3_srw):
         seq = convolve_powers(z2z3_srw, 6)
         for n, dist in enumerate(seq):
-            assert dist.mass(()) == convolve_powers(z2z3_srw, n)[-1].mass(())
+            assert mass(dist, ()) == mass(convolve_powers(z2z3_srw, n)[-1], ())
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_exact_returns_meet_in_the_middle(self, z2z3, z2z3_srw, symmetric):
@@ -115,7 +115,7 @@ class TestConvolution:
         powers = convolve_powers(mu, 13)
         for horizon in range(14):
             seq = return_probabilities(mu, horizon, method="exact")
-            assert seq.values == [d.mass(()) for d in powers[: horizon + 1]]
+            assert seq.values == [mass(d, ()) for d in powers[: horizon + 1]]
 
     def test_exact_returns_pair_by_element(self, z2z3):
         # the support {s, t} is not closed under inversion, so mu and its
@@ -124,7 +124,7 @@ class TestConvolution:
         mu = StepMeasure(z2z3, {s: Fraction(1, 2), t: Fraction(1, 2)})
         powers = convolve_powers(mu, 13)
         seq = return_probabilities(mu, 13, method="exact")
-        assert seq.values == [d.mass(()) for d in powers]
+        assert seq.values == [mass(d, ()) for d in powers]
         assert seq.values[3] > 0
 
 
