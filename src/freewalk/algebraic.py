@@ -471,9 +471,12 @@ def m_matrix_solve(a, b):
     Perron root of ``a`` is below 1 (Collatz-Wielandt: a z = z - 1 < z);
     then (I - a)^-1 is the convergent Neumann series sum_k a^k.
     """
-    n = len(a)
+    lhs = 0.0 - a
+    lhs.flat[:: len(a) + 1] += 1.0  # 1 - a_ii, bit for bit
+    rhs = np.ones((len(a), 2))
+    rhs[:, 0] = b
     try:
-        sol, z = np.linalg.solve(np.eye(n) - a, np.column_stack([b, np.ones(n)])).T
+        sol, z = np.linalg.solve(lhs, rhs).T
     except np.linalg.LinAlgError:  # I - a is singular
         return None
     return sol if np.all(z > 0.0) else None

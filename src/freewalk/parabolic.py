@@ -32,22 +32,26 @@ Its Perron root is read off the eigenvalues of K (by a Rayleigh quotient
 where K is symmetric), and an induced Green function is one entry of
 (I - t K)^-1, read off row h of it: one M-matrix solve that refuses where
 the Neumann series diverges (``algebraic.perron_root`` and
-``algebraic.m_matrix_solve``).  A kernel keeps this linear algebra: it
-builds K once per factor ball, read-only, and solves row h once per
+``algebraic.m_matrix_solve``).  K is built from the row alone: a gather on
+a finite factor, and on a lattice one sorted lookup per state and row
+entry, scattered into a zero matrix.  A kernel keeps this linear algebra:
+it builds K once per factor ball, read-only, and solves row h once per
 (h, t, factor ball), so every endpoint h' of that row, and the Perron
 root, reuse them.
+
+Float rows round each r mu(s) once, by an integer division of the exact
+product (``_times``), which is the Fraction product rounded bit for bit.
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .algebraic import m_matrix_solve, monomial, perron_root, point_passages
 from .errors import NonConvergenceError
-from .groups import _lattice_ball
 from .walks import PathOperator
 
 
@@ -114,8 +118,8 @@ def _series_kernel(measure, system, k, r, n):
     The row is ``_kernel_row`` over the first passages summed to m < n.
     Exact rows (Fraction r) match the pruned state chain, which holds no
     mass in flight after a step.  Float rows count in flight the mass of
-    the paths out of H_k that have not returned by step n.  Nothing
-    escapes.
+    the paths out of H_k that have not returned by step n, from the sums
+    at r = 1, which at r = 1 are the row's own.  Nothing escapes.
     """
     exact = isinstance(r, Fraction)
     zero = Fraction(0) if exact else 0.0
@@ -125,7 +129,7 @@ def _series_kernel(measure, system, k, r, n):
     row, out = _kernel_row(measure, k, r, sums)
     if exact:
         return row, sum(row.values(), zero), zero, zero, len(sums)
-    tails = system.first_passage_sums(1.0, n - 1)
+    tails = sums if r == 1.0 else system.first_passage_sums(1.0, n - 1)
     in_flight = r**n * math.fsum(float(w) * (1.0 - tails[u]) for w, u in out)
     return row, math.fsum(row.values()), in_flight, zero, len(sums)
 
@@ -146,7 +150,7 @@ def _kernel_row(measure, k, r, passages):
     group = measure.group
     home, steps, out = [], {}, []  # unit terms, H_k's steps, (mu(t), unknown t^-1)
     for g, w in measure.support:
-        rw = Fraction(r) * w if exact else float(Fraction(r) * w)
+        rw = r * w if exact else _times(r, w)
         if not g:
             home.append(rw)
         elif g[0][0] == k:
@@ -161,14 +165,24 @@ def _kernel_row(measure, k, r, passages):
     return {p: v for p, v in row.items() if v}, out
 
 
+def _times(r, w):
+    """float(Fraction(r) * w) for a float r and a Fraction w, bit for bit:
+    Python's int / int is correctly rounded, and the Fraction is not built."""
+    num, den = r.as_integer_ratio()
+    return num * w.numerator / (den * w.denominator)
+
+
 def kernel_matrix(kernel, group, factor_ball):
     """(states, matrix): the kernel as a matrix over a factor ball.
 
     states are factor payloads with factor word length <= factor_ball;
-    M[i, j] = p(states[i], states[j]) = row(states[i]^-1 states[j]).  Every
-    pair's states[i]^-1 states[j] gets an integer code in one array step,
-    and M is one sorted lookup of those codes among the row's.  The kernel
-    keeps both for its later calls at this ball, so M is read-only.
+    M[i, j] = p(states[i], states[j]) = row(states[i]^-1 states[j]).  On a
+    finite factor M is one gather from the row, tabled over H_k.  On a
+    lattice each state and each row entry q gets an integer code, so that
+    the codes increase along the states; the state s_i + q is one sorted
+    lookup of code(s_i) + code(q), and M is the row scattered there, in
+    O(states x row) lookups.  The kernel keeps both for its later calls at
+    this ball, so M is read-only.
     """
     if factor_ball not in kernel._solved:
         kernel._solved[factor_ball] = _kernel_matrix(kernel, group, factor_ball)
@@ -177,36 +191,51 @@ def kernel_matrix(kernel, group, factor_ball):
 
 def _kernel_matrix(kernel, group, factor_ball):
     factor = group.factors[kernel.factor_id]
-    if factor.kind == "lattice":
-        # a difference of two states has every coordinate in [-2B, 2B], so
-        # it is one balanced digit per coordinate in base 4B + 1
-        span = 2 * factor_ball
-        if (2 * span + 1) ** factor.rank > 2**62:
-            raise ValueError(
-                f"a rank-{factor.rank} lattice over a factor ball of radius "
-                f"{factor_ball} has differences past 64-bit codes"
-            )
-        states = list(_lattice_ball(factor.rank, factor_ball))
-        place = [(2 * span + 1) ** c for c in range(factor.rank)]
-        pos = np.array(states) @ place
-        codes = pos[None, :] - pos[:, None]
-        entries = {
-            sum(a * b for a, b in zip(q, place)): w
-            for q, w in kernel.row.items()
-            if max(map(abs, q)) <= span
-        }
-    else:
-        states = list(range(factor.order))
-        codes = np.array(factor.mult)[list(factor.inv_table)]
-        entries = kernel.row
-    # the last key is a code no pair has, so every lookup lands on a key
-    found = sorted(entries)
-    keys = np.array(found + [np.iinfo(np.int64).max])
-    weights = np.array([float(entries[c]) for c in found] + [0.0])
-    at = np.searchsorted(keys, codes)
-    mat = np.where(keys[at] == codes, weights[at], 0.0)
+    if factor.kind != "lattice":
+        # M[i, j] = row(i^-1 j): one gather from a table over H_k
+        table = np.zeros(factor.order)
+        table[list(kernel.row)] = [float(w) for w in kernel.row.values()]
+        mat = table[np.array(factor.mult)[list(factor.inv_table)]]
+        mat.flags.writeable = False
+        return list(range(factor.order)), mat
+    # a difference of two states has every coordinate in [-2B, 2B], so it
+    # is one balanced digit per coordinate in base 4B + 1; the most
+    # significant digit first, the codes of the states increase along them
+    span = 2 * factor_ball
+    if (2 * span + 1) ** factor.rank > 2**62:
+        raise ValueError(
+            f"a rank-{factor.rank} lattice over a factor ball of radius "
+            f"{factor_ball} has differences past 64-bit codes"
+        )
+    rows = _lattice_rows(factor.rank, factor_ball)
+    place = (2 * span + 1) ** np.arange(factor.rank - 1, -1, -1, dtype=np.int64)
+    pos = rows @ place
+    near = [(q, float(w)) for q, w in kernel.row.items() if max(map(abs, q)) <= span]
+    steps = np.array([q for q, _ in near], dtype=np.int64).reshape(-1, factor.rank)
+    weights = np.array([w for _, w in near])
+    # s_j = s_i + q exactly where the codes agree, and each (i, q) has one j
+    targets = pos[:, None] + steps @ place
+    at = np.minimum(np.searchsorted(pos, targets), len(pos) - 1)
+    i, c = np.nonzero(pos[at] == targets)
+    mat = np.zeros((len(pos), len(pos)))
+    mat[i, at[i, c]] = weights[c]
     mat.flags.writeable = False
-    return states, mat
+    return list(zip(*rows.T.tolist())), mat
+
+
+def _lattice_rows(rank, radius):
+    """The vectors of ``groups._lattice_ball(rank, radius)``, in its
+    lexicographic order, as the rows of an integer array: each prefix
+    with l1 budget b left is followed by its next coordinates -b..b."""
+    head = np.arange(-radius, radius + 1)
+    rows, left = head[:, None], radius - np.abs(head)
+    for _ in range(rank - 1):
+        counts = 2 * left + 1
+        at = np.repeat(np.arange(len(rows)), counts)
+        head = np.arange(len(at)) - np.repeat(np.cumsum(counts) - left - 1, counts)
+        rows = np.column_stack([rows[at], head])
+        left = left[at] - np.abs(head)
+    return rows
 
 
 def kernel_spectral_radius(kernel, group, factor_ball):
@@ -264,7 +293,7 @@ class DegeneracyReport:
             {
                 "r": self.r,
                 "verdict": self.verdict,
-                "factors": [asdict(v) for v in self.per_factor],
+                "factors": [vars(v) for v in self.per_factor],
             },
             indent=2,
         )

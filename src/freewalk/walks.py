@@ -107,13 +107,15 @@ class StepMeasure:
         return True
 
     def _reaches_ball(self):
-        """Whether the walk, stepping inside the radius-3 ball, reaches all
-        of it; True where the ball is past its budget."""
+        """Whether the walk reaches all of the radius-3 ball, stepping inside
+        the ball of radius 3 + max_step_length - 1, so that a word of the
+        3-ball may pass through an element a step longer than it; True
+        where the ball is past its budget."""
         try:
             target = set(self.group.ball(3, budget=200000))
         except BudgetError:
             return True
-        op = PathOperator(self, ball_bound=3)
+        op = PathOperator(self, ball_bound=2 + max(1, self.max_step_length))
         for _ in op.steps(3 * max(1, self.max_step_length) + 3):
             pass
         return target <= set(op.elements())

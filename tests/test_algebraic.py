@@ -197,7 +197,44 @@ class TestRadius:
         assert abs(lo - 1.0) < 1e-14
 
 
+def _m_matrix_solve_by_eye(a, b):
+    """The reference for ``m_matrix_solve``: I - a and [b, 1] built with
+    ``np.eye`` and ``np.column_stack``."""
+    n = len(a)
+    try:
+        sol, z = np.linalg.solve(np.eye(n) - a, np.column_stack([b, np.ones(n)])).T
+    except np.linalg.LinAlgError:
+        return None
+    return sol if np.all(z > 0.0) else None
+
+
 class TestMMatrixSolve:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_eye_formula_bit_for_bit(self, seed):
+        # non-negative matrices with zeros, their Perron roots on both
+        # sides of 1, in both memory orders, as Newton and the kernels pass
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        a = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+        a *= rng.uniform(0.5, 1.5) / max(perron_root(a), 1e-3)
+        if seed % 2:
+            a = a.T
+        b = rng.random(n) * 10.0 ** rng.integers(-3, 4)
+        got, want = m_matrix_solve(a, b), _m_matrix_solve_by_eye(a, b)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("a", [
+        [[1.0, 0.0], [0.0, 0.5]],  # I - a has a zero row
+        [[1.0, 0.25, 0.0], [0.0, 1.0, 0.25], [0.0, 0.0, 1.0]],  # I - a nilpotent
+    ])
+    def test_singular_matrices_give_none_as_the_eye_formula(self, a):
+        a = np.array(a)
+        b = np.arange(1.0, len(a) + 1)
+        assert _m_matrix_solve_by_eye(a, b) is None
+        assert m_matrix_solve(a, b) is None
+
     def test_solves_below_perron_root_one(self):
         a = np.array([[0.2, 0.3], [0.1, 0.4]])
         b = np.array([1.0, 2.0])

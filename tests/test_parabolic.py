@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freewalk import parabolic
-from freewalk.algebraic import m_matrix_solve
+from freewalk.algebraic import m_matrix_solve, monomial, point_passages
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
 from freewalk.green import GreenEvaluator
-from freewalk.groups import FreeProduct, LatticeFactor, _lattice_ball
+from freewalk.groups import FreeProduct, LatticeFactor, _lattice_ball, cyclic_factor
 from freewalk.parabolic import (
     ReturnKernel,
     degeneracy_test,
@@ -107,6 +108,58 @@ class TestExactKernel:
         assert kern.row[1] == kern.row[2]
 
 
+def _kernel_row_by_fraction(measure, k, r, passages):
+    """The reference for float rows of ``_kernel_row``: each r mu(s) is
+    the Fraction product, rounded once by ``float``."""
+    group = measure.group
+    home, steps, out = [], {}, []
+    for g, w in measure.support:
+        rw = float(Fraction(r) * w)
+        if not g:
+            home.append(rw)
+        elif g[0][0] == k:
+            steps[g[0][1]] = rw
+        else:
+            (f, p), = g
+            back = monomial(group, f, group.factors[f].inv(p))[0]
+            home.append(rw * passages[back])
+            out.append((w, back))
+    row = {group.factors[k].identity: math.fsum(home)} | steps
+    return {p: v for p, v in row.items() if v}, out
+
+
+def _z5_skew():
+    """Z5 * Z2 stepping +1 and +2 in Z5 but never back: a finite factor
+    whose first-return row is not symmetric."""
+    group = FreeProduct([cyclic_factor(5), cyclic_factor(2)])
+    return StepMeasure(group, {((0, 1),): Fraction(1, 2), ((0, 2),): Fraction(1, 4),
+                               ((1, 1),): Fraction(1, 4)})
+
+
+class TestFloatRow:
+    @given(
+        r=st.one_of(st.sampled_from([1.0, 5e-324, 2.2250738585072014e-308, 1e300]),
+                    st.floats(allow_nan=False, allow_infinity=False)),
+        w=st.fractions(min_value=0, max_value=1, max_denominator=10**30),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_the_integer_division_is_the_rounded_fraction(self, r, w):
+        assert parabolic._times(r, w).hex() == float(Fraction(r) * w).hex()
+
+    @pytest.mark.parametrize("name", ["f2", "f2_asym", "f2_lazy", "z2z3", "z2z2z2", "z5_skew"])
+    def test_rows_match_the_fraction_products(self, name):
+        measure = _z5_skew() if name == "z5_skew" else _measure(name)
+        system = measure.first_passage_system
+        for r in (1.0, 1.0 / 3.0, 0.9 * system.radius, system.radius):
+            passages = point_passages(measure, r)
+            for k in range(len(measure.group.factors)):
+                got = parabolic._kernel_row(measure, k, r, passages)
+                want = _kernel_row_by_fraction(measure, k, r, passages)
+                assert got[1] == want[1]
+                assert {p: v.hex() for p, v in got[0].items()} == {
+                    p: v.hex() for p, v in want[0].items()}
+
+
 def _kernel_matrix_by_entry(kernel, group, factor_ball):
     """The reference for ``kernel_matrix``: M[i, j] set entry by entry, for
     each state and each payload of the row."""
@@ -153,6 +206,23 @@ class TestKernelMatrix:
     def test_gather_matches_the_entry_loop_finite(self, z2z3_srw, z2z3, factor_id):
         kern = first_return_kernel(z2z3_srw, factor_id, Fraction(1), 12)
         self._assert_matches(kern, z2z3, 10)
+
+    @pytest.mark.parametrize("rank, factor_ball", [(3, 4), (2, 12)])
+    def test_scatter_matches_the_entry_loop_on_higher_ranks(self, rank, factor_ball):
+        # a row over the 3-ball of Z^rank with distinct weights, and a
+        # payload past every difference of the ball whose last digit, 4B + 1,
+        # would carry into the code of the unit vector before it
+        group = FreeProduct([LatticeFactor(rank), LatticeFactor(rank)])
+        row = {q: Fraction(1 + i, 997) for i, q in enumerate(_lattice_ball(rank, 3))}
+        row[(0,) * (rank - 1) + (4 * factor_ball + 1,)] = Fraction(1, 7)
+        kern = ReturnKernel(0, 1.0, 0, 2, row, sum(row.values()), 0.0, 0.0, False, 0)
+        self._assert_matches(kern, group, factor_ball)
+
+    def test_gather_matches_the_entry_loop_on_a_skew_finite_row(self):
+        measure = _z5_skew()
+        kern = first_return_kernel(measure, 0, 1.0, 30, exact=False)
+        assert set(kern.row) == {0, 1, 2}  # no entry at 1^-1 = 4 or 2^-1 = 3
+        self._assert_matches(kern, measure.group, 3)
 
     def test_far_payloads_do_not_alias(self):
         # in base 5, (5, 0) has the code of (0, 1): it lies past every

@@ -57,10 +57,8 @@ def _measure(name):
     if name == "f2_two_letter":
         a, ai = ((0, (1,)),), ((0, (-1,)),)
         ba, aibi = ((1, (1,)), (0, (1,))), ((0, (-1,)), (1, (-1,)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the reach check is heuristic
-            return StepMeasure(_f2(), {ba: Fraction(1, 4), aibi: Fraction(1, 4),
-                                       a: Fraction(1, 4), ai: Fraction(1, 4)})
+        return StepMeasure(_f2(), {ba: Fraction(1, 4), aibi: Fraction(1, 4),
+                                   a: Fraction(1, 4), ai: Fraction(1, 4)})
     raise KeyError(name)
 
 

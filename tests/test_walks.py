@@ -19,7 +19,7 @@ from freewalk.walks import (
 )
 
 from oracles import f2_return_probability
-from test_path_operator import first_visits, mass
+from test_path_operator import _measure, first_visits, mass
 
 
 class TestStepMeasure:
@@ -62,6 +62,15 @@ class TestStepMeasure:
             mu = StepMeasure(group, {t: Fraction(1, 2), u: Fraction(1, 4), ui: Fraction(1, 4)})
         assert not mu._reaches_ball()
         assert abs(mu.first_passage_system.radius - 1.14434) < 1e-5
+
+    def test_two_letter_steps_reach_the_ball(self):
+        # ba, a^-1 b^-1, a, a^-1 reach a^-2 b and a^-1 b^2 of the 3-ball
+        # only through 4-letter elements, so the reach walk steps inside
+        # the 4-ball
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = _measure("f2_two_letter")
+        assert mu._reaches_ball()
 
     def test_off_the_system_the_reach_walk_warns(self, f2):
         # two-syllable steps ab and (ab)^-1 never reach a alone
