@@ -363,15 +363,19 @@ class FirstPassageSystem:
     def first_passage_sums(self, x, n):
         """{s: sum_{m=1}^{n} [r^m] F_s x^m} over the unknowns s.
 
-        A Fraction x gives Fractions, from the integer coefficients; a float
-        x gives floats, each the sum of the scaled coefficients of its cell
-        times (x/R)^m in long double, rounded once.
+        A Fraction x = p/q' gives Fractions, from the integer coefficients:
+        with q = q' d, each cell's top sum_m N_m p^m q^(n-m) is taken by
+        Horner over the rows N_1..N_n as lists of Python ints, over q^n.
+        A float x gives floats, each the sum of the scaled coefficients of
+        its cell times (x/R)^m in long double, rounded once.
         """
         if isinstance(x, Fraction):
             p, q = x.numerator, x.denominator * self._d
-            nums = self.integer_coefficients(n)
-            tops = sum((nums[m] * (p**m * q ** (n - m)) for m in range(1, n + 1)), nums[0])
-            sums = [Fraction(top, q**n) for top in tops[self._cell].tolist()]
+            tops, power = [0] * len(self._ci), 1
+            for row in self.integer_coefficients(n)[1:]:
+                power *= p
+                tops = [top * q + c * power for top, c in zip(tops, row.tolist())]
+            sums = [Fraction(tops[c], q**n) for c in self._cell.tolist()]
         else:
             self._extend(n)
             powers = np.cumprod(np.full(n, np.longdouble(x) / self.radius))

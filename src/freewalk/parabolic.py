@@ -27,17 +27,21 @@ system, or the states the state chain interns.  Truncation only removes
 non-negative path weights, so a truncated kernel's spectral radius is a
 lower bound for the untruncated one's.
 
-Over a factor ball a truncated kernel is a finite non-negative matrix K.
-Its Perron root is read off the eigenvalues of K (by a Rayleigh quotient
-where K is symmetric), and an induced Green function is one entry of
-(I - t K)^-1, read off row h of it: one M-matrix solve that refuses where
-the Neumann series diverges (``algebraic.perron_root`` and
-``algebraic.m_matrix_solve``).  K is built from the row alone: a gather on
-a finite factor, and on a lattice one sorted lookup per state and row
-entry, scattered into a zero matrix.  A kernel keeps this linear algebra:
-it builds K once per factor ball, read-only, and solves row h once per
-(h, t, factor ball), so every endpoint h' of that row, and the Perron
-root, reuse them.
+Over a factor ball a truncated kernel is a finite non-negative matrix K,
+and an induced Green function is one entry of (I - t K)^-1, read off row h
+of it; the row refuses where the Neumann series diverges.  On a rank-1
+lattice factor whose row lies on {a^-1, e, a}, which every kernel of a
+measure in the system's scope has, K is tridiagonal Toeplitz over the
+2B + 1 payloads of the ball: its Perron root is a closed form and row h is
+one elimination sweep in O(B) (``_sweep``), and neither builds K.  Every
+other kernel (a finite factor, a wider row, rank >= 2) is built as K from
+the row alone: a gather on a finite factor, and on a lattice one sorted
+lookup per state and row entry, scattered into a zero matrix.  Its Perron
+root is read off the eigenvalues of K (by a Rayleigh quotient where K is
+symmetric), and row h is one M-matrix solve (``algebraic.perron_root`` and
+``algebraic.m_matrix_solve``).  A kernel keeps this work: it builds K once
+per factor ball, read-only, and solves row h once per (h, t, factor ball),
+so every endpoint h' of that row, and the Perron root, reuse them.
 
 Float rows round each r mu(s) once, by an integer division of the exact
 product (``_times``), which is the Fraction product rounded bit for bit.
@@ -172,9 +176,24 @@ def _times(r, w):
     return num * w.numerator / (den * w.denominator)
 
 
+def _one_minus(t, w):
+    """1 - t w for floats t and w, rounded once where t w lies in (1/2, 2):
+    there 1.0 - t * w would take the rounding of t w into the small
+    difference, so the exact difference is one integer division, as in
+    ``_times``.  Elsewhere the difference is at least 1/2 in size or
+    negative, and rounding t w first costs at most an ulp of it."""
+    tw = t * w
+    if not 0.5 < tw < 2.0:
+        return 1.0 - tw
+    (a, b), (c, d) = t.as_integer_ratio(), w.as_integer_ratio()
+    return (b * d - a * c) / (b * d)
+
+
 def kernel_matrix(kernel, group, factor_ball):
     """(states, matrix): the kernel as a matrix over a factor ball.
 
+    ``induced_green`` and ``kernel_spectral_radius`` read it for every
+    kernel but a tridiagonal one (``_tridiagonal``), which needs no matrix.
     states are factor payloads with factor word length <= factor_ball;
     M[i, j] = p(states[i], states[j]) = row(states[i]^-1 states[j]).  On a
     finite factor M is one gather from the row, tabled over H_k.  On a
@@ -239,18 +258,46 @@ def _lattice_rows(rank, radius):
 
 
 def kernel_spectral_radius(kernel, group, factor_ball):
-    """The Perron root of the kernel matrix over the factor ball."""
-    return perron_root(kernel_matrix(kernel, group, factor_ball)[1])
+    """The Perron root of the kernel matrix over the factor ball.
+
+    A tridiagonal kernel (``_tridiagonal``) is Toeplitz over the n = 2B + 1
+    payloads of the ball, with Perron root w_0 + 2 sqrt(w_+ w_-) cos(pi/(n+1)),
+    and w_0 at n = 1; every other kernel takes it from its matrix.
+    """
+    tri = _tridiagonal(kernel, group)
+    if tri is None:
+        return perron_root(kernel_matrix(kernel, group, factor_ball)[1])
+    w_minus, w0, w_plus = tri
+    if factor_ball == 0:
+        return w0
+    side = math.sqrt(w_plus) * math.sqrt(w_minus)  # w_+ w_- may underflow
+    return w0 + 2.0 * side * math.cos(math.pi / (2 * factor_ball + 2))
+
+
+_NEAREST = {(-1,), (0,), (1,)}
+
+
+def _tridiagonal(kernel, group):
+    """(w_-, w_0, w_+) for a kernel on a rank-1 lattice factor whose row
+    lies on {a^-1, e, a}, else None.  Over a factor ball its matrix is
+    tridiagonal Toeplitz: w_0 on the diagonal, w_+ above it, w_- below."""
+    factor = group.factors[kernel.factor_id]
+    if factor.kind != "lattice" or factor.rank != 1 or not kernel.row.keys() <= _NEAREST:
+        return None
+    return tuple(float(kernel.row.get(q, 0.0)) for q in ((-1,), (0,), (1,)))
 
 
 def induced_green(kernel, group, h, h_prime, t, factor_ball=40):
     """G_{k,r}(h,h'|t), the (h, h') entry of (I - t K)^-1 over the truncated
     kernel matrix K.
 
-    The kernel solves row h of (I - t K)^-1 once per (h, t, factor_ball),
-    over its ``kernel_matrix``, and reads every later h' off that row.
-    Raises NonConvergenceError where the Neumann series sum_n t^n K^n
-    diverges, i.e. unless the Perron root of t K is below 1.
+    The kernel solves row h of (I - t K)^-1 once per (h, t, factor_ball)
+    and reads every later h' off that row.  A tridiagonal kernel
+    (``_tridiagonal``) solves it by one elimination sweep over the ball
+    (``_sweep``), without K; every other kernel by one M-matrix solve over
+    its ``kernel_matrix``.  Raises NonConvergenceError where the Neumann
+    series sum_n t^n K^n diverges, i.e. unless the Perron root of t K is
+    below 1.
     """
     hp = _in_factor(group, h, kernel.factor_id)
     hq = _in_factor(group, h_prime, kernel.factor_id)
@@ -258,11 +305,18 @@ def induced_green(kernel, group, h, h_prime, t, factor_ball=40):
         raise ValueError("induced Green endpoints must lie in the factor")
     key = (hp, t, factor_ball)
     if key not in kernel._solved:
-        states, mat = kernel_matrix(kernel, group, factor_ball)
-        unit = np.zeros(len(states))
-        unit[states.index(hp)] = 1.0
-        row = m_matrix_solve(t * mat.T, unit)  # row h of (I - t K)^-1
-        kernel._solved[key] = None if row is None else dict(zip(states, row.tolist()))
+        tri = _tridiagonal(kernel, group)
+        if tri is None:
+            states, mat = kernel_matrix(kernel, group, factor_ball)
+            unit = np.zeros(len(states))
+            unit[states.index(hp)] = 1.0
+            row = m_matrix_solve(t * mat.T, unit)  # row h of (I - t K)^-1
+            row = None if row is None else row.tolist()
+        else:
+            w_minus, w0, w_plus = tri
+            states = [(j,) for j in range(-factor_ball, factor_ball + 1)]
+            row = _sweep(t * w_plus, _one_minus(t, w0), t * w_minus, len(states), states.index(hp))
+        kernel._solved[key] = None if row is None else dict(zip(states, row))
     row = kernel._solved[key]
     if row is None:
         raise NonConvergenceError(
@@ -271,6 +325,52 @@ def induced_green(kernel, group, h, h_prime, t, factor_ball=40):
             diagnostics={"t": t, "factor_ball": factor_ball},
         )
     return row[hq]
+
+
+def _sweep(lower, diag, upper, n, h):
+    """Row h of (I - t K)^-1 for a tridiagonal Toeplitz K, or None unless
+    I - t K is a non-singular M-matrix.
+
+    The row is x with A x = e_h, where A = (I - t K)^T has ``diag`` on its
+    diagonal, -``lower`` below and -``upper`` above.  One forward
+    elimination gives the pivots p_i = diag - lower upper / p_{i-1}, and
+    with one back substitution z = A^-1 1.  A Z-matrix is a non-singular
+    M-matrix exactly when its pivots are positive, and then z > 0
+    (Collatz-Wielandt, as in ``algebraic.m_matrix_solve``): a pivot or an
+    entry of z that is not a finite positive number (NaN included)
+    refuses, as does a row entry past the float range.  The elimination
+    from the far end has the same pivots mirrored, so x is read off the
+    twisted factorisation at h: x_h = 1 / gamma_h, with gamma_h the pivot
+    where both eliminations meet, and each step away from h multiplies by
+    lower or upper over a pivot.  Past the pivots no term is subtracted, so
+    no entry loses digits to cancellation, however small it is.
+    """
+    lu = lower * upper
+    pivots, ys = [], []
+    p, y = diag, 1.0
+    for i in range(n):
+        if i:
+            y = 1.0 + lower * y / p
+            p = diag - lu / p
+        if not 0.0 < p < math.inf:
+            return None
+        pivots.append(p)
+        ys.append(y)
+    z = 0.0
+    for y, p in zip(reversed(ys), reversed(pivots)):
+        z = (y + upper * z) / p
+        if not 0.0 < z < math.inf:
+            return None
+    gamma = diag - (lu / pivots[h - 1] if h else 0.0) - (lu / pivots[n - 2 - h] if h < n - 1 else 0.0)
+    if not 0.0 < gamma < math.inf:
+        return None
+    x = [1.0 / gamma]
+    for p in reversed(pivots[:h]):  # x_{h-1}, ..., x_0
+        x.append(x[-1] * upper / p)
+    x.reverse()
+    for p in reversed(pivots[: n - 1 - h]):  # x_{h+1}, ..., x_{n-1}
+        x.append(x[-1] * lower / p)
+    return x if max(x) < math.inf else None
 
 
 @dataclass

@@ -1,14 +1,15 @@
 import math
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from freewalk import parabolic
-from freewalk.algebraic import m_matrix_solve, monomial, point_passages
+from freewalk.algebraic import m_matrix_solve, monomial, perron_root, point_passages
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
 from freewalk.green import GreenEvaluator
 from freewalk.groups import FreeProduct, LatticeFactor, _lattice_ball, cyclic_factor
@@ -225,10 +226,11 @@ class TestKernelMatrix:
         self._assert_matches(kern, measure.group, 3)
 
     def test_far_payloads_do_not_alias(self):
-        # in base 5, (5, 0) has the code of (0, 1): it lies past every
-        # difference of the 1-ball, so it must set no entry
+        # the most significant coordinate first, in base 5, (0, 5) has the
+        # code of (1, 0): it lies past every difference of the 1-ball, so it
+        # must set no entry
         group = FreeProduct([LatticeFactor(2), LatticeFactor(2)])
-        row = {(5, 0): 0.25, (0, 0): 0.5}
+        row = {(0, 5): 0.25, (0, 0): 0.5}
         kern = ReturnKernel(0, 1.0, 0, 2, row, 0.75, 0.0, 0.0, False, 0)
         self._assert_matches(kern, group, 1)
 
@@ -328,32 +330,104 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _exact_solve(kernel, group, t, factor_ball, h):
+    """(x, max z) in Fractions with A x = e_h and A z = 1, for
+    A = (I - t K)^T and K the kernel's float matrix over the ball, read
+    exactly; None unless every leading principal minor of A is positive,
+    as on a non-singular M-matrix.
+
+    K is tridiagonal Toeplitz, so A is too, with a on its diagonal, -u
+    above and -l below.  Its leading minors follow theta_k = a theta_{k-1}
+    - u l theta_{k-2}, and (Usmani 1994) A^-1 has (j, k) entry
+    u^(k-j) theta_j theta_(n-1-k) / theta_n for j <= k and
+    l^(j-k) theta_k theta_(n-1-j) / theta_n for j >= k.  The entries are
+    dyadic, so everything but the last divisions is in Python ints.
+    """
+    states, mat = kernel_matrix(replace(kernel), group, factor_ball)
+    n, t = len(states), Fraction(t)
+    w0, w_plus, w_minus = (float(mat[i, j]) if max(i, j) < n else 0.0
+                           for i, j in ((0, 0), (0, 1), (1, 0)))
+    assert np.array_equal(mat, w0 * np.eye(n) + w_plus * np.eye(n, k=1) + w_minus * np.eye(n, k=-1))
+    a, u, l = 1 - t * Fraction(w0), t * Fraction(w_minus), t * Fraction(w_plus)
+    scale = max(v.denominator for v in (a, u, l))  # a power of two
+    a, u, l = (int(v * scale) for v in (a, u, l))
+    theta = [1, a]
+    for _ in range(n - 1):
+        theta.append(a * theta[-1] - u * l * theta[-2])
+    if min(theta) <= 0:
+        return None
+    hi = states.index(h)
+    # x_j and z_j times theta_n / scale; z_j = theta_j after[j] +
+    # theta_(n-1-j) before[j], with after[j] = sum_{k>=j} u^(k-j) theta_(n-1-k)
+    # and before[j] = sum_{k<j} l^(j-k) theta_k
+    x = [u ** (hi - j) * theta[j] * theta[n - 1 - hi] if j <= hi else
+         l ** (j - hi) * theta[hi] * theta[n - 1 - j] for j in range(n)]
+    after, before = [0] * (n + 1), [0] * n
+    for j in range(n - 1, -1, -1):
+        after[j] = theta[n - 1 - j] + u * after[j + 1]
+    for j in range(1, n):
+        before[j] = l * (before[j - 1] + theta[j - 1])
+    z_top = max(theta[j] * after[j] + theta[n - 1 - j] * before[j] for j in range(n))
+    den = Fraction(theta[n], scale)
+    return {p: v / den for p, v in zip(states, x)}, z_top / den
+
+
 class TestInducedGreen:
     @pytest.mark.parametrize("r, L, B", [(Fraction(1), 20, None), (1.0, 140, 11)])
-    def test_one_matrix_and_one_solve_per_row(self, f2_srw, f2, monkeypatch, r, L, B):
-        # the four entries of row e that the kernels benchmark reads, as the
-        # per-call code gave them bit for bit, from one build and one solve
+    def test_one_sweep_per_row_within_an_ulp(self, f2_srw, f2, monkeypatch, r, L, B):
+        # the four entries of row e that the kernels benchmark reads, from
+        # one elimination sweep, with no matrix and no dense solve, each
+        # within an ulp of the exact solve of the same 81-state system
         kern = first_return_kernel(f2_srw, 0, r, L, B, exact=isinstance(r, Fraction))
         payloads = [(j,) for j in range(4)]
-        want = [_induced_green_per_call(kern, f2, (0,), p, 1.0, 40) for p in payloads]
+        want = _exact_solve(kern, f2, 1.0, 40, (0,))[0]
         builds = _count_calls(monkeypatch, "_kernel_matrix")
         solves = _count_calls(monkeypatch, "m_matrix_solve")
+        sweeps = _count_calls(monkeypatch, "_sweep")
         got = [induced_green(kern, f2, (), ((0, p),) if any(p) else (), 1.0) for p in payloads]
-        assert [v.hex() for v in got] == [v.hex() for v in want]
-        assert (len(builds), len(solves)) == (1, 1)
-        # the Perron root reads the same stored matrix
+        assert all(abs(Fraction(v) - want[p]) <= math.ulp(float(want[p]))
+                   for v, p in zip(got, payloads))
+        assert (len(sweeps), len(builds), len(solves)) == (1, 0, 0)
+        # the Perron root is a closed form, without the matrix
         kernel_spectral_radius(kern, f2, 40)
+        assert (len(builds), len(solves)) == (0, 0)
+
+    @pytest.mark.parametrize("case", ["z2z3_Z3", "wide_row"])
+    def test_one_matrix_and_one_solve_per_row(self, f2, monkeypatch, case):
+        # a finite factor, and a lattice row wider than {a^-1, e, a}: the
+        # dense path, each entry as the per-call code gives it bit for bit,
+        # from one build and one solve
+        if case == "z2z3_Z3":
+            group, fid = _measure("z2z3").group, 1
+            kern = first_return_kernel(_measure("z2z3"), fid, Fraction(1), 12)
+            payloads = [0, 1, 2]
+        else:
+            group, fid = f2, 0
+            row = {(-2,): 0.05, (-1,): 0.2, (0,): 0.15, (1,): 0.3, (2,): 0.1}
+            kern = ReturnKernel(0, 1.0, 0, -1, row, 0.8, 0.0, 0.0, False, 0)
+            payloads = [(j,) for j in range(4)]
+        identity = group.factors[fid].identity
+        want = [_induced_green_per_call(kern, group, identity, p, 1.0, 40) for p in payloads]
+        builds = _count_calls(monkeypatch, "_kernel_matrix")
+        solves = _count_calls(monkeypatch, "m_matrix_solve")
+        sweeps = _count_calls(monkeypatch, "_sweep")
+        got = [induced_green(kern, group, (), ((fid, p),) if p != identity else (), 1.0)
+               for p in payloads]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert (len(builds), len(solves), len(sweeps)) == (1, 1, 0)
+        # the Perron root reads the same stored matrix
+        kernel_spectral_radius(kern, group, 40)
         assert len(builds) == 1
 
     def test_past_the_kernel_radius_every_call_is_refused(self, f2_srw, f2, monkeypatch):
         kern = first_return_kernel(f2_srw, 0, 1.0, 60, 10, exact=False)
         t = 1.05 / kernel_spectral_radius(kern, f2, factor_ball=40)
-        solves = _count_calls(monkeypatch, "m_matrix_solve")
+        sweeps = _count_calls(monkeypatch, "_sweep")
         for _ in range(2):
             for g in ((), ((0, (1,)),), ((0, (2,)),)):
                 with pytest.raises(NonConvergenceError):
                     induced_green(kern, f2, (), g, t)
-        assert len(solves) == 1
+        assert len(sweeps) == 1
 
     def test_the_stored_matrix_is_read_only(self, f2_srw, f2):
         kern = first_return_kernel(f2_srw, 0, 1.0, 60, 10, exact=False)
@@ -396,6 +470,98 @@ class TestInducedGreen:
             assert abs(induced_green(kern, f2, (), a2, t) - want) / want < 1e-12
         with pytest.raises(NonConvergenceError):
             induced_green(kern, f2, (), a2, 1.05 / rho)
+
+
+_Z_TWICE = FreeProduct([LatticeFactor(1), LatticeFactor(1)])
+
+
+def _on_z(payload):
+    return ((0, payload),) if any(payload) else ()
+
+
+class TestSweep:
+    """Kernels on {a^-1, e, a}: ``induced_green`` by the elimination sweep
+    and the Perron root in closed form, against exact Fraction solves and
+    the dense path."""
+
+    @given(
+        w_minus=st.floats(0.0, 1.0, exclude_min=True),
+        w0=st.floats(0.0, 1.0),
+        w_plus=st.floats(0.0, 1.0, exclude_min=True),
+        ball=st.integers(0, 20),
+        at=st.integers(0, 40),
+    )
+    # 1.0 - t * w0 rounded twice is 1.03e-12 off at t rho = 0.999 here
+    @example(w_minus=1.0, w0=0.75, w_plus=1e-9, ball=16, at=19)
+    @settings(max_examples=100, deadline=None)
+    def test_rows_and_refusals_match_the_exact_and_dense_solves(
+            self, w_minus, w0, w_plus, ball, at):
+        h = (at % (2 * ball + 1) - ball,)
+        row = {q: w for q, w in (((-1,), w_minus), ((0,), w0), ((1,), w_plus)) if w}
+        kern = ReturnKernel(0, 1.0, 0, -1, row, math.fsum(row.values()), 0.0, 0.0, False, 0)
+        states, mat = kernel_matrix(replace(kern), _Z_TWICE, ball)
+        n = len(states)
+        rho = kernel_spectral_radius(kern, _Z_TWICE, ball)
+        # t = c / rho below carries rho's relative precision, which a
+        # subnormal rho has not
+        assume(rho == 0.0 or rho >= sys.float_info.min)
+        # K is similar to the symmetric tridiagonal matrix with sqrt(w+ w-)
+        # beside the diagonal, whose Perron root eigh finds to rounding
+        side = math.sqrt(w_plus) * math.sqrt(w_minus) * (np.eye(n, k=1) + np.eye(n, k=-1))
+        assert abs(rho - perron_root(np.diag(np.full(n, w0)) + side)) < 1e-13
+        if w_plus == w_minus:
+            assert abs(rho - perron_root(mat)) < 1e-13
+        # each entry within 1e-12 of the exact solve (entries below 2^-1000
+        # within 2^-1000) up to t rho = 0.999; a refusal below t rho = 1
+        # only where z = (I - t K^T)^-1 1 leaves the floats, where the exact
+        # answer is not a float either.  z grows with t, so it is largest at
+        # t rho = 1 - 1e-6
+        for c in (0.5, 0.9, 0.99, 0.999, 1 - 1e-6):
+            t = c / rho if rho else c
+            x, z_max = _exact_solve(kern, _Z_TWICE, t, ball, h)
+            in_range = z_max < 2**1000
+            try:
+                got = {p: induced_green(kern, _Z_TWICE, _on_z(h), _on_z(p), t, ball)
+                       for p in states}
+            except NonConvergenceError:
+                assert not in_range
+                continue
+            if c <= 0.999:
+                for p in states:
+                    assert abs(Fraction(got[p]) - x[p]) <= x[p] / 10**12 + Fraction(1, 2**1000)
+        if not in_range:
+            return
+        # within the floats, the refusals are the dense path's and the truth's
+        unit = np.zeros(n)
+        unit[states.index(h)] = 1.0
+        for c in (1 - 1e-6, 1 + 1e-6, 1.5):
+            t = c / rho if rho else c
+            try:
+                induced_green(kern, _Z_TWICE, _on_z(h), (), t, ball)
+                refused = False
+            except NonConvergenceError:
+                refused = True
+            assert refused == (m_matrix_solve(t * mat.T, unit) is None)
+            assert refused == (c > 1 and rho > 0)
+
+    @given(
+        w_minus=st.floats(0.0, 1.0),
+        w0=st.floats(0.0, 1.0),
+        ball=st.integers(0, 20),
+        t=st.floats(0.0, allow_nan=False),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_sided_rows_refuse_or_stay_finite(self, w_minus, w0, ball, t, data):
+        h = (data.draw(st.integers(-ball, ball)),)
+        row = {q: w for q, w in (((-1,), w_minus), ((0,), w0)) if w}
+        kern = ReturnKernel(0, 1.0, 0, -1, row, math.fsum(row.values()), 0.0, 0.0, False, 0)
+        for p in _lattice_ball(1, ball):
+            try:
+                got = induced_green(kern, _Z_TWICE, _on_z(h), _on_z(p), t, ball)
+            except NonConvergenceError:
+                continue
+            assert math.isfinite(got) and got >= 0.0
 
 
 class TestDegeneracy:
