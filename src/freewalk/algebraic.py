@@ -75,7 +75,7 @@ class FirstPassageSystem:
     with x(R) on the fold system (``_fold``, else ``_bisect``), and
     ``bracket`` its bar (lo, hi).  Coefficients are kept scaled by R^n,
     and exactly as integers over d^n, one row per cell of the quotient
-    (``_cell`` maps each unknown to its cell), each extended on demand, so
+    (``cell_of`` maps each unknown to its cell), each extended on demand, so
     every caller shares one computation to the largest horizon asked for.
     """
 
@@ -88,6 +88,7 @@ class FirstPassageSystem:
         )
         self._cell, self._ci, self._ai, self._crossi, self._backi = _quotient(
             const, lin, cross, back)
+        self.cell_of = dict(zip(unknowns, self._cell.tolist()))
         self.bracket = None  # no bar on R yet: every r is solved by Newton
         self._solutions = {}  # r -> least solution, each from 0
         self.radius, self.bracket, self._at_radius = self._fold() or self._bisect()
@@ -360,26 +361,41 @@ class FirstPassageSystem:
             crossed.append(self._crossi @ top)
         return nums[: n + 1]
 
+    def passage_tops(self, x, n):
+        """(tops, q) with sum_{m=1}^{n} [r^m] F_s x^m = tops[i] / q^n for
+        each unknown s of cell i (``cell_of``), for a Fraction x = p/q'.
+
+        With q = q' d, each cell's top sum_m N_m p^m q^(n-m) is taken by
+        Horner over its column of the rows N_1..N_n of
+        ``integer_coefficients``, in Python ints.
+        """
+        p, q, m = x.numerator, x.denominator * self._d, len(self._ci)
+        flat = [c for row in self.integer_coefficients(n)[1:] for c in row.tolist()]
+        tops = []
+        for cell in range(m):
+            top, power = 0, 1
+            for c in flat[cell::m]:  # N_1..N_n of the cell
+                power *= p
+                top = top * q + c * power
+            tops.append(top)
+        return tops, q
+
     def first_passage_sums(self, x, n):
         """{s: sum_{m=1}^{n} [r^m] F_s x^m} over the unknowns s.
 
-        A Fraction x = p/q' gives Fractions, from the integer coefficients:
-        with q = q' d, each cell's top sum_m N_m p^m q^(n-m) is taken by
-        Horner over the rows N_1..N_n as lists of Python ints, over q^n.
-        A float x gives floats, each the sum of the scaled coefficients of
-        its cell times (x/R)^m in long double, rounded once.
+        A Fraction x gives Fractions, one per cell of the quotient, each
+        its ``passage_tops`` top over q^n.  A float x gives floats, each
+        the sum of the scaled coefficients of its cell times (x/R)^m in
+        long double, rounded once.
         """
         if isinstance(x, Fraction):
-            p, q = x.numerator, x.denominator * self._d
-            tops, power = [0] * len(self._ci), 1
-            for row in self.integer_coefficients(n)[1:]:
-                power *= p
-                tops = [top * q + c * power for top, c in zip(tops, row.tolist())]
-            sums = [Fraction(tops[c], q**n) for c in self._cell.tolist()]
-        else:
-            self._extend(n)
-            powers = np.cumprod(np.full(n, np.longdouble(x) / self.radius))
-            sums = (self._y[:, 1 : n + 1] @ powers)[self._cell].astype(float).tolist()
+            tops, q = self.passage_tops(x, n)
+            cells = [Fraction(top, q**n) for top in tops]
+            return {s: cells[c] for s, c in self.cell_of.items()}
+        self._extend(n)
+        # the ufunc itself: np.cumprod's Python dispatch costs more than the products
+        powers = np.multiply.accumulate(np.full(n, np.longdouble(x) / self.radius))
+        sums = (self._y[:, 1 : n + 1] @ powers)[self._cell].astype(float).tolist()
         return dict(zip(self.unknowns, sums))
 
     def unscaled_logs(self, scaled):
@@ -473,7 +489,9 @@ def m_matrix_solve(a, b):
 
     The same factorisation solves (I - a) z = 1, and z > 0 exactly when the
     Perron root of ``a`` is below 1 (Collatz-Wielandt: a z = z - 1 < z);
-    then (I - a)^-1 is the convergent Neumann series sum_k a^k.
+    then (I - a)^-1 is the convergent Neumann series sum_k a^k.  A z that
+    is not finite and positive (NaN, or past the float range) refuses, as
+    the rows it bounds are not floats either.
     """
     lhs = 0.0 - a
     lhs.flat[:: len(a) + 1] += 1.0  # 1 - a_ii, bit for bit
@@ -483,7 +501,7 @@ def m_matrix_solve(a, b):
         sol, z = np.linalg.solve(lhs, rhs).T
     except np.linalg.LinAlgError:  # I - a is singular
         return None
-    return sol if np.all(z > 0.0) else None
+    return sol if np.all((z > 0.0) & (z < np.inf)) else None
 
 
 def monomial(group, fid, payload):

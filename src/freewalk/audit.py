@@ -18,10 +18,11 @@ supermultiplicative lower bound, which holds path by path.  ``ratio_report``
 refuses a grid point where the two routes to I1 in ``i_sums`` disagree.
 """
 
+import itertools
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,23 +43,6 @@ def syllable_choices(group, cap=3):
     ]
 
 
-def _random_syllable(rng, choices, fids):
-    fid = rng.choice(fids)
-    return (fid, rng.choice(choices[fid]))
-
-
-def random_element(choices, rng, n_syllables):
-    """A uniform-ish random normal form with ``n_syllables`` syllables,
-    drawn from ``choices`` (see ``syllable_choices``)."""
-    out = []
-    last = None
-    for _ in range(n_syllables):
-        fids = [k for k in range(len(choices)) if k != last]
-        out.append(_random_syllable(rng, choices, fids))
-        last = out[-1][0]
-    return tuple(out)
-
-
 # -- Ancona audit -------------------------------------------------------------
 
 
@@ -77,9 +61,10 @@ class AnconaReport:
     deviations_below_floor: bool
 
     def to_json(self):
+        """The report as one compact JSON object, its fields renamed."""
         names = dict(n_triples="triples", n_skipped="skipped", min_ratio="ratio_min",
                      max_ratio="ratio_max", mean_ratio="ratio_mean")
-        return json.dumps({names.get(k, k): v for k, v in vars(self).items()}, indent=2)
+        return json.dumps({names.get(k, k): v for k, v in vars(self).items()})
 
 
 def ancona_audit(evaluator, grid, n_triples=200, max_rel_dist=6, seed=0):
@@ -94,7 +79,7 @@ def ancona_audit(evaluator, grid, n_triples=200, max_rel_dist=6, seed=0):
     deviations above the floor span fewer than two n, which fix no slope.
     G is left-invariant, so every value is read from e to its displacement
     x^-1 y.  No draw depends on r: the sample is drawn and encoded once
-    (``_sample``, ``syllable_ids``), each r reads all its values in one
+    (``_sample``, ``_syllable_ids``), each r reads all its values in one
     ``green_batch``, and a report at r is the one a grid of r alone gives.
 
     The evaluator accepts only measures on single syllables, where every
@@ -104,42 +89,87 @@ def ancona_audit(evaluator, grid, n_triples=200, max_rel_dist=6, seed=0):
     of two independent numbers.  A triple or quadruple is skipped only
     for a zero value.
     """
-    words, ns = _sample(evaluator.group, n_triples, max_rel_dist, seed)
-    ids = evaluator.syllable_ids(words)
+    rows, syllables, ns = _sample(evaluator.group, n_triples, max_rel_dist, seed)
+    ids = _syllable_ids(evaluator, rows, syllables)
     return [_ancona_at(evaluator, r, seed, ids, n_triples, ns) for r in grid]
 
 
 def _sample(group, n_triples, max_rel_dist, seed):
-    """(words, ns) of the audit's draw: x^-1 z, x^-1 y and y^-1 z of each
-    triple, then the four displacements of each quadruple, whose shared
-    prefix lengths are ``ns``."""
+    """(rows, syllables, ns) of the audit's draw: x^-1 z, x^-1 y and y^-1 z
+    of each triple, then the four displacements of each quadruple, whose
+    shared prefix lengths are ``ns``.  Each word is a row of indices into
+    ``syllables`` (the payloads of ``syllable_choices``, factor by factor),
+    padded with len(syllables).
+
+    A word of n syllables draws each from a factor other than the last
+    one's, then a payload of it.  Every draw below n consumes the
+    generator as ``random.Random``'s ``choice`` and ``randint`` do
+    (``_randbelow``: getrandbits of n's bit length, drawn again until
+    below n), so the words are, seed for seed, the ones they draw.
+    """
     rng = random.Random(seed)
     choices = syllable_choices(group)
+    syllables = [(fid, p) for fid, ps in enumerate(choices) for p in ps]
+    factor_of = [fid for fid, _ in syllables]
+    starts = list(itertools.accumulate(map(len, choices), initial=0))
+    nf = len(choices)
+    # others[last]: the factors a syllable after one of factor last may take;
+    # others[nf] for the first syllable: every factor
+    others = [[k for k in range(nf) if k != last] for last in range(nf + 1)]
+
+    def below(n):
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return r
+
+    def syllable(last):
+        fids = others[last]
+        fid = fids[below(len(fids))]
+        return starts[fid] + below(starts[fid + 1] - starts[fid])
+
+    def element(n):
+        word = [syllable(nf)]
+        for _ in range(n - 1):
+            word.append(syllable(factor_of[word[-1]]))
+        return word
+
+    if n_triples and max_rel_dist < 2:
+        raise ValueError("a triple spans 2 to max_rel_dist syllables")
     words = []
     for _ in range(n_triples):
-        span = rng.randint(2, max_rel_dist)
-        delta = random_element(choices, rng, span)
-        cut = rng.randint(1, span)  # y = x delta[:cut]
+        span = 2 + below(max_rel_dist - 1)
+        delta = element(span)
+        cut = 1 + below(span)  # y = x delta[:cut]
         words += [delta, delta[:cut], delta[cut:]]
     ns = []
     for n in range(1, max_rel_dist + 1):
         for _ in range(10):
-            prefix = random_element(choices, rng, n)
-            first_fid = prefix[0][0]
-            last_fid = prefix[-1][0]
+            prefix = element(n)
             # x = s^-1 and x' = s'^-1 extend backwards from e; y = prefix t
             # and y' = prefix t' extend past the prefix
-            back_fids = [k for k in range(len(group.factors)) if k != first_fid]
-            fwd_fids = [k for k in range(len(group.factors)) if k != last_fid]
-            s = _random_syllable(rng, choices, back_fids)
-            sp = _random_syllable(rng, choices, back_fids)
-            t = _random_syllable(rng, choices, fwd_fids)
-            tp = _random_syllable(rng, choices, fwd_fids)
+            first, last = factor_of[prefix[0]], factor_of[prefix[-1]]
+            s, sp = syllable(first), syllable(first)
+            t, tp = syllable(last), syllable(last)
             if s != sp and t != tp:
                 ns.append(n)
-                words += [(s,) + prefix + (t,), (sp,) + prefix + (tp,),
-                          (sp,) + prefix + (t,), (s,) + prefix + (tp,)]
-    return words, ns
+                words += [[s, *prefix, t], [sp, *prefix, tp],
+                          [sp, *prefix, t], [s, *prefix, tp]]
+    pad, width = len(syllables), max(map(len, words), default=0)
+    rows = np.array([w + [pad] * (width - len(w)) for w in words], dtype=np.intp)
+    return rows.reshape(len(words), width), syllables, ns
+
+
+def _syllable_ids(evaluator, rows, syllables):
+    """The evaluator's ``syllable_ids`` of the words of ``_sample``, in one
+    gather: its new syllables take their ids in the order the words first
+    show them, as they would from the words themselves."""
+    pad = len(syllables)
+    order = list(dict.fromkeys(rows[rows < pad].tolist()))
+    lookup = np.zeros(pad + 1, dtype=np.intp)  # the padding reads id 0
+    lookup[order] = evaluator.syllable_ids([[syllables[i] for i in order]])[0]
+    return lookup[rows]
 
 
 def _ancona_at(evaluator, r, seed, ids, n_drawn, ns):
@@ -288,10 +318,13 @@ class RatioReport:
     non_monotone: list = field(default_factory=list)
 
     def to_json(self):
+        """The report as one compact JSON object, its bands renamed and
+        each row an object of ``RatioRow``'s fields."""
         names = dict(band_i1="band_i1_scaled", band_i2_ratio="band_i2_over_i1_cubed",
                      band_dgreen="band_dgreen_scaled")
-        out = {names.get(k, k): v for k, v in asdict(self).items()}
-        return json.dumps(out, indent=2)
+        out = {names.get(k, k): v for k, v in vars(self).items()}
+        out["rows"] = [vars(row) for row in self.rows]
+        return json.dumps(out)
 
     def to_csv_rows(self):
         yield ["r", "i1", "i2", "i1_sqrt_gap", "i2_over_i1_cubed", "dgreen",

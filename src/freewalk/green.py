@@ -19,6 +19,7 @@ return sequence alone, for the sequences the system does not give.
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,10 +110,20 @@ def _even_terms(logs):
     return [(n, logs[n]) for n in range(2, len(logs), 2) if logs[n] > -math.inf]
 
 
-def _rho_lower(even):
-    """sup_n p_{2n}^{1/2n} over ``_even_terms``: a rigorous lower bound on
-    rho, as p_{2n}(e,e) is supermultiplicative."""
-    return max(math.exp(l / n) for n, l in even)
+def _rho_lower(logs):
+    """sup_n p_{2n}^{1/2n} over the even n >= 2 where p_n > 0, from the
+    log p_n of ``logs``: a rigorous lower bound on rho, as p_{2n}(e,e) is
+    supermultiplicative.  log p_n / n is formed in numpy, and ``math.exp``
+    is taken only where it lies within 8 eps of the largest: exp errs by
+    at most an ulp and is monotone, so no value below that window can
+    round to the largest exp (over the normal floats, where rho is).
+    """
+    n = np.arange(2, len(logs), 2)
+    even = logs[2::2]
+    positive = even > -math.inf
+    rates = even[positive] / n[positive]
+    near = rates[rates >= rates.max() - 8 * sys.float_info.epsilon]
+    return max(math.exp(v) for v in near.tolist())
 
 
 def spectral_radius(seq):
@@ -128,7 +139,7 @@ def spectral_radius(seq):
         raise DegenerateInputError(
             "spectral radius estimation needs at least 10 nonzero even terms"
         )
-    rho_lower = _rho_lower(even)
+    rho_lower = _rho_lower(seq.log_values)
     ratios = []
     for (n1, l1), (n2, l2) in zip(even, even[1:]):
         ratios.append((n1 // 2, math.exp((l2 - l1) / (n2 - n1) * 2)))
@@ -186,7 +197,7 @@ class GreenEvaluator:
         ``horizon`` return coefficients, built on first read."""
         (lo, hi), R = self.system.bracket, self.system.radius
         return SpectralRadiusEstimate(
-            rho_lower=_rho_lower(_even_terms(self.system.return_log_probs(self.horizon))),
+            rho_lower=_rho_lower(self.system.return_log_probs(self.horizon)),
             rho_hat=1.0 / R, R_hat=R, rho_bracket=(1.0 / hi, 1.0 / lo),
         )
 

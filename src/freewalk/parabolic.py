@@ -14,8 +14,9 @@ closed form, and refuses every other measure.
 
 ``first_return_kernel`` truncates the row at path length L, as a reference
 the closed form is held to and for measures outside the system.  In scope
-the row is read off the system's coefficients, exactly (integer
-coefficients, for rational r) or in floats, and no ball truncates it.
+the row is read off the system's coefficients, exactly (for rational r,
+every entry an integer over one denominator, ``_exact_row``) or in
+floats, and no ball truncates it.
 Every other measure (multi-syllable steps, Z^d factors with d >= 2) runs
 ``walks.PathOperator`` with H_k as its absorbing set over the states of a
 word ball, in one stepping loop (``PathOperator.absorb``): exact mode
@@ -33,7 +34,9 @@ of it; the row refuses where the Neumann series diverges.  On a rank-1
 lattice factor whose row lies on {a^-1, e, a}, which every kernel of a
 measure in the system's scope has, K is tridiagonal Toeplitz over the
 2B + 1 payloads of the ball: its Perron root is a closed form and row h is
-one elimination sweep in O(B) (``_sweep``), and neither builds K.  Every
+one elimination sweep in O(B) (``_sweep``), which stops eliminating once
+its pivots reach their fixed point, and neither builds K; the row is kept
+as a list over the payloads -B..B.  Every
 other kernel (a finite factor, a wider row, rank >= 2) is built as K from
 the row alone: a gather on a finite factor, and on a lattice one sorted
 lookup per state and row entry, scattered into a zero matrix.  Its Perron
@@ -119,42 +122,78 @@ def _series_kernel(measure, system, k, r, n):
     """(row, returned, in_flight, escaped, unknowns) of the paths of length
     at most n, from the first-passage series of a single-syllable measure.
 
-    The row is ``_kernel_row`` over the first passages summed to m < n.
-    Exact rows (Fraction r) match the pruned state chain, which holds no
-    mass in flight after a step.  Float rows count in flight the mass of
-    the paths out of H_k that have not returned by step n, from the sums
-    at r = 1, which at r = 1 are the row's own.  Nothing escapes.
+    The row is ``_kernel_row`` over the first passages summed to m < n;
+    a Fraction r takes it over one integer denominator (``_exact_row``).
+    Exact rows match the pruned state chain, which holds no mass in flight
+    after a step.  Float rows count in flight the mass of the paths out of
+    H_k that have not returned by step n, from the sums at r = 1, which at
+    r = 1 are the row's own.  Nothing escapes.
     """
     exact = isinstance(r, Fraction)
     zero = Fraction(0) if exact else 0.0
     if n == 0:
         return {}, zero, zero + 1, zero, len(system.unknowns)
-    sums = system.first_passage_sums(r, n - 1)
-    row, out = _kernel_row(measure, k, r, sums)
     if exact:
-        return row, sum(row.values(), zero), zero, zero, len(sums)
+        return *_exact_row(measure, system, k, r, n), zero, zero, len(system.unknowns)
+    sums = system.first_passage_sums(r, n - 1)
+    row, out = _kernel_row(measure, k, _scaled(measure, r), sums)
     tails = sums if r == 1.0 else system.first_passage_sums(1.0, n - 1)
     in_flight = r**n * math.fsum(float(w) * (1.0 - tails[u]) for w, u in out)
-    return row, math.fsum(row.values()), in_flight, zero, len(sums)
+    return row, math.fsum(row.values()), in_flight, zero, len(system.unknowns)
 
 
-def _kernel_row(measure, k, r, passages):
+def _exact_row(measure, system, k, r, n):
+    """(row, returned) of ``_series_kernel`` at a Fraction r: the row of
+    ``_kernel_row`` over the first passages summed to m < n, in integers.
+
+    With the sums tops / q^(n-1) (``passage_tops``, q = q_r d for r = a/q_r
+    and d the measure's common denominator), a step s of weight W/d has
+    r mu(s) = a W / q, so every entry, and their sum, is an integer over
+    the one denominator q^n, each normalised once.  The keys are
+    ``_kernel_row``'s, in its order, without zeros.
+    """
+    group = measure.group
+    tops, q = system.passage_tops(r, n - 1)
+    a, d, scale = r.numerator, q // r.denominator, q ** (n - 1)
+    unit, steps = 0, {}
+    for g, w in measure.support:
+        num = a * w.numerator * (d // w.denominator)  # q r mu(g)
+        if not g:
+            unit += num * scale
+        elif g[0][0] == k:
+            steps[g[0][1]] = num * scale
+        else:
+            (f, p), = g
+            back = monomial(group, f, group.factors[f].inv(p))[0]
+            unit += num * tops[system.cell_of[back]]
+    nums = {group.factors[k].identity: unit} | steps
+    den = q * scale
+    row = {p: Fraction(v, den) for p, v in nums.items() if v}
+    return row, Fraction(sum(nums.values()), den)
+
+
+def _scaled(measure, r):
+    """r mu(s) over the support of ``measure``, in its order, for a float r
+    (``_times``)."""
+    return [_times(r, w) for _, w in measure.support]
+
+
+def _kernel_row(measure, k, scaled, passages):
     """(row, out) of the first-return kernel to H_k of a single-syllable
-    measure, with F(e, s | r) read from ``passages`` for each unknown s.
+    measure at a float r, with r mu(s) from ``scaled`` (``_scaled``) and
+    F(e, s | r) from ``passages`` for each unknown s.
 
     A first step u in H_k returns at once, with weight r mu(u).  A first
     step t out of H_k enters t's cone, and e is a cut vertex between that
     cone and H_k, so the path returns first at e, with weight
     r mu(t) F(e, t^-1 | r).  The row from e is the unit first, then H_k's
     steps in support order, without zeros; ``out`` lists (mu(t), the
-    unknown of t^-1).  Float r adds the unit's terms with ``math.fsum``,
-    so a swap of exchangeable factors, which permutes them, changes nothing.
+    unknown of t^-1).  The unit's terms are added with ``math.fsum``, so a
+    swap of exchangeable factors, which permutes them, changes nothing.
     """
-    exact = isinstance(r, Fraction)
     group = measure.group
     home, steps, out = [], {}, []  # unit terms, H_k's steps, (mu(t), unknown t^-1)
-    for g, w in measure.support:
-        rw = r * w if exact else _times(r, w)
+    for (g, w), rw in zip(measure.support, scaled):
         if not g:
             home.append(rw)
         elif g[0][0] == k:
@@ -164,8 +203,7 @@ def _kernel_row(measure, k, r, passages):
             back = monomial(group, f, group.factors[f].inv(p))[0]
             home.append(rw * passages[back])
             out.append((w, back))
-    unit = sum(home, Fraction(0)) if exact else math.fsum(home)
-    row = {group.factors[k].identity: unit} | steps
+    row = {group.factors[k].identity: math.fsum(home)} | steps
     return {p: v for p, v in row.items() if v}, out
 
 
@@ -294,8 +332,10 @@ def induced_green(kernel, group, h, h_prime, t, factor_ball=40):
     The kernel solves row h of (I - t K)^-1 once per (h, t, factor_ball)
     and reads every later h' off that row.  A tridiagonal kernel
     (``_tridiagonal``) solves it by one elimination sweep over the ball
-    (``_sweep``), without K; every other kernel by one M-matrix solve over
-    its ``kernel_matrix``.  Raises NonConvergenceError where the Neumann
+    (``_sweep``), without K, and keeps it as a list indexed by payload + B;
+    every other kernel by one M-matrix solve over its ``kernel_matrix``,
+    kept as a dict over its states.  An endpoint outside the factor ball
+    raises ValueError.  Raises NonConvergenceError where the Neumann
     series sum_n t^n K^n diverges, i.e. unless the Perron root of t K is
     below 1.
     """
@@ -311,12 +351,13 @@ def induced_green(kernel, group, h, h_prime, t, factor_ball=40):
             unit = np.zeros(len(states))
             unit[states.index(hp)] = 1.0
             row = m_matrix_solve(t * mat.T, unit)  # row h of (I - t K)^-1
-            row = None if row is None else row.tolist()
+            row = None if row is None else dict(zip(states, row.tolist()))
         else:
             w_minus, w0, w_plus = tri
-            states = [(j,) for j in range(-factor_ball, factor_ball + 1)]
-            row = _sweep(t * w_plus, _one_minus(t, w0), t * w_minus, len(states), states.index(hp))
-        kernel._solved[key] = None if row is None else dict(zip(states, row))
+            n = 2 * factor_ball + 1
+            row = _sweep(t * w_plus, _one_minus(t, w0), t * w_minus, n,
+                         _payload_index(hp, factor_ball))
+        kernel._solved[key] = row
     row = kernel._solved[key]
     if row is None:
         raise NonConvergenceError(
@@ -324,7 +365,16 @@ def induced_green(kernel, group, h, h_prime, t, factor_ball=40):
             "I - t K is not a non-singular M-matrix",
             diagnostics={"t": t, "factor_ball": factor_ball},
         )
-    return row[hq]
+    return row[hq] if isinstance(row, dict) else row[_payload_index(hq, factor_ball)]
+
+
+def _payload_index(payload, factor_ball):
+    """The index of a rank-1 payload among -B..B, the states of the factor
+    ball; ValueError outside it."""
+    (j,) = payload
+    if not -factor_ball <= j <= factor_ball:
+        raise ValueError(f"payload {payload} lies outside the factor ball of radius {factor_ball}")
+    return j + factor_ball
 
 
 def _sweep(lower, diag, upper, n, h):
@@ -334,7 +384,11 @@ def _sweep(lower, diag, upper, n, h):
     The row is x with A x = e_h, where A = (I - t K)^T has ``diag`` on its
     diagonal, -``lower`` below and -``upper`` above.  One forward
     elimination gives the pivots p_i = diag - lower upper / p_{i-1}, and
-    with one back substitution z = A^-1 1.  A Z-matrix is a non-singular
+    with one back substitution z = A^-1 1.  Each step of the elimination
+    is a function of the last (p, y), so once (p, y) repeats bit for bit
+    every later step repeats it: the elimination stops there and fills in
+    the rest, and over that stretch the back substitution, a function of
+    the last z alone, stops where z repeats.  A Z-matrix is a non-singular
     M-matrix exactly when its pivots are positive, and then z > 0
     (Collatz-Wielandt, as in ``algebraic.m_matrix_solve``): a pivot or an
     entry of z that is not a finite positive number (NaN included)
@@ -346,30 +400,41 @@ def _sweep(lower, diag, upper, n, h):
     no entry loses digits to cancellation, however small it is.
     """
     lu = lower * upper
-    pivots, ys = [], []
     p, y = diag, 1.0
-    for i in range(n):
-        if i:
-            y = 1.0 + lower * y / p
-            p = diag - lu / p
+    if not 0.0 < p < math.inf:
+        return None
+    pivots, ys = [p], [y]
+    for _ in range(n - 1):
+        p, y, last_p, last_y = diag - lu / p, 1.0 + lower * y / p, p, y
+        if p == last_p and y == last_y:
+            break  # a fixed point: every later step repeats it
         if not 0.0 < p < math.inf:
             return None
         pivots.append(p)
         ys.append(y)
+    # (p, y) holds from index s - 1 to the end: z steps z -> (y + upper z) / p
+    # there, until z repeats too
+    s = len(pivots)
+    pivots += [p] * (n - s)
     z = 0.0
-    for y, p in zip(reversed(ys), reversed(pivots)):
+    for _ in range(n - s + 1):
+        z, last = (y + upper * z) / p, z
+        if not 0.0 < z < math.inf:
+            return None
+        if z == last:
+            break
+    for y, p in zip(reversed(ys[: s - 1]), reversed(pivots[: s - 1])):
         z = (y + upper * z) / p
         if not 0.0 < z < math.inf:
             return None
     gamma = diag - (lu / pivots[h - 1] if h else 0.0) - (lu / pivots[n - 2 - h] if h < n - 1 else 0.0)
     if not 0.0 < gamma < math.inf:
         return None
-    x = [1.0 / gamma]
-    for p in reversed(pivots[:h]):  # x_{h-1}, ..., x_0
-        x.append(x[-1] * upper / p)
-    x.reverse()
-    for p in reversed(pivots[: n - 1 - h]):  # x_{h+1}, ..., x_{n-1}
-        x.append(x[-1] * lower / p)
+    v = mid = 1.0 / gamma
+    left = [v := v * upper / p for p in reversed(pivots[:h])]  # x_{h-1}, ..., x_0
+    v = mid
+    right = [v := v * lower / p for p in reversed(pivots[: n - 1 - h])]  # x_{h+1}, ...
+    x = left[::-1] + [mid] + right
     return x if max(x) < math.inf else None
 
 
@@ -389,14 +454,9 @@ class DegeneracyReport:
     verdict: str
 
     def to_json(self):
-        return json.dumps(
-            {
-                "r": self.r,
-                "verdict": self.verdict,
-                "factors": [vars(v) for v in self.per_factor],
-            },
-            indent=2,
-        )
+        """The report as one compact JSON object."""
+        return json.dumps({"r": self.r, "verdict": self.verdict,
+                           "factors": [vars(v) for v in self.per_factor]})
 
 
 def degeneracy_test(measure, r):
@@ -412,9 +472,10 @@ def degeneracy_test(measure, r):
     """
     passages = point_passages(measure, r)
     r = float(r)
+    scaled = _scaled(measure, r)
     verdicts = []
     for k, factor in enumerate(measure.group.factors):
-        row = _kernel_row(measure, k, r, passages)[0]
+        row = _kernel_row(measure, k, scaled, passages)[0]
         mass = math.fsum(row.values())
         rho = mass
         if factor.kind == "lattice":

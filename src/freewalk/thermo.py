@@ -99,8 +99,9 @@ class PressureEstimate:
     value: float  # log eigenvalue
 
     def to_json(self):
+        """The estimate as one compact JSON object, ``value`` as "pressure"."""
         out = {"pressure" if k == "value" else k: v for k, v in vars(self).items()}
-        return json.dumps(out, indent=2)
+        return json.dumps(out)
 
 
 def pressure(measure, r):

@@ -738,4 +738,4 @@ def detect_period(seq):
     positive = np.flatnonzero(seq.log_values[1 : seq.horizon + 1] > -math.inf) + 1
     if not len(positive):
         raise DegenerateInputError("no positive return probability found")
-    return math.gcd(*positive.tolist())
+    return int(np.gcd.reduce(positive))

@@ -1,7 +1,9 @@
 import json
 import math
+import random
 import tracemalloc
 from array import array
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,6 @@ from freewalk.audit import (
     AnconaReport,
     ancona_audit,
     llt_fit,
-    random_element,
     ratio_report,
     syllable_choices,
 )
@@ -32,15 +33,84 @@ def ev(f2_srw):
     return GreenEvaluator(f2_srw)
 
 
+def _random_syllable(rng, choices, fids):
+    fid = rng.choice(fids)
+    return (fid, rng.choice(choices[fid]))
+
+
+def random_element(choices, rng, n_syllables):
+    """A uniform-ish random normal form with ``n_syllables`` syllables,
+    drawn from ``choices`` (see ``syllable_choices``)."""
+    out = []
+    last = None
+    for _ in range(n_syllables):
+        fids = [k for k in range(len(choices)) if k != last]
+        out.append(_random_syllable(rng, choices, fids))
+        last = out[-1][0]
+    return tuple(out)
+
+
+def _sample_words(group, n_triples, max_rel_dist, seed):
+    """The reference for ``audit._sample``: (words, ns) drawn as tuples of
+    syllables through ``random.Random``'s ``choice`` and ``randint``."""
+    rng = random.Random(seed)
+    choices = syllable_choices(group)
+    words = []
+    for _ in range(n_triples):
+        span = rng.randint(2, max_rel_dist)
+        delta = random_element(choices, rng, span)
+        cut = rng.randint(1, span)  # y = x delta[:cut]
+        words += [delta, delta[:cut], delta[cut:]]
+    ns = []
+    for n in range(1, max_rel_dist + 1):
+        for _ in range(10):
+            prefix = random_element(choices, rng, n)
+            first_fid = prefix[0][0]
+            last_fid = prefix[-1][0]
+            back_fids = [k for k in range(len(group.factors)) if k != first_fid]
+            fwd_fids = [k for k in range(len(group.factors)) if k != last_fid]
+            s = _random_syllable(rng, choices, back_fids)
+            sp = _random_syllable(rng, choices, back_fids)
+            t = _random_syllable(rng, choices, fwd_fids)
+            tp = _random_syllable(rng, choices, fwd_fids)
+            if s != sp and t != tp:
+                ns.append(n)
+                words += [(s,) + prefix + (t,), (sp,) + prefix + (tp,),
+                          (sp,) + prefix + (t,), (s,) + prefix + (tp,)]
+    return words, ns
+
+
 class TestSampling:
     def test_random_element_syllable_count(self, f2):
-        import random
-
         rng = random.Random(7)
         for n in range(6):
             g = random_element(syllable_choices(f2), rng, n)
             assert len(g) == n
             assert f2.is_valid(g)
+
+    def test_a_span_below_two_is_refused(self, f2):
+        # randint(2, 1) raises; a draw below 0 would never end
+        with pytest.raises(ValueError):
+            _sample_words(f2, 1, 1, 0)
+        with pytest.raises(ValueError):
+            audit._sample(f2, 1, 1, 0)
+
+    @pytest.mark.parametrize("name", ["f2_srw", "z2z3", "z2z2z2"])
+    def test_ids_are_those_of_the_reference_words(self, name):
+        # seed for seed, the drawn rows are the reference's words, and
+        # their gathered ids are what ``syllable_ids`` of those words gives
+        # on a fresh evaluator, padding and id order included
+        measure = load_config(CONFIGS / f"{name}.json").measure
+        for seed in range(21):
+            words, ns = _sample_words(measure.group, 200, 6, seed)
+            rows, syllables, got_ns = audit._sample(measure.group, 200, 6, seed)
+            assert got_ns == ns
+            assert [tuple(syllables[i] for i in row if i < len(syllables))
+                    for row in rows.tolist()] == words
+            want = GreenEvaluator(measure).syllable_ids(words)
+            got = audit._syllable_ids(GreenEvaluator(measure), rows, syllables)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestAncona:
@@ -72,6 +142,16 @@ class TestAncona:
         blob = json.loads(rep.to_json())
         assert blob["triples"] == rep.n_triples
         assert blob["deviations_below_floor"] is True
+
+    def test_json_is_compact_and_the_former_payload(self, ev):
+        # the compact string parses to the payload of the former indented
+        # one, key for key and in order
+        for rep in ancona_audit(ev, [0.5 * ev.R_hat, 0.9 * ev.R_hat], n_triples=30, seed=6):
+            names = dict(n_triples="triples", n_skipped="skipped", min_ratio="ratio_min",
+                         max_ratio="ratio_max", mean_ratio="ratio_mean")
+            former = json.dumps({names.get(k, k): v for k, v in asdict(rep).items()}, indent=2)
+            assert "\n" not in rep.to_json()
+            assert json.dumps(json.loads(rep.to_json())) == json.dumps(json.loads(former))
 
     def test_deterministic_in_seed(self, ev):
         (a,) = ancona_audit(ev, [0.9 * ev.R_hat], n_triples=25, seed=5)
@@ -174,7 +254,7 @@ class TestAnconaBatch:
         cfg, ev_c = shipped
         grid = cfg.resolve_r_grid(ev_c.R_hat)
         reports = ancona_audit(ev_c, grid, seed=seed)
-        words, ns = audit._sample(ev_c.group, 200, 6, seed)
+        words, ns = _sample_words(ev_c.group, 200, 6, seed)
         for rep, r in zip(reports, grid):
             want = _ancona_at_reference(ev_c, r, seed, words, 200, ns)
             assert [type(v) for v in vars(rep).values()] == [
@@ -335,3 +415,9 @@ class TestRatioReport:
         blob = json.loads(rep.to_json())
         assert len(blob["rows"]) == 2
         assert blob["r_hat"] == rep.r_hat
+        # compact, and the payload of the former indented form, in order
+        names = dict(band_i1="band_i1_scaled", band_i2_ratio="band_i2_over_i1_cubed",
+                     band_dgreen="band_dgreen_scaled")
+        former = json.dumps({names.get(k, k): v for k, v in asdict(rep).items()}, indent=2)
+        assert "\n" not in rep.to_json()
+        assert json.dumps(blob) == json.dumps(json.loads(former))

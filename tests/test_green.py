@@ -10,6 +10,8 @@ from freewalk.audit import ancona_audit, ratio_report, syllable_choices
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
 from freewalk.green import (
     GreenEvaluator,
+    _even_terms,
+    _rho_lower,
     _sphere_sum,
     sphere_sizes,
     spectral_radius,
@@ -67,6 +69,37 @@ class TestSpectralRadius:
         est = spectral_radius(seq)
         assert est.uncertainty() == est.rho_hat - est.rho_lower
         assert abs(est.rho_hat - 1.0 / F2_RADIUS) <= est.uncertainty() < 0.01
+
+
+def _rho_lower_loop(logs):
+    """The reference for ``_rho_lower``: exp of every log p_n / n."""
+    return max(math.exp(l / n) for n, l in _even_terms(logs))
+
+
+class TestRhoLower:
+    @pytest.mark.parametrize("walk", ["f2_srw", "z2z3_srw", "z2cubed_srw", "f2_lazy"])
+    def test_equals_the_loop_on_the_return_logs(self, walk, request):
+        measure = _measure("f2_lazy") if walk == "f2_lazy" else request.getfixturevalue(walk)
+        logs = measure.first_passage_system.return_log_probs(4000)
+        assert _rho_lower(logs).hex() == _rho_lower_loop(logs).hex()
+
+    @given(
+        rate=st.floats(-5.0, 0.0),
+        spread=st.lists(st.integers(-40, 40), min_size=1, max_size=60),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_loop_where_the_rates_nearly_tie(self, rate, spread, data):
+        # log p_n / n a few ulps apart, some p_n zero (never p_2): exp is
+        # taken of every rate that could round to the largest exp, so the
+        # max is the loop's
+        logs = np.full(2 * len(spread) + 2, -math.inf)
+        logs[0] = 0.0
+        for i, k in enumerate(spread):
+            n = 2 * (i + 1)
+            if i == 0 or data.draw(st.booleans()):
+                logs[n] = n * (rate + k * math.ulp(rate or 1.0))
+        assert _rho_lower(logs).hex() == _rho_lower_loop(logs).hex()
 
 
 class TestClosedForms:

@@ -1,7 +1,8 @@
+import json
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -154,11 +155,60 @@ class TestFloatRow:
         for r in (1.0, 1.0 / 3.0, 0.9 * system.radius, system.radius):
             passages = point_passages(measure, r)
             for k in range(len(measure.group.factors)):
-                got = parabolic._kernel_row(measure, k, r, passages)
+                got = parabolic._kernel_row(measure, k, parabolic._scaled(measure, r), passages)
                 want = _kernel_row_by_fraction(measure, k, r, passages)
                 assert got[1] == want[1]
                 assert {p: v.hex() for p, v in got[0].items()} == {
                     p: v.hex() for p, v in want[0].items()}
+
+
+def _kernel_row_by_fraction_products(measure, k, r, passages):
+    """The reference for exact series rows: the row of ``_kernel_row`` in
+    Fraction products, one Fraction per unknown, added one by one."""
+    group = measure.group
+    home, steps = [], {}
+    for g, w in measure.support:
+        rw = r * w
+        if not g:
+            home.append(rw)
+        elif g[0][0] == k:
+            steps[g[0][1]] = rw
+        else:
+            (f, p), = g
+            back = monomial(group, f, group.factors[f].inv(p))[0]
+            home.append(rw * passages[back])
+    row = {group.factors[k].identity: sum(home, Fraction(0))} | steps
+    return {p: v for p, v in row.items() if v}
+
+
+class TestExactRow:
+    @pytest.mark.parametrize("name", ["f2", "f2_asym", "f2_lazy", "z2z3", "z2z2z2", "z5_skew"])
+    def test_rows_equal_the_fraction_products(self, name):
+        # the row over one integer denominator is the row of Fraction
+        # products over the first passages summed term by term, entry for
+        # entry and in the same key order, and its mass is their sum
+        measure = _z5_skew() if name == "z5_skew" else _measure(name)
+        system = measure.first_passage_system
+        d = measure.common_denominator()
+        for r in (Fraction(1), Fraction(1, 3), Fraction(7, 8)):
+            for L in (0, 1, 2, 20):
+                nums = system.integer_coefficients(max(L - 1, 0))
+                passages = {s: sum((Fraction(int(nums[m][c]), d**m) * r**m for m in range(1, L)),
+                                   Fraction(0))
+                            for s, c in system.cell_of.items()}
+                for k in range(len(measure.group.factors)):
+                    kern = first_return_kernel(measure, k, r, L)
+                    want = _kernel_row_by_fraction_products(measure, k, r, passages) if L else {}
+                    assert kern.row == want
+                    assert list(kern.row) == list(want)
+                    assert all(type(v) is Fraction for v in kern.row.values())
+                    assert kern.returned_mass == sum(want.values(), Fraction(0))
+                    assert type(kern.returned_mass) is Fraction
+                    assert (kern.in_flight_mass, kern.escaped_mass) == ((0, 0) if L else (1, 0))
+
+
+# a lattice row reaching payload length 2, wider than {a^-1, e, a}
+_WIDE_ROW = {(-2,): 0.05, (-1,): 0.2, (0,): 0.15, (1,): 0.3, (2,): 0.1}
 
 
 def _kernel_matrix_by_entry(kernel, group, factor_ball):
@@ -196,12 +246,21 @@ class TestKernelMatrix:
     @pytest.mark.parametrize("factor_ball", [0, 1, 6])
     @pytest.mark.parametrize("case", ["z2sq_z2", "f2_asym", "f2_two_letter_b"])
     def test_gather_matches_the_entry_loop_on_other_kernels(self, case, factor_ball):
-        # a rank-2 lattice, a row that is not symmetric, and a row reaching
-        # payload length 2; over the 0-ball only the row's entry at e counts
+        # a rank-2 lattice, a row that is not symmetric, and the row of a
+        # measure with two-letter steps (which lies on {a^-1, e, a}); over
+        # the 0-ball only the row's entry at e counts
         name, fid, r, L, B = KERNEL_CASES[case]
         measure = _measure(name)
         kern = first_return_kernel(measure, fid, r, L, B, exact=False)
         self._assert_matches(kern, measure.group, factor_ball)
+
+    @pytest.mark.parametrize("factor_ball", [0, 1, 6])
+    def test_gather_matches_the_entry_loop_on_a_row_reaching_length_two(self, f2, factor_ball):
+        # a rank-1 row on -2..2: over the 1-ball its entries at +-2 fall
+        # outside, over the 6-ball they fill the second diagonals
+        kern = ReturnKernel(0, 1.0, 0, -1, _WIDE_ROW, math.fsum(_WIDE_ROW.values()),
+                            0.0, 0.0, False, 0)
+        self._assert_matches(kern, f2, factor_ball)
 
     @pytest.mark.parametrize("factor_id", [0, 1])
     def test_gather_matches_the_entry_loop_finite(self, z2z3_srw, z2z3, factor_id):
@@ -403,8 +462,7 @@ class TestInducedGreen:
             payloads = [0, 1, 2]
         else:
             group, fid = f2, 0
-            row = {(-2,): 0.05, (-1,): 0.2, (0,): 0.15, (1,): 0.3, (2,): 0.1}
-            kern = ReturnKernel(0, 1.0, 0, -1, row, 0.8, 0.0, 0.0, False, 0)
+            kern = ReturnKernel(0, 1.0, 0, -1, _WIDE_ROW, 0.8, 0.0, 0.0, False, 0)
             payloads = [(j,) for j in range(4)]
         identity = group.factors[fid].identity
         want = [_induced_green_per_call(kern, group, identity, p, 1.0, 40) for p in payloads]
@@ -479,10 +537,52 @@ def _on_z(payload):
     return ((0, payload),) if any(payload) else ()
 
 
+def _sweep_by_loop(lower, diag, upper, n, h):
+    """The reference for ``parabolic._sweep``: every step of the forward
+    elimination and of the back substitution taken, one index at a time."""
+    lu = lower * upper
+    pivots, ys = [], []
+    p, y = diag, 1.0
+    for i in range(n):
+        if i:
+            y = 1.0 + lower * y / p
+            p = diag - lu / p
+        if not 0.0 < p < math.inf:
+            return None
+        pivots.append(p)
+        ys.append(y)
+    z = 0.0
+    for y, p in zip(reversed(ys), reversed(pivots)):
+        z = (y + upper * z) / p
+        if not 0.0 < z < math.inf:
+            return None
+    gamma = diag - (lu / pivots[h - 1] if h else 0.0) - (lu / pivots[n - 2 - h] if h < n - 1 else 0.0)
+    if not 0.0 < gamma < math.inf:
+        return None
+    x = [1.0 / gamma]
+    for p in reversed(pivots[:h]):
+        x.append(x[-1] * upper / p)
+    x.reverse()
+    for p in reversed(pivots[: n - 1 - h]):
+        x.append(x[-1] * lower / p)
+    return x if max(x) < math.inf else None
+
+
+def _assert_sweep_is_the_loop(kern, group, h, t, ball):
+    """The sweep ``induced_green`` runs for row h, bit for bit the loop's,
+    refusals included."""
+    w_minus, w0, w_plus = parabolic._tridiagonal(kern, group)
+    args = (t * w_plus, parabolic._one_minus(t, w0), t * w_minus, 2 * ball + 1, h[0] + ball)
+    got, want = parabolic._sweep(*args), _sweep_by_loop(*args)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 class TestSweep:
     """Kernels on {a^-1, e, a}: ``induced_green`` by the elimination sweep
-    and the Perron root in closed form, against exact Fraction solves and
-    the dense path."""
+    and the Perron root in closed form, against the step-by-step loop,
+    exact Fraction solves and the dense path."""
 
     @given(
         w_minus=st.floats(0.0, 1.0, exclude_min=True),
@@ -518,6 +618,7 @@ class TestSweep:
         # t rho = 1 - 1e-6
         for c in (0.5, 0.9, 0.99, 0.999, 1 - 1e-6):
             t = c / rho if rho else c
+            _assert_sweep_is_the_loop(kern, _Z_TWICE, h, t, ball)
             x, z_max = _exact_solve(kern, _Z_TWICE, t, ball, h)
             in_range = z_max < 2**1000
             try:
@@ -529,20 +630,20 @@ class TestSweep:
             if c <= 0.999:
                 for p in states:
                     assert abs(Fraction(got[p]) - x[p]) <= x[p] / 10**12 + Fraction(1, 2**1000)
-        if not in_range:
-            return
-        # within the floats, the refusals are the dense path's and the truth's
+        # the refusals are the dense path's, and within the floats the truth's
         unit = np.zeros(n)
         unit[states.index(h)] = 1.0
         for c in (1 - 1e-6, 1 + 1e-6, 1.5):
             t = c / rho if rho else c
+            _assert_sweep_is_the_loop(kern, _Z_TWICE, h, t, ball)
             try:
                 induced_green(kern, _Z_TWICE, _on_z(h), (), t, ball)
                 refused = False
             except NonConvergenceError:
                 refused = True
             assert refused == (m_matrix_solve(t * mat.T, unit) is None)
-            assert refused == (c > 1 and rho > 0)
+            if in_range:
+                assert refused == (c > 1 and rho > 0)
 
     @given(
         w_minus=st.floats(0.0, 1.0),
@@ -556,12 +657,67 @@ class TestSweep:
         h = (data.draw(st.integers(-ball, ball)),)
         row = {q: w for q, w in (((-1,), w_minus), ((0,), w0)) if w}
         kern = ReturnKernel(0, 1.0, 0, -1, row, math.fsum(row.values()), 0.0, 0.0, False, 0)
+        _assert_sweep_is_the_loop(kern, _Z_TWICE, h, t, ball)
         for p in _lattice_ball(1, ball):
             try:
                 got = induced_green(kern, _Z_TWICE, _on_z(h), _on_z(p), t, ball)
             except NonConvergenceError:
                 continue
             assert math.isfinite(got) and got >= 0.0
+
+
+    @pytest.mark.parametrize("r, L, B", [(Fraction(1), 20, None), (1.0, 140, 11)])
+    @pytest.mark.parametrize("at", [-40, -39, -1, 0, 1, 39, 40])
+    def test_the_benchmark_rows_past_the_fixed_point_are_the_loop(self, f2_srw, f2, r, L, B, at):
+        # over the 81 payloads of the 40-ball the pivots of these kernels
+        # repeat bit for bit from about step 18 on, so the elimination stops
+        # there; each row, up to the kernel radius, is still the loop's
+        kern = first_return_kernel(f2_srw, 0, r, L, B, exact=isinstance(r, Fraction))
+        rho = kernel_spectral_radius(kern, f2, 40)
+        for t in (0.5, 1.0, 0.999 / rho, 1 / rho, 1.001 / rho):
+            _assert_sweep_is_the_loop(kern, f2, (at,), t, 40)
+
+    @pytest.mark.parametrize("w_minus, w0, w_plus, n", [
+        (1.0, 0.0, 1e-3, 231), (1.0, 0.25, 1e-3, 231), (1.0, 0.0, 0.05, 401)])
+    def test_the_refusal_boundary_is_the_loops(self, w_minus, w0, w_plus, n):
+        # t bisected to the two adjacent floats where the loop starts to
+        # refuse: z first overflows ahead of the pivots' fixed point (the
+        # first two cases) or a pivot stops being positive (the last); the
+        # sweep accepts the one with the loop's row and refuses the other
+        rho = w0 + 2 * math.sqrt(w_minus * w_plus) * math.cos(math.pi / (n + 1))
+
+        def args(t):
+            return t * w_plus, parabolic._one_minus(t, w0), t * w_minus, n, n // 2
+
+        lo, hi = 0.5 / rho, 1 / rho
+        assert _sweep_by_loop(*args(lo)) is not None and _sweep_by_loop(*args(hi)) is None
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if _sweep_by_loop(*args(mid)) is None:
+                hi = mid
+            else:
+                lo = mid
+        assert parabolic._sweep(*args(lo)) == _sweep_by_loop(*args(lo))
+        assert parabolic._sweep(*args(hi)) is None
+
+    def test_an_overflowing_z_is_refused_by_both_paths(self):
+        # z = (I - t K^T)^-1 1 passes the float range here, below the kernel
+        # radius: the dense LU once returned a row with entries near 1.2e161
+        row = {(-1,): 1.0, (0,): 1.19e-7, (1,): 1.49e-68}
+        kern = ReturnKernel(0, 1.0, 0, -1, row, math.fsum(row.values()), 0.0, 0.0, False, 0)
+        states, mat = kernel_matrix(replace(kern), _Z_TWICE, 12)
+        t = (1 - 1e-6) / kernel_spectral_radius(kern, _Z_TWICE, 12)
+        assert _exact_solve(kern, _Z_TWICE, t, 12, (0,))[1] > sys.float_info.max
+        unit = np.zeros(len(states))
+        unit[states.index((0,))] = 1.0
+        assert m_matrix_solve(t * mat.T, unit) is None
+        with pytest.raises(NonConvergenceError):
+            induced_green(kern, _Z_TWICE, (), (), t, 12)
+
+    def test_an_endpoint_outside_the_ball_is_refused(self, f2_srw, f2):
+        kern = first_return_kernel(f2_srw, 0, 1.0, 140, 11, exact=False)
+        for h, hq in (((0, (41,)),), ()), ((), ((0, (-41,)),)):
+            with pytest.raises(ValueError, match="outside the factor ball"):
+                induced_green(kern, f2, h, hq, 1.0)
 
 
 class TestDegeneracy:
@@ -616,6 +772,17 @@ class TestDegeneracy:
         assert measure.first_passage_system is None
         with pytest.raises(GroupSpecError, match="first-passage system"):
             degeneracy_test(measure, 1.0)
+
+    @pytest.mark.parametrize("walk", ["f2_srw", "z2z3_srw"])
+    def test_json_is_compact_and_the_former_payload(self, walk, request):
+        # the compact string parses to the payload of the former indented
+        # one, key for key and in order
+        measure = request.getfixturevalue(walk)
+        report = degeneracy_test(measure, measure.first_passage_system.radius)
+        former = json.dumps({"r": report.r, "verdict": report.verdict,
+                             "factors": [asdict(v) for v in report.per_factor]}, indent=2)
+        assert "\n" not in report.to_json()
+        assert json.dumps(json.loads(report.to_json())) == json.dumps(json.loads(former))
 
     def test_past_the_radius_is_refused(self, f2_srw):
         # anywhere in R's bar (lo, hi) the verdict reads x(R); one float

@@ -228,6 +228,11 @@ class TestPressure:
         est = pressure(f2_srw, 0.9 * f2_srw.first_passage_system.radius)
         blob = json.loads(est.to_json())
         assert blob == {"r": est.r, "eigenvalue": est.eigenvalue, "pressure": est.value}
+        # compact, and the payload of the former indented form, in order
+        former = json.dumps({"pressure" if k == "value" else k: v
+                             for k, v in vars(est).items()}, indent=2)
+        assert "\n" not in est.to_json()
+        assert json.dumps(blob) == json.dumps(json.loads(former))
 
     @pytest.mark.parametrize("frac", [0.5, 0.9, 0.98, 0.999])
     @pytest.mark.parametrize("name", ["f2_srw", "z2z3", "z2z2z2"])
