@@ -43,7 +43,6 @@ whose rounding keeps the I-sums closer to their closed forms.
 
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -381,17 +380,10 @@ class FirstPassageSystem:
         return tops, q
 
     def first_passage_sums(self, x, n):
-        """{s: sum_{m=1}^{n} [r^m] F_s x^m} over the unknowns s.
-
-        A Fraction x gives Fractions, one per cell of the quotient, each
-        its ``passage_tops`` top over q^n.  A float x gives floats, each
-        the sum of the scaled coefficients of its cell times (x/R)^m in
-        long double, rounded once.
-        """
-        if isinstance(x, Fraction):
-            tops, q = self.passage_tops(x, n)
-            cells = [Fraction(top, q**n) for top in tops]
-            return {s: cells[c] for s, c in self.cell_of.items()}
+        """{s: sum_{m=1}^{n} [r^m] F_s x^m} over the unknowns s, at a float
+        x: the sum of the scaled coefficients of each unknown's cell times
+        (x/R)^m in long double, rounded once (``passage_tops`` gives the
+        sums exactly, at a Fraction x)."""
         self._extend(n)
         # the ufunc itself: np.cumprod's Python dispatch costs more than the products
         powers = np.multiply.accumulate(np.full(n, np.longdouble(x) / self.radius))

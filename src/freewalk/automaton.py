@@ -7,8 +7,9 @@ in ``factor_matrix``: the shift's adjacency lumped onto the factors, with
 factor k weighted by t_k.  Every layer reads it from there: the relative
 spheres (the paths of length n from the start vertex, built here as
 arrays of symbol indices), their sizes, the transfer matrix and pressure
-of ``thermo``, and the relative-sphere I1 of ``green``.  The countable
-label set is truncated to factor word length <= cap.
+of ``thermo``, and the relative-sphere I1 of ``green``.  A sphere is one
+array, each row a path, in canonical order.  The countable label set is
+truncated to factor word length <= cap.
 """
 
 import numpy as np
@@ -53,32 +54,32 @@ class Automaton:
         return int(counts.sum()) if n else 1
 
     def sphere_rows(self, n, budget=10**7):
-        """Yield the radius-n relative sphere as (rows, n) arrays of indices
-        into ``symbols()``, one block per alternating factor sequence.
+        """The radius-n relative sphere as one (size, n) array of indices
+        into ``symbols()``, in canonical order.
 
-        The sequences come in lexicographic order and each block is the
-        product of its factors' symbols, the last syllable varying
-        fastest: canonical order.  n = 0 gives the one empty row.  Raises
-        ``BudgetError`` before building any block when the sphere has more
-        than ``budget`` elements.
+        The rows of radius n - 1 are extended by every symbol of another
+        factor than their last, and one ``np.lexsort`` orders the rows by
+        their factor sequence, then by their symbol indices: the order of
+        ``FreeProduct.canonical_key``.  n = 0 gives the one empty row.
+        Raises ``BudgetError`` before building any row when the sphere has
+        more than ``budget`` elements.
         """
         size = self.sphere_size(n)
         if size > budget:
             raise BudgetError(
                 "relative sphere exceeded element budget", consumed=size, budget=budget
             )
-        if n == 0:
-            yield np.zeros((1, 0), dtype=np.intp)
-            return
-        ends = np.cumsum([len(ps) for ps in self.payloads])
-        ids = [np.arange(end - len(ps), end) for end, ps in zip(ends, self.payloads)]
-        follows = factor_matrix(np.ones(len(ids), dtype=int))
-        seqs = [(k,) for k in range(len(ids))]
-        for _ in range(n - 1):
-            seqs = [s + (int(k),) for s in seqs for k in np.flatnonzero(follows[:, s[-1]])]
-        for seq in seqs:
-            grids = np.meshgrid(*(ids[k] for k in seq), indexing="ij")
-            yield np.column_stack([g.ravel() for g in grids])
+        fids = np.repeat(np.arange(len(self.payloads)), [len(ps) for ps in self.payloads])
+        # follows[k, s]: symbol s may follow a symbol of factor k
+        follows = factor_matrix(np.ones(len(self.payloads), dtype=int))[:, fids] != 0
+        rows = np.zeros((1, 0), dtype=np.intp)
+        for step in range(n):
+            ok = follows[fids[rows[:, -1]]] if step else np.ones((1, len(fids)), bool)
+            prefix, symbol = np.nonzero(ok)
+            rows = np.column_stack([rows[prefix], symbol])
+        if not n:
+            return rows
+        return rows[np.lexsort(np.column_stack([fids[rows], rows]).T[::-1])]
 
     def enumerate_sphere(self, n, budget=10**7):
         """Yield (path, element) over the radius-n relative sphere, truncated.
@@ -87,7 +88,6 @@ class Automaton:
         Canonical order (``sphere_rows``); each element appears exactly once.
         """
         symbols = self.symbols()
-        for block in self.sphere_rows(n, budget):
-            for row in block.tolist():
-                g = tuple(symbols[i] for i in row)
-                yield g, g
+        for row in self.sphere_rows(n, budget).tolist():
+            g = tuple(symbols[i] for i in row)
+            yield g, g

@@ -5,13 +5,12 @@ Every size a run uses (horizon, r-grid) comes from the config, which
 every report identifies by its hash; reports also embed the package
 version, and identical config and version produce identical output files.
 ``report`` runs the other subcommands on one ``Shared``, so the Green
-evaluator and each return sequence are built once per run (the walk's
-coefficients are the ones the evaluator's radius estimate reads later);
-a standalone subcommand builds its own.  ``walk`` and ``llt`` read the
-first-passage system where it covers the measure, else exact convolution.
-Every other subcommand reads it through ``StepMeasure.route``: ``green``,
+evaluator and each return sequence are built once per run; a standalone
+subcommand builds its own.  ``walk`` reads the first-passage system where
+it covers the measure, else exact convolution.  Every other subcommand
+reads R and its values through ``StepMeasure.route``: ``green``,
 ``isums``, ``ancona`` and ``report`` by building the evaluator first,
-``degeneracy`` and ``pressure`` directly, with no evaluator.  So a
+``degeneracy``, ``pressure`` and ``llt`` directly, with no evaluator.  So a
 measure outside the system is refused (exit 4) before any work and
 before any file is written.  ``walk.csv`` is written in one string, with the
 bytes ``csv.writer`` gives for its rows, and each JSON file from one
@@ -30,7 +29,7 @@ from . import __version__
 from .audit import ancona_audit, llt_fit, ratio_report
 from .config import load_config
 from .errors import BudgetError, ConfigError, DivergenceError, FreewalkError
-from .green import GreenEvaluator, spectral_radius
+from .green import GreenEvaluator
 from .parabolic import degeneracy_test
 from .thermo import IDENTITY_CAP, pressure, sphere_identity_check
 from .walks import detect_period, return_probabilities
@@ -45,8 +44,6 @@ class Shared:
 
     @cached_property
     def evaluator(self):
-        # the walk horizon governs return-probability runs only; the radius
-        # estimate reads the evaluator's own default horizon
         return GreenEvaluator(self.measure)
 
     def returns(self, horizon):
@@ -185,12 +182,9 @@ def cmd_ancona(cfg, args, shared):
 
 def cmd_llt(cfg, args, shared):
     started = time.time()
+    r_hat = cfg.measure.route.radius  # as ``cmd_degeneracy`` reads it
     horizon = cfg.horizon
     seq = shared.returns(horizon)
-    if seq.method == "algebraic":  # the branch point, the run's evaluator's R_hat
-        r_hat = cfg.measure.route.radius
-    else:
-        r_hat = 1.0 / spectral_radius(seq).rho_hat
     period = detect_period(seq)
     window = (max(horizon // 10, 50 * period), horizon)
     try:

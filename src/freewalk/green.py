@@ -1,20 +1,20 @@
-"""Green functions G(x,y|r), spectral radius, and I-sums.
+"""Green functions G(x,y|r), the spectral radius, and I-sums.
 
 Every value is read off the least solution at r of the first-passage
 system of ``algebraic`` (single-syllable steps on finite and rank-1
 lattice factors): G(e,e|r) = 1 / (1 - U), each unknown's first passage
 x_u, and the r-derivatives of G from its jet
-(``FirstPassageSystem.green_jet``).  R is the system's branch point, and
-no value carries a tail.  A measure outside the system is refused when
-its evaluator is built.  Every syllable prefix is a cut vertex of a free
-product's Cayley graph, so G(e,gamma) = G(e,e) F(e,gamma), F(e,gamma) is
-the product of its syllables' first passages, and F(e,a^k) = F(e,a)^k on
-a lattice factor stepping by +-1.  The evaluator keeps one array per r of
+(``FirstPassageSystem.green_jet``).  R is the system's branch point,
+always with its bar (``radius_estimate``), and no value carries a tail.
+A measure outside the system is refused when its evaluator is built.
+Every syllable prefix is a cut vertex of a free product's Cayley graph,
+so G(e,gamma) = G(e,e) F(e,gamma), F(e,gamma) is the product of its
+syllables' first passages, and F(e,a^k) = F(e,a)^k on a lattice factor
+stepping by +-1.  The evaluator keeps one array per r of
 syllable weights F(e,u)^k, by syllable id, and multiplies them left to
 right, a batch of words (rows of ids) in one array pass
 (``green_batch``).  The two routes to I1 (relative spheres and
-d/dr (r G)) are compared on every I-sum, and a disagreement is an error.  ``spectral_radius`` estimates R from a
-return sequence alone, for the sequences the system does not give.
+d/dr (r G)) are compared on every I-sum, and a disagreement is an error.
 """
 
 import itertools
@@ -25,13 +25,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, DivergenceError, NonConvergenceError
+from .errors import DivergenceError, NonConvergenceError
 from .algebraic import factor_weights, m_matrix_solve, monomial, point_passages
 from .automaton import factor_matrix
 
 # largest relative gap allowed between the relative-sphere I1 and d/dr (r G),
 # which equals I1 by the derivative identity: both read the least solution
 I1_TOL = 1e-10
+# return coefficients over which ``radius_estimate`` takes sup p_2n^(1/2n)
+RHO_LOWER_HORIZON = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -92,22 +94,13 @@ _PADDING = np.ones(1)  # syllable_weights of id 0
 @dataclass
 class SpectralRadiusEstimate:
     rho_lower: float  # rigorous: sup_n p_{2n}^{1/2n}
-    rho_hat: float  # extrapolated 1/R
+    rho_hat: float  # 1/R
     R_hat: float
-    rho_bracket: tuple = None  # (rho_lo, rho_hi) from the first-passage system
+    rho_bracket: tuple  # (rho_lo, rho_hi) from R's bar
 
     def uncertainty(self):
-        """Width of a bar on rho_hat: the bracket, else the one-sided gap
-        down to the rigorous lower bound (rho_hat >= rho_lower by
-        construction)."""
-        if self.rho_bracket is not None:
-            return self.rho_bracket[1] - self.rho_bracket[0]
-        return self.rho_hat - self.rho_lower
-
-
-def _even_terms(logs):
-    """(n, log p_n) at the even n >= 2 where p_n > 0."""
-    return [(n, logs[n]) for n in range(2, len(logs), 2) if logs[n] > -math.inf]
+        """Width of the bar on rho_hat."""
+        return self.rho_bracket[1] - self.rho_bracket[0]
 
 
 def _rho_lower(logs):
@@ -124,35 +117,6 @@ def _rho_lower(logs):
     rates = even[positive] / n[positive]
     near = rates[rates >= rates.max() - 8 * sys.float_info.epsilon]
     return max(math.exp(v) for v in near.tolist())
-
-
-def spectral_radius(seq):
-    """Estimate rho = 1/R from a return sequence.
-
-    Rigorous lower bound from supermultiplicativity of p_{2n}(e,e); the point
-    estimate extrapolates the even-step ratio with one n^{-1} Richardson
-    stage, which removes the leading correction of a C R^{-2n} n^{-alpha}
-    tail.
-    """
-    even = _even_terms(seq.log_values)
-    if len(even) < 10:
-        raise DegenerateInputError(
-            "spectral radius estimation needs at least 10 nonzero even terms"
-        )
-    rho_lower = _rho_lower(seq.log_values)
-    ratios = []
-    for (n1, l1), (n2, l2) in zip(even, even[1:]):
-        ratios.append((n1 // 2, math.exp((l2 - l1) / (n2 - n1) * 2)))
-    # Richardson on x_k = p_{2k+2}/p_{2k}: y_k = (k+1) x_{k+1} - k x_k
-    rich = []
-    for (k1, x1), (k2, x2) in zip(ratios, ratios[1:]):
-        rich.append(k2 * x2 - k1 * x1)
-    window = rich[-10:]
-    rho_sq = sum(window) / len(window)
-    rho_hat = math.sqrt(max(rho_sq, rho_lower**2))
-    return SpectralRadiusEstimate(
-        rho_lower=rho_lower, rho_hat=rho_hat, R_hat=1.0 / rho_hat
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +138,17 @@ class GreenEvaluator:
     """Green functions of one measure, read off its first-passage system.
 
     The measure's ``route`` is taken at once, so a measure outside the
-    system is refused (``algebraic.SCOPE``) before any work.  ``horizon``
-    only sets how many return coefficients ``radius_estimate`` reads.
+    system is refused (``algebraic.SCOPE``) before any work.
     """
 
     # every measure on the route steps by single syllables; the benchmark's
     # tracer reads this when it mirrors the value cache
     single_syllable_support = True
 
-    def __init__(self, measure, horizon=4000):
+    def __init__(self, measure):
         self.measure = measure
         self.group = measure.group
         self.system = measure.route
-        self.horizon = horizon
         self._val_cache = {}
         self._syllable_index = {}  # syllable -> id >= 1; id 0 pads a word
         self._syllable_tables = {}  # r -> syllable_weights(r)
@@ -194,10 +156,10 @@ class GreenEvaluator:
     @cached_property
     def radius_estimate(self):
         """R, its bracket, and sup p_2n^(1/2n) over the system's first
-        ``horizon`` return coefficients, built on first read."""
+        ``RHO_LOWER_HORIZON`` return coefficients, built on first read."""
         (lo, hi), R = self.system.bracket, self.system.radius
         return SpectralRadiusEstimate(
-            rho_lower=_rho_lower(self.system.return_log_probs(self.horizon)),
+            rho_lower=_rho_lower(self.system.return_log_probs(RHO_LOWER_HORIZON)),
             rho_hat=1.0 / R, R_hat=R, rho_bracket=(1.0 / hi, 1.0 / lo),
         )
 
@@ -278,16 +240,6 @@ class GreenEvaluator:
         ids = self.syllable_ids([[s] for s in syllables] + inverses)[:, 0]
         w = self.syllable_weights(r)[ids]
         return w[: len(syllables)], w[len(syllables):]
-
-    def factor_sums(self, payloads, r):
-        """t[k] = sum of F(e,s|r) F(s,e|r) over the syllables s = (k, p),
-        p in ``payloads[k]``, added in sequence as a loop adds: the factor
-        weights of ``automaton.factor_matrix``."""
-        t = []
-        for fid, ps in enumerate(payloads):
-            fwd, back = self.syllable_pair_weights([(fid, p) for p in ps], r)
-            t.append(sum((fwd * back).tolist()))
-        return np.array(t)
 
     def _products(self, start, ids, r):
         """``start`` times each word's syllable weights, left to right: cut

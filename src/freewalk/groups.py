@@ -166,7 +166,7 @@ def cyclic_factor(n, name=""):
 class FreeProduct:
     """A free product H_1 * ... * H_N with exact normal-form arithmetic."""
 
-    def __init__(self, factors, name="", warn_elementary=True):
+    def __init__(self, factors, name=""):
         factors = tuple(factors)
         if len(factors) < 2:
             raise GroupSpecError("a free product needs at least 2 factors")
@@ -177,7 +177,7 @@ class FreeProduct:
             len(factors) == 2
             and all(f.kind == "finite" and f.order == 2 for f in factors)
         )
-        if warn_elementary and not self.non_elementary:
+        if not self.non_elementary:
             warnings.warn(
                 "Z/2 * Z/2 is virtually cyclic; downstream asymptotic checks "
                 "assume a non-elementary group",

@@ -13,16 +13,17 @@ Summing phi_r along the shift telescopes, which yields the sphere identity
 
     (L_r^n 1)(empty) * H(e,e|r) = sum over the relative n-sphere of H(e,g|r)
 
-checked here under a syllable cap (``GreenEvaluator.factor_sums``); its
-direct side accumulates the evaluator's per-r syllable weights along each
-sphere, taken as one array of symbols (``Automaton.sphere_rows``): it tests
-the algebra of the shift, not the Green values themselves.  The Gurevich
+checked here under a syllable cap (``build_transfer``); its direct side
+accumulates the evaluator's per-r syllable weights along each sphere,
+taken as one array of symbols (``Automaton.sphere_rows``): it tests the
+algebra of the shift, not the Green values themselves.  The Gurevich
 pressure P(r) is the log of the Perron root of the untruncated matrix.
 
 The empty path is excluded from the potential's domain; iteration at the
 empty word is seeded directly with t.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -43,9 +44,12 @@ def build_transfer(evaluator, r, cap):
     The symbol matrix is diag(seed)[fid(i) != fid(j)] with seed[s] =
     e^{phi_r(s)} = F(e,s|r) F(s,e|r), and it has the nonzero spectrum of
     ``factor_matrix(t)``, t_k the sum of the seeds of factor k's cap-D
-    symbols (``GreenEvaluator.factor_sums``).
+    symbols, added in sequence as a loop adds.
     """
-    t = evaluator.factor_sums(Automaton(evaluator.group, cap).payloads, r)
+    auto = Automaton(evaluator.group, cap)
+    fwd, back = evaluator.syllable_pair_weights(auto.symbols(), r)
+    seeds = iter((fwd * back).tolist())  # factor by factor, as ``symbols`` lists them
+    t = np.array([sum(itertools.islice(seeds, len(ps))) for ps in auto.payloads])
     return factor_matrix(t), t
 
 
@@ -82,7 +86,7 @@ def sphere_identity_check(evaluator, r, cap, n_max):
     fwd, back = evaluator.syllable_pair_weights(auto.symbols(), r)
     rows = []
     for n in range(1, n_max + 1):
-        sphere = np.concatenate(list(auto.sphere_rows(n)))
+        sphere = auto.sphere_rows(n)
         to = accumulate(np.multiply, gee, fwd[sphere])
         from_g = accumulate(np.multiply, gee, back[sphere[:, ::-1]])
         direct = math.fsum((to * from_g).tolist())

@@ -4,11 +4,11 @@ radial distance chain.
 Every truncated path sum in the package runs on one ``PathOperator``: the
 convolution powers mu^{*n}, and the first-return kernels and the
 admissibility reach check of the measures the first-passage system does
-not cover (in its scope a measure's support decides admissibility).  It sends steps that leave the word ball to an
-escape sink and harvests mass that reaches an absorbing set (a factor, or
-one element).  Elements are nodes of a word tree keyed by (prefix node,
-last syllable code), after the cut-vertex structure of a free product
-(Woess 2000), and the ball is expanded one step at a time in numpy: a
+not cover (in its scope a measure's support decides admissibility).  It
+sends steps that leave the word ball to an escape sink and harvests mass
+that reaches an absorbing factor.  Elements are nodes of a word tree
+keyed by (prefix node, last syllable code), after the cut-vertex
+structure of a free product (Woess 2000), and the ball is expanded one step at a time in numpy: a
 step is a lookup in its syllable's merge table, and no word is
 multiplied, measured or hashed.  One stepping loop carries integer
 numerators over a power denominator or float masses, and does each step
@@ -21,10 +21,10 @@ Single-syllable measures on finite and rank-1 lattice factors have a
 second route, the first-passage system of ``algebraic``, built once per
 measure (``StepMeasure.first_passage_system``): its coefficients give
 p_n(e,e) to any horizon in floats, and the first-return kernels exactly
-or in floats, with no ball and no path sums.  The kernels and the CLI's
-returns take it wherever it applies; a value only it gives (every Green
-value among them) reads it through ``StepMeasure.route``, which refuses
-the rest.
+or in floats, with no ball and no path sums.  The kernels and ``walk``'s
+returns take it wherever it applies; a value only it gives (R and every
+Green value among them) reads it through ``StepMeasure.route``, which
+refuses the rest.
 The radial distance chain (``is_radial``) projects isotropic
 nearest-neighbor walks to a birth-death chain on distances.  No command
 reads it: it shares no code with the first-passage system, and the tests
@@ -51,9 +51,8 @@ RADIAL_CHECK_RADIUS = 8
 class StepMeasure:
     """A finitely supported exact-rational probability measure on the group."""
 
-    def __init__(self, group, weights, name=""):
+    def __init__(self, group, weights):
         self.group = group
-        self.name = name
         items = []
         for elem, w in weights.items():
             w = Fraction(w)
@@ -83,8 +82,7 @@ class StepMeasure:
             admissible = self._reaches_ball()
         if not admissible:
             warnings.warn(
-                f"measure {self.name or '<unnamed>'} may not be admissible: "
-                "its support does not reach the full radius-3 ball",
+                "the measure may not be admissible: its support does not reach the full radius-3 ball",
                 stacklevel=3,
             )
 
@@ -132,7 +130,7 @@ class StepMeasure:
         with warnings.catch_warnings():
             # it is admissible exactly when mu is, and mu was checked
             warnings.simplefilter("ignore")
-            return StepMeasure(self.group, weights, name=f"{self.name}~")
+            return StepMeasure(self.group, weights)
 
     @cached_property
     def first_passage_system(self):
@@ -152,7 +150,7 @@ class StepMeasure:
         return math.lcm(*(w.denominator for _, w in self.support))
 
 
-def uniform_on_generators(group, lazy=None, name=""):
+def uniform_on_generators(group, lazy=None):
     """Uniform measure on the relative generating set S (optionally lazy at e)."""
     gens = [tuple(s) for s in group.generators()]
     if lazy is None:
@@ -163,7 +161,7 @@ def uniform_on_generators(group, lazy=None, name=""):
         w = (1 - lazy) / len(gens)
         weights = {g: w for g in gens}
         weights[group.identity] = lazy
-    return StepMeasure(group, weights, name=name)
+    return StepMeasure(group, weights)
 
 
 class _WordTree:
@@ -268,12 +266,6 @@ class _WordTree:
             self._ids = np.insert(self._ids, at, ids)
         return node
 
-    def node_of(self, word):
-        node = np.zeros(1, np.int64)
-        for fid, payload in word:
-            node = self.intern(node, np.array([self.code_of(fid, payload)]))
-        return int(node[0])
-
     def words(self, nodes):
         """The normal-form tuples of the nodes."""
         words, syllables = self._words, self.syllables
@@ -286,9 +278,8 @@ class _WordTree:
 class PathOperator:
     """Paths of weight r^n mu(s_1) ... mu(s_n) from e, truncated to a ball.
 
-    The absorbing set is data: the factor H_k (``factor``, labelled by
-    payload) or one element (``target``, labelled by itself), or nothing.
-    States are nodes of a word tree (see ``_WordTree``), numbered in the
+    The absorbing set is the factor H_k (``factor``, labelled by payload),
+    or nothing.  States are nodes of a word tree (see ``_WordTree``), numbered in the
     order paths first reach them.  A batch of states is expanded at once,
     in row-major (state, step) order: each step is applied one syllable
     at a time to the whole batch, through prefix nodes, and the targets'
@@ -306,17 +297,15 @@ class PathOperator:
     ``tree`` share its node ids, so their states pair by node.
     """
 
-    def __init__(self, measure, ball_bound=None, r=1, factor=None, target=None,
-                 tree=None):
+    def __init__(self, measure, ball_bound=None, r=1, factor=None, tree=None):
         group = measure.group
         self.tree = tree if tree is not None else _WordTree(group)
         self.max_step_length = measure.max_step_length
         self.ball_bound = ball_bound
-        self.factor, self.target = factor, target
+        self.factor = factor
         self.denominator, self.numerators = _step_numerators(measure, r)
         self.float_weights = [float(r) * float(w) for _, w in measure.support]
         self._moves = [[self.tree.code_of(f, p) for f, p in s] for s, _ in measure.support]
-        self._target = None if target is None else self.tree.node_of(target)
         if factor is not None:
             self._unit = group.factors[factor].identity
         self.node = np.zeros(0, np.int64)  # state id -> node
@@ -325,7 +314,7 @@ class PathOperator:
         self.labels = {}  # absorbing state id -> label, in id order
         self.dist = np.zeros(0, np.int64)  # to H_k, for the prune (0 without)
         e = np.zeros(1, np.int64)
-        absorbs, _, dist = self._classify(e, e, e)
+        absorbs, _, dist = self._classify(e, e)
         self._grow()
         self._add(e, e, absorbs, dist)
 
@@ -348,15 +337,13 @@ class PathOperator:
         if missing:
             self._state = np.concatenate([self._state, np.full(missing, -1)])
 
-    def _classify(self, par, code, node):
-        """(absorbs, length, dist) of the pairs, whose nodes are ``node``."""
+    def _classify(self, par, code):
+        """(absorbs, length, dist) of the pairs (par, code)."""
         tree = self.tree
         factor, syllable_length = tree.syllable_factor, tree.syllable_length
         length = tree.length[par] + syllable_length[code]
         if self.factor is None:
-            if self._target is None:
-                return np.zeros(len(node), bool), length, np.zeros_like(length)
-            return node == self._target, length, np.zeros_like(length)
+            return np.zeros(len(par), bool), length, np.zeros_like(length)
         k = self.factor
         absorbs = (code == 0) | ((par == 0) & (factor[code] == k))
         head = np.where(par == 0, code, tree.head[par])
@@ -369,11 +356,8 @@ class PathOperator:
         self.absorbs = np.concatenate([self.absorbs, absorbs])
         self.dist = np.concatenate([self.dist, dist])
         for i in np.flatnonzero(absorbs).tolist():
-            if self.factor is None:
-                self.labels[first + i] = self.target
-            else:
-                c = int(code[i])
-                self.labels[first + i] = self.tree.syllables[c][1] if c else self._unit
+            c = int(code[i])
+            self.labels[first + i] = self.tree.syllables[c][1] if c else self._unit
 
     def _expand(self, states, reach=None):
         """Targets of the steps from ``states``, shape (states, steps).
@@ -400,7 +384,7 @@ class PathOperator:
         new = np.flatnonzero(out < 0)
         if len(new):
             par, code, node = par[new], code[new], node[new]
-            absorbs, length, dist = self._classify(par, code, node)
+            absorbs, length, dist = self._classify(par, code)
             escape = np.zeros(len(new), bool)
             if self.ball_bound is not None:
                 escape = ~absorbs & (length > self.ball_bound)

@@ -353,6 +353,32 @@ def synthetic_log_probs(alpha, r_growth, n_max, period=1, c=1.0):
     return out
 
 
+def even_terms(logs):
+    """(n, log p_n) at the even n >= 2 where p_n > 0."""
+    return [(n, logs[n]) for n in range(2, len(logs), 2) if logs[n] > -math.inf]
+
+
+def spectral_radius_estimate(logs):
+    """(rho_lower, rho_hat) from log p_n(e,e) alone, n = 0, 1, ...
+
+    rho_lower = sup_n p_2n^(1/2n) is a rigorous lower bound on rho = 1/R,
+    as p_2n(e,e) is supermultiplicative.  rho_hat extrapolates the
+    even-step ratio x_k = p_(2k+2) / p_2k with one n^-1 Richardson stage,
+    y_k = (k+1) x_(k+1) - k x_k, which removes the leading correction of a
+    C R^-2n n^-alpha tail, averaged over the last ten stages.
+    """
+    even = even_terms(logs)
+    if len(even) < 10:
+        raise ValueError("spectral radius estimation needs at least 10 nonzero even terms")
+    rho_lower = max(math.exp(l / n) for n, l in even)
+    ratios = [(n1 // 2, math.exp((l2 - l1) / (n2 - n1) * 2))
+              for (n1, l1), (n2, l2) in zip(even, even[1:])]
+    rich = [k2 * x2 - k1 * x1 for (k1, x1), (k2, x2) in zip(ratios, ratios[1:])]
+    window = rich[-10:]
+    rho_sq = sum(window) / len(window)
+    return rho_lower, math.sqrt(max(rho_sq, rho_lower**2))
+
+
 def tree_return_probabilities(q, n_max):
     """Exact p_n(e,e), n = 0..n_max, for simple random walk on the
     (q+1)-regular tree, by counting paths per distance class with plain

@@ -265,7 +265,7 @@ class TestCoefficients:
         mu = _measure("z2z3")
         system = mu.first_passage_system
         for syl in ((0, 1), (1, 1), (1, 2)):
-            denom, hits = first_visits(mu, (syl,), 20, ball_bound=20)
+            denom, hits = first_visits(mu, (syl,), 20)
             logs = system.unscaled_logs(scaled_first_passage(system, syl, 20))
             for n, hit in enumerate(hits, 1):
                 if hit:
@@ -276,21 +276,21 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("name, horizon", [("z2z3", 16), ("f2_skewed", 8), ("f2_lazy", 8)])
     def test_integer_coefficients_are_the_first_visits(self, name, horizon):
-        # N_n / d^n = [r^n] F_s exactly, against the path operator's first
-        # visits; the sums at x = 7/8 in Fractions are theirs, and in floats
-        # within 1e-14
+        # N_n / d^n = [r^n] F_s exactly, against the first visits of the
+        # exact convolution; the sums at x = 7/8 are theirs in integers
+        # (``passage_tops``), and in floats within 1e-14
         mu = _skewed_f2() if name == "f2_skewed" else _measure(name)
         system, d, x = mu.first_passage_system, mu.common_denominator(), Fraction(7, 8)
         nums = system.integer_coefficients(horizon)
-        exact_sums = system.first_passage_sums(x, horizon)
+        tops, q = system.passage_tops(x, horizon)
         float_sums = system.first_passage_sums(float(x), horizon)
         for i, syl in enumerate(system.unknowns):
-            denom, hits = first_visits(mu, (syl,), horizon, ball_bound=horizon)
+            denom, hits = first_visits(mu, (syl,), horizon)
             want = [Fraction(hit, denom**n) for n, hit in enumerate(hits, 1)]
             cell = system._cell[i]
             assert [Fraction(int(N[cell]), d**n) for n, N in enumerate(nums[1:], 1)] == want
             total = sum(w * x**n for n, w in enumerate(want, 1))
-            assert exact_sums[syl] == total
+            assert Fraction(tops[cell], q**horizon) == total
             assert abs(float_sums[syl] - float(total)) <= 1e-14 * float(total)
 
     @pytest.mark.parametrize("name", ["f2", "z2z2z2"])
@@ -469,13 +469,12 @@ class TestQuotient:
         # the unknowns of one cell read bitwise the same rows and sums
         system = _system(name)
         rows = [scaled_first_passage(system, u, 300).tobytes() for u in system.unknowns]
-        sums = [system.first_passage_sums(x, 40) for x in (0.9 * system.radius, Fraction(7, 8))]
+        sums = system.first_passage_sums(0.9 * system.radius, 40)
         for i, cell in enumerate(system._cell):
             first = system._cell.tolist().index(cell)
             assert rows[i] == rows[first]
-            for got in sums:
-                u, v = system.unknowns[i], system.unknowns[first]
-                assert got[u] == got[v] and type(got[u]) is type(got[v])
+            u, v = system.unknowns[i], system.unknowns[first]
+            assert sums[u] == sums[v] and type(sums[u]) is float
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,12 +1,42 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freewalk.automaton import Automaton, factor_matrix
 from freewalk.errors import BudgetError
-from freewalk.groups import FreeProduct, LatticeFactor, cyclic_factor
+from freewalk.groups import FiniteFactor, FreeProduct, LatticeFactor, cyclic_factor
 
 from oracles import bfs_relative_spheres
+
+
+def _block_rows(auto, n):
+    """The radius-n sphere built one alternating factor sequence at a time:
+    the sequences in lexicographic order, each block the product of its
+    factors' symbols with the last varying fastest.  The reference for
+    ``Automaton.sphere_rows``."""
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.intp)
+    ends = np.cumsum([len(ps) for ps in auto.payloads])
+    ids = [np.arange(end - len(ps), end) for end, ps in zip(ends, auto.payloads)]
+    seqs = [(k,) for k in range(len(ids))]
+    for _ in range(n - 1):
+        seqs = [s + (k,) for s in seqs for k in range(len(ids)) if k != s[-1]]
+    blocks = []
+    for seq in seqs:
+        grids = np.meshgrid(*(ids[k] for k in seq), indexing="ij")
+        blocks.append(np.column_stack([g.ravel() for g in grids]))
+    return np.concatenate(blocks)
+
+
+def _s3():
+    """S3 from its multiplication table, generated by its transpositions."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms]
+    return FiniteFactor(table, [1, 2, 5], name="S3")
 
 
 class TestStructure:
@@ -24,7 +54,7 @@ class TestStructure:
         aut = Automaton(z2z3, cap=2)
         fids = np.array([fid for fid, _ in aut.symbols()])
         for n in range(1, 6):
-            rows = np.concatenate(list(aut.sphere_rows(n)))
+            rows = aut.sphere_rows(n)
             assert (fids[rows[:, 1:]] != fids[rows[:, :-1]]).all()
 
 
@@ -94,7 +124,9 @@ class TestRelativeSpheres:
         # canonical_key
         names = data.draw(st.lists(st.sampled_from(sorted(self.FACTORS)),
                                    min_size=2, max_size=3))
-        group = FreeProduct([self.FACTORS[n]() for n in names], warn_elementary=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # Z2 * Z2 may be drawn
+            group = FreeProduct([self.FACTORS[n]() for n in names])
         cap = data.draw(st.integers(1, 2 if "Z^2" in names else 3))
         radius = data.draw(st.integers(0, 3))
         want = sorted(bfs_relative_spheres(group, radius, cap)[radius],
@@ -105,11 +137,35 @@ class TestRelativeSpheres:
 
     def test_relative_sphere_budget(self, f2):
         # two factor orders times 4 * 4 payloads (a^{+-1,+-2}, b^{+-1,+-2});
-        # the budget is checked before any block is built
+        # the budget is checked before any row is built
         aut = Automaton(f2, 2)
         assert len(list(aut.enumerate_sphere(2, budget=32))) == 32
-        rows = aut.sphere_rows(2, budget=31)
         with pytest.raises(BudgetError) as err:
-            next(rows)
+            aut.sphere_rows(2, budget=31)
         assert (err.value.consumed, err.value.budget) == (32, 31)
-        assert [b.shape for b in aut.sphere_rows(0)] == [(1, 0)]
+        assert aut.sphere_rows(0).shape == (1, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sphere_rows_equal_the_block_builder(self, data):
+        # one array, extended by a symbol and lexsorted, against the blocks
+        # of one factor sequence each: the same shape, dtype and order
+        factors = data.draw(st.lists(
+            st.sampled_from(["Z", "S3", 2, 3, 4, 5]), min_size=2, max_size=6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # Z2 * Z2 may be drawn
+            group = FreeProduct([LatticeFactor(1) if f == "Z" else _s3() if f == "S3"
+                                 else cyclic_factor(f) for f in factors])
+        aut = Automaton(group, data.draw(st.integers(1, 3)))
+        n = data.draw(st.integers(0, 4))
+        got, want = aut.sphere_rows(n), _block_rows(aut, n)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert np.array_equal(got, want)
+
+    def test_twenty_involutions_at_radius_four(self):
+        # 20 * 19^3 distinct rows, no two adjacent symbols from one factor
+        aut = Automaton(FreeProduct([cyclic_factor(2)] * 20), 3)
+        rows = aut.sphere_rows(4)
+        assert rows.shape == (aut.sphere_size(4), 4) == (137180, 4)
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert (rows[:, 1:] != rows[:, :-1]).all()  # one symbol per factor

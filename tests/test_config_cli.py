@@ -336,7 +336,7 @@ class TestCliExitCodes:
         assert builds == []
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore:measure <unnamed> may not be admissible")
+    @pytest.mark.filterwarnings("ignore:the measure may not be admissible")
     @pytest.mark.parametrize("command", ["green", "isums", "ancona", "report"])
     @pytest.mark.parametrize("config", [_z2sq_z2_config, _f2_two_letter_config],
                              ids=["z2sq_z2", "f2_two_letter"])
@@ -369,21 +369,31 @@ class TestCliExitCodes:
         assert builds == []
         assert not (tmp_path / "out").exists()
 
-    def test_llt_outside_the_system_reads_r_off_the_exact_walk(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.filterwarnings("ignore:the measure may not be admissible")
+    @pytest.mark.parametrize("config", [_z2sq_z2_config, _f2_two_letter_config],
+                             ids=["z2sq_z2", "f2_two_letter"])
+    def test_llt_outside_the_system_is_refused_at_once(
+        self, config, tmp_path, capsys, monkeypatch
     ):
-        # off the first-passage system llt estimates R from the exact
-        # return sequence; at horizon 20 its window holds no lattice point
-        seen = []
-        estimate = cli.spectral_radius
-        monkeypatch.setattr(cli, "spectral_radius",
-                            lambda seq: seen.append(seq.method) or estimate(seq))
-        path = _z2sq_z2_config(tmp_path)
-        path.write_text(json.dumps(dict(json.loads(path.read_text()), horizon=20)))
+        # llt reads R off the first-passage system before it builds any
+        # return sequence: once the config is loaded (the measure's reach
+        # check steps the path operator), no path is stepped, and no file
+        # is written
+        def refuse(*args, **kwargs):
+            raise AssertionError("llt stepped the path operator")
+
+        def load_then_refuse(path):
+            cfg = load_config(path)
+            monkeypatch.setattr(walks.PathOperator, "steps", refuse)
+            return cfg
+
+        monkeypatch.setattr(cli, "load_config", load_then_refuse)
+        path = config(tmp_path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), horizon=200)))
         rc = main(["llt", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert rc == 5
-        assert "usable lattice points" in capsys.readouterr().err
-        assert seen == ["exact"]
+        assert rc == 4
+        assert capsys.readouterr().err == f"error: {algebraic.SCOPE}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_llt_with_tiny_budget_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "tree.json"

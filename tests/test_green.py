@@ -9,12 +9,11 @@ from freewalk.algebraic import SCOPE, monomial
 from freewalk.audit import ancona_audit, ratio_report, syllable_choices
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
 from freewalk.green import (
+    RHO_LOWER_HORIZON,
     GreenEvaluator,
-    _even_terms,
     _rho_lower,
     _sphere_sum,
     sphere_sizes,
-    spectral_radius,
 )
 from freewalk.groups import FreeProduct, LatticeFactor, cyclic_factor
 from freewalk.parabolic import degeneracy_test
@@ -23,10 +22,12 @@ from freewalk.walks import is_radial, return_probabilities
 
 from oracles import (
     F2_RADIUS,
+    even_terms,
     f2_first_passage,
     f2_green,
     f2_i1,
     f2_i2,
+    spectral_radius_estimate,
     tree_i1,
     tree_i2,
     z2z2z2_radius,
@@ -46,34 +47,49 @@ def ev(f2_srw):
 
 
 class TestSpectralRadius:
+    # the estimate from the return sequence alone (``oracles``), the
+    # reference the first-passage system's R is held to
     def test_f2_radius(self, f2_srw):
         seq = return_probabilities(f2_srw, 4000, method="algebraic")
-        est = spectral_radius(seq)
-        assert abs(est.rho_hat - 1.0 / F2_RADIUS) < 1e-3
-        assert est.rho_lower <= est.rho_hat
-        assert est.R_hat > 1.0  # the group is non-amenable
+        rho_lower, rho_hat = spectral_radius_estimate(seq.log_values)
+        assert abs(rho_hat - 1.0 / F2_RADIUS) < 1e-3
+        assert rho_lower <= rho_hat
+        assert 1.0 / rho_hat > 1.0  # the group is non-amenable
 
     def test_z2cubed_radius(self, z2cubed_srw):
         seq = return_probabilities(z2cubed_srw, 4000, method="algebraic")
-        est = spectral_radius(seq)
-        assert abs(est.rho_hat - 1.0 / z2z2z2_radius()) < 2e-3
+        rho_hat = spectral_radius_estimate(seq.log_values)[1]
+        assert abs(rho_hat - 1.0 / z2z2z2_radius()) < 2e-3
 
     def test_lower_bound_is_monotone(self, f2_srw):
-        short = spectral_radius(return_probabilities(f2_srw, 400, method="algebraic"))
-        long = spectral_radius(return_probabilities(f2_srw, 2000, method="algebraic"))
-        assert long.rho_lower >= short.rho_lower - 1e-12
+        short, long = (
+            spectral_radius_estimate(
+                return_probabilities(f2_srw, n, method="algebraic").log_values)[0]
+            for n in (400, 2000))
+        assert long >= short - 1e-12
 
-    def test_uncertainty_covers_the_error(self, f2_srw):
+    def test_lower_bound_gap_covers_the_error(self, f2_srw):
         # one-sided bar from rho_hat down to the rigorous lower bound
         seq = return_probabilities(f2_srw, 4000, method="algebraic")
-        est = spectral_radius(seq)
-        assert est.uncertainty() == est.rho_hat - est.rho_lower
-        assert abs(est.rho_hat - 1.0 / F2_RADIUS) <= est.uncertainty() < 0.01
+        rho_lower, rho_hat = spectral_radius_estimate(seq.log_values)
+        assert abs(rho_hat - 1.0 / F2_RADIUS) <= rho_hat - rho_lower < 0.01
+
+    @pytest.mark.parametrize("walk", ["f2_srw", "z2cubed_srw"])
+    def test_system_radius_is_in_the_estimate_bar(self, walk, request):
+        # R of the first-passage system against the estimate from its own
+        # return sequence: 1/R lies between the lower bound and rho_hat
+        # plus its gap
+        measure = request.getfixturevalue(walk)
+        est = GreenEvaluator(measure).radius_estimate
+        rho_lower, rho_hat = spectral_radius_estimate(
+            return_probabilities(measure, 4000, method="algebraic").log_values)
+        assert rho_lower == est.rho_lower
+        assert rho_lower <= est.rho_hat <= 2 * rho_hat - rho_lower
 
 
 def _rho_lower_loop(logs):
     """The reference for ``_rho_lower``: exp of every log p_n / n."""
-    return max(math.exp(l / n) for n, l in _even_terms(logs))
+    return max(math.exp(l / n) for n, l in even_terms(logs))
 
 
 class TestRhoLower:
@@ -543,7 +559,7 @@ class TestTables:
         # sphere mass over the sphere size; G(e, gamma|r) is the sum of
         # those over n, and the evaluator forms it as G(e,e) F(e, gamma)
         mu = _measure(measure)
-        ev_m = GreenEvaluator(mu, horizon=600)
+        ev_m = GreenEvaluator(mu)
         masses, logscales = is_radial(mu).float_masses(600)
         sizes = sphere_sizes(mu.group, 8)
         n = np.arange(601)
@@ -561,7 +577,8 @@ class TestTables:
     def test_z2z3_reads_the_first_passage_system(self, z2z3_srw):
         ev23 = GreenEvaluator(z2z3_srw)
         assert ev23.system is z2z3_srw.first_passage_system
-        assert ev23.horizon == 4000
+        assert ev23.radius_estimate.rho_lower == _rho_lower(
+            z2z3_srw.first_passage_system.return_log_probs(RHO_LOWER_HORIZON))
         assert ev23.R_hat == z2z3_srw.first_passage_system.radius
         assert abs(ev23.R_hat - z2z3_radius()) / z2z3_radius() < 1e-12
         assert ev23.radius_estimate.uncertainty() < 1e-15

@@ -67,20 +67,23 @@ def mass(dist, elem):
     return Fraction(dist.numerators.get(elem, 0), dist.denominator)
 
 
-def first_visits(measure, gamma, n, ball_bound):
-    """(denominator, hits): hits[k-1] / denominator**k = f_k(e, gamma).
+def first_visits(measure, gamma, n):
+    """(d, hits): hits[k-1] / d**k = f_k(e, gamma) for k = 1..n.
 
-    f_k is the mass of the paths that first reach gamma at step k, from the
-    path operator with gamma as its absorbing set (for gamma = e, the first
-    returns).  The list stops early once no mass is left in flight.
+    f_k is the mass of the paths that first reach gamma at step k (for
+    gamma = e, the first returns), from the exact powers of
+    ``convolve_powers`` by the renewal f_k = p_k(e,gamma) - sum_{j<k} f_j
+    p_{k-j}(e,e), in integers over d**k.  The ball holds every path of n
+    steps, so nothing is truncated.
     """
-    op = PathOperator(measure, ball_bound, target=gamma)
+    powers = convolve_powers(measure, n)
+    d = measure.common_denominator()
+    returns = [p.numerators.get((), 0) for p in powers]
     hits = []
-    for ids, _, step_hits, _ in op.steps(n):
-        hits.append(step_hits.get(gamma, 0))
-        if not len(ids):
-            break
-    return op.denominator, hits
+    for k in range(1, n + 1):
+        renewal = sum(f * returns[k - j] for j, f in enumerate(hits, 1))
+        hits.append(powers[k].numerators.get(gamma, 0) - renewal)
+    return d, hits
 
 
 # the tests of digits that only an extended (80-bit) long double keeps
@@ -371,7 +374,6 @@ def _cyclic_measures(draw):
     """A random single-syllable measure on a free product of 2-3 small
     cyclic groups, with positive integer weights and maybe a lazy part."""
     orders = draw(st.lists(st.integers(2, 5), min_size=2, max_size=3))
-    group = FreeProduct([cyclic_factor(n) for n in orders], warn_elementary=False)
     steps = [((fid, p),) for fid, n in enumerate(orders) for p in range(1, n)]
     support = draw(st.lists(st.sampled_from(steps), min_size=1, unique=True))
     if draw(st.booleans()):
@@ -379,7 +381,9 @@ def _cyclic_measures(draw):
     weights = [draw(st.integers(1, 5)) for _ in support]
     total = sum(weights)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a random support need not be admissible
+        # Z2 * Z2 may be drawn, and a random support need not be admissible
+        warnings.simplefilter("ignore")
+        group = FreeProduct([cyclic_factor(n) for n in orders])
         return StepMeasure(group, {g: Fraction(w, total) for g, w in zip(support, weights)})
 
 
@@ -390,8 +394,6 @@ def _single_syllable_measures(draw):
     or Z stepping by +-1 (the two weights drawn apart), with positive
     integer weights and maybe a lazy part."""
     kinds = draw(st.lists(st.sampled_from([2, 3, 4, 5, "Z"]), min_size=2, max_size=3))
-    group = FreeProduct([LatticeFactor(1) if n == "Z" else cyclic_factor(n) for n in kinds],
-                        warn_elementary=False)
     steps = []
     for fid, n in enumerate(kinds):
         payloads = [(1,), (-1,)] if n == "Z" else range(1, n)
@@ -402,7 +404,9 @@ def _single_syllable_measures(draw):
     weights = [draw(st.integers(1, 5)) for _ in support]
     total = sum(weights)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a random support need not be admissible
+        # Z2 * Z2 may be drawn, and a random support need not be admissible
+        warnings.simplefilter("ignore")
+        group = FreeProduct([LatticeFactor(1) if n == "Z" else cyclic_factor(n) for n in kinds])
         return StepMeasure(group, {g: Fraction(w, total) for g, w in zip(support, weights)})
 
 

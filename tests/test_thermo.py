@@ -80,6 +80,23 @@ class TestPotential:
         assert t.tolist() == pytest.approx(want, rel=1e-14, abs=0)
 
 
+@pytest.mark.parametrize("frac", [0.5, 0.9, 1.0])
+@pytest.mark.parametrize("name", ["f2_srw", "z2z3", "z2z2z2"])
+def test_transfer_weights_equal_the_per_factor_loop(name, frac):
+    # t from one array of seed pairs over every symbol, bit for bit the
+    # t of one ``syllable_pair_weights`` call per factor, each summed in
+    # sequence
+    ev_c = GreenEvaluator(load_config(CONFIGS / f"{name}.json").measure)
+    r = frac * ev_c.R_hat
+    t = build_transfer(ev_c, r, IDENTITY_CAP)[1]
+    ref, want = GreenEvaluator(ev_c.measure), []  # its syllable ids factor by factor
+    for fid, ps in enumerate(Automaton(ev_c.group, IDENTITY_CAP).payloads):
+        fwd, back = ref.syllable_pair_weights([(fid, p) for p in ps], r)
+        want.append(sum((fwd * back).tolist()))
+    assert t.dtype == np.float64
+    assert [x.hex() for x in t.tolist()] == [x.hex() for x in want]
+
+
 class TestTransfer:
     def test_matrix_shape_and_positivity(self, ev):
         # one row and column per factor: t_k off the diagonal of row k

@@ -138,19 +138,24 @@ class TestConvolution:
 
 
 class TestFirstVisits:
-    def test_renewal_identity_in_integers(self, z2z3_srw, z2z3):
-        # p_n(e,g) = sum_{k=1..n} f_k(e,g) p_{n-k}(e,e), all over 3^n; the
-        # ball holds every path of 20 steps, so nothing is truncated
-        n_max = 20
-        dists = convolve_powers(z2z3_srw, n_max, ball_bound=n_max)
-        returns = [d.numerators.get((), 0) for d in dists]
+    def test_first_visits_factor_over_syllables(self, z2z3_srw, z2z3):
+        # each syllable prefix of gamma is a cut vertex, so F(e, gamma) is
+        # the product of its syllables' F(e, s): the first visits of gamma
+        # are the Cauchy product of its syllables', all over 3^n
+        n_max = 14
+        visits = {}
         for gamma in z2z3.ball(3):
-            denom, hits = first_visits(z2z3_srw, gamma, n_max, ball_bound=n_max)
+            if not gamma:
+                continue
+            denom, hits = first_visits(z2z3_srw, gamma, n_max)
             assert denom == 3
-            hits += [0] * (n_max - len(hits))
-            for n in range(1, n_max + 1):
-                renewal = sum(hits[k - 1] * returns[n - k] for k in range(1, n + 1))
-                assert dists[n].numerators.get(gamma, 0) == renewal
+            want = [1] + [0] * n_max  # the coefficients of F at r^0..r^n_max
+            for syl in gamma:
+                if syl not in visits:
+                    visits[syl] = [0] + first_visits(z2z3_srw, (syl,), n_max)[1]
+                f = visits[syl]
+                want = [sum(want[j] * f[n - j] for j in range(n + 1)) for n in range(n_max + 1)]
+            assert hits == want[1:]
 
 
 class TestRadial:
