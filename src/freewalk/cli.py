@@ -6,12 +6,11 @@ every report identifies by its hash; reports also embed the package
 version, and identical config and version produce identical output files.
 ``report`` runs the other subcommands on one ``Shared``, so the Green
 evaluator and each return sequence are built once per run; a standalone
-subcommand builds its own.  ``walk`` reads the first-passage system where
-it covers the measure, else exact convolution.  Every other subcommand
-reads R and its values through ``StepMeasure.route``: ``green``,
-``isums``, ``ancona`` and ``report`` by building the evaluator first,
-``degeneracy``, ``pressure`` and ``llt`` directly, with no evaluator.  So a
-measure outside the system is refused (exit 4) before any work and
+subcommand builds its own.  Every subcommand reads its values through
+``StepMeasure.route``, the first-passage system: ``green``, ``isums``,
+``ancona`` and ``report`` by building the evaluator first, ``walk``,
+``degeneracy``, ``pressure`` and ``llt`` directly, with no evaluator.  So
+a measure outside the system is refused (exit 4) before any work and
 before any file is written.  ``walk.csv`` is written in one string, with the
 bytes ``csv.writer`` gives for its rows, and each JSON file from one
 ``json.dumps``.
@@ -47,13 +46,10 @@ class Shared:
         return GreenEvaluator(self.measure)
 
     def returns(self, horizon):
-        """The return sequence p_0..p_horizon(e,e): from the first-passage
-        system where it covers the measure, else by exact convolution."""
+        """The return sequence p_0..p_horizon(e,e), from the first-passage
+        system (``return_probabilities``)."""
         if horizon not in self._returns:
-            covered = self.measure.first_passage_system is not None
-            self._returns[horizon] = return_probabilities(
-                self.measure, horizon, method="algebraic" if covered else "exact"
-            )
+            self._returns[horizon] = return_probabilities(self.measure, horizon)
         return self._returns[horizon]
 
 
@@ -95,11 +91,8 @@ def cmd_walk(cfg, args, shared):
     seq = shared.returns(horizon)
     out = _out_dir(args)
     # the rows ``csv.writer`` writes (floats as repr), in one string
-    if seq.values is not None:
-        cells = map(str, seq.values)
-    else:
-        cells = map(repr, cfg.measure.route.return_probs(horizon).tolist())
-    rows = "".join(f"{n},{c}\r\n" for n, c in enumerate(cells))
+    cells = cfg.measure.route.return_probs(horizon).tolist()
+    rows = "".join(f"{n},{c!r}\r\n" for n, c in enumerate(cells))
     _write_text(out / f"{cfg.name}_walk.csv", "n,p_n\r\n" + rows)
     meta = _report_header(cfg, args, started)
     meta.update({"horizon": horizon, "method": seq.method,

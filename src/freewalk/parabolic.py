@@ -6,45 +6,31 @@ to the single row from e.  For a measure whose steps are single syllables,
 e is a cut vertex between H_k and the cone of every step out of H_k (Woess
 2000), so the row needs no path enumeration: a step inside H_k returns at
 once, and a step t out of it returns first at e, through a first passage
-from t back to e.  Where the first-passage system of ``algebraic`` covers
-the measure, the row is exact and finite.
+from t back to e.  So the row is read off the first-passage system of
+``algebraic``, which covers exactly these measures (on finite and rank-1
+lattice factors) and through ``StepMeasure.route`` refuses the rest.
 
 ``degeneracy_test`` takes the spectral radius of the untruncated row in
-closed form, and refuses every other measure.
+closed form.  ``first_return_kernel`` truncates the row at path length L,
+as a reference the closed form is held to: exactly (for rational r, every
+entry an integer over one denominator, ``_exact_row``) or in floats, and
+no ball truncates it.  Truncation only removes non-negative path weights,
+so a truncated kernel's spectral radius is a lower bound for the
+untruncated one's.
 
-``first_return_kernel`` truncates the row at path length L, as a reference
-the closed form is held to and for measures outside the system.  In scope
-the row is read off the system's coefficients, exactly (for rational r,
-every entry an integer over one denominator, ``_exact_row``) or in
-floats, and no ball truncates it.
-Every other measure (multi-syllable steps, Z^d factors with d >= 2) runs
-``walks.PathOperator`` with H_k as its absorbing set over the states of a
-word ball, in one stepping loop (``PathOperator.absorb``): exact mode
-(integer numerators, rational r folded into the steps) additionally
-prunes by remaining steps (a state farther from H_k than the steps left
-cannot contribute, so the prune is lossless), and float mode steps every
-state of an explicit ball.  ``chain_size`` records the unknowns of the
-system, or the states the state chain interns.  Truncation only removes
-non-negative path weights, so a truncated kernel's spectral radius is a
-lower bound for the untruncated one's.
-
-Over a factor ball a truncated kernel is a finite non-negative matrix K,
-and an induced Green function is one entry of (I - t K)^-1, read off row h
-of it; the row refuses where the Neumann series diverges.  On a rank-1
-lattice factor whose row lies on {a^-1, e, a}, which every kernel of a
-measure in the system's scope has, K is tridiagonal Toeplitz over the
-2B + 1 payloads of the ball: its Perron root is a closed form and row h is
-one elimination sweep in O(B) (``_sweep``), which stops eliminating once
-its pivots reach their fixed point, and neither builds K; the row is kept
-as a list over the payloads -B..B.  Every
-other kernel (a finite factor, a wider row, rank >= 2) is built as K from
-the row alone: a gather on a finite factor, and on a lattice one sorted
-lookup per state and row entry, scattered into a zero matrix.  Its Perron
-root is read off the eigenvalues of K (by a Rayleigh quotient where K is
-symmetric), and row h is one M-matrix solve (``algebraic.perron_root`` and
-``algebraic.m_matrix_solve``).  A kernel keeps this work: it builds K once
-per factor ball, read-only, and solves row h once per (h, t, factor ball),
-so every endpoint h' of that row, and the Perron root, reuse them.
+Over a factor ball a kernel is a finite non-negative matrix K, and an
+induced Green function is one entry of (I - t K)^-1, read off row h of it;
+the row refuses where the Neumann series diverges.  A step of a rank-1
+lattice factor is +-1, so a kernel there lies on {a^-1, e, a} and K is
+tridiagonal Toeplitz over the 2B + 1 payloads of the ball: its Perron root
+is a closed form and row h is one elimination sweep in O(B) (``_sweep``),
+which stops eliminating once its pivots reach their fixed point, and
+neither builds K; the row is kept as a list over the payloads -B..B.  On a
+finite factor K is a convolution operator on H_k with constant row sums,
+so its Perron root is the row mass; K is gathered from the row once per
+kernel, read-only, and row h is one M-matrix solve
+(``algebraic.m_matrix_solve``).  A kernel keeps its rows, one per
+(h, t, factor ball), so every endpoint h' of a row reuses it.
 
 Float rows round each r mu(s) once, by an integer division of the exact
 product (``_times``), which is the Fraction product rounded bit for bit.
@@ -57,9 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebraic import m_matrix_solve, monomial, perron_root, point_passages
+from .algebraic import m_matrix_solve, monomial, point_passages
 from .errors import NonConvergenceError
-from .walks import PathOperator
 
 
 def _in_factor(group, elem, factor_id):
@@ -76,70 +61,60 @@ class ReturnKernel:
     factor_id: int
     r: object  # Fraction or float
     max_len: int  # L: maximal path length
-    ball_radius: int  # B: word-ball cap on the state chain's states; -1 without
     row: dict  # factor payload -> weight (row from e)
     returned_mass: object  # sum of the row
     in_flight_mass: object  # weight still outside H_k at step L
-    escaped_mass: object  # weight dropped at the ball boundary
     exact: bool
-    chain_size: int  # unknowns of the first-passage system, else states interned
-    # factor ball -> (states, K); (h, t, factor ball) -> {h': G(h, h' | t)},
-    # or None where the Neumann series diverges.  Not an argument, so a
-    # copy made with ``dataclasses.replace`` starts empty.
+    chain_size: int  # unknowns of the first-passage system
+    # "matrix" -> (states, K) on a finite factor; (h, t, factor ball) ->
+    # row h of (I - t K)^-1, or None where the Neumann series diverges.
+    # Not an argument, so a copy made with ``dataclasses.replace`` starts
+    # empty.
     _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def first_return_kernel(measure, factor_id, r, max_len, ball_radius=None, exact=None):
-    """The row p_{k,r}(e, .) of the first-return kernel to factor ``factor_id``.
+    """The row p_{k,r}(e, .) of the first-return kernel to factor ``factor_id``,
+    over the paths of length at most ``max_len``.
 
-    Where the first-passage system covers the measure, the row is read off
-    its coefficients (``_series_kernel``) and ``ball_radius`` is not used.
-    Otherwise the path operator runs with H_k as its absorbing set over
-    the states of the word ball of radius ``ball_radius``.  Exact mode
-    (rational r, or ``exact=True``) returns Fraction rows; on the state
-    chain it propagates integer numerators with the lossless
-    remaining-steps prune, and float mode there needs an explicit ball.
+    The row is read off the coefficients of the measure's first-passage
+    system (``_series_kernel``); a measure outside it is refused
+    (GroupSpecError, through ``StepMeasure.route``).  Exact mode (rational
+    r, or ``exact=True``) returns Fraction rows.  ``ball_radius`` is not
+    read: it stays in this position only while the benchmark's kernel task
+    passes it, and leaves with the next change to the benchmark.
     """
     if exact is None:
         exact = isinstance(r, (int, Fraction))
     r = Fraction(r) if exact else float(r)
-    system = measure.first_passage_system
-    if system is not None:
-        ball_radius = None  # the series needs no ball
-        result = _series_kernel(measure, system, factor_id, r, max_len)
-    else:
-        if not exact and ball_radius is None:
-            raise ValueError("float mode needs an explicit ball_radius")
-        op = PathOperator(measure, ball_radius, r, factor=factor_id)
-        result = op.absorb(max_len, exact)
-    row, returned, in_flight, escaped, chain_size = result
-    ball = -1 if ball_radius is None else ball_radius
-    return ReturnKernel(factor_id, r, max_len, ball, row, returned, in_flight, escaped,
-                        exact, chain_size)
+    system = measure.route
+    row, returned, in_flight = _series_kernel(measure, system, factor_id, r, max_len)
+    return ReturnKernel(factor_id, r, max_len, row, returned, in_flight, exact,
+                        len(system.unknowns))
 
 
 def _series_kernel(measure, system, k, r, n):
-    """(row, returned, in_flight, escaped, unknowns) of the paths of length
-    at most n, from the first-passage series of a single-syllable measure.
+    """(row, returned, in_flight) of the paths of length at most n, from
+    the first-passage series of a single-syllable measure.
 
     The row is ``_kernel_row`` over the first passages summed to m < n;
     a Fraction r takes it over one integer denominator (``_exact_row``).
-    Exact rows match the pruned state chain, which holds no mass in flight
-    after a step.  Float rows count in flight the mass of the paths out of
-    H_k that have not returned by step n, from the sums at r = 1, which at
-    r = 1 are the row's own.  Nothing escapes.
+    Exact rows count no mass in flight, as the pruned state chain
+    (``tests/exact.py``) holds none after a step.  Float rows count in flight the mass of
+    the paths out of H_k that have not returned by step n, from the sums at
+    r = 1, which at r = 1 are the row's own.
     """
     exact = isinstance(r, Fraction)
     zero = Fraction(0) if exact else 0.0
     if n == 0:
-        return {}, zero, zero + 1, zero, len(system.unknowns)
+        return {}, zero, zero + 1
     if exact:
-        return *_exact_row(measure, system, k, r, n), zero, zero, len(system.unknowns)
+        return *_exact_row(measure, system, k, r, n), zero
     sums = system.first_passage_sums(r, n - 1)
     row, out = _kernel_row(measure, k, _scaled(measure, r), sums)
     tails = sums if r == 1.0 else system.first_passage_sums(1.0, n - 1)
     in_flight = r**n * math.fsum(float(w) * (1.0 - tails[u]) for w, u in out)
-    return row, math.fsum(row.values()), in_flight, zero, len(system.unknowns)
+    return row, math.fsum(row.values()), in_flight
 
 
 def _exact_row(measure, system, k, r, n):
@@ -227,84 +202,44 @@ def _one_minus(t, w):
     return (b * d - a * c) / (b * d)
 
 
-def kernel_matrix(kernel, group, factor_ball):
-    """(states, matrix): the kernel as a matrix over a factor ball.
+def kernel_matrix(kernel, group):
+    """(states, matrix): a kernel on a finite factor H_k as a matrix over
+    its elements.
 
-    ``induced_green`` and ``kernel_spectral_radius`` read it for every
-    kernel but a tridiagonal one (``_tridiagonal``), which needs no matrix.
-    states are factor payloads with factor word length <= factor_ball;
-    M[i, j] = p(states[i], states[j]) = row(states[i]^-1 states[j]).  On a
-    finite factor M is one gather from the row, tabled over H_k.  On a
-    lattice each state and each row entry q gets an integer code, so that
-    the codes increase along the states; the state s_i + q is one sorted
-    lookup of code(s_i) + code(q), and M is the row scattered there, in
-    O(states x row) lookups.  The kernel keeps both for its later calls at
-    this ball, so M is read-only.
+    ``induced_green`` reads it for every kernel but a lattice one, which is
+    tridiagonal (``_tridiagonal``) and needs no matrix.  The states are the
+    elements of H_k, and M[i, j] = p(i, j) = row(i^-1 j), one gather from
+    the row tabled over H_k.  The kernel keeps both for its later calls,
+    so M is read-only.
     """
-    if factor_ball not in kernel._solved:
-        kernel._solved[factor_ball] = _kernel_matrix(kernel, group, factor_ball)
-    return kernel._solved[factor_ball]
+    if "matrix" not in kernel._solved:
+        kernel._solved["matrix"] = _kernel_matrix(kernel, group)
+    return kernel._solved["matrix"]
 
 
-def _kernel_matrix(kernel, group, factor_ball):
+def _kernel_matrix(kernel, group):
     factor = group.factors[kernel.factor_id]
-    if factor.kind != "lattice":
-        # M[i, j] = row(i^-1 j): one gather from a table over H_k
-        table = np.zeros(factor.order)
-        table[list(kernel.row)] = [float(w) for w in kernel.row.values()]
-        mat = table[np.array(factor.mult)[list(factor.inv_table)]]
-        mat.flags.writeable = False
-        return list(range(factor.order)), mat
-    # a difference of two states has every coordinate in [-2B, 2B], so it
-    # is one balanced digit per coordinate in base 4B + 1; the most
-    # significant digit first, the codes of the states increase along them
-    span = 2 * factor_ball
-    if (2 * span + 1) ** factor.rank > 2**62:
-        raise ValueError(
-            f"a rank-{factor.rank} lattice over a factor ball of radius "
-            f"{factor_ball} has differences past 64-bit codes"
-        )
-    rows = _lattice_rows(factor.rank, factor_ball)
-    place = (2 * span + 1) ** np.arange(factor.rank - 1, -1, -1, dtype=np.int64)
-    pos = rows @ place
-    near = [(q, float(w)) for q, w in kernel.row.items() if max(map(abs, q)) <= span]
-    steps = np.array([q for q, _ in near], dtype=np.int64).reshape(-1, factor.rank)
-    weights = np.array([w for _, w in near])
-    # s_j = s_i + q exactly where the codes agree, and each (i, q) has one j
-    targets = pos[:, None] + steps @ place
-    at = np.minimum(np.searchsorted(pos, targets), len(pos) - 1)
-    i, c = np.nonzero(pos[at] == targets)
-    mat = np.zeros((len(pos), len(pos)))
-    mat[i, at[i, c]] = weights[c]
+    if factor.kind == "lattice":
+        raise ValueError("a lattice kernel is tridiagonal and has no kernel matrix")
+    table = np.zeros(factor.order)
+    table[list(kernel.row)] = [float(w) for w in kernel.row.values()]
+    mat = table[np.array(factor.mult)[list(factor.inv_table)]]
     mat.flags.writeable = False
-    return list(zip(*rows.T.tolist())), mat
-
-
-def _lattice_rows(rank, radius):
-    """The vectors of ``groups._lattice_ball(rank, radius)``, in its
-    lexicographic order, as the rows of an integer array: each prefix
-    with l1 budget b left is followed by its next coordinates -b..b."""
-    head = np.arange(-radius, radius + 1)
-    rows, left = head[:, None], radius - np.abs(head)
-    for _ in range(rank - 1):
-        counts = 2 * left + 1
-        at = np.repeat(np.arange(len(rows)), counts)
-        head = np.arange(len(at)) - np.repeat(np.cumsum(counts) - left - 1, counts)
-        rows = np.column_stack([rows[at], head])
-        left = left[at] - np.abs(head)
-    return rows
+    return list(range(factor.order)), mat
 
 
 def kernel_spectral_radius(kernel, group, factor_ball):
     """The Perron root of the kernel matrix over the factor ball.
 
-    A tridiagonal kernel (``_tridiagonal``) is Toeplitz over the n = 2B + 1
-    payloads of the ball, with Perron root w_0 + 2 sqrt(w_+ w_-) cos(pi/(n+1)),
-    and w_0 at n = 1; every other kernel takes it from its matrix.
+    On a finite factor the matrix is a convolution operator on H_k, whose
+    rows all sum to the row mass, so that is its Perron root (with the
+    constant vector).  A lattice kernel (``_tridiagonal``) is Toeplitz over
+    the n = 2B + 1 payloads of the ball, with Perron root
+    w_0 + 2 sqrt(w_+ w_-) cos(pi/(n+1)), and w_0 at n = 1.
     """
     tri = _tridiagonal(kernel, group)
     if tri is None:
-        return perron_root(kernel_matrix(kernel, group, factor_ball)[1])
+        return math.fsum(kernel.row.values())
     w_minus, w0, w_plus = tri
     if factor_ball == 0:
         return w0
@@ -316,12 +251,16 @@ _NEAREST = {(-1,), (0,), (1,)}
 
 
 def _tridiagonal(kernel, group):
-    """(w_-, w_0, w_+) for a kernel on a rank-1 lattice factor whose row
-    lies on {a^-1, e, a}, else None.  Over a factor ball its matrix is
-    tridiagonal Toeplitz: w_0 on the diagonal, w_+ above it, w_- below."""
+    """(w_-, w_0, w_+) for a kernel on a lattice factor, None on a finite
+    one.  Over a factor ball its matrix is tridiagonal Toeplitz: w_0 on the
+    diagonal, w_+ above it, w_- below.  A lattice kernel off {a^-1, e, a}
+    of a rank-1 factor, which no measure in the system's scope has, is
+    refused (ValueError)."""
     factor = group.factors[kernel.factor_id]
-    if factor.kind != "lattice" or factor.rank != 1 or not kernel.row.keys() <= _NEAREST:
+    if factor.kind != "lattice":
         return None
+    if factor.rank != 1 or not kernel.row.keys() <= _NEAREST:
+        raise ValueError("a lattice kernel must lie on {a^-1, e, a} of a rank-1 factor")
     return tuple(float(kernel.row.get(q, 0.0)) for q in ((-1,), (0,), (1,)))
 
 
@@ -330,14 +269,14 @@ def induced_green(kernel, group, h, h_prime, t, factor_ball=40):
     kernel matrix K.
 
     The kernel solves row h of (I - t K)^-1 once per (h, t, factor_ball)
-    and reads every later h' off that row.  A tridiagonal kernel
+    and reads every later h' off that row.  A lattice kernel
     (``_tridiagonal``) solves it by one elimination sweep over the ball
     (``_sweep``), without K, and keeps it as a list indexed by payload + B;
-    every other kernel by one M-matrix solve over its ``kernel_matrix``,
-    kept as a dict over its states.  An endpoint outside the factor ball
-    raises ValueError.  Raises NonConvergenceError where the Neumann
-    series sum_n t^n K^n diverges, i.e. unless the Perron root of t K is
-    below 1.
+    a kernel on a finite factor by one M-matrix solve over its
+    ``kernel_matrix``, kept as a dict over its states.  An endpoint outside
+    the factor ball raises ValueError.  Raises NonConvergenceError where
+    the Neumann series sum_n t^n K^n diverges, i.e. unless the Perron root
+    of t K is below 1.
     """
     hp = _in_factor(group, h, kernel.factor_id)
     hq = _in_factor(group, h_prime, kernel.factor_id)
@@ -347,7 +286,7 @@ def induced_green(kernel, group, h, h_prime, t, factor_ball=40):
     if key not in kernel._solved:
         tri = _tridiagonal(kernel, group)
         if tri is None:
-            states, mat = kernel_matrix(kernel, group, factor_ball)
+            states, mat = kernel_matrix(kernel, group)
             unit = np.zeros(len(states))
             unit[states.index(hp)] = 1.0
             row = m_matrix_solve(t * mat.T, unit)  # row h of (I - t K)^-1

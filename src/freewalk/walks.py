@@ -1,34 +1,23 @@
-"""Finitely supported measures, the truncated-ball path operator, and the
-radial distance chain.
+"""Finitely supported measures, exact convolution powers, and the radial
+distance chain.
 
-Every truncated path sum in the package runs on one ``PathOperator``: the
-convolution powers mu^{*n}, and the first-return kernels and the
-admissibility reach check of the measures the first-passage system does
-not cover (in its scope a measure's support decides admissibility).  It
-sends steps that leave the word ball to an escape sink and harvests mass
-that reaches an absorbing factor.  Elements are nodes of a word tree
-keyed by (prefix node, last syllable code), after the cut-vertex
-structure of a free product (Woess 2000), and the ball is expanded one step at a time in numpy: a
-step is a lookup in its syllable's merge table, and no word is
-multiplied, measured or hashed.  One stepping loop carries integer
-numerators over a power denominator or float masses, and does each step
-as one product and one grouped sum.
+A measure's values are read off the first-passage system of ``algebraic``
+(``StepMeasure.route``), built once per measure: its coefficients give
+p_n(e,e) to any horizon (``return_probabilities``), and R, every Green
+value and the first-return kernels.  Its scope is the single-syllable
+measures on finite and rank-1 lattice factors; ``route`` refuses every
+other measure, so no command computes anything for one.
 
-Exact return probabilities meet in the middle: p_{a+b}(e,e) pairs mu^{*a}
-with the powers of the reflected measure g -> mu(g^-1) (mu itself when it
-is symmetric), so a horizon n takes ceil(n/2) steps and keeps no powers.
-Single-syllable measures on finite and rank-1 lattice factors have a
-second route, the first-passage system of ``algebraic``, built once per
-measure (``StepMeasure.first_passage_system``): its coefficients give
-p_n(e,e) to any horizon in floats, and the first-return kernels exactly
-or in floats, with no ball and no path sums.  The kernels and ``walk``'s
-returns take it wherever it applies; a value only it gives (R and every
-Green value among them) reads it through ``StepMeasure.route``, which
-refuses the rest.
-The radial distance chain (``is_radial``) projects isotropic
+``convolve_powers`` computes the exact powers mu^{*n} in a word ball on
+one ``PathOperator``, which sends steps that leave the ball to an escape
+sink.  Elements are nodes of a word tree keyed by (prefix node, last
+syllable code), after the cut-vertex structure of a free product (Woess
+2000), and the ball is expanded one step at a time in numpy: a step is a
+lookup in its syllable's merge table, and no word is multiplied, measured
+or hashed.  The radial distance chain (``is_radial``) projects isotropic
 nearest-neighbor walks to a birth-death chain on distances.  No command
-reads it: it shares no code with the first-passage system, and the tests
-hold that system to it.
+reads either: they share no code with the first-passage system, and the
+tests hold that system to them.
 """
 
 import math
@@ -73,14 +62,9 @@ class StepMeasure:
 
     def _check_admissible(self):
         # In the first-passage system's scope the support decides it
-        # (``_support_generates``).  Elsewhere admissibility is undecidable
-        # at this layer; warn if the support's closure misses part of the
-        # radius-3 ball.
-        if algebraic.in_scope(self):
-            admissible = self._support_generates()
-        else:
-            admissible = self._reaches_ball()
-        if not admissible:
+        # (``_support_generates``); every value refuses the other measures
+        # (``route``), so there is nothing to warn about off the system.
+        if algebraic.in_scope(self) and not self._support_generates():
             warnings.warn(
                 "the measure may not be admissible: its support does not reach the full radius-3 ball",
                 stacklevel=3,
@@ -103,34 +87,6 @@ class StepMeasure:
             if not generated:
                 return False
         return True
-
-    def _reaches_ball(self):
-        """Whether the walk reaches all of the radius-3 ball, stepping inside
-        the ball of radius 3 + max_step_length - 1, so that a word of the
-        3-ball may pass through an element a step longer than it; True
-        where the ball is past its budget."""
-        try:
-            target = set(self.group.ball(3, budget=200000))
-        except BudgetError:
-            return True
-        op = PathOperator(self, ball_bound=2 + max(1, self.max_step_length))
-        for _ in op.steps(3 * max(1, self.max_step_length) + 3):
-            pass
-        return target <= set(op.elements())
-
-    def is_symmetric(self):
-        for g, w in self.support:
-            if self.weights.get(self.group.invert(g)) != w:
-                return False
-        return True
-
-    def reflected(self):
-        """The measure g -> mu(g^-1) of the reversed walk."""
-        weights = {self.group.invert(g): w for g, w in self.support}
-        with warnings.catch_warnings():
-            # it is admissible exactly when mu is, and mu was checked
-            warnings.simplefilter("ignore")
-            return StepMeasure(self.group, weights)
 
     @cached_property
     def first_passage_system(self):
@@ -177,7 +133,7 @@ class _WordTree:
     hashed.  A pair (p, c) stands for node p times syllable c (the root
     is (0, 0)): its length is ``length[p]`` plus the syllable's, and its
     node, if it has one, is found by the key p * 2**32 + c in a sorted
-    index.  Operators that share a tree share its node ids.
+    index.
     """
 
     def __init__(self, group):
@@ -190,7 +146,6 @@ class _WordTree:
         self.parent = np.zeros(1, np.int64)
         self.code = np.zeros(1, np.int64)
         self.length = np.zeros(1, np.int64)
-        self.head = np.zeros(1, np.int64)  # code of the first syllable
         # sorted pair keys and their nodes; the last key is a sentinel
         self._keys = np.array([0, np.iinfo(np.int64).max])
         self._ids = np.array([0, -1])
@@ -258,7 +213,6 @@ class _WordTree:
             p, c = keys >> 32, keys & 0xFFFFFFFF
             length = self.length[p] + self.syllable_length[c]
             self.length = np.concatenate([self.length, length])
-            self.head = np.concatenate([self.head, np.where(p == 0, c, self.head[p])])
             self.parent = np.concatenate([self.parent, p])
             self.code = np.concatenate([self.code, c])
             at = np.searchsorted(self._keys, keys)
@@ -276,96 +230,44 @@ class _WordTree:
 
 
 class PathOperator:
-    """Paths of weight r^n mu(s_1) ... mu(s_n) from e, truncated to a ball.
+    """Paths of weight mu(s_1) ... mu(s_n) from e, truncated to a ball.
 
-    The absorbing set is the factor H_k (``factor``, labelled by payload),
-    or nothing.  States are nodes of a word tree (see ``_WordTree``), numbered in the
+    States are nodes of a word tree (see ``_WordTree``), numbered in the
     order paths first reach them.  A batch of states is expanded at once,
-    in row-major (state, step) order: each step is applied one syllable
-    at a time to the whole batch, through prefix nodes, and the targets'
-    nodes, lengths, absorbing labels, ball test and distances to H_k come
-    from numpy arrays.  A target that leaves the word ball of radius
-    ``ball_bound`` without being absorbed goes to the escape sink (-1).
-    Mass that reaches an absorbing state is harvested under its label and
-    not propagated; e starts every path even when it is absorbing.
-
-    ``steps`` is the one propagator: it keeps integer numerators over
-    ``denominator ** n`` (the rational r folded into the step numerators)
-    or float masses, and expands the states new at each step as one batch;
-    ``absorb`` sums what it harvests.
-    Element tuples are built only by ``elements``.  Operators built on one
-    ``tree`` share its node ids, so their states pair by node.
+    in row-major (state, step) order: each step is applied one syllable at
+    a time to the whole batch, through prefix nodes, and the targets'
+    nodes and lengths come from numpy arrays.  A target that leaves the
+    word ball of radius ``ball_bound`` goes to the escape sink (-1).
+    ``steps`` keeps integer numerators over ``denominator ** n``.  Element
+    tuples are built only by ``elements``.
     """
 
-    def __init__(self, measure, ball_bound=None, r=1, factor=None, tree=None):
-        group = measure.group
-        self.tree = tree if tree is not None else _WordTree(group)
-        self.max_step_length = measure.max_step_length
+    def __init__(self, measure, ball_bound):
+        self.tree = _WordTree(measure.group)
         self.ball_bound = ball_bound
-        self.factor = factor
-        self.denominator, self.numerators = _step_numerators(measure, r)
-        self.float_weights = [float(r) * float(w) for _, w in measure.support]
+        self.denominator = measure.common_denominator()
+        self.numerators = [int(w * self.denominator) for _, w in measure.support]
         self._moves = [[self.tree.code_of(f, p) for f, p in s] for s, _ in measure.support]
-        if factor is not None:
-            self._unit = group.factors[factor].identity
-        self.node = np.zeros(0, np.int64)  # state id -> node
-        self._state = np.zeros(0, np.int64)  # node -> state id, or -1
-        self.absorbs = np.zeros(0, bool)
-        self.labels = {}  # absorbing state id -> label, in id order
-        self.dist = np.zeros(0, np.int64)  # to H_k, for the prune (0 without)
-        e = np.zeros(1, np.int64)
-        absorbs, _, dist = self._classify(e, e)
-        self._grow()
-        self._add(e, e, absorbs, dist)
+        self.node = np.zeros(1, np.int64)  # state id -> node; state 0 is e
+        self._state = np.zeros(1, np.int64)  # node -> state id, or -1
 
     @property
     def size(self):
         return len(self.node)
 
-    def elements(self, ids=None):
-        """The elements of the given states (all by default), as tuples."""
-        nodes = self.node if ids is None else self.node[ids]
-        return self.tree.words(nodes.tolist())
-
-    def state_of(self, nodes):
-        """The state id of each node, or -1."""
-        self._grow()
-        return self._state[nodes]
+    def elements(self, ids):
+        """The elements of the given states, as tuples."""
+        return self.tree.words(self.node[ids].tolist())
 
     def _grow(self):
         missing = self.tree.size - len(self._state)
         if missing:
             self._state = np.concatenate([self._state, np.full(missing, -1)])
 
-    def _classify(self, par, code):
-        """(absorbs, length, dist) of the pairs (par, code)."""
-        tree = self.tree
-        factor, syllable_length = tree.syllable_factor, tree.syllable_length
-        length = tree.length[par] + syllable_length[code]
-        if self.factor is None:
-            return np.zeros(len(par), bool), length, np.zeros_like(length)
-        k = self.factor
-        absorbs = (code == 0) | ((par == 0) & (factor[code] == k))
-        head = np.where(par == 0, code, tree.head[par])
-        return absorbs, length, length - np.where(factor[head] == k, syllable_length[head], 0)
-
-    def _add(self, nodes, code, absorbs, dist):
-        first = self.size
-        self._state[nodes] = first + np.arange(len(nodes))
-        self.node = np.concatenate([self.node, nodes])
-        self.absorbs = np.concatenate([self.absorbs, absorbs])
-        self.dist = np.concatenate([self.dist, dist])
-        for i in np.flatnonzero(absorbs).tolist():
-            c = int(code[i])
-            self.labels[first + i] = self.tree.syllables[c][1] if c else self._unit
-
-    def _expand(self, states, reach=None):
-        """Targets of the steps from ``states``, shape (states, steps).
-
-        A target is a state id, -1 for the escape sink, or -2 where it is
-        farther from H_k than ``reach``; such a target is not added.  New
-        states are added in the order they first occur.
-        """
+    def _expand(self, states):
+        """Targets of the steps from ``states``, shape (states, steps): a
+        state id, or -1 for the escape sink.  New states are added in the
+        order they first occur."""
         tree = self.tree
         src = self.node[states]
         par = np.empty((len(src), len(self._moves)), np.int64)
@@ -384,121 +286,54 @@ class PathOperator:
         new = np.flatnonzero(out < 0)
         if len(new):
             par, code, node = par[new], code[new], node[new]
-            absorbs, length, dist = self._classify(par, code)
-            escape = np.zeros(len(new), bool)
-            if self.ball_bound is not None:
-                escape = ~absorbs & (length > self.ball_bound)
-            keep = ~escape
-            if reach is not None:
-                keep &= absorbs | (dist <= reach)
-            kept = np.flatnonzero(keep)
+            length = tree.length[par] + tree.syllable_length[code]
+            kept = np.flatnonzero(length <= self.ball_bound)
             nodes = node[kept]
             miss = np.flatnonzero(nodes < 0)
             nodes[miss] = tree.intern(par[kept[miss]], code[kept[miss]])
             self._grow()
-            first = np.sort(np.unique(nodes, return_index=True)[1])
-            at = kept[first]
-            self._add(nodes[first], code[at], absorbs[at], dist[at])
-            res = np.full(len(new), -2)
-            res[escape] = -1
+            added = nodes[np.sort(np.unique(nodes, return_index=True)[1])]
+            self._state[added] = self.size + np.arange(len(added))
+            self.node = np.concatenate([self.node, added])
+            res = np.full(len(new), -1)
             res[kept] = self._state[nodes]
             out[new] = res
         return out.reshape(len(src), len(self._moves))
 
-    def steps(self, n, prune=False, exact=True):
-        """Yield (ids, nums, hits, escaped) after each of steps 1..n.
+    def steps(self, n):
+        """Yield (ids, nums, escaped) after each of steps 1..n.
 
-        ``ids`` are the in-flight states and ``nums`` their masses; ``hits``
-        maps labels to the mass absorbed at this step, and ``escaped`` is
-        the mass that left the ball at this step.  Exact mode keeps integer
-        numerators (an object array) over ``denominator ** step``, with ids
-        in the order the step's paths first reach them; float mode keeps
-        the masses of ``float_weights``, with ids in state order and only
-        where the mass is nonzero.  The states new to a step are expanded
-        as one batch, and the step itself is one product over the rows of
-        its states and one grouped sum: exact numerators grouped by a sort,
-        float masses by one ``np.bincount`` with the escape sink in slot 0,
-        which adds in (state, step) order.  With ``prune`` (exact mode
-        only), a state farther from H_k than the steps left can cover (each
-        step moves at most ``max_step_length``) is dropped, and not added:
-        it cannot be absorbed in time, so the prune loses no absorbed mass.
+        ``ids`` are the states the step's paths reach, in the order they
+        first reach them, and ``nums`` their integer numerators (an object
+        array) over ``denominator ** step``; ``escaped`` is the numerator of
+        the mass that left the ball at this step.  The states new to a step
+        are expanded as one batch, and the step itself is one product over
+        the rows of its states and one grouped sum, by a sort.
         """
-        weights = np.array(self.numerators if exact else self.float_weights,
-                           dtype=object if exact else float)
+        weights = np.array(self.numerators, dtype=object)
         rows = np.zeros((0, len(weights)), np.int64)
         expanded = np.zeros(0, bool)
-        ids, nums = np.zeros(1, np.int64), np.ones(1, dtype=weights.dtype)
-        for step in range(1, n + 1):
-            reach = (n - step) * self.max_step_length
+        ids, nums = np.zeros(1, np.int64), np.ones(1, dtype=object)
+        for _ in range(n):
             grow = self.size - len(rows)
             if grow:
                 rows = np.concatenate([rows, np.zeros((grow, len(weights)), np.int64)])
                 expanded = np.concatenate([expanded, np.zeros(grow, bool)])
             fresh = ids[~expanded[ids]]
             if len(fresh):
-                rows[fresh] = self._expand(fresh, reach if prune else None)
+                rows[fresh] = self._expand(fresh)
                 expanded[fresh] = True
             targets = rows.take(ids, axis=0).ravel()
             mass = (nums[:, None] * weights).ravel()
-            if exact:
-                escaped = mass[targets == -1].sum()
-                live = np.flatnonzero(targets >= 0)
-                order = live[np.argsort(targets[live], kind="stable")]
-                targets = targets[order]
-                starts = np.flatnonzero(np.diff(targets, prepend=-1))
-                sums = np.add.reduceat(mass[order], starts) if len(starts) else mass[:0]
-                targets, first = targets[starts], order[starts]
-            else:
-                sums = np.bincount(targets + 1, weights=mass, minlength=self.size + 1)
-                escaped, sums = float(sums[0]), sums[1:]
-                targets = np.flatnonzero(sums != 0)
-                sums = sums[targets]
-            absorbed = np.flatnonzero(self.absorbs[targets])
-            hits = {
-                self.labels[t]: v
-                for t, v in zip(targets[absorbed].tolist(), sums[absorbed].tolist())
-                if v
-            }
-            keep = ~self.absorbs[targets]
-            if prune:
-                keep &= self.dist[targets] <= reach
-            keep = np.flatnonzero(keep)
-            if exact:
-                keep = keep[np.argsort(first[keep])]
-            ids, nums = targets[keep], sums[keep]
-            yield ids, nums, hits, escaped
-
-    def absorb(self, n, exact=True):
-        """(row, returned, in_flight, escaped, size) after n ``steps``.
-
-        ``row`` maps labels to the absorbed masses, in label (state) order,
-        and ``size`` counts the states interned.  Exact mode gives
-        Fractions and prunes; float mode steps every state of the ball,
-        and sums the returned and in-flight masses with ``math.fsum``.
-        """
-        zero = Fraction(0) if exact else 0.0
-        row, escaped, scale = {}, zero, zero + 1  # scale: 1 / denominator**step
-        nums = np.ones(1, dtype=object if exact else float)
-        for _, nums, hits, esc in self.steps(n, prune=exact, exact=exact):
-            if exact:
-                scale /= self.denominator
-            for label, v in hits.items():
-                row[label] = row.get(label, zero) + v * scale
-            escaped += esc * scale
-            if not nums.any():
-                break
-        row = {label: row[label] for label in self.labels.values() if label in row}
-        if exact:
-            return row, sum(row.values(), zero), sum(nums) * scale, escaped, self.size
-        return row, math.fsum(row.values()), math.fsum(nums), escaped, self.size
-
-
-def _step_numerators(measure, r):
-    """(denominator, numerators): r mu(s) is numerator / denominator for
-    each step s in support order, exactly for the rational value of r."""
-    rq = Fraction(r)
-    denominator = measure.common_denominator() * rq.denominator
-    return denominator, [int(rq * w * denominator) for _, w in measure.support]
+            escaped = mass[targets == -1].sum()
+            live = np.flatnonzero(targets >= 0)
+            order = live[np.argsort(targets[live], kind="stable")]
+            targets = targets[order]
+            starts = np.flatnonzero(np.diff(targets, prepend=-1))
+            sums = np.add.reduceat(mass[order], starts) if len(starts) else mass[:0]
+            first = np.argsort(order[starts])
+            ids, nums = targets[starts][first], sums[first]
+            yield ids, nums, escaped
 
 
 @dataclass
@@ -521,7 +356,7 @@ def convolve_powers(measure, n, ball_bound=None):
     denom = 1
     escaped = 0
     out = [Distribution(0, 1, {measure.group.identity: 1}, 0)]
-    for step, (ids, nums, _, esc) in enumerate(op.steps(n), 1):
+    for step, (ids, nums, esc) in enumerate(op.steps(n), 1):
         if op.size > ELEMENT_BUDGET:
             raise BudgetError(
                 "convolution exceeded element budget",
@@ -640,81 +475,18 @@ def is_radial(measure):
 
 @dataclass
 class ReturnSequence:
-    """p_n(e,e) for n = 0..horizon, exact or float-log, with provenance."""
+    """log p_n(e,e) for n = 0..horizon (-inf where zero), with provenance."""
 
     horizon: int
-    method: str  # "exact" | "algebraic"
-    values: list = None  # exact Fractions, when method == "exact"
-    log_values: np.ndarray = None
-
-    def __post_init__(self):
-        if self.log_values is None and self.values is not None:
-            self.log_values = np.array(
-                [math.log(v) if v > 0 else -math.inf for v in self.values]
-            )
+    method: str  # "algebraic": the coefficients of the first-passage system
+    log_values: np.ndarray
 
 
-def return_probabilities(measure, horizon, method="exact"):
-    """p_n(e,e) for n = 0..horizon: exact, or from the coefficients of the
-    first-passage system (``method="algebraic"``, through ``route``)."""
-    if method == "exact":
-        vals = _exact_returns(measure, horizon)
-        return ReturnSequence(horizon=horizon, method="exact", values=vals)
-    if method == "algebraic":
-        logs = measure.route.return_log_probs(horizon)
-        return ReturnSequence(horizon=horizon, method="algebraic", log_values=logs)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _exact_returns(measure, horizon):
-    """Exact p_n(e,e) for n = 0..horizon, meeting in the middle.
-
-    p_{a+b}(e,e) = sum_g mu^{*a}(g) mu'^{*b}(g), where mu'(g) = mu(g^-1)
-    is the reflected measure.  After step k of the path operator on mu,
-    and of one on mu' (the same one when mu is symmetric), the pairs of
-    powers (k, k-1) and (k, k) give p_{2k-1} and p_{2k} as integer sums
-    over denominator**n.  So ceil(horizon/2) steps suffice and two
-    in-flight levels per operator are kept.  The two operators share one
-    word tree, so their states pair by node.  No ball bound is needed: k
-    steps stay within k * max_step_length of e, and nothing escapes.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    k = (horizon + 1) // 2
-    fwd = PathOperator(measure)
-    if measure.is_symmetric():
-        bwd = None
-        steps = ((ids, nums, ids, nums) for ids, nums, _, _ in fwd.steps(k))
-    else:
-        # one word tree for both operators, so their states pair by node
-        bwd = PathOperator(measure.reflected(), tree=fwd.tree)
-        steps = (
-            (ids, nums, ids_b, nums_b)
-            for (ids, nums, _, _), (ids_b, nums_b, _, _)
-            in zip(fwd.steps(k), bwd.steps(k))
-        )
-    vals = [Fraction(1)]
-    prev_b = (np.zeros(1, np.int64), np.ones(1, dtype=object))
-    for ids, nums, *cur_b in steps:
-        consumed = fwd.size + (bwd.size if bwd is not None else 0)
-        if consumed > ELEMENT_BUDGET:
-            raise BudgetError(
-                "return probabilities exceeded element budget",
-                consumed=consumed,
-                budget=ELEMENT_BUDGET,
-            )
-        if bwd is not None:
-            ids = bwd.state_of(fwd.node[ids])
-            nums = nums[ids >= 0]
-            ids = ids[ids >= 0]
-        for b_ids, b_nums in (prev_b, cur_b):
-            n = len(vals)
-            if n > horizon:
-                break
-            _, i, j = np.intersect1d(ids, b_ids, assume_unique=True, return_indices=True)
-            vals.append(Fraction((nums[i] * b_nums[j]).sum(), fwd.denominator**n))
-        prev_b = cur_b
-    return vals
+def return_probabilities(measure, horizon):
+    """p_n(e,e) for n = 0..horizon, from the coefficients of the
+    first-passage system (through ``route``, which refuses the rest)."""
+    logs = measure.route.return_log_probs(horizon)
+    return ReturnSequence(horizon=horizon, method="algebraic", log_values=logs)
 
 
 def detect_period(seq):

@@ -39,6 +39,7 @@ from oracles import (
     z2z2z2_radius,
     z_log_return_probs,
 )
+from exact import exact_returns
 from test_path_operator import mass
 
 
@@ -55,11 +56,11 @@ def ev(f2_srw):
 
 def test_criterion_01_exact_kinematics(f2_srw):
     started = time.perf_counter()
-    seq = return_probabilities(f2_srw, 12, method="exact")
-    ok = seq.values[2] == Fraction(1, 4)
-    ok &= seq.values[4] == Fraction(7, 64)
+    values = exact_returns(f2_srw, 12)
+    ok = values[2] == Fraction(1, 4)
+    ok &= values[4] == Fraction(7, 64)
     for n in range(13):
-        ok &= seq.values[n] == f2_return_probability(n)
+        ok &= values[n] == f2_return_probability(n)
     ok &= mass(convolve_powers(f2_srw, 4)[-1], ()) == Fraction(7, 64)
     elapsed = time.perf_counter() - started
     ok &= elapsed < 10.0
@@ -69,10 +70,10 @@ def test_criterion_01_exact_kinematics(f2_srw):
 def test_criterion_02_spectral_radius(f2_srw, z2cubed_srw):
     started = time.perf_counter()
     rho_f2 = spectral_radius_estimate(
-        return_probabilities(f2_srw, 4000, method="algebraic").log_values)[1]
+        return_probabilities(f2_srw, 4000).log_values)[1]
     err_f2 = abs(rho_f2 - math.sqrt(3.0) / 2.0)
     rho_z2 = spectral_radius_estimate(
-        return_probabilities(z2cubed_srw, 4000, method="algebraic").log_values)[1]
+        return_probabilities(z2cubed_srw, 4000).log_values)[1]
     err_z2 = abs(rho_z2 - 2.0 * math.sqrt(2.0) / 3.0)
     elapsed = time.perf_counter() - started
     ok = err_f2 < 1e-3 and err_z2 < 2e-3 and elapsed < 30.0
@@ -84,7 +85,7 @@ def test_criterion_02_spectral_radius(f2_srw, z2cubed_srw):
 def test_criterion_03_local_limit_exponent(f2_srw, z2cubed_srw):
     alphas = {}
     for name, mu in (("tree", f2_srw), ("involutions", z2cubed_srw)):
-        seq = return_probabilities(mu, 5000, method="algebraic")
+        seq = return_probabilities(mu, 5000)
         rho_hat = spectral_radius_estimate(seq.log_values)[1]
         fit = llt_fit(seq.log_values, detect_period(seq), (500, 5000), 1.0 / rho_hat)
         alphas[name] = fit.alpha

@@ -28,6 +28,7 @@ from freewalk.walks import (
     uniform_on_generators,
 )
 
+from exact import exact_returns, reaches_ball
 from oracles import (
     F2_RADIUS,
     f2_first_passage,
@@ -84,8 +85,8 @@ def _series(system, horizon):
 
 
 def _assert_returns_match_exact(mu, horizon, tol):
-    exact = return_probabilities(mu, horizon, method="exact").values
-    logs = return_probabilities(mu, horizon, method="algebraic").log_values
+    exact = exact_returns(mu, horizon)
+    logs = return_probabilities(mu, horizon).log_values
     for n, p in enumerate(exact):
         if p == 0:
             assert logs[n] == -math.inf, n
@@ -103,7 +104,7 @@ class TestScope:
         mu = _measure(name)
         assert mu.first_passage_system is None
         with pytest.raises(GroupSpecError, match="needs the first-passage system"):
-            return_probabilities(mu, 10, method="algebraic")
+            return_probabilities(mu, 10)
 
     def test_lattice_steps_must_be_unit_steps(self):
         a2 = ((0, (2,)),)
@@ -251,9 +252,9 @@ class TestMMatrixSolve:
 class TestCoefficients:
     def test_z2z3_matches_exact_returns_and_convolution(self):
         mu = _measure("z2z3")
-        exact = return_probabilities(mu, 40, method="exact").values
+        exact = exact_returns(mu, 40)
         powers = convolve_powers(mu, 40, ball_bound=20)  # enough to return
-        logs = return_probabilities(mu, 40, method="algebraic").log_values
+        logs = return_probabilities(mu, 40).log_values
         for n, p in enumerate(exact):
             assert p == mass(powers[n], ())
             if p:
@@ -298,7 +299,7 @@ class TestCoefficients:
         # two float engines that share no code; past n = 4000 the radial
         # chain's unscaled p_n on f2 runs into subnormal floats
         mu = _measure(name)
-        alg = return_probabilities(mu, 4000, method="algebraic").log_values
+        alg = return_probabilities(mu, 4000).log_values
         rad = is_radial(mu).return_log_probs(4000)
         assert list(alg == -math.inf) == list(rad == -math.inf)
         live = rad > -math.inf
@@ -357,7 +358,7 @@ class TestCoefficients:
         if name == "f2":
             green = [tree_return_probability(3, n) for n in range(BLOCK)]
         else:
-            green = return_probabilities(_measure(name), BLOCK - 1, method="exact").values
+            green = exact_returns(_measure(name), BLOCK - 1)
         nums = system.integer_coefficients(BLOCK - 1)
         for n in range(BLOCK):
             pairs = [(want["green"][n], green[n])] + [
@@ -375,7 +376,7 @@ class TestCoefficients:
         # is 9.0e-15 on f2 and 3.2e-14 on z2z2z2, most of it from the
         # n log R of the unscaled logs
         exact = tree_return_probabilities(q, 300)
-        logs = return_probabilities(_measure(name), 300, method="algebraic").log_values
+        logs = return_probabilities(_measure(name), 300).log_values
         for n, p in enumerate(exact):
             if p:
                 assert abs(math.exp(logs[n]) - float(p)) / float(p) < 1e-13, n
@@ -407,7 +408,7 @@ class TestCoefficients:
                                  B: Fraction(0.3), BI: fourth})
         assert mu.common_denominator() ** (BLOCK - 1) > 2**1024  # past the floats
         _assert_returns_match_exact(mu, 12, 1e-13)
-        logs = return_probabilities(mu, 300, method="algebraic").log_values
+        logs = return_probabilities(mu, 300).log_values
         assert np.all(np.isfinite(logs[::2])) and np.all(logs[1::2] == -math.inf)
 
     def test_skewed_f2_covers_the_lattice_unknowns(self):
@@ -526,12 +527,12 @@ def _admissible(mu):
 @given(mu=_single_syllable_measures())
 def test_the_support_decides_admissibility_in_scope(mu):
     # the support's decision is ``_admissible`` except on Z2 * Z2, which it
-    # admits; where it refuses, the reach walk misses the radius-3 ball too
+    # admits; where it refuses, the reach check misses the radius-3 ball too
     decided = mu._support_generates()
     if [getattr(f, "order", 0) for f in mu.group.factors] != [2, 2]:
         assert decided == _admissible(mu)
     if not decided:
-        assert not mu._reaches_ball()
+        assert not reaches_ball(mu)
 
 
 @settings(max_examples=40, deadline=None)

@@ -326,7 +326,7 @@ class TestLltFit:
         # and synthetic sequences fitted at an r_hat off their growth
         if case in ("f2", "z2z3"):
             mu = _measure(case)
-            seq = return_probabilities(mu, 5000, method="algebraic")
+            seq = return_probabilities(mu, 5000)
             args = (seq.log_values, detect_period(seq), (500, 5000),
                     mu.first_passage_system.radius)
         else:

@@ -12,13 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freewalk import algebraic, cli, walks
+from freewalk import algebraic, walks
 from freewalk.algebraic import FirstPassageSystem
 from freewalk.cli import build_parser, main
 from freewalk.config import ConfigError, load_config, parse_config
 from freewalk.green import GreenEvaluator
-from freewalk.walks import return_probabilities
-
+from exact import exact_returns, reflected
 from oracles import (
     F2_RADIUS, f2_i1, f2_i2, kernel_rho_at_radius, tree_return_probability,
     z2z2z2_radius, z2z3_radius,
@@ -56,7 +55,7 @@ class TestConfigParsing:
         assert cfg.horizon == 300
         assert cfg.r_grid == ["0.5R", "0.9R"]
         assert len(cfg.group.factors) == 2
-        assert cfg.measure.is_symmetric()
+        assert reflected(cfg.measure).weights == cfg.measure.weights
 
     def test_unknown_top_level_key(self):
         # "depth" too: the transfer matrix has no cylinder depth; the
@@ -213,8 +212,8 @@ def test_budget_flag_is_gone(cfg_path, capsys):
 
 
 def test_method_flag_is_gone(cfg_path, capsys):
-    # the engine is the first-passage system where it covers the measure,
-    # else exact convolution; --method is refused as an unknown flag
+    # the one engine is the first-passage system; --method is refused as
+    # an unknown flag
     with pytest.raises(SystemExit) as exc:
         main(["walk", "--config", cfg_path, "--method", "exact"])
     assert exc.value.code == 2
@@ -306,21 +305,25 @@ class TestCliExitCodes:
         assert "config error" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    def test_walk_outside_the_system_runs_exact(self, tmp_path):
-        # the engine is chosen per measure: off the first-passage system
-        # the return sequence is the exact convolution
-        path = _z2sq_z2_config(tmp_path)
-        raw = json.loads(path.read_text())
-        path.write_text(json.dumps(dict(raw, horizon=20)))
-        out = tmp_path / "out"
-        assert main(["walk", "--config", str(path), "--out", str(out)]) == 0
-        meta = json.loads((out / "z2sq_z2_walk_meta.json").read_text())
-        assert meta["method"] == "exact" and meta["horizon"] == 20
-        with open(out / "z2sq_z2_walk.csv", newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        cfg = parse_config(json.loads(path.read_text()))
-        exact = return_probabilities(cfg.measure, 20, method="exact").values
-        assert [(int(n), Fraction(p)) for n, p in rows] == list(enumerate(exact))
+    @pytest.mark.parametrize("config", [_z2sq_z2_config, _f2_two_letter_config],
+                             ids=["z2sq_z2", "f2_two_letter"])
+    def test_walk_outside_the_system_is_refused_at_once(
+        self, config, tmp_path, capsys, monkeypatch
+    ):
+        # the return sequence needs the first-passage system: from before
+        # the config is loaded, no power is convolved and no path operator
+        # is built, and no file is written
+        def refuse(*args, **kwargs):
+            raise AssertionError("walk ran a path sum")
+
+        monkeypatch.setattr(walks, "PathOperator", refuse)
+        monkeypatch.setattr(walks, "convolve_powers", refuse)
+        path = config(tmp_path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), horizon=200)))
+        rc = main(["walk", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert capsys.readouterr().err == f"error: {algebraic.SCOPE}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_degeneracy_outside_the_system_is_refused_at_once(
         self, tmp_path, capsys, monkeypatch
@@ -336,7 +339,6 @@ class TestCliExitCodes:
         assert builds == []
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore:the measure may not be admissible")
     @pytest.mark.parametrize("command", ["green", "isums", "ancona", "report"])
     @pytest.mark.parametrize("config", [_z2sq_z2_config, _f2_two_letter_config],
                              ids=["z2sq_z2", "f2_two_letter"])
@@ -369,25 +371,18 @@ class TestCliExitCodes:
         assert builds == []
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore:the measure may not be admissible")
     @pytest.mark.parametrize("config", [_z2sq_z2_config, _f2_two_letter_config],
                              ids=["z2sq_z2", "f2_two_letter"])
     def test_llt_outside_the_system_is_refused_at_once(
         self, config, tmp_path, capsys, monkeypatch
     ):
         # llt reads R off the first-passage system before it builds any
-        # return sequence: once the config is loaded (the measure's reach
-        # check steps the path operator), no path is stepped, and no file
-        # is written
+        # return sequence: from before the config is loaded, no path is
+        # stepped, and no file is written
         def refuse(*args, **kwargs):
             raise AssertionError("llt stepped the path operator")
 
-        def load_then_refuse(path):
-            cfg = load_config(path)
-            monkeypatch.setattr(walks.PathOperator, "steps", refuse)
-            return cfg
-
-        monkeypatch.setattr(cli, "load_config", load_then_refuse)
+        monkeypatch.setattr(walks.PathOperator, "steps", refuse)
         path = config(tmp_path)
         path.write_text(json.dumps(dict(json.loads(path.read_text()), horizon=200)))
         rc = main(["llt", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -443,27 +438,18 @@ class TestCliOutputs:
         assert meta["tool_version"]
         assert meta["config_hash"]
 
-    @pytest.mark.parametrize("name", ["f2_srw", "z2sq_z2"])
+    @pytest.mark.parametrize("name", ["f2_srw"])
     def test_walk_csv_bytes_equal_the_csv_writer(self, name, tmp_path):
         # walk.csv is written as one string; its bytes are those of the
-        # csv.writer rows of its source: on the system the float p_n of
-        # ``return_probs``, by repr ("0.0" where p_n is 0), off it the
-        # exact Fractions by str.  The f2 walk to n = 5000 has zero rows
-        # (odd n) and subnormal ones (p_n below 2.2e-308 from n = 4848)
-        if name == "f2_srw":
-            path = CONFIGS_DIR / "f2_srw.json"
-        else:
-            path = _z2sq_z2_config(tmp_path)
-            path.write_text(json.dumps(dict(json.loads(path.read_text()), horizon=20)))
+        # csv.writer rows of its source, the float p_n of ``return_probs``,
+        # by repr ("0.0" where p_n is 0).  The f2 walk to n = 5000 has zero
+        # rows (odd n) and subnormal ones (p_n below 2.2e-308 from n = 4848)
+        path = CONFIGS_DIR / f"{name}.json"
         cfg = parse_config(json.loads(path.read_text()))
         out = tmp_path / "out"
         assert main(["walk", "--config", str(path), "--out", str(out)]) == 0
         system = cfg.measure.first_passage_system
-        if system is None:
-            values = return_probabilities(cfg.measure, cfg.horizon, method="exact").values
-            rows = [["n", "p_n"]] + [[n, str(v)] for n, v in enumerate(values)]
-        else:
-            rows = [["n", "p_n"]] + list(enumerate(system.return_probs(cfg.horizon).tolist()))
+        rows = [["n", "p_n"]] + list(enumerate(system.return_probs(cfg.horizon).tolist()))
         want = io.StringIO(newline="")
         csv.writer(want).writerows(rows)
         assert (out / f"{cfg.name}_walk.csv").read_bytes() == want.getvalue().encode()
@@ -596,7 +582,7 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
     def test_loading_builds_no_path_operator(self, path, monkeypatch):
         # every shipped measure is in the first-passage system's scope, so
-        # its support decides admissibility and no reach walk runs
+        # its support decides admissibility, with no path sum
         def refuse(*args, **kwargs):
             raise AssertionError("loading a config built a path operator")
 
@@ -684,7 +670,7 @@ class TestShippedConfigs:
         with open(tmp_path / f"{name}_walk.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert len(rows) == 5001
-        exact = return_probabilities(cfg.measure, 20, method="exact").values
+        exact = exact_returns(cfg.measure, 20)
         for n, p in enumerate(exact):
             got = float(rows[n][1])
             if p:

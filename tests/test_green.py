@@ -50,27 +50,27 @@ class TestSpectralRadius:
     # the estimate from the return sequence alone (``oracles``), the
     # reference the first-passage system's R is held to
     def test_f2_radius(self, f2_srw):
-        seq = return_probabilities(f2_srw, 4000, method="algebraic")
+        seq = return_probabilities(f2_srw, 4000)
         rho_lower, rho_hat = spectral_radius_estimate(seq.log_values)
         assert abs(rho_hat - 1.0 / F2_RADIUS) < 1e-3
         assert rho_lower <= rho_hat
         assert 1.0 / rho_hat > 1.0  # the group is non-amenable
 
     def test_z2cubed_radius(self, z2cubed_srw):
-        seq = return_probabilities(z2cubed_srw, 4000, method="algebraic")
+        seq = return_probabilities(z2cubed_srw, 4000)
         rho_hat = spectral_radius_estimate(seq.log_values)[1]
         assert abs(rho_hat - 1.0 / z2z2z2_radius()) < 2e-3
 
     def test_lower_bound_is_monotone(self, f2_srw):
         short, long = (
             spectral_radius_estimate(
-                return_probabilities(f2_srw, n, method="algebraic").log_values)[0]
+                return_probabilities(f2_srw, n).log_values)[0]
             for n in (400, 2000))
         assert long >= short - 1e-12
 
     def test_lower_bound_gap_covers_the_error(self, f2_srw):
         # one-sided bar from rho_hat down to the rigorous lower bound
-        seq = return_probabilities(f2_srw, 4000, method="algebraic")
+        seq = return_probabilities(f2_srw, 4000)
         rho_lower, rho_hat = spectral_radius_estimate(seq.log_values)
         assert abs(rho_hat - 1.0 / F2_RADIUS) <= rho_hat - rho_lower < 0.01
 
@@ -82,7 +82,7 @@ class TestSpectralRadius:
         measure = request.getfixturevalue(walk)
         est = GreenEvaluator(measure).radius_estimate
         rho_lower, rho_hat = spectral_radius_estimate(
-            return_probabilities(measure, 4000, method="algebraic").log_values)
+            return_probabilities(measure, 4000).log_values)
         assert rho_lower == est.rho_lower
         assert rho_lower <= est.rho_hat <= 2 * rho_hat - rho_lower
 

@@ -1,7 +1,6 @@
 import json
 import math
 import sys
-import warnings
 from dataclasses import asdict, replace
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from freewalk import parabolic
+from freewalk import algebraic, parabolic, walks
 from freewalk.algebraic import m_matrix_solve, monomial, perron_root, point_passages
 from freewalk.errors import DivergenceError, GroupSpecError, NonConvergenceError
 from freewalk.green import GreenEvaluator
@@ -22,10 +21,11 @@ from freewalk.parabolic import (
     kernel_matrix,
     kernel_spectral_radius,
 )
-from freewalk.walks import PathOperator, StepMeasure
+from freewalk.walks import StepMeasure
 
+from exact import StateChain
 from oracles import F2_RADIUS, f2_first_passage, kernel_rho_at_radius
-from test_path_operator import KERNEL_CASES, _exact_kernel, _measure
+from test_path_operator import KERNEL_CASES, _exact_kernel, _float_kernel, _measure
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ class TestExactKernel:
     def test_prune_is_lossless(self, f2_srw):
         # the state chain's pruned row equals the unpruned one, over every
         # state 10 steps reach, and the first-passage series gives it too
-        pruned = PathOperator(f2_srw, None, Fraction(1), factor=0).absorb(10)[0]
+        pruned = StateChain(f2_srw, None, Fraction(1), 0).absorb(10)[0]
         assert pruned == _exact_kernel(f2_srw, 0, 1, 10, None)[0]
         assert pruned == first_return_kernel(f2_srw, 0, Fraction(1), max_len=10).row
 
@@ -76,17 +76,15 @@ class TestExactKernel:
         # 1/64 of the row to factor a and 9/256 to factor b
         a, ai = ((0, (1,)),), ((0, (-1,)),)
         ba, aibi = ((1, (1,)), (0, (1,))), ((0, (-1,)), (1, (-1,)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the reach check is heuristic
-            mu = StepMeasure(f2, {ba: Fraction(1, 4), aibi: Fraction(1, 4),
-                                  a: Fraction(1, 4), ai: Fraction(1, 4)})
+        mu = StepMeasure(f2, {ba: Fraction(1, 4), aibi: Fraction(1, 4),
+                              a: Fraction(1, 4), ai: Fraction(1, 4)})
         assert mu.max_step_length == 2
-        exact = first_return_kernel(mu, factor_id, Fraction(1), 4, 10)
-        flt = first_return_kernel(mu, factor_id, 1.0, 4, 10, exact=False)
-        assert set(exact.row) == set(flt.row)
-        for payload, w in exact.row.items():
-            assert abs(float(w) - flt.row[payload]) < 1e-12
-        assert abs(float(exact.returned_mass) - flt.returned_mass) < 1e-12
+        exact, exact_returned = StateChain(mu, 10, Fraction(1), factor_id).absorb(4)[:2]
+        flt, flt_returned = StateChain(mu, 10, 1.0, factor_id).absorb(4, exact=False)[:2]
+        assert set(exact) == set(flt)
+        for payload, w in exact.items():
+            assert abs(float(w) - flt[payload]) < 1e-12
+        assert abs(float(exact_returned) - flt_returned) < 1e-12
 
     @pytest.mark.parametrize("walk, factor_id", [("f2_srw", 0), ("z2z3_srw", 1)])
     def test_exact_and_float_rows_agree(self, walk, factor_id, request):
@@ -96,7 +94,7 @@ class TestExactKernel:
         measure = request.getfixturevalue(walk)
         exact = first_return_kernel(measure, factor_id, Fraction(1), 12, 6)
         flt = first_return_kernel(measure, factor_id, 1.0, 12, 6, exact=False)
-        state = PathOperator(measure, 6, Fraction(1), factor=factor_id).absorb(12)
+        state = StateChain(measure, 6, Fraction(1), factor_id).absorb(12)
         assert exact.exact and not flt.exact
         assert exact.row == state[0]
         assert set(state[0]) == set(flt.row)
@@ -108,6 +106,21 @@ class TestExactKernel:
         kern = first_return_kernel(z2z3_srw, 1, Fraction(1), max_len=16)
         # row from e over Z/3 payloads: entries at 1 and 2 agree by symmetry
         assert kern.row[1] == kern.row[2]
+
+    @pytest.mark.parametrize("name", ["z2sq_z2", "f2_two_letter"])
+    @pytest.mark.parametrize("r", [Fraction(1), 1.0])
+    def test_outside_the_system_is_refused(self, name, r, monkeypatch):
+        # every kernel reads the first-passage system: a measure outside
+        # it is refused with the one scope message, before any path sum
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel ran a path sum")
+
+        monkeypatch.setattr(walks, "PathOperator", refuse)
+        monkeypatch.setattr(walks, "convolve_powers", refuse)
+        measure = _measure(name)
+        with pytest.raises(GroupSpecError) as err:
+            first_return_kernel(measure, 0, r, 140, 11, exact=isinstance(r, Fraction))
+        assert str(err.value) == algebraic.SCOPE
 
 
 def _kernel_row_by_fraction(measure, k, r, passages):
@@ -204,7 +217,7 @@ class TestExactRow:
                     assert all(type(v) is Fraction for v in kern.row.values())
                     assert kern.returned_mass == sum(want.values(), Fraction(0))
                     assert type(kern.returned_mass) is Fraction
-                    assert (kern.in_flight_mass, kern.escaped_mass) == ((0, 0) if L else (1, 0))
+                    assert kern.in_flight_mass == (0 if L else 1)
 
 
 # a lattice row reaching payload length 2, wider than {a^-1, e, a}
@@ -212,8 +225,8 @@ _WIDE_ROW = {(-2,): 0.05, (-1,): 0.2, (0,): 0.15, (1,): 0.3, (2,): 0.1}
 
 
 def _kernel_matrix_by_entry(kernel, group, factor_ball):
-    """The reference for ``kernel_matrix``: M[i, j] set entry by entry, for
-    each state and each payload of the row."""
+    """The reference for a kernel's matrix over a factor ball: M[i, j] set
+    entry by entry, for each state and each payload of the row."""
     factor = group.factors[kernel.factor_id]
     if factor.kind == "lattice":
         states = [
@@ -233,7 +246,19 @@ def _kernel_matrix_by_entry(kernel, group, factor_ball):
     return states, mat
 
 
+def _toeplitz(kernel, group, n):
+    """The tridiagonal Toeplitz matrix over n payloads of the weights
+    (w_-, w_0, w_+) that ``parabolic._tridiagonal`` reads off a lattice
+    kernel, in place of its matrix."""
+    w_minus, w0, w_plus = parabolic._tridiagonal(kernel, group)
+    return w0 * np.eye(n) + w_plus * np.eye(n, k=1) + w_minus * np.eye(n, k=-1)
+
+
 class TestKernelMatrix:
+    """A finite factor's matrix is gathered from the row; a lattice kernel
+    has none, and the sweep and the Perron root read its tridiagonal
+    weights.  Both are held to the matrix set entry by entry."""
+
     @pytest.mark.parametrize("factor_ball", [5, 30, 40])
     @pytest.mark.parametrize("exact", [True, False])
     def test_gather_matches_the_entry_loop_rank_one(self, f2_srw, f2, exact, factor_ball):
@@ -244,39 +269,20 @@ class TestKernelMatrix:
         self._assert_matches(kern, f2, factor_ball)
 
     @pytest.mark.parametrize("factor_ball", [0, 1, 6])
-    @pytest.mark.parametrize("case", ["z2sq_z2", "f2_asym", "f2_two_letter_b"])
+    @pytest.mark.parametrize("case", ["f2_asym", "f2_two_letter_b"])
     def test_gather_matches_the_entry_loop_on_other_kernels(self, case, factor_ball):
-        # a rank-2 lattice, a row that is not symmetric, and the row of a
-        # measure with two-letter steps (which lies on {a^-1, e, a}); over
-        # the 0-ball only the row's entry at e counts
-        name, fid, r, L, B = KERNEL_CASES[case]
-        measure = _measure(name)
-        kern = first_return_kernel(measure, fid, r, L, B, exact=False)
-        self._assert_matches(kern, measure.group, factor_ball)
-
-    @pytest.mark.parametrize("factor_ball", [0, 1, 6])
-    def test_gather_matches_the_entry_loop_on_a_row_reaching_length_two(self, f2, factor_ball):
-        # a rank-1 row on -2..2: over the 1-ball its entries at +-2 fall
-        # outside, over the 6-ball they fill the second diagonals
-        kern = ReturnKernel(0, 1.0, 0, -1, _WIDE_ROW, math.fsum(_WIDE_ROW.values()),
-                            0.0, 0.0, False, 0)
-        self._assert_matches(kern, f2, factor_ball)
+        # a row that is not symmetric, and the row of a measure with
+        # two-letter steps (the state chain's, which lies on
+        # {a^-1, e, a}); over the 0-ball only the row's entry at e counts
+        name, fid, r, L, _ = KERNEL_CASES[case]
+        row, returned, in_flight, _ = _float_kernel(case)
+        kern = ReturnKernel(fid, r, L, row, returned, in_flight, False, 0)
+        self._assert_matches(kern, _measure(name).group, factor_ball)
 
     @pytest.mark.parametrize("factor_id", [0, 1])
     def test_gather_matches_the_entry_loop_finite(self, z2z3_srw, z2z3, factor_id):
         kern = first_return_kernel(z2z3_srw, factor_id, Fraction(1), 12)
         self._assert_matches(kern, z2z3, 10)
-
-    @pytest.mark.parametrize("rank, factor_ball", [(3, 4), (2, 12)])
-    def test_scatter_matches_the_entry_loop_on_higher_ranks(self, rank, factor_ball):
-        # a row over the 3-ball of Z^rank with distinct weights, and a
-        # payload past every difference of the ball whose last digit, 4B + 1,
-        # would carry into the code of the unit vector before it
-        group = FreeProduct([LatticeFactor(rank), LatticeFactor(rank)])
-        row = {q: Fraction(1 + i, 997) for i, q in enumerate(_lattice_ball(rank, 3))}
-        row[(0,) * (rank - 1) + (4 * factor_ball + 1,)] = Fraction(1, 7)
-        kern = ReturnKernel(0, 1.0, 0, 2, row, sum(row.values()), 0.0, 0.0, False, 0)
-        self._assert_matches(kern, group, factor_ball)
 
     def test_gather_matches_the_entry_loop_on_a_skew_finite_row(self):
         measure = _z5_skew()
@@ -284,33 +290,35 @@ class TestKernelMatrix:
         assert set(kern.row) == {0, 1, 2}  # no entry at 1^-1 = 4 or 2^-1 = 3
         self._assert_matches(kern, measure.group, 3)
 
-    def test_far_payloads_do_not_alias(self):
-        # the most significant coordinate first, in base 5, (0, 5) has the
-        # code of (1, 0): it lies past every difference of the 1-ball, so it
-        # must set no entry
-        group = FreeProduct([LatticeFactor(2), LatticeFactor(2)])
-        row = {(0, 5): 0.25, (0, 0): 0.5}
-        kern = ReturnKernel(0, 1.0, 0, 2, row, 0.75, 0.0, 0.0, False, 0)
-        self._assert_matches(kern, group, 1)
-
-    def test_refuses_differences_past_64_bit_codes(self):
-        # 1861 states in the 2-ball of Z^30, but 9^30 digit codes
-        group = FreeProduct([LatticeFactor(30), LatticeFactor(30)])
-        kern = ReturnKernel(0, 1.0, 0, 2, {(0,) * 30: 0.5}, 0.5, 0.0, 0.0, False, 0)
-        with pytest.raises(ValueError, match="64-bit"):
-            kernel_matrix(kern, group, 2)
+    def test_a_lattice_kernel_off_the_nearest_payloads_is_refused(self, f2):
+        # no measure in the system's scope has one: a row wider than
+        # {a^-1, e, a} or on a rank-2 factor is refused, not read in part,
+        # and no lattice kernel has a kernel matrix
+        rank_two = FreeProduct([LatticeFactor(2), LatticeFactor(2)])
+        for row, group in ((_WIDE_ROW, f2), ({(0, 1): 0.25, (0, 0): 0.5}, rank_two)):
+            kern = ReturnKernel(0, 1.0, 0, row, math.fsum(row.values()), 0.0, False, 0)
+            with pytest.raises(ValueError, match="rank-1"):
+                kernel_spectral_radius(kern, group, 2)
+            with pytest.raises(ValueError, match="rank-1"):
+                induced_green(kern, group, (), (), 0.5, 2)
+            with pytest.raises(ValueError, match="tridiagonal"):
+                kernel_matrix(kern, group)
 
     @staticmethod
     def _assert_matches(kern, group, factor_ball):
-        states, mat = kernel_matrix(kern, group, factor_ball)
         ref_states, ref = _kernel_matrix_by_entry(kern, group, factor_ball)
+        if group.factors[kern.factor_id].kind == "lattice":
+            states, mat = ref_states, _toeplitz(kern, group, len(ref_states))
+            assert ref_states == [(j,) for j in range(-factor_ball, factor_ball + 1)]
+        else:
+            states, mat = kernel_matrix(kern, group)
         assert states == ref_states
         assert mat.dtype == ref.dtype and mat.shape == ref.shape
         assert mat.tobytes() == ref.tobytes()
 
     def test_translation_invariance(self, f2_srw, f2):
         kern = first_return_kernel(f2_srw, 0, Fraction(1), max_len=12)
-        states, mat = kernel_matrix(kern, f2, factor_ball=5)
+        states, mat = [(j,) for j in range(-5, 6)], _toeplitz(kern, f2, 11)
         idx = {p: i for i, p in enumerate(states)}
         # M[(1,), (2,)] should equal the row value at (1,)
         assert mat[idx[(1,)], idx[(2,)]] == float(kern.row[(1,)])
@@ -318,7 +326,7 @@ class TestKernelMatrix:
 
     def test_finite_factor_matrix_shape(self, z2z3_srw, z2z3):
         kern = first_return_kernel(z2z3_srw, 1, Fraction(1), max_len=12)
-        states, mat = kernel_matrix(kern, z2z3, factor_ball=10)
+        states, mat = kernel_matrix(kern, z2z3)
         assert mat.shape == (3, 3)
 
 
@@ -370,11 +378,25 @@ class TestSpectralRadius:
             assert rungs == sorted(set(rungs))
             assert rungs[-1] < want
 
+    @pytest.mark.parametrize("walk", ["z2z3_srw", "z2cubed_srw"])
+    def test_a_finite_factor_radius_is_the_row_mass(self, walk, request):
+        # a kernel on a finite factor is a convolution operator on H_k, so
+        # every row of its matrix sums to the row mass, its Perron root
+        measure = request.getfixturevalue(walk)
+        group = measure.group
+        for r in (0.5, 1.0, measure.first_passage_system.radius):
+            for k in range(len(group.factors)):
+                kern = first_return_kernel(measure, k, r, 40, exact=False)
+                rho = kernel_spectral_radius(kern, group, 30)
+                assert rho == math.fsum(kern.row.values())
+                assert abs(rho - perron_root(kernel_matrix(kern, group)[1])) < 1e-13
 
-def _induced_green_per_call(kernel, group, h, h_prime, t, factor_ball):
-    """The reference for ``induced_green``: a new kernel matrix (on a copy
-    of the kernel, which keeps nothing) and a new solve for each entry."""
-    states, mat = kernel_matrix(replace(kernel), group, factor_ball)
+
+def _induced_green_per_call(kernel, group, h, h_prime, t):
+    """The reference for ``induced_green`` on a finite factor: a new kernel
+    matrix (on a copy of the kernel, which keeps nothing) and a new solve
+    for each entry."""
+    states, mat = kernel_matrix(replace(kernel), group)
     index = {p: i for i, p in enumerate(states)}
     unit = np.zeros(len(states))
     unit[index[h]] = 1.0
@@ -402,7 +424,7 @@ def _exact_solve(kernel, group, t, factor_ball, h):
     l^(j-k) theta_k theta_(n-1-j) / theta_n for j >= k.  The entries are
     dyadic, so everything but the last divisions is in Python ints.
     """
-    states, mat = kernel_matrix(replace(kernel), group, factor_ball)
+    states, mat = _kernel_matrix_by_entry(kernel, group, factor_ball)
     n, t = len(states), Fraction(t)
     w0, w_plus, w_minus = (float(mat[i, j]) if max(i, j) < n else 0.0
                            for i, j in ((0, 0), (0, 1), (1, 0)))
@@ -451,21 +473,21 @@ class TestInducedGreen:
         kernel_spectral_radius(kern, f2, 40)
         assert (len(builds), len(solves)) == (0, 0)
 
-    @pytest.mark.parametrize("case", ["z2z3_Z3", "wide_row"])
-    def test_one_matrix_and_one_solve_per_row(self, f2, monkeypatch, case):
-        # a finite factor, and a lattice row wider than {a^-1, e, a}: the
-        # dense path, each entry as the per-call code gives it bit for bit,
-        # from one build and one solve
+    @pytest.mark.parametrize("case", ["z2z3_Z3", "z5_skew"])
+    def test_one_matrix_and_one_solve_per_row(self, monkeypatch, case):
+        # finite factors, with a symmetric and a skew row: the dense path,
+        # each entry as the per-call code gives it bit for bit, from one
+        # build and one solve
         if case == "z2z3_Z3":
             group, fid = _measure("z2z3").group, 1
             kern = first_return_kernel(_measure("z2z3"), fid, Fraction(1), 12)
             payloads = [0, 1, 2]
         else:
-            group, fid = f2, 0
-            kern = ReturnKernel(0, 1.0, 0, -1, _WIDE_ROW, 0.8, 0.0, 0.0, False, 0)
-            payloads = [(j,) for j in range(4)]
+            group, fid = _z5_skew().group, 0
+            kern = first_return_kernel(_z5_skew(), fid, 1.0, 30, exact=False)
+            payloads = [0, 1, 2, 3, 4]
         identity = group.factors[fid].identity
-        want = [_induced_green_per_call(kern, group, identity, p, 1.0, 40) for p in payloads]
+        want = [_induced_green_per_call(kern, group, identity, p, 1.0) for p in payloads]
         builds = _count_calls(monkeypatch, "_kernel_matrix")
         solves = _count_calls(monkeypatch, "m_matrix_solve")
         sweeps = _count_calls(monkeypatch, "_sweep")
@@ -473,7 +495,7 @@ class TestInducedGreen:
                for p in payloads]
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert (len(builds), len(solves), len(sweeps)) == (1, 1, 0)
-        # the Perron root reads the same stored matrix
+        # the Perron root is the row mass, without another matrix
         kernel_spectral_radius(kern, group, 40)
         assert len(builds) == 1
 
@@ -487,17 +509,17 @@ class TestInducedGreen:
                     induced_green(kern, f2, (), g, t)
         assert len(sweeps) == 1
 
-    def test_the_stored_matrix_is_read_only(self, f2_srw, f2):
-        kern = first_return_kernel(f2_srw, 0, 1.0, 60, 10, exact=False)
-        states, mat = kernel_matrix(kern, f2, factor_ball=5)
-        assert kernel_matrix(kern, f2, factor_ball=5)[1] is mat
+    def test_the_stored_matrix_is_read_only(self, z2z3_srw, z2z3):
+        kern = first_return_kernel(z2z3_srw, 1, 1.0, 60, exact=False)
+        states, mat = kernel_matrix(kern, z2z3)
+        assert kernel_matrix(kern, z2z3)[1] is mat
         assert not mat.flags.writeable
         with pytest.raises(ValueError):
             mat[0, 0] = 1.0
         # a copy of the kernel keeps nothing, and equals the original
         copy = replace(kern)
         assert copy == kern
-        assert kernel_matrix(copy, f2, factor_ball=5)[1] is not mat
+        assert kernel_matrix(copy, z2z3)[1] is not mat
 
     def test_matches_green_at_one(self, f2_srw, f2, ev):
         kern = first_return_kernel(f2_srw, 0, 1.0, max_len=60, ball_radius=10, exact=False)
@@ -518,7 +540,7 @@ class TestInducedGreen:
         # an entry of (I - t K)^-1 right up to t = 1/rho(K), and a refusal
         # past it, where the Neumann series diverges
         kern = first_return_kernel(f2_srw, 0, 1.0, 60, 10, exact=False)
-        states, mat = kernel_matrix(kern, f2, factor_ball=40)
+        states, mat = _kernel_matrix_by_entry(kern, f2, 40)
         rho = kernel_spectral_radius(kern, f2, factor_ball=40)
         i, j = states.index((0,)), states.index((2,))
         a2 = ((0, (2,)),)
@@ -598,8 +620,8 @@ class TestSweep:
             self, w_minus, w0, w_plus, ball, at):
         h = (at % (2 * ball + 1) - ball,)
         row = {q: w for q, w in (((-1,), w_minus), ((0,), w0), ((1,), w_plus)) if w}
-        kern = ReturnKernel(0, 1.0, 0, -1, row, math.fsum(row.values()), 0.0, 0.0, False, 0)
-        states, mat = kernel_matrix(replace(kern), _Z_TWICE, ball)
+        kern = ReturnKernel(0, 1.0, 0, row, math.fsum(row.values()), 0.0, False, 0)
+        states, mat = _kernel_matrix_by_entry(kern, _Z_TWICE, ball)
         n = len(states)
         rho = kernel_spectral_radius(kern, _Z_TWICE, ball)
         # t = c / rho below carries rho's relative precision, which a
@@ -656,7 +678,7 @@ class TestSweep:
     def test_one_sided_rows_refuse_or_stay_finite(self, w_minus, w0, ball, t, data):
         h = (data.draw(st.integers(-ball, ball)),)
         row = {q: w for q, w in (((-1,), w_minus), ((0,), w0)) if w}
-        kern = ReturnKernel(0, 1.0, 0, -1, row, math.fsum(row.values()), 0.0, 0.0, False, 0)
+        kern = ReturnKernel(0, 1.0, 0, row, math.fsum(row.values()), 0.0, False, 0)
         _assert_sweep_is_the_loop(kern, _Z_TWICE, h, t, ball)
         for p in _lattice_ball(1, ball):
             try:
@@ -703,8 +725,8 @@ class TestSweep:
         # z = (I - t K^T)^-1 1 passes the float range here, below the kernel
         # radius: the dense LU once returned a row with entries near 1.2e161
         row = {(-1,): 1.0, (0,): 1.19e-7, (1,): 1.49e-68}
-        kern = ReturnKernel(0, 1.0, 0, -1, row, math.fsum(row.values()), 0.0, 0.0, False, 0)
-        states, mat = kernel_matrix(replace(kern), _Z_TWICE, 12)
+        kern = ReturnKernel(0, 1.0, 0, row, math.fsum(row.values()), 0.0, False, 0)
+        states, mat = _kernel_matrix_by_entry(kern, _Z_TWICE, 12)
         t = (1 - 1e-6) / kernel_spectral_radius(kern, _Z_TWICE, 12)
         assert _exact_solve(kern, _Z_TWICE, t, 12, (0,))[1] > sys.float_info.max
         unit = np.zeros(len(states))

@@ -1,17 +1,19 @@
-"""Regression and property tests of the first-return kernels and the
-truncated-ball path operator.
+"""Regression and property tests of the first-return kernels, the state
+chain of ``exact`` and the truncated-ball convolution powers.
 
-Where the first-passage system covers the measure (single syllables on
-finite and rank-1 lattice factors), the kernel is read off the system's
-coefficients, with no ball: the exact rows equal the pruned state chain's
-(``PathOperator.absorb`` without a ball) Fraction for Fraction, and the
-float rows are held to the exact L-truncated row.  The other measures
-(``f2_two_letter``, ``z2sq_z2``) step every state of the ball
-(``PathOperator.absorb(L, exact=False)``); their float kernels are held to
-the exact state chain at the same (L, B, r).  Float kernels are pinned by
-``float.hex()`` (row in key order, returned, in-flight and escaped masses).
-The exact ``convolve_powers`` powers are pinned by a SHA-256 each
-(denominator, escaped numerator and numerators, key order included).
+The first-passage system covers the single-syllable measures on finite and
+rank-1 lattice factors, and ``first_return_kernel`` reads the kernel off
+its coefficients, with no ball: the exact rows equal the pruned state
+chain's (``exact.StateChain.absorb`` without a ball) Fraction for Fraction,
+and the float rows are held to the exact L-truncated row.  The kernels of
+the other measures (``f2_two_letter``, ``z2sq_z2``), which the package
+refuses, are the state chain's over every state of the ball
+(``StateChain.absorb(L, exact=False)``), held to the exact state chain at
+the same (L, B, r).  Float kernels are pinned by ``float.hex()`` (row in
+key order, returned, in-flight and escaped masses; a series kernel has no
+ball and escapes nothing).  The exact ``convolve_powers`` powers are
+pinned by a SHA-256 each (denominator, escaped numerator and numerators,
+key order included).
 """
 
 import hashlib
@@ -24,13 +26,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from freewalk.groups import FreeProduct, LatticeFactor, cyclic_factor
 from freewalk.parabolic import first_return_kernel
-from freewalk.walks import (
-    PathOperator,
-    StepMeasure,
-    convolve_powers,
-    uniform_on_generators,
-)
+from freewalk.walks import PathOperator, StepMeasure, convolve_powers, uniform_on_generators
 
+from exact import StateChain
 from oracles import F2_RADIUS
 
 
@@ -105,14 +103,28 @@ KERNEL_CASES = {
 
 CONVOLUTION_CASES = ("f2_lazy", "z2sq_z2")
 
+# The cases outside the first-passage system, whose kernels step every
+# state of the ball.
+STATE_CHAIN = ("f2_two_letter_a", "f2_two_letter_b", "z2sq_z2")
+
+
+def _float_kernel(case):
+    """(row, returned, in_flight, escaped) of a case's float kernel: the
+    state chain's off the first-passage system, else
+    ``first_return_kernel``'s, which has no ball and escapes nothing."""
+    name, fid, r, L, B = KERNEL_CASES[case]
+    mu = _measure(name)
+    if case in STATE_CHAIN:
+        return StateChain(mu, B, r, fid).absorb(L, exact=False)[:4]
+    kern = first_return_kernel(mu, fid, r, L, exact=False)
+    return kern.row, kern.returned_mass, kern.in_flight_mass, 0.0
+
 
 def _kernel_hex(case):
-    name, fid, r, L, B = KERNEL_CASES[case]
-    kern = first_return_kernel(_measure(name), fid, r, L, B, exact=False)
+    row, *masses = _float_kernel(case)
     return {
-        "row": [(p, w.hex()) for p, w in kern.row.items()],
-        "masses": [m.hex() for m in
-                   (kern.returned_mass, kern.in_flight_mass, kern.escaped_mass)],
+        "row": [(p, w.hex()) for p, w in row.items()],
+        "masses": [m.hex() for m in masses],
     }
 
 
@@ -194,11 +206,6 @@ FROZEN_CONVOLUTIONS = {'f2_lazy': ['67ace5bfcc305ea0080678b9c4af8229358c7dd7a2c8
              'af77b94df63d74aeb85ec28c3f7c3901dae47f08bc1b4118a9b61fe81668d557']}
 
 
-# The cases outside the first-passage system, whose kernels step every
-# state of the ball.
-STATE_CHAIN = ("f2_two_letter_a", "f2_two_letter_b", "z2sq_z2")
-
-
 @pytest.mark.parametrize("case", [
     case if case in STATE_CHAIN else pytest.param(case, marks=LONG_DOUBLE)
     for case in sorted(KERNEL_CASES)])
@@ -220,7 +227,7 @@ def test_series_kernel_entry_at_e_is_within_an_ulp():
 def _exact_kernel(mu, fid, r, L, B, prune=False):
     """(row, returned, in-flight, escaped) of the exact kernel on the state
     chain, unpruned by default; with ``prune``, as the exact kernel prunes."""
-    op = PathOperator(mu, B, Fraction(r), factor=fid)
+    op = StateChain(mu, B, Fraction(r), fid)
     row, escaped, denom, nums = {}, Fraction(0), 1, [1]
     for _, nums, hits, esc in op.steps(L, prune=prune):
         denom *= op.denominator
@@ -243,17 +250,14 @@ def _exact_series_kernel(mu, fid, r, L):
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_float_kernel_matches_the_exact_kernel(case):
     name, fid, r, L, B = KERNEL_CASES[case]
-    kern = first_return_kernel(_measure(name), fid, r, L, B, exact=False)
+    got_row, *masses = _float_kernel(case)
     if case in STATE_CHAIN:
         row, returned, in_flight, escaped = _exact_kernel(_measure(name), fid, r, L, B)
     else:
         row, returned, in_flight, escaped = _exact_series_kernel(_measure(name), fid, r, L)
-    assert set(kern.row) == set(row)
-    pairs = [(("row", p), w, row[p]) for p, w in kern.row.items()] + [
-        ("returned", kern.returned_mass, returned),
-        ("in_flight", kern.in_flight_mass, in_flight),
-        ("escaped", kern.escaped_mass, escaped),
-    ]
+    assert set(got_row) == set(row)
+    pairs = [(("row", p), w, row[p]) for p, w in got_row.items()] + list(
+        zip(("returned", "in_flight", "escaped"), masses, (returned, in_flight, escaped)))
     for what, got, want in pairs:
         assert abs(Fraction(got) - want) <= 2e-15 * want, what
 
@@ -261,14 +265,13 @@ def test_float_kernel_matches_the_exact_kernel(case):
 def test_series_kernel_expands_no_state(monkeypatch):
     # f2 is covered by the first-passage system: both kernels read its
     # four unknowns, with no ball and no state expanded
-    mu, calls = _measure("f2"), []  # the measure's reach check expands
+    mu, calls = _measure("f2"), []
     expand = PathOperator._expand
     monkeypatch.setattr(PathOperator, "_expand",
                         lambda self, *a, **k: calls.append(1) or expand(self, *a, **k))
     for kern in (first_return_kernel(mu, 0, 1.0, 140, 11, exact=False),
                  first_return_kernel(mu, 0, Fraction(1), 20)):
         assert kern.chain_size == len(mu.first_passage_system.unknowns) == 4
-        assert kern.ball_radius == -1
     assert calls == []
 
 
@@ -280,7 +283,7 @@ FROZEN_BENCHMARK_KERNEL = {
     "row": [((0,), "0x1.555555554e455p-3"),
             ((-1,), "0x1.0000000000000p-2"),
             ((1,), "0x1.0000000000000p-2")],
-    "masses": ["0x1.5555555553915p-1", "0x1.5555555558dd6p-2", "0x0.0p+0"],
+    "masses": ["0x1.5555555553915p-1", "0x1.5555555558dd6p-2"],
 }
 
 
@@ -289,8 +292,7 @@ def test_benchmark_float_kernel_is_bitwise_frozen():
     kern = first_return_kernel(_measure("f2"), 0, 1.0, 140, 11, exact=False)
     assert {
         "row": [(p, w.hex()) for p, w in kern.row.items()],
-        "masses": [m.hex() for m in
-                   (kern.returned_mass, kern.in_flight_mass, kern.escaped_mass)],
+        "masses": [m.hex() for m in (kern.returned_mass, kern.in_flight_mass)],
     } == FROZEN_BENCHMARK_KERNEL
 
 
@@ -299,7 +301,7 @@ def test_benchmark_float_kernel_is_bitwise_frozen():
 # 59 051 states it interns.
 FROZEN_BENCHMARK_EXACT_KERNEL = {
     "row": {(-1,): "1/4", (1,): "1/4", (0,): "45719617997/274877906944"},
-    "masses": ["183158571469/274877906944", "0", "0"],
+    "masses": ["183158571469/274877906944", "0"],
 }
 
 
@@ -308,13 +310,12 @@ def test_benchmark_exact_kernel_is_frozen():
     assert all(isinstance(w, Fraction) for w in kern.row.values())
     assert {
         "row": {p: str(w) for p, w in kern.row.items()},
-        "masses": [str(m) for m in
-                   (kern.returned_mass, kern.in_flight_mass, kern.escaped_mass)],
+        "masses": [str(m) for m in (kern.returned_mass, kern.in_flight_mass)],
     } == FROZEN_BENCHMARK_EXACT_KERNEL
 
 
 # (measure, factor, L, B): measures the first-passage system covers, with
-# and without a ball, which their kernels do not use
+# and without a ball, which their kernels do not read
 EXACT_CASES = [("f2", 0, L, None) for L in (12, 14, 20, 22)] + [
     ("f2", 0, 12, 6), ("f2", 1, 16, 5), ("z2z3", 0, 16, None), ("z2z3", 1, 16, None),
     ("f2_lazy", 0, 14, None), ("z2z2z2", 2, 12, 4),
@@ -325,8 +326,7 @@ EXACT_CASES = [("f2", 0, L, None) for L in (12, 14, 20, 22)] + [
 def test_exact_kernel_cases_match_the_pruned_state_chain(name, fid, L, B):
     mu = _measure(name)
     kern = first_return_kernel(mu, fid, Fraction(1), L, B)
-    assert kern.ball_radius == -1
-    got = (kern.row, kern.returned_mass, kern.in_flight_mass, kern.escaped_mass)
+    got = (kern.row, kern.returned_mass, kern.in_flight_mass, 0)
     assert got == _exact_kernel(mu, fid, 1, L, None, prune=True)
 
 
@@ -338,10 +338,9 @@ def test_state_chain_propagates_every_state(case):
     name, fid, r, L, B = KERNEL_CASES[case]
     mu = _measure(name)
     assert mu.first_passage_system is None
-    kern = first_return_kernel(mu, fid, r, L, B, exact=False)
-    flt = PathOperator(mu, B, r, factor=fid)
-    assert flt.absorb(L, exact=False)[4] == flt.size == kern.chain_size
-    exact, closure = (PathOperator(mu, B, Fraction(r), factor=fid) for _ in range(2))
+    flt = StateChain(mu, B, r, fid)
+    assert flt.absorb(L, exact=False)[4] == flt.size
+    exact, closure = (StateChain(mu, B, Fraction(r), fid) for _ in range(2))
     for _ in exact.steps(L):
         pass
     for _ in closure.steps(L + 10, exact=False):
@@ -359,7 +358,7 @@ def test_prune_distance_is_the_distance_to_the_factor(factor_id):
     # brute force: the least word length of h^-1 g over h = a^j in H_k
     mu = _measure("f2_two_letter")
     group = mu.group
-    op = PathOperator(mu, 6, factor=factor_id)
+    op = StateChain(mu, 6, 1, factor_id)
     for _ in op.steps(5):
         pass
     assert op.size > 100
@@ -417,7 +416,7 @@ def _series_case(mu, data):
     factor_id = data.draw(st.integers(0, len(mu.group.factors) - 1))
     L = data.draw(st.integers(0, 10))
     r = data.draw(st.sampled_from([Fraction(1), Fraction(7, 8)]))
-    return factor_id, L, r, PathOperator(mu, None, r, factor=factor_id).absorb(L)[:4]
+    return factor_id, L, r, StateChain(mu, None, r, factor_id).absorb(L)[:4]
 
 
 @settings(max_examples=50, deadline=None)
@@ -425,7 +424,7 @@ def _series_case(mu, data):
 def test_exact_series_kernel_matches_the_state_chain(mu, data):
     factor_id, L, r, want = _series_case(mu, data)
     exact = first_return_kernel(mu, factor_id, r, L)
-    assert (exact.row, exact.returned_mass, exact.in_flight_mass, exact.escaped_mass) == want
+    assert (exact.row, exact.returned_mass, exact.in_flight_mass, 0) == want
 
 
 @settings(max_examples=50, deadline=None)
@@ -436,7 +435,6 @@ def test_float_series_kernel_matches_the_state_chain(mu, data):
     assert set(flt.row) == set(row)
     for payload, w in row.items():
         assert abs(flt.row[payload] - float(w)) <= 1e-12 * float(w)
-    assert flt.escaped_mass == 0.0
     at_one = first_return_kernel(mu, factor_id, 1.0, L, exact=False)
     assert abs(at_one.returned_mass + at_one.in_flight_mass - 1.0) < 1e-12
 
@@ -448,8 +446,7 @@ def test_kernel_engines_agree_and_conserve_mass(mu, data):
     factor_id = data.draw(st.integers(0, len(mu.group.factors) - 1))
     L, B = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
     exact_row = _exact_kernel(mu, factor_id, 1, L, B, prune=True)[0]
-    row, returned, in_flight, escaped, _ = PathOperator(
-        mu, B, 1.0, factor=factor_id).absorb(L, exact=False)
+    row, returned, in_flight, escaped, _ = StateChain(mu, B, 1.0, factor_id).absorb(L, exact=False)
     assert set(exact_row) == set(row)
     for payload, w in exact_row.items():
         assert abs(float(w) - row[payload]) < 1e-12

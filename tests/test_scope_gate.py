@@ -1,12 +1,12 @@
-"""The first-passage system is read at one gate and two engine choices.
+"""The first-passage system is read where it is built and at one gate.
 
 ``StepMeasure.route`` is the one place that refuses a measure outside the
 system, with the one message ``algebraic.SCOPE``.  Beside it, only the
-places that choose an engine, and fall back to the path operator, read
-``first_passage_system`` itself: the first-return kernels and the CLI's
-return sequence.  A value that needs the system, the Green evaluator's
-among them, reads ``route``; a new site that tests the system for None,
-or a second wording of the refusal, fails here.
+cached property that builds the system once per measure reads
+``first_passage_system`` itself.  Every value, the Green evaluator's, the
+first-return kernels' and the CLI's return sequence among them, reads
+``route``; a new site that tests the system for None, and so could fall
+back to another engine, or a second wording of the refusal, fails here.
 """
 
 import ast
@@ -18,8 +18,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freewalk"
 READERS = {
     ("walks.py", "StepMeasure.first_passage_system"),  # builds it, once per measure
     ("walks.py", "StepMeasure.route"),  # the gate
-    ("parabolic.py", "first_return_kernel"),  # kernel rows: system or path operator
-    ("cli.py", "Shared.returns"),  # return sequence: system or exact convolution
 }
 
 

@@ -18,6 +18,7 @@ from freewalk.walks import (
     uniform_on_generators,
 )
 
+from exact import exact_returns, reaches_ball, reflected
 from oracles import f2_return_probability
 from test_path_operator import _measure, first_visits, mass
 
@@ -40,7 +41,7 @@ class TestStepMeasure:
             StepMeasure(f2, {bad: 1})
 
     def test_uniform_is_symmetric(self, f2_srw):
-        assert f2_srw.is_symmetric()
+        assert reflected(f2_srw).weights == f2_srw.weights
         assert f2_srw.common_denominator() == 4
 
     def test_warns_when_support_misses_the_ball(self, f2):
@@ -53,30 +54,35 @@ class TestStepMeasure:
 
     def test_a_generating_support_does_not_warn(self):
         # t alone generates Z7, but t^-1 = t^6 is 6 steps away, past the
-        # horizon of the reach walk, which misses the radius-3 ball; the
+        # horizon of the reach check, which misses the radius-3 ball; the
         # measure is admissible, and its system has a fold at R = 1.14434
         group = FreeProduct([cyclic_factor(7), cyclic_factor(3)])
         t, u, ui = ((0, 1),), ((1, 1),), ((1, 2),)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mu = StepMeasure(group, {t: Fraction(1, 2), u: Fraction(1, 4), ui: Fraction(1, 4)})
-        assert not mu._reaches_ball()
+        assert not reaches_ball(mu)
         assert abs(mu.first_passage_system.radius - 1.14434) < 1e-5
 
     def test_two_letter_steps_reach_the_ball(self):
         # ba, a^-1 b^-1, a, a^-1 reach a^-2 b and a^-1 b^2 of the 3-ball
-        # only through 4-letter elements, so the reach walk steps inside
+        # only through 4-letter elements, so the reach check steps inside
         # the 4-ball
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mu = _measure("f2_two_letter")
-        assert mu._reaches_ball()
+        assert reaches_ball(mu)
 
-    def test_off_the_system_the_reach_walk_warns(self, f2):
-        # two-syllable steps ab and (ab)^-1 never reach a alone
+    def test_off_the_system_nothing_warns(self, f2):
+        # two-syllable steps ab and (ab)^-1 never reach a alone, but every
+        # value refuses a measure off the system, so it builds silently
         ab = ((0, (1,)), (1, (1,)))
-        with pytest.warns(UserWarning, match="admissible"):
-            StepMeasure(f2, {ab: Fraction(1, 2), f2.invert(ab): Fraction(1, 2)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = StepMeasure(f2, {ab: Fraction(1, 2), f2.invert(ab): Fraction(1, 2)})
+        assert not reaches_ball(mu)
+        with pytest.raises(GroupSpecError, match="needs the first-passage system"):
+            mu.route
 
     def test_lazy_variant(self, f2):
         mu = uniform_on_generators(f2, lazy=Fraction(1, 3))
@@ -120,11 +126,10 @@ class TestConvolution:
         mu = z2z3_srw if symmetric else StepMeasure(
             z2z3, {s: Fraction(1, 2), t: Fraction(1, 3), ti: Fraction(1, 6)}
         )
-        assert mu.is_symmetric() == symmetric
+        assert (reflected(mu).weights == mu.weights) == symmetric
         powers = convolve_powers(mu, 13)
         for horizon in range(14):
-            seq = return_probabilities(mu, horizon, method="exact")
-            assert seq.values == [mass(d, ()) for d in powers[: horizon + 1]]
+            assert exact_returns(mu, horizon) == [mass(d, ()) for d in powers[: horizon + 1]]
 
     def test_exact_returns_pair_by_element(self, z2z3):
         # the support {s, t} is not closed under inversion, so mu and its
@@ -132,9 +137,9 @@ class TestConvolution:
         s, t = ((0, 1),), ((1, 1),)
         mu = StepMeasure(z2z3, {s: Fraction(1, 2), t: Fraction(1, 2)})
         powers = convolve_powers(mu, 13)
-        seq = return_probabilities(mu, 13, method="exact")
-        assert seq.values == [mass(d, ()) for d in powers]
-        assert seq.values[3] > 0
+        values = exact_returns(mu, 13)
+        assert values == [mass(d, ()) for d in powers]
+        assert values[3] > 0
 
 
 class TestFirstVisits:
@@ -174,10 +179,10 @@ class TestRadial:
         assert is_radial(z2z3_srw) is None
 
     def test_radial_matches_exact(self, f2_srw):
-        exact = return_probabilities(f2_srw, 12, method="exact")
+        exact = exact_returns(f2_srw, 12)
         radial = is_radial(f2_srw).return_log_probs(12)
         for n in range(13):
-            ev = exact.values[n]
+            ev = exact[n]
             lv = radial[n]
             if ev == 0:
                 assert lv == -math.inf
@@ -198,7 +203,7 @@ class TestPeriod:
     def test_z2z3_period(self, z2z3_srw):
         # t + t + t = e gives an odd return, so the walk is aperiodic
         seq = return_probabilities(z2z3_srw, 12)
-        assert seq.values[3] > 0
+        assert seq.log_values[3] > -math.inf
         assert detect_period(seq) == 1
 
     @given(st.lists(st.booleans(), min_size=1, max_size=60), st.integers(1, 6))
