@@ -205,7 +205,9 @@ class FirstPassageSystem:
         and the z = (I - J)^-1 1 of the M-matrix test, along J's Perron
         vector, to the least residual.  None unless Newton from 0 solves
         below x(R) at R(1 - 2^-20) and fails at R(1 + 2^-20), with G(R)
-        below 2^20: an inadmissible measure, or U = 1 at R (Z2 * Z2).
+        below 2^20.  ``StepMeasure.route`` refuses Z2 * Z2 (U = 1 at R) and
+        inadmissible walks, so there None means an admissible walk whose
+        fold does not converge: a very lazy or a nearly degenerate one.
         """
         m, r, x = len(self.unknowns), 1.0, self.least_solution(1.0)
         if x is None:

@@ -7,7 +7,8 @@ Three instruments:
   together with a deviation-vs-shared-prefix-length decay fit on quadruples.
   G is left-invariant, so each value is read at its displacement x^-1 y.
   One sample, encoded once as syllable ids, serves a whole r grid, with
-  one batch of Green values per r.
+  one batch of Green values per r.  The evaluator's measures are
+  admissible, so no sample has a zero value to skip.
 * ``llt_fit`` estimates the polynomial correction exponent alpha in
   p_n ~ C R^{-n} n^{-alpha}, jointly with R and separately with R pinned.
 * ``ratio_report`` tabulates the near-radius scaling combinations
@@ -86,8 +87,8 @@ def ancona_audit(evaluator, grid, n_triples=200, max_rel_dist=6, seed=0):
     G(x,z) is G(e,e) times its syllables' first passages, so the ratio is
     1 by construction and its deviation measures rounding only: on every
     measure it accepts the audit is an identity check, not a comparison
-    of two independent numbers.  A triple or quadruple is skipped only
-    for a zero value.
+    of two independent numbers.  That measure is admissible
+    (``StepMeasure.route``), so every value is positive and none is skipped.
     """
     rows, syllables, ns = _sample(evaluator.group, n_triples, max_rel_dist, seed)
     ids = _syllable_ids(evaluator, rows, syllables)
@@ -174,24 +175,20 @@ def _syllable_ids(evaluator, rows, syllables):
 
 def _ancona_at(evaluator, r, seed, ids, n_drawn, ns):
     """The ``AnconaReport`` at r of a ``_sample`` of ``n_drawn`` triples,
-    encoded as ``ids``, in one ``green_batch``.  A triple or a quadruple
-    with a zero value is skipped.  Sums run in sequence, as a loop over
-    the triples adds."""
+    encoded as ``ids``, in one ``green_batch``.  Sums run in sequence, as
+    a loop over the triples adds."""
     values = evaluator.green_batch(ids, r)
     gee = evaluator.green((), (), r).value
     gxz, gxy, gyz = (values[k : 3 * n_drawn : 3] for k in range(3))
-    kept = (gxz != 0) & (gxy != 0) & (gyz != 0)
-    ratio = (gxz[kept] * gee) / (gxy[kept] * gyz[kept])
+    ratio = (gxz * gee) / (gxy * gyz)
     ok = int(np.count_nonzero(ratio >= 1.0 - LOWER_TOL))
     ratios = ratio.tolist()
 
-    quads = values[3 * n_drawn :].reshape(-1, 4)
-    kept = quads.all(axis=1)
-    g1, g2, g3, g4 = quads[kept].T
+    g1, g2, g3, g4 = values[3 * n_drawn :].reshape(-1, 4).T
     devs = np.abs((g1 * g2) / (g3 * g4) - 1.0)
     below_floor = bool(np.all(devs <= DEVIATION_FLOOR))
     above = devs > DEVIATION_FLOOR
-    ns = np.array(ns, dtype=float)[kept][above]
+    ns = np.array(ns, dtype=float)[above]
     if below_floor or len(set(ns.tolist())) < 2:  # no slope in n to fit
         rho, c = 0.0, 0.0
     else:
@@ -203,7 +200,7 @@ def _ancona_at(evaluator, r, seed, ids, n_drawn, ns):
         r=float(r),
         seed=seed,
         n_triples=len(ratios),
-        n_skipped=n_drawn - len(ratios),
+        n_skipped=0,
         min_ratio=min(ratios) if ratios else math.nan,
         max_ratio=max(ratios) if ratios else math.nan,
         mean_ratio=sum(ratios) / len(ratios) if ratios else math.nan,

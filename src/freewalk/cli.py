@@ -10,8 +10,9 @@ subcommand builds its own.  Every subcommand reads its values through
 ``StepMeasure.route``, the first-passage system: ``green``, ``isums``,
 ``ancona`` and ``report`` by building the evaluator first, ``walk``,
 ``degeneracy``, ``pressure`` and ``llt`` directly, with no evaluator.  So
-a measure outside the system is refused (exit 4) before any work and
-before any file is written.  ``walk.csv`` is written in one string, with the
+a measure the gate refuses (off the system, not admissible, or on Z2 * Z2)
+exits 4 with its reason before any work and before any file is written.
+``walk.csv`` is written in one string, with the
 bytes ``csv.writer`` gives for its rows, and each JSON file from one
 ``json.dumps``.
 """

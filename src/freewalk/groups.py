@@ -7,11 +7,12 @@ lengths) has its balls here.  The relative metric ``d_hat`` is the
 syllable count, so the relative length of a normal form is its ``len``: the
 graph metric of the Cayley graph with every factor added wholesale to the
 generating set, whose capped spheres ``automaton`` builds as the paths of the
-coded shift.
+coded shift.  ``non_elementary`` is false on Z2 * Z2 alone, the one amenable
+free product of two nontrivial groups (Woess 2000): ``StepMeasure.route``
+refuses every walk on it.
 """
 
 import itertools
-import warnings
 from collections import deque
 
 from .errors import BudgetError, GroupSpecError
@@ -177,12 +178,6 @@ class FreeProduct:
             len(factors) == 2
             and all(f.kind == "finite" and f.order == 2 for f in factors)
         )
-        if not self.non_elementary:
-            warnings.warn(
-                "Z/2 * Z/2 is virtually cyclic; downstream asymptotic checks "
-                "assume a non-elementary group",
-                stacklevel=2,
-            )
 
     # -- syllable-level arithmetic ------------------------------------------
 

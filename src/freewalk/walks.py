@@ -4,9 +4,11 @@ distance chain.
 A measure's values are read off the first-passage system of ``algebraic``
 (``StepMeasure.route``), built once per measure: its coefficients give
 p_n(e,e) to any horizon (``return_probabilities``), and R, every Green
-value and the first-return kernels.  Its scope is the single-syllable
-measures on finite and rank-1 lattice factors; ``route`` refuses every
-other measure, so no command computes anything for one.
+value and the first-return kernels.  ``route``, the one gate, refuses a
+measure off the system (single syllables on finite and rank-1 lattice
+factors), one whose support does not generate the group, and every walk
+on Z2 * Z2, before the system is built: the paper's theorem assumes an
+admissible walk on a non-elementary group.  No command runs on these.
 
 ``convolve_powers`` computes the exact powers mu^{*n} in a word ball on
 one ``PathOperator``, which sends steps that leave the ball to an escape
@@ -21,7 +23,6 @@ tests hold that system to them.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,6 +36,11 @@ from .errors import BudgetError, DegenerateInputError, GroupSpecError
 ELEMENT_BUDGET = 5 * 10**6
 # radius of the word ball over which ``is_radial`` checks the projection
 RADIAL_CHECK_RADIUS = 8
+# the refusals of a measure in the system's scope (``StepMeasure.route``),
+# each naming the hypothesis of the theorem that the walk fails
+INADMISSIBLE = "the measure is not admissible: its support does not generate the group"
+ELEMENTARY = ("the group is elementary: Z2 * Z2 is virtually cyclic, and the "
+              "theorem assumes a non-elementary group")
 
 
 class StepMeasure:
@@ -58,17 +64,6 @@ class StepMeasure:
         self.max_step_length = max(
             (group.word_length(g) for g, _ in items), default=0
         )
-        self._check_admissible()
-
-    def _check_admissible(self):
-        # In the first-passage system's scope the support decides it
-        # (``_support_generates``); every value refuses the other measures
-        # (``route``), so there is nothing to warn about off the system.
-        if algebraic.in_scope(self) and not self._support_generates():
-            warnings.warn(
-                "the measure may not be admissible: its support does not reach the full radius-3 ball",
-                stacklevel=3,
-            )
 
     def _support_generates(self):
         """Whether the single-syllable steps reach every element: each
@@ -94,12 +89,19 @@ class StepMeasure:
         its scope; built once per measure, so its coefficients are shared."""
         return algebraic.first_passage_system(self)
 
-    @property
+    @cached_property
     def route(self):
-        """The first-passage system, which every point value reads; a
-        measure outside it is refused here (GroupSpecError)."""
-        if self.first_passage_system is None:
+        """The first-passage system, which every value reads.  The one
+        decision on whether the measure is reported on, taken before the
+        system is built: GroupSpecError with ``algebraic.SCOPE`` off the
+        system, ``INADMISSIBLE`` where the support does not generate the
+        group, and ``ELEMENTARY`` on Z2 * Z2."""
+        if not algebraic.in_scope(self):
             raise GroupSpecError(algebraic.SCOPE)
+        if not self._support_generates():
+            raise GroupSpecError(INADMISSIBLE)
+        if not self.group.non_elementary:
+            raise GroupSpecError(ELEMENTARY)
         return self.first_passage_system
 
     def common_denominator(self):

@@ -5,51 +5,66 @@ These run on the package's word tree and convolution powers, so unlike
 system does not cover, which the package refuses.
 
 - ``exact_returns``: p_n(e,e) as Fractions, meeting in the middle over the
-  ``convolve_powers`` of mu and of its reflection.
+  powers of one path operator, paired by state.
 - ``reaches_ball``: whether the walk reaches all of the radius-3 ball.
 - ``StateChain``: the first-return kernel to a factor H_k by path sums over
   a word ball, H_k absorbing, exact (with a lossless prune) or in floats.
 """
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
 
 from freewalk.errors import BudgetError
-from freewalk.walks import StepMeasure, _WordTree, convolve_powers
+from freewalk.walks import PathOperator, StepMeasure, _WordTree, convolve_powers
 
 
 def reflected(measure):
     """The measure g -> mu(g^-1) of the reversed walk."""
     weights = {measure.group.invert(g): w for g, w in measure.support}
-    with warnings.catch_warnings():
-        # it is admissible exactly when mu is, and mu was checked
-        warnings.simplefilter("ignore")
-        return StepMeasure(measure.group, weights)
+    return StepMeasure(measure.group, weights)
 
 
 def exact_returns(measure, horizon):
     """Exact p_n(e,e) for n = 0..horizon, meeting in the middle.
 
-    p_{a+b}(e,e) = sum_g mu^{*a}(g) mu'^{*b}(g), where mu'(g) = mu(g^-1)
-    is the reflected measure (mu itself when it is symmetric), so the
-    powers up to ceil(horizon/2) of each, paired by element, give every
-    p_n with a = ceil(n/2) and b = floor(n/2).  The powers' balls hold
-    every path, so nothing escapes.
+    p_{a+b}(e,e) = sum_g mu^{*a}(g) mu^{*b}(g^-1), so the powers up to
+    ceil(horizon/2) on one ``PathOperator`` give every p_n, with
+    a = ceil(n/2) and b = floor(n/2).  The halves are paired by state:
+    each state is mapped once to the state of its inverse (to itself when
+    mu is symmetric), and a power's numerators are looked up at those
+    states by one sorted search.  The powers' ball holds every path, so
+    nothing escapes.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     k = (horizon + 1) // 2
-    fwd = convolve_powers(measure, k)
-    rev = reflected(measure)
-    bwd = fwd if rev.weights == measure.weights else convolve_powers(rev, k)
+    op = PathOperator(measure, k * measure.max_step_length)
+    powers = [(np.zeros(1, np.int64), np.ones(1, dtype=object))]
+    powers += [(ids, nums) for ids, nums, _ in op.steps(k)]
+    if reflected(measure).weights == measure.weights:
+        partner = np.arange(op.size)
+    else:
+        elements = op.elements(np.arange(op.size))
+        state = {g: i for i, g in enumerate(elements)}
+        factors = measure.group.factors
+        inverse = {syl: (syl[0], factors[syl[0]].inv(syl[1])) for syl in op.tree.syllables[1:]}
+        partner = np.array([state.get(tuple(inverse[x] for x in reversed(g)), -1)
+                            for g in elements])
+    by_state = []  # each power sorted by state, for the sorted search
+    for ids, nums in powers:
+        order = np.argsort(ids)
+        by_state.append((ids[order], nums[order]))
     vals = []
     for n in range(horizon + 1):
-        a, b = fwd[(n + 1) // 2], bwd[n // 2]
-        top = sum(v * b.numerators.get(g, 0) for g, v in a.numerators.items())
-        vals.append(Fraction(top, a.denominator * b.denominator))
+        ids, nums = powers[(n + 1) // 2]
+        keys, values = by_state[n // 2]
+        want = partner[ids]
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        hit = keys[at] == want
+        top = (nums[hit] * values[at[hit]]).sum()
+        vals.append(Fraction(int(top), op.denominator**n))
     return vals
 
 

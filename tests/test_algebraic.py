@@ -8,7 +8,6 @@ zeros of closed-form discriminants in ``oracles`` for the radius.
 
 import json
 import math
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,8 +41,8 @@ from oracles import (
     z2z3_radius,
 )
 from test_path_operator import (
-    LONG_DOUBLE, _cyclic_measures, _f2, _measure, _single_syllable_measures,
-    first_visits, mass,
+    LONG_DOUBLE, _admissible, _cyclic_measures, _f2, _measure, _single_syllable_measures,
+    first_visits, mass, routed,
 )
 
 A, AI, B, BI = ((0, (1,)),), ((0, (-1,)),), ((1, (1,)),), ((1, (-1,)),)
@@ -58,10 +57,8 @@ FIRST_BLOCK = json.loads((Path(__file__).parent / "first_block_hex.json").read_t
 def _skewed_f2():
     # unequal weights on a and a^-1: not radial, and the two directions of
     # the Z factor are separate unknowns, with F_{a^2} = F_a^2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return StepMeasure(_f2(), {A: Fraction(3, 8), AI: Fraction(1, 8),
-                                   B: Fraction(1, 4), BI: Fraction(1, 4)})
+    return StepMeasure(_f2(), {A: Fraction(3, 8), AI: Fraction(1, 8),
+                               B: Fraction(1, 4), BI: Fraction(1, 4)})
 
 
 def _system(name):
@@ -85,8 +82,10 @@ def _series(system, horizon):
 
 
 def _assert_returns_match_exact(mu, horizon, tol):
+    # through the route where it grants mu, else off the system itself
     exact = exact_returns(mu, horizon)
-    logs = return_probabilities(mu, horizon).log_values
+    logs = (return_probabilities(mu, horizon).log_values if routed(mu)
+            else mu.first_passage_system.return_log_probs(horizon))
     for n, p in enumerate(exact):
         if p == 0:
             assert logs[n] == -math.inf, n
@@ -108,10 +107,7 @@ class TestScope:
 
     def test_lattice_steps_must_be_unit_steps(self):
         a2 = ((0, (2,)),)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a^2 alone does not reach a
-            mu = StepMeasure(_f2(), {a2: Fraction(1, 2), B: Fraction(1, 4),
-                                     BI: Fraction(1, 4)})
+        mu = StepMeasure(_f2(), {a2: Fraction(1, 2), B: Fraction(1, 4), BI: Fraction(1, 4)})
         assert mu.first_passage_system is None
 
     def test_built_once_per_measure(self):
@@ -188,9 +184,7 @@ class TestRadius:
         # Z2 * Z2 is recurrent: U reaches 1 at R = 1, where G = 1/sqrt(1 - r^2)
         # diverges, so the fold is refused and R is bisected to adjacent
         # floats
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # Z2 * Z2 is elementary
-            mu = uniform_on_generators(FreeProduct([cyclic_factor(2)] * 2))
+        mu = uniform_on_generators(FreeProduct([cyclic_factor(2)] * 2))
         system = mu.first_passage_system
         assert system._fold() is None
         lo, hi = system.bracket
@@ -506,32 +500,15 @@ def test_returns_match_exact_on_random_cyclic_measures(mu):
     _assert_returns_match_exact(mu, horizon, 1e-13)
 
 
-def _admissible(mu):
-    """Whether each factor's steps generate it as a semigroup, on a group
-    other than Z2 * Z2: a cyclic factor's steps have gcd 1 with its order,
-    and Z steps both ways."""
-    factors = mu.group.factors
-    if [getattr(f, "order", 0) for f in factors] == [2, 2]:
-        return False
-    for fid, factor in enumerate(factors):
-        steps = [g[0][1] for g, _ in mu.support if g and g[0][0] == fid]
-        if factor.kind == "lattice":
-            if {(1,), (-1,)} - set(steps):
-                return False
-        elif math.gcd(factor.order, *steps) != 1:
-            return False
-    return True
-
-
 @settings(max_examples=40, deadline=None)
 @given(mu=_single_syllable_measures())
 def test_the_support_decides_admissibility_in_scope(mu):
-    # the support's decision is ``_admissible`` except on Z2 * Z2, which it
-    # admits; where it refuses, the reach check misses the radius-3 ball too
-    decided = mu._support_generates()
-    if [getattr(f, "order", 0) for f in mu.group.factors] != [2, 2]:
-        assert decided == _admissible(mu)
-    if not decided:
+    # every draw is in scope: the route refuses it with the admissibility
+    # or the elementary reason exactly where ``_admissible`` says no, and
+    # never with the scope's (``routed``); where the support does not
+    # generate the group, the reach check misses the radius-3 ball too
+    assert routed(mu) == _admissible(mu)
+    if not mu._support_generates():
         assert not reaches_ball(mu)
 
 

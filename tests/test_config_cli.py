@@ -14,7 +14,7 @@ import pytest
 
 from freewalk import algebraic, walks
 from freewalk.algebraic import FirstPassageSystem
-from freewalk.cli import build_parser, main
+from freewalk.cli import COMMANDS, build_parser, main
 from freewalk.config import ConfigError, load_config, parse_config
 from freewalk.green import GreenEvaluator
 from exact import exact_returns, reflected
@@ -69,7 +69,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(dict(BASE, schema_version=99))
 
-    @pytest.mark.filterwarnings("ignore:measure")  # support on one factor only
     def test_weights_measure(self):
         raw = dict(
             BASE,
@@ -251,6 +250,31 @@ def _f2_two_letter_config(tmp_path):
     return path
 
 
+def _z2z2_config(tmp_path):
+    """Uniform Z2 * Z2: in the first-passage system's scope, on the one
+    elementary free product."""
+    raw = dict(BASE, name="z2z2", factors=[{"kind": "cyclic", "n": 2}] * 2)
+    path = tmp_path / "z2z2.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _z4z3_config(tmp_path):
+    """Z4 * Z3 stepping by t^2 (1/2) and u^{+-1} (1/4 each): in the
+    system's scope, but the support does not generate Z4."""
+    steps = [([[0, 2]], "1/2"), ([[1, 1]], "1/4"), ([[1, 2]], "1/4")]
+    raw = dict(
+        BASE,
+        name="z4z3_t2",
+        factors=[{"kind": "cyclic", "n": 4}, {"kind": "cyclic", "n": 3}],
+        measure={"type": "weights",
+                 "weights": [{"syllables": s, "weight": w} for s, w in steps]},
+    )
+    path = tmp_path / "z4z3_t2.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
 def test_llt_imports_no_numpy_ma():
     # numpy's median imports numpy.ma on its first call; llt takes the
     # middle of the sorted differences instead, so a fresh process is
@@ -388,6 +412,26 @@ class TestCliExitCodes:
         rc = main(["llt", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 4
         assert capsys.readouterr().err == f"error: {algebraic.SCOPE}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("config, reason", [(_z2z2_config, walks.ELEMENTARY),
+                                                (_z4z3_config, walks.INADMISSIBLE)],
+                             ids=["z2z2", "z4z3_t2"])
+    def test_the_hypotheses_are_refused_before_the_system_is_built(
+        self, command, config, reason, tmp_path, capsys, monkeypatch
+    ):
+        # in scope, but off the theorem's hypotheses: every command exits 4
+        # with the one reason, before the first-passage system is built
+        # and before any file is written
+        def refuse(*args, **kwargs):
+            raise AssertionError("the first-passage system was built")
+
+        monkeypatch.setattr(algebraic, "first_passage_system", refuse)
+        path = config(tmp_path)
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert capsys.readouterr().err == f"error: {reason}\n"
         assert not (tmp_path / "out").exists()
 
     def test_llt_with_tiny_budget_fails_cleanly(self, tmp_path, capsys):

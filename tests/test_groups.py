@@ -7,6 +7,7 @@ from freewalk.groups import (
     FreeProduct,
     cyclic_factor,
 )
+from freewalk.walks import ELEMENTARY, uniform_on_generators
 
 
 class TestFiniteFactor:
@@ -158,10 +159,17 @@ class TestEnumeration:
             f2.ball(8, budget=100)
 
 
-class TestElementaryWarning:
-    def test_z2_z2_warns(self):
-        with pytest.warns(UserWarning):
-            FreeProduct([cyclic_factor(2), cyclic_factor(2)])
+class TestElementary:
+    def test_z2_z2_is_refused_at_the_route(self):
+        # Z2 * Z2 and its walk build silently (any warning fails the
+        # suite), and the route refuses the walk as elementary
+        group = FreeProduct([cyclic_factor(2), cyclic_factor(2)])
+        assert not group.non_elementary
+        mu = uniform_on_generators(group)
+        with pytest.raises(GroupSpecError) as err:
+            mu.route
+        assert str(err.value) == ELEMENTARY
 
-    def test_three_factors_do_not_warn(self, z2cubed):
+    def test_three_factors_are_routed(self, z2cubed, z2cubed_srw):
         assert z2cubed.non_elementary
+        assert z2cubed_srw.route is z2cubed_srw.first_passage_system

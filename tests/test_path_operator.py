@@ -17,16 +17,19 @@ key order included).
 """
 
 import hashlib
-import warnings
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from freewalk.errors import GroupSpecError
 from freewalk.groups import FreeProduct, LatticeFactor, cyclic_factor
-from freewalk.parabolic import first_return_kernel
-from freewalk.walks import PathOperator, StepMeasure, convolve_powers, uniform_on_generators
+from freewalk.parabolic import _series_kernel, first_return_kernel
+from freewalk.walks import (
+    ELEMENTARY, INADMISSIBLE, PathOperator, StepMeasure, convolve_powers, uniform_on_generators,
+)
 
 from exact import StateChain
 from oracles import F2_RADIUS
@@ -379,11 +382,8 @@ def _cyclic_measures(draw):
         support.append(())
     weights = [draw(st.integers(1, 5)) for _ in support]
     total = sum(weights)
-    with warnings.catch_warnings():
-        # Z2 * Z2 may be drawn, and a random support need not be admissible
-        warnings.simplefilter("ignore")
-        group = FreeProduct([cyclic_factor(n) for n in orders])
-        return StepMeasure(group, {g: Fraction(w, total) for g, w in zip(support, weights)})
+    group = FreeProduct([cyclic_factor(n) for n in orders])
+    return StepMeasure(group, {g: Fraction(w, total) for g, w in zip(support, weights)})
 
 
 @st.composite
@@ -402,11 +402,49 @@ def _single_syllable_measures(draw):
         support.append(())
     weights = [draw(st.integers(1, 5)) for _ in support]
     total = sum(weights)
-    with warnings.catch_warnings():
-        # Z2 * Z2 may be drawn, and a random support need not be admissible
-        warnings.simplefilter("ignore")
-        group = FreeProduct([LatticeFactor(1) if n == "Z" else cyclic_factor(n) for n in kinds])
-        return StepMeasure(group, {g: Fraction(w, total) for g, w in zip(support, weights)})
+    group = FreeProduct([LatticeFactor(1) if n == "Z" else cyclic_factor(n) for n in kinds])
+    return StepMeasure(group, {g: Fraction(w, total) for g, w in zip(support, weights)})
+
+
+def _admissible(mu):
+    """Whether each factor's steps generate it as a semigroup, on a group
+    other than Z2 * Z2: a cyclic factor's steps have gcd 1 with its order,
+    and Z steps both ways."""
+    factors = mu.group.factors
+    if [getattr(f, "order", 0) for f in factors] == [2, 2]:
+        return False
+    for fid, factor in enumerate(factors):
+        steps = [g[0][1] for g, _ in mu.support if g and g[0][0] == fid]
+        if factor.kind == "lattice":
+            if {(1,), (-1,)} - set(steps):
+                return False
+        elif math.gcd(factor.order, *steps) != 1:
+            return False
+    return True
+
+
+def routed(mu):
+    """Whether ``route`` grants mu, a measure drawn in the system's scope.
+    It does exactly for an admissible walk on a non-elementary group
+    (``_admissible``), and refuses the rest with one of those two reasons,
+    never the scope's."""
+    try:
+        mu.route
+    except GroupSpecError as err:
+        assert str(err) in (INADMISSIBLE, ELEMENTARY) and not _admissible(mu)
+        return False
+    assert _admissible(mu)
+    return True
+
+
+def _kernel(mu, factor_id, r, L):
+    """(row, returned, in_flight) of the L-truncated first-return kernel:
+    through ``first_return_kernel`` where the route grants mu, and off the
+    first-passage system itself where it refuses it."""
+    if routed(mu):
+        kern = first_return_kernel(mu, factor_id, r, L)
+        return kern.row, kern.returned_mass, kern.in_flight_mass
+    return _series_kernel(mu, mu.first_passage_system, factor_id, r, L)
 
 
 def _series_case(mu, data):
@@ -423,20 +461,19 @@ def _series_case(mu, data):
 @given(mu=_single_syllable_measures(), data=st.data())
 def test_exact_series_kernel_matches_the_state_chain(mu, data):
     factor_id, L, r, want = _series_case(mu, data)
-    exact = first_return_kernel(mu, factor_id, r, L)
-    assert (exact.row, exact.returned_mass, exact.in_flight_mass, 0) == want
+    assert (*_kernel(mu, factor_id, r, L), 0) == want
 
 
 @settings(max_examples=50, deadline=None)
 @given(mu=_single_syllable_measures(), data=st.data())
 def test_float_series_kernel_matches_the_state_chain(mu, data):
     factor_id, L, r, (row, _, _, _) = _series_case(mu, data)
-    flt = first_return_kernel(mu, factor_id, float(r), L, exact=False)
-    assert set(flt.row) == set(row)
+    flt = _kernel(mu, factor_id, float(r), L)[0]
+    assert set(flt) == set(row)
     for payload, w in row.items():
-        assert abs(flt.row[payload] - float(w)) <= 1e-12 * float(w)
-    at_one = first_return_kernel(mu, factor_id, 1.0, L, exact=False)
-    assert abs(at_one.returned_mass + at_one.in_flight_mass - 1.0) < 1e-12
+        assert abs(flt[payload] - float(w)) <= 1e-12 * float(w)
+    _, returned, in_flight = _kernel(mu, factor_id, 1.0, L)
+    assert abs(returned + in_flight - 1.0) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)

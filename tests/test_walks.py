@@ -1,5 +1,4 @@
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from freewalk.errors import DegenerateInputError, GroupSpecError
 from freewalk.groups import FreeProduct, cyclic_factor
 from freewalk.walks import (
+    INADMISSIBLE,
     ReturnSequence,
     StepMeasure,
     convolve_powers,
@@ -44,42 +44,40 @@ class TestStepMeasure:
         assert reflected(f2_srw).weights == f2_srw.weights
         assert f2_srw.common_denominator() == 4
 
-    def test_warns_when_support_misses_the_ball(self, f2):
+    def test_a_support_that_misses_a_factor_is_refused(self, f2):
+        # a and a^-1 never reach b: the measure builds silently (any
+        # warning fails the suite), and the route refuses it as not
+        # admissible, while it grants the uniform measure
         a, ai = ((0, (1,)),), ((0, (-1,)),)
-        with pytest.warns(UserWarning, match="admissible"):
-            StepMeasure(f2, {a: Fraction(1, 2), ai: Fraction(1, 2)})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            uniform_on_generators(f2)
+        mu = StepMeasure(f2, {a: Fraction(1, 2), ai: Fraction(1, 2)})
+        with pytest.raises(GroupSpecError) as err:
+            mu.route
+        assert str(err.value) == INADMISSIBLE
+        srw = uniform_on_generators(f2)
+        assert srw.route is srw.first_passage_system
 
     def test_a_generating_support_does_not_warn(self):
         # t alone generates Z7, but t^-1 = t^6 is 6 steps away, past the
         # horizon of the reach check, which misses the radius-3 ball; the
-        # measure is admissible, and its system has a fold at R = 1.14434
+        # measure is admissible, so the route grants it, and its system
+        # has a fold at R = 1.14434
         group = FreeProduct([cyclic_factor(7), cyclic_factor(3)])
         t, u, ui = ((0, 1),), ((1, 1),), ((1, 2),)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            mu = StepMeasure(group, {t: Fraction(1, 2), u: Fraction(1, 4), ui: Fraction(1, 4)})
+        mu = StepMeasure(group, {t: Fraction(1, 2), u: Fraction(1, 4), ui: Fraction(1, 4)})
         assert not reaches_ball(mu)
-        assert abs(mu.first_passage_system.radius - 1.14434) < 1e-5
+        assert abs(mu.route.radius - 1.14434) < 1e-5
 
     def test_two_letter_steps_reach_the_ball(self):
         # ba, a^-1 b^-1, a, a^-1 reach a^-2 b and a^-1 b^2 of the 3-ball
         # only through 4-letter elements, so the reach check steps inside
         # the 4-ball
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            mu = _measure("f2_two_letter")
-        assert reaches_ball(mu)
+        assert reaches_ball(_measure("f2_two_letter"))
 
     def test_off_the_system_nothing_warns(self, f2):
         # two-syllable steps ab and (ab)^-1 never reach a alone, but every
         # value refuses a measure off the system, so it builds silently
         ab = ((0, (1,)), (1, (1,)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            mu = StepMeasure(f2, {ab: Fraction(1, 2), f2.invert(ab): Fraction(1, 2)})
+        mu = StepMeasure(f2, {ab: Fraction(1, 2), f2.invert(ab): Fraction(1, 2)})
         assert not reaches_ball(mu)
         with pytest.raises(GroupSpecError, match="needs the first-passage system"):
             mu.route
