@@ -127,10 +127,18 @@ def cmd_green(cfg, args, shared):
     return 0
 
 
+def _isums_grid(cfg, ev):
+    """The resolved r-grid, which ``isums`` needs at least one entry of."""
+    grid = cfg.resolve_r_grid(ev.R_hat)
+    if not grid:
+        raise ConfigError("the I-sums need an r_grid with at least one entry")
+    return grid
+
+
 def cmd_isums(cfg, args, shared):
     started = time.time()
     ev = shared.evaluator
-    grid = cfg.resolve_r_grid(ev.R_hat)
+    grid = _isums_grid(cfg, ev)
     report = ratio_report(ev, grid)
     out = _out_dir(args)
     _write_csv(out / f"{cfg.name}_isums.csv", report.to_csv_rows())
@@ -208,9 +216,17 @@ def cmd_report(cfg, args, shared):
     """Run the full battery on one ``Shared`` and write one combined JSON.
 
     The r-grid is resolved against R first, so a bad grid is refused
-    before any step writes a file.
+    before any step writes a file: one with no entry, or one with an entry
+    in R's bar, where the I-sums are refused (standalone ``green`` takes
+    R itself).
     """
-    cfg.resolve_r_grid(shared.evaluator.R_hat)
+    lo, hi = cfg.measure.route.bracket
+    inside = [r for r in _isums_grid(cfg, shared.evaluator) if r >= lo]
+    if inside:
+        raise ConfigError(
+            f"r-grid entries {inside} lie in R's bar [{lo!r}, {hi!r}], "
+            f"where the I-sums are refused"
+        )
     rc = 0
     for sub in (cmd_walk, cmd_green, cmd_isums, cmd_degeneracy, cmd_pressure,
                 cmd_ancona, cmd_llt):

@@ -7,14 +7,24 @@ of the form "0.9R", meaning that multiple of the estimated convergence
 radius.
 """
 
-import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError
 from .groups import FiniteFactor, FreeProduct, LatticeFactor, cyclic_factor
 from .walks import StepMeasure, uniform_on_generators
+
+# SHA-256 from the interpreter's builtin module, as ``random`` takes its
+# SHA-512: ``hashlib`` loads OpenSSL, about 3.5 MB of a report's peak
+# memory, for the one digest of ``ExperimentConfig.hash``.
+try:
+    from _sha2 import sha256 as _sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 SCHEMA_VERSION = 1
 
@@ -119,7 +129,7 @@ class ExperimentConfig:
 
     def hash(self):
         blob = json.dumps(self.raw, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return _sha256(blob).hexdigest()[:16]
 
 
 _TOP_REQUIRED = ["schema_version", "name", "factors", "measure"]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -150,6 +151,34 @@ class TestConfigParsing:
         assert a == b
         assert a != c
 
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_hash_is_the_sha256_of_the_sorted_json(self, path):
+        raw = json.loads(path.read_text())
+        blob = json.dumps(raw, sort_keys=True).encode()
+        assert load_config(path).hash() == hashlib.sha256(blob).hexdigest()[:16]
+
+    def test_f2_hash_is_frozen(self):
+        assert load_config(CONFIGS_DIR / "f2_srw.json").hash() == "bbd3c9183888e307"
+
+    def test_hash_falls_back_to_hashlib(self):
+        # an interpreter built without either builtin SHA-256 module takes
+        # hashlib's, in a fresh process, and gives the same digest
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "\n".join([
+            "import sys",
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None",
+            f"sys.path.insert(0, {src!r})",
+            "import hashlib",
+            "from freewalk import config",
+            f"cfg = config.load_config({str(CONFIGS_DIR / 'f2_srw.json')!r})",
+            "print(config._sha256 is hashlib.sha256, cfg.hash())",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "bbd3c9183888e307"]
+
 
 def test_cli_import_needs_neither_networkx_nor_scipy():
     # in a fresh process, so modules imported by other tests do not count
@@ -185,6 +214,26 @@ def test_report_needs_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_report_loads_no_openssl():
+    # the config hash takes SHA-256 from the interpreter's builtin module:
+    # a whole report, in a fresh process, loads neither OpenSSL binding
+    root = Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import sys, tempfile",
+        f"sys.path.insert(0, {str(root / 'src')!r})",
+        "from freewalk.cli import main",
+        "with tempfile.TemporaryDirectory() as out:",
+        f"    rc = main(['report', '--config', {str(root / 'configs' / 'f2_srw.json')!r},"
+        " '--out', out])",
+        "print(rc, sorted(m for m in ('_hashlib', 'ssl') if m in sys.modules))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_readme_flags_are_the_parser_options():
@@ -328,6 +377,31 @@ class TestCliExitCodes:
         assert main(["report", "--config", str(path), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["isums", "report"])
+    def test_an_empty_grid_is_refused_before_writing(self, command, tmp_path, capsys):
+        # r_grid is optional in the schema, but the I-sums need one r
+        raw = json.loads((CONFIGS_DIR / "z2z3.json").read_text())
+        del raw["r_grid"]
+        path = tmp_path / "z2z3.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "r_grid" in err
+        assert not out.exists()
+
+    def test_report_refuses_a_grid_entry_at_the_radius(self, tmp_path, capsys):
+        # standalone green takes R, but isums refuses it, so report
+        # refuses it before walk and green write their files
+        raw = dict(json.loads((CONFIGS_DIR / "f2_srw.json").read_text()), r_grid=["1.0R"])
+        path = tmp_path / "f2_srw.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 2
+        assert "R's bar" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["green", "--config", str(path), "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("config", [_z2sq_z2_config, _f2_two_letter_config],
                              ids=["z2sq_z2", "f2_two_letter"])
