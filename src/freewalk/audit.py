@@ -219,9 +219,8 @@ class LltFit:
     alpha: float  # joint 3-parameter fit
     log_r: float  # fitted log R from the joint fit
     intercept: float
-    alpha_fixed: float  # fit with log R pinned to r_hat_used
+    alpha_fixed: float  # fit with log R pinned to the r_hat given
     alpha_ratio: float  # finite-difference estimator, R pinned
-    r_hat_used: float
     window: tuple
     period: int
     residual_rms: float
@@ -283,7 +282,6 @@ def llt_fit(log_probs, period, window, r_hat):
         intercept=intercept,
         alpha_fixed=alpha_fixed,
         alpha_ratio=alpha_ratio,
-        r_hat_used=r_hat,
         window=(n_min, n_max),
         period=period,
         residual_rms=rms,

@@ -109,6 +109,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def resolve_r_grid(self, r_hat):
+        """The grid's entries as radii, each in (0, R]; every command that
+        reads a grid refuses an empty one."""
+        if not self.r_grid:
+            raise ConfigError("the r_grid needs at least one entry")
         out = []
         for entry in self.r_grid:
             if isinstance(entry, str):

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergenceError, NonConvergenceError
+from .errors import NonConvergenceError
 from .algebraic import factor_weights, m_matrix_solve, monomial, point_passages
 from .automaton import factor_matrix
 
@@ -128,7 +128,6 @@ class ISums:
     i1: float
     i1_derivative: float  # d/dr (r G(e,e|r)), checked against i1
     i2: float
-    i2_method: str
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +137,9 @@ class GreenEvaluator:
     """Green functions of one measure, read off its first-passage system.
 
     The measure's ``route`` is taken at once, so a measure outside the
-    system is refused (``algebraic.SCOPE``) before any work.
+    system is refused (``algebraic.SCOPE``) before any work; an r past R's
+    bar is refused by the system's ``_solved`` (DivergenceError) before
+    any Newton step.
     """
 
     # every measure on the route steps by single syllables; the benchmark's
@@ -167,17 +168,11 @@ class GreenEvaluator:
     def R_hat(self):
         return self.system.radius
 
-    def _check_r(self, r):
-        # the top of R's bar, as in ``point_passages``
-        if r > self.system.bracket[1]:
-            raise DivergenceError(f"r = {r!r} lies past the radius R = {self.R_hat!r}")
-
     # -- Green function and first passage -----------------------------------
 
     def green(self, x, y, r):
         """G(x,y|r): 1 / (1 - U) at the least solution for x = y, else
         G(e,e|r) times gamma's syllable weights."""
-        self._check_r(r)
         gamma = self.group.multiply(self.group.invert(x), y) if x else tuple(y)
         key = ("G", gamma, r)
         cached = self._val_cache.get(key)
@@ -194,7 +189,6 @@ class GreenEvaluator:
         """F(x,y|r); satisfies G(x,y|r)=F(x,y|r)G(e,e|r).  The product of
         gamma's syllable weights, unless gamma is its own base (``_base``):
         then x_u at the least solution."""
-        self._check_r(r)
         gamma = self.group.multiply(self.group.invert(x), y) if x else tuple(y)
         key = ("F", gamma, r)
         cached = self._val_cache.get(key)
@@ -274,7 +268,6 @@ class GreenEvaluator:
         G + 2 r G' + r^2 G'' / 2 from the same jet, which refuses inside
         R's bar.
         """
-        self._check_r(r)
         g, dg, ddg = self.system.green_jet(r)
         i1, i2 = g + r * dg, g + 2.0 * r * dg + 0.5 * r * r * ddg
         t = factor_weights(self.group, point_passages(self.measure, r))
@@ -288,7 +281,7 @@ class GreenEvaluator:
                 diagnostics={"r": float(r), "i1_spheres": total,
                              "i1_derivative": i1, "rel_gap": rel_gap},
             )
-        return ISums(r=r, i1=total, i1_derivative=i1, i2=i2, i2_method="point/jet")
+        return ISums(r=r, i1=total, i1_derivative=i1, i2=i2)
 
 
 def _sphere_sum(t, r):

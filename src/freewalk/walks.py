@@ -3,12 +3,13 @@ distance chain.
 
 A measure's values are read off the first-passage system of ``algebraic``
 (``StepMeasure.route``), built once per measure: its coefficients give
-p_n(e,e) to any horizon (``return_probabilities``), and R, every Green
-value and the first-return kernels.  ``route``, the one gate, refuses a
-measure off the system (single syllables on finite and rank-1 lattice
-factors), one whose support does not generate the group, and every walk
-on Z2 * Z2, before the system is built: the paper's theorem assumes an
-admissible walk on a non-elementary group.  No command runs on these.
+p_n(e,e) to any horizon (``return_log_probs``, grown once to the largest
+horizon asked for and kept), and R, every Green value and the
+first-return kernels.  ``route``, the one gate, refuses a measure off the
+system (single syllables on finite and rank-1 lattice factors), one whose
+support does not generate the group, and every walk on Z2 * Z2, before
+the system is built: the paper's theorem assumes an admissible walk on a
+non-elementary group.  No command runs on these.
 
 ``convolve_powers`` computes the exact powers mu^{*n} in a word ball on
 one ``PathOperator``, which sends steps that leave the ball to an escape
@@ -475,25 +476,10 @@ def is_radial(measure):
     return RadialChain(rows=rows)
 
 
-@dataclass
-class ReturnSequence:
-    """log p_n(e,e) for n = 0..horizon (-inf where zero), with provenance."""
-
-    horizon: int
-    method: str  # "algebraic": the coefficients of the first-passage system
-    log_values: np.ndarray
-
-
-def return_probabilities(measure, horizon):
-    """p_n(e,e) for n = 0..horizon, from the coefficients of the
-    first-passage system (through ``route``, which refuses the rest)."""
-    logs = measure.route.return_log_probs(horizon)
-    return ReturnSequence(horizon=horizon, method="algebraic", log_values=logs)
-
-
-def detect_period(seq):
-    """Period gcd{n >= 1 : p_n(e,e) > 0} over the available horizon."""
-    positive = np.flatnonzero(seq.log_values[1 : seq.horizon + 1] > -math.inf) + 1
+def detect_period(logs):
+    """Period gcd{n >= 1 : p_n(e,e) > 0} over the log p_n of ``logs``
+    (``FirstPassageSystem.return_log_probs``, -inf where zero)."""
+    positive = np.flatnonzero(logs[1:] > -math.inf) + 1
     if not len(positive):
         raise DegenerateInputError("no positive return probability found")
     return int(np.gcd.reduce(positive))

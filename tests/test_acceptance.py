@@ -25,7 +25,7 @@ from freewalk.errors import NonConvergenceError
 from freewalk.green import GreenEvaluator
 from freewalk.parabolic import degeneracy_test, first_return_kernel, induced_green
 from freewalk.thermo import build_transfer, pressure, sphere_identity_check
-from freewalk.walks import convolve_powers, detect_period, return_probabilities
+from freewalk.walks import convolve_powers, detect_period
 
 from oracles import (
     F2_RADIUS,
@@ -69,11 +69,9 @@ def test_criterion_01_exact_kinematics(f2_srw):
 
 def test_criterion_02_spectral_radius(f2_srw, z2cubed_srw):
     started = time.perf_counter()
-    rho_f2 = spectral_radius_estimate(
-        return_probabilities(f2_srw, 4000).log_values)[1]
+    rho_f2 = spectral_radius_estimate(f2_srw.route.return_log_probs(4000))[1]
     err_f2 = abs(rho_f2 - math.sqrt(3.0) / 2.0)
-    rho_z2 = spectral_radius_estimate(
-        return_probabilities(z2cubed_srw, 4000).log_values)[1]
+    rho_z2 = spectral_radius_estimate(z2cubed_srw.route.return_log_probs(4000))[1]
     err_z2 = abs(rho_z2 - 2.0 * math.sqrt(2.0) / 3.0)
     elapsed = time.perf_counter() - started
     ok = err_f2 < 1e-3 and err_z2 < 2e-3 and elapsed < 30.0
@@ -85,9 +83,9 @@ def test_criterion_02_spectral_radius(f2_srw, z2cubed_srw):
 def test_criterion_03_local_limit_exponent(f2_srw, z2cubed_srw):
     alphas = {}
     for name, mu in (("tree", f2_srw), ("involutions", z2cubed_srw)):
-        seq = return_probabilities(mu, 5000)
-        rho_hat = spectral_radius_estimate(seq.log_values)[1]
-        fit = llt_fit(seq.log_values, detect_period(seq), (500, 5000), 1.0 / rho_hat)
+        logs = mu.route.return_log_probs(5000)
+        rho_hat = spectral_radius_estimate(logs)[1]
+        fit = llt_fit(logs, detect_period(logs), (500, 5000), 1.0 / rho_hat)
         alphas[name] = fit.alpha
     control = llt_fit(z_log_return_probs(5000), 2, (500, 5000), 1.0)
     synth = llt_fit(

@@ -23,7 +23,6 @@ from freewalk.walks import (
     StepMeasure,
     convolve_powers,
     is_radial,
-    return_probabilities,
     uniform_on_generators,
 )
 
@@ -84,7 +83,7 @@ def _series(system, horizon):
 def _assert_returns_match_exact(mu, horizon, tol):
     # through the route where it grants mu, else off the system itself
     exact = exact_returns(mu, horizon)
-    logs = (return_probabilities(mu, horizon).log_values if routed(mu)
+    logs = (mu.route.return_log_probs(horizon) if routed(mu)
             else mu.first_passage_system.return_log_probs(horizon))
     for n, p in enumerate(exact):
         if p == 0:
@@ -103,7 +102,7 @@ class TestScope:
         mu = _measure(name)
         assert mu.first_passage_system is None
         with pytest.raises(GroupSpecError, match="needs the first-passage system"):
-            return_probabilities(mu, 10)
+            mu.route.return_log_probs(10)
 
     def test_lattice_steps_must_be_unit_steps(self):
         a2 = ((0, (2,)),)
@@ -248,7 +247,7 @@ class TestCoefficients:
         mu = _measure("z2z3")
         exact = exact_returns(mu, 40)
         powers = convolve_powers(mu, 40, ball_bound=20)  # enough to return
-        logs = return_probabilities(mu, 40).log_values
+        logs = mu.route.return_log_probs(40)
         for n, p in enumerate(exact):
             assert p == mass(powers[n], ())
             if p:
@@ -293,7 +292,7 @@ class TestCoefficients:
         # two float engines that share no code; past n = 4000 the radial
         # chain's unscaled p_n on f2 runs into subnormal floats
         mu = _measure(name)
-        alg = return_probabilities(mu, 4000).log_values
+        alg = mu.route.return_log_probs(4000)
         rad = is_radial(mu).return_log_probs(4000)
         assert list(alg == -math.inf) == list(rad == -math.inf)
         live = rad > -math.inf
@@ -370,7 +369,7 @@ class TestCoefficients:
         # is 9.0e-15 on f2 and 3.2e-14 on z2z2z2, most of it from the
         # n log R of the unscaled logs
         exact = tree_return_probabilities(q, 300)
-        logs = return_probabilities(_measure(name), 300).log_values
+        logs = _measure(name).route.return_log_probs(300)
         for n, p in enumerate(exact):
             if p:
                 assert abs(math.exp(logs[n]) - float(p)) / float(p) < 1e-13, n
@@ -402,7 +401,7 @@ class TestCoefficients:
                                  B: Fraction(0.3), BI: fourth})
         assert mu.common_denominator() ** (BLOCK - 1) > 2**1024  # past the floats
         _assert_returns_match_exact(mu, 12, 1e-13)
-        logs = return_probabilities(mu, 300).log_values
+        logs = mu.route.return_log_probs(300)
         assert np.all(np.isfinite(logs[::2])) and np.all(logs[1::2] == -math.inf)
 
     def test_skewed_f2_covers_the_lattice_unknowns(self):

@@ -19,7 +19,7 @@ from freewalk.audit import (
 )
 from freewalk.config import load_config
 from freewalk.green import GreenEvaluator
-from freewalk.walks import detect_period, return_probabilities
+from freewalk.walks import detect_period
 
 from oracles import synthetic_log_probs
 from test_green import reference_green
@@ -313,7 +313,7 @@ def _llt_fit_loop(log_probs, period, window, r_hat):
     return audit.LltFit(
         alpha=float(coef[2]), log_r=float(coef[1]), intercept=float(coef[0]),
         alpha_fixed=float(coef2[1]), alpha_ratio=float(np.median(diffs)),
-        r_hat_used=r_hat, window=(n_min, n_max), period=period,
+        window=(n_min, n_max), period=period,
         residual_rms=rms, window_halves=(float(lo_coef[2]), float(hi_coef[2])),
     )
 
@@ -326,8 +326,8 @@ class TestLltFit:
         # and synthetic sequences fitted at an r_hat off their growth
         if case in ("f2", "z2z3"):
             mu = _measure(case)
-            seq = return_probabilities(mu, 5000)
-            args = (seq.log_values, detect_period(seq), (500, 5000),
+            logs = mu.route.return_log_probs(5000)
+            args = (logs, detect_period(logs), (500, 5000),
                     mu.first_passage_system.radius)
         else:
             period = int(case[-1])

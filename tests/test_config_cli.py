@@ -345,6 +345,15 @@ def test_llt_imports_no_numpy_ma():
     assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
+def _gridless_config(tmp_path):
+    """z2z3's shipped config without its r_grid."""
+    raw = json.loads((CONFIGS_DIR / "z2z3.json").read_text())
+    del raw["r_grid"]
+    path = tmp_path / "z2z3.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
 class TestCliExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["walk", "--config", str(tmp_path / "nope.json")])
@@ -378,18 +387,21 @@ class TestCliExitCodes:
         assert "config error" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["isums", "report"])
+    @pytest.mark.parametrize("command", ["green", "isums", "pressure", "ancona", "report"])
     def test_an_empty_grid_is_refused_before_writing(self, command, tmp_path, capsys):
-        # r_grid is optional in the schema, but the I-sums need one r
-        raw = json.loads((CONFIGS_DIR / "z2z3.json").read_text())
-        del raw["r_grid"]
-        path = tmp_path / "z2z3.json"
-        path.write_text(json.dumps(raw))
+        # r_grid is optional in the schema, but every command that reads a
+        # grid needs one r: none falls back to a grid of its own
+        path = _gridless_config(tmp_path)
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "r_grid" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["walk", "degeneracy", "llt"])
+    def test_the_gridless_commands_need_no_grid(self, command, tmp_path):
+        path = _gridless_config(tmp_path)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_report_refuses_a_grid_entry_at_the_radius(self, tmp_path, capsys):
         # standalone green takes R, but isums refuses it, so report
@@ -530,14 +542,20 @@ class TestCliExitCodes:
             for key, want in (("i1", f2_i1(r)), ("dgreen", f2_i1(r)), ("i2", f2_i2(r))):
                 assert abs(float(row[key]) - want) / want < 1e-10, (key, r)
 
-    def test_isums_refuses_at_the_radius(self, tmp_path, capsys):
-        # at R the jet's I - J is singular: exit 4, and no CSV is written
+    def test_isums_refuses_at_the_radius(self, tmp_path, capsys, monkeypatch):
+        # at R the jet's I - J is singular: the grid is refused as report
+        # refuses it, exit 2 before the evaluator is built, and nothing is
+        # written
+        builds = []
+        monkeypatch.setattr(GreenEvaluator, "__init__", lambda *a, **k: builds.append(a))
         path = tmp_path / "tree.json"
         path.write_text(json.dumps(dict(BASE, r_grid=["0.9R", "1R"])))
         out = tmp_path / "out"
-        assert main(["isums", "--config", str(path), "--out", str(out)]) == 4
-        assert "I - J" in capsys.readouterr().err
+        assert main(["isums", "--config", str(path), "--out", str(out)]) == 2
+        assert "R's bar" in capsys.readouterr().err
+        assert builds == []
         assert not list(tmp_path.rglob("*_isums.csv"))
+        assert not out.exists()
 
 
 class TestCliOutputs:
@@ -643,9 +661,13 @@ def _count_growth(monkeypatch):
 
 
 class TestReportSharing:
+    @pytest.mark.parametrize("path", [None, *CONFIGS], ids=["tree", *(p.stem for p in CONFIGS)])
     def test_report_writes_what_the_subcommands_write(
-        self, cfg_path, tmp_path, monkeypatch
+        self, path, cfg_path, tmp_path, monkeypatch
     ):
+        # on the tree of ``BASE`` (horizon 300) and on every shipped config
+        cfg_path = str(path or cfg_path)
+        name = json.loads(Path(cfg_path).read_text())["name"]
         builds = []
         init = GreenEvaluator.__init__
 
@@ -660,20 +682,20 @@ class TestReportSharing:
         for sub in ("walk", "green", "isums", "degeneracy", "pressure",
                     "ancona", "llt"):
             assert main([sub, "--config", cfg_path, "--out", str(alone)]) == 0
-        # each standalone user of one builds its own; degeneracy and
-        # pressure read R off the first-passage system and build none
+        # green, isums and ancona each build their own; walk, degeneracy,
+        # pressure and llt read the first-passage system and build none
         assert len(builds) == 4
         names = sorted(p.name for p in alone.iterdir())
         assert sorted(p.name for p in together.iterdir()) == sorted(
-            names + ["tree_report.json"]
+            names + [f"{name}_report.json"]
         )
 
-        def timeless(path):
-            lines = path.read_text().splitlines()
+        def timeless(file):
+            lines = file.read_text().splitlines()
             return [line for line in lines if '"wall_clock_s"' not in line]
 
-        for name in names:
-            assert timeless(together / name) == timeless(alone / name), name
+        for file in names:
+            assert timeless(together / file) == timeless(alone / file), file
 
     def test_report_walk_equals_a_standalone_walk(self, tmp_path, monkeypatch):
         # report grows the coefficients once, to the walk's horizon (the

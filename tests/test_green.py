@@ -19,7 +19,7 @@ from freewalk.green import (
 from freewalk.groups import FreeProduct, LatticeFactor, cyclic_factor
 from freewalk.parabolic import degeneracy_test
 from freewalk.thermo import pressure
-from freewalk.walks import is_radial, return_probabilities
+from freewalk.walks import is_radial
 
 from oracles import (
     F2_RADIUS,
@@ -51,28 +51,27 @@ class TestSpectralRadius:
     # the estimate from the return sequence alone (``oracles``), the
     # reference the first-passage system's R is held to
     def test_f2_radius(self, f2_srw):
-        seq = return_probabilities(f2_srw, 4000)
-        rho_lower, rho_hat = spectral_radius_estimate(seq.log_values)
+        logs = f2_srw.route.return_log_probs(4000)
+        rho_lower, rho_hat = spectral_radius_estimate(logs)
         assert abs(rho_hat - 1.0 / F2_RADIUS) < 1e-3
         assert rho_lower <= rho_hat
         assert 1.0 / rho_hat > 1.0  # the group is non-amenable
 
     def test_z2cubed_radius(self, z2cubed_srw):
-        seq = return_probabilities(z2cubed_srw, 4000)
-        rho_hat = spectral_radius_estimate(seq.log_values)[1]
+        logs = z2cubed_srw.route.return_log_probs(4000)
+        rho_hat = spectral_radius_estimate(logs)[1]
         assert abs(rho_hat - 1.0 / z2z2z2_radius()) < 2e-3
 
     def test_lower_bound_is_monotone(self, f2_srw):
         short, long = (
-            spectral_radius_estimate(
-                return_probabilities(f2_srw, n).log_values)[0]
+            spectral_radius_estimate(f2_srw.route.return_log_probs(n))[0]
             for n in (400, 2000))
         assert long >= short - 1e-12
 
     def test_lower_bound_gap_covers_the_error(self, f2_srw):
         # one-sided bar from rho_hat down to the rigorous lower bound
-        seq = return_probabilities(f2_srw, 4000)
-        rho_lower, rho_hat = spectral_radius_estimate(seq.log_values)
+        logs = f2_srw.route.return_log_probs(4000)
+        rho_lower, rho_hat = spectral_radius_estimate(logs)
         assert abs(rho_hat - 1.0 / F2_RADIUS) <= rho_hat - rho_lower < 0.01
 
     @pytest.mark.parametrize("walk", ["f2_srw", "z2cubed_srw"])
@@ -82,8 +81,7 @@ class TestSpectralRadius:
         # plus its gap
         measure = request.getfixturevalue(walk)
         est = GreenEvaluator(measure).radius_estimate
-        rho_lower, rho_hat = spectral_radius_estimate(
-            return_probabilities(measure, 4000).log_values)
+        rho_lower, rho_hat = spectral_radius_estimate(measure.route.return_log_probs(4000))
         assert rho_lower == est.rho_lower
         assert rho_lower <= est.rho_hat <= 2 * rho_hat - rho_lower
 
@@ -182,7 +180,6 @@ class TestDerivative:
             g, dg = ev.system.green_jet(r, 1)
             ident = ev.i_sums(r)
             assert abs(g + r * dg - ident.i1) / (g + r * dg) < 1e-13
-            assert ident.i2_method == "point/jet"
 
     def test_derivative_positive_and_increasing(self, ev):
         vals = [
@@ -233,7 +230,6 @@ class TestISums:
             s = tree_ev.i_sums(r)
             want = tree_i2(degree, r)
             assert abs(s.i2 - want) / want < 1e-12
-            assert s.i2_method == "point/jet"
 
     def test_z2z3_oracle_is_consistent(self, z2z3_srw):
         # the first-passage system reproduces the package's G(e,e|r), and

@@ -6,8 +6,8 @@ one whose support does not generate the group (``walks.INADMISSIBLE``) and
 a walk on Z2 * Z2 (``walks.ELEMENTARY``), each with its one message.
 Beside it, only the cached property that builds the system once per
 measure reads ``first_passage_system`` itself.  Every value, the Green
-evaluator's, the first-return kernels' and the CLI's return sequence among
-them, reads ``route``; a new site that tests the system for None, and so
+evaluator's, the first-return kernels' and the CLI's return coefficients
+among them, reads ``route``; a new site that tests the system for None, and so
 could fall back to another engine, a second wording or raise site of a
 refusal, or a warning that lets a run go on, fails here.
 """
@@ -24,7 +24,7 @@ from freewalk.groups import FreeProduct, cyclic_factor
 from freewalk.parabolic import degeneracy_test, first_return_kernel
 from freewalk.thermo import pressure
 from freewalk.walks import (
-    ELEMENTARY, INADMISSIBLE, StepMeasure, return_probabilities, uniform_on_generators,
+    ELEMENTARY, INADMISSIBLE, StepMeasure, uniform_on_generators,
 )
 
 # (module, name, opening words) of each refusal of ``StepMeasure.route``
@@ -129,7 +129,7 @@ VALUES = {
     "degeneracy_test": lambda mu: degeneracy_test(mu, 1.0),
     "pressure": lambda mu: pressure(mu, 1.0),
     "first_return_kernel": lambda mu: first_return_kernel(mu, 0, Fraction(1), 4),
-    "return_probabilities": lambda mu: return_probabilities(mu, 10),
+    "return_log_probs": lambda mu: mu.route.return_log_probs(10),
 }
 
 

@@ -9,12 +9,10 @@ from freewalk.errors import DegenerateInputError, GroupSpecError
 from freewalk.groups import FreeProduct, cyclic_factor
 from freewalk.walks import (
     INADMISSIBLE,
-    ReturnSequence,
     StepMeasure,
     convolve_powers,
     detect_period,
     is_radial,
-    return_probabilities,
     uniform_on_generators,
 )
 
@@ -190,19 +188,19 @@ class TestRadial:
 
 class TestPeriod:
     def test_bipartite_walk_has_period_two(self, f2_srw):
-        seq = return_probabilities(f2_srw, 10)
-        assert detect_period(seq) == 2
+        logs = f2_srw.route.return_log_probs(10)
+        assert detect_period(logs) == 2
 
     def test_lazy_walk_is_aperiodic(self, f2):
         mu = uniform_on_generators(f2, lazy=Fraction(1, 5))
-        seq = return_probabilities(mu, 10)
-        assert detect_period(seq) == 1
+        logs = mu.route.return_log_probs(10)
+        assert detect_period(logs) == 1
 
     def test_z2z3_period(self, z2z3_srw):
         # t + t + t = e gives an odd return, so the walk is aperiodic
-        seq = return_probabilities(z2z3_srw, 12)
-        assert seq.log_values[3] > -math.inf
-        assert detect_period(seq) == 1
+        logs = z2z3_srw.route.return_log_probs(12)
+        assert logs[3] > -math.inf
+        assert detect_period(logs) == 1
 
     @given(st.lists(st.booleans(), min_size=1, max_size=60), st.integers(1, 6))
     def test_equals_the_gcd_loop(self, returns, step):
@@ -214,13 +212,12 @@ class TestPeriod:
         for i, positive in enumerate(returns):
             if positive:
                 logs[step * (i + 1)] = -1.0
-        seq = ReturnSequence(horizon=horizon, method="algebraic", log_values=logs)
         p = 0
         for n in range(1, horizon + 1):
             if logs[n] > -math.inf:
                 p = math.gcd(p, n)
         if p == 0:
             with pytest.raises(DegenerateInputError):
-                detect_period(seq)
+                detect_period(logs)
         else:
-            assert detect_period(seq) == p
+            assert detect_period(logs) == p
