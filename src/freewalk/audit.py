@@ -17,10 +17,11 @@ Three instruments:
 Ratios are reported as measured bands; nothing is asserted beyond the
 supermultiplicative lower bound, which holds path by path.  ``ratio_report``
 refuses a grid point where the two routes to I1 in ``i_sums`` disagree.
+Each result is a record whose field names are its report's keys; no file
+format is known here.
 """
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -51,21 +52,15 @@ def syllable_choices(group, cap=3):
 class AnconaReport:
     r: float
     seed: int
-    n_triples: int
-    n_skipped: int
-    min_ratio: float
-    max_ratio: float
-    mean_ratio: float
+    triples: int
+    skipped: int
+    ratio_min: float
+    ratio_max: float
+    ratio_mean: float
     lower_bound_fraction: float  # fraction of triples with ratio >= 1 - tol
     strong_rho: float
     strong_c: float
     deviations_below_floor: bool
-
-    def to_json(self):
-        """The report as one compact JSON object, its fields renamed."""
-        names = dict(n_triples="triples", n_skipped="skipped", min_ratio="ratio_min",
-                     max_ratio="ratio_max", mean_ratio="ratio_mean")
-        return json.dumps({names.get(k, k): v for k, v in vars(self).items()})
 
 
 def ancona_audit(evaluator, grid, n_triples=200, max_rel_dist=6, seed=0):
@@ -178,7 +173,7 @@ def _ancona_at(evaluator, r, seed, ids, n_drawn, ns):
     encoded as ``ids``, in one ``green_batch``.  Sums run in sequence, as
     a loop over the triples adds."""
     values = evaluator.green_batch(ids, r)
-    gee = evaluator.green((), (), r).value
+    gee = evaluator.green((), (), r)
     gxz, gxy, gyz = (values[k : 3 * n_drawn : 3] for k in range(3))
     ratio = (gxz * gee) / (gxy * gyz)
     ok = int(np.count_nonzero(ratio >= 1.0 - LOWER_TOL))
@@ -199,11 +194,11 @@ def _ancona_at(evaluator, r, seed, ids, n_drawn, ns):
     return AnconaReport(
         r=float(r),
         seed=seed,
-        n_triples=len(ratios),
-        n_skipped=0,
-        min_ratio=min(ratios) if ratios else math.nan,
-        max_ratio=max(ratios) if ratios else math.nan,
-        mean_ratio=sum(ratios) / len(ratios) if ratios else math.nan,
+        triples=len(ratios),
+        skipped=0,
+        ratio_min=min(ratios) if ratios else math.nan,
+        ratio_max=max(ratios) if ratios else math.nan,
+        ratio_mean=sum(ratios) / len(ratios) if ratios else math.nan,
         lower_bound_fraction=ok / len(ratios) if ratios else math.nan,
         strong_rho=rho,
         strong_c=c,
@@ -307,25 +302,10 @@ class RatioRow:
 class RatioReport:
     r_hat: float
     rows: list
-    band_i1: float  # (max - min) / min over the grid
-    band_i2_ratio: float
-    band_dgreen: float
+    band_i1_scaled: float  # (max - min) / min over the grid
+    band_i2_over_i1_cubed: float
+    band_dgreen_scaled: float
     non_monotone: list = field(default_factory=list)
-
-    def to_json(self):
-        """The report as one compact JSON object, its bands renamed and
-        each row an object of ``RatioRow``'s fields."""
-        names = dict(band_i1="band_i1_scaled", band_i2_ratio="band_i2_over_i1_cubed",
-                     band_dgreen="band_dgreen_scaled")
-        out = {names.get(k, k): v for k, v in vars(self).items()}
-        out["rows"] = [vars(row) for row in self.rows]
-        return json.dumps(out)
-
-    def to_csv_rows(self):
-        yield ["r", "i1", "i2", "i1_sqrt_gap", "i2_over_i1_cubed", "dgreen",
-               "dgreen_sqrt_gap"]
-        for row in self.rows:  # the columns in RatioRow's field order
-            yield list(vars(row).values())
 
 
 def _band(values):
@@ -362,8 +342,8 @@ def ratio_report(evaluator, r_grid):
     return RatioReport(
         r_hat=r_hat,
         rows=rows,
-        band_i1=_band([row.i1_scaled for row in rows]),
-        band_i2_ratio=_band([row.i2_over_i1_cubed for row in rows]),
-        band_dgreen=_band([row.dgreen_scaled for row in rows]),
+        band_i1_scaled=_band([row.i1_scaled for row in rows]),
+        band_i2_over_i1_cubed=_band([row.i2_over_i1_cubed for row in rows]),
+        band_dgreen_scaled=_band([row.dgreen_scaled for row in rows]),
         non_monotone=non_monotone,
     )

@@ -14,8 +14,12 @@ per run; standalone, ``green``, ``isums`` and ``ancona`` build their own.
 Each grid command refuses an empty r-grid, and ``isums`` and ``report``
 refuse an entry in R's bar (``_isums_grid``), with exit 2 before any file
 is written.  ``walk.csv`` is written in one string, with the bytes
-``csv.writer`` gives for its rows, and each JSON file from one
-``json.dumps`` (``_write_report``).
+``csv.writer`` gives for its rows.  Each JSON file is written by
+``_write_report``, in one ``json.dumps``: the common header and the
+fields of the command's record (``dataclasses.asdict``; ``pressure`` and
+``ancona`` list theirs), named as the file's keys.  Only ``walk_meta``,
+``llt`` and ``report``, which mix a result with the route's R or the
+config, are literal dicts here.
 """
 
 import argparse
@@ -23,6 +27,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict, astuple
 from functools import cached_property
 from pathlib import Path
 
@@ -97,18 +102,11 @@ def cmd_green(cfg, args, shared):
     R = cfg.measure.route.radius
     grid = cfg.resolve_r_grid(R)
     ev = shared.evaluator
+    # every value is a point value of the least solution: no tail, one method
     rows = [["r", "G(e,e|r)", "tail", "method"]]
-    for r in grid:
-        g = ev.green((), (), r)
-        rows.append([r, g.value, g.tail, g.method])
+    rows += [[r, ev.green((), (), r), 0.0, "point/newton"] for r in grid]
     _write_csv(_out_dir(args) / f"{cfg.name}_green.csv", rows)
-    est = ev.radius_estimate
-    _write_report(cfg, args, started, "green_meta", {
-        "R_hat": R,
-        "rho_hat": est.rho_hat,
-        "rho_lower_bound": est.rho_lower,
-        "uncertainty": est.uncertainty(),
-    })
+    _write_report(cfg, args, started, "green_meta", asdict(ev.radius_estimate))
     return 0
 
 
@@ -130,15 +128,18 @@ def cmd_isums(cfg, args, shared):
     started = time.time()
     grid = _isums_grid(cfg)
     report = ratio_report(shared.evaluator, grid)
-    _write_csv(_out_dir(args) / f"{cfg.name}_isums.csv", report.to_csv_rows())
-    _write_report(cfg, args, started, "isums_meta", json.loads(report.to_json()))
+    header = ["r", "i1", "i2", "i1_sqrt_gap", "i2_over_i1_cubed", "dgreen",
+              "dgreen_sqrt_gap"]  # the columns of RatioRow, in its field order
+    _write_csv(_out_dir(args) / f"{cfg.name}_isums.csv",
+               [header, *map(astuple, report.rows)])
+    _write_report(cfg, args, started, "isums_meta", asdict(report))
     return 0
 
 
 def cmd_degeneracy(cfg, args, shared):
     started = time.time()
     report = degeneracy_test(cfg.measure, cfg.measure.route.radius)
-    _write_report(cfg, args, started, "degeneracy", json.loads(report.to_json()))
+    _write_report(cfg, args, started, "degeneracy", asdict(report))
     return 0
 
 
@@ -146,8 +147,8 @@ def cmd_pressure(cfg, args, shared):
     started = time.time()
     R = cfg.measure.route.radius
     grid = cfg.resolve_r_grid(R)
-    at_radius = pressure(cfg.measure, R).value
-    results = [json.loads(pressure(cfg.measure, r).to_json()) for r in grid]
+    at_radius = pressure(cfg.measure, R).pressure
+    results = [asdict(pressure(cfg.measure, r)) for r in grid]
     _write_report(cfg, args, started, "pressure",
                   {"R_hat": R, "estimates": results, "pressure_at_R": at_radius})
     return 0
@@ -159,7 +160,7 @@ def cmd_ancona(cfg, args, shared):
     seed = args.seed if args.seed is not None else cfg.seed
     reports = ancona_audit(shared.evaluator, grid, seed=seed)
     _write_report(cfg, args, started, "ancona",
-                  {"reports": [json.loads(rep.to_json()) for rep in reports]})
+                  {"reports": [asdict(rep) for rep in reports]})
     return 0
 
 

@@ -5,8 +5,10 @@ system of ``algebraic`` (single-syllable steps on finite and rank-1
 lattice factors): G(e,e|r) = 1 / (1 - U), each unknown's first passage
 x_u, and the r-derivatives of G from its jet
 (``FirstPassageSystem.green_jet``).  R is the system's branch point,
-always with its bar (``radius_estimate``), and no value carries a tail.
-A measure outside the system is refused when its evaluator is built.
+always with its bar (``radius_estimate``).  Every value is a float, a
+point value of the least solution, so it has no tail and no method; a
+measure outside the system is refused when its evaluator is built, and
+an r past R's bar before any value is formed.
 Every syllable prefix is a cut vertex of a free product's Cayley graph,
 so G(e,gamma) = G(e,e) F(e,gamma), F(e,gamma) is the product of its
 syllables' first passages, and F(e,a^k) = F(e,a)^k on a lattice factor
@@ -78,13 +80,6 @@ def accumulate(op, start, columns):
     return op.accumulate(np.hstack([first, columns]), axis=1)[:, -1]
 
 
-@dataclass(frozen=True)
-class GreenValue:
-    value: float
-    tail: float  # 0.0: a point value of the least solution; green.csv's column
-    method: str
-
-
 _PADDING = np.ones(1)  # syllable_weights of id 0
 
 
@@ -93,14 +88,10 @@ _PADDING = np.ones(1)  # syllable_weights of id 0
 
 @dataclass
 class SpectralRadiusEstimate:
-    rho_lower: float  # rigorous: sup_n p_{2n}^{1/2n}
-    rho_hat: float  # 1/R
     R_hat: float
-    rho_bracket: tuple  # (rho_lo, rho_hi) from R's bar
-
-    def uncertainty(self):
-        """Width of the bar on rho_hat."""
-        return self.rho_bracket[1] - self.rho_bracket[0]
+    rho_hat: float  # 1/R
+    rho_lower_bound: float  # rigorous: sup_n p_{2n}^{1/2n}
+    uncertainty: float  # width of the bar on rho_hat, from R's bar
 
 
 def _rho_lower(logs):
@@ -143,25 +134,26 @@ class GreenEvaluator:
     """
 
     # every measure on the route steps by single syllables; the benchmark's
-    # tracer reads this when it mirrors the value cache
+    # tracer reads this when it counts repeated lookups
     single_syllable_support = True
 
     def __init__(self, measure):
         self.measure = measure
         self.group = measure.group
         self.system = measure.route
-        self._val_cache = {}
         self._syllable_index = {}  # syllable -> id >= 1; id 0 pads a word
         self._syllable_tables = {}  # r -> syllable_weights(r)
 
     @cached_property
     def radius_estimate(self):
-        """R, its bracket, and sup p_2n^(1/2n) over the system's first
-        ``RHO_LOWER_HORIZON`` return coefficients, built on first read."""
+        """R, 1/R with the width of its bar, and sup p_2n^(1/2n) over the
+        system's first ``RHO_LOWER_HORIZON`` return coefficients, built on
+        first read: green_meta.json's fields."""
         (lo, hi), R = self.system.bracket, self.system.radius
         return SpectralRadiusEstimate(
-            rho_lower=_rho_lower(self.system.return_log_probs(RHO_LOWER_HORIZON)),
-            rho_hat=1.0 / R, R_hat=R, rho_bracket=(1.0 / hi, 1.0 / lo),
+            R_hat=R, rho_hat=1.0 / R,
+            rho_lower_bound=_rho_lower(self.system.return_log_probs(RHO_LOWER_HORIZON)),
+            uncertainty=1.0 / lo - 1.0 / hi,
         )
 
     @property
@@ -171,41 +163,20 @@ class GreenEvaluator:
     # -- Green function and first passage -----------------------------------
 
     def green(self, x, y, r):
-        """G(x,y|r): 1 / (1 - U) at the least solution for x = y, else
-        G(e,e|r) times gamma's syllable weights."""
+        """G(x,y|r): G(e,e|r) = 1 / (1 - U) at the least solution, times
+        gamma's syllable weights."""
         gamma = self.group.multiply(self.group.invert(x), y) if x else tuple(y)
-        key = ("G", gamma, r)
-        cached = self._val_cache.get(key)
-        if cached is not None:
-            return cached
-        if gamma:
-            out = self._factored(self.green((), (), r).value, gamma, r)
-        else:
-            out = GreenValue(self.system.green_jet(r, 0)[0], 0.0, "point/newton")
-        self._val_cache[key] = out
-        return out
+        gee = self.system.green_jet(r, 0)[0]
+        return float(self._product(gee, self.syllable_ids([gamma]), r)[0])
 
     def first_passage(self, x, y, r):
-        """F(x,y|r); satisfies G(x,y|r)=F(x,y|r)G(e,e|r).  The product of
-        gamma's syllable weights, unless gamma is its own base (``_base``):
-        then x_u at the least solution."""
+        """F(x,y|r); satisfies G(x,y|r)=F(x,y|r)G(e,e|r).  x_u at the least
+        solution when gamma is one unknown u of the system, else the
+        product of gamma's syllable weights."""
         gamma = self.group.multiply(self.group.invert(x), y) if x else tuple(y)
-        key = ("F", gamma, r)
-        cached = self._val_cache.get(key)
-        if cached is not None:
-            return cached
-        if not gamma or self._base(gamma[0]) != (gamma, 1):
-            out = self._factored(1.0, gamma, r)
-        else:
-            out = GreenValue(point_passages(self.measure, r)[gamma[0]], 0.0, "point/newton")
-        self._val_cache[key] = out
-        return out
-
-    def _base(self, syl):
-        """(base, power) with F(e, (syl,)) = F(e, base) ** power: a power
-        of one unknown of the system (F_{a^k} = F_a^k)."""
-        u, k = monomial(self.group, *syl)
-        return (u,), k
+        if len(gamma) == 1 and gamma[0] in self.system.unknowns:
+            return point_passages(self.measure, r)[gamma[0]]
+        return float(self._product(1.0, self.syllable_ids([gamma]), r)[0])
 
     def syllable_ids(self, words):
         """The words as rows of syllable ids, 0-padded to the longest: the
@@ -216,15 +187,20 @@ class GreenEvaluator:
                         dtype=np.intp).reshape(len(words), width)
 
     def syllable_weights(self, r):
-        """F(e,u|r)^k by syllable id, (u, k) the syllable's ``_base``, and
-        1.0 at the padding id 0: one array per r, extended to each
-        syllable as it is seen."""
-        table = self._syllable_tables.get(r, _PADDING)
+        """F(e,u|r)^k by syllable id, (u, k) the syllable's unknown and
+        power (``monomial``, F_{a^k} = F_a^k), and 1.0 at the padding id
+        0: one array per r, extended to each syllable as it is seen.  The
+        first read at r solves the system, so an r past R's bar is refused
+        even for the empty word."""
+        table = self._syllable_tables.get(r)
+        if table is None:
+            self.system._solved(r)  # DivergenceError past R's bar
+            table = _PADDING
         if len(table) <= len(self._syllable_index):
             new = []
             for syl in itertools.islice(self._syllable_index, len(table) - 1, None):
-                base, k = self._base(syl)
-                new.append(self.first_passage((), base, r).value ** k)
+                u, k = monomial(self.group, *syl)
+                new.append(self.first_passage((), (u,), r) ** k)
             table = self._syllable_tables[r] = np.concatenate([table, new])
         return table
 
@@ -235,23 +211,19 @@ class GreenEvaluator:
         w = self.syllable_weights(r)[ids]
         return w[: len(syllables)], w[len(syllables):]
 
-    def _products(self, start, ids, r):
+    def _product(self, start, ids, r):
         """``start`` times each word's syllable weights, left to right: cut
         vertices make F(e, gamma) their product."""
         return accumulate(np.multiply, start, self.syllable_weights(r)[ids])
 
-    def _factored(self, start, gamma, r):
-        value = self._products(start, self.syllable_ids([gamma]), r)[0]
-        return GreenValue(float(value), 0.0, "factored")
-
     def green_batch(self, ids, r):
         """G(e, w|r) over the words w of ``ids`` in one array pass, bit for
         bit what ``green`` returns."""
-        return self._products(self.green((), (), r).value, ids, r)
+        return self._product(self.green((), (), r), ids, r)
 
     def h_value(self, gamma, r):
         """H(e,gamma|r) = G(e,gamma|r) G(gamma,e|r)."""
-        return self.green((), gamma, r).value * self.green(gamma, (), r).value
+        return self.green((), gamma, r) * self.green(gamma, (), r)
 
     # -- I sums --------------------------------------------------------------
 

@@ -389,13 +389,14 @@ class FactorVerdict:
 @dataclass
 class DegeneracyReport:
     r: float
-    per_factor: list
+    factors: list  # a FactorVerdict per factor
     verdict: str
 
     def to_json(self):
-        """The report as one compact JSON object."""
+        """The report as one compact JSON object; only the benchmark's
+        kernel task reads it."""
         return json.dumps({"r": self.r, "verdict": self.verdict,
-                           "factors": [vars(v) for v in self.per_factor]})
+                           "factors": [vars(v) for v in self.factors]})
 
 
 def degeneracy_test(measure, r):
@@ -430,4 +431,4 @@ def degeneracy_test(measure, r):
         ))
     degenerate = any(v.verdict == "degenerate" for v in verdicts)
     overall = "degenerate" if degenerate else "non-degenerate"
-    return DegeneracyReport(r=r, per_factor=verdicts, verdict=overall)
+    return DegeneracyReport(r=r, factors=verdicts, verdict=overall)

@@ -13,18 +13,18 @@ Summing phi_r along the shift telescopes, which yields the sphere identity
 
     (L_r^n 1)(empty) * H(e,e|r) = sum over the relative n-sphere of H(e,g|r)
 
-checked here under a syllable cap (``build_transfer``); its direct side
+checked here under a syllable cap (``build_transfer``) up to the first
+sphere over ``Automaton.sphere_rows``' budget; its direct side
 accumulates the evaluator's per-r syllable weights along each sphere,
-taken as one array of symbols (``Automaton.sphere_rows``): it tests the
-algebra of the shift, not the Green values themselves.  The Gurevich
-pressure P(r) is the log of the Perron root of the untruncated matrix.
+taken as one array of symbols: it tests the algebra of the shift, not
+the Green values themselves.  The Gurevich pressure P(r) is the log of
+the Perron root of the untruncated matrix.
 
 The empty path is excluded from the potential's domain; iteration at the
 empty word is seeded directly with t.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from .algebraic import factor_weights, perron_root, point_passages
 from .automaton import Automaton, factor_matrix
+from .errors import BudgetError
 from .green import accumulate
 
 # syllable cap of the sphere identity that ``report`` writes
@@ -77,16 +78,21 @@ def sphere_identity_check(evaluator, r, cap, n_max):
     the same over the reversed columns of the inverse weights, the
     products ``GreenEvaluator.green`` forms, and the sphere's terms are
     summed correctly rounded (``math.fsum``).  Returns a list of
-    (n, transfer_value, direct_value, rel_err).
+    (n, transfer_value, direct_value, rel_err), which ends before the
+    first n <= n_max whose sphere ``Automaton.sphere_rows`` refuses to
+    build (BudgetError): its last n shows where the check stopped.
     """
     auto = Automaton(evaluator.group, cap)
     lhs_seq = iterate_empty(build_transfer(evaluator, r, cap), n_max)
-    gee = evaluator.green((), (), r).value
+    gee = evaluator.green((), (), r)
     hee = evaluator.h_value((), r)
     fwd, back = evaluator.syllable_pair_weights(auto.symbols(), r)
     rows = []
     for n in range(1, n_max + 1):
-        sphere = auto.sphere_rows(n)
+        try:
+            sphere = auto.sphere_rows(n)
+        except BudgetError:
+            break
         to = accumulate(np.multiply, gee, fwd[sphere])
         from_g = accumulate(np.multiply, gee, back[sphere[:, ::-1]])
         direct = math.fsum((to * from_g).tolist())
@@ -100,12 +106,7 @@ def sphere_identity_check(evaluator, r, cap, n_max):
 class PressureEstimate:
     r: float
     eigenvalue: float  # Perron root of the untruncated factor matrix
-    value: float  # log eigenvalue
-
-    def to_json(self):
-        """The estimate as one compact JSON object, ``value`` as "pressure"."""
-        out = {"pressure" if k == "value" else k: v for k, v in vars(self).items()}
-        return json.dumps(out)
+    pressure: float  # log eigenvalue
 
 
 def pressure(measure, r):

@@ -131,7 +131,7 @@ def test_criterion_05_first_return_kernel(f2_srw, f2, ev):
     kern_f = first_return_kernel(f2_srw, 0, 1.0, 60, 10, exact=False)
     for target in ((), ((0, (1,)),), ((0, (2,)),), ((0, (-2,)),)):
         got = induced_green(kern_f, f2, (), target, 1.0, factor_ball=80)
-        want = ev.green((), target, 1.0).value
+        want = ev.green((), target, 1.0)
         worst = max(worst, abs(got - want) / want)
     ok &= worst < 1e-2
     assert _line(
@@ -142,7 +142,7 @@ def test_criterion_05_first_return_kernel(f2_srw, f2, ev):
 def test_criterion_06_degeneracy_verdict(f2_srw, z2z3_srw, ev):
     rep = degeneracy_test(f2_srw, ev.R_hat)
     ok = rep.verdict == "non-degenerate"
-    rhos = [v.rho_hat for v in rep.per_factor]
+    rhos = [v.rho_hat for v in rep.factors]
     ok &= len(rhos) == 2 and all(r < 0.95 for r in rhos)
     ev23 = GreenEvaluator(z2z3_srw)
     rep23 = degeneracy_test(z2z3_srw, ev23.R_hat)
@@ -150,7 +150,7 @@ def test_criterion_06_degeneracy_verdict(f2_srw, z2z3_srw, ev):
     worst = max(
         abs(v.rho_hat / kernel_rho_at_radius(name, v.factor_id) - 1)
         for name, report in (("f2_srw", rep), ("z2z3", rep23))
-        for v in report.per_factor
+        for v in report.factors
     )
     ok &= worst < 1e-13
     assert _line(
@@ -180,33 +180,33 @@ def test_criterion_08_thermodynamic_layer(ev):
     worst_rel = max(rel for _, _, _, rel in rows)
     ok = worst_rel < 0.02
     inside = pressure(ev.measure, 0.9 * ev.R_hat)
-    ok &= inside.value < 0.0
+    ok &= inside.pressure < 0.0
     at_radius = pressure(ev.measure, ev.R_hat)
-    ok &= -0.05 < at_radius.value <= 0.01
-    ok &= abs(at_radius.value) <= 1e-13  # P(R) = 0
+    ok &= -0.05 < at_radius.pressure <= 0.01
+    ok &= abs(at_radius.pressure) <= 1e-13  # P(R) = 0
     # the cap-D truncations at R, each below the untruncated P(R)
     rungs = [math.log(perron_root(build_transfer(ev, ev.R_hat, cap)[0]))
              for cap in (2, 3, 4)]
-    ok &= all(p <= at_radius.value for p in rungs)
+    ok &= all(p <= at_radius.pressure for p in rungs)
     rung_values = [abs(p) for p in rungs]
     ok &= rung_values[-1] <= rung_values[0]  # ladder trends toward 0
     prods = []
     for f in (0.90, 0.95, 0.98):
         r = f * ev.R_hat
-        p = pressure(ev.measure, r).value
+        p = pressure(ev.measure, r).pressure
         prods.append(abs(p) * ev.i_sums(r).i1)
     band = max(prods) / min(prods)
     ok &= band < 4.0
     assert _line(
         8,
         ok,
-        f"identity to {worst_rel:.1e}, P(R)={at_radius.value:.1e}, |P|*I1 band {band:.2f}x",
+        f"identity to {worst_rel:.1e}, P(R)={at_radius.pressure:.1e}, |P|*I1 band {band:.2f}x",
     )
 
 
 def test_criterion_09_ancona_audit(ev, z2z3_srw):
     (rep,) = ancona_audit(ev, [0.9 * ev.R_hat], n_triples=200, seed=0)
-    dev = max(abs(rep.min_ratio - 1.0), abs(rep.max_ratio - 1.0))
+    dev = max(abs(rep.ratio_min - 1.0), abs(rep.ratio_max - 1.0))
     ok = rep.lower_bound_fraction == 1.0 and dev < 1e-9
     ev23 = GreenEvaluator(z2z3_srw)
     (rep23,) = ancona_audit(
@@ -225,7 +225,7 @@ def test_criterion_09_ancona_audit(ev, z2z3_srw):
 def test_criterion_10_asymptotic_ratio_bands(ev):
     grid = [f * ev.R_hat for f in (0.90, 0.95, 0.98)]
     rep = ratio_report(ev, grid)
-    i1_factor = 1.0 + rep.band_i1
+    i1_factor = 1.0 + rep.band_i1_scaled
     ok = i1_factor < 3.0
     worst = 0.0
     for row in rep.rows:
@@ -234,7 +234,7 @@ def test_criterion_10_asymptotic_ratio_bands(ev):
     ok &= worst < 1e-6
     closed = [f2_i2(row.r) / f2_i1(row.r) ** 3 for row in rep.rows]
     closed_band = (max(closed) - min(closed)) / min(closed)
-    ok &= abs(rep.band_i2_ratio - closed_band) < 1e-5
+    ok &= abs(rep.band_i2_over_i1_cubed - closed_band) < 1e-5
     # within 0.1% of R the jet and the relative spheres still match the
     # closed forms; at R itself the jet's I - J is singular and is refused
     near = ratio_report(ev, [f * F2_RADIUS for f in (0.999, 0.9995, 0.9998)])
@@ -254,6 +254,6 @@ def test_criterion_10_asymptotic_ratio_bands(ev):
         10,
         ok,
         f"I1*sqrt(R-r) band {i1_factor:.2f}x (<3 ok), I2/I1^3 band "
-        f"{rep.band_i2_ratio:.5f} vs closed form {closed_band:.5f}, rows to "
+        f"{rep.band_i2_over_i1_cubed:.5f} vs closed form {closed_band:.5f}, rows to "
         f"{worst:.1e}; near R to {worst_near:.1e}; refused at R: {refused}",
     )

@@ -116,11 +116,11 @@ class TestSampling:
 class TestAncona:
     def test_tree_ratios_are_exactly_one(self, ev):
         (rep,) = ancona_audit(ev, [0.9 * ev.R_hat], n_triples=60, seed=1)
-        assert rep.n_triples > 30
+        assert rep.triples > 30
         # every interior geodesic point is a cut vertex, so the Green
         # function factors and the comparison ratio is identically 1
-        assert abs(rep.min_ratio - 1.0) < 1e-6
-        assert abs(rep.max_ratio - 1.0) < 1e-6
+        assert abs(rep.ratio_min - 1.0) < 1e-6
+        assert abs(rep.ratio_max - 1.0) < 1e-6
         assert rep.lower_bound_fraction == 1.0
 
     def test_strong_form_deviations_vanish(self, ev):
@@ -134,24 +134,23 @@ class TestAncona:
         (rep,) = ancona_audit(
             ev23, [0.9 * ev23.R_hat], n_triples=40, max_rel_dist=4, seed=3
         )
-        assert rep.n_triples > 10
+        assert rep.triples > 10
         assert rep.lower_bound_fraction == 1.0
 
     def test_report_serializes(self, ev):
         (rep,) = ancona_audit(ev, [0.5 * ev.R_hat], n_triples=10, seed=4)
-        blob = json.loads(rep.to_json())
-        assert blob["triples"] == rep.n_triples
+        blob = json.loads(json.dumps(asdict(rep)))
+        assert blob["triples"] == rep.triples
         assert blob["deviations_below_floor"] is True
 
-    def test_json_is_compact_and_the_former_payload(self, ev):
-        # the compact string parses to the payload of the former indented
-        # one, key for key and in order
+    def test_fields_are_the_former_payload_keys(self, ev):
+        # ancona.json writes each report as its fields: the keys, in order,
+        # of the payload the former renaming serialiser wrote
         for rep in ancona_audit(ev, [0.5 * ev.R_hat, 0.9 * ev.R_hat], n_triples=30, seed=6):
-            names = dict(n_triples="triples", n_skipped="skipped", min_ratio="ratio_min",
-                         max_ratio="ratio_max", mean_ratio="ratio_mean")
-            former = json.dumps({names.get(k, k): v for k, v in asdict(rep).items()}, indent=2)
-            assert "\n" not in rep.to_json()
-            assert json.dumps(json.loads(rep.to_json())) == json.dumps(json.loads(former))
+            assert list(asdict(rep)) == [
+                "r", "seed", "triples", "skipped", "ratio_min", "ratio_max", "ratio_mean",
+                "lower_bound_fraction", "strong_rho", "strong_c", "deviations_below_floor",
+            ]
 
     def test_deterministic_in_seed(self, ev):
         (a,) = ancona_audit(ev, [0.9 * ev.R_hat], n_triples=25, seed=5)
@@ -181,9 +180,9 @@ class TestAnconaFrozen:
     def test_values_frozen(self, request, measure):
         ev_m = GreenEvaluator(request.getfixturevalue(measure))
         (rep,) = ancona_audit(ev_m, [0.9 * ev_m.R_hat])
-        got = (rep.min_ratio.hex(), rep.max_ratio.hex(), rep.mean_ratio.hex(), rep.n_skipped)
+        got = (rep.ratio_min.hex(), rep.ratio_max.hex(), rep.ratio_mean.hex(), rep.skipped)
         assert got == self.FROZEN[measure]
-        assert rep.n_triples == 200
+        assert rep.triples == 200
 
 
 def _ancona_at_reference(evaluator, r, seed, words, n_triples, ns):
@@ -196,7 +195,7 @@ def _ancona_at_reference(evaluator, r, seed, words, n_triples, ns):
     ratios = []
     skipped = 0
     ok = 0
-    gee = evaluator.green((), (), r).value
+    gee = evaluator.green((), (), r)
     for i in range(n_triples):
         gxz, gxy, gyz = (green(w) for w in words[3 * i : 3 * i + 3])
         if 0.0 in (gxz, gxy, gyz):
@@ -228,11 +227,11 @@ def _ancona_at_reference(evaluator, r, seed, words, n_triples, ns):
     return AnconaReport(
         r=float(r),
         seed=seed,
-        n_triples=len(ratios),
-        n_skipped=skipped,
-        min_ratio=min(ratios) if ratios else math.nan,
-        max_ratio=max(ratios) if ratios else math.nan,
-        mean_ratio=sum(ratios) / len(ratios) if ratios else math.nan,
+        triples=len(ratios),
+        skipped=skipped,
+        ratio_min=min(ratios) if ratios else math.nan,
+        ratio_max=max(ratios) if ratios else math.nan,
+        ratio_mean=sum(ratios) / len(ratios) if ratios else math.nan,
         lower_bound_fraction=ok / len(ratios) if ratios else math.nan,
         strong_rho=rho,
         strong_c=c,
@@ -260,7 +259,7 @@ class TestAnconaBatch:
             assert [type(v) for v in vars(rep).values()] == [
                 type(v) for v in vars(want).values()
             ]
-            assert rep.to_json() == want.to_json()
+            assert json.dumps(asdict(rep)) == json.dumps(asdict(want))
 
     def test_repeated_audits_hold_no_memory(self, f2_srw):
         # the sample's id arrays live for one call and the weight tables
@@ -403,21 +402,17 @@ class TestRatioReport:
             assert math.isclose(
                 row.i2_over_i1_cubed, row.i2 / row.i1**3, rel_tol=1e-12
             )
-        assert rep.band_i1 >= 0.0
-        assert math.isfinite(rep.band_dgreen)
+        assert rep.band_i1_scaled >= 0.0
+        assert math.isfinite(rep.band_dgreen_scaled)
 
-    def test_csv_and_json_exports(self, ev):
+    def test_json_fields(self, ev):
+        # isums_meta.json writes the report as its fields, the former
+        # payload's keys, each row an object of RatioRow's fields
         grid = [0.90 * ev.R_hat, 0.95 * ev.R_hat]
         rep = ratio_report(ev, grid)
-        rows = list(rep.to_csv_rows())
-        assert rows[0][0] == "r"
-        assert len(rows) == 3
-        blob = json.loads(rep.to_json())
+        blob = json.loads(json.dumps(asdict(rep)))
         assert len(blob["rows"]) == 2
         assert blob["r_hat"] == rep.r_hat
-        # compact, and the payload of the former indented form, in order
-        names = dict(band_i1="band_i1_scaled", band_i2_ratio="band_i2_over_i1_cubed",
-                     band_dgreen="band_dgreen_scaled")
-        former = json.dumps({names.get(k, k): v for k, v in asdict(rep).items()}, indent=2)
-        assert "\n" not in rep.to_json()
-        assert json.dumps(blob) == json.dumps(json.loads(former))
+        assert list(blob) == ["r_hat", "rows", "band_i1_scaled", "band_i2_over_i1_cubed",
+                              "band_dgreen_scaled", "non_monotone"]
+        assert blob["rows"] == [vars(row) for row in rep.rows]

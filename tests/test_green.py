@@ -82,7 +82,7 @@ class TestSpectralRadius:
         measure = request.getfixturevalue(walk)
         est = GreenEvaluator(measure).radius_estimate
         rho_lower, rho_hat = spectral_radius_estimate(measure.route.return_log_probs(4000))
-        assert rho_lower == est.rho_lower
+        assert rho_lower == est.rho_lower_bound
         assert rho_lower <= est.rho_hat <= 2 * rho_hat - rho_lower
 
 
@@ -120,30 +120,30 @@ class TestRhoLower:
 class TestClosedForms:
     def test_green_at_one(self, ev):
         g = ev.green((), (), 1.0)
-        assert math.isclose(g.value, 1.5, rel_tol=1e-9)
-        assert math.isclose(g.value, f2_green(1.0), rel_tol=1e-9)
+        assert math.isclose(g, 1.5, rel_tol=1e-9)
+        assert math.isclose(g, f2_green(1.0), rel_tol=1e-9)
 
     def test_first_passage_at_one(self, ev):
         a = ((0, (1,)),)
         fp = ev.first_passage((), a, 1.0)
-        assert math.isclose(fp.value, 1.0 / 3.0, rel_tol=1e-9)
-        assert math.isclose(fp.value, f2_first_passage(1.0), rel_tol=1e-9)
+        assert math.isclose(fp, 1.0 / 3.0, rel_tol=1e-9)
+        assert math.isclose(fp, f2_first_passage(1.0), rel_tol=1e-9)
 
     def test_green_off_diagonal(self, ev):
         a = ((0, (1,)),)
         g = ev.green((), a, 1.0)
-        assert math.isclose(g.value, 0.5, rel_tol=1e-9)
+        assert math.isclose(g, 0.5, rel_tol=1e-9)
 
     def test_factored_crosses_cut_vertex(self, ev, f2):
         # F(a^-1, b | 1) factors through e: (1/3)^2, and G(e,e|1) = 3/2
         ainv = ((0, (-1,)),)
         b = ((1, (1,)),)
         g = ev.green(ainv, b, 1.0)
-        assert math.isclose(g.value, 1.5 * f2_first_passage(1.0) ** 2, rel_tol=1e-9)
-        assert math.isclose(g.value, 1.0 / 6.0, rel_tol=1e-9)
+        assert math.isclose(g, 1.5 * f2_first_passage(1.0) ** 2, rel_tol=1e-9)
+        assert math.isclose(g, 1.0 / 6.0, rel_tol=1e-9)
         fp1 = ev.first_passage(ainv, (), 1.0)
         fp2 = ev.first_passage((), b, 1.0)
-        assert math.isclose(fp1.value * fp2.value, 1.0 / 9.0, rel_tol=1e-8)
+        assert math.isclose(fp1 * fp2, 1.0 / 9.0, rel_tol=1e-8)
 
     def test_lattice_powers_are_powers(self, ev):
         for frac in (0.9, 0.99):
@@ -151,14 +151,14 @@ class TestClosedForms:
             f = f2_first_passage(r)
             for k in range(1, 31):
                 for fid, sign in ((0, 1), (0, -1), (1, 1), (1, -1)):
-                    got = ev.first_passage((), ((fid, (sign * k,)),), r).value
+                    got = ev.first_passage((), ((fid, (sign * k,)),), r)
                     assert abs(got - f**k) / f**k < 1e-12, (r, fid, sign * k)
 
     def test_closed_form_across_grid(self, ev):
         for frac in (0.3, 0.6, 0.9, 0.99):
             r = frac * ev.R_hat
             assert math.isclose(
-                ev.green((), (), r).value, f2_green(r), rel_tol=1e-6
+                ev.green((), (), r), f2_green(r), rel_tol=1e-6
             )
 
     def test_divergence_beyond_radius(self, ev):
@@ -168,8 +168,8 @@ class TestClosedForms:
     def test_off_diagonal_at_zero(self, z2z3_srw):
         # every term of G(e, gamma | 0) vanishes when gamma != e
         ev23 = GreenEvaluator(z2z3_srw)
-        assert ev23.green((), ((1, 2),), 0.0).value == 0.0
-        assert ev23.first_passage((), ((1, 2),), 0.0).value == 0.0
+        assert ev23.green((), ((1, 2),), 0.0) == 0.0
+        assert ev23.first_passage((), ((1, 2),), 0.0) == 0.0
 
 
 class TestDerivative:
@@ -237,7 +237,7 @@ class TestISums:
         # with a second difference of r^2 G
         ev23 = GreenEvaluator(z2z3_srw)
         r = 0.5 * ev23.R_hat
-        assert math.isclose(ev23.green((), (), r).value, z2z3_green(r), rel_tol=1e-12)
+        assert math.isclose(ev23.green((), (), r), z2z3_green(r), rel_tol=1e-12)
         h = 1e-4
         for r in (0.5, 0.9):
             r2g = [(r + k * h) ** 2 * z2z3_green(r + k * h) for k in (-1, 0, 1)]
@@ -282,7 +282,7 @@ class TestISums:
             for got in (row.i1, row.dgreen):
                 assert abs(got - z2z3_i1(r)) / z2z3_i1(r) < 1e-10
             assert abs(row.i2 - z2z3_i2(r)) / z2z3_i2(r) < 1e-10
-            assert abs(ev23.green((), (), r).value / z2z3_green(r) - 1) < 1e-12
+            assert abs(ev23.green((), (), r) / z2z3_green(r) - 1) < 1e-12
 
     @pytest.mark.parametrize("measure, degree", [("f2_srw", 4), ("z2cubed_srw", 3)])
     def test_i1_sums_every_sphere(self, request, measure, degree):
@@ -322,7 +322,7 @@ class TestISums:
         assert len(system._g) == 1
         logs = system.return_log_probs(4000)
         want = max(math.exp(logs[n] / n) for n in range(2, 4001, 2))
-        assert fresh.radius_estimate.rho_lower == want
+        assert fresh.radius_estimate.rho_lower_bound == want
         assert fresh.R_hat == system.radius == fresh.radius_estimate.R_hat
 
     def test_route_check_refuses_a_perturbed_jet(self, monkeypatch):
@@ -336,7 +336,8 @@ class TestISums:
 
         def perturbed(r, order=2):
             out = jet(r, order)
-            out[1] *= 1 + 1e-8
+            if order:  # G'; a point value G reads order 0, which has none
+                out[1] *= 1 + 1e-8
             return out
 
         monkeypatch.setattr(system, "green_jet", perturbed)
@@ -375,7 +376,7 @@ class TestISums:
             with pytest.raises(NonConvergenceError):
                 ratio_report(ev, [0.9 * r, r])
         # G(e,e|R) itself is finite: no derivative is taken
-        assert abs(ev.green((), (), ev.R_hat).value / f2_green(F2_RADIUS) - 1) < 1e-7
+        assert abs(ev.green((), (), ev.R_hat) / f2_green(F2_RADIUS) - 1) < 1e-7
 
     def test_requires_single_syllable_support(self, f2):
         from fractions import Fraction
@@ -415,7 +416,7 @@ def _left_to_right(ev, gamma, r, value):
     with (u, k) the syllable's unknown and power on the system."""
     for fid, p in gamma:
         u, k = monomial(ev.group, fid, p)
-        value *= ev.first_passage((), (u,), r).value ** k
+        value *= ev.first_passage((), (u,), r) ** k
     return value
 
 
@@ -437,10 +438,10 @@ class TestSyllableTable:
         group = ev.group
         g = _draw_element(data, syllable_choices(group), 6)
         r = data.draw(st.sampled_from((0.3, 0.8, 0.95, 1.0))) * ev.R_hat
-        gee = ev.green((), (), r).value
-        assert ev.green((), g, r).value == _left_to_right(ev, g, r, gee)
-        assert ev.green(g, (), r).value == _left_to_right(ev, group.invert(g), r, gee)
-        assert ev.first_passage((), g, r).value == _left_to_right(ev, g, r, 1.0)
+        gee = ev.green((), (), r)
+        assert ev.green((), g, r) == _left_to_right(ev, g, r, gee)
+        assert ev.green(g, (), r) == _left_to_right(ev, group.invert(g), r, gee)
+        assert ev.first_passage((), g, r) == _left_to_right(ev, g, r, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -472,13 +473,13 @@ def syllable_weight(ev, syl, r):
     """F(e,u|r)^k of one syllable, (u, k) its unknown and power on the
     system: one entry of the evaluator's weight table, computed on its own."""
     u, k = monomial(ev.group, *syl)
-    return ev.first_passage((), (u,), r).value ** k
+    return ev.first_passage((), (u,), r) ** k
 
 
 def reference_green(ev, gamma, r):
     """G(e,gamma|r) by the scalar loop the evaluator ran before its batch:
     G(e,e) times gamma's syllable weights, one syllable at a time."""
-    value = ev.green((), (), r).value
+    value = ev.green((), (), r)
     for syl in gamma:
         value *= syllable_weight(ev, syl, r)
     return value
@@ -505,15 +506,15 @@ class TestGreenBatch:
         assert values.dtype == np.float64
         for w, v in zip(words, values.tolist()):
             g, ref = ev.green((), w, r), reference_green(ev, w, r)
-            assert v.hex() == g.value.hex() == ref.hex()
-            assert g.tail == 0.0  # a point value of the least solution
+            assert v.hex() == g.hex() == ref.hex()
+            assert type(g) is float  # a point value of the least solution
 
-    def test_empty_word_keeps_its_own_tail(self, batch_ev):
+    def test_empty_word_reads_g_ee(self, batch_ev):
         ev = batch_ev
         r = 0.9 * ev.R_hat
         values = ev.green_batch(ev.syllable_ids([(), ()]), r)
         gee = ev.green((), (), r)
-        assert values.tolist() == [gee.value] * 2 and gee.tail == 0.0
+        assert values.tolist() == [gee] * 2 and type(gee) is float
 
     def test_weight_tables_are_arrays_by_syllable_id(self, f2_srw):
         ev = GreenEvaluator(f2_srw)
@@ -568,18 +569,18 @@ class TestTables:
                 want = float(np.exp(logs + n * math.log(r)).sum())
                 sphere = _sphere(mu.group, m)
                 for gamma in {sphere[0], sphere[len(sphere) // 2], sphere[-1]}:
-                    got = ev_m.green((), gamma, r).value
+                    got = ev_m.green((), gamma, r)
                     assert abs(got - want) / want < 1e-12, (r, gamma, got, want)
 
     def test_z2z3_reads_the_first_passage_system(self, z2z3_srw):
         ev23 = GreenEvaluator(z2z3_srw)
         assert ev23.system is z2z3_srw.first_passage_system
-        assert ev23.radius_estimate.rho_lower == _rho_lower(
+        assert ev23.radius_estimate.rho_lower_bound == _rho_lower(
             z2z3_srw.first_passage_system.return_log_probs(RHO_LOWER_HORIZON))
         assert ev23.R_hat == z2z3_srw.first_passage_system.radius
         assert abs(ev23.R_hat - z2z3_radius()) / z2z3_radius() < 1e-12
-        assert ev23.radius_estimate.uncertainty() < 1e-15
-        assert ev23.radius_estimate.rho_lower <= ev23.radius_estimate.rho_hat
+        assert ev23.radius_estimate.uncertainty < 1e-15
+        assert ev23.radius_estimate.rho_lower_bound <= ev23.radius_estimate.rho_hat
 
     def test_system_radius_is_a_hard_limit(self, z2z3_srw):
         # past the system's branch point the evaluator refuses, and
@@ -590,18 +591,29 @@ class TestTables:
         with pytest.raises(DivergenceError):
             ev23.first_passage((), ((0, 1),), 1.001 * ev23.R_hat)
         at_r = ev23.green((), (), ev23.R_hat)
-        assert (at_r.tail, at_r.method) == (0.0, "point/newton") and math.isfinite(at_r.value)
+        assert type(at_r) is float and math.isfinite(at_r)
         # the bound is the top of R's bar, as for ``point_passages`` (and
         # so the pressure and the verdict): hi is allowed, the next float not
         hi = z2z3_srw.first_passage_system.bracket[1]
         assert hi > ev23.R_hat
         for value in (ev23.green((), (), hi), ev23.first_passage((), ((0, 1),), hi)):
-            assert math.isfinite(value.value)
+            assert math.isfinite(value)
         past = math.nextafter(hi, 2.0)
         with pytest.raises(DivergenceError, match="past the radius"):
             ev23.green((), (), past)
         with pytest.raises(DivergenceError, match="past the radius"):
             ev23.first_passage((), ((0, 1),), past)
+
+    def test_the_empty_word_is_refused_past_the_bar(self, f2_srw):
+        # F(e,e|r) = 1 is a product of no syllable weights, yet every value
+        # reads the least solution first: past R's bar, the empty word too
+        ev = GreenEvaluator(f2_srw)
+        hi = f2_srw.first_passage_system.bracket[1]
+        for r in (math.nextafter(hi, 2.0), 2.0 * ev.R_hat):
+            for value in (ev.first_passage, ev.green):
+                with pytest.raises(DivergenceError, match="past the radius"):
+                    value((), (), r)
+        assert ev.first_passage((), (), hi) == 1.0
 
     @pytest.mark.parametrize("name", ["f2_two_letter", "z2sq_z2"])
     def test_uncovered_measures_are_refused(self, name, monkeypatch):

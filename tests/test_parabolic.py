@@ -362,7 +362,7 @@ class TestSpectralRadius:
         measure = request.getfixturevalue(walk)
         group = measure.group
         r = measure.first_passage_system.radius
-        for v in degeneracy_test(measure, r).per_factor:
+        for v in degeneracy_test(measure, r).factors:
             want = kernel_rho_at_radius(name, v.factor_id)
             assert abs(v.rho_hat / want - 1) < 1e-13
             rungs = []
@@ -525,7 +525,7 @@ class TestInducedGreen:
         kern = first_return_kernel(f2_srw, 0, 1.0, max_len=60, ball_radius=10, exact=False)
         for payload, target in (((0,), ()), ((1,), ((0, (1,)),)), ((2,), ((0, (2,)),))):
             got = induced_green(kern, f2, (), target, 1.0, factor_ball=80)
-            want = ev.green((), target, 1.0).value
+            want = ev.green((), target, 1.0)
             assert abs(got - want) / want < 1e-2
 
     def test_matches_green_below_radius(self, f2_srw, f2, ev):
@@ -533,7 +533,7 @@ class TestInducedGreen:
         kern = first_return_kernel(f2_srw, 0, r, max_len=60, ball_radius=10, exact=False)
         a2 = ((0, (2,)),)
         got = induced_green(kern, f2, (), a2, 1.0, factor_ball=80)
-        want = ev.green((), a2, r).value
+        want = ev.green((), a2, r)
         assert abs(got - want) / want < 1e-2
 
     def test_one_solve_up_to_the_kernel_radius(self, f2_srw, f2):
@@ -747,7 +747,7 @@ class TestDegeneracy:
         report = degeneracy_test(f2_srw, ev.R_hat)
         assert report.verdict == "non-degenerate"
         assert report.r == ev.R_hat
-        for v in report.per_factor:
+        for v in report.factors:
             assert v.rho_hat < 0.95
             assert v.margin == 1.0 - v.rho_hat
             assert v.rho_hat == v.row_mass  # the row is symmetric
@@ -756,7 +756,7 @@ class TestDegeneracy:
     def test_finite_factor_verdict(self, z2z3_srw):
         report = degeneracy_test(z2z3_srw, GreenEvaluator(z2z3_srw).R_hat)
         assert report.verdict == "non-degenerate"
-        for v in report.per_factor:
+        for v in report.factors:
             assert v.rho_hat == v.row_mass  # the row sums of a finite factor
             assert abs(v.rho_hat / kernel_rho_at_radius("z2z3", v.factor_id) - 1) < 1e-13
 
@@ -768,7 +768,7 @@ class TestDegeneracy:
         # matrix has largest eigenvalue w0 + 2 sqrt(w+ w-) cos(pi/62)
         measure = _measure("f2_asym")
         assert measure.first_passage_system.radius > 1.0
-        for v in degeneracy_test(measure, 1.0).per_factor:
+        for v in degeneracy_test(measure, 1.0).factors:
             kern = first_return_kernel(measure, v.factor_id, 1.0, 400, exact=False)
             w0, wp, wm = kern.row[(0,)], kern.row[(1,)], kern.row[(-1,)]
             assert math.isclose(v.row_mass, w0 + wp + wm, rel_tol=1e-12)
@@ -784,8 +784,8 @@ class TestDegeneracy:
         # permutes the terms of each kernel row, which add up the same
         measure = request.getfixturevalue(walk)
         report = degeneracy_test(measure, measure.first_passage_system.radius)
-        first = report.per_factor[0]
-        for k, v in enumerate(report.per_factor):
+        first = report.factors[0]
+        for k, v in enumerate(report.factors):
             assert v == replace(first, factor_id=k)
 
     @pytest.mark.parametrize("name", ["z2sq_z2", "f2_two_letter"])
@@ -802,7 +802,7 @@ class TestDegeneracy:
         measure = request.getfixturevalue(walk)
         report = degeneracy_test(measure, measure.first_passage_system.radius)
         former = json.dumps({"r": report.r, "verdict": report.verdict,
-                             "factors": [asdict(v) for v in report.per_factor]}, indent=2)
+                             "factors": [asdict(v) for v in report.factors]}, indent=2)
         assert "\n" not in report.to_json()
         assert json.dumps(json.loads(report.to_json())) == json.dumps(json.loads(former))
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def _sphere_rows_reference(evaluator, r, cap, n_max):
     G(g[1:],e) w(g[0]^-1) element by element, each weight computed on its
     own, summed over the sphere with ``math.fsum``."""
     lhs_seq = iterate_empty(build_transfer(evaluator, r, cap), n_max)
-    gee = evaluator.green((), (), r).value
+    gee = evaluator.green((), (), r)
     hee = gee * gee
     group = evaluator.group
     auto = Automaton(group, cap)
@@ -228,28 +229,22 @@ def test_dropped_evaluator_needs_no_cycle_collection(f2_srw):
 class TestPressure:
     def test_negative_inside_radius(self, f2_srw):
         est = pressure(f2_srw, 0.9 * f2_srw.first_passage_system.radius)
-        assert est.value < -0.05
+        assert est.pressure < -0.05
 
     def test_small_at_radius(self, f2_srw):
         est = pressure(f2_srw, f2_srw.first_passage_system.radius)
-        assert -0.05 < est.value <= 0.01
+        assert -0.05 < est.pressure <= 0.01
 
     def test_eigenvalue_monotone_in_r(self, f2_srw):
         radius = f2_srw.first_passage_system.radius
         vals = [pressure(f2_srw, f * radius).eigenvalue for f in (0.5, 0.7, 0.9)]
         assert vals == sorted(vals)
 
-    def test_json_round_trip(self, f2_srw):
-        import json
-
+    def test_fields_are_the_estimate_keys(self, f2_srw):
+        # pressure.json writes each estimate as its record's fields
         est = pressure(f2_srw, 0.9 * f2_srw.first_passage_system.radius)
-        blob = json.loads(est.to_json())
-        assert blob == {"r": est.r, "eigenvalue": est.eigenvalue, "pressure": est.value}
-        # compact, and the payload of the former indented form, in order
-        former = json.dumps({"pressure" if k == "value" else k: v
-                             for k, v in vars(est).items()}, indent=2)
-        assert "\n" not in est.to_json()
-        assert json.dumps(blob) == json.dumps(json.loads(former))
+        assert asdict(est) == {"r": est.r, "eigenvalue": est.eigenvalue,
+                               "pressure": est.pressure}
 
     @pytest.mark.parametrize("frac", [0.5, 0.9, 0.98, 0.999])
     @pytest.mark.parametrize("name", ["f2_srw", "z2z3", "z2z2z2"])
@@ -258,14 +253,14 @@ class TestPressure:
         measure = load_config(CONFIGS / f"{name}.json").measure
         r = frac * measure.first_passage_system.radius
         want = pressure_closed_form(name, r)
-        assert abs(pressure(measure, r).value / want - 1) <= 1e-12
+        assert abs(pressure(measure, r).pressure / want - 1) <= 1e-12
 
     @pytest.mark.parametrize("name", ["f2_srw", "z2z3", "z2z2z2"])
     def test_vanishes_at_the_radius(self, name):
         # t from x(R), found with R by Newton on the fold system; the
         # closed form there is 0 to rounding
         measure = load_config(CONFIGS / f"{name}.json").measure
-        value = pressure(measure, measure.first_passage_system.radius).value
+        value = pressure(measure, measure.first_passage_system.radius).pressure
         assert abs(value) <= 1e-13
         assert abs(value - pressure_closed_form(name)) <= 1e-13
 
@@ -279,8 +274,8 @@ class TestPressure:
         # past the bar, Newton from 0 could still stop at its rounding floor
         # with a solution, so r is compared with the bar first
         lo, hi = f2_srw.first_passage_system.bracket
-        assert pressure(f2_srw, lo).value == pressure(f2_srw, hi).value
-        assert abs(pressure(f2_srw, hi).value) <= 1e-13
+        assert pressure(f2_srw, lo).pressure == pressure(f2_srw, hi).pressure
+        assert abs(pressure(f2_srw, hi).pressure) <= 1e-13
         with pytest.raises(DivergenceError, match="past the radius"):
             pressure(f2_srw, math.nextafter(hi, 2.0))
 
@@ -326,7 +321,7 @@ class TestPressureFrozen:
     def test_values_frozen(self, request, measure):
         mu = request.getfixturevalue(measure)
         est = pressure(mu, 0.9 * mu.first_passage_system.radius)
-        assert (est.eigenvalue.hex(), est.value.hex()) == self.FROZEN[measure]
+        assert (est.eigenvalue.hex(), est.pressure.hex()) == self.FROZEN[measure]
 
 
 class TestRecurrence:
@@ -341,8 +336,8 @@ def symbol_transfer(evaluator, r, cap):
     for the factor matrix of ``build_transfer``."""
     symbols = Automaton(evaluator.group, cap).symbols()
     seed = np.array([
-        evaluator.first_passage((), (s,), r).value
-        * evaluator.first_passage((s,), (), r).value
+        evaluator.first_passage((), (s,), r)
+        * evaluator.first_passage((s,), (), r)
         for s in symbols
     ])
     fids = np.array([fid for fid, _ in symbols])
