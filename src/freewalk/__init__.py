@@ -1,5 +1,5 @@
-"""Random walks on free products: exact convolution, Green functions,
-first-return kernels, thermodynamic pressure, and asymptotic audits."""
+"""Random walks on free products, read off one first-passage system: return
+probabilities, Green functions, first-return kernels, pressure and audits."""
 
 from .errors import (
     BudgetError,

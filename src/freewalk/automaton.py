@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import BudgetError
 
+# largest relative sphere ``Automaton.sphere_rows`` builds
+SPHERE_BUDGET = 10**7
+
 
 def factor_matrix(t):
     """diag(t)(J - I): entry [k, j] is t_k for j != k, else 0.
@@ -53,7 +56,7 @@ class Automaton:
             counts = m @ counts
         return int(counts.sum()) if n else 1
 
-    def sphere_rows(self, n, budget=10**7):
+    def sphere_rows(self, n):
         """The radius-n relative sphere as one (size, n) array of indices
         into ``symbols()``, in canonical order.
 
@@ -62,12 +65,12 @@ class Automaton:
         their factor sequence, then by their symbol indices: the order of
         ``FreeProduct.canonical_key``.  n = 0 gives the one empty row.
         Raises ``BudgetError`` before building any row when the sphere has
-        more than ``budget`` elements.
+        more than ``SPHERE_BUDGET`` elements.
         """
         size = self.sphere_size(n)
-        if size > budget:
+        if size > SPHERE_BUDGET:
             raise BudgetError(
-                "relative sphere exceeded element budget", consumed=size, budget=budget
+                "relative sphere exceeded element budget", consumed=size, budget=SPHERE_BUDGET
             )
         fids = np.repeat(np.arange(len(self.payloads)), [len(ps) for ps in self.payloads])
         # follows[k, s]: symbol s may follow a symbol of factor k
@@ -80,14 +83,3 @@ class Automaton:
         if not n:
             return rows
         return rows[np.lexsort(np.column_stack([fids[rows], rows]).T[::-1])]
-
-    def enumerate_sphere(self, n, budget=10**7):
-        """Yield (path, element) over the radius-n relative sphere, truncated.
-
-        A path spells its element syllable by syllable, so the two coincide.
-        Canonical order (``sphere_rows``); each element appears exactly once.
-        """
-        symbols = self.symbols()
-        for row in self.sphere_rows(n, budget).tolist():
-            g = tuple(symbols[i] for i in row)
-            yield g, g

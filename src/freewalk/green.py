@@ -38,41 +38,6 @@ I1_TOL = 1e-10
 RHO_LOWER_HORIZON = 4000
 
 
-# ---------------------------------------------------------------------------
-# sphere sizes from the growth series
-
-def sphere_sizes(group, n_max):
-    """|S_m| for m = 0..n_max, from the growth series of the free product.
-
-    Each factor's growth series S_i is a ratio A_i/B_i of integer
-    polynomials: its length counts over 1 for a finite factor, and
-    ((1+z)/(1-z))^d for Z^d.  The free product's series satisfies
-    1/S = sum_i 1/S_i - (N-1) (Woess 2000, on free products).  Summed as
-    one fraction p/q, that is 1 at z = 0, so S = q/p gives the sizes by an
-    integer linear recurrence.  No Green engine reads it: it turns the
-    radial distance chain's sphere masses into p_n(e, gamma), the
-    reference the tests hold the first-passage system to.
-    """
-    p = np.array([1 - len(group.factors)], dtype=object)
-    q = np.array([1], dtype=object)
-    for factor in group.factors:
-        if factor.kind == "lattice":
-            a = np.array([math.comb(factor.rank, i) for i in range(factor.rank + 1)])
-            b = a * (-1) ** np.arange(factor.rank + 1)
-        else:
-            a, b = np.bincount(factor.lengths), np.array([1])
-        qb = np.convolve(q, b)
-        p, q = np.convolve(p, a), np.convolve(q, a)
-        p[: len(qb)] += qb  # p/q + b/a, and deg(q b) <= deg(p a)
-    p, q, sizes = p.tolist(), q.tolist(), []
-    for n in range(n_max + 1):
-        s = q[n] if n < len(q) else 0
-        for k in range(1, min(n, len(p) - 1) + 1):
-            s -= p[k] * sizes[n - k]
-        sizes.append(s)
-    return sizes
-
-
 def accumulate(op, start, columns):
     """``start`` op each row of ``columns``, applied left to right by a
     ufunc's accumulate: the rounding of a loop over the columns."""

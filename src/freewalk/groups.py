@@ -2,8 +2,9 @@
 
 Elements are kept in normal form: a tuple of syllables ``(factor_id, payload)``
 with adjacent syllables from distinct factors and no identity syllables.  The
-empty tuple is the group identity.  The word metric ``d`` (sum of factor word
-lengths) has its balls here.  The relative metric ``d_hat`` is the
+empty tuple is the group identity.  A finite factor keeps the word lengths
+of its elements (``lengths``), and a lattice's is the l1 norm: they cap
+the symbols of ``automaton``.  The relative metric ``d_hat`` is the
 syllable count, so the relative length of a normal form is its ``len``: the
 graph metric of the Cayley graph with every factor added wholesale to the
 generating set, whose capped spheres ``automaton`` builds as the paths of the
@@ -88,9 +89,6 @@ class FiniteFactor:
     def inv(self, x):
         return self.inv_table[x]
 
-    def length(self, x):
-        return self.lengths[x]
-
     def is_identity(self, x):
         return x == 0
 
@@ -121,9 +119,6 @@ class LatticeFactor:
 
     def inv(self, x):
         return tuple(-a for a in x)
-
-    def length(self, x):
-        return sum(abs(a) for a in x)
 
     def is_identity(self, x):
         return all(a == 0 for a in x)
@@ -211,10 +206,7 @@ class FreeProduct:
                 return False
         return True
 
-    # -- metrics ------------------------------------------------------------
-
-    def word_length(self, a):
-        return sum(self.factors[fid].length(p) for fid, p in a)
+    # -- order --------------------------------------------------------------
 
     def canonical_key(self, a):
         """Sort key: (syllable count, factor ids, payload keys)."""
@@ -229,7 +221,7 @@ class FreeProduct:
             return tuple(payload)
         return (payload,)
 
-    # -- generators and enumeration -----------------------------------------
+    # -- generators ---------------------------------------------------------
 
     def generators(self):
         """The relative generating set S: union of the factor generators."""
@@ -238,31 +230,3 @@ class FreeProduct:
             for p in factor.generator_payloads():
                 out.append(((fid, p),))
         return out
-
-    def ball(self, radius, budget=10**7):
-        """All elements within word distance ``radius`` of e, canonically
-        ordered.  Raises BudgetError instead of silently truncating."""
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
-        return sorted(self._word_ball(radius, budget), key=self.canonical_key)
-
-    def _word_ball(self, radius, budget):
-        gens = self.generators()
-        seen = {(): 0}
-        frontier = [()]
-        for n in range(radius):
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = self.multiply(g, s)
-                    if h not in seen:
-                        seen[h] = n + 1
-                        nxt.append(h)
-                        if len(seen) > budget:
-                            raise BudgetError(
-                                "word ball exceeded element budget",
-                                consumed=len(seen),
-                                budget=budget,
-                            )
-            frontier = nxt
-        return list(seen)

@@ -1,23 +1,442 @@
 """Exact path sums that the first-passage system is held to.
 
-These run on the package's word tree and convolution powers, so unlike
-``oracles`` they are not independent of it; they reach measures the
-system does not cover, which the package refuses.
+The package has one engine, the first-passage system
+(``StepMeasure.route``).  The references here share no code with it:
+path sums over a word tree, after the cut-vertex structure of a free
+product (Woess 2000), the word ball, the growth series of the spheres and
+the radial distance projection.  Unlike ``oracles`` they use the
+package's groups and measures; they reach measures the system does not
+cover, which the package refuses.
 
+- ``word_length``, ``word_ball``, ``sphere_sizes`` and
+  ``enumerate_sphere``: the word metric, its ball, its sphere sizes from
+  the growth series, and the relative sphere of ``Automaton.sphere_rows``
+  as elements.
+- ``convolve_powers``: the exact powers mu^{*n} in a word ball, on one
+  ``PathOperator`` over a ``_WordTree``.
+- ``is_radial``: the birth-death projection of an isotropic
+  nearest-neighbor walk (``walks.RadialChain``).
 - ``exact_returns``: p_n(e,e) as Fractions, meeting in the middle over the
-  powers of one path operator, paired by state.
+  powers of one path operator, each state paired with its inverse's on
+  the word tree.
 - ``reaches_ball``: whether the walk reaches all of the radius-3 ball.
 - ``StateChain``: the first-return kernel to a factor H_k by path sums over
   a word ball, H_k absorbing, exact (with a lossless prune) or in floats.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from freewalk.errors import BudgetError
-from freewalk.walks import PathOperator, StepMeasure, _WordTree, convolve_powers
+from freewalk.walks import RadialChain, StepMeasure
+
+# largest number of path-operator states an exact convolution may hold
+ELEMENT_BUDGET = 5 * 10**6
+# radius of the word ball over which ``is_radial`` checks the projection
+RADIAL_CHECK_RADIUS = 8
+
+
+def factor_length(factor, payload):
+    """The word length of a payload in its factor: by breadth-first search
+    on a finite factor (``FiniteFactor.lengths``), the l1 norm on a lattice."""
+    if factor.kind == "lattice":
+        return sum(abs(a) for a in payload)
+    return factor.lengths[payload]
+
+
+def word_length(group, g):
+    """The word length d(e, g): the sum of its syllables' factor lengths."""
+    return sum(factor_length(group.factors[fid], p) for fid, p in g)
+
+
+def max_step_length(measure):
+    """The largest word length of a step of the measure."""
+    return max((word_length(measure.group, g) for g, _ in measure.support), default=0)
+
+
+def word_ball(group, radius, budget=10**7):
+    """All elements within word distance ``radius`` of e, canonically
+    ordered.  Raises BudgetError instead of silently truncating."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    gens = group.generators()
+    seen = {(): 0}
+    frontier = [()]
+    for n in range(radius):
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = group.multiply(g, s)
+                if h not in seen:
+                    seen[h] = n + 1
+                    nxt.append(h)
+                    if len(seen) > budget:
+                        raise BudgetError(
+                            "word ball exceeded element budget",
+                            consumed=len(seen),
+                            budget=budget,
+                        )
+        frontier = nxt
+    return sorted(seen, key=group.canonical_key)
+
+
+def sphere_sizes(group, n_max):
+    """|S_m| for m = 0..n_max, from the growth series of the free product.
+
+    Each factor's growth series S_i is a ratio A_i/B_i of integer
+    polynomials: its length counts over 1 for a finite factor, and
+    ((1+z)/(1-z))^d for Z^d.  The free product's series satisfies
+    1/S = sum_i 1/S_i - (N-1) (Woess 2000, on free products).  Summed as
+    one fraction p/q, that is 1 at z = 0, so S = q/p gives the sizes by an
+    integer linear recurrence.  It turns the radial distance chain's
+    sphere masses into p_n(e, gamma).
+    """
+    p = np.array([1 - len(group.factors)], dtype=object)
+    q = np.array([1], dtype=object)
+    for factor in group.factors:
+        if factor.kind == "lattice":
+            a = np.array([math.comb(factor.rank, i) for i in range(factor.rank + 1)])
+            b = a * (-1) ** np.arange(factor.rank + 1)
+        else:
+            a, b = np.bincount(factor.lengths), np.array([1])
+        qb = np.convolve(q, b)
+        p, q = np.convolve(p, a), np.convolve(q, a)
+        p[: len(qb)] += qb  # p/q + b/a, and deg(q b) <= deg(p a)
+    p, q, sizes = p.tolist(), q.tolist(), []
+    for n in range(n_max + 1):
+        s = q[n] if n < len(q) else 0
+        for k in range(1, min(n, len(p) - 1) + 1):
+            s -= p[k] * sizes[n - k]
+        sizes.append(s)
+    return sizes
+
+
+def enumerate_sphere(automaton, n):
+    """Yield (path, element) over the radius-n relative sphere, truncated.
+
+    A path spells its element syllable by syllable, so the two coincide.
+    Canonical order (``Automaton.sphere_rows``); each element appears
+    exactly once.
+    """
+    symbols = automaton.symbols()
+    for row in automaton.sphere_rows(n).tolist():
+        g = tuple(symbols[i] for i in row)
+        yield g, g
+
+
+class _WordTree:
+    """The normal forms met so far, as a tree of (prefix node, last syllable).
+
+    Node 0 is e; node i > 0 is node ``parent[i]`` (made before it) times
+    the syllable with integer code ``code[i]``.  Code 0 is the empty
+    syllable, and payloads get their codes on demand.  By the cut-vertex
+    structure of a free product, an element times one syllable is its
+    prefix node times a merged last syllable, or its prefix itself, or
+    itself times a new syllable; so a step is one lookup in the merge
+    table of its syllable, and no word is multiplied, measured or
+    hashed.  A pair (p, c) stands for node p times syllable c (the root
+    is (0, 0)): its length is ``length[p]`` plus the syllable's, and its
+    node, if it has one, is found by the key p * 2**32 + c in a sorted
+    index.
+    """
+
+    def __init__(self, group):
+        self.group = group
+        self.syllables = [None]  # code -> (factor id, payload)
+        self.syllable_factor = np.array([-1])
+        self.syllable_length = np.array([0])
+        self._codes = {}
+        self._merge = {}  # step syllable code -> merge table
+        self.parent = np.zeros(1, np.int64)
+        self.code = np.zeros(1, np.int64)
+        self.length = np.zeros(1, np.int64)
+        # sorted pair keys and their nodes; the last key is a sentinel
+        self._keys = np.array([0, np.iinfo(np.int64).max])
+        self._ids = np.array([0, -1])
+        self._words = [()]
+
+    @property
+    def size(self):
+        return len(self.parent)
+
+    def code_of(self, fid, payload):
+        code = self._codes.get((fid, payload))
+        if code is None:
+            code = self._codes[fid, payload] = len(self.syllables)
+            self.syllables.append((fid, payload))
+            length = factor_length(self.group.factors[fid], payload)
+            self.syllable_factor = np.append(self.syllable_factor, fid)
+            self.syllable_length = np.append(self.syllable_length, length)
+        return code
+
+    def _merge_table(self, t):
+        """Code of c * t for every code c so far: 0 where the product is
+        the identity, -1 where c is in another factor than t."""
+        table = self._merge.get(t, np.zeros(0, np.int64))
+        known = len(self.syllables)  # codes made below need no entry yet
+        if len(table) < known:
+            fid, p = self.syllables[t]
+            factor = self.group.factors[fid]
+            more = []
+            for c in range(len(table), known):
+                f, q = self.syllables[c] or (-1, None)
+                if f != fid:
+                    more.append(-1)
+                else:
+                    m = factor.mul(q, p)
+                    more.append(0 if factor.is_identity(m) else self.code_of(fid, m))
+            table = self._merge[t] = np.concatenate([table, more]).astype(np.int64)
+        return table
+
+    def times(self, nodes, t):
+        """The pairs (p, c) of each node times the syllable with code t."""
+        merge = self._merge_table(t)
+        last = self.code[nodes]
+        same = self.syllable_factor[last] == self.syllables[t][0]
+        par = np.where(same, self.parent[nodes], nodes)
+        code = np.where(same, merge[last], t)
+        pop = np.flatnonzero(same & (code == 0))  # t cancels the last syllable
+        prefix = par[pop]
+        par[pop], code[pop] = self.parent[prefix], self.code[prefix]
+        return par, code
+
+    def lookup(self, par, code):
+        """The node of each pair, or -1."""
+        keys = (par << 32) | code
+        at = np.searchsorted(self._keys, keys)
+        return np.where(self._keys[at] == keys, self._ids[at], -1)
+
+    def intern(self, par, code):
+        """The node of each pair, adding the pairs that have none."""
+        node = self.lookup(par, code)
+        miss = np.flatnonzero(node < 0)
+        if len(miss):
+            keys, inverse = np.unique((par[miss] << 32) | code[miss], return_inverse=True)
+            ids = self.size + np.arange(len(keys))
+            node[miss] = ids[inverse]
+            p, c = keys >> 32, keys & 0xFFFFFFFF
+            length = self.length[p] + self.syllable_length[c]
+            self.length = np.concatenate([self.length, length])
+            self.parent = np.concatenate([self.parent, p])
+            self.code = np.concatenate([self.code, c])
+            at = np.searchsorted(self._keys, keys)
+            self._keys = np.insert(self._keys, at, keys)
+            self._ids = np.insert(self._ids, at, ids)
+        return node
+
+    def words(self, nodes):
+        """The normal-form tuples of the nodes."""
+        words, syllables = self._words, self.syllables
+        start = len(words)
+        for p, c in zip(self.parent[start:].tolist(), self.code[start:].tolist()):
+            words.append(words[p] + (syllables[c],))
+        return [words[i] for i in nodes]
+
+    def inverses(self, nodes):
+        """The node of each node's inverse, or -1 where the tree lacks it.
+
+        A word's syllable codes are read up the parent array, last
+        syllable first; their inverse codes spell the inverse word first
+        syllable first, and it is walked down from the root by one
+        ``lookup`` per syllable.
+        """
+        factors = self.group.factors
+        inverse = np.array([0] + [self._codes.get((f, factors[f].inv(p)), -1)
+                                  for f, p in self.syllables[1:]])
+        out, up = np.zeros(len(nodes), np.int64), nodes
+        while up.any():
+            out = np.where(up > 0, self.lookup(out, inverse[self.code[up]]), out)
+            up = self.parent[up]
+        return out
+
+
+class PathOperator:
+    """Paths of weight mu(s_1) ... mu(s_n) from e, truncated to a ball.
+
+    States are nodes of a word tree (see ``_WordTree``), numbered in the
+    order paths first reach them.  A batch of states is expanded at once,
+    in row-major (state, step) order: each step is applied one syllable at
+    a time to the whole batch, through prefix nodes, and the targets'
+    nodes and lengths come from numpy arrays.  A target that leaves the
+    word ball of radius ``ball_bound`` goes to the escape sink (-1).
+    ``steps`` keeps integer numerators over ``denominator ** n``.  Element
+    tuples are built only by ``elements``.
+    """
+
+    def __init__(self, measure, ball_bound):
+        self.tree = _WordTree(measure.group)
+        self.ball_bound = ball_bound
+        self.denominator = measure.common_denominator()
+        self.numerators = [int(w * self.denominator) for _, w in measure.support]
+        self._moves = [[self.tree.code_of(f, p) for f, p in s] for s, _ in measure.support]
+        self.node = np.zeros(1, np.int64)  # state id -> node; state 0 is e
+        self._state = np.zeros(1, np.int64)  # node -> state id, or -1
+
+    @property
+    def size(self):
+        return len(self.node)
+
+    def elements(self, ids):
+        """The elements of the given states, as tuples."""
+        return self.tree.words(self.node[ids].tolist())
+
+    def _grow(self):
+        missing = self.tree.size - len(self._state)
+        if missing:
+            self._state = np.concatenate([self._state, np.full(missing, -1)])
+
+    def _expand(self, states):
+        """Targets of the steps from ``states``, shape (states, steps): a
+        state id, or -1 for the escape sink.  New states are added in the
+        order they first occur."""
+        tree = self.tree
+        src = self.node[states]
+        par = np.empty((len(src), len(self._moves)), np.int64)
+        code = np.empty_like(par)
+        for j, move in enumerate(self._moves):
+            nodes, p, c = src, tree.parent[src], tree.code[src]
+            for i, t in enumerate(move):
+                if i:
+                    nodes = tree.intern(p, c)
+                p, c = tree.times(nodes, t)
+            par[:, j], code[:, j] = p, c
+        par, code = par.ravel(), code.ravel()
+        node = tree.lookup(par, code)
+        self._grow()
+        out = np.where(node >= 0, self._state[node], -1)
+        new = np.flatnonzero(out < 0)
+        if len(new):
+            par, code, node = par[new], code[new], node[new]
+            length = tree.length[par] + tree.syllable_length[code]
+            kept = np.flatnonzero(length <= self.ball_bound)
+            nodes = node[kept]
+            miss = np.flatnonzero(nodes < 0)
+            nodes[miss] = tree.intern(par[kept[miss]], code[kept[miss]])
+            self._grow()
+            added = nodes[np.sort(np.unique(nodes, return_index=True)[1])]
+            self._state[added] = self.size + np.arange(len(added))
+            self.node = np.concatenate([self.node, added])
+            res = np.full(len(new), -1)
+            res[kept] = self._state[nodes]
+            out[new] = res
+        return out.reshape(len(src), len(self._moves))
+
+    def steps(self, n):
+        """Yield (ids, nums, escaped) after each of steps 1..n.
+
+        ``ids`` are the states the step's paths reach, in the order they
+        first reach them, and ``nums`` their integer numerators (an object
+        array) over ``denominator ** step``; ``escaped`` is the numerator of
+        the mass that left the ball at this step.  The states new to a step
+        are expanded as one batch, and the step itself is one product over
+        the rows of its states and one grouped sum, by a sort.
+        """
+        weights = np.array(self.numerators, dtype=object)
+        rows = np.zeros((0, len(weights)), np.int64)
+        expanded = np.zeros(0, bool)
+        ids, nums = np.zeros(1, np.int64), np.ones(1, dtype=object)
+        for _ in range(n):
+            grow = self.size - len(rows)
+            if grow:
+                rows = np.concatenate([rows, np.zeros((grow, len(weights)), np.int64)])
+                expanded = np.concatenate([expanded, np.zeros(grow, bool)])
+            fresh = ids[~expanded[ids]]
+            if len(fresh):
+                rows[fresh] = self._expand(fresh)
+                expanded[fresh] = True
+            targets = rows.take(ids, axis=0).ravel()
+            mass = (nums[:, None] * weights).ravel()
+            escaped = mass[targets == -1].sum()
+            live = np.flatnonzero(targets >= 0)
+            order = live[np.argsort(targets[live], kind="stable")]
+            targets = targets[order]
+            starts = np.flatnonzero(np.diff(targets, prepend=-1))
+            sums = np.add.reduceat(mass[order], starts) if len(starts) else mass[:0]
+            first = np.argsort(order[starts])
+            ids, nums = targets[starts][first], sums[first]
+            yield ids, nums, escaped
+
+
+@dataclass
+class Distribution:
+    """mu^{*n} restricted to a ball, as integer numerators over denom."""
+
+    n: int
+    denominator: int
+    numerators: dict  # element -> int
+    escaped_numerator: int
+
+
+def convolve_powers(measure, n, ball_bound=None):
+    """All mu^{*k} for k = 0..n in one pass of the path operator."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if ball_bound is None:
+        ball_bound = n * max_step_length(measure)
+    op = PathOperator(measure, ball_bound)
+    denom = 1
+    escaped = 0
+    out = [Distribution(0, 1, {measure.group.identity: 1}, 0)]
+    for step, (ids, nums, esc) in enumerate(op.steps(n), 1):
+        if op.size > ELEMENT_BUDGET:
+            raise BudgetError(
+                "convolution exceeded element budget",
+                consumed=op.size,
+                budget=ELEMENT_BUDGET,
+            )
+        denom *= op.denominator
+        escaped = escaped * op.denominator + esc
+        numerators = dict(zip(op.elements(ids), nums.tolist()))
+        out.append(Distribution(step, denom, numerators, escaped))
+    return out
+
+
+def is_radial(measure):
+    """Distance-projection chain for mu, or None if the projection fails.
+
+    Requires single-syllable support (plus possibly e) with every step moving
+    distance by at most 1, constant transition profiles on each sphere, and
+    row stabilization before ``RADIAL_CHECK_RADIUS`` so the last row can be
+    repeated.
+    """
+    group = measure.group
+    for g, _ in measure.support:
+        if len(g) > 1 or (len(g) == 1 and word_length(group, g) != 1):
+            return None
+    try:
+        ball = word_ball(group, RADIAL_CHECK_RADIUS, budget=10**6)
+    except BudgetError:
+        return None
+    dist = {g: word_length(group, g) for g in ball}
+    profiles = {}
+    for g in ball:
+        m = dist[g]
+        if m >= RADIAL_CHECK_RADIUS:
+            continue
+        down = stay = up = Fraction(0)
+        for s, w in measure.support:
+            h = group.multiply(g, s)
+            dh = word_length(group, h)
+            if dh == m - 1:
+                down += w
+            elif dh == m:
+                stay += w
+            elif dh == m + 1:
+                up += w
+            else:
+                return None
+        prof = (down, stay, up)
+        if m in profiles and profiles[m] != prof:
+            return None
+        profiles[m] = prof
+    rows = [profiles[m] for m in range(RADIAL_CHECK_RADIUS)]
+    # need at least two identical trailing rows to certify the repeated tail
+    if len(rows) < 3 or rows[-1] != rows[-2]:
+        return None
+    return RadialChain(rows=rows)
 
 
 def reflected(measure):
@@ -32,26 +451,23 @@ def exact_returns(measure, horizon):
     p_{a+b}(e,e) = sum_g mu^{*a}(g) mu^{*b}(g^-1), so the powers up to
     ceil(horizon/2) on one ``PathOperator`` give every p_n, with
     a = ceil(n/2) and b = floor(n/2).  The halves are paired by state:
-    each state is mapped once to the state of its inverse (to itself when
-    mu is symmetric), and a power's numerators are looked up at those
-    states by one sorted search.  The powers' ball holds every path, so
+    each state is mapped once to the state of its inverse, on the tree's
+    node arrays (``_WordTree.inverses``; to itself when mu is symmetric),
+    and a power's numerators are looked up at those states by one sorted
+    search.  The powers' ball holds every path, so
     nothing escapes.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     k = (horizon + 1) // 2
-    op = PathOperator(measure, k * measure.max_step_length)
+    op = PathOperator(measure, k * max_step_length(measure))
     powers = [(np.zeros(1, np.int64), np.ones(1, dtype=object))]
     powers += [(ids, nums) for ids, nums, _ in op.steps(k)]
     if reflected(measure).weights == measure.weights:
         partner = np.arange(op.size)
     else:
-        elements = op.elements(np.arange(op.size))
-        state = {g: i for i, g in enumerate(elements)}
-        factors = measure.group.factors
-        inverse = {syl: (syl[0], factors[syl[0]].inv(syl[1])) for syl in op.tree.syllables[1:]}
-        partner = np.array([state.get(tuple(inverse[x] for x in reversed(g)), -1)
-                            for g in elements])
+        inverse = op.tree.inverses(op.node)
+        partner = np.where(inverse >= 0, op._state[inverse], -1)
     by_state = []  # each power sorted by state, for the sorted search
     for ids, nums in powers:
         order = np.argsort(ids)
@@ -75,10 +491,10 @@ def reaches_ball(measure):
     an element a step longer than it; True where the ball is past its
     budget."""
     try:
-        target = set(measure.group.ball(3, budget=200000))
+        target = set(word_ball(measure.group, 3, budget=200000))
     except BudgetError:
         return True
-    step = max(1, measure.max_step_length)
+    step = max(1, max_step_length(measure))
     powers = convolve_powers(measure, 3 * step + 3, ball_bound=2 + step)
     return target <= {g for d in powers for g in d.numerators}
 
@@ -95,7 +511,7 @@ class StateChain:
     """Paths of weight r^n mu(s_1) ... mu(s_n) from e, truncated to a word
     ball, with the factor H_k absorbing (labelled by payload).
 
-    States are nodes of a ``walks._WordTree``, numbered in the order paths
+    States are nodes of a ``_WordTree``, numbered in the order paths
     first reach them; the targets' nodes, lengths, absorbing labels, ball
     test and distances to H_k come from numpy arrays.  A target that
     leaves the word ball of radius ``ball_bound`` (None: no ball) without
@@ -107,7 +523,7 @@ class StateChain:
     def __init__(self, measure, ball_bound, r, factor):
         group = measure.group
         self.tree = _WordTree(group)
-        self.max_step_length = measure.max_step_length
+        self.max_step_length = max_step_length(measure)
         self.ball_bound = ball_bound
         self.factor = factor
         self.denominator, self.numerators = _step_numerators(measure, r)

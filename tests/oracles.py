@@ -417,6 +417,14 @@ def tree_return_probability(q, n):
 # -- independent relative-sphere BFS ------------------------------------------
 
 
+def _syllable_length(factor, payload):
+    """Word length of a syllable: the l1 norm on a lattice, the factor's
+    breadth-first lengths on a finite factor."""
+    if factor.kind == "lattice":
+        return sum(abs(a) for a in payload)
+    return factor.lengths[payload]
+
+
 def bfs_relative_spheres(group, n_max, cap=None):
     """Sphere lists by plain BFS over capped syllable moves, from scratch."""
     moves = []
@@ -434,7 +442,7 @@ def bfs_relative_spheres(group, n_max, cap=None):
                 if h not in dist:
                     # respect the cap on every syllable, not just the new one
                     if cap is not None and any(
-                        group.factors[fid].length(p) > cap for fid, p in h
+                        _syllable_length(group.factors[fid], p) > cap for fid, p in h
                     ):
                         continue
                     dist[h] = d

@@ -25,7 +25,7 @@ from freewalk.errors import NonConvergenceError
 from freewalk.green import GreenEvaluator
 from freewalk.parabolic import degeneracy_test, first_return_kernel, induced_green
 from freewalk.thermo import build_transfer, pressure, sphere_identity_check
-from freewalk.walks import convolve_powers, detect_period
+from freewalk.walks import detect_period
 
 from oracles import (
     F2_RADIUS,
@@ -39,7 +39,7 @@ from oracles import (
     z2z2z2_radius,
     z_log_return_probs,
 )
-from exact import exact_returns
+from exact import convolve_powers, exact_returns
 from test_path_operator import mass
 
 
@@ -166,9 +166,10 @@ def test_criterion_07_coding_bijection(f2, z2z3):
     for group in (f2, z2z3):
         for cap in (1, 2):
             auto = Automaton(group, cap)
+            symbols = auto.symbols()
             spheres = bfs_relative_spheres(group, 5, cap=cap)
             for n in range(6):
-                elems = [e for _, e in auto.enumerate_sphere(n)]
+                elems = [tuple(symbols[i] for i in row) for row in auto.sphere_rows(n).tolist()]
                 ok &= len(elems) == len(set(elems))
                 ok &= set(elems) == set(spheres[n])
                 ok &= auto.sphere_size(n) == len(spheres[n])

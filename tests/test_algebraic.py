@@ -19,14 +19,9 @@ from freewalk import algebraic
 from freewalk.algebraic import B as BLOCK, m_matrix_solve, perron_root
 from freewalk.errors import GroupSpecError
 from freewalk.groups import FreeProduct, cyclic_factor
-from freewalk.walks import (
-    StepMeasure,
-    convolve_powers,
-    is_radial,
-    uniform_on_generators,
-)
+from freewalk.walks import StepMeasure, uniform_on_generators
 
-from exact import exact_returns, reaches_ball
+from exact import convolve_powers, exact_returns, is_radial, reaches_ball
 from oracles import (
     F2_RADIUS,
     f2_first_passage,

@@ -32,8 +32,6 @@ ALLOWED = {}
 ALLOWED_KNOBS = {
     "ancona_audit.n_triples": "sample size of the audit; tests shrink it to stay fast",
     "ancona_audit.max_rel_dist": "sampling radius of the audit; tests set it on Z2 * Z3",
-    "convolve_powers.ball_bound": "the truncated ball; tests set it to check escaped mass",
-    "Automaton.enumerate_sphere.budget": "element budget; tests set it to check the refusal",
     "induced_green.factor_ball": "factor ball of the induced walk; kernel tests widen it",
     "syllable_choices.cap": "lattice syllable cap of the audit's words; its default is the audit's",
 }

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freewalk import automaton
 from freewalk.automaton import Automaton, factor_matrix
 from freewalk.errors import BudgetError
 from freewalk.groups import FiniteFactor, FreeProduct, LatticeFactor, cyclic_factor
 
+from exact import enumerate_sphere
 from oracles import bfs_relative_spheres
 
 
@@ -63,7 +65,7 @@ class TestBijection:
         aut = Automaton(f2, cap)
         spheres = bfs_relative_spheres(f2, 5, cap=cap)
         for n in range(6):
-            elems = [e for _, e in aut.enumerate_sphere(n)]
+            elems = [e for _, e in enumerate_sphere(aut, n)]
             assert len(elems) == len(set(elems))  # each element exactly once
             assert set(elems) == set(spheres[n])
             assert aut.sphere_size(n) == len(spheres[n])
@@ -72,7 +74,7 @@ class TestBijection:
         aut = Automaton(z2z3, cap=2)
         spheres = bfs_relative_spheres(z2z3, 5, cap=2)
         for n in range(6):
-            assert set(e for _, e in aut.enumerate_sphere(n)) == set(spheres[n])
+            assert set(e for _, e in enumerate_sphere(aut, n)) == set(spheres[n])
 
     def test_capped_growth_rate(self, f2):
         # with unit syllables each factor offers two labels, so the capped
@@ -86,26 +88,27 @@ class TestBijection:
     def test_paths_are_relative_geodesics(self, z2z3):
         aut = Automaton(z2z3, cap=2)
         for n in range(5):
-            for path, elem in aut.enumerate_sphere(n):
+            for path, elem in enumerate_sphere(aut, n):
                 assert len(elem) == len(path) == n
 
     def test_canonical_order_is_stable(self, z2z3):
         aut = Automaton(z2z3, cap=2)
-        first = [e for _, e in aut.enumerate_sphere(3)]
-        second = [e for _, e in aut.enumerate_sphere(3)]
+        first = [e for _, e in enumerate_sphere(aut, 3)]
+        second = [e for _, e in enumerate_sphere(aut, 3)]
         assert first == second
 
-    def test_enumeration_budget(self, f2):
+    def test_enumeration_budget(self, f2, monkeypatch):
+        monkeypatch.setattr(automaton, "SPHERE_BUDGET", 10)
         aut = Automaton(f2, cap=2)
         with pytest.raises(BudgetError):
-            list(aut.enumerate_sphere(5, budget=10))
+            list(enumerate_sphere(aut, 5))
 
 
 class TestRelativeSpheres:
     def test_relative_sphere_sizes_z2z3(self, z2z3):
         aut = Automaton(z2z3, cap=1)
         assert [aut.sphere_size(n) for n in range(3)] == [1, 3, 4]
-        assert [len(list(aut.enumerate_sphere(n))) for n in range(3)] == [1, 3, 4]
+        assert [len(list(enumerate_sphere(aut, n))) for n in range(3)] == [1, 3, 4]
 
     FACTORS = {
         "Z2": lambda: cyclic_factor(2),
@@ -129,16 +132,18 @@ class TestRelativeSpheres:
         want = sorted(bfs_relative_spheres(group, radius, cap)[radius],
                       key=group.canonical_key)
         aut = Automaton(group, cap)
-        assert [g for _, g in aut.enumerate_sphere(radius)] == want
+        assert [g for _, g in enumerate_sphere(aut, radius)] == want
         assert aut.sphere_size(radius) == len(want)
 
-    def test_relative_sphere_budget(self, f2):
+    def test_relative_sphere_budget(self, f2, monkeypatch):
         # two factor orders times 4 * 4 payloads (a^{+-1,+-2}, b^{+-1,+-2});
         # the budget is checked before any row is built
         aut = Automaton(f2, 2)
-        assert len(list(aut.enumerate_sphere(2, budget=32))) == 32
+        monkeypatch.setattr(automaton, "SPHERE_BUDGET", 32)
+        assert len(list(enumerate_sphere(aut, 2))) == 32
+        monkeypatch.setattr(automaton, "SPHERE_BUDGET", 31)
         with pytest.raises(BudgetError) as err:
-            aut.sphere_rows(2, budget=31)
+            aut.sphere_rows(2)
         assert (err.value.consumed, err.value.budget) == (32, 31)
         assert aut.sphere_rows(0).shape == (1, 0)
 

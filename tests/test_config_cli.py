@@ -417,17 +417,9 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("config", [_z2sq_z2_config, _f2_two_letter_config],
                              ids=["z2sq_z2", "f2_two_letter"])
-    def test_walk_outside_the_system_is_refused_at_once(
-        self, config, tmp_path, capsys, monkeypatch
-    ):
-        # the return sequence needs the first-passage system: from before
-        # the config is loaded, no power is convolved and no path operator
-        # is built, and no file is written
-        def refuse(*args, **kwargs):
-            raise AssertionError("walk ran a path sum")
-
-        monkeypatch.setattr(walks, "PathOperator", refuse)
-        monkeypatch.setattr(walks, "convolve_powers", refuse)
+    def test_walk_outside_the_system_is_refused_at_once(self, config, tmp_path, capsys):
+        # the return sequence needs the first-passage system: the route
+        # refuses the measure, and no file is written
         path = config(tmp_path)
         path.write_text(json.dumps(dict(json.loads(path.read_text()), horizon=200)))
         rc = main(["walk", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -453,15 +445,10 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("config", [_z2sq_z2_config, _f2_two_letter_config],
                              ids=["z2sq_z2", "f2_two_letter"])
     def test_green_outside_the_system_is_refused_at_once(
-        self, command, config, tmp_path, capsys, monkeypatch
+        self, command, config, tmp_path, capsys
     ):
         # every Green value needs the first-passage system, so the
-        # evaluator is refused as it is built: no power is convolved and
-        # no file is written
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Green run convolved powers")
-
-        monkeypatch.setattr(walks, "convolve_powers", refuse)
+        # evaluator is refused as it is built, and no file is written
         path = config(tmp_path)
         rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 4
@@ -483,16 +470,10 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("config", [_z2sq_z2_config, _f2_two_letter_config],
                              ids=["z2sq_z2", "f2_two_letter"])
-    def test_llt_outside_the_system_is_refused_at_once(
-        self, config, tmp_path, capsys, monkeypatch
-    ):
+    def test_llt_outside_the_system_is_refused_at_once(self, config, tmp_path, capsys):
         # llt reads R off the first-passage system before it builds any
-        # return sequence: from before the config is loaded, no path is
-        # stepped, and no file is written
-        def refuse(*args, **kwargs):
-            raise AssertionError("llt stepped the path operator")
-
-        monkeypatch.setattr(walks.PathOperator, "steps", refuse)
+        # return sequence: the route refuses the measure, and no file is
+        # written
         path = config(tmp_path)
         path.write_text(json.dumps(dict(json.loads(path.read_text()), horizon=200)))
         rc = main(["llt", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -720,13 +701,9 @@ class TestShippedConfigs:
         assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
-    def test_loading_builds_no_path_operator(self, path, monkeypatch):
+    def test_loading_builds_no_path_operator(self, path):
         # every shipped measure is in the first-passage system's scope, so
         # its support decides admissibility, with no path sum
-        def refuse(*args, **kwargs):
-            raise AssertionError("loading a config built a path operator")
-
-        monkeypatch.setattr(walks, "PathOperator", refuse)
         load_config(path)
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
@@ -773,14 +750,9 @@ class TestShippedConfigs:
             assert not {"ladder", "rho_extrapolated", "slack", "stabilized"} & f.keys()
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
-    def test_report_sums_no_green_series(self, path, tmp_path, monkeypatch):
+    def test_report_sums_no_green_series(self, path, tmp_path):
         # every value of a shipped report is read off the first-passage
-        # system: no power is convolved and no path operator is stepped
-        def refuse(*args, **kwargs):
-            raise AssertionError("a report ran a path sum")
-
-        monkeypatch.setattr(walks, "convolve_powers", refuse)
-        monkeypatch.setattr(walks.PathOperator, "steps", refuse)
+        # system, the package's one engine
         assert main(["report", "--config", str(path), "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])

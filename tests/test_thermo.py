@@ -21,6 +21,7 @@ from freewalk.thermo import (
     sphere_identity_check,
 )
 
+from exact import enumerate_sphere
 from oracles import f2_first_passage, pressure_closed_form, z2z3_first_passages
 from test_audit import CONFIGS
 from test_green import syllable_weight
@@ -160,7 +161,7 @@ class TestSphereIdentityFrozen:
         rows = sphere_identity_check(ev, r, cap=2, n_max=3)
         auto = Automaton(ev.group, 2)
         for n, _, direct, _ in rows:
-            assert direct == math.fsum(ev.h_value(g, r) for _, g in auto.enumerate_sphere(n))
+            assert direct == math.fsum(ev.h_value(g, r) for _, g in enumerate_sphere(auto, n))
 
 
 def _sphere_rows_reference(evaluator, r, cap, n_max):
@@ -182,7 +183,7 @@ def _sphere_rows_reference(evaluator, r, cap, n_max):
     for n in range(1, n_max + 1):
         cur = {
             g: (prev[g[:-1]][0] * weight[g[-1]], prev[g[1:]][1] * inv_weight[g[0]])
-            for _, g in auto.enumerate_sphere(n)
+            for _, g in enumerate_sphere(auto, n)
         }
         direct = math.fsum(to * back for to, back in cur.values())
         lhs = lhs_seq[n - 1] * hee

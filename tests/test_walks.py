@@ -7,16 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from freewalk.errors import DegenerateInputError, GroupSpecError
 from freewalk.groups import FreeProduct, cyclic_factor
-from freewalk.walks import (
-    INADMISSIBLE,
-    StepMeasure,
-    convolve_powers,
-    detect_period,
-    is_radial,
-    uniform_on_generators,
-)
+from freewalk.walks import INADMISSIBLE, StepMeasure, detect_period, uniform_on_generators
 
-from exact import exact_returns, reaches_ball, reflected
+from exact import (
+    convolve_powers, exact_returns, is_radial, reaches_ball, reflected, word_ball, word_length,
+)
 from oracles import f2_return_probability
 from test_path_operator import _measure, first_visits, mass
 
@@ -101,7 +96,7 @@ class TestConvolution:
         assert escaped > 0
         total = Fraction(sum(dist.numerators.values()), dist.denominator)
         assert total + escaped == 1
-        assert all(f2_srw.group.word_length(g) <= 3 for g in dist.numerators)
+        assert all(word_length(f2_srw.group, g) <= 3 for g in dist.numerators)
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(min_value=0, max_value=8))
@@ -145,7 +140,7 @@ class TestFirstVisits:
         # are the Cauchy product of its syllables', all over 3^n
         n_max = 14
         visits = {}
-        for gamma in z2z3.ball(3):
+        for gamma in word_ball(z2z3, 3):
             if not gamma:
                 continue
             denom, hits = first_visits(z2z3_srw, gamma, n_max)
